@@ -16,14 +16,7 @@ import argparse
 import numpy as np
 
 from seqcore import band_ops
-from seqcore.generators import random_band_system, rng_from_seed
-
-
-def log_amplification(sys) -> float:
-    walk = np.concatenate([[0.0], np.cumsum(np.log(np.abs(sys.s[:-1] / sys.r[:-1])))])
-    rise = np.max(walk - np.minimum.accumulate(walk))
-    fall = np.max(np.maximum.accumulate(walk) - walk)
-    return float(max(rise, fall))
+from seqcore.generators import _log_amplification, random_band_system, rng_from_seed
 
 
 def main() -> None:
@@ -40,7 +33,7 @@ def main() -> None:
         x = rng.uniform(-1, 1, args.n) + 1j * rng.uniform(-1, 1, args.n)
         back = band_ops.inverse_transform(band_ops.forward_transform(x, sys), sys).values
         err = np.max(np.abs(back - x)) / np.max(np.abs(x))
-        rows.append((log_amplification(sys), err))
+        rows.append((_log_amplification(sys.r, sys.s), err))
 
     rows.sort()
     amps = np.array([a for a, _ in rows])

@@ -9,16 +9,11 @@ produce byte-identical output.
 Exit codes: 0 all verdicts hold / inclusion true / computation done, 1 some
 verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
 unreadable input or schema violation, 4 internal evaluation errors.
-
-SEQCORE_THREADS, when set, caps worker parallelism; evaluation currently runs
-on a single thread (deterministic by construction), so any positive cap is
-honored trivially.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys as _sys
 from pathlib import Path
 
@@ -94,17 +89,6 @@ def _check_config(config: dict, command: str, allowed: set, required: set) -> No
     missing = sorted(required - set(config))
     if missing:
         raise SchemaError(f"{command}: missing config keys {missing}")
-
-
-def _thread_cap() -> None:
-    raw = os.environ.get("SEQCORE_THREADS")
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise SchemaError(f"SEQCORE_THREADS must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise SchemaError("SEQCORE_THREADS must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +375,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
         return args.fn(args)
     except SchemaError as exc:
         _sys.stderr.write(f"seqcore: {exc}\n")

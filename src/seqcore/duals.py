@@ -15,35 +15,36 @@ table below maps (space, dual) pairs to the required condition sets.
 Numerical policy: "sup over all finite index subsets" is solved exactly by
 branch and bound up to the exact cutoff and is otherwise replaced by its
 absolute-sum upper bound (which sandwiches the subset sup within a constant
-factor, so boundedness trends are preserved).  Quantifiers over all B > 1 are
-sampled over a finite B ladder; universally quantified verdicts are labelled
-as tested-ladder evidence only.
+factor, so boundedness trends are preserved).  That switch and the other
+matrix functionals the S sets share with the class catalog in
+:mod:`seqcore.matclass` (weighted row sups, signed column sups, power row and
+entry sups) live here.  The companions are built once per ladder point and
+serve every condition of a report; quantifiers over all B > 1 are sampled over
+a finite B ladder by the engine in :mod:`seqcore.ladder`, and universally
+quantified verdicts are labelled as tested-ladder evidence only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .band_ops import inverse_kernel, inverse_transform
+from .ladder import WITNESS_LAYERS, ladder_verdict, truncation_ladder, window
 from .types import BandSystem, ExponentSeq, FiniteSeq, TriangleKernel
-from .verdicts import (
-    HOLDS,
-    ConditionVerdict,
-    VerdictConfig,
-    aggregate_verdict,
-    classify_series,
-    combine_exists,
-    combine_forall,
-)
+from .verdicts import VerdictConfig, aggregate_verdict
 
 __all__ = [
     "companion_c",
     "companion_d",
     "subset_sup",
     "subset_sup_bruteforce",
+    "subset_estimate",
+    "weighted_row_sup",
+    "signed_column_sup",
+    "power_row_sup",
+    "power_entry_sup",
     "companion_identity_residuals",
     "DualReport",
     "dual_report",
@@ -224,25 +225,40 @@ def subset_sup(
     return best
 
 
-# ---------------------------------------------------------------------------
-# S-set evaluators
-# ---------------------------------------------------------------------------
-
-
-def _subset_estimate(matrix, axis, weights, outer_exponents, n):
-    """Exact subset sup at small truncations, absolute-sum upper bound beyond."""
-    if n <= EXACT_SUBSET_LIMIT:
+def subset_estimate(matrix, axis, weights=None, outer_exponents=None) -> float:
+    """Exact subset sup up to EXACT_SUBSET_LIMIT subset indices, absolute-sum upper bound beyond."""
+    if np.shape(matrix)[1 if axis == "columns" else 0] <= EXACT_SUBSET_LIMIT:
         return subset_sup(matrix, axis, weights, outer_exponents, mode="exact")
     return subset_sup(matrix, axis, weights, outer_exponents, mode="bound")[1]
 
 
-def _tril_abs(x: np.ndarray) -> np.ndarray:
-    return np.abs(np.tril(x))
+def weighted_row_sup(matrix: np.ndarray, weights: np.ndarray) -> float:
+    """sup_n sum_k |matrix[n, k]| w_k."""
+    return float(np.max(np.abs(matrix) @ weights))
 
 
-def _window(n: int) -> slice:
-    """Last-quarter row window used for limit estimates."""
-    return slice(max(1, (3 * n) // 4), n)
+def signed_column_sup(matrix: np.ndarray, exponents: np.ndarray) -> float:
+    """sup_k (sup_K |sum_{n in K} matrix[n, k]|)^p_k: the larger signed mass of each column."""
+    if np.iscomplexobj(matrix):
+        raise ValueError("subset column sups need real entries")
+    pos = np.maximum(matrix, 0.0).sum(axis=0)
+    neg = np.maximum(-matrix, 0.0).sum(axis=0)
+    return float(np.max(np.maximum(pos, neg) ** exponents))
+
+
+def power_row_sup(matrix: np.ndarray, exponents: np.ndarray) -> float:
+    """sup_n sum_k |matrix[n, k]|^p_k."""
+    return float(np.max((np.abs(matrix) ** exponents[None, :]).sum(axis=1)))
+
+
+def power_entry_sup(matrix: np.ndarray, exponents: np.ndarray) -> float:
+    """sup_{n,k} |matrix[n, k]|^p_k."""
+    return float(np.max(np.abs(matrix) ** exponents[None, :]))
+
+
+# ---------------------------------------------------------------------------
+# S-set evaluators
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -283,51 +299,39 @@ def _evaluate_s(cond_id, C, D, p: ExponentSeq, n: int, b, beta_k, beta):
     """One ladder point of one S condition; returns (value, deviation | None)."""
     pk = p.p[:n]
     if cond_id == "S1":
-        return _subset_estimate(C, "columns", float(b) ** (-1.0 / pk), None, n), None
+        return subset_estimate(C, "columns", float(b) ** (-1.0 / pk)), None
     if cond_id == "S2":
         return float(np.sum(np.abs(C.sum(axis=1)))), None
     if cond_id == "S3":
-        w = float(b) ** (-1.0 / pk)
-        return float(np.max(np.abs(D) @ w)), None
+        return weighted_row_sup(D, float(b) ** (-1.0 / pk)), None
     if cond_id in ("S4", "S16"):
-        kp = _column_probe(n)
-        win = _window(n)
-        cols = D[win, :kp]
+        cols = D[window(n), :_column_probe(n)]
         spread = float(np.max(np.abs(cols.max(axis=0) - cols.min(axis=0)))) if cols.size else 0.0
         return spread, spread
     if cond_id == "S5":
-        w = float(b) ** (-1.0 / pk)
-        dev = _tril_abs(D - beta_k[None, :n])
-        return float(np.max(dev @ w)), None
+        return weighted_row_sup(np.tril(D - beta_k[None, :n]), float(b) ** (-1.0 / pk)), None
     if cond_id == "S6":
         rowsums = D.sum(axis=1)
-        dev = float(np.max(np.abs(rowsums[_window(n)] - beta)))
+        dev = float(np.max(np.abs(rowsums[window(n)] - beta)))
         return float(rowsums[-1].real if np.iscomplexobj(rowsums) else rowsums[-1]), dev
     if cond_id == "S7":
         return float(np.max(np.abs(D.sum(axis=1)))), None
     if cond_id == "S8":
-        return _subset_estimate(D, "columns", float(b) ** (1.0 / pk), None, n), None
+        return subset_estimate(D, "columns", float(b) ** (1.0 / pk)), None
     if cond_id in ("S9", "S11"):
-        w = float(b) ** (1.0 / pk)
-        return float(np.max(np.abs(D) @ w)), None
+        return weighted_row_sup(D, float(b) ** (1.0 / pk)), None
     if cond_id == "S10":
-        w = float(b) ** (1.0 / pk)
-        dev_rows = _tril_abs(D - beta_k[None, :n]) @ w
-        win = _window(n)
-        return float(dev_rows[-1]), float(np.max(dev_rows[win]))
+        dev_rows = np.abs(np.tril(D - beta_k[None, :n])) @ (float(b) ** (1.0 / pk))
+        return float(dev_rows[-1]), float(np.max(dev_rows[window(n)]))
     if cond_id == "S12":
-        if np.iscomplexobj(D):
-            raise ValueError("S12 requires real weights")
-        pos = np.maximum(D, 0.0).sum(axis=0)
-        neg = np.maximum(-D, 0.0).sum(axis=0)
-        return float(np.max(np.maximum(pos, neg) ** pk)), None
+        return signed_column_sup(D, pk), None
     if cond_id == "S13":
-        return _subset_estimate(D / float(b), "rows", None, p.conjugate()[:n], n), None
+        return subset_estimate(D / float(b), "rows", None, p.conjugate()[:n]), None
     if cond_id == "S14":
-        terms = _tril_abs(D / float(b)) ** p.conjugate()[:n][None, :]
-        return float(np.max(terms.sum(axis=1))), None
+        # D is lower triangular, so no truncation to the triangle is needed
+        return power_row_sup(D / float(b), p.conjugate()[:n]), None
     if cond_id == "S15":
-        return float(np.max(np.abs(D) ** pk[None, :])), None
+        return power_entry_sup(D, pk), None
     raise KeyError(f"unknown dual condition {cond_id!r}")
 
 
@@ -409,9 +413,7 @@ def dual_report(
     successful ladder value; universal ones require every ladder value and
     are marked as tested-ladder evidence.
     """
-    ladder = [int(n) for n in ladder]
-    if not ladder or any(b <= a_ for a_, b in zip(ladder, ladder[1:])):
-        raise ValueError("ladder must be nonempty and strictly increasing")
+    ladder = truncation_ladder(ladder)
     a = FiniteSeq.coerce(a)
     n_max = ladder[-1]
     if a.n < n_max:
@@ -443,48 +445,12 @@ def dual_report(
         if meta.uses_beta:
             fitted["beta"] = beta_val
 
-        def series(b):
-            vals, devs, ests = [], [], []
-            for n in ladder:
-                value, dev = _evaluate_s(cid, C_at[n], D_at[n], p, n, b, beta_k, beta_val)
-                vals.append(value)
-                devs.append(dev)
-                ests.append((n, None if b is None else f"B={b}", value))
-            return vals, devs, ests
+        def evaluate(n, witnesses, cid=cid):
+            return _evaluate_s(cid, C_at[n], D_at[n], p, n, witnesses.get("B"), beta_k, beta_val)
 
-        if meta.quantifier == "plain":
-            vals, devs, ests = series(None)
-            if meta.kind == "limit":
-                target = fitted.get("beta", 0.0)
-                verdict, growth, last = classify_series("limit", ladder, [d for d in devs], 0.0, config)
-                cv = ConditionVerdict(cid, tuple(ests), verdict, growth, "limit", target, last, None, fitted, meta.anchor)
-            else:
-                verdict, growth, _ = classify_series("bounded", ladder, vals, None, config)
-                cv = ConditionVerdict(cid, tuple(ests), verdict, growth, "bounded", None, None, None, fitted, meta.anchor)
-        else:
-            all_ests, per_b = [], []
-            for b in b_ladder:
-                vals, devs, ests = series(b)
-                all_ests.extend(ests)
-                if meta.kind == "limit":
-                    verdict, growth, last = classify_series("limit", ladder, [d for d in devs], 0.0, config)
-                else:
-                    verdict, growth, last = classify_series("bounded", ladder, vals, None, config)
-                per_b.append((verdict, growth, last))
-                if meta.quantifier == "exists_b" and verdict == HOLDS:
-                    break
-            if meta.quantifier == "exists_b":
-                verdict = combine_exists(v for v, _, _ in per_b)
-                pick = min(per_b, key=lambda t: (t[0] != verdict,))
-                note = None
-            else:
-                verdict = combine_forall(v for v, _, _ in per_b)
-                pick = max(per_b, key=lambda t: (t[0] == verdict,))
-                note = "tested ladder only" if verdict == HOLDS else None
-            target = 0.0 if meta.kind == "limit" else None
-            cv = ConditionVerdict(
-                cid, tuple(all_ests), verdict, pick[1], meta.kind, target, pick[2], note, fitted, meta.anchor
-            )
-        verdicts.append(cv)
+        layers = WITNESS_LAYERS[meta.quantifier]
+        verdicts.append(
+            ladder_verdict(cid, ladder, layers, meta.kind, evaluate, b_ladder, fitted, 0.0, meta.anchor, config)
+        )
 
     return DualReport(space, dual, tuple(verdicts), aggregate_verdict(v.verdict for v in verdicts))

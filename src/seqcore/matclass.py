@@ -21,7 +21,13 @@ aggregate verdicts with fails dominating, then inconclusive.
 
 Everything is ladder-based evidence in the sense of :mod:`seqcore.verdicts`;
 universally quantified integers L and existentially quantified integers M are
-sampled over a finite quantifier ladder.
+sampled over a finite quantifier ladder by the engine in
+:mod:`seqcore.ladder`, which also runs the dual-set catalog.  The matrix
+functionals the L2.x entries share with the S sets (subset estimates,
+weighted row sups, signed column sups, power row and entry sups) live in
+:mod:`seqcore.duals`.  A class report builds its source once per ladder
+point, one composition yielding both E and its partial-sum families, and
+hands that table to every condition.
 """
 
 from __future__ import annotations
@@ -32,18 +38,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_ops import inverse_kernel
-from .duals import subset_sup
-from .generators import materialize_matrix
-from .types import BandSystem, ExponentSeq
-from .verdicts import (
-    HOLDS,
-    ConditionVerdict,
-    VerdictConfig,
-    aggregate_verdict,
-    classify_series,
-    combine_exists,
-    combine_forall,
+from .duals import (  # noqa: F401 - perfbench traces matclass.subset_sup as an import site
+    power_entry_sup,
+    power_row_sup,
+    signed_column_sup,
+    subset_estimate,
+    subset_sup,
+    weighted_row_sup,
 )
+from .generators import materialize_matrix
+from .ladder import WITNESS_LAYERS, ladder_verdict, truncation_ladder, window
+from .types import BandSystem, ExponentSeq
+from .verdicts import ConditionVerdict, VerdictConfig, aggregate_verdict
 
 __all__ = [
     "btilde",
@@ -203,20 +209,12 @@ def condition_catalog() -> dict:
     }
 
 
-def _window(n: int) -> slice:
-    return slice(max(1, (3 * n) // 4), n)
-
-
-def _weighted_rowsup(M: np.ndarray, w: np.ndarray) -> float:
-    return float(np.max(np.abs(M) @ w))
-
-
 def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets):
     """One ladder point of one condition; returns (value, deviation | None)."""
     spec = CONDITIONS[cond_id]
     pk = p.p[:n] if p is not None else None
     qn = q[:n] if q is not None else None
-    win = _window(n)
+    win = window(n)
     rows = min(_PROBE_ROWS, n)
     cols = min(_PROBE_COLS, n)
 
@@ -233,13 +231,13 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets)
             w = float(M) ** (-1.0 / pk)
             worst = 0.0
             for i in range(rows):
-                worst = max(worst, _weighted_rowsup(partial.rows(i), w))
+                worst = max(worst, weighted_row_sup(partial.rows(i), w))
             return worst, None
         if cond_id == "mt27":
             worst = 0.0
             for i in range(rows):
                 w = float(L) ** (1.0 / qn[i]) * float(M) ** (-1.0 / pk)
-                worst = max(worst, _weighted_rowsup(partial.rows(i), w))
+                worst = max(worst, weighted_row_sup(partial.rows(i), w))
             return worst, None
         if cond_id == "mt28":
             worst = 0.0
@@ -252,9 +250,8 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets)
 
     G = src  # dense matrix: E, btilde, or a directly supplied matrix
     if cond_id in ("mt24", "mt29"):
-        w = float(L) ** (1.0 / pk)
         block = G[:rows] if cond_id == "mt24" else G
-        return _weighted_rowsup(block, w), None
+        return weighted_row_sup(block, float(L) ** (1.0 / pk)), None
     if cond_id in ("mt30", "L2.4b", "2.15", "4.2", "4.2z"):
         ref = np.zeros(cols) if cond_id == "4.2z" else beta_k[:cols]
         dev_block = np.abs(G[win, :cols] - ref[None, :])
@@ -284,8 +281,8 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets)
         w = float(M) ** (-1.0 / pk)
         f = (np.abs(G) @ w) * (float(L) ** (1.0 / qn))
         return float(np.max(f)), None
-    if cond_id == "mt37":
-        return _weighted_rowsup(G, float(M) ** (-1.0 / pk)), None
+    if cond_id in ("mt37", "L2.4a", "L2.5"):
+        return weighted_row_sup(G, float(M) ** (-1.0 / pk)), None
     if cond_id == "mt38":
         w = float(M) ** (-1.0 / pk)
         f = (np.abs(G - beta_k[:n][None, :]) @ w) * (float(L) ** (1.0 / qn))
@@ -298,31 +295,17 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets)
         dev = float(np.max(f[win])) if f[win].size else 0.0
         return float(f[-1]), dev
     if cond_id == "L2.3":
-        w = float(M) ** (-1.0 / pk)
-        if n <= 20:
-            return subset_sup(G, "columns", w, None, mode="exact"), None
-        return subset_sup(G, "columns", w, None, mode="bound")[1], None
-    if cond_id in ("L2.4a", "L2.5"):
-        return _weighted_rowsup(G, float(M) ** (-1.0 / pk)), None
+        return subset_estimate(G, "columns", float(M) ** (-1.0 / pk)), None
     if cond_id == "L2.4c":
-        w = float(M) ** (-1.0 / pk)
-        return float(np.max(np.abs(G - beta_k[:n][None, :]) @ w)), None
+        return weighted_row_sup(G - beta_k[:n][None, :], float(M) ** (-1.0 / pk)), None
     if cond_id == "L2.6i":
-        pc = p.conjugate()[:n]
-        if n <= 20:
-            return subset_sup(G / float(M), "rows", None, pc, mode="exact"), None
-        return subset_sup(G / float(M), "rows", None, pc, mode="bound")[1], None
+        return subset_estimate(G / float(M), "rows", None, p.conjugate()[:n]), None
     if cond_id == "L2.6ii":
-        if np.iscomplexobj(G):
-            raise ValueError("subset column sups need real entries")
-        pos = np.maximum(G, 0.0).sum(axis=0)
-        neg = np.maximum(-G, 0.0).sum(axis=0)
-        return float(np.max(np.maximum(pos, neg) ** pk)), None
+        return signed_column_sup(G, pk), None
     if cond_id == "L2.7i":
-        pc = p.conjugate()[:n]
-        return float(np.max((np.abs(G / float(M)) ** pc[None, :]).sum(axis=1))), None
+        return power_row_sup(G / float(M), p.conjugate()[:n]), None
     if cond_id == "L2.7ii":
-        return float(np.max(np.abs(G) ** pk[None, :])), None
+        return power_entry_sup(G, pk), None
     if cond_id == "4.1":
         return float(np.max(np.abs(G).sum(axis=1))), None
     if cond_id == "4.5":
@@ -352,8 +335,68 @@ def _validate_q(q, n: int) -> np.ndarray:
     if np.any(qa[:n] <= 0.0):
         raise ValueError("q entries must be strictly positive")
     if np.any(np.diff(qa[:n]) < 0.0) or np.max(qa[:n]) > 1e6:
-        warnings.warn("q is expected to be non-decreasing and bounded", stacklevel=3)
+        warnings.warn("q is expected to be non-decreasing and bounded", stacklevel=4)
     return qa
+
+
+def _check_inputs(cond_ids, ladder, p, q):
+    """Validate the ladder and the exponent inputs of the conditions; returns (ladder, q array)."""
+    ladder = truncation_ladder(ladder)
+    for cid in cond_ids:
+        spec = CONDITIONS[cid]
+        if spec.needs_p and p is None:
+            raise ValueError(f"condition {cid} needs the exponent sequence p")
+        if spec.needs_q and q is None:
+            raise ValueError(f"condition {cid} needs the target exponent sequence q")
+        if spec.needs_conjugate and p is not None and np.any(p.p <= 1.0):
+            raise ValueError(f"condition {cid} needs conjugate exponents, so p_k > 1")
+    if p is not None:
+        p.require_length(ladder[-1])
+    return ladder, (_validate_q(q, ladder[-1]) if q is not None else None)
+
+
+def _rung_sources(source: str, A, sys, matrix, n: int) -> dict:
+    """The source matrices of one ladder point, keyed by source kind.
+
+    One composition serves both "E" and "partial"; matrix= bypasses the
+    composition and supplies the transformed-side matrix directly.
+    """
+    if source in ("E", "btilde") and matrix is not None:
+        return {source: materialize_matrix(matrix, n)}
+    if source in ("E", "partial"):
+        E, partial = e_matrix(A, sys, n)
+        return {"E": E, "partial": partial}
+    if source == "btilde":
+        return {"btilde": btilde(A, sys, n)}
+    return {"matrix": materialize_matrix(matrix, n)}
+
+
+def _condition_verdict(cond_id, sources, ladder, p, qa, beta_k, beta, density_sets, quantifier_ladder, config):
+    """Fit the condition's parameters at the top rung and run it through the ladder engine."""
+    spec = CONDITIONS[cond_id]
+    top = sources[ladder[-1]][spec.source]
+    fitted: dict = {}
+    if spec.uses_beta_k:
+        beta_k = np.real(top[-1, :]).copy() if beta_k is None else np.asarray(beta_k, dtype=np.float64)
+        fitted["beta_k_head"] = [float(v) for v in beta_k[:8]]
+    if spec.uses_beta and beta is None and spec.source != "partial":
+        beta = float(np.real(top[-1, :].sum()))
+    if spec.uses_beta and beta is not None:
+        beta = float(beta)
+        fitted["beta"] = beta
+    if cond_id == "4.6":
+        if density_sets is None:
+            density_sets = default_density_sets(ladder[-1])
+        fitted["density_sets"] = [name for name, _ in density_sets]
+
+    def evaluate(n, witnesses):
+        src = sources[n][spec.source]
+        return _evaluate(cond_id, src, p, qa, n, witnesses.get("L"), witnesses.get("M"), beta_k, beta, density_sets)
+
+    layers = WITNESS_LAYERS[spec.quantifier]
+    return ladder_verdict(
+        cond_id, ladder, layers, spec.kind, evaluate, quantifier_ladder, fitted, spec.target, spec.anchor, config
+    )
 
 
 def eval_condition(
@@ -373,7 +416,7 @@ def eval_condition(
 ) -> ConditionVerdict:
     """Evaluate one catalog condition over a truncation ladder.
 
-    The condition's source matrices are rebuilt at every ladder point: the
+    The condition's source matrix is built once per ladder point: the
     composed matrix and its partial sums from (A, sys), the band-transformed
     matrix from (A, sys), or a caller-supplied matrix/generator for the
     generic matrix conditions.  beta_k / beta default to fitted values from
@@ -382,125 +425,16 @@ def eval_condition(
     if cond_id not in CONDITIONS:
         raise KeyError(f"unknown condition {cond_id!r}")
     spec = CONDITIONS[cond_id]
-    ladder = [int(n) for n in ladder]
-    if not ladder or any(b <= a_ for a_, b in zip(ladder, ladder[1:])):
-        raise ValueError("ladder must be nonempty and strictly increasing")
-    n_max = ladder[-1]
-
-    if spec.needs_p and p is None:
-        raise ValueError(f"condition {cond_id} needs the exponent sequence p")
-    if spec.needs_q and q is None:
-        raise ValueError(f"condition {cond_id} needs the target exponent sequence q")
-    if spec.needs_conjugate and p is not None and np.any(p.p <= 1.0):
-        raise ValueError(f"condition {cond_id} needs conjugate exponents, so p_k > 1")
-    if p is not None:
-        p.require_length(n_max)
-    qa = _validate_q(q, n_max) if q is not None else None
-
-    # source matrices per ladder point; matrix= bypasses the composition and
-    # supplies the transformed-side matrix directly
-    sources: dict[int, object] = {}
-    for n in ladder:
-        if spec.source in ("E", "btilde") and matrix is not None:
-            sources[n] = materialize_matrix(matrix, n)
-        elif spec.source in ("E", "partial"):
-            if A is None or sys is None:
-                raise ValueError(f"condition {cond_id} needs A and a band system")
-            E, partial = e_matrix(A, sys, n)
-            sources[n] = partial if spec.source == "partial" else E
-        elif spec.source == "btilde":
-            if A is None or sys is None:
-                raise ValueError(f"condition {cond_id} needs the matrix and a band system")
-            sources[n] = btilde(A, sys, n)
-        else:
-            if matrix is None and A is not None:
-                matrix = A
-            if matrix is None:
-                raise ValueError(f"condition {cond_id} needs a matrix input")
-            sources[n] = materialize_matrix(matrix, n)
-
-    fitted: dict = {}
-    if spec.uses_beta_k and beta_k is None:
-        top = sources[n_max]
-        ref = top if isinstance(top, np.ndarray) else e_matrix(A, sys, n_max)[0]
-        beta_k = np.real(ref[-1, :]).copy()
-        fitted["beta_k_head"] = [float(v) for v in beta_k[:8]]
-    elif spec.uses_beta_k:
-        beta_k = np.asarray(beta_k, dtype=np.float64)
-        fitted["beta_k_head"] = [float(v) for v in beta_k[:8]]
-    if spec.uses_beta and beta is None and spec.source != "partial":
-        top = sources[n_max]
-        beta = float(np.real(top[-1, :].sum()))
-        fitted["beta"] = beta
-    elif spec.uses_beta and beta is not None:
-        beta = float(beta)
-        fitted["beta"] = beta
-    if cond_id == "4.6":
-        if density_sets is None:
-            density_sets = default_density_sets(n_max)
-        fitted["density_sets"] = [name for name, _ in density_sets]
-
-    def series(L, M, witness):
-        vals, devs, ests = [], [], []
-        for n in ladder:
-            value, dev = _evaluate(cond_id, sources[n], p, qa, n, L, M, beta_k, beta, density_sets)
-            vals.append(value)
-            devs.append(dev)
-            ests.append((n, witness, value))
-        return vals, devs, ests
-
-    def classify(vals, devs):
-        if spec.kind == "limit":
-            return classify_series("limit", ladder, devs, 0.0, config)
-        return classify_series("bounded", ladder, vals, None, config)
-
-    quantifier = spec.quantifier
-    if quantifier == "plain":
-        vals, devs, ests = series(None, None, None)
-        verdict, growth, last = classify(vals, devs)
-        note = None
-    elif quantifier in ("forall_l", "exists_m"):
-        per, ests = [], []
-        for w in quantifier_ladder:
-            L = w if quantifier == "forall_l" else None
-            M = w if quantifier == "exists_m" else None
-            name = f"L={w}" if quantifier == "forall_l" else f"M={w}"
-            vals, devs, e = series(L, M, name)
-            ests.extend(e)
-            per.append(classify(vals, devs))
-            if quantifier == "exists_m" and per[-1][0] == HOLDS:
-                break
-        combine = combine_forall if quantifier == "forall_l" else combine_exists
-        verdict = combine(v for v, _, _ in per)
-        pick = next(t for t in per if t[0] == verdict)
-        growth, last = pick[1], pick[2]
-        note = "tested ladder only" if (quantifier == "forall_l" and verdict == HOLDS) else None
-    elif quantifier == "forall_l_exists_m":
-        outer, ests = [], []
-        for L in quantifier_ladder:
-            inner = []
-            for M in quantifier_ladder:
-                vals, devs, e = series(L, M, f"L={L},M={M}")
-                ests.extend(e)
-                inner.append(classify(vals, devs))
-                if inner[-1][0] == HOLDS:
-                    break
-            inner_verdict = combine_exists(v for v, _, _ in inner)
-            pick = next(t for t in inner if t[0] == inner_verdict)
-            outer.append((inner_verdict, pick[1], pick[2]))
-        verdict = combine_forall(v for v, _, _ in outer)
-        pick = next(t for t in outer if t[0] == verdict)
-        growth, last = pick[1], pick[2]
-        note = "tested ladder only" if verdict == HOLDS else None
-    else:
-        raise ValueError(f"unknown quantifier {quantifier!r}")
-
-    target = spec.target if spec.kind == "limit" else None
-    if spec.uses_beta and spec.kind == "limit" and beta is not None:
-        target = beta
-    return ConditionVerdict(
-        cond_id, tuple(ests), verdict, growth, spec.kind, target, last, note, fitted, spec.anchor
-    )
+    ladder, qa = _check_inputs((cond_id,), ladder, p, q)
+    if spec.source == "matrix":
+        matrix = A if matrix is None else matrix
+        if matrix is None:
+            raise ValueError(f"condition {cond_id} needs a matrix input")
+    elif (spec.source == "partial" or matrix is None) and (A is None or sys is None):
+        what = "the matrix" if spec.source == "btilde" else "A"
+        raise ValueError(f"condition {cond_id} needs {what} and a band system")
+    sources = {n: _rung_sources(spec.source, A, sys, matrix, n) for n in ladder}
+    return _condition_verdict(cond_id, sources, ladder, p, qa, beta_k, beta, density_sets, quantifier_ladder, config)
 
 
 # ---------------------------------------------------------------------------
@@ -557,24 +491,18 @@ def class_report(
     """Evaluate every condition of one mapping-class characterization."""
     if class_id not in CLASS_RULES:
         raise KeyError(f"unknown class {class_id!r}; known: {sorted(CLASS_RULES)}")
-    _, cond_ids, needs_q = CLASS_RULES[class_id]
+    source, cond_ids, needs_q = CLASS_RULES[class_id]
     if needs_q and q is None:
         raise ValueError(f"class {class_id} targets a variable-exponent space and needs q")
     needs_p = any(CONDITIONS[c].needs_p for c in cond_ids)
     if needs_p and p is None:
         raise ValueError(f"class {class_id} needs the exponent sequence p")
+    ladder, qa = _check_inputs(cond_ids, ladder, p, q)
+    if A is None or sys is None:
+        raise ValueError(f"class {class_id} needs A and a band system")
+    sources = {n: _rung_sources(source, A, sys, None, n) for n in ladder}
     verdicts = tuple(
-        eval_condition(
-            cid,
-            A=A,
-            sys=sys,
-            p=p,
-            q=q,
-            density_sets=density_sets,
-            ladder=ladder,
-            quantifier_ladder=quantifier_ladder,
-            config=config,
-        )
+        _condition_verdict(cid, sources, ladder, p, qa, None, None, density_sets, quantifier_ladder, config)
         for cid in cond_ids
     )
     return ClassReport(class_id, verdicts, aggregate_verdict(v.verdict for v in verdicts))

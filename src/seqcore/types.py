@@ -43,15 +43,6 @@ class FiniteSeq:
     def n(self) -> int:
         return self.values.size
 
-    @property
-    def is_real(self) -> bool:
-        return bool(np.all(self.values.imag == 0.0))
-
-    def real(self) -> np.ndarray:
-        if not self.is_real:
-            raise ValueError("sequence has a nonzero imaginary part")
-        return self.values.real
-
     @staticmethod
     def coerce(x) -> "FiniteSeq":
         return x if isinstance(x, FiniteSeq) else FiniteSeq(np.asarray(x))

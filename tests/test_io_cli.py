@@ -208,12 +208,6 @@ class TestCli:
         cfg.write_text(json.dumps({"matrix": "zero", "system": "delta", "class": "nope", "ladder": [16, 32]}))
         assert cli.main(["class-check", "--config", str(cfg)]) == 3
 
-    def test_thread_cap_env_validation(self, monkeypatch):
-        monkeypatch.setenv("SEQCORE_THREADS", "zebra")
-        assert cli.main(["paranorm", "--x", "e", "--p", "1.0", "--raw", "--n", "4"]) == 3
-        monkeypatch.setenv("SEQCORE_THREADS", "2")
-        assert cli.main(["paranorm", "--x", "e", "--p", "1.0", "--raw", "--n", "4"]) == 0
-
     def test_verify_empty_selection_exits_two(self):
         assert cli.main(["verify", "--select", ""]) == 2
 

@@ -183,6 +183,27 @@ class TestClassReport:
         assert table["s0:c_q"] == ["mt25", "mt26", "mt27", "mt36", "mt37", "mt38"]
         assert set(table) == set(matclass.CLASS_RULES)
 
+    @pytest.mark.parametrize("class_id, builder", [("sc:c_q", "e_matrix"), ("st:sc_reg", "btilde")])
+    def test_sources_built_once_per_rung(self, monkeypatch, class_id, builder):
+        ladder = (16, 32, 64)
+        p = ExponentSeq.constant(2.0, 64)
+        q = np.full(64, 1.5)
+        calls = {"e_matrix": 0, "btilde": 0}
+        for name in calls:
+            original = getattr(matclass, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(matclass, name, counted)
+        report = matclass.class_report("cesaro", class_id, DELTA, p=p, q=q, ladder=ladder)
+        assert calls[builder] == len(ladder)
+        assert sum(calls.values()) == len(ladder)
+        for cond in report.conditions:
+            alone = matclass.eval_condition(cond.cond_id, A="cesaro", sys=DELTA, p=p, q=q, ladder=ladder)
+            assert cond.to_json() == alone.to_json()
+
     def test_report_serialization(self):
         report = matclass.class_report("cesaro", "c:sc_reg", DELTA, ladder=(16, 32, 64))
         doc = report.to_json()
