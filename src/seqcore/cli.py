@@ -8,7 +8,8 @@ produce byte-identical output.
 
 Exit codes: 0 all verdicts hold / inclusion true / computation done, 1 some
 verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
-unreadable input or schema violation, 4 internal evaluation errors.
+unreadable input or schema violation (including invalid generator values and
+non-integer lists), 4 internal evaluation errors.
 """
 
 from __future__ import annotations
@@ -63,13 +64,20 @@ def _parse_exponents(text: str, n: int) -> ExponentSeq:
     return ExponentSeq(np.asarray(vals[:n]))
 
 
+def _parse_ints(text: str, what: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise SchemaError(f"{what} must be comma-separated integers: {text!r}") from exc
+
+
 def _parse_window(text: str | None, n: int, min_start: int = 0) -> tuple[int, int]:
     if text is None:
         return max(min_start, n // 4), n
-    parts = text.split(",")
+    parts = _parse_ints(text, "window")
     if len(parts) != 2:
         raise SchemaError("window must be 'start,stop'")
-    return int(parts[0]), int(parts[1])
+    return parts[0], parts[1]
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -133,7 +141,7 @@ def _cmd_basis_residual(args) -> int:
     x = seq_from_spec(_resolve_spec(args.x), n)
     sys = system_from_spec(_resolve_spec(args.system), x.n)
     p = _parse_exponents(args.p, x.n)
-    cutoffs = [int(c) for c in args.cutoffs.split(",") if c]
+    cutoffs = _parse_ints(args.cutoffs, "cutoffs")
     y = band_ops.forward_transform(x, sys)
     rows = [
         {
@@ -153,7 +161,7 @@ _DUAL_KEYS = {"command", "a", "system", "p", "space", "dual", "ladder", "b_ladde
 def _cmd_dual_check(args) -> int:
     config = load_json(args.config)
     if args.ladder:
-        config = dict(config, ladder=[int(v) for v in args.ladder.split(",")])
+        config = dict(config, ladder=_parse_ints(args.ladder, "ladder"))
     _check_config(config, "dual-check", _DUAL_KEYS, {"a", "system", "p", "space", "dual", "ladder"})
     ladder = [int(v) for v in config["ladder"]]
     n = max(ladder)
@@ -173,7 +181,7 @@ _CLASS_KEYS = {"command", "matrix", "system", "class", "p", "q", "ladder", "out"
 def _cmd_class_check(args) -> int:
     config = load_json(args.config)
     if args.ladder:
-        config = dict(config, ladder=[int(v) for v in args.ladder.split(",")])
+        config = dict(config, ladder=_parse_ints(args.ladder, "ladder"))
     _check_config(config, "class-check", _CLASS_KEYS, {"matrix", "system", "class", "ladder"})
     ladder = [int(v) for v in config["ladder"]]
     n = max(ladder)

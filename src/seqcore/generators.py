@@ -185,6 +185,12 @@ def _log_amplification(r: np.ndarray, s: np.ndarray) -> float:
     return max(rise, fall)
 
 
+# Far above the mean draws of every screened configuration in use: about 160
+# for C1's (n = 512, cap 1e4) and about 18 000 for n = 256 with cap 100, so
+# the limit ends only requests the sampler cannot meet in practice.
+MAX_SYSTEM_DRAWS = 100_000
+
+
 def random_band_system(
     rng: np.random.Generator,
     n: int,
@@ -199,15 +205,20 @@ def random_band_system(
     of forward substitution while every entry still ranges over the full
     stated magnitude box.  Without a cap the ratio walk at large n routinely
     reaches e^20 and beyond, where no double-precision round trip can hold a
-    tight tolerance.
+    tight tolerance.  After ``MAX_SYSTEM_DRAWS`` rejected candidates it raises
+    ``ValueError`` instead of drawing forever.
     """
     if n < 1:
         raise ValueError("system length must be >= 1")
-    while True:
+    for _ in range(MAX_SYSTEM_DRAWS):
         r = rng.uniform(low, high, n) * rng.choice([-1.0, 1.0], n)
         s = rng.uniform(low, high, n) * rng.choice([-1.0, 1.0], n)
         if amplification_cap is None or _log_amplification(r, s) <= np.log(amplification_cap):
             return BandSystem(r, s, rng.uniform(low, high, n))
+    raise ValueError(
+        f"no band system of length {n} within amplification cap {amplification_cap} "
+        f"after {MAX_SYSTEM_DRAWS} draws"
+    )
 
 
 _SYSTEM_GENERATORS = ("constant", "difference", "delta", "band", "random")

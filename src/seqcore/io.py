@@ -130,6 +130,13 @@ def system_to_json(sys: BandSystem) -> dict:
     }
 
 
+def _generated_system(name: str, params: dict, length: int) -> BandSystem:
+    try:
+        return band_system_from_spec(name, params, length)
+    except ValueError as exc:
+        raise SchemaError(f"invalid band system: {exc}") from exc
+
+
 def system_from_spec(spec, length: int) -> BandSystem:
     """Band system from arrays, a generator document, or shorthand string."""
     if isinstance(spec, BandSystem):
@@ -137,10 +144,10 @@ def system_from_spec(spec, length: int) -> BandSystem:
         return spec
     if isinstance(spec, str):
         name, params = parse_shorthand(spec)
-        return band_system_from_spec(name, params, length)
+        return _generated_system(name, params, length)
     if isinstance(spec, dict):
         if "generator" in spec:
-            return band_system_from_spec(spec["generator"], spec.get("params", {}), length)
+            return _generated_system(spec["generator"], spec.get("params", {}), length)
         if {"r", "s", "alpha"} <= set(spec):
             try:
                 sys = BandSystem(np.asarray(spec["r"]), np.asarray(spec["s"]), np.asarray(spec["alpha"]))

@@ -85,9 +85,13 @@ def btilde(B, sys: BandSystem, n: int) -> np.ndarray:
 class EPartial:
     """Partial-sum families of the composed matrix.
 
-    ``rows(n)`` returns the (m, k) block of sum_{j=k..m} A[n, j] V[j, k];
-    by construction its final row equals row n of the composed matrix exactly
-    (the composed matrix is defined as that final cumulative sum).
+    ``rows(n)`` returns the (m, k) block of sum_{j=k..m} A[n, j] V[j, k],
+    accumulated in index order j.  The cumulative sum runs only up to the
+    last nonzero entry of A[n]; every later row adds exact zeros, so it is a
+    copy of that row.  Up to there the block is bit-identical to the full
+    cumulative sum; after it the values are equal and only the sign of an
+    exact zero can differ.  The final row equals row n of the composed
+    matrix, which is built from the same additions in the same order.
     """
 
     def __init__(self, A: np.ndarray, V: np.ndarray):
@@ -101,24 +105,68 @@ class EPartial:
     def rows(self, n: int) -> np.ndarray:
         if not 0 <= n < self.n:
             raise IndexError(f"row {n} out of range")
-        return np.cumsum(self._A[n][:, None] * self._V, axis=0)
+        a = self._A[n]
+        nonzero = np.flatnonzero(a)
+        stop = int(nonzero[-1]) + 1 if nonzero.size else 0
+        out = np.zeros((self.n, self.n), dtype=np.result_type(a.dtype, self._V.dtype))
+        np.cumsum(a[:stop, None] * self._V[:stop], axis=0, out=out[:stop])
+        if 0 < stop < self.n:
+            out[stop:] = out[stop - 1]
+        return out
 
 
 def e_matrix(A, sys: BandSystem, n: int) -> tuple[np.ndarray, EPartial]:
     """Composed matrix E = A V at truncation n, plus its partial-sum families.
 
-    E's rows are taken from the final partial sums, so the consistency
-    ``partial.rows(i)[-1] == E[i]`` holds exactly, not just to rounding.
+    E is accumulated by one sweep over j in index order,
+    ``E[lo_j:, :j+1] += A[lo_j:, j] V[j, :j+1]``, where lo_j is the first row
+    with a nonzero entry in column j of A.  The terms it skips are exact
+    zeros (V is lower triangular, and A vanishes above lo_j), so each E[i, k]
+    is the same IEEE additions, in the same order, as the last row of the
+    full cumulative sum sum_{j=0..n-1} A[i, j] V[j, k].  The sweep starts
+    from +0.0 where that sum starts from its first term, so the few parts
+    the full sum gives as -0.0 are written back afterwards: E is
+    bit-identical to the full sum, sign of zero included, and
+    ``partial.rows(i)[-1] == E[i]`` holds exactly, not just to rounding.  A
+    lower-triangular A costs about n^3/6 multiply-adds instead of n^3.
     """
     if n < 1:
         raise ValueError("truncation must be >= 1")
     dense = materialize_matrix(A, n)
     V = inverse_kernel(sys, n).entries
-    partial = EPartial(dense, V)
-    E = np.empty((n, n), dtype=np.result_type(dense.dtype, V.dtype))
-    for i in range(n):
-        E[i] = partial.rows(i)[-1]
-    return E, partial
+    E = np.zeros((n, n), dtype=np.result_type(dense.dtype, V.dtype))
+    nonzero = dense != 0
+    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), n)
+    for j, lo in enumerate(first.tolist()):
+        if lo < n:
+            E[lo:, : j + 1] += dense[lo:, j, None] * V[j, : j + 1]
+    _restore_negative_zeros(E, dense, V)
+    return E, EPartial(dense, V)
+
+
+def _float_parts(x: np.ndarray) -> np.ndarray:
+    """View of a contiguous real or complex array with its float parts on a last axis."""
+    return x.view(x.real.dtype).reshape(x.shape + (-1,))
+
+
+def _restore_negative_zeros(E: np.ndarray, dense: np.ndarray, V: np.ndarray) -> None:
+    """Write -0.0 into each float part of E where the full sum over j gives -0.0.
+
+    A sequential sum is -0.0 exactly when every term is; the sweep starts
+    from +0.0, so it gives +0.0 there.  The terms with j < k multiply V's
+    +0.0 upper triangle, so only parts whose row of A makes all of those
+    -0.0 are candidates, and only candidates are re-checked term by term.
+    """
+    upper_terms = _float_parts(dense * np.zeros(1, V.dtype))
+    lead = np.ones(upper_terms.shape, dtype=bool)
+    lead[:, 1:] = np.logical_and.accumulate(np.signbit(upper_terms[:, :-1]), axis=1)
+    parts = _float_parts(E)
+    candidates = lead & (parts == 0) & ~np.signbit(parts)
+    for i in np.flatnonzero(candidates.any(axis=(1, 2))):
+        k, c = np.nonzero(candidates[i])
+        terms = _float_parts(np.ascontiguousarray(dense[i][:, None] * V[:, k]))[:, np.arange(k.size), c]
+        negative = np.all((terms == 0) & np.signbit(terms), axis=0)
+        parts[i, k[negative], c[negative]] = -0.0
 
 
 def default_density_sets(n: int) -> list[tuple[str, np.ndarray]]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqcore import generators
 from seqcore.generators import (
     GeneratorSpec,
     make_matrix,
@@ -71,6 +72,14 @@ def test_random_band_system_respects_ranges_and_cap():
     rise = np.max(walk - np.minimum.accumulate(walk))
     fall = np.max(np.maximum.accumulate(walk) - walk)
     assert np.exp(max(rise, fall)) <= 100.0
+
+
+def test_random_band_system_gives_up_on_an_unreachable_cap(monkeypatch):
+    # the log-amplification is >= 0, so no system meets a cap below 1; a
+    # smaller limit keeps the test fast, the real one takes seconds to run out
+    monkeypatch.setattr(generators, "MAX_SYSTEM_DRAWS", 500)
+    with pytest.raises(ValueError, match="length 4 .* cap 0.5 .* 500 draws"):
+        random_band_system(rng_from_seed(0), 4, amplification_cap=0.5)
 
 
 def test_materialize_checks_size_and_finiteness():

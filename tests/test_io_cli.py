@@ -251,6 +251,9 @@ class TestExitCodeContract:
             (["verify", "--select", ""], 2),
             (["class-check", "--config", str(bad_json)], 3),
             (["verify", "--select", "C99"], 3),
+            (["invert", "--y", "e", "--system", "constant:r=0", "--n", "8"], 3),
+            (["core", "--kind", "k", "--x", "e", "--n", "10", "--window", "a,b"], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero"), "--ladder", "16,x"], 3),
             (["core", "--kind", "k", "--x", "e", "--n", "10", "--window", "20,30"], 4),
         ]
         for argv, expected in cases:

@@ -69,6 +69,44 @@ class TestEMatrix:
             assert np.array_equal(partial.rows(i)[-1], E[i])
 
 
+def _oracle_input(kind: str, n: int) -> np.ndarray:
+    rng = rng_from_seed(31)
+    dense = rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "lower_triangular":
+        return np.tril(dense)
+    if kind == "negated_triangular":  # -0.0 above the diagonal
+        return -np.tril(np.abs(dense))
+    if kind == "complex":
+        return dense + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "zero_rows_and_columns":
+        dense[rng.random(n) < 0.3] = 0.0
+        dense[:, rng.random(n) < 0.3] = 0.0
+        return dense
+    if kind == "zero":
+        return np.zeros((n, n))
+    return dense
+
+
+class TestEMatrixOracle:
+    """E and the partial-sum families against the literal cumulative-sum definition."""
+
+    @pytest.mark.parametrize(
+        "kind", ["lower_triangular", "negated_triangular", "dense", "complex", "zero_rows_and_columns", "zero"]
+    )
+    @pytest.mark.parametrize("system", ["constant", "random"])
+    def test_matches_cumulative_sum_definition(self, kind, system):
+        n = 48
+        # constant r=-1, s=1 has a negative inverse kernel, so zero terms can sum to -0.0
+        sys = BandSystem.constant(-1.0, 1.0, 1.0, n) if system == "constant" else random_band_system(rng_from_seed(7), n)
+        A = _oracle_input(kind, n)
+        E, partial = matclass.e_matrix(A, sys, n)
+        V = band_ops.inverse_kernel(sys, n).entries
+        for i in range(n):
+            oracle = np.cumsum(A[i][:, None] * V, axis=0)
+            assert np.array_equal(partial.rows(i), oracle)
+            assert E[i].tobytes() == oracle[-1].tobytes()  # equal bits, the sign of zero included
+
+
 class TestEvalCondition:
     def test_row_sum_condition_on_cesaro_rows(self):
         verdict = matclass.eval_condition("4.8", matrix="cesaro", sys=DELTA, ladder=LADDER)
