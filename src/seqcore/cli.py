@@ -71,10 +71,35 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise SchemaError(f"{what} must be comma-separated integers: {text!r}") from exc
 
 
-def _parse_window(text: str | None, n: int, min_start: int = 0) -> tuple[int, int]:
-    if text is None:
+def _config_int(value, what: str) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{what} must be an integer: {value!r}") from exc
+    if isinstance(value, float) and number != value:
+        raise SchemaError(f"{what} must be an integer: {value!r}")
+    return number
+
+
+def _config_ints(values, what: str) -> list[int]:
+    if not isinstance(values, (list, tuple)):
+        raise SchemaError(f"{what} must be a list of integers: {values!r}")
+    return [_config_int(v, what) for v in values]
+
+
+def _config_exponents(value, n: int, what: str) -> np.ndarray:
+    """A constant or a list of exponents from a config document, as n or more floats."""
+    try:
+        return np.full(n, float(value)) if np.isscalar(value) else np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what} must be a number or a list of numbers: {value!r}") from exc
+
+
+def _parse_window(value, n: int, min_start: int = 0) -> tuple[int, int]:
+    """(start, stop) from a "start,stop" argument or a config list; the last three quarters by default."""
+    if value is None:
         return max(min_start, n // 4), n
-    parts = _parse_ints(text, "window")
+    parts = _parse_ints(value, "window") if isinstance(value, str) else _config_ints(value, "window")
     if len(parts) != 2:
         raise SchemaError("window must be 'start,stop'")
     return parts[0], parts[1]
@@ -160,16 +185,15 @@ _DUAL_KEYS = {"command", "a", "system", "p", "space", "dual", "ladder", "b_ladde
 
 def _cmd_dual_check(args) -> int:
     config = load_json(args.config)
-    if args.ladder:
+    if args.ladder and isinstance(config, dict):  # _check_config rejects the rest
         config = dict(config, ladder=_parse_ints(args.ladder, "ladder"))
     _check_config(config, "dual-check", _DUAL_KEYS, {"a", "system", "p", "space", "dual", "ladder"})
-    ladder = [int(v) for v in config["ladder"]]
+    ladder = _config_ints(config["ladder"], "ladder")
     n = max(ladder)
     a = seq_from_spec(config["a"], n)
     sys = system_from_spec(config["system"], n)
-    p_spec = config["p"]
-    p = ExponentSeq.constant(float(p_spec), n) if np.isscalar(p_spec) else ExponentSeq(np.asarray(p_spec))
-    b_ladder = tuple(int(b) for b in config.get("b_ladder", duals.DEFAULT_B_LADDER))
+    p = ExponentSeq(_config_exponents(config["p"], n, "p"))
+    b_ladder = tuple(_config_ints(config.get("b_ladder", duals.DEFAULT_B_LADDER), "b_ladder"))
     report = duals.dual_report(a, sys, p, config["space"], config["dual"], ladder, b_ladder)
     _emit(report.to_json(), args.out or config.get("out"))
     return _VERDICT_EXIT[report.aggregate]
@@ -180,21 +204,15 @@ _CLASS_KEYS = {"command", "matrix", "system", "class", "p", "q", "ladder", "out"
 
 def _cmd_class_check(args) -> int:
     config = load_json(args.config)
-    if args.ladder:
+    if args.ladder and isinstance(config, dict):  # _check_config rejects the rest
         config = dict(config, ladder=_parse_ints(args.ladder, "ladder"))
     _check_config(config, "class-check", _CLASS_KEYS, {"matrix", "system", "class", "ladder"})
-    ladder = [int(v) for v in config["ladder"]]
+    ladder = _config_ints(config["ladder"], "ladder")
     n = max(ladder)
     matrix = matrix_from_spec(config["matrix"], n)
     sys = system_from_spec(config["system"], n)
-    p = None
-    if "p" in config:
-        p_spec = config["p"]
-        p = ExponentSeq.constant(float(p_spec), n) if np.isscalar(p_spec) else ExponentSeq(np.asarray(p_spec))
-    q = None
-    if "q" in config:
-        q_spec = config["q"]
-        q = np.full(n, float(q_spec)) if np.isscalar(q_spec) else np.asarray(q_spec, dtype=np.float64)
+    p = ExponentSeq(_config_exponents(config["p"], n, "p")) if "p" in config else None
+    q = _config_exponents(config["q"], n, "q") if "q" in config else None
     try:
         report = matclass.class_report(matrix, config["class"], sys, p=p, q=q, ladder=ladder)
     except KeyError as exc:
@@ -239,21 +257,20 @@ _INCLUDE_KEYS = {"command", "inner", "outer", "tol", "out"}
 
 def _region_from_config(spec: dict) -> cores.RegionEstimate:
     _check_config(spec, "core spec", _CORE_SPEC_KEYS, {"kind", "x", "n"})
-    n = int(spec["n"])
+    n = _config_int(spec["n"], "n")
     x = seq_from_spec(spec["x"], n)
     kind = spec["kind"]
     sys = system_from_spec(spec["system"], n) if "system" in spec else None
     if kind == "alpha" and sys is None:
         raise SchemaError("alpha cores need a system")
-    window = tuple(int(v) for v in spec.get("window", (max(1 if kind == "alpha" else 0, n // 4), n)))
     return _build_region(
         kind,
         x,
         sys,
-        window,
-        int(spec.get("directions", 64)),
+        _parse_window(spec.get("window"), n, 1 if kind == "alpha" else 0),
+        _config_int(spec.get("directions", 64), "directions"),
         float(spec.get("density_tol", 0.02)),
-        int(spec.get("grid_n", 21)),
+        _config_int(spec.get("grid_n", 21), "grid_n"),
         spec.get("method", "hull"),
     )
 

@@ -18,10 +18,13 @@ absolute-sum upper bound (which sandwiches the subset sup within a constant
 factor, so boundedness trends are preserved).  That switch and the other
 matrix functionals the S sets share with the class catalog in
 :mod:`seqcore.matclass` (weighted row sups, signed column sups, power row and
-entry sups) live here.  The companions are built once per ladder point and
-serve every condition of a report; quantifiers over all B > 1 are sampled over
-a finite B ladder by the engine in :mod:`seqcore.ladder`, and universally
-quantified verdicts are labelled as tested-ladder evidence only.
+entry sups) live here.  A report builds the companions once, at its largest
+truncation: V, C and D at truncation n are bit-identical leading n x n blocks
+of their largest versions (no entry depends on a later index), so every
+ladder point reads a slice and every condition shares them.  Quantifiers over
+all B > 1 are sampled over a finite B ladder by the engine in
+:mod:`seqcore.ladder`, and universally quantified verdicts are labelled as
+tested-ladder evidence only.
 """
 
 from __future__ import annotations
@@ -70,12 +73,8 @@ def companion_c(a, sys: BandSystem, n: int) -> TriangleKernel:
 
 
 def companion_d(a, sys: BandSystem, n: int) -> TriangleKernel:
-    """Column-cumulative companion: D[n, k] = sum_{j=k..n} a_j V[j, k]."""
-    a = FiniteSeq.coerce(a)
-    if a.n < n:
-        raise ValueError(f"weight sequence of length {a.n} cannot serve truncation {n}")
-    V = inverse_kernel(sys, n).entries
-    return TriangleKernel(np.cumsum(a.values[:n, None] * V, axis=0))
+    """Column-cumulative companion: D[n, k] = sum_{j=k..n} a_j V[j, k], the column cumsum of C."""
+    return TriangleKernel(np.cumsum(companion_c(a, sys, n).entries, axis=0))
 
 
 def companion_identity_residuals(a, y, sys: BandSystem) -> tuple[float, float]:
@@ -159,9 +158,8 @@ def subset_sup(
     With outer="sum" the objective of a subset K is
     sum_i |sum_{k in K} W[i, k]|^(e_i); with outer="sup" the outer sum is a
     maximum.  mode="exact" solves by branch and bound (subset count capped at
-    ``exact_limit``) and returns a float; mode="bound" returns a
-    (lower, upper) pair where the lower bound is the best of a family of
-    greedy sign subsets and the upper bound the full absolute sum.
+    ``exact_limit``); mode="bound" returns the absolute-sum upper bound, the
+    objective with every |W[i, k]| in place of W[i, k].  Both return a float.
     """
     W = _working_matrix(matrix, axis, weights)
     e = np.ones(W.shape[0]) if outer_exponents is None else np.asarray(outer_exponents, dtype=np.float64)
@@ -171,32 +169,12 @@ def subset_sup(
         raise ValueError("outer must be 'sum' or 'sup'")
 
     absW = np.abs(W)
-    full_terms = absW.sum(axis=1) ** e
-    upper = float(full_terms.max() if outer == "sup" else full_terms.sum())
-
-    ncols = W.shape[1]
-    all_cols = list(range(ncols))
     if mode == "bound":
-        candidates = [[], all_cols]
-        # greedy: add columns in decreasing mass order while the objective improves
-        order = list(np.argsort(-absW.sum(axis=0)))
-        chosen: list[int] = []
-        value = 0.0
-        for c in order:
-            trial = sorted(chosen + [c])
-            trial_val = _canonical_objective(W, trial, e, outer)
-            if trial_val > value:
-                chosen = trial
-                value = trial_val
-        candidates.append(chosen)
-        if not np.iscomplexobj(W):
-            row = int(np.argmax(absW.sum(axis=1)))
-            candidates.append([c for c in all_cols if W[row, c] > 0.0])
-            candidates.append([c for c in all_cols if W[row, c] < 0.0])
-        lower = max(_canonical_objective(W, sorted(c), e, outer) for c in candidates)
-        return lower, upper
+        full_terms = absW.sum(axis=1) ** e
+        return float(full_terms.max() if outer == "sup" else full_terms.sum())
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'bound'")
+    ncols = W.shape[1]
     if ncols > exact_limit:
         raise ValueError(f"exact subset sup is limited to {exact_limit} subset indices (got {ncols})")
 
@@ -206,7 +184,7 @@ def subset_sup(
     Wo = W[:, order]
     rem = np.zeros((W.shape[0], ncols + 1))
     rem[:, :-1] = np.abs(Wo)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    best = _canonical_objective(W, all_cols, e, outer)
+    best = _canonical_objective(W, list(range(ncols)), e, outer)
 
     def descend(j, vec, picked):
         nonlocal best
@@ -227,9 +205,8 @@ def subset_sup(
 
 def subset_estimate(matrix, axis, weights=None, outer_exponents=None) -> float:
     """Exact subset sup up to EXACT_SUBSET_LIMIT subset indices, absolute-sum upper bound beyond."""
-    if np.shape(matrix)[1 if axis == "columns" else 0] <= EXACT_SUBSET_LIMIT:
-        return subset_sup(matrix, axis, weights, outer_exponents, mode="exact")
-    return subset_sup(matrix, axis, weights, outer_exponents, mode="bound")[1]
+    exact = np.shape(matrix)[1 if axis == "columns" else 0] <= EXACT_SUBSET_LIMIT
+    return subset_sup(matrix, axis, weights, outer_exponents, mode="exact" if exact else "bound")
 
 
 def weighted_row_sup(matrix: np.ndarray, weights: np.ndarray) -> float:
@@ -425,16 +402,13 @@ def dual_report(
     if needs_conj and np.any(p.p <= 1.0):
         raise ValueError("conjugate-exponent conditions require p_k > 1 for all k")
 
-    # dense companions per ladder point (the a-weights enter both)
-    C_at, D_at = {}, {}
-    for n in ladder:
-        C_at[n] = companion_c(a, sys, n).entries
-        D_at[n] = companion_d(a, sys, n).entries
+    # the companions at n_max; every rung reads their leading block
+    C = companion_c(a, sys, n_max).entries
     if np.all(a.values.imag == 0.0):
-        C_at = {n: m.real.copy() for n, m in C_at.items()}
-        D_at = {n: m.real.copy() for n, m in D_at.items()}
-    beta_k = D_at[n_max][-1, :].copy()
-    beta_val = float(np.real(D_at[n_max][-1, :].sum()))
+        C = C.real.copy()
+    D = TriangleKernel(np.cumsum(C, axis=0)).entries  # companion_d at n_max, with its finiteness check
+    beta_k = D[-1, :].copy()
+    beta_val = float(np.real(D[-1, :].sum()))
 
     verdicts = []
     for cid in cond_ids:
@@ -446,7 +420,7 @@ def dual_report(
             fitted["beta"] = beta_val
 
         def evaluate(n, witnesses, cid=cid):
-            return _evaluate_s(cid, C_at[n], D_at[n], p, n, witnesses.get("B"), beta_k, beta_val)
+            return _evaluate_s(cid, C[:n, :n], D[:n, :n], p, n, witnesses.get("B"), beta_k, beta_val)
 
         layers = WITNESS_LAYERS[meta.quantifier]
         verdicts.append(

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .generators import GeneratorSpec, band_system_from_spec, make_sequence
+from .generators import MATRIX_NAMES, GeneratorSpec, band_system_from_spec, make_sequence
 from .types import BandSystem, FiniteSeq
 
 __all__ = [
@@ -92,6 +92,16 @@ def parse_shorthand(text: str) -> tuple[str, dict]:
     return name.strip(), params
 
 
+def _generator(spec) -> tuple[str, dict]:
+    """(name, params) of generator shorthand or of a {"generator", "params"} document."""
+    if isinstance(spec, str):
+        return parse_shorthand(spec)
+    name, params = spec["generator"], spec.get("params", {})
+    if not isinstance(name, str) or not isinstance(params, dict):
+        raise SchemaError('a generator document needs a "generator" name and a "params" object')
+    return name, params
+
+
 def seq_to_json(seq: FiniteSeq) -> dict:
     return {"values": [[float(v.real), float(v.imag)] for v in seq.values]}
 
@@ -100,25 +110,23 @@ def seq_from_spec(spec, n: int | None = None) -> FiniteSeq:
     """Sequence from a values document, generator document, or shorthand string."""
     if isinstance(spec, FiniteSeq):
         return spec
-    if isinstance(spec, str):
-        name, params = parse_shorthand(spec)
+    if isinstance(spec, dict) and "values" in spec:
+        pairs = spec["values"]
+        try:
+            vals = np.array([complex(p[0], p[1]) for p in pairs])
+        except (TypeError, IndexError) as exc:
+            raise SchemaError("sequence values must be [re, im] pairs") from exc
+        if n is not None and vals.size < n:
+            raise SchemaError(f"sequence has {vals.size} values, need {n}")
+        return FiniteSeq(vals[:n] if n is not None else vals)
+    if isinstance(spec, str) or (isinstance(spec, dict) and "generator" in spec):
+        name, params = _generator(spec)
         if n is None:
             raise SchemaError("generator sequences need an explicit length")
-        return make_sequence(GeneratorSpec(name, params), n)
-    if isinstance(spec, dict):
-        if "values" in spec:
-            pairs = spec["values"]
-            try:
-                vals = np.array([complex(p[0], p[1]) for p in pairs])
-            except (TypeError, IndexError) as exc:
-                raise SchemaError("sequence values must be [re, im] pairs") from exc
-            if n is not None and vals.size < n:
-                raise SchemaError(f"sequence has {vals.size} values, need {n}")
-            return FiniteSeq(vals[:n] if n is not None else vals)
-        if "generator" in spec:
-            if n is None:
-                raise SchemaError("generator sequences need an explicit length")
-            return make_sequence(GeneratorSpec(spec["generator"], spec.get("params", {})), n)
+        try:
+            return make_sequence(GeneratorSpec(name, params), n)
+        except ValueError as exc:
+            raise SchemaError(f"invalid sequence generator: {exc}") from exc
     raise SchemaError("sequence spec must be values, a generator document, or shorthand")
 
 
@@ -130,47 +138,39 @@ def system_to_json(sys: BandSystem) -> dict:
     }
 
 
-def _generated_system(name: str, params: dict, length: int) -> BandSystem:
-    try:
-        return band_system_from_spec(name, params, length)
-    except ValueError as exc:
-        raise SchemaError(f"invalid band system: {exc}") from exc
-
-
 def system_from_spec(spec, length: int) -> BandSystem:
     """Band system from arrays, a generator document, or shorthand string."""
     if isinstance(spec, BandSystem):
         spec.require_length(length)
         return spec
-    if isinstance(spec, str):
-        name, params = parse_shorthand(spec)
-        return _generated_system(name, params, length)
-    if isinstance(spec, dict):
-        if "generator" in spec:
-            return _generated_system(spec["generator"], spec.get("params", {}), length)
-        if {"r", "s", "alpha"} <= set(spec):
-            try:
-                sys = BandSystem(np.asarray(spec["r"]), np.asarray(spec["s"]), np.asarray(spec["alpha"]))
-            except ValueError as exc:
-                raise SchemaError(f"invalid band system: {exc}") from exc
-            sys.require_length(length)
-            return sys
+    if isinstance(spec, str) or (isinstance(spec, dict) and "generator" in spec):
+        name, params = _generator(spec)
+        try:
+            return band_system_from_spec(name, params, length)
+        except ValueError as exc:
+            raise SchemaError(f"invalid band system: {exc}") from exc
+    if isinstance(spec, dict) and {"r", "s", "alpha"} <= set(spec):
+        try:
+            sys = BandSystem(np.asarray(spec["r"]), np.asarray(spec["s"]), np.asarray(spec["alpha"]))
+        except ValueError as exc:
+            raise SchemaError(f"invalid band system: {exc}") from exc
+        sys.require_length(length)
+        return sys
     raise SchemaError("system spec must give r/s/alpha arrays, a generator document, or shorthand")
 
 
 def matrix_from_spec(spec, n: int):
     """Matrix argument for class checks: dense block, generator document, or shorthand."""
-    if isinstance(spec, str):
-        name, params = parse_shorthand(spec)
-        return GeneratorSpec(name, params) if params else GeneratorSpec(name)
-    if isinstance(spec, dict):
-        if "dense" in spec:
-            dense = np.asarray(spec["dense"], dtype=np.float64)
-            if dense.ndim != 2 or dense.shape[0] < n or dense.shape[1] < n:
-                raise SchemaError(f"dense matrix smaller than requested truncation {n}")
-            return dense
-        if "generator" in spec:
-            return GeneratorSpec(spec["generator"], spec.get("params", {}))
+    if isinstance(spec, dict) and "dense" in spec:
+        dense = np.asarray(spec["dense"], dtype=np.float64)
+        if dense.ndim != 2 or dense.shape[0] < n or dense.shape[1] < n:
+            raise SchemaError(f"dense matrix smaller than requested truncation {n}")
+        return dense
+    if isinstance(spec, str) or (isinstance(spec, dict) and "generator" in spec):
+        name, params = _generator(spec)
+        if name not in MATRIX_NAMES:
+            raise SchemaError(f"unknown matrix generator {name!r}; known: {MATRIX_NAMES}")
+        return GeneratorSpec(name, params)
     raise SchemaError("matrix spec must give a dense block, a generator document, or shorthand")
 
 

@@ -25,9 +25,10 @@ sampled over a finite quantifier ladder by the engine in
 :mod:`seqcore.ladder`, which also runs the dual-set catalog.  The matrix
 functionals the L2.x entries share with the S sets (subset estimates,
 weighted row sups, signed column sups, power row and entry sups) live in
-:mod:`seqcore.duals`.  A class report builds its source once per ladder
-point, one composition yielding both E and its partial-sum families, and
-hands that table to every condition.
+:mod:`seqcore.duals`.  A class report builds its source once and hands it
+to every condition: btilde once at the largest truncation, sliced per ladder
+point, and E once per ladder point, one composition yielding both E and its
+partial-sum families.
 """
 
 from __future__ import annotations
@@ -403,20 +404,21 @@ def _check_inputs(cond_ids, ladder, p, q):
     return ladder, (_validate_q(q, ladder[-1]) if q is not None else None)
 
 
-def _rung_sources(source: str, A, sys, matrix, n: int) -> dict:
-    """The source matrices of one ladder point, keyed by source kind.
+def _ladder_sources(source: str, A, sys, matrix, ladder) -> dict:
+    """The source matrices of every ladder point, keyed by rung, then by source kind.
 
-    One composition serves both "E" and "partial"; matrix= bypasses the
-    composition and supplies the transformed-side matrix directly.
+    btilde and a caller-supplied matrix (matrix=, which bypasses the
+    composition) are built once, at the top rung, and rung n reads the
+    leading n x n block: no entry depends on a later row or column, so the
+    block is bit-identical to a build at n.  E and its partial-sum families
+    come from one composition per rung, since E_n sums A[i, j] V[j, k] over
+    j < n only: for an A with entries right of the diagonal (a dense A) E_n
+    is not a block of E at the top rung.
     """
-    if source in ("E", "btilde") and matrix is not None:
-        return {source: materialize_matrix(matrix, n)}
-    if source in ("E", "partial"):
-        E, partial = e_matrix(A, sys, n)
-        return {"E": E, "partial": partial}
-    if source == "btilde":
-        return {"btilde": btilde(A, sys, n)}
-    return {"matrix": materialize_matrix(matrix, n)}
+    if source == "partial" or (source == "E" and matrix is None):
+        return {n: dict(zip(("E", "partial"), e_matrix(A, sys, n))) for n in ladder}
+    top = btilde(A, sys, ladder[-1]) if matrix is None else materialize_matrix(matrix, ladder[-1])
+    return {n: {source: top[:n, :n]} for n in ladder}
 
 
 def _condition_verdict(cond_id, sources, ladder, p, qa, beta_k, beta, density_sets, quantifier_ladder, config):
@@ -464,10 +466,10 @@ def eval_condition(
 ) -> ConditionVerdict:
     """Evaluate one catalog condition over a truncation ladder.
 
-    The condition's source matrix is built once per ladder point: the
-    composed matrix and its partial sums from (A, sys), the band-transformed
-    matrix from (A, sys), or a caller-supplied matrix/generator for the
-    generic matrix conditions.  beta_k / beta default to fitted values from
+    The condition's source is the composed matrix and its partial sums from
+    (A, sys), built once per ladder point, or the band-transformed matrix
+    from (A, sys) or a caller-supplied matrix/generator, built once at the
+    largest truncation and sliced.  beta_k / beta default to fitted values from
     the largest truncation (last rows, last row sums) and may be pinned.
     """
     if cond_id not in CONDITIONS:
@@ -481,7 +483,7 @@ def eval_condition(
     elif (spec.source == "partial" or matrix is None) and (A is None or sys is None):
         what = "the matrix" if spec.source == "btilde" else "A"
         raise ValueError(f"condition {cond_id} needs {what} and a band system")
-    sources = {n: _rung_sources(spec.source, A, sys, matrix, n) for n in ladder}
+    sources = _ladder_sources(spec.source, A, sys, matrix, ladder)
     return _condition_verdict(cond_id, sources, ladder, p, qa, beta_k, beta, density_sets, quantifier_ladder, config)
 
 
@@ -548,7 +550,7 @@ def class_report(
     ladder, qa = _check_inputs(cond_ids, ladder, p, q)
     if A is None or sys is None:
         raise ValueError(f"class {class_id} needs A and a band system")
-    sources = {n: _rung_sources(source, A, sys, None, n) for n in ladder}
+    sources = _ladder_sources(source, A, sys, None, ladder)
     verdicts = tuple(
         _condition_verdict(cid, sources, ladder, p, qa, None, None, density_sets, quantifier_ladder, config)
         for cid in cond_ids

@@ -69,9 +69,9 @@ class TestSubsetSup:
     def test_bound_mode_brackets_exact(self, rng):
         for _ in range(20):
             mat = rng.uniform(-1.0, 1.0, (6, 6))
-            lower, upper = duals.subset_sup(mat, mode="bound")
+            bound = duals.subset_sup(mat, mode="bound")
             exact = duals.subset_sup(mat, mode="exact")
-            assert lower <= exact <= upper
+            assert exact <= bound
 
     def test_sup_outer_mode(self, rng):
         mat = rng.uniform(-1.0, 1.0, (4, 5))
@@ -212,6 +212,42 @@ class TestDualReport:
         assert s11.cond_id == "S11"
         if s11.verdict == "holds":
             assert s11.note == "tested ladder only"
+
+    def test_inverse_kernel_built_once_per_report(self, monkeypatch):
+        calls = []
+        original = duals.inverse_kernel
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(duals, "inverse_kernel", counted)
+        a = FiniteSeq(0.5 ** np.arange(64))
+        duals.dual_report(a, PLUS, ExponentSeq.constant(1.0, 64), "sc", "beta", self.LADDER)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("system", ["constant", "random"])
+    @pytest.mark.parametrize("weights", ["real", "complex"])
+    def test_top_rung_blocks_match_per_rung_companions(self, monkeypatch, system, weights):
+        ladder = (8, 24, 48)
+        sys = BandSystem.constant(-1.0, 1.0, 1.0, 48) if system == "constant" else random_band_system(rng_from_seed(5), 48)
+        rng = rng_from_seed(6)
+        a = FiniteSeq(rng.uniform(-1.0, 1.0, 48) if weights == "real" else complex_uniform(rng, 48))
+        seen = {}
+        original = duals._evaluate_s
+
+        def recording(cond_id, C, D, p, n, *args):
+            seen[n] = C, D
+            return original(cond_id, C, D, p, n, *args)
+
+        monkeypatch.setattr(duals, "_evaluate_s", recording)
+        duals.dual_report(a, sys, ExponentSeq.constant(1.0, 48), "sc", "alpha", ladder)
+        for n in ladder:
+            C, D = duals.companion_c(a, sys, n).entries, duals.companion_d(a, sys, n).entries
+            if weights == "real":
+                C, D = C.real, D.real
+            assert seen[n][0].tobytes() == C.tobytes()
+            assert seen[n][1].tobytes() == D.tobytes()
 
     def test_report_serialization_shape(self):
         a = FiniteSeq(0.5 ** np.arange(64))

@@ -234,11 +234,22 @@ class TestExitCodeContract:
 
     _counter = 0
 
-    def _class_cfg(self, tmp_path, matrix):
+    def _cfg(self, tmp_path, doc):
         TestExitCodeContract._counter += 1
         cfg = tmp_path / f"cfg{TestExitCodeContract._counter}.json"
-        cfg.write_text(json.dumps({"matrix": matrix, "system": "delta", "class": "c:sc_reg", "ladder": [16, 32, 64]}))
+        cfg.write_text(json.dumps(doc))
         return str(cfg)
+
+    def _class_cfg(self, tmp_path, matrix, **overrides):
+        return self._cfg(tmp_path, {"matrix": matrix, "system": "delta", "class": "c:sc_reg", "ladder": [16, 32, 64]} | overrides)
+
+    def _dual_cfg(self, tmp_path, **overrides):
+        doc = {"a": "e", "system": "delta", "p": 1.0, "space": "s0", "dual": "gamma", "ladder": [8, 16]}
+        return self._cfg(tmp_path, doc | overrides)
+
+    def _include_cfg(self, tmp_path, **overrides):
+        inner = {"kind": "k", "x": "alternating", "n": 40} | overrides
+        return self._cfg(tmp_path, {"inner": inner, "outer": {"kind": "k", "x": "alternating", "n": 40}})
 
     def test_matrix_of_configs(self, tmp_path, monkeypatch):
         regular = {"dense": (make_matrix("summation", 64) @ make_matrix("cesaro", 64)).tolist()}
@@ -255,6 +266,23 @@ class TestExitCodeContract:
             (["core", "--kind", "k", "--x", "e", "--n", "10", "--window", "a,b"], 3),
             (["class-check", "--config", self._class_cfg(tmp_path, "zero"), "--ladder", "16,x"], 3),
             (["core", "--kind", "k", "--x", "e", "--n", "10", "--window", "20,30"], 4),
+            # generator documents: non-object params, unknown matrix generator
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero", system={"generator": "constant", "params": [1]})], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, {"generator": "cesaro", "params": [1]})], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, {"generator": "nope"})], 3),
+            (["dual-check", "--config", self._dual_cfg(tmp_path, a={"generator": "e", "params": "k=1"})], 3),
+            # integer and exponent fields of config documents
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero", ladder=["a", 16])], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero", ladder=[16.5, 32])], 3),
+            (["class-check", "--config", self._cfg(tmp_path, [16, 32]), "--ladder", "16,32"], 3),
+            (["dual-check", "--config", self._dual_cfg(tmp_path, b_ladder=[2, "x"])], 3),
+            (["dual-check", "--config", self._dual_cfg(tmp_path, p="x")], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero", q=[1.0, "x"])], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, n="a")], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, window=["a", 40])], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, directions=None)], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, grid_n=[21])], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path)], 0),
         ]
         for argv, expected in cases:
             assert cli.main(argv) == expected, argv

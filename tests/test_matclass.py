@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seqcore import band_ops, matclass
-from seqcore.generators import make_matrix, random_band_system, rng_from_seed
+from seqcore.generators import make_matrix, materialize_matrix, random_band_system, rng_from_seed
 from seqcore.types import BandSystem, ExponentSeq
 
 DELTA = BandSystem.difference(512)
@@ -236,11 +236,33 @@ class TestClassReport:
 
             monkeypatch.setattr(matclass, name, counted)
         report = matclass.class_report("cesaro", class_id, DELTA, p=p, q=q, ladder=ladder)
-        assert calls[builder] == len(ladder)
-        assert sum(calls.values()) == len(ladder)
+        # E is composed at every rung; btilde is built once at the top rung and sliced
+        expected = len(ladder) if builder == "e_matrix" else 1
+        assert calls[builder] == expected
+        assert sum(calls.values()) == expected
         for cond in report.conditions:
             alone = matclass.eval_condition(cond.cond_id, A="cesaro", sys=DELTA, p=p, q=q, ladder=ladder)
             assert cond.to_json() == alone.to_json()
+
+    @pytest.mark.parametrize("system", ["constant", "random"])
+    @pytest.mark.parametrize("matrix", ["cesaro", "dense"])
+    def test_top_rung_blocks_match_per_rung_builds(self, monkeypatch, system, matrix):
+        ladder = (8, 24, 48)
+        sys = BandSystem.constant(-1.0, 1.0, 1.0, 48) if system == "constant" else random_band_system(rng_from_seed(5), 48)
+        A = "cesaro" if matrix == "cesaro" else rng_from_seed(6).uniform(-1.0, 1.0, (48, 48))
+        seen = {}
+        original = matclass._evaluate
+
+        def recording(cond_id, src, p, q, n, *args):
+            seen[matclass.CONDITIONS[cond_id].source, n] = src
+            return original(cond_id, src, p, q, n, *args)
+
+        monkeypatch.setattr(matclass, "_evaluate", recording)
+        matclass.class_report(A, "st:sc_reg", sys, ladder=ladder)
+        matclass.eval_condition("2.15", matrix=A, ladder=ladder)
+        for n in ladder:
+            assert seen["btilde", n].tobytes() == matclass.btilde(A, sys, n).tobytes()
+            assert seen["matrix", n].tobytes() == materialize_matrix(A, n).tobytes()
 
     def test_report_serialization(self):
         report = matclass.class_report("cesaro", "c:sc_reg", DELTA, ladder=(16, 32, 64))
