@@ -7,6 +7,10 @@ committed in ``report_grid.json``.  A refactor of the condition code must
 leave every digest in place.  The ladder (6, 12, 24) crosses the exact subset
 limit (20), so both the exact and the bound subset paths are pinned.
 
+The core regions of the five C7 sequences at n = 2000 are pinned the same
+way: the hull, disc, statistical (three density tolerances) and alpha cores,
+plus the disc and statistical cores over one explicit probe grid.
+
 A config whose evaluation raises is pinned by its exception type.
 
 Regenerate the digests (only for a change that moves report bytes on
@@ -21,7 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqcore import duals, matclass
+from seqcore import cores, duals, matclass
+from seqcore.generators import make_sequence
 from seqcore.io import canonical_dumps
 from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
 
@@ -29,6 +34,16 @@ DIGEST_PATH = Path(__file__).with_name("report_grid.json")
 
 LADDER = (6, 12, 24)
 N = LADDER[-1]
+CORE_N = 2000
+CORE_WINDOW = (500, CORE_N)
+CORE_SEQUENCES = (
+    ("alternating", {}),
+    ("roots_of_unity", {"m": 4}),
+    ("square_indicator", {}),
+    ("random_bounded", {"seed": 7}),
+    ("convergent", {"l": 0.6, "rate": 0.9}),
+)
+ST_TOLS = (0.02, 0.25, 1.0)
 CYCLE_PROBES = ("eval|dense|mt27", "class|dense|sc:c_q", "dual|geometric|sinf.beta|p_high")
 
 
@@ -71,6 +86,29 @@ def _configs():
                 out[f"dual|{family}|{space}.{dual}|{regime}"] = lambda a=a, p=p, space=space, dual=dual: (
                     duals.dual_report(a, sys, p, space, dual, LADDER)
                 )
+    out.update(_core_configs())
+    return out
+
+
+def _core_configs():
+    rng = np.random.default_rng(20240612)
+    signs = rng.choice([-1.0, 1.0], (2, CORE_N))
+    sys = BandSystem(
+        signs[0] * rng.uniform(0.5, 2.0, CORE_N), signs[1] * rng.uniform(0.5, 2.0, CORE_N), rng.uniform(0.5, 2.0, CORE_N)
+    )
+    out = {}
+    for name, params in CORE_SEQUENCES:
+        x = make_sequence(name, CORE_N, **params)
+        out[f"core|{name}|hull"] = lambda x=x: cores.cluster_hull(x, CORE_WINDOW)
+        out[f"core|{name}|disc"] = lambda x=x: cores.disc_core(x, CORE_WINDOW)
+        for tol in ST_TOLS:
+            out[f"core|{name}|st:{tol}"] = lambda x=x, tol=tol: cores.st_core(x, CORE_WINDOW, tol)
+        out[f"core|{name}|alpha"] = lambda x=x: cores.alpha_core(x, sys, CORE_WINDOW)
+    g = np.linspace(-3.0, 3.0, 41)
+    grid = (g[:, None] + 1j * g[None, :]).ravel()
+    x = make_sequence("random_bounded", CORE_N, seed=7)
+    out["core|random_bounded|disc|z_grid"] = lambda: cores.disc_core(x, CORE_WINDOW, z_grid=grid)
+    out["core|random_bounded|st:0.25|z_grid"] = lambda: cores.st_core(x, CORE_WINDOW, 0.25, z_grid=grid)
     return out
 
 
@@ -86,7 +124,7 @@ def compute_digests(section=None) -> dict:
     return {key: _digest(call) for key, call in _configs().items() if section is None or key.startswith(section + "|")}
 
 
-@pytest.mark.parametrize("section", ["eval", "class", "dual"])
+@pytest.mark.parametrize("section", ["eval", "class", "dual", "core"])
 def test_report_digests_unchanged(section):
     expected = {k: v for k, v in json.loads(DIGEST_PATH.read_text(encoding="utf-8")).items() if k.startswith(section + "|")}
     got = compute_digests(section)
