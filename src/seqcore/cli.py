@@ -8,8 +8,9 @@ produce byte-identical output.
 
 Exit codes: 0 all verdicts hold / inclusion true / computation done, 1 some
 verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
-unreadable input or schema violation (including invalid generator values and
-non-integer lists), 4 internal evaluation errors.
+unreadable input or schema violation (including invalid generator values,
+non-integer lists, non-numeric tolerances and non-positive exponents), 4
+internal evaluation errors.
 """
 
 from __future__ import annotations
@@ -57,11 +58,12 @@ def _parse_exponents(text: str, n: int) -> ExponentSeq:
         vals = [float(p) for p in parts]
     except ValueError as exc:
         raise SchemaError(f"exponents must be numeric: {text!r}") from exc
-    if len(vals) == 1:
-        return ExponentSeq.constant(vals[0], n)
-    if len(vals) < n:
+    if len(vals) != 1 and len(vals) < n:
         raise SchemaError(f"{len(vals)} exponents cannot serve truncation {n}")
-    return ExponentSeq(np.asarray(vals[:n]))
+    try:
+        return ExponentSeq.constant(vals[0], n) if len(vals) == 1 else ExponentSeq(np.asarray(vals[:n]))
+    except ValueError as exc:
+        raise SchemaError(f"exponents {text!r}: {exc}") from exc
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -81,18 +83,29 @@ def _config_int(value, what: str) -> int:
     return number
 
 
+def _config_float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{what} must be a number: {value!r}") from exc
+
+
 def _config_ints(values, what: str) -> list[int]:
     if not isinstance(values, (list, tuple)):
         raise SchemaError(f"{what} must be a list of integers: {values!r}")
     return [_config_int(v, what) for v in values]
 
 
-def _config_exponents(value, n: int, what: str) -> np.ndarray:
-    """A constant or a list of exponents from a config document, as n or more floats."""
+def _config_exponents(value, n: int, what: str) -> ExponentSeq:
+    """A constant or a list of positive exponents from a config document, as n or more values."""
     try:
-        return np.full(n, float(value)) if np.isscalar(value) else np.asarray(value, dtype=np.float64)
+        values = np.full(n, float(value)) if np.isscalar(value) else np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what} must be a number or a list of numbers: {value!r}") from exc
+    try:
+        return ExponentSeq(values)
+    except ValueError as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
 
 
 def _parse_window(value, n: int, min_start: int = 0) -> tuple[int, int]:
@@ -192,7 +205,7 @@ def _cmd_dual_check(args) -> int:
     n = max(ladder)
     a = seq_from_spec(config["a"], n)
     sys = system_from_spec(config["system"], n)
-    p = ExponentSeq(_config_exponents(config["p"], n, "p"))
+    p = _config_exponents(config["p"], n, "p")
     b_ladder = tuple(_config_ints(config.get("b_ladder", duals.DEFAULT_B_LADDER), "b_ladder"))
     report = duals.dual_report(a, sys, p, config["space"], config["dual"], ladder, b_ladder)
     _emit(report.to_json(), args.out or config.get("out"))
@@ -211,8 +224,8 @@ def _cmd_class_check(args) -> int:
     n = max(ladder)
     matrix = matrix_from_spec(config["matrix"], n)
     sys = system_from_spec(config["system"], n)
-    p = ExponentSeq(_config_exponents(config["p"], n, "p")) if "p" in config else None
-    q = _config_exponents(config["q"], n, "q") if "q" in config else None
+    p = _config_exponents(config["p"], n, "p") if "p" in config else None
+    q = _config_exponents(config["q"], n, "q").p if "q" in config else None
     try:
         report = matclass.class_report(matrix, config["class"], sys, p=p, q=q, ladder=ladder)
     except KeyError as exc:
@@ -269,7 +282,7 @@ def _region_from_config(spec: dict) -> cores.RegionEstimate:
         sys,
         _parse_window(spec.get("window"), n, 1 if kind == "alpha" else 0),
         _config_int(spec.get("directions", 64), "directions"),
-        float(spec.get("density_tol", 0.02)),
+        _config_float(spec.get("density_tol", 0.02), "density_tol"),
         _config_int(spec.get("grid_n", 21), "grid_n"),
         spec.get("method", "hull"),
     )
@@ -280,7 +293,7 @@ def _cmd_core_include(args) -> int:
     _check_config(config, "core-include", _INCLUDE_KEYS, {"inner", "outer"})
     inner = _region_from_config(config["inner"])
     outer = _region_from_config(config["outer"])
-    tol = float(config.get("tol", args.tol))
+    tol = _config_float(config.get("tol", args.tol), "tol")
     included, violation = cores.region_included(inner, outer, tol)
     _emit(
         {

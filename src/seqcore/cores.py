@@ -11,6 +11,11 @@ the transformed sequence tau_n = (r_n x_n + s_{n-1} x_{n-1}) / alpha_n is the
   limsup |x_k - z| (plain window max, or its statistical variant that ignores
   index sets of small empirical density).
 
+The statistical limsup of a window of w values is one order statistic: the
+sorted value at rank _st_rank(w, tol).  Probe distances |x_k - z| are built
+in blocks of whole probe rows of about _PROBE_BLOCK entries each, so memory
+stays bounded whatever the window length and the probe count.
+
 The disc intersection is evaluated through its support envelope
 h(u) = min_z (z . u + radius(z)) over a finite z set, then canonicalized by
 clipping halfplanes into a polygon and re-sampling the support from its
@@ -56,6 +61,7 @@ __all__ = [
 _BOUNDED_WARN = 1e6
 _DEFAULT_DIRECTIONS = 64
 _FAR_MULTIPLES = (2.0, 4.0, 8.0, 16.0, 64.0, 256.0)
+_PROBE_BLOCK = 1 << 21  # distance entries per block of probe rows
 
 
 def direction_angles(n_directions: int) -> np.ndarray:
@@ -282,36 +288,32 @@ def a_density(A, E, ladder) -> DensityEstimate:
     return DensityEstimate(vals, vals[-1][1])
 
 
-def st_limsup(v, window, density_tol: float = 0.02) -> float:
-    """Smallest level whose exceedance set has empirical density below tol.
+def _st_rank(w: int, density_tol: float) -> int:
+    """Rank j of the statistical limsup among w sorted values.
 
-    Sorts the window values and walks the exact exceedance counts, so the
-    returned level is always one of the observed values; exceedance is
-    strict (v_k > L) and at the returned level its density is < tol.
+    j is the first position with fewer than density_tol * w positions after
+    it.  Within a run of ties the exceedance count (v_k > L) of the first tied
+    position equals that of the last, so the sorted value at j is the
+    smallest level whose strict exceedance density is below the tolerance.
     """
     if not 0.0 < density_tol <= 1.0:
         raise ValueError("density_tol must lie in (0, 1]")
+    return int(np.argmax((w - 1 - np.arange(w)) < density_tol * w))
+
+
+def st_limsup(v, window, density_tol: float = 0.02) -> float:
+    """Smallest level whose exceedance set has empirical density below tol.
+
+    The returned level is an order statistic of the window values, so it is
+    always one of them; exceedance is strict (v_k > L) and at the returned
+    level its density is < tol.
+    """
     seq = FiniteSeq.coerce(v)
     start, stop = _check_window(seq.n, window)
     vals = np.sort(seq.values[start:stop].real)
     if not np.all(seq.values[start:stop].imag == 0.0):
         raise ValueError("st_limsup needs real values")
-    w = vals.size
-    count_gt = w - np.searchsorted(vals, vals, side="right")
-    qualifying = count_gt < density_tol * w
-    return float(vals[int(np.argmax(qualifying))])
-
-
-def _st_radii(dist: np.ndarray, density_tol: float) -> np.ndarray:
-    """Row-wise statistical limsup of a (n_z, window) distance matrix."""
-    d = np.sort(dist, axis=1)
-    w = d.shape[1]
-    out = np.empty(d.shape[0])
-    for i in range(d.shape[0]):
-        row = d[i]
-        count_gt = w - np.searchsorted(row, row, side="right")
-        out[i] = row[int(np.argmax(count_gt < density_tol * w))]
-    return out
+    return float(vals[_st_rank(vals.size, density_tol)])
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +347,26 @@ def default_z_points(values: np.ndarray, angles: np.ndarray, grid_n: int = 21) -
     return np.concatenate([grid, far])
 
 
-def _disc_region(vals, win, z_points, angles, radii, method) -> RegionEstimate:
-    zs = np.asarray(z_points, dtype=np.complex128)
+def _probe_radii(vals: np.ndarray, zs: np.ndarray, reduce) -> np.ndarray:
+    """reduce(|vals - z|) for every probe z, one block of probe rows at a time.
+
+    reduce maps a (rows, w) distance block to its rows' radii.
+    """
+    rows = max(1, _PROBE_BLOCK // vals.size)
+    radii = np.empty(zs.size)
+    for lo in range(0, zs.size, rows):
+        radii[lo : lo + rows] = reduce(np.abs(vals[None, :] - zs[lo : lo + rows, None]))
+    return radii
+
+
+def _probe_centers(vals, angles, z_grid, grid_n) -> np.ndarray:
+    zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
     if zs.size == 0:
         raise ValueError("empty probe grid")
+    return zs
+
+
+def _disc_region(win, zs, angles, radii, method) -> RegionEstimate:
     zxy = np.stack([zs.real, zs.imag], axis=1)
     h = np.min(zxy @ _unit(angles).T + radii[:, None], axis=0)
     return _region_from_support(h, angles, method, win)
@@ -364,9 +382,9 @@ def disc_core(
     """Intersection of discs with window-max radii |x_k - z| over probe centers z."""
     vals, win = _window_values(points, window)
     angles = direction_angles(n_directions)
-    zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
-    radii = np.max(np.abs(vals[None, :] - zs[:, None]), axis=1)
-    return _disc_region(vals, win, zs, angles, radii, "disc_intersection")
+    zs = _probe_centers(vals, angles, z_grid, grid_n)
+    radii = _probe_radii(vals, zs, lambda d: np.max(d, axis=1))
+    return _disc_region(win, zs, angles, radii, "disc_intersection")
 
 
 def st_core(
@@ -378,13 +396,12 @@ def st_core(
     grid_n: int = 21,
 ) -> RegionEstimate:
     """Disc intersection with statistical-limsup radii of |x_k - z|."""
-    if not 0.0 < density_tol <= 1.0:
-        raise ValueError("density_tol must lie in (0, 1]")
     vals, win = _window_values(points, window)
+    j = _st_rank(vals.size, density_tol)
     angles = direction_angles(n_directions)
-    zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
-    radii = _st_radii(np.abs(vals[None, :] - zs[:, None]), density_tol)
-    return _disc_region(vals, win, zs, angles, radii, "disc_intersection")
+    zs = _probe_centers(vals, angles, z_grid, grid_n)
+    radii = _probe_radii(vals, zs, lambda d: np.sort(d, axis=1)[:, j])
+    return _disc_region(win, zs, angles, radii, "disc_intersection")
 
 
 def alpha_core(x, sys: BandSystem, window, n_directions: int = _DEFAULT_DIRECTIONS) -> RegionEstimate:

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +8,31 @@ from hypothesis import strategies as st
 
 from seqcore import band_ops, cores
 from seqcore.generators import make_sequence, rng_from_seed
+from seqcore.io import canonical_dumps
 from seqcore.types import BandSystem, FiniteSeq
 
 DELTA = BandSystem.difference(4096)
 PLUS = BandSystem.constant(1.0, 1.0, 1.0, 4096)
+
+
+def _st_oracle(dist: np.ndarray, density_tol: float) -> np.ndarray:
+    """Row-wise statistical limsup by exceedance counts: sort each row, count v > row[i]."""
+    d = np.sort(np.atleast_2d(dist), axis=1)
+    w = d.shape[1]
+    out = np.empty(d.shape[0])
+    for i, row in enumerate(d):
+        count_gt = w - np.searchsorted(row, row, side="right")
+        out[i] = row[int(np.argmax(count_gt < density_tol * w))]
+    return out
+
+
+def _full_matrix_region(x, window, radius_rule, z_grid=None):
+    """A disc or st core from the whole (probes, window) distance matrix at once."""
+    vals = x.values[window[0] : window[1]]
+    angles = cores.direction_angles(64)
+    zs = cores.default_z_points(vals, angles) if z_grid is None else z_grid
+    radii = radius_rule(np.abs(vals[None, :] - zs[:, None]))
+    return cores._disc_region(window, zs, angles, radii, "disc_intersection")
 
 
 class TestDensities:
@@ -182,6 +206,48 @@ class TestStCore:
             assert ok, name
 
 
+class TestProbeBlocks:
+    """Block-wise probe radii against the whole distance matrix, byte for byte."""
+
+    GRID = (np.linspace(-3.0, 3.0, 41)[:, None] + 1j * np.linspace(-3.0, 3.0, 41)[None, :]).ravel()
+
+    @pytest.mark.parametrize("name, kw", [("random_bounded", {"seed": 5}), ("alternating", {}), ("square_indicator", {})])
+    @pytest.mark.parametrize("explicit_grid", [False, True])
+    def test_many_blocks_match_full_matrix(self, monkeypatch, name, kw, explicit_grid):
+        x = make_sequence(name, 2000, **kw)
+        window = (500, 2000)
+        z_grid = self.GRID if explicit_grid else None
+        # 7 probe rows a block: 825 default probes make 117 full blocks and a remainder of 6
+        monkeypatch.setattr(cores, "_PROBE_BLOCK", 7 * 1500 + 3)
+        cases = [
+            (cores.disc_core(x, window, z_grid=z_grid), lambda d: np.max(d, axis=1)),
+            (cores.st_core(x, window, 0.02, z_grid=z_grid), lambda d: _st_oracle(d, 0.02)),
+            (cores.st_core(x, window, 0.25, z_grid=z_grid), lambda d: _st_oracle(d, 0.25)),
+        ]
+        for region, rule in cases:
+            want = _full_matrix_region(x, window, rule, z_grid)
+            assert canonical_dumps(region.to_json()) == canonical_dumps(want.to_json())
+
+    def test_single_row_blocks(self, monkeypatch):
+        x = make_sequence("roots_of_unity", 400, m=4)
+        monkeypatch.setattr(cores, "_PROBE_BLOCK", 1)
+        region = cores.st_core(x, (100, 400), 0.1)
+        want = _full_matrix_region(x, (100, 400), lambda d: _st_oracle(d, 0.1))
+        assert canonical_dumps(region.to_json()) == canonical_dumps(want.to_json())
+
+    @pytest.mark.parametrize("estimator", [cores.disc_core, cores.st_core])
+    def test_peak_memory_is_bounded(self, estimator):
+        # the whole 825 x 30000 complex distance matrix alone is 396 MB
+        x = make_sequence("random_bounded", 40_000, seed=1)
+        tracemalloc.start()
+        try:
+            estimator(x, (10_000, 40_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20, f"{estimator.__name__} peaked at {peak / 2**20:.1f} MB"
+
+
 class TestAlphaCore:
     def test_difference_of_alternating_is_wide_segment(self):
         x = make_sequence("alternating", 2000)
@@ -277,3 +343,34 @@ def test_hull_window_monotonicity_property(seed, start):
     wide = cores.cluster_hull(x, (start, 800))
     narrow = cores.cluster_hull(x, (start + 200, 800))
     assert np.all(narrow.support <= wide.support + 1e-12)
+
+
+_TIE_HEAVY = st.lists(st.integers(min_value=-12, max_value=12), min_size=1, max_size=200)
+# tol * w is an integer for many w at the sampled values, where < and <= part
+_TOLS = st.one_of(
+    st.sampled_from([1.0, 1e-6, 0.5, 0.25, 0.1, 0.02]), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=_TIE_HEAVY, tol=_TOLS)
+def test_st_limsup_matches_exceedance_count_rule(row, tol):
+    v = np.asarray(row, dtype=np.float64)
+    got = cores.st_limsup(v, (0, v.size), tol)
+    assert np.float64(got).tobytes() == _st_oracle(v, tol)[0].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vals=_TIE_HEAVY,
+    probes=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=12),
+    tol=_TOLS,
+    block=st.integers(min_value=1, max_value=2400),
+)
+def test_block_st_radii_match_exceedance_count_rule(vals, probes, tol, block):
+    v = np.asarray(vals, dtype=np.complex128)
+    zs = np.array([complex(a, b) for a, b in probes])
+    j = cores._st_rank(v.size, tol)
+    with mock.patch.object(cores, "_PROBE_BLOCK", block):
+        got = cores._probe_radii(v, zs, lambda d: np.sort(d, axis=1)[:, j])
+    assert got.tobytes() == _st_oracle(np.abs(v[None, :] - zs[:, None]), tol).tobytes()

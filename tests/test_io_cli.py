@@ -247,9 +247,9 @@ class TestExitCodeContract:
         doc = {"a": "e", "system": "delta", "p": 1.0, "space": "s0", "dual": "gamma", "ladder": [8, 16]}
         return self._cfg(tmp_path, doc | overrides)
 
-    def _include_cfg(self, tmp_path, **overrides):
+    def _include_cfg(self, tmp_path, top=None, **overrides):
         inner = {"kind": "k", "x": "alternating", "n": 40} | overrides
-        return self._cfg(tmp_path, {"inner": inner, "outer": {"kind": "k", "x": "alternating", "n": 40}})
+        return self._cfg(tmp_path, {"inner": inner, "outer": {"kind": "k", "x": "alternating", "n": 40}} | (top or {}))
 
     def test_matrix_of_configs(self, tmp_path, monkeypatch):
         regular = {"dense": (make_matrix("summation", 64) @ make_matrix("cesaro", 64)).tolist()}
@@ -283,6 +283,21 @@ class TestExitCodeContract:
             (["core-include", "--config", self._include_cfg(tmp_path, directions=None)], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, grid_n=[21])], 3),
             (["core-include", "--config", self._include_cfg(tmp_path)], 0),
+            # tolerances of core-include configs
+            (["core-include", "--config", self._include_cfg(tmp_path, kind="st", density_tol=None)], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, kind="st", density_tol=[0.1])], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, kind="st", density_tol="x")], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, top={"tol": None})], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, top={"tol": [0.05]})], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, top={"tol": "x"})], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, kind="st", density_tol=0.1, top={"tol": 0.1})], 0),
+            # non-positive exponents
+            (["dual-check", "--config", self._dual_cfg(tmp_path, p=-1)], 3),
+            (["dual-check", "--config", self._dual_cfg(tmp_path, p=[1.0] * 15 + [0.0])], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero", p=-1)], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero", q=-1)], 3),
+            (["paranorm", "--x", "e", "--p", "-1", "--n", "8", "--raw"], 3),
+            (["basis-residual", "--x", "e", "--system", "delta", "--p", "1,1,0,1", "--cutoffs", "2", "--n", "4"], 3),
         ]
         for argv, expected in cases:
             assert cli.main(argv) == expected, argv
