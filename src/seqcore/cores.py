@@ -359,14 +359,9 @@ def _probe_radii(vals: np.ndarray, zs: np.ndarray, reduce) -> np.ndarray:
     return radii
 
 
-def _probe_centers(vals, angles, z_grid, grid_n) -> np.ndarray:
-    zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
+def _disc_region(win, zs, angles, radii, method) -> RegionEstimate:
     if zs.size == 0:
         raise ValueError("empty probe grid")
-    return zs
-
-
-def _disc_region(win, zs, angles, radii, method) -> RegionEstimate:
     zxy = np.stack([zs.real, zs.imag], axis=1)
     h = np.min(zxy @ _unit(angles).T + radii[:, None], axis=0)
     return _region_from_support(h, angles, method, win)
@@ -382,7 +377,7 @@ def disc_core(
     """Intersection of discs with window-max radii |x_k - z| over probe centers z."""
     vals, win = _window_values(points, window)
     angles = direction_angles(n_directions)
-    zs = _probe_centers(vals, angles, z_grid, grid_n)
+    zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
     radii = _probe_radii(vals, zs, lambda d: np.max(d, axis=1))
     return _disc_region(win, zs, angles, radii, "disc_intersection")
 
@@ -399,7 +394,7 @@ def st_core(
     vals, win = _window_values(points, window)
     j = _st_rank(vals.size, density_tol)
     angles = direction_angles(n_directions)
-    zs = _probe_centers(vals, angles, z_grid, grid_n)
+    zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
     radii = _probe_radii(vals, zs, lambda d: np.sort(d, axis=1)[:, j])
     return _disc_region(win, zs, angles, radii, "disc_intersection")
 
