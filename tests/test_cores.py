@@ -228,13 +228,6 @@ class TestProbeBlocks:
             want = _full_matrix_region(x, window, rule, z_grid)
             assert canonical_dumps(region.to_json()) == canonical_dumps(want.to_json())
 
-    def test_single_row_blocks(self, monkeypatch):
-        x = make_sequence("roots_of_unity", 400, m=4)
-        monkeypatch.setattr(cores, "_PROBE_BLOCK", 1)
-        region = cores.st_core(x, (100, 400), 0.1)
-        want = _full_matrix_region(x, (100, 400), lambda d: _st_oracle(d, 0.1))
-        assert canonical_dumps(region.to_json()) == canonical_dumps(want.to_json())
-
     @pytest.mark.parametrize("estimator", [cores.disc_core, cores.st_core])
     def test_peak_memory_is_bounded(self, estimator):
         # the whole 825 x 30000 complex distance matrix alone is 396 MB
