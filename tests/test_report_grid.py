@@ -9,7 +9,11 @@ limit (20), so both the exact and the bound subset paths are pinned.
 
 The core regions of the five C7 sequences at n = 2000 are pinned the same
 way: the hull, disc, statistical (three density tolerances) and alpha cores,
-plus the disc and statistical cores over one explicit probe grid.
+plus the disc and statistical cores over one explicit probe grid.  Inputs
+near the rounding limits of the extreme-point candidate filter are pinned too:
+a disc core over probes ~1e3x the data spread, hull, disc and alpha cores of a
+cloud within rounding of a circle, and of a lattice whose zeros carry both
+signs.
 
 A config whose evaluation raises is pinned by its exception type.
 
@@ -109,7 +113,30 @@ def _core_configs():
     x = make_sequence("random_bounded", CORE_N, seed=7)
     out["core|random_bounded|disc|z_grid"] = lambda: cores.disc_core(x, CORE_WINDOW, z_grid=grid)
     out["core|random_bounded|st:0.25|z_grid"] = lambda: cores.st_core(x, CORE_WINDOW, 0.25, z_grid=grid)
+    # probes up to ~1e3x the data spread, where |x_k - z| rounds coarsest
+    rings = np.exp(2j * np.pi * np.arange(48) / 48)
+    far = np.concatenate([grid, *(t * rings for t in (10.0, 100.0, 1500.0))])
+    out["core|random_bounded|disc|far_grid"] = lambda: cores.disc_core(x, CORE_WINDOW, z_grid=far)
+    circle, lattice = _margin_sequences()
+    near_identity = BandSystem.constant(1.0, 1e-9, 1.0, CORE_N)
+    for name, seq in (("near_circle", circle), ("signed_zero_lattice", lattice)):
+        out[f"core|{name}|hull"] = lambda seq=seq: cores.cluster_hull(seq, CORE_WINDOW)
+        out[f"core|{name}|disc"] = lambda seq=seq: cores.disc_core(seq, CORE_WINDOW)
+    out["core|near_circle|alpha"] = lambda: cores.alpha_core(circle, near_identity, CORE_WINDOW)
+    out["core|signed_zero_lattice|alpha"] = lambda: cores.alpha_core(lattice, sys, CORE_WINDOW)
     return out
+
+
+def _margin_sequences() -> tuple[FiniteSeq, FiniteSeq]:
+    """A cloud within rounding of the unit circle, and a diamond lattice whose zeros carry both signs."""
+    rng = np.random.default_rng(20240613)
+    circle = np.exp(2j * np.pi * rng.random(CORE_N)) * (1.0 - 1e-12 * rng.random(CORE_N))
+    ab = rng.integers(-3, 4, (4 * CORE_N, 2)).astype(np.float64)
+    ab = ab[np.abs(ab).sum(axis=1) <= 3.0][:CORE_N]
+    ab[ab == 0.0] *= rng.choice([-1.0, 1.0], int(np.count_nonzero(ab == 0.0)))
+    lattice = np.empty(CORE_N, dtype=np.complex128)
+    lattice.real, lattice.imag = ab[:, 0], ab[:, 1]
+    return FiniteSeq(circle), FiniteSeq(lattice)
 
 
 def _digest(call) -> str:
