@@ -16,6 +16,16 @@ sorted value at rank _st_rank(w, tol).  Probe distances |x_k - z| are built
 in blocks of whole probe rows of about _PROBE_BLOCK entries each, so memory
 stays bounded whatever the window length and the probe count.
 
+Only extreme window values can be a hull vertex or a window max of
+|x_k - z|, so cluster_hull (and through it alpha_core) and disc_core first
+keep the candidates of _extreme_candidates: the values not inside the
+polygon Q of the extremes in eight directions by more than a margin that
+exceeds the rounding of the chain's orientation test and of |x_k - z| for
+the probes at hand.  The regions are the same bytes as from every window
+value; a degenerate Q, or a negative zero in the window, keeps every value.
+disc_core also drops duplicate candidates.  st_core keeps the whole window,
+because its order statistic counts every value.
+
 The disc intersection is evaluated through its support envelope
 h(u) = min_z (z . u + radius(z)) over a finite z set, then canonicalized by
 clipping halfplanes into a polygon and re-sampling the support from its
@@ -62,6 +72,10 @@ _BOUNDED_WARN = 1e6
 _DEFAULT_DIRECTIONS = 64
 _FAR_MULTIPLES = (2.0, 4.0, 8.0, 16.0, 64.0, 256.0)
 _PROBE_BLOCK = 1 << 21  # distance entries per block of probe rows
+_OCTANTS = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]], dtype=np.float64)
+# candidate margin per unit of max|v| + max|z|: 64x the few-eps rounding of a
+# depth, an orientation test or a distance |v - z| at that scale
+_CANDIDATE_MARGIN = 64.0 * np.finfo(np.float64).eps
 
 
 def direction_angles(n_directions: int) -> np.ndarray:
@@ -119,6 +133,31 @@ def _convex_hull(xy: np.ndarray) -> np.ndarray:
     if hull.shape[0] < 3:  # collinear input collapses to a segment
         return np.array([pts[0], pts[-1]])
     return hull
+
+
+def _extreme_candidates(vals: np.ndarray, reach: float) -> np.ndarray:
+    """The window values that can be a hull vertex or a max of |v - z| over |z| <= reach.
+
+    Q is the convex polygon of the extreme values in eight directions.  For
+    every z, some vertex of Q is at least d farther from z than a value at
+    depth d inside Q, so a value deeper than the margin (which exceeds the
+    rounding of a depth, of |v - z| and of the chain's orientation test) is
+    dropped.  The input comes back whole when Q is degenerate, and when a
+    coordinate is a negative zero: np.unique in the chain keeps whichever of
+    equal +-0.0 points its unstable sort puts first, and only the whole set
+    makes the same pick.
+    """
+    xy = np.stack([vals.real, vals.imag])
+    q = _convex_hull(xy[:, [np.argmax(d @ xy) for d in _OCTANTS]].T)  # no 8 x w temporary
+    if q.shape[0] < 3 or np.any(np.signbit(xy) & (xy == 0.0)):
+        return vals
+    margin = _CANDIDATE_MARGIN * (float(np.max(np.abs(vals))) + reach)
+    edges = np.roll(q, -1, axis=0) - q
+    inward = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / np.hypot(edges[:, 0], edges[:, 1])[:, None]
+    depth = np.full(vals.size, np.inf)
+    for normal, corner in zip(inward, q):
+        np.minimum(depth, normal @ xy - normal @ corner, out=depth)
+    return vals[depth <= margin]
 
 
 def _clip_halfplanes(angles: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -325,8 +364,8 @@ def cluster_hull(points, window, n_directions: int = _DEFAULT_DIRECTIONS) -> Reg
     """Convex hull of the window values: the tail-hull estimate of the core."""
     vals, win = _window_values(points, window)
     angles = direction_angles(n_directions)
-    xy = np.stack([vals.real, vals.imag], axis=1)
-    return _region_from_points(xy, angles, "cluster_hull", win)
+    cands = _extreme_candidates(vals, 0.0)
+    return _region_from_points(np.stack([cands.real, cands.imag], axis=1), angles, "cluster_hull", win)
 
 
 def default_z_points(values: np.ndarray, angles: np.ndarray, grid_n: int = 21) -> np.ndarray:
@@ -378,7 +417,9 @@ def disc_core(
     vals, win = _window_values(points, window)
     angles = direction_angles(n_directions)
     zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
-    radii = _probe_radii(vals, zs, lambda d: np.max(d, axis=1))
+    # duplicates cannot change a max; deduping after the filter sorts fewer values
+    cands = np.unique(_extreme_candidates(vals, float(np.max(np.abs(zs), initial=0.0))))
+    radii = _probe_radii(cands, zs, lambda d: np.max(d, axis=1))
     return _disc_region(win, zs, angles, radii, "disc_intersection")
 
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .generators import MATRIX_NAMES, GeneratorSpec, band_system_from_spec, make_sequence
+from .generators import MATRIX_NAMES, GeneratorSpec, band_system_from_spec, make_matrix, make_sequence
 from .types import BandSystem, FiniteSeq
 
 __all__ = [
@@ -170,7 +170,12 @@ def matrix_from_spec(spec, n: int):
         name, params = _generator(spec)
         if name not in MATRIX_NAMES:
             raise SchemaError(f"unknown matrix generator {name!r}; known: {MATRIX_NAMES}")
-        return GeneratorSpec(name, params)
+        spec = GeneratorSpec(name, params)
+        try:
+            make_matrix(spec, n)  # a report builds it later; bad parameter values are a schema error
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"invalid {name} matrix parameters: {exc}") from exc
+        return spec
     raise SchemaError("matrix spec must give a dense block, a generator document, or shorthand")
 
 

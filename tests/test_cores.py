@@ -367,3 +367,113 @@ def test_block_st_radii_match_exceedance_count_rule(vals, probes, tol, block):
     with mock.patch.object(cores, "_PROBE_BLOCK", block):
         got = cores._probe_radii(v, zs, lambda d: np.sort(d, axis=1)[:, j])
     assert got.tobytes() == _st_oracle(np.abs(v[None, :] - zs[:, None]), tol).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# extreme-point candidates against the full window, byte for byte
+# ---------------------------------------------------------------------------
+
+_C7 = (
+    ("alternating", {}),
+    ("roots_of_unity", {"m": 4}),
+    ("square_indicator", {}),
+    ("random_bounded", {}),
+    ("convergent", {"l": 0.6, "rate": 0.9}),
+)
+_FAMILIES = ("c7", "gaussian", "lattice", "decimal_line", "near_circle", "signed_zero")
+
+
+def _complex(re, im) -> np.ndarray:
+    """Complex values with exactly these parts, signs of zero included."""
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def _family_values(family: str, seed: int, w: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if family == "c7":
+        name, kw = _C7[seed % len(_C7)]
+        return make_sequence(name, w, **({"seed": seed} if name == "random_bounded" else kw)).values
+    if family == "gaussian":
+        return _complex(*(rng.normal(size=(2, w)) + rng.normal(0.0, 3.0, (2, 1))))
+    if family == "lattice":  # duplicates, plus a collinear run on y = 2x + 1
+        ab = rng.integers(-4, 5, (2, w)).astype(np.float64)
+        run = rng.random(w) < 0.4
+        ab[1, run] = 2.0 * ab[0, run] + 1.0
+        return _complex(*ab)
+    if family == "decimal_line":  # collinear in exact arithmetic, not in binary
+        t = rng.integers(0, 60, w) * 0.1
+        off = rng.random(w) < 0.1
+        return _complex(t, 0.3 * t + 0.7 - off * rng.random(w))
+    if family == "near_circle":
+        eps = (0.0, 1e-15, 1e-12, 1e-9)[seed % 4]
+        return np.exp(2j * np.pi * rng.random(w)) * (1.0 - eps * rng.random(w))
+    ab = rng.integers(-3, 4, (2, 3 * w)).astype(np.float64)  # signed_zero: a diamond lattice
+    ab = ab[:, np.abs(ab).sum(axis=0) <= 3.0][:, :w]
+    ab[ab == 0.0] *= rng.choice([-1.0, 1.0], int(np.count_nonzero(ab == 0.0)))
+    return _complex(*ab)
+
+
+_CLOUDS = st.tuples(
+    st.sampled_from(_FAMILIES),
+    st.integers(min_value=0, max_value=2**30),
+    st.integers(min_value=3, max_value=400),
+    st.integers(min_value=-6, max_value=6),
+)
+
+
+def _cloud(family, seed, w, scale_exp) -> FiniteSeq:
+    return FiniteSeq(_family_values(family, seed, w) * 10.0**scale_exp)
+
+
+def _bytes(region) -> str:
+    return canonical_dumps(region.to_json())
+
+
+def _full_hull(vals, window) -> str:
+    angles = cores.direction_angles(64)
+    xy = np.stack([vals.real, vals.imag], axis=1)
+    return _bytes(cores._region_from_points(xy, angles, "cluster_hull", window))
+
+
+@pytest.mark.filterwarnings("ignore:window values are very large")
+@settings(max_examples=150, deadline=None)
+@given(cloud=_CLOUDS)
+def test_hull_candidates_match_full_window(cloud):
+    x = _cloud(*cloud)
+    window = (0, x.n)
+    assert _bytes(cores.cluster_hull(x, window)) == _full_hull(x.values, window)
+
+
+@pytest.mark.filterwarnings("ignore:window values are very large")
+@settings(max_examples=100, deadline=None)
+@given(cloud=_CLOUDS, sys_seed=st.integers(min_value=0, max_value=2**30))
+def test_alpha_candidates_match_full_window(cloud, sys_seed):
+    x = _cloud(*cloud)
+    rng = np.random.default_rng(sys_seed)
+    signs = rng.choice([-1.0, 1.0], (2, x.n))
+    sys = BandSystem(signs[0] * rng.uniform(0.5, 2.0, x.n), signs[1] * rng.uniform(0.5, 2.0, x.n), rng.uniform(0.5, 2.0, x.n))
+    window = (1, x.n)
+    tau = band_ops.forward_transform(x, sys).values[1:]
+    assert _bytes(cores.alpha_core(x, sys, window)) == _full_hull(tau, window)
+
+
+@pytest.mark.filterwarnings("ignore:window values are very large")
+@settings(max_examples=100, deadline=None)
+@given(cloud=_CLOUDS, grid=st.sampled_from(["default", "box", "far"]))
+def test_disc_candidates_match_full_window(cloud, grid):
+    x = _cloud(*cloud)
+    window = (0, x.n)
+    spread = float(np.max(np.abs(x.values))) or 1.0
+    g = np.linspace(-3.0, 3.0, 41) * spread
+    box = (g[:, None] + 1j * g[None, :]).ravel()
+    z_grid = {"default": None, "box": box, "far": np.concatenate([box, 1e3 * box[::40]])}[grid]
+    want = _full_matrix_region(x, window, lambda d: np.max(d, axis=1), z_grid)
+    assert _bytes(cores.disc_core(x, window, z_grid=z_grid)) == _bytes(want)
+
+
+def test_candidates_are_a_small_part_of_a_random_window():
+    vals = make_sequence("random_bounded", 40_000, seed=0).values[10_000:]
+    assert cores._extreme_candidates(vals, 0.0).size < 0.05 * vals.size
+    assert cores._extreme_candidates(vals, 1e3).size < 0.05 * vals.size

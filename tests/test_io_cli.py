@@ -255,6 +255,7 @@ class TestExitCodeContract:
         regular = {"dense": (make_matrix("summation", 64) @ make_matrix("cesaro", 64)).tolist()}
         bad_json = tmp_path / "broken.json"
         bad_json.write_text("{oops")
+        zero_band = {"r": [1.0] * 64, "s": [0.0] * 64}
         cases = [
             (["transform", "--x", "e", "--system", "delta", "--n", "8"], 0),
             (["class-check", "--config", self._class_cfg(tmp_path, regular)], 0),
@@ -270,6 +271,11 @@ class TestExitCodeContract:
             (["class-check", "--config", self._class_cfg(tmp_path, "zero", system={"generator": "constant", "params": [1]})], 3),
             (["class-check", "--config", self._class_cfg(tmp_path, {"generator": "cesaro", "params": [1]})], 3),
             (["class-check", "--config", self._class_cfg(tmp_path, {"generator": "nope"})], 3),
+            # invalid matrix generator values
+            (["class-check", "--config", self._class_cfg(tmp_path, {"generator": "band", "params": {"r": 0, "s": 1}})], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, {"generator": "band", "params": {"r": [1], "s": 1}})], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, {"generator": "riesz", "params": {"t": -1}})], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, {"generator": "double_band", "params": zero_band})], 3),
             (["dual-check", "--config", self._dual_cfg(tmp_path, a={"generator": "e", "params": "k=1"})], 3),
             # integer and exponent fields of config documents
             (["class-check", "--config", self._class_cfg(tmp_path, "zero", ladder=["a", 16])], 3),
@@ -291,6 +297,11 @@ class TestExitCodeContract:
             (["core-include", "--config", self._include_cfg(tmp_path, top={"tol": [0.05]})], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, top={"tol": "x"})], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, kind="st", density_tol=0.1, top={"tol": 0.1})], 0),
+            # density tolerances outside (0, 1]; 1.0 itself is accepted
+            (["core", "--kind", "st", "--x", "e", "--n", "40", "--density-tol", "0"], 3),
+            (["core", "--kind", "st", "--x", "e", "--n", "40", "--density-tol", "1.5"], 3),
+            (["core", "--kind", "st", "--x", "e", "--n", "40", "--density-tol", "1.0", "--out", str(tmp_path / "st.json")], 0),
+            (["core-include", "--config", self._include_cfg(tmp_path, kind="st", density_tol=0)], 3),
             # non-positive exponents
             (["dual-check", "--config", self._dual_cfg(tmp_path, p=-1)], 3),
             (["dual-check", "--config", self._dual_cfg(tmp_path, p=[1.0] * 15 + [0.0])], 3),
