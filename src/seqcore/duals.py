@@ -36,7 +36,7 @@ import numpy as np
 from .band_ops import inverse_kernel, inverse_transform
 from .ladder import WITNESS_LAYERS, ladder_verdict, truncation_ladder, window
 from .types import BandSystem, ExponentSeq, FiniteSeq, TriangleKernel
-from .verdicts import VerdictConfig, aggregate_verdict
+from .verdicts import aggregate_verdict
 
 __all__ = [
     "companion_c",
@@ -121,16 +121,15 @@ def _working_matrix(matrix, axis, weights):
     return W
 
 
-def _canonical_objective(W, cols, exponents, outer):
+def _canonical_objective(W, cols, exponents):
     """Objective of one subset, computed the same way in every solver path."""
     if len(cols) == 0:
         return 0.0
     inner = np.abs(W[:, cols].sum(axis=1))
-    terms = inner**exponents
-    return float(terms.max()) if outer == "sup" else float(terms.sum())
+    return float((inner**exponents).sum())
 
 
-def subset_sup_bruteforce(matrix, axis="columns", weights=None, outer_exponents=None, outer="sum") -> float:
+def subset_sup_bruteforce(matrix, axis="columns", weights=None, outer_exponents=None) -> float:
     """Exhaustive enumeration over all 2^N subsets; the oracle for the exact solver."""
     W = _working_matrix(matrix, axis, weights)
     e = np.ones(W.shape[0]) if outer_exponents is None else np.asarray(outer_exponents, dtype=np.float64)
@@ -140,43 +139,31 @@ def subset_sup_bruteforce(matrix, axis="columns", weights=None, outer_exponents=
     best = 0.0
     for mask in range(1 << ncols):
         cols = [c for c in range(ncols) if mask >> c & 1]
-        best = max(best, _canonical_objective(W, cols, e, outer))
+        best = max(best, _canonical_objective(W, cols, e))
     return best
 
 
-def subset_sup(
-    matrix,
-    axis: str = "columns",
-    weights=None,
-    outer_exponents=None,
-    mode: str = "exact",
-    outer: str = "sum",
-    exact_limit: int = EXACT_SUBSET_LIMIT,
-):
-    """sup over subsets K of one axis of the aggregated |sum over K| terms.
+def subset_sup(matrix, axis: str = "columns", weights=None, outer_exponents=None, mode: str = "exact"):
+    """sup over subsets K of one axis of sum_i |sum_{k in K} W[i, k]|^(e_i).
 
-    With outer="sum" the objective of a subset K is
-    sum_i |sum_{k in K} W[i, k]|^(e_i); with outer="sup" the outer sum is a
-    maximum.  mode="exact" solves by branch and bound (subset count capped at
-    ``exact_limit``); mode="bound" returns the absolute-sum upper bound, the
-    objective with every |W[i, k]| in place of W[i, k].  Both return a float.
+    mode="exact" solves by branch and bound (subset count capped at
+    EXACT_SUBSET_LIMIT); mode="bound" returns the absolute-sum upper bound,
+    the objective with every |W[i, k]| in place of W[i, k].  Both return a
+    float.
     """
     W = _working_matrix(matrix, axis, weights)
     e = np.ones(W.shape[0]) if outer_exponents is None else np.asarray(outer_exponents, dtype=np.float64)
     if e.size != W.shape[0] or np.any(e <= 0.0):
         raise ValueError("outer exponents must be positive, one per outer index")
-    if outer not in ("sum", "sup"):
-        raise ValueError("outer must be 'sum' or 'sup'")
 
     absW = np.abs(W)
     if mode == "bound":
-        full_terms = absW.sum(axis=1) ** e
-        return float(full_terms.max() if outer == "sup" else full_terms.sum())
+        return float((absW.sum(axis=1) ** e).sum())
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'bound'")
     ncols = W.shape[1]
-    if ncols > exact_limit:
-        raise ValueError(f"exact subset sup is limited to {exact_limit} subset indices (got {ncols})")
+    if ncols > EXACT_SUBSET_LIMIT:
+        raise ValueError(f"exact subset sup is limited to {EXACT_SUBSET_LIMIT} subset indices (got {ncols})")
 
     # branch and bound over inclusion, columns ordered by decreasing mass;
     # bound: replacing every undecided column by its absolute row mass.
@@ -184,16 +171,15 @@ def subset_sup(
     Wo = W[:, order]
     rem = np.zeros((W.shape[0], ncols + 1))
     rem[:, :-1] = np.abs(Wo)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    best = _canonical_objective(W, list(range(ncols)), e, outer)
+    best = _canonical_objective(W, list(range(ncols)), e)
 
     def descend(j, vec, picked):
         nonlocal best
         if j == ncols:
             cols = sorted(int(order[i]) for i in picked)
-            best = max(best, _canonical_objective(W, cols, e, outer))
+            best = max(best, _canonical_objective(W, cols, e))
             return
-        head = (np.abs(vec) + rem[:, j]) ** e
-        ub = float(head.max() if outer == "sup" else head.sum())
+        ub = float(((np.abs(vec) + rem[:, j]) ** e).sum())
         if ub * (1.0 + 1e-9) <= best:
             return
         descend(j + 1, vec + Wo[:, j], picked + [j])
@@ -380,7 +366,6 @@ def dual_report(
     dual: str,
     ladder,
     b_ladder=DEFAULT_B_LADDER,
-    config: VerdictConfig = VerdictConfig(),
 ) -> DualReport:
     """Evaluate the dual-set conditions for (space, dual) over a truncation ladder.
 
@@ -424,7 +409,7 @@ def dual_report(
 
         layers = WITNESS_LAYERS[meta.quantifier]
         verdicts.append(
-            ladder_verdict(cid, ladder, layers, meta.kind, evaluate, b_ladder, fitted, 0.0, meta.anchor, config)
+            ladder_verdict(cid, ladder, layers, meta.kind, evaluate, b_ladder, fitted, 0.0, meta.anchor)
         )
 
     return DualReport(space, dual, tuple(verdicts), aggregate_verdict(v.verdict for v in verdicts))

@@ -190,15 +190,12 @@ def _log_amplification(r: np.ndarray, s: np.ndarray) -> float:
 # the limit ends only requests the sampler cannot meet in practice.
 MAX_SYSTEM_DRAWS = 100_000
 
+# magnitude box of every drawn r_k, s_k and alpha_k
+_LOW, _HIGH = 0.5, 2.0
 
-def random_band_system(
-    rng: np.random.Generator,
-    n: int,
-    low: float = 0.5,
-    high: float = 2.0,
-    amplification_cap: float | None = None,
-) -> BandSystem:
-    """Random system with |r_k|, |s_k|, alpha_k in [low, high] and random signs.
+
+def random_band_system(rng: np.random.Generator, n: int, amplification_cap: float | None = None) -> BandSystem:
+    """Random system with |r_k|, |s_k|, alpha_k in [0.5, 2] and random signs.
 
     With ``amplification_cap`` set, draws are rejected until the log-ratio
     walk of the system stays within the cap; this bounds the condition number
@@ -211,10 +208,10 @@ def random_band_system(
     if n < 1:
         raise ValueError("system length must be >= 1")
     for _ in range(MAX_SYSTEM_DRAWS):
-        r = rng.uniform(low, high, n) * rng.choice([-1.0, 1.0], n)
-        s = rng.uniform(low, high, n) * rng.choice([-1.0, 1.0], n)
+        r = rng.uniform(_LOW, _HIGH, n) * rng.choice([-1.0, 1.0], n)
+        s = rng.uniform(_LOW, _HIGH, n) * rng.choice([-1.0, 1.0], n)
         if amplification_cap is None or _log_amplification(r, s) <= np.log(amplification_cap):
-            return BandSystem(r, s, rng.uniform(low, high, n))
+            return BandSystem(r, s, rng.uniform(_LOW, _HIGH, n))
     raise ValueError(
         f"no band system of length {n} within amplification cap {amplification_cap} "
         f"after {MAX_SYSTEM_DRAWS} draws"

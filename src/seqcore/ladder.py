@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .verdicts import HOLDS, ConditionVerdict, VerdictConfig, classify_series, combine_exists, combine_forall
+from .verdicts import HOLDS, ConditionVerdict, classify_series, combine_exists, combine_forall
 
 __all__ = ["FORALL", "EXISTS", "WITNESS_LAYERS", "truncation_ladder", "window", "ladder_verdict"]
 
@@ -53,7 +53,6 @@ def ladder_verdict(
     fitted: dict,
     target: float,
     anchor: str,
-    config: VerdictConfig,
 ) -> ConditionVerdict:
     """Evaluate one condition over the truncation ladder and its witness layers.
 
@@ -75,8 +74,8 @@ def ladder_verdict(
             devs.append(dev)
             estimates.append((n, label, value))
         if kind == "limit":
-            return classify_series("limit", ladder, devs, 0.0, config)
-        return classify_series("bounded", ladder, values, None, config)
+            return classify_series("limit", ladder, devs, 0.0)
+        return classify_series("bounded", ladder, values)
 
     verdict, growth, last = _quantify(layers, witness_ladder, series, {})
     universal = any(mode == FORALL for _, mode in layers)

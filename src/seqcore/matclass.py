@@ -50,7 +50,7 @@ from .duals import (  # noqa: F401 - perfbench traces matclass.subset_sup as an 
 from .generators import materialize_matrix
 from .ladder import WITNESS_LAYERS, ladder_verdict, truncation_ladder, window
 from .types import BandSystem, ExponentSeq
-from .verdicts import ConditionVerdict, VerdictConfig, aggregate_verdict
+from .verdicts import ConditionVerdict, aggregate_verdict
 
 __all__ = [
     "btilde",
@@ -209,7 +209,7 @@ CONDITIONS: dict[str, ConditionSpec] = {
     "mt25": ConditionSpec("partial sums converge rowwise to fitted limits", "partial", "plain", "limit"),
     "mt26": ConditionSpec("deflated partial-sum rows bounded for some M", "partial", "exists_m", "bounded", needs_p=True),
     "mt27": ConditionSpec("jointly inflated/deflated partial-sum rows bounded", "partial", "forall_l_exists_m", "bounded", needs_p=True, needs_q=True),
-    "mt28": ConditionSpec("partial-sum rows concentrate at a single fitted value", "partial", "plain", "limit", uses_beta=True),
+    "mt28": ConditionSpec("partial-sum rows concentrate at a single fitted value", "partial", "plain", "limit"),
     "mt29": ConditionSpec("inflated absolute rows uniformly bounded", "E", "forall_l", "bounded", needs_p=True),
     "mt30": ConditionSpec("columns converge to fitted limits", "E", "plain", "limit", uses_beta_k=True),
     "mt31": ConditionSpec("inflated absolute row sums converge", "E", "forall_l", "limit", needs_p=True),
@@ -421,22 +421,19 @@ def _ladder_sources(source: str, A, sys, matrix, ladder) -> dict:
     return {n: {source: top[:n, :n]} for n in ladder}
 
 
-def _condition_verdict(cond_id, sources, ladder, p, qa, beta_k, beta, density_sets, quantifier_ladder, config):
+def _condition_verdict(cond_id, sources, ladder, p, qa):
     """Fit the condition's parameters at the top rung and run it through the ladder engine."""
     spec = CONDITIONS[cond_id]
     top = sources[ladder[-1]][spec.source]
     fitted: dict = {}
+    beta_k = beta = density_sets = None
     if spec.uses_beta_k:
-        beta_k = np.real(top[-1, :]).copy() if beta_k is None else np.asarray(beta_k, dtype=np.float64)
+        beta_k = np.real(top[-1, :]).copy()
         fitted["beta_k_head"] = [float(v) for v in beta_k[:8]]
-    if spec.uses_beta and beta is None and spec.source != "partial":
-        beta = float(np.real(top[-1, :].sum()))
-    if spec.uses_beta and beta is not None:
-        beta = float(beta)
-        fitted["beta"] = beta
+    if spec.uses_beta:
+        beta = fitted["beta"] = float(np.real(top[-1, :].sum()))
     if cond_id == "4.6":
-        if density_sets is None:
-            density_sets = default_density_sets(ladder[-1])
+        density_sets = default_density_sets(ladder[-1])
         fitted["density_sets"] = [name for name, _ in density_sets]
 
     def evaluate(n, witnesses):
@@ -445,7 +442,7 @@ def _condition_verdict(cond_id, sources, ladder, p, qa, beta_k, beta, density_se
 
     layers = WITNESS_LAYERS[spec.quantifier]
     return ladder_verdict(
-        cond_id, ladder, layers, spec.kind, evaluate, quantifier_ladder, fitted, spec.target, spec.anchor, config
+        cond_id, ladder, layers, spec.kind, evaluate, DEFAULT_QUANTIFIER_LADDER, fitted, spec.target, spec.anchor
     )
 
 
@@ -457,20 +454,15 @@ def eval_condition(
     matrix=None,
     p: ExponentSeq | None = None,
     q=None,
-    beta_k=None,
-    beta=None,
-    density_sets=None,
     ladder,
-    quantifier_ladder=DEFAULT_QUANTIFIER_LADDER,
-    config: VerdictConfig = VerdictConfig(),
 ) -> ConditionVerdict:
     """Evaluate one catalog condition over a truncation ladder.
 
     The condition's source is the composed matrix and its partial sums from
     (A, sys), built once per ladder point, or the band-transformed matrix
     from (A, sys) or a caller-supplied matrix/generator, built once at the
-    largest truncation and sliced.  beta_k / beta default to fitted values from
-    the largest truncation (last rows, last row sums) and may be pinned.
+    largest truncation and sliced.  beta_k / beta are fitted at the largest
+    truncation (last rows, last row sums).
     """
     if cond_id not in CONDITIONS:
         raise KeyError(f"unknown condition {cond_id!r}")
@@ -484,7 +476,7 @@ def eval_condition(
         what = "the matrix" if spec.source == "btilde" else "A"
         raise ValueError(f"condition {cond_id} needs {what} and a band system")
     sources = _ladder_sources(spec.source, A, sys, matrix, ladder)
-    return _condition_verdict(cond_id, sources, ladder, p, qa, beta_k, beta, density_sets, quantifier_ladder, config)
+    return _condition_verdict(cond_id, sources, ladder, p, qa)
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +526,6 @@ def class_report(
     p: ExponentSeq | None = None,
     q=None,
     ladder=(32, 64, 128),
-    density_sets=None,
-    quantifier_ladder=DEFAULT_QUANTIFIER_LADDER,
-    config: VerdictConfig = VerdictConfig(),
 ) -> ClassReport:
     """Evaluate every condition of one mapping-class characterization."""
     if class_id not in CLASS_RULES:
@@ -551,8 +540,5 @@ def class_report(
     if A is None or sys is None:
         raise ValueError(f"class {class_id} needs A and a band system")
     sources = _ladder_sources(source, A, sys, None, ladder)
-    verdicts = tuple(
-        _condition_verdict(cid, sources, ladder, p, qa, None, None, density_sets, quantifier_ladder, config)
-        for cid in cond_ids
-    )
+    verdicts = tuple(_condition_verdict(cid, sources, ladder, p, qa) for cid in cond_ids)
     return ClassReport(class_id, verdicts, aggregate_verdict(v.verdict for v in verdicts))

@@ -182,13 +182,3 @@ class TriangleKernel:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.entries)
-
-    def matvec(self, x) -> np.ndarray:
-        v = x.values if isinstance(x, FiniteSeq) else np.asarray(x)
-        if v.size != self.n:
-            raise ValueError("kernel/vector size mismatch")
-        return self.entries @ v

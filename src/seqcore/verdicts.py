@@ -13,7 +13,7 @@ increasing ladder of truncations and classified from the trend:
   the target or grows, inconclusive otherwise.
 
 All verdicts are truncation-ladder heuristics by construction; they gather
-evidence, not proofs, and the thresholds below are configuration values.
+evidence, not proofs, and the thresholds below are fixed constants.
 """
 
 from __future__ import annotations
@@ -26,7 +26,10 @@ __all__ = [
     "HOLDS",
     "FAILS",
     "INCONCLUSIVE",
-    "VerdictConfig",
+    "STABILIZATION_RTOL",
+    "GROWTH_THRESHOLD",
+    "DECAY_THRESHOLD",
+    "ZERO_ATOL",
     "ConditionVerdict",
     "fit_growth_exponent",
     "classify_series",
@@ -42,15 +45,11 @@ INCONCLUSIVE = "inconclusive"
 # fails dominates, then inconclusive, then holds
 _SEVERITY = {HOLDS: 0, INCONCLUSIVE: 1, FAILS: 2}
 
-
-@dataclass(frozen=True)
-class VerdictConfig:
-    """Thresholds for ladder classification (defaults per the package contract)."""
-
-    stabilization_rtol: float = 0.01
-    growth_threshold: float = 0.05
-    decay_threshold: float = -0.05
-    zero_atol: float = 1e-8
+# ladder classification thresholds
+STABILIZATION_RTOL = 0.01  # last two estimates agree to within 1 %
+GROWTH_THRESHOLD = 0.05  # fitted log-log exponent above this grows
+DECAY_THRESHOLD = -0.05  # fitted log-log exponent at or below this decays
+ZERO_ATOL = 1e-8  # a final deviation at or below this is zero
 
 
 def fit_growth_exponent(ns, values) -> float:
@@ -65,20 +64,14 @@ def fit_growth_exponent(ns, values) -> float:
     return float(slope)
 
 
-def _stabilized(a: float, b: float, rtol: float) -> bool:
+def _stabilized(a: float, b: float) -> bool:
     scale = max(abs(a), abs(b))
     if scale == 0.0:
         return True
-    return abs(a - b) < rtol * scale
+    return abs(a - b) < STABILIZATION_RTOL * scale
 
 
-def classify_series(
-    kind: str,
-    ns,
-    values,
-    target: float | None = None,
-    config: VerdictConfig = VerdictConfig(),
-) -> tuple[str, float, float | None]:
+def classify_series(kind: str, ns, values, target: float | None = None) -> tuple[str, float, float | None]:
     """Classify one ladder of estimates.
 
     Returns (verdict, growth_exponent, last_deviation); last_deviation is the
@@ -87,9 +80,9 @@ def classify_series(
     values = [float(v) for v in values]
     if kind == "bounded":
         growth = fit_growth_exponent(ns, values)
-        if len(values) >= 2 and _stabilized(values[-1], values[-2], config.stabilization_rtol):
+        if len(values) >= 2 and _stabilized(values[-1], values[-2]):
             return HOLDS, growth, None
-        if growth > config.growth_threshold:
+        if growth > GROWTH_THRESHOLD:
             return FAILS, growth, None
         return INCONCLUSIVE, growth, None
     if kind == "limit":
@@ -98,13 +91,13 @@ def classify_series(
         dev = [abs(v - target) for v in values]
         growth = fit_growth_exponent(ns, dev)
         last = dev[-1]
-        if last <= config.zero_atol:
+        if last <= ZERO_ATOL:
             return HOLDS, growth, last
-        if growth <= config.decay_threshold:
+        if growth <= DECAY_THRESHOLD:
             return HOLDS, growth, last
-        if len(dev) >= 2 and _stabilized(dev[-1], dev[-2], config.stabilization_rtol):
+        if len(dev) >= 2 and _stabilized(dev[-1], dev[-2]):
             return FAILS, growth, last
-        if growth > config.growth_threshold:
+        if growth > GROWTH_THRESHOLD:
             return FAILS, growth, last
         return INCONCLUSIVE, growth, last
     raise ValueError("kind must be 'bounded' or 'limit'")

@@ -73,12 +73,6 @@ class TestSubsetSup:
             exact = duals.subset_sup(mat, mode="exact")
             assert exact <= bound
 
-    def test_sup_outer_mode(self, rng):
-        mat = rng.uniform(-1.0, 1.0, (4, 5))
-        exact = duals.subset_sup(mat, outer="sup")
-        brute = duals.subset_sup_bruteforce(mat, outer="sup")
-        assert exact == brute
-
 
 @settings(max_examples=80, deadline=None)
 @given(

