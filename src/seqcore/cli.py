@@ -9,8 +9,10 @@ produce byte-identical output.
 Exit codes: 0 all verdicts hold / inclusion true / computation done, 1 some
 verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
 unreadable input or schema violation (including invalid generator values,
-non-integer lists, non-numeric tolerances, density tolerances outside (0, 1]
-and non-positive exponents), 4 internal evaluation errors.
+non-integer lists, non-numeric tolerances, density tolerances outside (0, 1],
+non-positive exponents, exponent lists shorter than the largest truncation,
+truncations below 1 and B ladders that are empty or hold a B <= 1), 4
+internal evaluation errors.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .io import (
     seq_to_json,
     system_from_spec,
 )
+from .ladder import truncation_ladder, witness_ladder
 from .types import ExponentSeq, FiniteSeq
 
 EXIT_HOLDS = 0
@@ -96,12 +99,23 @@ def _config_ints(values, what: str) -> list[int]:
     return [_config_int(v, what) for v in values]
 
 
+def _config_ladder(values, what: str, check) -> list[int]:
+    """A ladder of integers from a config document, validated by the library's ``check``."""
+    values = _config_ints(values, what)
+    try:
+        return check(values)
+    except ValueError as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
+
+
 def _config_exponents(value, n: int, what: str) -> ExponentSeq:
     """A constant or a list of positive exponents from a config document, as n or more values."""
     try:
         values = np.full(n, float(value)) if np.isscalar(value) else np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what} must be a number or a list of numbers: {value!r}") from exc
+    if values.ndim == 1 and values.size < n:
+        raise SchemaError(f"{values.size} {what} values cannot serve truncation {n}")
     try:
         return ExponentSeq(values)
     except ValueError as exc:
@@ -201,12 +215,12 @@ def _cmd_dual_check(args) -> int:
     if args.ladder and isinstance(config, dict):  # _check_config rejects the rest
         config = dict(config, ladder=_parse_ints(args.ladder, "ladder"))
     _check_config(config, "dual-check", _DUAL_KEYS, {"a", "system", "p", "space", "dual", "ladder"})
-    ladder = _config_ints(config["ladder"], "ladder")
-    n = max(ladder)
+    ladder = _config_ladder(config["ladder"], "ladder", truncation_ladder)
+    n = ladder[-1]
     a = seq_from_spec(config["a"], n)
     sys = system_from_spec(config["system"], n)
     p = _config_exponents(config["p"], n, "p")
-    b_ladder = tuple(_config_ints(config.get("b_ladder", duals.DEFAULT_B_LADDER), "b_ladder"))
+    b_ladder = _config_ladder(config.get("b_ladder", duals.DEFAULT_B_LADDER), "b_ladder", witness_ladder)
     report = duals.dual_report(a, sys, p, config["space"], config["dual"], ladder, b_ladder)
     _emit(report.to_json(), args.out or config.get("out"))
     return _VERDICT_EXIT[report.aggregate]
@@ -220,8 +234,8 @@ def _cmd_class_check(args) -> int:
     if args.ladder and isinstance(config, dict):  # _check_config rejects the rest
         config = dict(config, ladder=_parse_ints(args.ladder, "ladder"))
     _check_config(config, "class-check", _CLASS_KEYS, {"matrix", "system", "class", "ladder"})
-    ladder = _config_ints(config["ladder"], "ladder")
-    n = max(ladder)
+    ladder = _config_ladder(config["ladder"], "ladder", truncation_ladder)
+    n = ladder[-1]
     matrix = matrix_from_spec(config["matrix"], n)
     sys = system_from_spec(config["system"], n)
     p = _config_exponents(config["p"], n, "p") if "p" in config else None

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_ops import inverse_kernel, inverse_transform
-from .ladder import WITNESS_LAYERS, ladder_verdict, truncation_ladder, window
+from .ladder import WITNESS_LAYERS, ladder_verdict, truncation_ladder, window, witness_ladder
 from .types import BandSystem, ExponentSeq, FiniteSeq, TriangleKernel
 from .verdicts import aggregate_verdict
 
@@ -376,6 +376,7 @@ def dual_report(
     are marked as tested-ladder evidence.
     """
     ladder = truncation_ladder(ladder)
+    b_ladder = witness_ladder(b_ladder)
     a = FiniteSeq.coerce(a)
     n_max = ladder[-1]
     if a.n < n_max:

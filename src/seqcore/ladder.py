@@ -15,7 +15,7 @@ from typing import Callable
 
 from .verdicts import HOLDS, ConditionVerdict, classify_series, combine_exists, combine_forall
 
-__all__ = ["FORALL", "EXISTS", "WITNESS_LAYERS", "truncation_ladder", "window", "ladder_verdict"]
+__all__ = ["FORALL", "EXISTS", "WITNESS_LAYERS", "truncation_ladder", "witness_ladder", "window", "ladder_verdict"]
 
 FORALL, EXISTS = "forall", "exists"
 
@@ -31,10 +31,22 @@ WITNESS_LAYERS: dict[str, tuple[tuple[str, str], ...]] = {
 
 
 def truncation_ladder(ladder) -> list[int]:
-    """The ladder as ints; it must be nonempty and strictly increasing."""
+    """The ladder as ints; it must be nonempty, strictly increasing and start at 1 or above."""
     ladder = [int(n) for n in ladder]
     if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be nonempty and strictly increasing")
+    if ladder[0] < 1:
+        raise ValueError(f"truncations must be >= 1 (got {ladder[0]})")
+    return ladder
+
+
+def witness_ladder(ladder) -> list[int]:
+    """The witness ladder as ints; it must be nonempty with every witness above 1."""
+    ladder = [int(w) for w in ladder]
+    if not ladder:
+        raise ValueError("witness ladder must be nonempty")
+    if min(ladder) <= 1:
+        raise ValueError(f"witnesses must be > 1 (got {min(ladder)})")
     return ladder
 
 
@@ -49,7 +61,7 @@ def ladder_verdict(
     layers,
     kind: str,
     evaluate: Callable[[int, dict], tuple],
-    witness_ladder,
+    witness_values,
     fitted: dict,
     target: float,
     anchor: str,
@@ -77,14 +89,14 @@ def ladder_verdict(
             return classify_series("limit", ladder, devs, 0.0)
         return classify_series("bounded", ladder, values)
 
-    verdict, growth, last = _quantify(layers, witness_ladder, series, {})
+    verdict, growth, last = _quantify(layers, witness_values, series, {})
     universal = any(mode == FORALL for _, mode in layers)
     note = "tested ladder only" if universal and verdict == HOLDS else None
     target = fitted.get("beta", target) if kind == "limit" else None
     return ConditionVerdict(cond_id, tuple(estimates), verdict, growth, kind, target, last, note, fitted, anchor)
 
 
-def _quantify(layers, witness_ladder, series, bound: dict):
+def _quantify(layers, witness_values, series, bound: dict):
     """(verdict, growth, last deviation) of the first witness whose verdict equals the combined one.
 
     A module-level function rather than a recursive closure, so a verdict
@@ -95,8 +107,8 @@ def _quantify(layers, witness_ladder, series, bound: dict):
         return series(bound)
     (name, mode), inner = layers[0], layers[1:]
     per = []
-    for w in witness_ladder:
-        per.append(_quantify(inner, witness_ladder, series, {**bound, name: w}))
+    for w in witness_values:
+        per.append(_quantify(inner, witness_values, series, {**bound, name: w}))
         if mode == EXISTS and per[-1][0] == HOLDS:
             break
     verdict = (combine_exists if mode == EXISTS else combine_forall)(v for v, _, _ in per)

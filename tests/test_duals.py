@@ -198,6 +198,25 @@ class TestDualReport:
         with pytest.raises(ValueError):
             duals.dual_report(a, PLUS, p, "s0", "alpha", ())
 
+    @pytest.mark.parametrize("ladder", [(0, 16), (-4, 16)])
+    def test_rungs_below_one_rejected(self, ladder):
+        a = FiniteSeq(np.ones(16))
+        p = ExponentSeq.constant(1.0, 16)
+        with pytest.raises(ValueError, match=">= 1"):
+            duals.dual_report(a, PLUS, p, "s0", "gamma", ladder)
+
+    @pytest.mark.parametrize("b_ladder", [(-2, 4), (0, 2), (1, 4), ()])
+    def test_b_ladder_needs_witnesses_above_one(self, b_ladder):
+        a = FiniteSeq(np.ones(16))
+        p = ExponentSeq.constant(1.0, 16)
+        with pytest.raises(ValueError, match="witness"):
+            duals.dual_report(a, PLUS, p, "sinf", "beta", (8, 16), b_ladder)
+
+    def test_short_exponents_rejected(self):
+        a = FiniteSeq(np.ones(16))
+        with pytest.raises(ValueError, match="cannot serve truncation 16"):
+            duals.dual_report(a, PLUS, ExponentSeq(np.ones(3)), "s0", "gamma", (8, 16))
+
     def test_forall_quantifier_is_labelled(self):
         a = FiniteSeq(0.5 ** np.arange(64))
         p = ExponentSeq.constant(1.0, 64)

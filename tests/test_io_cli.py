@@ -284,6 +284,18 @@ class TestExitCodeContract:
             (["dual-check", "--config", self._dual_cfg(tmp_path, b_ladder=[2, "x"])], 3),
             (["dual-check", "--config", self._dual_cfg(tmp_path, p="x")], 3),
             (["class-check", "--config", self._class_cfg(tmp_path, "zero", q=[1.0, "x"])], 3),
+            # ladders: rungs below 1, witnesses B <= 1, an empty B ladder
+            (["dual-check", "--config", self._dual_cfg(tmp_path, ladder=[0, 16])], 3),
+            (["dual-check", "--config", self._dual_cfg(tmp_path), "--ladder=-4,16"], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero", ladder=[-4, 16])], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero"), "--ladder=-4,16"], 3),
+            (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[-2, 4])], 3),
+            (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[0, 2])], 3),
+            (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[])], 3),
+            (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[2, 4])], 1),
+            # config exponent lists shorter than the largest rung
+            (["dual-check", "--config", self._dual_cfg(tmp_path, p=[1, 1, 1])], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero", q=[1, 1])], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, n="a")], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, window=["a", 40])], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, directions=None)], 3),

@@ -212,6 +212,18 @@ class TestClassReport:
         with pytest.raises(ValueError):
             matclass.class_report("cesaro", "s0:c_q", DELTA, p=p, ladder=LADDER)
 
+    def test_short_q_rejected(self):
+        p = ExponentSeq.constant(1.0, 16)
+        with pytest.raises(ValueError, match="shorter than the largest truncation"):
+            matclass.class_report("cesaro", "s0:c0_q", DELTA, p=p, q=[1.0, 1.0], ladder=(8, 16))
+
+    @pytest.mark.parametrize("ladder", [(0, 16), (-4, 16)])
+    def test_rungs_below_one_rejected(self, ladder):
+        with pytest.raises(ValueError, match=">= 1"):
+            matclass.class_report("zero", "c:sc_reg", DELTA, ladder=ladder)
+        with pytest.raises(ValueError, match=">= 1"):
+            matclass.eval_condition("4.1", A="zero", sys=DELTA, ladder=ladder)
+
     def test_unknown_class(self):
         with pytest.raises(KeyError):
             matclass.class_report("cesaro", "nope", DELTA, ladder=LADDER)
