@@ -13,7 +13,10 @@ plus the disc and statistical cores over one explicit probe grid.  Inputs
 near the rounding limits of the extreme-point candidate filter are pinned too:
 a disc core over probes ~1e3x the data spread, hull, disc and alpha cores of a
 cloud within rounding of a circle, and of a lattice whose zeros carry both
-signs.
+signs.  Statistical cores of windows that repeat few distinct values sit on
+either side of the count-weighted radius threshold (window length over
+distinct values 7 and 9), and hulls of windows on an axis hold both signs of
+zero in the other coordinate.
 
 A config whose evaluation raises is pinned by its exception type.
 
@@ -124,6 +127,11 @@ def _core_configs():
         out[f"core|{name}|disc"] = lambda seq=seq: cores.disc_core(seq, CORE_WINDOW)
     out["core|near_circle|alpha"] = lambda: cores.alpha_core(circle, near_identity, CORE_WINDOW)
     out["core|signed_zero_lattice|alpha"] = lambda: cores.alpha_core(lattice, sys, CORE_WINDOW)
+    below, above, imag_axis, real_axis = _repeat_and_axis_sequences()
+    out["core|repeats_below_threshold|st:0.02"] = lambda: cores.st_core(below, CORE_WINDOW, 0.02)
+    out["core|repeats_above_threshold|st:0.02"] = lambda: cores.st_core(above, CORE_WINDOW, 0.02)
+    out["core|imag_axis|hull"] = lambda: cores.cluster_hull(imag_axis, CORE_WINDOW)
+    out["core|real_axis_signed_zero|hull"] = lambda: cores.cluster_hull(real_axis, CORE_WINDOW)
     return out
 
 
@@ -137,6 +145,23 @@ def _margin_sequences() -> tuple[FiniteSeq, FiniteSeq]:
     lattice = np.empty(CORE_N, dtype=np.complex128)
     lattice.real, lattice.imag = ab[:, 0], ab[:, 1]
     return FiniteSeq(circle), FiniteSeq(lattice)
+
+
+def _repeat_and_axis_sequences() -> tuple[FiniteSeq, ...]:
+    """Windows cycling through w // 7 and w // 9 distinct values, and two axis-parallel signed-zero windows."""
+    rng = np.random.default_rng(20240614)
+    w = CORE_WINDOW[1] - CORE_WINDOW[0]
+    repeats = []
+    for ratio in (7, 9):
+        pool = rng.uniform(-1.0, 1.0, w // ratio) + 1j * rng.uniform(-1.0, 1.0, w // ratio)
+        repeats.append(FiniteSeq(pool[np.arange(CORE_N) % pool.size]))
+    signed_zeros = rng.choice([-0.0, 0.0], (2, CORE_N))
+    steps = rng.integers(-6, 7, (2, CORE_N)) * 0.25
+    imag_axis = np.empty(CORE_N, dtype=np.complex128)
+    imag_axis.real, imag_axis.imag = signed_zeros[0], steps[0]
+    real_axis = np.empty(CORE_N, dtype=np.complex128)
+    real_axis.real, real_axis.imag = steps[1], signed_zeros[1]
+    return (*repeats, FiniteSeq(imag_axis), FiniteSeq(real_axis))
 
 
 def _digest(call) -> str:
