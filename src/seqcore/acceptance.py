@@ -20,7 +20,10 @@ from .generators import make_matrix, make_sequence, random_band_system, rng_from
 from .io import canonical_dumps
 from .types import BandSystem, ExponentSeq, FiniteSeq
 
-__all__ = ["CheckResult", "run_all", "run_selected", "CHECK_IDS", "check_function"]
+__all__ = ["CheckResult", "run_all", "CHECK_IDS", "check_function", "BUDGETS_S"]
+
+# wall-clock budgets (seconds) of the checks that carry one
+BUDGETS_S = {"C1": 5.0, "C7": 30.0}
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ def check_roundtrip() -> CheckResult:
         err = float(np.max(np.abs(back.values - x.values)) / np.max(np.abs(x.values)))
         worst = max(worst, err)
     elapsed = time.perf_counter() - start
-    within_budget = elapsed < 5.0
+    within_budget = elapsed < BUDGETS_S["C1"]
     passed = worst < bound and within_budget
     return CheckResult(
         "C1",
@@ -285,7 +288,7 @@ def check_core_agreement() -> CheckResult:
         gaps[name] = cores.hausdorff_distance(hull, disc)
     elapsed = time.perf_counter() - start
     worst = max(gaps.values())
-    within_budget = elapsed < 30.0
+    within_budget = elapsed < BUDGETS_S["C7"]
     passed = worst < bound and within_budget
     return CheckResult(
         "C7",
@@ -478,10 +481,6 @@ def check_function(check_id: str):
         return CHECKS[CHECK_IDS.index(check_id)]
     except ValueError:
         raise KeyError(f"unknown check {check_id!r}; known: {list(CHECK_IDS)}") from None
-
-
-def run_selected(check_ids) -> list[CheckResult]:
-    return [check_function(cid)() for cid in check_ids]
 
 
 def run_all() -> list[CheckResult]:

@@ -11,19 +11,22 @@ verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
 unreadable input or schema violation (including invalid generator values,
 non-integer lists, non-numeric tolerances, density tolerances outside (0, 1],
 non-positive exponents, exponent lists shorter than the largest truncation,
-truncations below 1 and B ladders that are empty or hold a B <= 1), 4
-internal evaluation errors.
+truncations below 1, B ladders that are empty or hold a B <= 1, and a value
+that names both an existing file and a generator), 4 internal evaluation
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys as _sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance, band_ops, cores, duals, matclass
+from .generators import MATRIX_NAMES, SEQUENCE_NAMES, SYSTEM_NAMES
 from .io import (
     SchemaError,
     canonical_dumps,
@@ -44,13 +47,20 @@ EXIT_SCHEMA = 3
 EXIT_INTERNAL = 4
 
 _VERDICT_EXIT = {"holds": EXIT_HOLDS, "fails": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}
+_GENERATOR_NAMES = frozenset(MATRIX_NAMES + SEQUENCE_NAMES + SYSTEM_NAMES)
 
 
 def _resolve_spec(text: str):
-    """A CLI value is either a JSON document path or generator shorthand."""
+    """A CLI value is either a JSON document path or generator shorthand, never both."""
     if text is None:
         return None
     if Path(text).exists():
+        name = text.partition(":")[0].strip()
+        if name in _GENERATOR_NAMES:
+            raise SchemaError(
+                f"{text!r} is both an existing file and the {name!r} generator; "
+                f"write ./{text} for the file or {name}: for the generator"
+            )
         return load_json(text)
     return text
 
@@ -334,13 +344,20 @@ def _cmd_verify(args) -> int:
         _sys.stderr.write("nothing verified: empty selection\n")
         return EXIT_INCONCLUSIVE
     try:
-        results = acceptance.run_selected(ids)
+        checks = [acceptance.check_function(cid) for cid in ids]
     except KeyError as exc:
         raise SchemaError(str(exc)) from exc
+    results, elapsed = [], []
+    for check in checks:
+        start = time.perf_counter()
+        results.append(check())
+        elapsed.append(time.perf_counter() - start)
     width = max(len(r.name) for r in results)
-    for r in results:
+    for r, secs in zip(results, elapsed):  # timings go to this line only, never into --out
         flag = "PASS" if r.passed else "FAIL"
-        _sys.stdout.write(f"[{flag}] {r.check_id:>4}  {r.name:<{width}}  {r.detail}\n")
+        budget = acceptance.BUDGETS_S.get(r.check_id)
+        timing = f"{secs:.2f} s" + ("" if budget is None else f" of {budget:g} s budget")
+        _sys.stdout.write(f"[{flag}] {r.check_id:>4}  {r.name:<{width}}  {r.detail}  ({timing})\n")
     if args.out:
         doc = {"checks": [r.to_json() for r in results], "all_passed": all(r.passed for r in results)}
         Path(args.out).write_text(canonical_dumps(doc), encoding="utf-8")

@@ -12,7 +12,10 @@ the transformed sequence tau_n = (r_n x_n + s_{n-1} x_{n-1}) / alpha_n is the
   index sets of small empirical density).
 
 The statistical limsup of a window of w values is one order statistic: the
-sorted value at rank _st_rank(w, tol).  Probe distances |x_k - z| are built
+sorted value at rank _st_rank(w, tol).  It depends only on the window's
+distinct values and their counts, so a window with at most w/8 distinct
+values reads its radii off the distinct distances weighted by the counts;
+other windows partition each full row.  Probe distances |x_k - z| are built
 in blocks of whole probe rows of about _PROBE_BLOCK entries each, so memory
 stays bounded whatever the window length and the probe count.
 
@@ -21,10 +24,11 @@ Only extreme window values can be a hull vertex or a window max of
 keep the candidates of _extreme_candidates: the values not inside the
 polygon Q of the extremes in eight directions by more than a margin that
 exceeds the rounding of the chain's orientation test and of |x_k - z| for
-the probes at hand.  The regions are the same bytes as from every window
-value; a degenerate Q, or a negative zero in the window, keeps every value.
-disc_core also drops duplicate candidates.  st_core keeps the whole window,
-because its order statistic counts every value.
+the probes at hand, deduplicated.  The regions are the same bytes as from
+every window value; a degenerate Q keeps every distinct value, and a
+negative zero in the window keeps every value.  A hull whose points share
+one x or one y is the segment between its two lexicographic extremes,
+returned without running the chain.
 
 The disc intersection is evaluated through its support envelope
 h(u) = min_z (z . u + radius(z)) over a finite z set, then canonicalized by
@@ -71,11 +75,13 @@ __all__ = [
 _BOUNDED_WARN = 1e6
 _DEFAULT_DIRECTIONS = 64
 _FAR_MULTIPLES = (2.0, 4.0, 8.0, 16.0, 64.0, 256.0)
-_PROBE_BLOCK = 1 << 21  # distance entries per block of probe rows
+_PROBE_BLOCK = 1 << 20  # distance entries per block of probe rows
 _OCTANTS = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]], dtype=np.float64)
 # candidate margin per unit of max|v| + max|z|: 64x the few-eps rounding of a
 # depth, an orientation test or a distance |v - z| at that scale
 _CANDIDATE_MARGIN = 64.0 * np.finfo(np.float64).eps
+# no difference of two coordinates this small, nor its length, overflows to inf
+_SAFE_MAX = np.finfo(np.float64).max / 4.0
 
 
 def direction_angles(n_directions: int) -> np.ndarray:
@@ -111,9 +117,13 @@ def _window_values(points, window, min_start=0) -> tuple[np.ndarray, tuple[int, 
 
 def _convex_hull(xy: np.ndarray) -> np.ndarray:
     """Andrew's monotone chain; returns CCW vertices, degenerate cases exact."""
-    pts = np.unique(xy, axis=0)  # lexicographic sort + dedupe
+    pts = np.unique(xy, axis=0)  # lexicographic sort + dedupe; picks which +-0.0 copy survives
     if pts.shape[0] <= 2:
         return pts
+    if np.any(np.all(pts == pts[0], axis=0)) and np.max(np.abs(pts)) <= _SAFE_MAX:
+        # one shared x or y: every orientation test below is an exact +-0 (no coordinate
+        # gap overflows to inf), so the chain keeps the two lexicographic extremes
+        return pts[[0, -1]]
 
     def half(points):
         chain: list[np.ndarray] = []
@@ -142,22 +152,26 @@ def _extreme_candidates(vals: np.ndarray, reach: float) -> np.ndarray:
     every z, some vertex of Q is at least d farther from z than a value at
     depth d inside Q, so a value deeper than the margin (which exceeds the
     rounding of a depth, of |v - z| and of the chain's orientation test) is
-    dropped.  The input comes back whole when Q is degenerate, and when a
-    coordinate is a negative zero: np.unique in the chain keeps whichever of
-    equal +-0.0 points its unstable sort puts first, and only the whole set
-    makes the same pick.
+    dropped.  The input comes back whole when a coordinate is a negative
+    zero: np.unique in the chain keeps whichever of equal +-0.0 points its
+    unstable sort puts first, and only the whole set makes the same pick.
+    Otherwise equal values are bitwise equal, so the candidates come back
+    deduplicated: all distinct values when Q is degenerate, or so large that
+    its edges could overflow.
     """
     xy = np.stack([vals.real, vals.imag])
-    q = _convex_hull(xy[:, [np.argmax(d @ xy) for d in _OCTANTS]].T)  # no 8 x w temporary
-    if q.shape[0] < 3 or np.any(np.signbit(xy) & (xy == 0.0)):
+    if np.any(np.signbit(xy) & (xy == 0.0)):
         return vals
+    q = _convex_hull(xy[:, [np.argmax(d @ xy) for d in _OCTANTS]].T)  # no 8 x w temporary
+    if q.shape[0] < 3 or np.max(np.abs(q)) > _SAFE_MAX:
+        return np.unique(vals)
     margin = _CANDIDATE_MARGIN * (float(np.max(np.abs(vals))) + reach)
     edges = np.roll(q, -1, axis=0) - q
     inward = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / np.hypot(edges[:, 0], edges[:, 1])[:, None]
     depth = np.full(vals.size, np.inf)
     for normal, corner in zip(inward, q):
         np.minimum(depth, normal @ xy - normal @ corner, out=depth)
-    return vals[depth <= margin]
+    return np.unique(vals[depth <= margin])
 
 
 def _clip_halfplanes(angles: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -398,6 +412,28 @@ def _probe_radii(vals: np.ndarray, zs: np.ndarray, reduce) -> np.ndarray:
     return radii
 
 
+def _st_radii(vals: np.ndarray, zs: np.ndarray, j: int) -> np.ndarray:
+    """The sorted |vals - z| at rank j for every probe z.
+
+    A window with at most w/8 distinct values is read through its distinct
+    values and their counts: per probe, the rank-j value is the distinct
+    distance whose cumulative count in sorted order first exceeds j.
+    Otherwise a partition of the whole row picks it.  Both give the same
+    element as sorting the full row, and +-0.0 copies merged by np.unique
+    have equal distances.
+    """
+    distinct, counts = np.unique(vals, return_counts=True)
+    if 8 * distinct.size > vals.size:
+        return _probe_radii(vals, zs, lambda d: np.partition(d, j, axis=1)[:, j])
+
+    def weighted_rank(d):
+        order = np.argsort(d, axis=1)
+        pick = np.argmax(np.cumsum(counts[order], axis=1) > j, axis=1)
+        return np.take_along_axis(d, np.take_along_axis(order, pick[:, None], axis=1), axis=1)[:, 0]
+
+    return _probe_radii(distinct, zs, weighted_rank)
+
+
 def _disc_region(win, zs, angles, radii, method) -> RegionEstimate:
     if zs.size == 0:
         raise ValueError("empty probe grid")
@@ -417,7 +453,7 @@ def disc_core(
     vals, win = _window_values(points, window)
     angles = direction_angles(n_directions)
     zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
-    # duplicates cannot change a max; deduping after the filter sorts fewer values
+    # duplicates cannot change a max; the candidates of a window holding a negative zero keep theirs
     cands = np.unique(_extreme_candidates(vals, float(np.max(np.abs(zs), initial=0.0))))
     radii = _probe_radii(cands, zs, lambda d: np.max(d, axis=1))
     return _disc_region(win, zs, angles, radii, "disc_intersection")
@@ -436,8 +472,7 @@ def st_core(
     j = _st_rank(vals.size, density_tol)
     angles = direction_angles(n_directions)
     zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
-    radii = _probe_radii(vals, zs, lambda d: np.sort(d, axis=1)[:, j])
-    return _disc_region(win, zs, angles, radii, "disc_intersection")
+    return _disc_region(win, zs, angles, _st_radii(vals, zs, j), "disc_intersection")
 
 
 def alpha_core(x, sys: BandSystem, window, n_directions: int = _DEFAULT_DIRECTIONS) -> RegionEstimate:

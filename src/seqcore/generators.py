@@ -218,7 +218,7 @@ def random_band_system(rng: np.random.Generator, n: int, amplification_cap: floa
     )
 
 
-_SYSTEM_GENERATORS = ("constant", "difference", "delta", "band", "random")
+SYSTEM_NAMES = ("constant", "difference", "delta", "band", "random")
 
 
 def band_system_from_spec(name: str, params: dict, length: int) -> BandSystem:
@@ -236,4 +236,4 @@ def band_system_from_spec(name: str, params: dict, length: int) -> BandSystem:
         rng = rng_from_seed(int(params.get("seed", 0)))
         cap = params.get("amplification_cap")
         return random_band_system(rng, length, amplification_cap=None if cap is None else float(cap))
-    raise ValueError(f"unknown band system generator {name!r}; known: {_SYSTEM_GENERATORS}")
+    raise ValueError(f"unknown band system generator {name!r}; known: {SYSTEM_NAMES}")

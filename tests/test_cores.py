@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcore import band_ops, cores
@@ -228,10 +228,17 @@ class TestProbeBlocks:
             want = _full_matrix_region(x, window, rule, z_grid)
             assert canonical_dumps(region.to_json()) == canonical_dumps(want.to_json())
 
-    @pytest.mark.parametrize("estimator", [cores.disc_core, cores.st_core])
-    def test_peak_memory_is_bounded(self, estimator):
+    @pytest.mark.parametrize(
+        "estimator, name, kw",
+        [
+            pytest.param(cores.disc_core, "random_bounded", {"seed": 1}, id="disc_core"),
+            pytest.param(cores.st_core, "random_bounded", {"seed": 1}, id="st_core"),
+            pytest.param(cores.st_core, "alternating", {}, id="st_core-alternating"),
+        ],
+    )
+    def test_peak_memory_is_bounded(self, estimator, name, kw):
         # the whole 825 x 30000 complex distance matrix alone is 396 MB
-        x = make_sequence("random_bounded", 40_000, seed=1)
+        x = make_sequence(name, 40_000, **kw)
         tracemalloc.start()
         try:
             estimator(x, (10_000, 40_000))
@@ -365,7 +372,7 @@ def test_block_st_radii_match_exceedance_count_rule(vals, probes, tol, block):
     zs = np.array([complex(a, b) for a, b in probes])
     j = cores._st_rank(v.size, tol)
     with mock.patch.object(cores, "_PROBE_BLOCK", block):
-        got = cores._probe_radii(v, zs, lambda d: np.sort(d, axis=1)[:, j])
+        got = cores._st_radii(v, zs, j)
     assert got.tobytes() == _st_oracle(np.abs(v[None, :] - zs[:, None]), tol).tobytes()
 
 
@@ -477,3 +484,113 @@ def test_candidates_are_a_small_part_of_a_random_window():
     vals = make_sequence("random_bounded", 40_000, seed=0).values[10_000:]
     assert cores._extreme_candidates(vals, 0.0).size < 0.05 * vals.size
     assert cores._extreme_candidates(vals, 1e3).size < 0.05 * vals.size
+
+
+# ---------------------------------------------------------------------------
+# statistical radii from distinct values, and axis-parallel hulls, against
+# the full window and the plain chain, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _outcome(build) -> str:
+    """The canonical bytes of a region, or the exception an empty region raises."""
+    try:
+        return _bytes(build())
+    except ValueError as exc:
+        return f"raises {exc}"
+
+
+@st.composite
+def _repeat_cases(draw) -> tuple[FiniteSeq, float]:
+    """u distinct values repeated w/u times (2 to 64, or 8u +- 1), some with +-0.0 parts, and a tol.
+
+    Besides fixed tolerances, tol * w is an integer: k of w, or m whole runs
+    of w/u, which puts the rank on the first entry of a run of tied distances.
+    """
+    u = draw(st.integers(min_value=1, max_value=24))
+    ratio = draw(st.integers(min_value=2, max_value=64))
+    w = draw(st.sampled_from([u * ratio, u * ratio, 8 * u - 1, 8 * u + 1]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**30)))
+    kind = draw(st.sampled_from(["lattice", "uniform", "signed_zero"]))
+    if kind == "uniform":
+        pool = _complex(*rng.uniform(-1.0, 1.0, (2, u)))
+    else:  # distinct points of a 7 x 7 lattice: many tied distances to lattice probes
+        cells = rng.choice(49, u, replace=False)
+        pool = _complex(cells // 7 - 3.0, cells % 7 - 3.0)
+    vals = pool[rng.permutation(np.arange(w) % u)]
+    if kind == "signed_zero":  # equal values whose zero parts carry either sign
+        re, im = vals.real.copy(), vals.imag.copy()
+        re[re == 0.0] *= rng.choice([-1.0, 1.0], int(np.count_nonzero(re == 0.0)))
+        im[im == 0.0] *= rng.choice([-1.0, 1.0], int(np.count_nonzero(im == 0.0)))
+        vals = _complex(re, im)
+    tol = draw(
+        st.one_of(
+            st.sampled_from([0.02, 0.25, 0.5, 1e-6]),
+            st.integers(min_value=1, max_value=w - 1).map(lambda k: k / w),
+            st.integers(min_value=1, max_value=max(1, u - 1)).map(lambda m: m * (w // u) / w),
+        )
+    )
+    return FiniteSeq(vals), tol
+
+
+_HALF_STEPS = np.arange(-8, 9) * 0.5
+_LATTICE_PROBES = (_HALF_STEPS[:, None] + 1j * _HALF_STEPS[None, :]).ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_repeat_cases(), lattice_probes=st.booleans())
+def test_st_core_matches_full_window_oracle(case, lattice_probes):
+    x, tol = case
+    window = (0, x.n)
+    z_grid = _LATTICE_PROBES if lattice_probes else None
+    got = _outcome(lambda: cores.st_core(x, window, tol, z_grid=z_grid))
+    want = _outcome(lambda: _full_matrix_region(x, window, lambda d: _st_oracle(d, tol), z_grid))
+    assert got == want
+
+
+def _chain_hull(xy: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain on every point, with no shortcut for axis-parallel input."""
+    pts = np.unique(xy, axis=0)
+    if pts.shape[0] <= 2:
+        return pts
+
+    def half(points):
+        chain = []
+        for p in points:
+            while len(chain) >= 2:
+                o, a = chain[-2], chain[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0.0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        return chain
+
+    lower, upper = half(pts), half(pts[::-1])
+    hull = np.array(lower[:-1] + upper[:-1])
+    return np.array([pts[0], pts[-1]]) if hull.shape[0] < 3 else hull
+
+
+@pytest.mark.filterwarnings("ignore:window values are very large")
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**30),
+    w=st.integers(min_value=1, max_value=300),
+    vertical=st.booleans(),
+    level=st.sampled_from([0.0, 0.0, 1.5, -2.0]),
+    scale=st.sampled_from([1e-300, 1e-6, 1.0, 1e6, 3e307]),
+)
+@example(seed=0, w=12, vertical=False, level=1.5, scale=3e307)  # x spans 3e308: the chain's gaps overflow
+def test_axis_parallel_hull_matches_chain(seed, w, vertical, level, scale):
+    rng = np.random.default_rng(seed)
+    along = rng.integers(-5, 6, w) * scale  # at 3e307 a coordinate gap can overflow
+    across = np.full(w, level)
+    across[across == 0.0] *= rng.choice([-1.0, 1.0], int(np.count_nonzero(across == 0.0)))
+    along[along == 0.0] *= rng.choice([-1.0, 1.0], int(np.count_nonzero(along == 0.0)))
+    re, im = (across, along) if vertical else (along, across)
+    xy = np.stack([re, im], axis=1)
+    assert cores._convex_hull(xy).tobytes() == _chain_hull(xy).tobytes()
+    x, window, angles = FiniteSeq(_complex(re, im)), (0, w), cores.direction_angles(64)
+    want = cores.RegionEstimate(angles, np.zeros(angles.size), _chain_hull(xy), "cluster_hull", window)
+    assert _bytes(cores.cluster_hull(x, window)) == _bytes(want)

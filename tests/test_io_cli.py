@@ -219,12 +219,14 @@ class TestCli:
         monkeypatch.setattr(acceptance, "CHECKS", (forced,))
         monkeypatch.setattr(acceptance, "CHECK_IDS", ("C1",))
         assert cli.main(["verify", "--select", "C1"]) == 1
-        assert "[FAIL]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[FAIL]" in out and out.rstrip().endswith("s of 5 s budget)")
 
     def test_verify_single_fast_check(self, tmp_path, capsys):
         rc = cli.main(["verify", "--select", "C10", "--out", str(tmp_path / "v.json")])
         assert rc == 0
-        assert "[PASS]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[PASS]" in out and out.rstrip().endswith(" s)")
         doc = json.loads((tmp_path / "v.json").read_text())
         assert doc["all_passed"] is True
 
@@ -256,6 +258,8 @@ class TestExitCodeContract:
         bad_json = tmp_path / "broken.json"
         bad_json.write_text("{oops")
         zero_band = {"r": [1.0] * 64, "s": [0.0] * 64}
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "alternating").write_text(json.dumps({"values": [[1.0, 0.0]] * 40}))
         cases = [
             (["transform", "--x", "e", "--system", "delta", "--n", "8"], 0),
             (["class-check", "--config", self._class_cfg(tmp_path, regular)], 0),
@@ -321,6 +325,10 @@ class TestExitCodeContract:
             (["class-check", "--config", self._class_cfg(tmp_path, "zero", q=-1)], 3),
             (["paranorm", "--x", "e", "--p", "-1", "--n", "8", "--raw"], 3),
             (["basis-residual", "--x", "e", "--system", "delta", "--p", "1,1,0,1", "--cutoffs", "2", "--n", "4"], 3),
+            # a value naming both an existing file and a generator; either spelling settles it
+            (["core", "--kind", "k", "--x", "alternating", "--n", "40"], 3),
+            (["core", "--kind", "k", "--x", "./alternating", "--n", "40", "--out", "file.json"], 0),
+            (["core", "--kind", "k", "--x", "alternating:", "--n", "40", "--out", "generator.json"], 0),
         ]
         for argv, expected in cases:
             assert cli.main(argv) == expected, argv
