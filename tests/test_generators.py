@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,27 @@ def test_random_sequences_are_reproducible():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.max(np.abs(a.real)) <= 1.0 and np.max(np.abs(a.imag)) <= 1.0
+
+
+def _system_digest(sys) -> str:
+    return hashlib.sha256(b"".join(np.asarray(a, dtype="<f8").tobytes() for a in (sys.r, sys.s, sys.alpha))).hexdigest()
+
+
+# uncapped draws, pinned before the capped sampler became constructive; the
+# uncapped path keeps its draw order, so these systems never move
+UNCAPPED_PINS = {
+    (0, 1): "310fdd8ab9512a596e30bdbea902a3e30c89fe34671ec658b59728194f7febb2",
+    (1, 2): "0d03171c54a78c84d40fd7c5fd6ecfb71846fbb5eb155675318f98f86d461542",
+    (7, 16): "c90fa1115aef58a41d49e655a1baf8426428b4047fe6620185611ffa78468669",
+    (11, 128): "6134a98f4330459540a29cf0d9cbe95b95395485cbd644c5586caa48edf4c7f6",
+    (101, 512): "dd50c90308f2e2c14b8aaea84ce068d62264595c8d38d11057e1961624d87e4f",
+    (5, 4096): "e7be840b6717f83c3a95a804a37871cec014f1dca4cc345c867aa507717ad5fa",
+}
+
+
+@pytest.mark.parametrize("seed,n", sorted(UNCAPPED_PINS))
+def test_uncapped_systems_match_their_pins(seed, n):
+    assert _system_digest(random_band_system(rng_from_seed(seed), n)) == UNCAPPED_PINS[seed, n]
 
 
 def test_random_band_system_respects_ranges_and_cap():
