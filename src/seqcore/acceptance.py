@@ -104,7 +104,7 @@ def _uniform_complex(rng, n: int) -> FiniteSeq:
 
 
 def check_roundtrip() -> CheckResult:
-    """C1: inverse(forward(x)) recovers x on random conditioning-screened systems."""
+    """C1: inverse(forward(x)) recovers x on random systems with capped amplification."""
     n, trials, bound, cap = 512, 100, 1e-9, 1e4
     rng = rng_from_seed(101)
     start = time.perf_counter()

@@ -69,12 +69,18 @@ def inverse_transform(y, sys: BandSystem) -> FiniteSeq:
     """
     y = FiniteSeq.coerce(y)
     r, s, a = (arr.tolist() for arr in sys.params(y.n))
-    yv = y.values.tolist()
-    out = [0j] * y.n
-    out[0] = a[0] * yv[0] / r[0]
-    for k in range(1, y.n):
-        out[k] = (a[k] * yv[k] - s[k - 1] * out[k - 1]) / r[k]
-    return FiniteSeq(np.asarray(out, dtype=np.complex128))
+    return FiniteSeq(np.fromiter(_substitute(r, s, a, y.values.tolist()), np.complex128, y.n))
+
+
+def _substitute(r: list, s: list, a: list, yv: list) -> list:
+    """x_0 = a_0 y_0 / r_0, then x_k = (a_k y_k - s_{k-1} x_{k-1}) / r_k, on Python scalars."""
+    prev = a[0] * yv[0] / r[0]
+    out = [prev]
+    append = out.append
+    for ak, yk, sk, rk in zip(a[1:], yv[1:], s, r[1:]):
+        prev = (ak * yk - sk * prev) / rk
+        append(prev)
+    return out
 
 
 def inverse_transform_series(y, sys: BandSystem) -> FiniteSeq:

@@ -9,7 +9,7 @@ produce byte-identical output.
 Exit codes: 0 all verdicts hold / inclusion true / computation done, 1 some
 verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
 unreadable input or schema violation (including invalid generator values,
-non-integer lists, non-numeric tolerances, density tolerances outside (0, 1],
+non-integer lists, non-numeric tolerances, density tolerances outside (0, 1),
 non-positive exponents, exponent lists shorter than the largest truncation,
 truncations below 1, B ladders that are empty or hold a B <= 1, and a value
 that names both an existing file and a generator), 4 internal evaluation
@@ -268,8 +268,8 @@ def _build_region(kind, x, sys, window, directions, density_tol, grid_n, method=
             return cores.disc_core(x, window, n_directions=directions, grid_n=grid_n)
         raise SchemaError(f"unknown core method {method!r} (expected hull or disc)")
     if kind == "st":
-        if not 0.0 < density_tol <= 1.0:
-            raise SchemaError(f"density_tol must lie in (0, 1]: {density_tol!r}")
+        if not 0.0 < density_tol < 1.0:
+            raise SchemaError(f"density_tol must lie in (0, 1): {density_tol!r}")
         return cores.st_core(x, window, density_tol, n_directions=directions, grid_n=grid_n)
     raise SchemaError(f"unknown core kind {kind!r} (expected alpha, k, or st)")
 

@@ -348,9 +348,11 @@ def _st_rank(w: int, density_tol: float) -> int:
     it.  Within a run of ties the exceedance count (v_k > L) of the first tied
     position equals that of the last, so the sorted value at j is the
     smallest level whose strict exceedance density is below the tolerance.
+    At density_tol = 1 that is the window minimum, every radius is the nearest
+    window distance and the discs rarely meet, so the range is open at 1.
     """
-    if not 0.0 < density_tol <= 1.0:
-        raise ValueError("density_tol must lie in (0, 1]")
+    if not 0.0 < density_tol < 1.0:
+        raise ValueError("density_tol must lie in (0, 1)")
     return int(np.argmax((w - 1 - np.arange(w)) < density_tol * w))
 
 

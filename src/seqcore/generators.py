@@ -9,6 +9,7 @@ platforms and process restarts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,37 +186,78 @@ def _log_amplification(r: np.ndarray, s: np.ndarray) -> float:
     return max(rise, fall)
 
 
-# Far above the mean draws of every screened configuration in use: about 160
-# for C1's (n = 512, cap 1e4) and about 18 000 for n = 256 with cap 100, so
-# the limit ends only requests the sampler cannot meet in practice.
-MAX_SYSTEM_DRAWS = 100_000
-
 # magnitude box of every drawn r_k, s_k and alpha_k
 _LOW, _HIGH = 0.5, 2.0
+
+# relative shrink of the walk band the capped sampler aims for, so rounding in
+# the band arithmetic never pushes the drawn walk past the cap itself
+_BAND_SHRINK = 1e-9
+
+
+def _capped_moduli(r_mod: np.ndarray, u: np.ndarray, log_cap: float) -> np.ndarray:
+    """|s_i| in the magnitude box keeping the log-ratio walk within ``log_cap``.
+
+    The walk w_{i+1} = w_i + log(|s_i| / |r_i|) has range at most L = log_cap
+    when every step lands in [max w - L, min w + L] over the walk so far.  Each
+    |s_i| is uniform (through ``u``) over the part of [0.5, 2] that does so;
+    |s_i| = |r_i| is a zero step, so that part is never empty, and it is also
+    the fallback should rounding carry a drawn |s_i| outside the band or the
+    box.  s_{n-1} does not enter the walk and ranges over the whole box.
+    """
+    width = log_cap * (1.0 - _BAND_SHRINK)
+    exp, log = math.exp, math.log
+    walk = top = bottom = 0.0
+    out = []
+    append = out.append
+    for rk, uk in zip(r_mod[:-1].tolist(), u[:-1].tolist()):
+        lo = rk * exp(top - width - walk)
+        if lo < _LOW:
+            lo = _LOW
+        hi = rk * exp(bottom + width - walk)
+        if hi > _HIGH:
+            hi = _HIGH
+        sk = lo + uk * (hi - lo)
+        nxt = walk + log(sk / rk)
+        if nxt - bottom > width or top - nxt > width or not _LOW <= sk <= _HIGH:
+            sk, nxt = rk, walk
+        append(sk)
+        walk = nxt
+        if walk > top:
+            top = walk
+        elif walk < bottom:
+            bottom = walk
+    append(_LOW + float(u[-1]) * (_HIGH - _LOW))
+    return np.array(out)
 
 
 def random_band_system(rng: np.random.Generator, n: int, amplification_cap: float | None = None) -> BandSystem:
     """Random system with |r_k|, |s_k|, alpha_k in [0.5, 2] and random signs.
 
-    With ``amplification_cap`` set, draws are rejected until the log-ratio
-    walk of the system stays within the cap; this bounds the condition number
-    of forward substitution while every entry still ranges over the full
-    stated magnitude box.  Without a cap the ratio walk at large n routinely
-    reaches e^20 and beyond, where no double-precision round trip can hold a
-    tight tolerance.  After ``MAX_SYSTEM_DRAWS`` rejected candidates it raises
-    ``ValueError`` instead of drawing forever.
+    With ``amplification_cap`` set, the log-ratio walk of the system (the
+    running sums of log|s_i / r_i|) is kept within log(cap) as it is drawn:
+    r is drawn as without a cap, then each |s_i| is drawn from the part of
+    [0.5, 2] that keeps the walk's range within the cap.  That bounds the
+    condition number of forward substitution, and every cap >= 1 is met in
+    one pass (cap 1 gives |s_i| = |r_i| along the walk).  A cap below 1 or NaN
+    raises ``ValueError``, as no walk has a negative range; a cap of +inf is
+    no cap.  Without a cap the ratio walk at large n routinely reaches e^20
+    and beyond, where no double-precision round trip can hold a tight
+    tolerance.
     """
     if n < 1:
         raise ValueError("system length must be >= 1")
-    for _ in range(MAX_SYSTEM_DRAWS):
-        r = rng.uniform(_LOW, _HIGH, n) * rng.choice([-1.0, 1.0], n)
+    if amplification_cap is not None and not amplification_cap >= 1.0:
+        raise ValueError(f"amplification cap must be >= 1, got {amplification_cap}")
+    r = rng.uniform(_LOW, _HIGH, n) * rng.choice([-1.0, 1.0], n)
+    if amplification_cap is None or amplification_cap == math.inf:
         s = rng.uniform(_LOW, _HIGH, n) * rng.choice([-1.0, 1.0], n)
-        if amplification_cap is None or _log_amplification(r, s) <= np.log(amplification_cap):
-            return BandSystem(r, s, rng.uniform(_LOW, _HIGH, n))
-    raise ValueError(
-        f"no band system of length {n} within amplification cap {amplification_cap} "
-        f"after {MAX_SYSTEM_DRAWS} draws"
-    )
+        return BandSystem(r, s, rng.uniform(_LOW, _HIGH, n))
+    log_cap = float(np.log(amplification_cap))
+    signs = rng.choice([-1.0, 1.0], n)
+    s = _capped_moduli(np.abs(r), rng.random(n), log_cap) * signs
+    if _log_amplification(r, s) > log_cap:
+        raise RuntimeError("capped band system left its amplification cap")
+    return BandSystem(r, s, rng.uniform(_LOW, _HIGH, n))
 
 
 SYSTEM_NAMES = ("constant", "difference", "delta", "band", "random")

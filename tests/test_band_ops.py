@@ -194,6 +194,67 @@ def test_round_trip_property(seed):
     assert np.max(np.abs(fwd - y)) <= 1e-9 * np.max(np.abs(y))
 
 
+def _indexed_substitution(r, s, a, yv):
+    """The index-loop forward substitution, the oracle of ``band_ops._substitute``."""
+    out = [0j] * len(yv)
+    out[0] = a[0] * yv[0] / r[0]
+    for k in range(1, len(yv)):
+        out[k] = (a[k] * yv[k] - s[k - 1] * out[k - 1]) / r[k]
+    return out
+
+
+def _indexed_inverse(y, sys):
+    lists = (arr.tolist() for arr in sys.params(y.n))
+    return FiniteSeq(np.asarray(_indexed_substitution(*lists, y.values.tolist()), dtype=np.complex128)).values
+
+
+def _bits(call) -> str:
+    """The complex128 bytes of a result (NaN payloads and zero signs included), or the exception raised."""
+    try:
+        return np.asarray(call(), dtype=np.complex128).tobytes().hex()
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"raises {type(exc).__name__}"
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+_ANY_FLOAT = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+_FINITE = st.one_of(st.sampled_from([v for v in _SPECIAL if np.isfinite(v)]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _float_lists(elements, n):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=12))
+def test_substitution_matches_indexed_loop_bitwise(data, n):
+    # r, s, a and y over every double, +-0.0, subnormals, +-inf and NaN included
+    r, s, a, re, im = (data.draw(_float_lists(_ANY_FLOAT, n)) for _ in range(5))
+    yv = [complex(u, v) for u, v in zip(re, im)]
+    assert _bits(lambda: band_ops._substitute(r, s, a, yv)) == _bits(lambda: _indexed_substitution(r, s, a, yv))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=40))
+def test_inverse_transform_matches_indexed_loop_bitwise(data, n):
+    # finite systems and inputs; overflowing outputs are rejected the same way by both
+    nonzero = _FINITE.filter(lambda v: v != 0.0)
+    r, s = data.draw(_float_lists(nonzero, n)), data.draw(_float_lists(nonzero, n))
+    alpha = data.draw(_float_lists(_FINITE.filter(lambda v: v > 0.0), n))
+    re, im = data.draw(_float_lists(_FINITE, n)), data.draw(_float_lists(_FINITE, n))
+    sys, y = BandSystem(r, s, alpha), FiniteSeq(np.array([complex(u, v) for u, v in zip(re, im)]))
+    assert _bits(lambda: band_ops.inverse_transform(y, sys).values) == _bits(lambda: _indexed_inverse(y, sys))
+
+
+def test_inverse_transform_matches_indexed_loop_on_long_contracting_system():
+    rng = rng_from_seed(9)
+    n = 65_536
+    r = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    sys = BandSystem(r, rng.uniform(0.1, 0.9, n) * r, rng.uniform(0.5, 2.0, n))
+    y = FiniteSeq(complex_uniform(rng, n))
+    assert band_ops.inverse_transform(y, sys).values.tobytes() == _indexed_inverse(y, sys).tobytes()
+
+
 class TestBasis:
     def test_basis_vector_is_kernel_column(self):
         b0 = band_ops.basis_vector(TWO_ONE, 0, 4).values

@@ -96,8 +96,11 @@ class TestStLimsup:
             cores.st_limsup(np.ones(10), (5, 5))
 
     def test_tolerance_guard(self):
-        with pytest.raises(ValueError):
-            cores.st_limsup(np.ones(10), (0, 10), 0.0)
+        for tol in (0.0, 1.0, 1.5, np.nan):
+            with pytest.raises(ValueError, match=r"\(0, 1\)"):
+                cores.st_limsup(np.ones(10), (0, 10), tol)
+            with pytest.raises(ValueError, match=r"\(0, 1\)"):
+                cores.st_core(FiniteSeq(np.ones(10)), (0, 10), tol)
 
 
 class TestClusterHull:
@@ -348,7 +351,8 @@ def test_hull_window_monotonicity_property(seed, start):
 _TIE_HEAVY = st.lists(st.integers(min_value=-12, max_value=12), min_size=1, max_size=200)
 # tol * w is an integer for many w at the sampled values, where < and <= part
 _TOLS = st.one_of(
-    st.sampled_from([1.0, 1e-6, 0.5, 0.25, 0.1, 0.02]), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+    st.sampled_from([np.nextafter(1.0, 0.0), 1e-6, 0.5, 0.25, 0.1, 0.02]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
 )
 
 
@@ -523,13 +527,10 @@ def _repeat_cases(draw) -> tuple[FiniteSeq, float]:
         re[re == 0.0] *= rng.choice([-1.0, 1.0], int(np.count_nonzero(re == 0.0)))
         im[im == 0.0] *= rng.choice([-1.0, 1.0], int(np.count_nonzero(im == 0.0)))
         vals = _complex(re, im)
-    tol = draw(
-        st.one_of(
-            st.sampled_from([0.02, 0.25, 0.5, 1e-6]),
-            st.integers(min_value=1, max_value=w - 1).map(lambda k: k / w),
-            st.integers(min_value=1, max_value=max(1, u - 1)).map(lambda m: m * (w // u) / w),
-        )
-    )
+    tols = [st.sampled_from([0.02, 0.25, 0.5, 1e-6]), st.integers(min_value=1, max_value=w - 1).map(lambda k: k / w)]
+    if u > 1:
+        tols.append(st.integers(min_value=1, max_value=u - 1).map(lambda m: m * (w // u) / w))
+    tol = draw(st.one_of(*tols))
     return FiniteSeq(vals), tol
 
 

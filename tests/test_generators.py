@@ -2,8 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqcore import generators
 from seqcore.generators import (
     GeneratorSpec,
     make_matrix,
@@ -87,22 +88,82 @@ def test_uncapped_systems_match_their_pins(seed, n):
     assert _system_digest(random_band_system(rng_from_seed(seed), n)) == UNCAPPED_PINS[seed, n]
 
 
-def test_random_band_system_respects_ranges_and_cap():
-    sys = random_band_system(rng_from_seed(3), 256, amplification_cap=100.0)
+def _assert_in_box_and_cap(sys, cap):
     for arr in (np.abs(sys.r), np.abs(sys.s), sys.alpha):
         assert np.all((arr >= 0.5) & (arr <= 2.0))
     walk = np.concatenate([[0.0], np.cumsum(np.log(np.abs(sys.s[:-1] / sys.r[:-1])))])
     rise = np.max(walk - np.minimum.accumulate(walk))
     fall = np.max(np.maximum.accumulate(walk) - walk)
-    assert np.exp(max(rise, fall)) <= 100.0
+    assert max(rise, fall) <= np.log(cap)
 
 
-def test_random_band_system_gives_up_on_an_unreachable_cap(monkeypatch):
-    # the log-amplification is >= 0, so no system meets a cap below 1; a
-    # smaller limit keeps the test fast, the real one takes seconds to run out
-    monkeypatch.setattr(generators, "MAX_SYSTEM_DRAWS", 500)
-    with pytest.raises(ValueError, match="length 4 .* cap 0.5 .* 500 draws"):
-        random_band_system(rng_from_seed(0), 4, amplification_cap=0.5)
+def test_random_band_system_respects_ranges_and_cap():
+    _assert_in_box_and_cap(random_band_system(rng_from_seed(3), 256, amplification_cap=100.0), 100.0)
+
+
+_CAPS = st.one_of(
+    st.sampled_from([1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-12, 1.5, 10.0, 1e4, 1e6]),
+    st.floats(min_value=1.0, max_value=1e6),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=2000), cap=_CAPS)
+def test_capped_draws_stay_in_box_and_cap_and_repeat(seed, n, cap):
+    sys = random_band_system(rng_from_seed(seed), n, amplification_cap=cap)
+    _assert_in_box_and_cap(sys, cap)
+    assert _system_digest(random_band_system(rng_from_seed(seed), n, amplification_cap=cap)) == _system_digest(sys)
+
+
+@pytest.mark.parametrize("n,cap", [(4096, 10.0), (512, 50.0), (512, 1e4)])
+def test_tight_caps_on_long_systems_are_met(n, cap):
+    for seed in range(3):
+        sys = random_band_system(rng_from_seed(seed), n, amplification_cap=cap)
+        _assert_in_box_and_cap(sys, cap)
+        # every |s_i| is a draw: the zero-step fallback is for rounding only
+        assert np.all(np.abs(sys.s[:-1]) != np.abs(sys.r[:-1]))
+
+
+def test_unit_cap_repeats_every_ratio_magnitude():
+    sys = random_band_system(rng_from_seed(4), 300, amplification_cap=1.0)
+    assert np.array_equal(np.abs(sys.s[:-1]), np.abs(sys.r[:-1]))
+
+
+class _CountingGenerator:
+    """Counts the sign-vector draws a sampler makes, two per candidate system."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.sign_draws = 0
+
+    def choice(self, *args, **kwargs):
+        self.sign_draws += 1
+        return self._gen.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+@pytest.mark.parametrize("cap", [None, 1.0, 50.0, 1e4, np.inf])
+def test_every_system_is_one_candidate(cap):
+    gen = _CountingGenerator(rng_from_seed(8))
+    random_band_system(gen, 512, amplification_cap=cap)
+    assert gen.sign_draws == 2
+
+
+def test_infinite_cap_is_no_cap():
+    assert _system_digest(random_band_system(rng_from_seed(1), 64, amplification_cap=np.inf)) == _system_digest(
+        random_band_system(rng_from_seed(1), 64)
+    )
+
+
+@pytest.mark.parametrize("cap", [0.5, 0.0, -1.0, np.nextafter(1.0, 0.0), np.nan, -np.inf])
+def test_unreachable_caps_raise_before_drawing(cap):
+    # the walk's range is >= 0, so no system meets a cap below 1
+    rng = rng_from_seed(0)
+    with pytest.raises(ValueError, match="amplification cap must be >= 1"):
+        random_band_system(rng, 4, amplification_cap=cap)
+    assert rng.random() == rng_from_seed(0).random()
 
 
 def test_materialize_checks_size_and_finiteness():

@@ -268,6 +268,10 @@ class TestExitCodeContract:
             (["class-check", "--config", str(bad_json)], 3),
             (["verify", "--select", "C99"], 3),
             (["invert", "--y", "e", "--system", "constant:r=0", "--n", "8"], 3),
+            # amplification caps no walk can meet; +inf is no cap
+            (["invert", "--y", "e", "--system", "random:seed=1,amplification_cap=0.5", "--n", "8"], 3),
+            (["invert", "--y", "e", "--system", "random:seed=1,amplification_cap=nan", "--n", "8"], 3),
+            (["invert", "--y", "e", "--system", "random:seed=1,amplification_cap=inf", "--n", "8", "--out", "inf.json"], 0),
             (["core", "--kind", "k", "--x", "e", "--n", "10", "--window", "a,b"], 3),
             (["class-check", "--config", self._class_cfg(tmp_path, "zero"), "--ladder", "16,x"], 3),
             (["core", "--kind", "k", "--x", "e", "--n", "10", "--window", "20,30"], 4),
@@ -313,10 +317,11 @@ class TestExitCodeContract:
             (["core-include", "--config", self._include_cfg(tmp_path, top={"tol": [0.05]})], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, top={"tol": "x"})], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, kind="st", density_tol=0.1, top={"tol": 0.1})], 0),
-            # density tolerances outside (0, 1]; 1.0 itself is accepted
+            # density tolerances outside (0, 1)
             (["core", "--kind", "st", "--x", "e", "--n", "40", "--density-tol", "0"], 3),
             (["core", "--kind", "st", "--x", "e", "--n", "40", "--density-tol", "1.5"], 3),
-            (["core", "--kind", "st", "--x", "e", "--n", "40", "--density-tol", "1.0", "--out", str(tmp_path / "st.json")], 0),
+            (["core", "--kind", "st", "--x", "e", "--n", "40", "--density-tol", "1.0"], 3),
+            (["core", "--kind", "st", "--x", "e", "--n", "40", "--density-tol", "0.99", "--out", str(tmp_path / "st.json")], 0),
             (["core-include", "--config", self._include_cfg(tmp_path, kind="st", density_tol=0)], 3),
             # non-positive exponents
             (["dual-check", "--config", self._dual_cfg(tmp_path, p=-1)], 3),
