@@ -255,6 +255,103 @@ def test_inverse_transform_matches_indexed_loop_on_long_contracting_system():
     assert band_ops.inverse_transform(y, sys).values.tobytes() == _indexed_inverse(y, sys).tobytes()
 
 
+def _lattice_kernel(sys, n):
+    """V from an n x n parity matrix and sign lattice, the oracle of ``inverse_kernel(method="log")``."""
+    r, s, a = sys.params(n)
+    k = np.arange(n)
+    cum, sgn = np.zeros(n), np.ones(n)
+    if n > 1:
+        ratio = s[:-1] / r[:-1]
+        cum[1:] = np.cumsum(np.log(np.abs(ratio)))
+        sgn[1:] = np.cumprod(np.sign(ratio))
+    logmag = (np.log(a)[None, :] - np.log(np.abs(r))[:, None]) + (cum[:, None] - cum[None, :])
+    parity = np.where((k[:, None] - k[None, :]) % 2 == 0, 1.0, -1.0)
+    signs = parity * (sgn[:, None] * sgn[None, :]) * np.sign(r)[:, None]
+    with np.errstate(over="ignore"):
+        ent = np.tril(signs * np.exp(logmag))
+    if not np.all(np.isfinite(ent[np.tril_indices(n)])):
+        raise OverflowError("inverse kernel entries overflow double precision at this truncation")
+    return ent
+
+
+def _kernel_bits(call) -> str:
+    """dtype, shape and bytes of a kernel (zero signs included), or the exception raised."""
+    try:
+        with np.errstate(all="ignore"):
+            ent = call()
+    except OverflowError as exc:
+        return f"raises {type(exc).__name__}"
+    return f"{ent.dtype}{ent.shape}:{ent.tobytes().hex()}"
+
+
+def _assert_kernel_matches_lattice(sys, n):
+    got = _kernel_bits(lambda: band_ops.inverse_kernel(sys, n).entries)
+    assert got == _kernel_bits(lambda: _lattice_kernel(sys, n))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_inverse_kernel_matches_sign_lattice_on_seeded_systems(seed):
+    _assert_kernel_matches_lattice(random_band_system(rng_from_seed(seed), 300), 300)
+    _assert_kernel_matches_lattice(random_band_system(rng_from_seed(seed), 300, amplification_cap=1e4), 300)
+    for sys in (DELTA, PLUS, TWO_ONE, BandSystem.constant(-1.5, 2.0, 3.0, 300)):
+        _assert_kernel_matches_lattice(sys, 1 + 97 * seed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=300),
+    reach=st.floats(min_value=-720.0, max_value=720.0),
+    alpha_spread=st.sampled_from([0.0, 1.0, 30.0]),
+)
+def test_inverse_kernel_matches_sign_lattice_bitwise(seed, n, reach, alpha_spread):
+    # mixed signs; the log-ratio walk ends near `reach`, so |reach| ~ 710 sits at the overflow edge
+    rng = np.random.default_rng(seed)
+    steps = reach / max(n - 1, 1) + rng.normal(0.0, 0.5, n)
+    r = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-2.0, 2.0, n))
+    s = rng.choice([-1.0, 1.0], n) * np.abs(r) * np.exp(steps)
+    sys = BandSystem(r, s, np.exp(rng.uniform(-alpha_spread, alpha_spread, n)))
+    _assert_kernel_matches_lattice(sys, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=12))
+def test_inverse_kernel_matches_sign_lattice_on_extreme_doubles(data, n):
+    # ratios that overflow to inf or underflow to 0, subnormal and huge alphas
+    nonzero = _FINITE.filter(lambda v: v != 0.0)
+    r, s = data.draw(_float_lists(nonzero, n)), data.draw(_float_lists(nonzero, n))
+    alpha = data.draw(_float_lists(_FINITE.filter(lambda v: v > 0.0), n))
+    _assert_kernel_matches_lattice(BandSystem(r, s, alpha), n)
+
+
+def _seeded_runaway(n):
+    rng = np.random.default_rng(31)
+    r = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+    s = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 8.0, n) * np.abs(r)
+    return BandSystem(r, s, rng.uniform(0.5, 2.0, n))
+
+
+# (system, first truncation whose kernel overflows), pinned on the sign-lattice evaluation
+OVERFLOW_EDGES = {
+    "r=1,s=3": (BandSystem.constant(1.0, 3.0, 1.0, 700), 648),
+    "r=1,s=4": (BandSystem.constant(1.0, 4.0, 1.0, 600), 513),  # 4^512 = 2^1024, the first power of 2 past the largest double
+    "r=1,s=-4": (BandSystem.constant(1.0, -4.0, 1.0, 600), 513),
+    "r=-2,s=6,alpha=1e3": (BandSystem.constant(-2.0, 6.0, 1e3, 700), 642),
+    "seeded": (_seeded_runaway(600), 504),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_EDGES))
+def test_inverse_kernel_overflows_at_pinned_truncation(name):
+    sys, first = OVERFLOW_EDGES[name]
+    _assert_kernel_matches_lattice(sys, first - 1)
+    assert np.isfinite(band_ops.inverse_kernel(sys, first - 1).entries).all()
+    with pytest.raises(OverflowError):
+        band_ops.inverse_kernel(sys, first)
+    with pytest.raises(OverflowError):
+        _lattice_kernel(sys, first)
+
+
 class TestBasis:
     def test_basis_vector_is_kernel_column(self):
         b0 = band_ops.basis_vector(TWO_ONE, 0, 4).values

@@ -5,7 +5,11 @@ through ``class_report`` and every dual-set rule through ``dual_report`` is
 rendered with ``io.canonical_dumps`` and hashed; the sha256 digests are
 committed in ``report_grid.json``.  A refactor of the condition code must
 leave every digest in place.  The ladder (6, 12, 24) crosses the exact subset
-limit (20), so both the exact and the bound subset paths are pinned.
+limit (20), so both the exact and the bound subset paths are pinned.  The
+s0/sinf alpha and beta reports are also pinned at ladder (8, 16, 32) for
+negative real weights (zeros of both signs included), for real weights whose
+imaginary parts are -0.0, and for complex weights: the sign of a zero
+imaginary part decides the sign of zeros in the row-scaled companion.
 
 The core regions of the five C7 sequences at n = 2000 are pinned the same
 way: the hull, disc, statistical (three density tolerances) and alpha cores,
@@ -51,6 +55,8 @@ CORE_SEQUENCES = (
     ("convergent", {"l": 0.6, "rate": 0.9}),
 )
 ST_TOLS = (0.02, 0.25, 1.0)
+EDGE_LADDER = (8, 16, 32)
+EDGE_PAIRS = (("s0", "alpha"), ("s0", "beta"), ("sinf", "alpha"), ("sinf", "beta"))
 CYCLE_PROBES = ("eval|dense|mt27", "class|dense|sc:c_q", "dual|geometric|sinf.beta|p_high")
 
 
@@ -93,7 +99,43 @@ def _configs():
                 out[f"dual|{family}|{space}.{dual}|{regime}"] = lambda a=a, p=p, space=space, dual=dual: (
                     duals.dual_report(a, sys, p, space, dual, LADDER)
                 )
+    out.update(_edge_weight_configs())
     out.update(_core_configs())
+    return out
+
+
+def _edge_weight_configs():
+    """Dual reports at ladder (8, 16, 32) whose weights test the sign of zero imaginary parts.
+
+    Under the difference system the beta reports of the all -0.0 weights show
+    which sign their zero imaginary parts carry.
+    """
+    n = EDGE_LADDER[-1]
+    rng = np.random.default_rng(20240615)
+    signs = rng.choice([-1.0, 1.0], (2, n))
+    sys = BandSystem(signs[0] * rng.uniform(0.5, 2.0, n), signs[1] * rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
+    p = ExponentSeq(1.5 + rng.uniform(0.0, 1.5, n))
+    k = np.arange(n, dtype=np.float64)
+    negative = -(0.8**k)
+    negative[3::7], negative[5::7] = 0.0, -0.0
+    neg_zero_imag = np.empty(n, dtype=np.complex128)
+    neg_zero_imag.real, neg_zero_imag.imag = rng.choice([-1.0, 1.0], n) * 0.8**k, -0.0
+    neg_zero_imag.real[4::6] = rng.choice([-0.0, 0.0], neg_zero_imag.real[4::6].size)
+    zeros = np.empty((2, n), dtype=np.complex128)
+    zeros.real, zeros.imag = -0.0, np.array([[0.0], [-0.0]])
+    weights = {
+        "negative_real": (FiniteSeq(negative), sys),
+        "neg_zero_imag": (FiniteSeq(neg_zero_imag), sys),
+        "complex_walk": (FiniteSeq(-(0.85**k) * np.exp(2.1j * k)), sys),
+        "neg_zero_real": (FiniteSeq(zeros[0]), BandSystem.difference(n)),
+        "neg_zero_both": (FiniteSeq(zeros[1]), BandSystem.difference(n)),
+    }
+    out = {}
+    for family, (a, system) in weights.items():
+        for space, dual in EDGE_PAIRS:
+            out[f"dual|{family}|{space}.{dual}|p_high|ladder_8_16_32"] = lambda a=a, system=system, space=space, dual=dual: (
+                duals.dual_report(a, system, p, space, dual, EDGE_LADDER)
+            )
     return out
 
 

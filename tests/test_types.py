@@ -59,3 +59,34 @@ def test_triangle_kernel_rejects_upper_entries():
         TriangleKernel(np.array([[1.0, 0.5], [0.0, 1.0]]))
     kern = TriangleKernel(np.array([[1.0, 0.0], [2.0, 3.0]]))
     assert kern.n == 2
+
+
+@pytest.mark.parametrize("zero", [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0)])
+def test_triangle_kernel_accepts_negative_zero_above_diagonal(zero):
+    e = np.array([[1.0, zero, zero], [2.0, 3.0, zero], [4.0, 5.0, 6.0]])
+    assert TriangleKernel(e).entries.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("entry", [0.5, -5e-324, 1j, complex(-0.0, 2.0), complex(1e-300, 0.0)])
+def test_triangle_kernel_rejects_nonzero_upper_entries(entry):
+    for row, col in ((0, 1), (0, 2), (1, 2)):
+        e = np.zeros((3, 3), dtype=np.asarray(entry).dtype)
+        e[row, col] = entry
+        with pytest.raises(ValueError, match="^kernel must vanish strictly above the diagonal$"):
+            TriangleKernel(e)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)])
+@pytest.mark.parametrize("where", [(0, 0), (2, 0), (0, 2)])
+def test_triangle_kernel_rejects_nonfinite_entries(bad, where):
+    e = np.zeros((3, 3), dtype=np.asarray(bad).dtype)
+    e[where] = bad
+    with pytest.raises(ValueError, match="^kernel entries must be finite$"):
+        TriangleKernel(e)
+
+
+def test_triangle_kernel_one_by_one():
+    assert TriangleKernel(np.array([[-2.5]])).n == 1
+    assert TriangleKernel(np.array([[1j]])).entries.dtype == np.complex128
+    with pytest.raises(ValueError, match="^kernel entries must be finite$"):
+        TriangleKernel(np.array([[np.nan]]))
