@@ -11,9 +11,11 @@ Its inverse is the full lower triangle
 
 whose entries are evaluated through log-magnitude prefix sums with separate
 sign accumulation, so long products neither overflow nor underflow.  The
-inverse of a concrete vector is computed by forward substitution (solving the
-band recurrence), which is the numerically preferred path; the explicit
-series through V is kept as an independent cross-check.
+magnitudes are exponentiated in one n x n buffer, and the signs enter as a
+row vector times a column vector of +-1 factors, which is exact in any
+order.  The inverse of a concrete vector is computed by forward substitution
+(solving the band recurrence), which is the numerically preferred path; the
+explicit series through V is kept as an independent cross-check.
 
 Accuracy convention: products of the band ratios s_i/r_i act as the condition
 measure for everything here.  Residuals of identities that cancel huge
@@ -122,8 +124,12 @@ def _log_prefix(sys: BandSystem, n: int):
 def inverse_kernel(sys: BandSystem, n: int, method: str = "log") -> TriangleKernel:
     """Dense inverse V of the band triangle.
 
-    method="log" (default) evaluates every entry from log-magnitude prefix
-    sums plus a sign lattice and is safe for arbitrary truncations;
+    method="log" (default) evaluates every entry as
+
+        exp((log a_k - log|r_n|) + (cum_n - cum_k)) * (-1)^n sgn_n sign(r_n) * (-1)^k sgn_k,
+
+    with cum and sgn the prefix log-magnitudes and signs of the ratios
+    s_i/r_i, in one n x n buffer, and is safe for arbitrary truncations;
     method="direct" accumulates the raw products and is intended as a
     cross-check at small truncations (<= a few hundred) where the products
     cannot overflow.
@@ -131,14 +137,17 @@ def inverse_kernel(sys: BandSystem, n: int, method: str = "log") -> TriangleKern
     if n < 1:
         raise ValueError("truncation must be >= 1")
     r, s, a = sys.params(n)
-    k = np.arange(n)
     if method == "log":
         cum, sgn = _log_prefix(sys, n)
-        logmag = (np.log(a)[None, :] - np.log(np.abs(r))[:, None]) + (cum[:, None] - cum[None, :])
-        parity = np.where((k[:, None] - k[None, :]) % 2 == 0, 1.0, -1.0)
-        signs = parity * (sgn[:, None] * sgn[None, :]) * np.sign(r)[:, None]
+        ent = np.log(a)[None, :] - np.log(np.abs(r))[:, None]
+        ent += np.subtract.outer(cum, cum)
+        # +-1 factors (0 after a ratio that underflowed), so their products are exact in any order
+        col = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * sgn
         with np.errstate(over="ignore"):  # overflow surfaces as OverflowError below
-            ent = np.tril(signs * np.exp(logmag))
+            np.exp(ent, out=ent)
+            ent *= (col * np.sign(r))[:, None]
+            ent *= col
+        ent = np.tril(ent)
     elif method == "direct":
         # column recurrence V[m, k] = -(s_{m-1}/r_m) V[m-1, k], V[k, k] = a_k/r_k
         q = np.ones(n)
@@ -148,7 +157,7 @@ def inverse_kernel(sys: BandSystem, n: int, method: str = "log") -> TriangleKern
             ent = np.tril((a / r)[None, :] * (q[:, None] / q[None, :]))
     else:
         raise ValueError("method must be 'log' or 'direct'")
-    if not np.all(np.isfinite(ent[np.tril_indices(n)])):
+    if not np.isfinite(ent).all():
         raise OverflowError("inverse kernel entries overflow double precision at this truncation")
     return TriangleKernel(ent)
 

@@ -21,10 +21,14 @@ matrix functionals the S sets share with the class catalog in
 entry sups) live here.  A report builds the companions once, at its largest
 truncation: V, C and D at truncation n are bit-identical leading n x n blocks
 of their largest versions (no entry depends on a later index), so every
-ladder point reads a slice and every condition shares them.  Quantifiers over
-all B > 1 are sampled over a finite B ladder by the engine in
-:mod:`seqcore.ladder`, and universally quantified verdicts are labelled as
-tested-ladder evidence only.
+ladder point reads a slice and every condition shares them.  When every
+weight has imaginary part +0.0, C is built in real arithmetic: a_n V[n, k]
+then equals the real part of the complex product bit for bit.  A -0.0
+imaginary part flips the sign of zero products, so such weights, like
+complex ones, take the complex product (and its real part when every
+imaginary part is zero).  Quantifiers over all B > 1 are sampled over a
+finite B ladder by the engine in :mod:`seqcore.ladder`, and universally
+quantified verdicts are labelled as tested-ladder evidence only.
 """
 
 from __future__ import annotations
@@ -89,8 +93,9 @@ def companion_identity_residuals(a, y, sys: BandSystem) -> tuple[float, float]:
     n = y.n
     x = inverse_transform(y, sys).values
     ax = a.values[:n] * x
-    lhs_c = companion_c(a, sys, n).entries @ y.values
-    lhs_d = companion_d(a, sys, n).entries @ y.values
+    C = companion_c(a, sys, n).entries
+    lhs_c = C @ y.values
+    lhs_d = TriangleKernel(np.cumsum(C, axis=0)).entries @ y.values  # companion_d, without a second V
     rhs_d = np.cumsum(ax)
 
     def rel(lhs, rhs):
@@ -389,9 +394,13 @@ def dual_report(
         raise ValueError("conjugate-exponent conditions require p_k > 1 for all k")
 
     # the companions at n_max; every rung reads their leading block
-    C = companion_c(a, sys, n_max).entries
-    if np.all(a.values.imag == 0.0):
-        C = C.real.copy()
+    imag = a.values.imag
+    w = a.values[:n_max]
+    if not imag.any() and not np.signbit(imag).any():
+        w = w.real  # a_n V[n, k] then equals the real part of the complex product, bit for bit
+    C = TriangleKernel(w[:, None] * inverse_kernel(sys, n_max).entries).entries  # companion_c at n_max
+    if np.iscomplexobj(C) and not imag.any():
+        C = C.real.copy()  # a -0.0 imaginary part flips zero signs in the complex product's real part
     D = TriangleKernel(np.cumsum(C, axis=0)).entries  # companion_d at n_max, with its finiteness check
     beta_k = D[-1, :].copy()
     beta_val = float(np.real(D[-1, :].sum()))

@@ -175,7 +175,7 @@ class TriangleKernel:
             e = e.astype(np.float64)
         if not np.all(np.isfinite(e)):
             raise ValueError("kernel entries must be finite")
-        if e.shape[0] > 1 and np.any(e[np.triu_indices(e.shape[0], k=1)] != 0.0):
+        if np.triu(e, 1).any():
             raise ValueError("kernel must vanish strictly above the diagonal")
         object.__setattr__(self, "entries", _frozen(e))
 

@@ -306,8 +306,9 @@ def test_inverse_kernel_matches_sign_lattice_on_seeded_systems(seed):
 )
 def test_inverse_kernel_matches_sign_lattice_bitwise(seed, n, reach, alpha_spread):
     # mixed signs; the log-ratio walk ends near `reach`, so |reach| ~ 710 sits at the overflow edge
+    # (with n <= 2, log|r| and log alpha carry the rest; each step keeps s finite)
     rng = np.random.default_rng(seed)
-    steps = reach / max(n - 1, 1) + rng.normal(0.0, 0.5, n)
+    steps = np.clip(reach / max(n - 1, 1) + rng.normal(0.0, 0.5, n), -700.0, 700.0)
     r = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-2.0, 2.0, n))
     s = rng.choice([-1.0, 1.0], n) * np.abs(r) * np.exp(steps)
     sys = BandSystem(r, s, np.exp(rng.uniform(-alpha_spread, alpha_spread, n)))

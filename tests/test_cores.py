@@ -391,6 +391,7 @@ _C7 = (
     ("random_bounded", {}),
     ("convergent", {"l": 0.6, "rate": 0.9}),
 )
+_DIAMOND = np.array([(u, v) for u in range(-3, 4) for v in range(-3, 4) if abs(u) + abs(v) <= 3], dtype=np.float64).T
 _FAMILIES = ("c7", "gaussian", "lattice", "decimal_line", "near_circle", "signed_zero")
 
 
@@ -420,8 +421,7 @@ def _family_values(family: str, seed: int, w: int) -> np.ndarray:
     if family == "near_circle":
         eps = (0.0, 1e-15, 1e-12, 1e-9)[seed % 4]
         return np.exp(2j * np.pi * rng.random(w)) * (1.0 - eps * rng.random(w))
-    ab = rng.integers(-3, 4, (2, 3 * w)).astype(np.float64)  # signed_zero: a diamond lattice
-    ab = ab[:, np.abs(ab).sum(axis=0) <= 3.0][:, :w]
+    ab = _DIAMOND[:, rng.integers(0, _DIAMOND.shape[1], w)]  # signed_zero: w points of a diamond lattice
     ab[ab == 0.0] *= rng.choice([-1.0, 1.0], int(np.count_nonzero(ab == 0.0)))
     return _complex(*ab)
 
