@@ -12,23 +12,27 @@ dual sets S1..S16 are boundedness/limit statements about C and D, optionally
 weighted by powers B^(+-1/p_k) and quantified over integers B > 1; the rule
 table below maps (space, dual) pairs to the required condition sets.
 
-Numerical policy: "sup over all finite index subsets" is solved exactly by
-branch and bound up to the exact cutoff and is otherwise replaced by its
-absolute-sum upper bound (which sandwiches the subset sup within a constant
-factor, so boundedness trends are preserved).  That switch and the other
-matrix functionals the S sets share with the class catalog in
-:mod:`seqcore.matclass` (weighted row sups, signed column sups, power row and
-entry sups) live here.  A report builds the companions once, at its largest
-truncation: V, C and D at truncation n are bit-identical leading n x n blocks
-of their largest versions (no entry depends on a later index), so every
-ladder point reads a slice and every condition shares them.  When every
-weight has imaginary part +0.0, C is built in real arithmetic: a_n V[n, k]
-then equals the real part of the complex product bit for bit.  A -0.0
-imaginary part flips the sign of zero products, so such weights, like
-complex ones, take the complex product (and its real part when every
-imaginary part is zero).  Quantifiers over all B > 1 are sampled over a
-finite B ladder by the engine in :mod:`seqcore.ladder`, and universally
-quantified verdicts are labelled as tested-ladder evidence only.
+Numerical policy: "sup over all finite index subsets" is solved exactly up
+to the exact cutoff and is otherwise replaced by its absolute-sum upper bound
+(which sandwiches the subset sup within a constant factor, so boundedness
+trends are preserved).  The exact solver is a branch and bound that expands
+a whole frontier of partial subsets per numpy step, in blocks of bounded size
+taken depth first.  It prunes against the best subset objective seen so far,
+with a proven rounding margin, and re-scores the near-best leaves the way the
+brute-force oracle scores them, so both return the same float bit for bit.
+That switch and the other matrix functionals the S sets share with the class
+catalog in :mod:`seqcore.matclass` (weighted row sups, signed column sups,
+power row and entry sups) live here.  A report builds the companions once, at
+its largest truncation: V, C and D at truncation n are bit-identical leading
+n x n blocks of their largest versions (no entry depends on a later index),
+so every ladder point reads a slice and every condition shares them.  When
+every weight up to the largest truncation has imaginary part +0.0, C is built
+in real arithmetic: a_n V[n, k] then equals the real part of the complex
+product bit for bit.  A -0.0 imaginary part flips the sign of zero products,
+so such weights, like complex ones, take the complex product (and its real
+part when every imaginary part is zero).  Quantifiers over all B > 1 are
+sampled over a finite B ladder by the engine in :mod:`seqcore.ladder`, and
+universally quantified verdicts are labelled as tested-ladder evidence only.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ __all__ = [
 
 DEFAULT_B_LADDER = (2, 4, 16, 256)
 EXACT_SUBSET_LIMIT = 20
+# frontier nodes expanded per numpy step of the exact subset sup; bounds its memory
+_FRONTIER_BLOCK = 1024
 
 SPACES = ("s0", "sc", "sinf", "lp")
 DUALS = ("alpha", "beta", "gamma")
@@ -170,27 +176,79 @@ def subset_sup(matrix, axis: str = "columns", weights=None, outer_exponents=None
     if ncols > EXACT_SUBSET_LIMIT:
         raise ValueError(f"exact subset sup is limited to {EXACT_SUBSET_LIMIT} subset indices (got {ncols})")
 
-    # branch and bound over inclusion, columns ordered by decreasing mass;
-    # bound: replacing every undecided column by its absolute row mass.
+    return _branch_and_bound(W, absW, e)
+
+
+def _rounding_margin(absW, e) -> float:
+    """A strict bound on the rounding error of any computed subset objective or node bound.
+
+    Every partial row sum, in any order, lies within delta_i = 4 (N + 2) eps S_i
+    of its exact value, S_i the absolute mass of row i over N columns.  Then
+    x -> x^e moves by at most e (S_i + delta_i)^(e - 1) delta_i for e >= 1 and
+    by delta_i^e for e < 1; pow and the outer sum add relative rounding, and
+    subnormal results in a nonzero row an absolute one.
+    """
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+    m, ncols = absW.shape
+    mass = absW.sum(axis=1) * (1.0 + ncols * eps)
+    delta = 4.0 * (ncols + 2) * eps * mass
+    reach = mass + delta
+    slope = np.where(e >= 1.0, e * reach ** np.maximum(e - 1.0, 0.0) * delta, delta**e)
+    # a row of zeros stays exactly zero, so an all-zero matrix gets margin 0
+    return float(slope.sum() + (2 * m + 8) * (eps * (reach**e).sum() + tiny * np.count_nonzero(mass)))
+
+
+def _branch_and_bound(W, absW, e) -> float:
+    """Exact subset sup by a branch and bound that expands whole frontiers at once.
+
+    Columns are decided in decreasing-mass order.  A node is a row of partial
+    row sums, whose extra last entry accumulates the subset bitmask (adding
+    2^j is exact); every node of a frontier branches into include/exclude
+    children in one numpy step.  A child is pruned when its upper bound
+    sum_i (|vec_i| + rem_i)^e_i, rem the absolute mass of the undecided
+    columns, cannot reach the largest objective of any subset seen so far (or
+    the best re-scored value), with the rounding margin of
+    :func:`_rounding_margin` on each side.  A frontier of more than
+    _FRONTIER_BLOCK nodes is split and its parts are expanded depth first.
+    The leaves within the margin of the largest objective are re-scored by
+    :func:`_canonical_objective`, so the result is bitwise the brute-force
+    maximum.
+    """
+    m, ncols = W.shape
     order = np.argsort(-absW.sum(axis=0))
-    Wo = W[:, order]
-    rem = np.zeros((W.shape[0], ncols + 1))
-    rem[:, :-1] = np.abs(Wo)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    cols = np.zeros((ncols, m + 1), dtype=np.result_type(W, np.float64))  # the j-th searched column, and 2^j
+    cols[:, :m] = W[:, order].T
+    cols[:, m] = 2.0 ** np.arange(ncols)
+    rem = np.zeros((ncols + 1, m))
+    rem[:-1] = np.abs(cols[::-1, :m]).cumsum(axis=0)[::-1]
+    linear = bool(np.all(e == 1.0))
+    rem_total = rem.sum(axis=1)  # with e = 1 the bound is the objective plus this
+    margin = _rounding_margin(absW, e)  # >= 10 eps times any objective, so top - 4 margin < top
+
+    def objectives(vec):
+        mag = np.abs(vec[:, :m])
+        return mag, np.add.reduce(mag if linear else mag**e, axis=1)
+
     best = _canonical_objective(W, list(range(ncols)), e)
-
-    def descend(j, vec, picked):
-        nonlocal best
-        if j == ncols:
-            cols = sorted(int(order[i]) for i in picked)
-            best = max(best, _canonical_objective(W, cols, e))
-            return
-        ub = float(((np.abs(vec) + rem[:, j]) ** e).sum())
-        if ub * (1.0 + 1e-9) <= best:
-            return
-        descend(j + 1, vec + Wo[:, j], picked + [j])
-        descend(j + 1, vec, picked)
-
-    descend(0, np.zeros(W.shape[0], dtype=W.dtype), [])
+    top = 0.0  # the empty subset's objective
+    stack = [(0, np.zeros((1, m + 1), dtype=cols.dtype))]
+    while stack:
+        j, vec = stack.pop()
+        while j < ncols and vec.shape[0]:
+            vec = np.concatenate((vec + cols[j], vec))
+            mag, obj = objectives(vec)
+            top = max(top, float(np.maximum.reduce(obj)))
+            j += 1
+            ub = obj + rem_total[j] if linear else np.add.reduce((mag + rem[j]) ** e, axis=1)
+            vec = vec[ub > max(top - 4.0 * margin, best - 2.0 * margin)]
+            if vec.shape[0] > _FRONTIER_BLOCK:
+                stack.append((j, vec[_FRONTIER_BLOCK:].copy()))
+                vec = vec[:_FRONTIER_BLOCK]
+        obj = objectives(vec)[1]  # the leaves, or an emptied block
+        for i in np.flatnonzero(obj > max(top - 4.0 * margin, best - 2.0 * margin)):
+            mask = int(vec[i, m].real)
+            picked = sorted(int(order[c]) for c in range(ncols) if mask >> c & 1)
+            best = max(best, _canonical_objective(W, picked, e))
     return best
 
 
@@ -394,8 +452,8 @@ def dual_report(
         raise ValueError("conjugate-exponent conditions require p_k > 1 for all k")
 
     # the companions at n_max; every rung reads their leading block
-    imag = a.values.imag
     w = a.values[:n_max]
+    imag = w.imag  # weights past n_max reach no companion entry
     if not imag.any() and not np.signbit(imag).any():
         w = w.real  # a_n V[n, k] then equals the real part of the complex product, bit for bit
     C = TriangleKernel(w[:, None] * inverse_kernel(sys, n_max).entries).entries  # companion_c at n_max

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from seqcore import band_ops, duals
 from seqcore.generators import make_sequence, random_band_system, rng_from_seed
+from seqcore.io import canonical_dumps
 from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
 
 from conftest import complex_uniform
@@ -74,24 +77,126 @@ class TestSubsetSup:
             assert exact <= bound
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**30),
-    rows=st.integers(min_value=1, max_value=6),
-    cols=st.integers(min_value=1, max_value=6),
-    complex_entries=st.booleans(),
-    weighted=st.booleans(),
-)
-def test_subset_sup_equals_bruteforce(seed, rows, cols, complex_entries, weighted):
-    rng = rng_from_seed(seed)
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _recursive_subset_sup(matrix, axis="columns", weights=None, outer_exponents=None):
+    """The depth-first recursive branch and bound, the oracle of ``subset_sup(mode="exact")``."""
+    W = duals._working_matrix(matrix, axis, weights)
+    e = np.ones(W.shape[0]) if outer_exponents is None else np.asarray(outer_exponents, dtype=np.float64)
+    absW = np.abs(W)
+    ncols = W.shape[1]
+    order = np.argsort(-absW.sum(axis=0))
+    Wo = W[:, order]
+    rem = np.zeros((W.shape[0], ncols + 1))
+    rem[:, :-1] = np.abs(Wo)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    best = duals._canonical_objective(W, list(range(ncols)), e)
+
+    def descend(j, vec, picked):
+        nonlocal best
+        if j == ncols:
+            cols = sorted(int(order[i]) for i in picked)
+            best = max(best, duals._canonical_objective(W, cols, e))
+            return
+        ub = float(((np.abs(vec) + rem[:, j]) ** e).sum())
+        if ub * (1.0 + 1e-9) <= best:
+            return
+        descend(j + 1, vec + Wo[:, j], picked + [j])
+        descend(j + 1, vec, picked)
+
+    descend(0, np.zeros(W.shape[0], dtype=W.dtype), [])
+    return best
+
+
+def _subset_test_matrix(family, rng, rows, cols, complex_entries):
     mat = rng.uniform(-1.0, 1.0, (rows, cols))
     if complex_entries:
         mat = mat + 1j * rng.uniform(-1.0, 1.0, (rows, cols))
-    weights = rng.uniform(0.5, 2.0, cols) if weighted else None
-    exponents = rng.uniform(0.5, 2.0, rows) if weighted else None
+    if family == "all_zero":
+        mat[...] = 0.0
+    elif family == "zero_columns":
+        mat[:, rng.uniform(size=cols) < 0.5] = 0.0
+    elif family == "duplicated_columns":
+        mat = mat[:, rng.integers(0, max(1, cols // 2), cols)]
+    elif family == "negated_pairs":
+        mat[:, 1::2] = -mat[:, 0::2][:, : cols // 2]
+    elif family == "negative_zero":
+        mat[rng.uniform(size=mat.shape) < 0.5] = -0.0
+    elif family == "single_row":
+        mat = mat[:1]
+    elif family == "single_column":
+        mat = mat[:, :1]
+    return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(
+        ["random", "all_zero", "zero_columns", "duplicated_columns", "negated_pairs", "negative_zero", "single_row", "single_column"]
+    ),
+    seed=st.integers(min_value=0, max_value=2**30),
+    rows=st.integers(min_value=1, max_value=12),
+    cols=st.integers(min_value=1, max_value=12),
+    complex_entries=st.booleans(),
+    weighted=st.booleans(),
+    powered=st.booleans(),
+)
+def test_subset_sup_equals_bruteforce(family, seed, rows, cols, complex_entries, weighted, powered):
+    rng = rng_from_seed(seed)
+    mat = _subset_test_matrix(family, rng, rows, cols, complex_entries)
+    weights = rng.uniform(0.5, 2.0, mat.shape[1]) if weighted else None
+    exponents = rng.uniform(0.5, 2.0, mat.shape[0]) if powered else None
     exact = duals.subset_sup(mat, weights=weights, outer_exponents=exponents)
     brute = duals.subset_sup_bruteforce(mat, weights=weights, outer_exponents=exponents)
-    assert exact == brute
+    assert _bits(exact) == _bits(brute)
+
+
+@pytest.mark.parametrize("size", [16, 20])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_subset_sup_matches_recursive_solver_on_seeded_matrices(size, complex_entries):
+    rng = rng_from_seed(1000 + size)
+    mat = rng.uniform(-1.0, 1.0, (size, size))
+    if complex_entries:
+        mat = mat + 1j * rng.uniform(-1.0, 1.0, (size, size))
+    assert _bits(duals.subset_sup(mat)) == _bits(_recursive_subset_sup(mat))
+
+
+def _scan_weights(family, n, scale):
+    """The weight families of the dual_scan benchmark workload."""
+    k = np.arange(n, dtype=np.float64)
+    base = {"geometric": 0.5**k, "harmonic_sq": 1.0 / (k + 1.0) ** 2, "ones": np.ones(n), "linear": k + 1.0}[family]
+    return FiniteSeq(base * scale)
+
+
+def test_subset_sup_matches_recursive_solver_on_scan_blocks():
+    # rung 16 of the dual_scan workload at seed 0: S1 reads C, S8 reads D and S13 the rows of D/B
+    # (S1 and S8 at p = 1, S13 at p = 2)
+    n = 16
+    rng = np.random.default_rng([0, 2])
+    p1, p2 = ExponentSeq.constant(1.0, n), ExponentSeq.constant(2.0, n)
+    for family in ("geometric", "harmonic_sq", "ones", "linear"):
+        a = _scan_weights(family, n, rng.uniform(0.5, 2.0))
+        C, D = duals.companion_c(a, PLUS, n).entries.real, duals.companion_d(a, PLUS, n).entries.real
+        for b in duals.DEFAULT_B_LADDER:
+            for args in (
+                (C, "columns", float(b) ** (-1.0 / p1.p)),
+                (D, "columns", float(b) ** (1.0 / p1.p)),
+                (D / float(b), "rows", None, p2.conjugate()),
+            ):
+                assert _bits(duals.subset_sup(*args)) == _bits(_recursive_subset_sup(*args)), (family, b, args[1])
+
+
+def test_subset_sup_memory_is_bounded():
+    rng = rng_from_seed(20)
+    mat = rng.uniform(-1.0, 1.0, (20, 20)) + 1j * rng.uniform(-1.0, 1.0, (20, 20))
+    tracemalloc.start()
+    try:
+        duals.subset_sup(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_sandwich_bound_on_random_real_matrices(rng):
@@ -238,6 +343,17 @@ class TestDualReport:
         a = FiniteSeq(0.5 ** np.arange(64))
         duals.dual_report(a, PLUS, ExponentSeq.constant(1.0, 64), "sc", "beta", self.LADDER)
         assert len(calls) == 1
+
+    def test_weights_past_the_top_rung_do_not_change_the_report(self):
+        # a complex weight past n_max must not switch C to complex arithmetic
+        a = 0.5 ** np.arange(64.0)
+        tail = a.astype(np.complex128)
+        tail[40] += 1e-3j
+        sys = BandSystem.constant(2.0, 1.0, 1.0, 64)
+        p = ExponentSeq.constant(0.8, 64)
+        ladder = (8, 16, 32)
+        plain = canonical_dumps(duals.dual_report(FiniteSeq(a), sys, p, "lp", "alpha", ladder).to_json())
+        assert canonical_dumps(duals.dual_report(FiniteSeq(tail), sys, p, "lp", "alpha", ladder).to_json()) == plain
 
     @pytest.mark.parametrize("system", ["constant", "random"])
     @pytest.mark.parametrize("weights", ["real", "complex"])
