@@ -174,8 +174,9 @@ def check_subset_sup() -> CheckResult:
     """C4: the exact solver equals brute force bit for bit; absolute-sum sandwich on real cases.
 
     The exact solver is the frontier branch and bound of ``duals.subset_sup``:
-    it prunes with a rounding margin and re-scores its near-best leaves the way
-    the brute-force oracle scores every subset, so the two floats must match.
+    its incumbent and its surviving leaves are scored the way the brute-force
+    oracle scores every subset, and it prunes only with a proven rounding
+    slack, so the two floats must match.
     """
     rng = rng_from_seed(404)
     mismatches = 0

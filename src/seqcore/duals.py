@@ -17,9 +17,11 @@ to the exact cutoff and is otherwise replaced by its absolute-sum upper bound
 (which sandwiches the subset sup within a constant factor, so boundedness
 trends are preserved).  The exact solver is a branch and bound that expands
 a whole frontier of partial subsets per numpy step, in blocks of bounded size
-taken depth first.  It prunes against the best subset objective seen so far,
-with a proven rounding margin, and re-scores the near-best leaves the way the
-brute-force oracle scores them, so both return the same float bit for bit.
+taken depth first.  Its incumbent is always a subset objective scored the way
+the brute-force oracle scores it; it prunes a node only when the node's bound,
+padded by a proven rounding slack relative to the objectives, cannot beat that
+incumbent, and re-scores every surviving leaf the same way, so both return the
+same float bit for bit (an overflowing objective gives inf in both).
 That switch and the other matrix functionals the S sets share with the class
 catalog in :mod:`seqcore.matclass` (weighted row sups, signed column sups,
 power row and entry sups) live here.  A report builds the companions once, at
@@ -179,23 +181,28 @@ def subset_sup(matrix, axis: str = "columns", weights=None, outer_exponents=None
     return _branch_and_bound(W, absW, e)
 
 
-def _rounding_margin(absW, e) -> float:
-    """A strict bound on the rounding error of any computed subset objective or node bound.
+def _bound_slack(absW, e):
+    """Slack that turns computed node bounds into strict bounds on re-scored objectives.
 
-    Every partial row sum, in any order, lies within delta_i = 4 (N + 2) eps S_i
-    of its exact value, S_i the absolute mass of row i over N columns.  Then
-    x -> x^e moves by at most e (S_i + delta_i)^(e - 1) delta_i for e >= 1 and
-    by delta_i^e for e < 1; pow and the outer sum add relative rounding, and
-    subnormal results in a nonzero row an absolute one.
+    Every partial row sum, in any order, and its modulus lie within
+    delta_i = 4 (N + 2) eps S_i of the exact |partial sum|, S_i the absolute
+    mass of row i over N columns; the computed remaining masses lie within
+    delta_i / 4 of theirs.  So with delta_i added three times to the
+    remaining mass, every leaf below a node has |canonical row sum| at most
+    the computed |partial sum| plus that remaining mass.  Returns that
+    per-row pad, a factor that covers the relative rounding of pow, of the
+    outer sums, of the bound itself and of comparing it with a cutoff, and an
+    absolute floor for results in the subnormal range (zero for an all-zero
+    matrix, whose objectives are all exactly zero).  Both are relative to the
+    objectives, so large exponents and overflowing masses still prune.
     """
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
     m, ncols = absW.shape
     mass = absW.sum(axis=1) * (1.0 + ncols * eps)
-    delta = 4.0 * (ncols + 2) * eps * mass
-    reach = mass + delta
-    slope = np.where(e >= 1.0, e * reach ** np.maximum(e - 1.0, 0.0) * delta, delta**e)
-    # a row of zeros stays exactly zero, so an all-zero matrix gets margin 0
-    return float(slope.sum() + (2 * m + 8) * (eps * (reach**e).sum() + tiny * np.count_nonzero(mass)))
+    pad = 12.0 * (ncols + 2) * eps * mass
+    grow = (1.0 + 4.0 * eps) ** (float(e.max(initial=0.0)) + 2 * m + 8)
+    floor = 4.0 * (m + 1) * tiny if absW.any() else 0.0
+    return pad, grow, floor
 
 
 def _branch_and_bound(W, absW, e) -> float:
@@ -204,51 +211,62 @@ def _branch_and_bound(W, absW, e) -> float:
     Columns are decided in decreasing-mass order.  A node is a row of partial
     row sums, whose extra last entry accumulates the subset bitmask (adding
     2^j is exact); every node of a frontier branches into include/exclude
-    children in one numpy step.  A child is pruned when its upper bound
+    children in one numpy step.  The incumbent is always the re-scored
+    (:func:`_canonical_objective`) value of a subset: at each depth the new
+    subset with the largest computed objective is re-scored when that
+    objective beats it.  A child is pruned when its bound
     sum_i (|vec_i| + rem_i)^e_i, rem the absolute mass of the undecided
-    columns, cannot reach the largest objective of any subset seen so far (or
-    the best re-scored value), with the rounding margin of
-    :func:`_rounding_margin` on each side.  A frontier of more than
-    _FRONTIER_BLOCK nodes is split and its parts are expanded depth first.
-    The leaves within the margin of the largest objective are re-scored by
-    :func:`_canonical_objective`, so the result is bitwise the brute-force
-    maximum.
+    columns padded by :func:`_bound_slack`, provably cannot exceed the
+    incumbent; a bound that overflows or is NaN prunes nothing.  A frontier
+    of more than _FRONTIER_BLOCK nodes is split and its parts are expanded
+    depth first.  The surviving leaves are re-scored, so the result is
+    bitwise the brute-force maximum; an infinite one ends the search.
     """
     m, ncols = W.shape
     order = np.argsort(-absW.sum(axis=0))
     cols = np.zeros((ncols, m + 1), dtype=np.result_type(W, np.float64))  # the j-th searched column, and 2^j
     cols[:, :m] = W[:, order].T
     cols[:, m] = 2.0 ** np.arange(ncols)
+    pad, grow, floor = _bound_slack(absW, e)
     rem = np.zeros((ncols + 1, m))
     rem[:-1] = np.abs(cols[::-1, :m]).cumsum(axis=0)[::-1]
-    linear = bool(np.all(e == 1.0))
-    rem_total = rem.sum(axis=1)  # with e = 1 the bound is the objective plus this
-    margin = _rounding_margin(absW, e)  # >= 10 eps times any objective, so top - 4 margin < top
+    rem += pad
+    power = e[0] if e.size and np.all(e == e[0]) else e  # a scalar exponent takes numpy's fast paths for 1 and 2
 
-    def objectives(vec):
-        mag = np.abs(vec[:, :m])
-        return mag, np.add.reduce(mag if linear else mag**e, axis=1)
+    def rescore(mask):
+        mask = int(mask.real)
+        return _canonical_objective(W, sorted(int(order[c]) for c in range(ncols) if mask >> c & 1), e)
 
-    best = _canonical_objective(W, list(range(ncols)), e)
-    top = 0.0  # the empty subset's objective
+    def cutoff(best):  # bounds up to this one give b * grow + floor <= best; grow has room for the rounding
+        return (best - floor) / grow
+
+    best = max(0.0, _canonical_objective(W, list(range(ncols)), e))  # max() drops a NaN, as brute force does
+    cut = cutoff(best)
     stack = [(0, np.zeros((1, m + 1), dtype=cols.dtype))]
-    while stack:
-        j, vec = stack.pop()
-        while j < ncols and vec.shape[0]:
-            vec = np.concatenate((vec + cols[j], vec))
-            mag, obj = objectives(vec)
-            top = max(top, float(np.maximum.reduce(obj)))
-            j += 1
-            ub = obj + rem_total[j] if linear else np.add.reduce((mag + rem[j]) ** e, axis=1)
-            vec = vec[ub > max(top - 4.0 * margin, best - 2.0 * margin)]
-            if vec.shape[0] > _FRONTIER_BLOCK:
-                stack.append((j, vec[_FRONTIER_BLOCK:].copy()))
-                vec = vec[:_FRONTIER_BLOCK]
-        obj = objectives(vec)[1]  # the leaves, or an emptied block
-        for i in np.flatnonzero(obj > max(top - 4.0 * margin, best - 2.0 * margin)):
-            mask = int(vec[i, m].real)
-            picked = sorted(int(order[c]) for c in range(ncols) if mask >> c & 1)
-            best = max(best, _canonical_objective(W, picked, e))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while stack and best != np.inf:
+            j, vec = stack.pop()
+            while j < ncols and vec.shape[0]:
+                vec = np.concatenate((vec + cols[j], vec))  # the new subsets, then the ones already seen
+                mag = np.abs(vec[:, :m])
+                obj = np.add.reduce(mag[: vec.shape[0] // 2] ** power, axis=1)
+                i = obj.argmax()
+                if obj[i] > best:
+                    best = max(best, rescore(vec[i, m]))
+                    cut = cutoff(best)
+                j += 1
+                mag += rem[j]
+                mag **= power
+                vec = vec[~(np.add.reduce(mag, axis=1) <= cut)]  # a NaN bound prunes nothing
+                if vec.shape[0] > _FRONTIER_BLOCK:
+                    stack.append((j, vec[_FRONTIER_BLOCK:].copy()))
+                    vec = vec[:_FRONTIER_BLOCK]
+            ub = np.add.reduce((np.abs(vec[:, :m]) + rem[ncols]) ** power, axis=1)  # the leaves, or an emptied block
+            keep = np.flatnonzero(~(ub <= cut))
+            for i in keep[np.argsort(-ub[keep], kind="stable")]:
+                if not ub[i] <= cut:
+                    best = max(best, rescore(vec[i, m]))
+                    cut = cutoff(best)
     return best
 
 

@@ -127,13 +127,35 @@ def _subset_test_matrix(family, rng, rows, cols, complex_entries):
         mat = mat[:1]
     elif family == "single_column":
         mat = mat[:, :1]
+    elif family == "decimal_ties":
+        # many subsets share an exact sum that different summation orders round apart
+        mat = rng.integers(-3, 4, mat.shape) / 10.0
+        if complex_entries:
+            mat = mat + 1j * rng.integers(-3, 4, mat.shape) / 10.0
+    elif family in ("nan_entries", "inf_entries"):
+        hit = rng.uniform(size=mat.shape) < 0.1
+        hit[rng.integers(mat.shape[0]), rng.integers(mat.shape[1])] = True
+        mat[hit] = np.nan if family == "nan_entries" else rng.choice([np.inf, -np.inf], size=int(hit.sum()))
     return mat
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     family=st.sampled_from(
-        ["random", "all_zero", "zero_columns", "duplicated_columns", "negated_pairs", "negative_zero", "single_row", "single_column"]
+        [
+            "random",
+            "all_zero",
+            "zero_columns",
+            "duplicated_columns",
+            "negated_pairs",
+            "negative_zero",
+            "single_row",
+            "single_column",
+            "decimal_ties",
+            "overflow",
+            "nan_entries",
+            "inf_entries",
+        ]
     ),
     seed=st.integers(min_value=0, max_value=2**30),
     rows=st.integers(min_value=1, max_value=12),
@@ -147,9 +169,44 @@ def test_subset_sup_equals_bruteforce(family, seed, rows, cols, complex_entries,
     mat = _subset_test_matrix(family, rng, rows, cols, complex_entries)
     weights = rng.uniform(0.5, 2.0, mat.shape[1]) if weighted else None
     exponents = rng.uniform(0.5, 2.0, mat.shape[0]) if powered else None
-    exact = duals.subset_sup(mat, weights=weights, outer_exponents=exponents)
-    brute = duals.subset_sup_bruteforce(mat, weights=weights, outer_exponents=exponents)
+    if family == "overflow":
+        # row objectives from 1e200 to past the float range, so some subsets overflow and some do not
+        exponents = rng.uniform(1.0, 100.0, mat.shape[0])
+        mat = mat * 10.0 ** (rng.uniform(200.0, 330.0, (mat.shape[0], 1)) / exponents[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = duals.subset_sup(mat, weights=weights, outer_exponents=exponents)
+        brute = duals.subset_sup_bruteforce(mat, weights=weights, outer_exponents=exponents)
     assert _bits(exact) == _bits(brute)
+
+
+def test_subset_sup_breaks_rounding_ties_like_bruteforce():
+    # the near-best leaves must be re-scored, and pruned only with a rounding slack,
+    # for the result to be the brute-force float among subsets tied in exact arithmetic
+    for seed in range(100):
+        rng = rng_from_seed(seed)
+        rows, cols = int(rng.integers(1, 4)), int(rng.integers(6, 13))
+        mat = _subset_test_matrix("decimal_ties", rng, rows, cols, bool(seed % 2))
+        assert _bits(duals.subset_sup(mat)) == _bits(duals.subset_sup_bruteforce(mat)), seed
+
+
+def test_subset_sup_of_an_overflowing_objective_is_infinite():
+    with np.errstate(over="ignore"):
+        brute = duals.subset_sup_bruteforce([[1e160, -1e160]], outer_exponents=[2.0])
+        assert duals.subset_sup([[1e160, -1e160]], outer_exponents=[2.0]) == brute == np.inf
+
+
+def test_subset_sup_prunes_under_large_exponents(monkeypatch):
+    # mixed signs and an exponent of 100: the pruning slack must stay relative to the
+    # objectives, or all 2^16 leaves would be re-scored one by one
+    rng = rng_from_seed(100)
+    mat = 10.0 * rng.uniform(-1.0, 1.0, (16, 16))
+    exponents = np.full(16, 100.0)
+    calls = []
+    canonical = duals._canonical_objective
+    monkeypatch.setattr(duals, "_canonical_objective", lambda *args: calls.append(1) or canonical(*args))
+    exact = duals.subset_sup(mat, outer_exponents=exponents)
+    assert len(calls) < 1000
+    assert _bits(exact) == _bits(_recursive_subset_sup(mat, outer_exponents=exponents))
 
 
 @pytest.mark.parametrize("size", [16, 20])
@@ -162,21 +219,15 @@ def test_subset_sup_matches_recursive_solver_on_seeded_matrices(size, complex_en
     assert _bits(duals.subset_sup(mat)) == _bits(_recursive_subset_sup(mat))
 
 
-def _scan_weights(family, n, scale):
-    """The weight families of the dual_scan benchmark workload."""
-    k = np.arange(n, dtype=np.float64)
-    base = {"geometric": 0.5**k, "harmonic_sq": 1.0 / (k + 1.0) ** 2, "ones": np.ones(n), "linear": k + 1.0}[family]
-    return FiniteSeq(base * scale)
-
-
-def test_subset_sup_matches_recursive_solver_on_scan_blocks():
-    # rung 16 of the dual_scan workload at seed 0: S1 reads C, S8 reads D and S13 the rows of D/B
-    # (S1 and S8 at p = 1, S13 at p = 2)
+def test_subset_sup_matches_recursive_solver_on_companion_blocks():
+    # the blocks S1 (C), S8 (D) and S13 (rows of D/B) read at truncation 16, for four fixed
+    # weight families with a seeded scale; S1 and S8 at p = 1, S13 at p = 2
     n = 16
-    rng = np.random.default_rng([0, 2])
+    rng = rng_from_seed(2)
+    k = np.arange(n, dtype=np.float64)
     p1, p2 = ExponentSeq.constant(1.0, n), ExponentSeq.constant(2.0, n)
-    for family in ("geometric", "harmonic_sq", "ones", "linear"):
-        a = _scan_weights(family, n, rng.uniform(0.5, 2.0))
+    for family, base in (("geometric", 0.5**k), ("harmonic_sq", 1.0 / (k + 1.0) ** 2), ("ones", np.ones(n)), ("linear", k + 1.0)):
+        a = FiniteSeq(base * rng.uniform(0.5, 2.0))
         C, D = duals.companion_c(a, PLUS, n).entries.real, duals.companion_d(a, PLUS, n).entries.real
         for b in duals.DEFAULT_B_LADDER:
             for args in (
