@@ -128,8 +128,8 @@ def _working_matrix(matrix, axis, weights):
         raise ValueError("axis must be 'columns' or 'rows'")
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
-        if w.size != W.shape[1] or np.any(w <= 0.0):
-            raise ValueError("weights must be positive, one per subset index")
+        if w.size != W.shape[1] or not np.all((w > 0.0) & np.isfinite(w)):
+            raise ValueError("weights must be finite and positive, one per subset index")
         W = W * w[None, :]
     return W
 
@@ -166,8 +166,8 @@ def subset_sup(matrix, axis: str = "columns", weights=None, outer_exponents=None
     """
     W = _working_matrix(matrix, axis, weights)
     e = np.ones(W.shape[0]) if outer_exponents is None else np.asarray(outer_exponents, dtype=np.float64)
-    if e.size != W.shape[0] or np.any(e <= 0.0):
-        raise ValueError("outer exponents must be positive, one per outer index")
+    if e.size != W.shape[0] or not np.all((e > 0.0) & np.isfinite(e)):
+        raise ValueError("outer exponents must be finite and positive, one per outer index")
 
     absW = np.abs(W)
     if mode == "bound":

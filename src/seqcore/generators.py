@@ -84,8 +84,8 @@ def make_matrix(spec, n: int, **params) -> np.ndarray:
         if t.size < n:
             raise ValueError("riesz weight sequence shorter than requested truncation")
         t = t[:n]
-        if np.any(t <= 0.0):
-            raise ValueError("riesz weights must be strictly positive")
+        if not np.all((t > 0.0) & np.isfinite(t)):
+            raise ValueError("riesz weights must be finite and strictly positive")
         out = np.tril(np.ones((n, n)) * t[None, :]) / np.cumsum(t)[:, None]
     elif name == "band":
         r, s = float(params["r"]), float(params["s"])

@@ -27,8 +27,11 @@ functionals the L2.x entries share with the S sets (subset estimates,
 weighted row sups, signed column sups, power row and entry sups) live in
 :mod:`seqcore.duals`.  A class report builds its source once and hands it
 to every condition: btilde once at the largest truncation, sliced per ladder
-point, and E once per ladder point, one composition yielding both E and its
-partial-sum families.
+point, and E with its partial-sum families from one composition at the
+largest truncation, sliced at each ladder point n where the first n rows of
+A vanish right of column n - 1 (every point, for a lower-triangular A), and
+composed again at every other ladder point.  An array a condition weights the same
+way at every witness (|E|, or |E - beta_k|) is built once per ladder point.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .duals import (  # noqa: F401 - perfbench traces matclass.subset_sup as an 
     signed_column_sup,
     subset_estimate,
     subset_sup,
-    weighted_row_sup,
 )
 from .generators import materialize_matrix
 from .ladder import WITNESS_LAYERS, ladder_verdict, truncation_ladder, window
@@ -87,7 +89,9 @@ class EPartial:
     """Partial-sum families of the composed matrix.
 
     ``rows(n)`` returns the (m, k) block of sum_{j=k..m} A[n, j] V[j, k],
-    accumulated in index order j.  The cumulative sum runs only up to the
+    accumulated in index order j.  The block is written into one n x n
+    buffer that every call reuses, so each call overwrites the block the
+    previous call returned.  The cumulative sum runs only up to the
     last nonzero entry of A[n]; every later row adds exact zeros, so it is a
     copy of that row.  Up to there the block is bit-identical to the full
     cumulative sum; after it the values are equal and only the sign of an
@@ -98,6 +102,7 @@ class EPartial:
     def __init__(self, A: np.ndarray, V: np.ndarray):
         self._A = A
         self._V = V
+        self._out = None
 
     @property
     def n(self) -> int:
@@ -109,10 +114,16 @@ class EPartial:
         a = self._A[n]
         nonzero = np.flatnonzero(a)
         stop = int(nonzero[-1]) + 1 if nonzero.size else 0
-        out = np.zeros((self.n, self.n), dtype=np.result_type(a.dtype, self._V.dtype))
-        np.cumsum(a[:stop, None] * self._V[:stop], axis=0, out=out[:stop])
-        if 0 < stop < self.n:
-            out[stop:] = out[stop - 1]
+        if self._out is None:
+            self._out = np.empty((self.n, self.n), dtype=np.result_type(a.dtype, self._V.dtype))
+        out = self._out
+        if stop == 0:
+            out.fill(0)
+            return out
+        terms = out[:stop]
+        np.multiply(a[:stop, None], self._V[:stop], out=terms)
+        np.cumsum(terms, axis=0, out=terms)
+        out[stop:] = out[stop - 1]
         return out
 
 
@@ -141,7 +152,7 @@ def e_matrix(A, sys: BandSystem, n: int) -> tuple[np.ndarray, EPartial]:
     for j, lo in enumerate(first.tolist()):
         if lo < n:
             E[lo:, : j + 1] += dense[lo:, j, None] * V[j, : j + 1]
-    _restore_negative_zeros(E, dense, V)
+    _float_parts(E)[_lost_negative_zeros(E, dense, V)] = -0.0
     return E, EPartial(dense, V)
 
 
@@ -150,8 +161,8 @@ def _float_parts(x: np.ndarray) -> np.ndarray:
     return x.view(x.real.dtype).reshape(x.shape + (-1,))
 
 
-def _restore_negative_zeros(E: np.ndarray, dense: np.ndarray, V: np.ndarray) -> None:
-    """Write -0.0 into each float part of E where the full sum over j gives -0.0.
+def _lost_negative_zeros(E: np.ndarray, dense: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Mask of the float parts of E that hold +0.0 where the full sum over j gives -0.0.
 
     A sequential sum is -0.0 exactly when every term is; the sweep starts
     from +0.0, so it gives +0.0 there.  The terms with j < k multiply V's
@@ -167,7 +178,26 @@ def _restore_negative_zeros(E: np.ndarray, dense: np.ndarray, V: np.ndarray) -> 
         k, c = np.nonzero(candidates[i])
         terms = _float_parts(np.ascontiguousarray(dense[i][:, None] * V[:, k]))[:, np.arange(k.size), c]
         negative = np.all((terms == 0) & np.signbit(terms), axis=0)
-        parts[i, k[negative], c[negative]] = -0.0
+        candidates[i, k[~negative], c[~negative]] = False
+    return candidates
+
+
+def _leading_block(E: np.ndarray, dense: np.ndarray, V: np.ndarray, n: int) -> np.ndarray:
+    """E at truncation n, read off a composition at a larger truncation.
+
+    Valid when no row i < n of the dense A has a nonzero entry right of
+    column n - 1.  Then the larger composition adds only exact zeros to the
+    leading block, so every part keeps its bits except one that the
+    truncated sum gives as -0.0 and a later +0.0 term turns into +0.0; those
+    parts are written back into a copy, so the block is bit-identical to
+    ``e_matrix(A, sys, n)[0]``.
+    """
+    block = E[:n, :n]
+    lost = _lost_negative_zeros(block, dense[:n, :n], V[:n, :n])
+    if lost.any():
+        block = block.copy()
+        _float_parts(block)[lost] = -0.0
+    return block
 
 
 def default_density_sets(n: int) -> list[tuple[str, np.ndarray]]:
@@ -258,8 +288,37 @@ def condition_catalog() -> dict:
     }
 
 
-def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets):
-    """One ladder point of one condition; returns (value, deviation | None)."""
+def _witness_free(cond_id: str, G: np.ndarray, n: int, beta_k) -> np.ndarray | None:
+    """The array a quantified condition weights the same way at every witness, or None.
+
+    mt24 reads |G| on the probe rows only; the others read all of |G| or of
+    |G - beta_k|.
+    """
+    if cond_id == "mt24":
+        return np.abs(G[: min(_PROBE_ROWS, n)])
+    if cond_id in ("mt29", "mt31", "mt32", "mt33", "mt35", "mt37", "L2.4a", "L2.5"):
+        return np.abs(G)
+    if cond_id in ("mt38", "L2.4c"):
+        return np.abs(G - beta_k[:n][None, :])
+    return None
+
+
+def _abs_in_place(block: np.ndarray) -> np.ndarray:
+    """|block|, written over a real block; a complex block needs a new real array."""
+    return np.abs(block) if np.iscomplexobj(block) else np.abs(block, out=block)
+
+
+def _row_sup(abs_block: np.ndarray, weights) -> float:
+    """sup_n sum_k abs_block[n, k] w_k, for a block that already holds absolute values."""
+    return float(np.max(abs_block @ weights))
+
+
+def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets, free):
+    """One ladder point of one condition; returns (value, deviation | None).
+
+    ``free`` is the condition's witness-free array at this rung (see
+    :func:`_witness_free`).
+    """
     spec = CONDITIONS[cond_id]
     pk = p.p[:n] if p is not None else None
     qn = q[:n] if q is not None else None
@@ -280,27 +339,26 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets)
             w = float(M) ** (-1.0 / pk)
             worst = 0.0
             for i in range(rows):
-                worst = max(worst, weighted_row_sup(partial.rows(i), w))
+                worst = max(worst, _row_sup(_abs_in_place(partial.rows(i)), w))
             return worst, None
         if cond_id == "mt27":
             worst = 0.0
             for i in range(rows):
                 w = float(L) ** (1.0 / qn[i]) * float(M) ** (-1.0 / pk)
-                worst = max(worst, weighted_row_sup(partial.rows(i), w))
+                worst = max(worst, _row_sup(_abs_in_place(partial.rows(i)), w))
             return worst, None
         if cond_id == "mt28":
             worst = 0.0
             for i in range(rows):
                 block = partial.rows(i)
                 fit = float(np.median(block[-1]))
-                worst = max(worst, float(np.max(np.abs(np.tril(block - fit))[win].sum(axis=1))))
+                worst = max(worst, float(np.max(np.abs(np.tril(block[win] - fit, win.start)).sum(axis=1))))
             return worst, worst
         raise KeyError(cond_id)
 
     G = src  # dense matrix: E, btilde, or a directly supplied matrix
     if cond_id in ("mt24", "mt29"):
-        block = G[:rows] if cond_id == "mt24" else G
-        return weighted_row_sup(block, float(L) ** (1.0 / pk)), None
+        return _row_sup(free, float(L) ** (1.0 / pk)), None
     if cond_id in ("mt30", "L2.4b", "2.15", "4.2", "4.2z"):
         ref = np.zeros(cols) if cond_id == "4.2z" else beta_k[:cols]
         dev_block = np.abs(G[win, :cols] - ref[None, :])
@@ -311,7 +369,7 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets)
         val = float(np.max(dev_full.sum(axis=1))) if dev_full.size else 0.0
         return val, val
     if cond_id in ("mt31", "mt32"):
-        f = np.abs(G) @ (float(L) ** (1.0 / pk))
+        f = free @ (float(L) ** (1.0 / pk))
         fw = f[win]
         if cond_id == "mt31":
             spread = float(np.max(fw) - np.min(fw)) if fw.size else 0.0
@@ -319,7 +377,7 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets)
         val = float(np.max(fw)) if fw.size else 0.0
         return val, val
     if cond_id == "mt33":
-        f = np.abs(G) @ (float(M) ** (-1.0 / pk))
+        f = free @ (float(M) ** (-1.0 / pk))
         return float(np.max(f**qn)), None
     if cond_id in ("mt34", "mt36"):
         ref = np.zeros(cols) if cond_id == "mt34" else beta_k[:cols]
@@ -328,13 +386,13 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets)
         return val, val
     if cond_id == "mt35":
         w = float(M) ** (-1.0 / pk)
-        f = (np.abs(G) @ w) * (float(L) ** (1.0 / qn))
+        f = (free @ w) * (float(L) ** (1.0 / qn))
         return float(np.max(f)), None
     if cond_id in ("mt37", "L2.4a", "L2.5"):
-        return weighted_row_sup(G, float(M) ** (-1.0 / pk)), None
+        return _row_sup(free, float(M) ** (-1.0 / pk)), None
     if cond_id == "mt38":
         w = float(M) ** (-1.0 / pk)
-        f = (np.abs(G - beta_k[:n][None, :]) @ w) * (float(L) ** (1.0 / qn))
+        f = (free @ w) * (float(L) ** (1.0 / qn))
         return float(np.max(f)), None
     if cond_id == "mt39":
         return float(np.max(np.abs(G.sum(axis=1)) ** qn)), None
@@ -346,7 +404,7 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets)
     if cond_id == "L2.3":
         return subset_estimate(G, "columns", float(M) ** (-1.0 / pk)), None
     if cond_id == "L2.4c":
-        return weighted_row_sup(G - beta_k[:n][None, :], float(M) ** (-1.0 / pk)), None
+        return _row_sup(free, float(M) ** (-1.0 / pk)), None
     if cond_id == "L2.6i":
         return subset_estimate(G / float(M), "rows", None, p.conjugate()[:n]), None
     if cond_id == "L2.6ii":
@@ -381,8 +439,8 @@ def _validate_q(q, n: int) -> np.ndarray:
         qa = np.full(n, float(qa))
     if qa.size < n:
         raise ValueError("q sequence shorter than the largest truncation")
-    if np.any(qa[:n] <= 0.0):
-        raise ValueError("q entries must be strictly positive")
+    if not np.all((qa[:n] > 0.0) & np.isfinite(qa[:n])):
+        raise ValueError("q entries must be finite and strictly positive")
     if np.any(np.diff(qa[:n]) < 0.0) or np.max(qa[:n]) > 1e6:
         warnings.warn("q is expected to be non-decreasing and bounded", stacklevel=4)
     return qa
@@ -411,12 +469,24 @@ def _ladder_sources(source: str, A, sys, matrix, ladder) -> dict:
     composition) are built once, at the top rung, and rung n reads the
     leading n x n block: no entry depends on a later row or column, so the
     block is bit-identical to a build at n.  E and its partial-sum families
-    come from one composition per rung, since E_n sums A[i, j] V[j, k] over
-    j < n only: for an A with entries right of the diagonal (a dense A) E_n
-    is not a block of E at the top rung.
+    come from one composition at the top rung.  Rung n reads their leading
+    n x n blocks when the first n rows of A have no entry right of column
+    n - 1, which holds at every rung for a lower-triangular A: E_n sums
+    A[i, j] V[j, k] over j < n only, and the top rung adds exact zeros to
+    it.  Any other rung (an A with entries right of the diagonal) gets its
+    own composition.
     """
     if source == "partial" or (source == "E" and matrix is None):
-        return {n: dict(zip(("E", "partial"), e_matrix(A, sys, n))) for n in ladder}
+        E, partial = e_matrix(A, sys, ladder[-1])
+        dense, V = partial._A, partial._V
+        sources = {}
+        for n in ladder[:-1]:
+            if np.any(dense[:n, n:]):
+                sources[n] = dict(zip(("E", "partial"), e_matrix(A, sys, n)))
+            else:
+                sources[n] = {"E": _leading_block(E, dense, V, n), "partial": EPartial(dense[:n, :n], V[:n, :n])}
+        sources[ladder[-1]] = {"E": E, "partial": partial}
+        return sources
     top = btilde(A, sys, ladder[-1]) if matrix is None else materialize_matrix(matrix, ladder[-1])
     return {n: {source: top[:n, :n]} for n in ladder}
 
@@ -436,9 +506,14 @@ def _condition_verdict(cond_id, sources, ladder, p, qa):
         density_sets = default_density_sets(ladder[-1])
         fitted["density_sets"] = [name for name, _ in density_sets]
 
+    free = {}
+
     def evaluate(n, witnesses):
         src = sources[n][spec.source]
-        return _evaluate(cond_id, src, p, qa, n, witnesses.get("L"), witnesses.get("M"), beta_k, beta, density_sets)
+        if n not in free:
+            free[n] = _witness_free(cond_id, src, n, beta_k)
+        L, M = witnesses.get("L"), witnesses.get("M")
+        return _evaluate(cond_id, src, p, qa, n, L, M, beta_k, beta, density_sets, free[n])
 
     layers = WITNESS_LAYERS[spec.quantifier]
     return ladder_verdict(
@@ -459,10 +534,10 @@ def eval_condition(
     """Evaluate one catalog condition over a truncation ladder.
 
     The condition's source is the composed matrix and its partial sums from
-    (A, sys), built once per ladder point, or the band-transformed matrix
-    from (A, sys) or a caller-supplied matrix/generator, built once at the
-    largest truncation and sliced.  beta_k / beta are fitted at the largest
-    truncation (last rows, last row sums).
+    (A, sys), or the band-transformed matrix from (A, sys) or a
+    caller-supplied matrix/generator; :func:`_ladder_sources` says when each
+    is built once at the largest truncation and sliced.  beta_k / beta are
+    fitted at the largest truncation (last rows, last row sums).
     """
     if cond_id not in CONDITIONS:
         raise KeyError(f"unknown condition {cond_id!r}")

@@ -69,6 +69,18 @@ class TestSubsetSup:
         with pytest.raises(ValueError):
             duals.subset_sup(np.ones((2, 21)), mode="exact")
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["exact", "bound"])
+    def test_weights_must_be_finite_and_positive(self, bad, mode):
+        with pytest.raises(ValueError, match="weights must be finite and positive"):
+            duals.subset_sup([[1.0, 2.0]], weights=[bad, 1.0], mode=mode)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["exact", "bound"])
+    def test_outer_exponents_must_be_finite_and_positive(self, bad, mode):
+        with pytest.raises(ValueError, match="outer exponents must be finite and positive"):
+            duals.subset_sup([[1.0, 2.0]], outer_exponents=[bad], mode=mode)
+
     def test_bound_mode_brackets_exact(self, rng):
         for _ in range(20):
             mat = rng.uniform(-1.0, 1.0, (6, 6))

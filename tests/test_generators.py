@@ -175,6 +175,14 @@ def test_materialize_checks_size_and_finiteness():
     assert np.array_equal(out, np.eye(5))
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_riesz_weights_must_be_finite_and_positive(bad):
+    t = np.ones(4)
+    t[2] = bad
+    with pytest.raises(ValueError, match="riesz weights must be finite and strictly positive"):
+        make_matrix("riesz", 4, t=t)
+
+
 def test_unknown_generators_rejected():
     with pytest.raises(ValueError):
         make_matrix("nope", 3)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from seqcore import band_ops, matclass
-from seqcore.generators import make_matrix, materialize_matrix, random_band_system, rng_from_seed
+from seqcore.generators import GeneratorSpec, make_matrix, materialize_matrix, random_band_system, rng_from_seed
+from seqcore.io import canonical_dumps
 from seqcore.types import BandSystem, ExponentSeq
 
 DELTA = BandSystem.difference(512)
@@ -217,6 +218,14 @@ class TestClassReport:
         with pytest.raises(ValueError, match="shorter than the largest truncation"):
             matclass.class_report("cesaro", "s0:c0_q", DELTA, p=p, q=[1.0, 1.0], ladder=(8, 16))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_q_must_be_finite_and_positive(self, bad):
+        p = ExponentSeq.constant(2.0, 16)
+        q = np.full(16, 1.5)
+        q[5] = bad
+        with pytest.raises(ValueError, match="q entries must be finite and strictly positive"):
+            matclass.class_report("cesaro", "sc:c_q", DELTA, p=p, q=q, ladder=(8, 16))
+
     @pytest.mark.parametrize("ladder", [(0, 16), (-4, 16)])
     def test_rungs_below_one_rejected(self, ladder):
         with pytest.raises(ValueError, match=">= 1"):
@@ -233,11 +242,19 @@ class TestClassReport:
         assert table["s0:c_q"] == ["mt25", "mt26", "mt27", "mt36", "mt37", "mt38"]
         assert set(table) == set(matclass.CLASS_RULES)
 
-    @pytest.mark.parametrize("class_id, builder", [("sc:c_q", "e_matrix"), ("st:sc_reg", "btilde")])
-    def test_sources_built_once_per_rung(self, monkeypatch, class_id, builder):
+    @pytest.mark.parametrize(
+        "class_id, builder, matrix",
+        [
+            pytest.param("sc:c_q", "e_matrix", "cesaro", id="sc:c_q-e_matrix"),
+            pytest.param("sc:c_q", "e_matrix", "dense", id="sc:c_q-e_matrix-dense"),
+            pytest.param("st:sc_reg", "btilde", "cesaro", id="st:sc_reg-btilde"),
+        ],
+    )
+    def test_sources_built_once_per_rung(self, monkeypatch, class_id, builder, matrix):
         ladder = (16, 32, 64)
         p = ExponentSeq.constant(2.0, 64)
         q = np.full(64, 1.5)
+        A = "cesaro" if matrix == "cesaro" else rng_from_seed(6).uniform(-1.0, 1.0, (64, 64))
         calls = {"e_matrix": 0, "btilde": 0}
         for name in calls:
             original = getattr(matclass, name)
@@ -247,13 +264,14 @@ class TestClassReport:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(matclass, name, counted)
-        report = matclass.class_report("cesaro", class_id, DELTA, p=p, q=q, ladder=ladder)
-        # E is composed at every rung; btilde is built once at the top rung and sliced
-        expected = len(ladder) if builder == "e_matrix" else 1
+        report = matclass.class_report(A, class_id, DELTA, p=p, q=q, ladder=ladder)
+        # btilde, and E of a lower-triangular A, are built once at the top rung and sliced;
+        # an A with entries right of the diagonal is composed again at every rung
+        expected = len(ladder) if matrix == "dense" else 1
         assert calls[builder] == expected
         assert sum(calls.values()) == expected
         for cond in report.conditions:
-            alone = matclass.eval_condition(cond.cond_id, A="cesaro", sys=DELTA, p=p, q=q, ladder=ladder)
+            alone = matclass.eval_condition(cond.cond_id, A=A, sys=DELTA, p=p, q=q, ladder=ladder)
             assert cond.to_json() == alone.to_json()
 
     @pytest.mark.parametrize("system", ["constant", "random"])
@@ -283,6 +301,105 @@ class TestClassReport:
         assert {c["id"] for c in doc["conditions"]} == {"4.1", "4.2z", "4.5"}
         for cond in doc["conditions"]:
             assert "anchor" in cond and "estimates" in cond
+
+
+def _lower_triangular_inputs(n: int) -> dict:
+    rng = rng_from_seed(31)
+    block = rng.uniform(-1.0, 1.0, (n, n))
+    inputs = {name: name for name in ("cesaro", "riesz", "summation", "difference", "identity", "zero")}
+    inputs["riesz_weighted"] = GeneratorSpec("riesz", {"t": np.linspace(1.0, 3.0, n)})
+    inputs["band"] = GeneratorSpec("band", {"r": 2.0, "s": -1.0})
+    inputs["double_band"] = GeneratorSpec("double_band", {"r": np.linspace(1.0, 2.0, n), "s": -np.linspace(0.5, 1.0, n)})
+    inputs["random"] = np.tril(block)
+    inputs["negated"] = -np.tril(np.abs(block))  # -0.0 above the diagonal
+    inputs["complex"] = np.tril(block + 1j * rng.uniform(-1.0, 1.0, (n, n)))
+    return inputs
+
+
+def _per_rung_sources(source, A, sys, matrix, ladder):
+    """E and its partial sums composed at every rung: the sources before the top rung was sliced."""
+    return {n: dict(zip(("E", "partial"), matclass.e_matrix(A, sys, n))) for n in ladder}
+
+
+E_CLASSES = [cid for cid, rule in matclass.CLASS_RULES.items() if rule[0] == "E"]
+
+
+class TestComposedSources:
+    LADDER = (8, 24, 48)
+
+    @pytest.mark.parametrize("system", ["constant", "random"])
+    @pytest.mark.parametrize("kind", list(_lower_triangular_inputs(48)))
+    def test_leading_blocks_match_per_rung_compositions(self, system, kind):
+        n_top = self.LADDER[-1]
+        sys = BandSystem.constant(-1.0, 1.0, 1.0, n_top) if system == "constant" else random_band_system(rng_from_seed(7), n_top)
+        A = _lower_triangular_inputs(n_top)[kind]
+        sources = matclass._ladder_sources("E", A, sys, None, self.LADDER)
+        for n in self.LADDER:
+            E, partial = matclass.e_matrix(A, sys, n)
+            assert np.array_equal(sources[n]["E"], E)
+            assert sources[n]["E"].tobytes() == E.tobytes()  # the sign of zero included
+            for i in range(min(8, n)):
+                assert sources[n]["partial"].rows(i).tobytes() == partial.rows(i).tobytes()
+
+    def test_lost_negative_zeros_are_written_back(self):
+        # with -0.0 above the diagonal, a later +0.0 term turns some -0.0 entries of a
+        # leading block into +0.0; the sliced rung must hold the truncated sum's -0.0
+        n_top = self.LADDER[-1]
+        sys = random_band_system(rng_from_seed(7), n_top)
+        A = _lower_triangular_inputs(n_top)["negated"]
+        E_top, _ = matclass.e_matrix(A, sys, n_top)
+        E, _ = matclass.e_matrix(A, sys, 8)
+        assert np.array_equal(E_top[:8, :8], E) and E_top[:8, :8].tobytes() != E.tobytes()
+        assert matclass._ladder_sources("E", A, sys, None, self.LADDER)[8]["E"].tobytes() == E.tobytes()
+
+    @pytest.mark.parametrize("matrix", ["lower_triangular", "dense"])
+    def test_class_reports_match_per_rung_compositions(self, monkeypatch, mild_system, matrix):
+        n_top = self.LADDER[-1]
+        A = _oracle_input(matrix, n_top)
+        p = ExponentSeq.constant(2.0, n_top)
+        q = np.full(n_top, 1.5)
+
+        def render():
+            return [
+                canonical_dumps(matclass.class_report(A, cid, mild_system, p=p, q=q, ladder=self.LADDER).to_json())
+                for cid in E_CLASSES
+            ]
+
+        assert len(E_CLASSES) == 9
+        sliced = render()
+        monkeypatch.setattr(matclass, "_ladder_sources", _per_rung_sources)
+        assert render() == sliced
+
+    def test_rows_overwrite_the_previous_block(self, mild_system):
+        n = 24
+        A = _oracle_input("zero_rows_and_columns", n)
+        zero_row = int(np.flatnonzero(~A.any(axis=1))[0])
+        _, partial = matclass.e_matrix(A, mild_system, n)
+        for i, j in [(3, 5), (5, 3), (n - 1, zero_row), (zero_row, n - 1), (3, 3)]:
+            first = partial.rows(i)
+            second = partial.rows(j)
+            assert second is first  # one buffer per family, overwritten by every call
+            assert second.tobytes() == matclass.e_matrix(A, mild_system, n)[1].rows(j).tobytes()
+
+    def test_report_order_leaves_no_state(self):
+        ladder = (16, 32, 64)
+        n_top = ladder[-1]
+        sys = random_band_system(rng_from_seed(5), n_top, amplification_cap=50.0)
+        p = ExponentSeq.constant(2.0, n_top)
+        q = np.full(n_top, 1.5)
+        inputs = {"cesaro": "cesaro", "dense": np.tril(rng_from_seed(8).uniform(0.0, 2.0, (n_top, n_top)))}
+        runs = [(name, cid) for name in inputs for cid in matclass.CLASS_RULES]
+        assert len(matclass.CLASS_RULES) == 12
+
+        def render(order):
+            return {
+                (name, cid): canonical_dumps(
+                    matclass.class_report(inputs[name], cid, sys, p=p, q=q, ladder=ladder).to_json()
+                )
+                for name, cid in order
+            }
+
+        assert render(runs) == render(runs[::-1])
 
 
 def test_density_set_family_has_vanishing_density():
