@@ -15,7 +15,7 @@ magnitudes are exponentiated in one n x n buffer, and the signs enter as a
 row vector times a column vector of +-1 factors, which is exact in any
 order.  The inverse of a concrete vector is computed by forward substitution
 (solving the band recurrence), which is the numerically preferred path; the
-explicit series through V is kept as an independent cross-check.
+tests keep the explicit series through V as an independent cross-check.
 
 Accuracy convention: products of the band ratios s_i/r_i act as the condition
 measure for everything here.  Residuals of identities that cancel huge
@@ -34,7 +34,6 @@ from .types import BandSystem, ExponentSeq, FiniteSeq, TriangleKernel
 __all__ = [
     "forward_transform",
     "inverse_transform",
-    "inverse_transform_series",
     "triangle_kernel",
     "inverse_kernel",
     "kernel_identity_residual",
@@ -66,8 +65,7 @@ def inverse_transform(y, sys: BandSystem) -> FiniteSeq:
     """Invert the band triangle by forward substitution.
 
     Solves r_k x_k + s_{k-1} x_{k-1} = alpha_k y_k in index order, which is
-    the stable evaluation of the inverse series; agreement with the explicit
-    series path is exercised by :func:`inverse_transform_series`.
+    the stable evaluation of the inverse series.
     """
     y = FiniteSeq.coerce(y)
     r, s, a = (arr.tolist() for arr in sys.params(y.n))
@@ -83,17 +81,6 @@ def _substitute(r: list, s: list, a: list, yv: list) -> list:
         prev = (ak * yk - sk * prev) / rk
         append(prev)
     return out
-
-
-def inverse_transform_series(y, sys: BandSystem) -> FiniteSeq:
-    """Inverse through the explicit series x_k = sum_j V[k, j] alpha-weighted y_j.
-
-    Uses the dense inverse kernel, hence O(N^2); kept as the independent
-    second evaluation path for the recurrence-based inverse.
-    """
-    y = FiniteSeq.coerce(y)
-    V = inverse_kernel(sys, y.n).entries
-    return FiniteSeq(V @ y.values)
 
 
 def triangle_kernel(sys: BandSystem, n: int) -> TriangleKernel:

@@ -24,11 +24,10 @@ Only extreme window values can be a hull vertex or a window max of
 keep the candidates of _extreme_candidates: the values not inside the
 polygon Q of the extremes in eight directions by more than a margin that
 exceeds the rounding of the chain's orientation test and of |x_k - z| for
-the probes at hand, deduplicated.  The regions are the same bytes as from
-every window value; a degenerate Q keeps every distinct value, and a
-negative zero in the window keeps every value.  A hull whose points share
-one x or one y is the segment between its two lexicographic extremes,
-returned without running the chain.
+the probes at hand, deduplicated.  The regions render the same bytes as
+from every window value; a degenerate Q keeps every distinct value.  A hull
+whose points share one x or one y is the segment between its two
+lexicographic extremes, returned without running the chain.
 
 The disc intersection is evaluated through its support envelope
 h(u) = min_z (z . u + radius(z)) over a finite z set, then canonicalized by
@@ -117,7 +116,7 @@ def _window_values(points, window, min_start=0) -> tuple[np.ndarray, tuple[int, 
 
 def _convex_hull(xy: np.ndarray) -> np.ndarray:
     """Andrew's monotone chain; returns CCW vertices, degenerate cases exact."""
-    pts = np.unique(xy, axis=0)  # lexicographic sort + dedupe; picks which +-0.0 copy survives
+    pts = np.unique(xy, axis=0)  # lexicographic sort + dedupe
     if pts.shape[0] <= 2:
         return pts
     if np.any(np.all(pts == pts[0], axis=0)) and np.max(np.abs(pts)) <= _SAFE_MAX:
@@ -152,16 +151,10 @@ def _extreme_candidates(vals: np.ndarray, reach: float) -> np.ndarray:
     every z, some vertex of Q is at least d farther from z than a value at
     depth d inside Q, so a value deeper than the margin (which exceeds the
     rounding of a depth, of |v - z| and of the chain's orientation test) is
-    dropped.  The input comes back whole when a coordinate is a negative
-    zero: np.unique in the chain keeps whichever of equal +-0.0 points its
-    unstable sort puts first, and only the whole set makes the same pick.
-    Otherwise equal values are bitwise equal, so the candidates come back
-    deduplicated: all distinct values when Q is degenerate, or so large that
-    its edges could overflow.
+    dropped.  The candidates come back deduplicated: all distinct values
+    when Q is degenerate, or so large that its edges could overflow.
     """
     xy = np.stack([vals.real, vals.imag])
-    if np.any(np.signbit(xy) & (xy == 0.0)):
-        return vals
     q = _convex_hull(xy[:, [np.argmax(d @ xy) for d in _OCTANTS]].T)  # no 8 x w temporary
     if q.shape[0] < 3 or np.max(np.abs(q)) > _SAFE_MAX:
         return np.unique(vals)
@@ -455,8 +448,7 @@ def disc_core(
     vals, win = _window_values(points, window)
     angles = direction_angles(n_directions)
     zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
-    # duplicates cannot change a max; the candidates of a window holding a negative zero keep theirs
-    cands = np.unique(_extreme_candidates(vals, float(np.max(np.abs(zs), initial=0.0))))
+    cands = _extreme_candidates(vals, float(np.max(np.abs(zs), initial=0.0)))
     radii = _probe_radii(cands, zs, lambda d: np.max(d, axis=1))
     return _disc_region(win, zs, angles, radii, "disc_intersection")
 

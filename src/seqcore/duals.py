@@ -28,11 +28,9 @@ power row and entry sups) live here.  A report builds the companions once, at
 its largest truncation: V, C and D at truncation n are bit-identical leading
 n x n blocks of their largest versions (no entry depends on a later index),
 so every ladder point reads a slice and every condition shares them.  When
-every weight up to the largest truncation has imaginary part +0.0, C is built
-in real arithmetic: a_n V[n, k] then equals the real part of the complex
-product bit for bit.  A -0.0 imaginary part flips the sign of zero products,
-so such weights, like complex ones, take the complex product (and its real
-part when every imaginary part is zero).  Quantifiers over all B > 1 are
+every weight up to the largest truncation has a zero imaginary part, C is
+built in real arithmetic: a_n V[n, k] then equals the real part of the
+complex product.  Quantifiers over all B > 1 are
 sampled over a finite B ladder by the engine in :mod:`seqcore.ladder`, and
 universally quantified verdicts are labelled as tested-ladder evidence only.
 """
@@ -292,7 +290,9 @@ def signed_column_sup(matrix: np.ndarray, exponents: np.ndarray) -> float:
 
 def power_row_sup(matrix: np.ndarray, exponents: np.ndarray) -> float:
     """sup_n sum_k |matrix[n, k]|^p_k."""
-    return float(np.max((np.abs(matrix) ** exponents[None, :]).sum(axis=1)))
+    powers = np.abs(matrix).astype(np.float64, copy=False)
+    np.power(powers, exponents[None, :], out=powers)  # one n x n temporary, not two
+    return float(np.max(powers.sum(axis=1)))
 
 
 def power_entry_sup(matrix: np.ndarray, exponents: np.ndarray) -> float:
@@ -470,13 +470,10 @@ def dual_report(
         raise ValueError("conjugate-exponent conditions require p_k > 1 for all k")
 
     # the companions at n_max; every rung reads their leading block
-    w = a.values[:n_max]
-    imag = w.imag  # weights past n_max reach no companion entry
-    if not imag.any() and not np.signbit(imag).any():
-        w = w.real  # a_n V[n, k] then equals the real part of the complex product, bit for bit
+    w = a.values[:n_max]  # weights past n_max reach no companion entry
+    if not w.imag.any():
+        w = w.real  # a_n V[n, k] then equals the real part of the complex product
     C = TriangleKernel(w[:, None] * inverse_kernel(sys, n_max).entries).entries  # companion_c at n_max
-    if np.iscomplexobj(C) and not imag.any():
-        C = C.real.copy()  # a -0.0 imaginary part flips zero signs in the complex product's real part
     D = TriangleKernel(np.cumsum(C, axis=0)).entries  # companion_d at n_max, with its finiteness check
     beta_k = D[-1, :].copy()
     beta_val = float(np.real(D[-1, :].sum()))

@@ -5,7 +5,8 @@ Sequences travel as {"values": [[re, im], ...]}, band systems as
 "params": {...}}, matrices as {"dense": [[...]]} or a generator spec.
 Reports are rendered by :func:`canonical_dumps`, which sorts keys and prints
 every float with 17 significant digits, so identical inputs produce
-byte-identical output files.
+byte-identical output files.  -0.0 and 0.0 render as 0: no verdict depends
+on the sign of a zero, so no computation has to carry it.
 """
 
 from __future__ import annotations
@@ -39,11 +40,15 @@ class SchemaError(ValueError):
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("reports cannot contain non-finite floats")
-    return format(float(x), ".17g")
+    return format(float(x) + 0.0, ".17g")
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed float formatting, no whitespace drift."""
+    """Deterministic JSON: sorted keys, fixed float formatting, no whitespace drift.
+
+    Floats print with 17 significant digits after adding 0.0, which maps
+    -0.0 to 0 and leaves every other finite double unchanged.
+    """
 
     def render(o) -> str:
         if o is None:

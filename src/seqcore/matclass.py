@@ -93,10 +93,9 @@ class EPartial:
     buffer that every call reuses, so each call overwrites the block the
     previous call returned.  The cumulative sum runs only up to the
     last nonzero entry of A[n]; every later row adds exact zeros, so it is a
-    copy of that row.  Up to there the block is bit-identical to the full
-    cumulative sum; after it the values are equal and only the sign of an
-    exact zero can differ.  The final row equals row n of the composed
-    matrix, which is built from the same additions in the same order.
+    copy of that row and the block equals the full cumulative sum.  The
+    final row equals row n of the composed matrix, which is built from the
+    same additions in the same order.
     """
 
     def __init__(self, A: np.ndarray, V: np.ndarray):
@@ -134,13 +133,10 @@ def e_matrix(A, sys: BandSystem, n: int) -> tuple[np.ndarray, EPartial]:
     ``E[lo_j:, :j+1] += A[lo_j:, j] V[j, :j+1]``, where lo_j is the first row
     with a nonzero entry in column j of A.  The terms it skips are exact
     zeros (V is lower triangular, and A vanishes above lo_j), so each E[i, k]
-    is the same IEEE additions, in the same order, as the last row of the
-    full cumulative sum sum_{j=0..n-1} A[i, j] V[j, k].  The sweep starts
-    from +0.0 where that sum starts from its first term, so the few parts
-    the full sum gives as -0.0 are written back afterwards: E is
-    bit-identical to the full sum, sign of zero included, and
-    ``partial.rows(i)[-1] == E[i]`` holds exactly, not just to rounding.  A
-    lower-triangular A costs about n^3/6 multiply-adds instead of n^3.
+    adds the other terms of the full cumulative sum sum_{j=0..n-1} A[i, j]
+    V[j, k] in the same order and equals it: ``partial.rows(i)[-1] == E[i]``
+    holds exactly, not just to rounding.  A lower-triangular A costs about
+    n^3/6 multiply-adds instead of n^3.
     """
     if n < 1:
         raise ValueError("truncation must be >= 1")
@@ -152,52 +148,7 @@ def e_matrix(A, sys: BandSystem, n: int) -> tuple[np.ndarray, EPartial]:
     for j, lo in enumerate(first.tolist()):
         if lo < n:
             E[lo:, : j + 1] += dense[lo:, j, None] * V[j, : j + 1]
-    _float_parts(E)[_lost_negative_zeros(E, dense, V)] = -0.0
     return E, EPartial(dense, V)
-
-
-def _float_parts(x: np.ndarray) -> np.ndarray:
-    """View of a contiguous real or complex array with its float parts on a last axis."""
-    return x.view(x.real.dtype).reshape(x.shape + (-1,))
-
-
-def _lost_negative_zeros(E: np.ndarray, dense: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Mask of the float parts of E that hold +0.0 where the full sum over j gives -0.0.
-
-    A sequential sum is -0.0 exactly when every term is; the sweep starts
-    from +0.0, so it gives +0.0 there.  The terms with j < k multiply V's
-    +0.0 upper triangle, so only parts whose row of A makes all of those
-    -0.0 are candidates, and only candidates are re-checked term by term.
-    """
-    upper_terms = _float_parts(dense * np.zeros(1, V.dtype))
-    lead = np.ones(upper_terms.shape, dtype=bool)
-    lead[:, 1:] = np.logical_and.accumulate(np.signbit(upper_terms[:, :-1]), axis=1)
-    parts = _float_parts(E)
-    candidates = lead & (parts == 0) & ~np.signbit(parts)
-    for i in np.flatnonzero(candidates.any(axis=(1, 2))):
-        k, c = np.nonzero(candidates[i])
-        terms = _float_parts(np.ascontiguousarray(dense[i][:, None] * V[:, k]))[:, np.arange(k.size), c]
-        negative = np.all((terms == 0) & np.signbit(terms), axis=0)
-        candidates[i, k[~negative], c[~negative]] = False
-    return candidates
-
-
-def _leading_block(E: np.ndarray, dense: np.ndarray, V: np.ndarray, n: int) -> np.ndarray:
-    """E at truncation n, read off a composition at a larger truncation.
-
-    Valid when no row i < n of the dense A has a nonzero entry right of
-    column n - 1.  Then the larger composition adds only exact zeros to the
-    leading block, so every part keeps its bits except one that the
-    truncated sum gives as -0.0 and a later +0.0 term turns into +0.0; those
-    parts are written back into a copy, so the block is bit-identical to
-    ``e_matrix(A, sys, n)[0]``.
-    """
-    block = E[:n, :n]
-    lost = _lost_negative_zeros(block, dense[:n, :n], V[:n, :n])
-    if lost.any():
-        block = block.copy()
-        _float_parts(block)[lost] = -0.0
-    return block
 
 
 def default_density_sets(n: int) -> list[tuple[str, np.ndarray]]:
@@ -472,8 +423,9 @@ def _ladder_sources(source: str, A, sys, matrix, ladder) -> dict:
     come from one composition at the top rung.  Rung n reads their leading
     n x n blocks when the first n rows of A have no entry right of column
     n - 1, which holds at every rung for a lower-triangular A: E_n sums
-    A[i, j] V[j, k] over j < n only, and the top rung adds exact zeros to
-    it.  Any other rung (an A with entries right of the diagonal) gets its
+    A[i, j] V[j, k] over j < n only, and the top rung's sweep leaves those
+    rows alone for j >= n, so the block is bit-identical to a composition
+    at n.  Any other rung (an A with entries right of the diagonal) gets its
     own composition.
     """
     if source == "partial" or (source == "E" and matrix is None):
@@ -484,7 +436,7 @@ def _ladder_sources(source: str, A, sys, matrix, ladder) -> dict:
             if np.any(dense[:n, n:]):
                 sources[n] = dict(zip(("E", "partial"), e_matrix(A, sys, n)))
             else:
-                sources[n] = {"E": _leading_block(E, dense, V, n), "partial": EPartial(dense[:n, :n], V[:n, :n])}
+                sources[n] = {"E": E[:n, :n], "partial": EPartial(dense[:n, :n], V[:n, :n])}
         sources[ladder[-1]] = {"E": E, "partial": partial}
         return sources
     top = btilde(A, sys, ladder[-1]) if matrix is None else materialize_matrix(matrix, ladder[-1])

@@ -172,7 +172,7 @@ class TriangleKernel:
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 1:
             raise ValueError("kernel must be a square N x N block with N >= 1")
         if not np.issubdtype(e.dtype, np.complexfloating):
-            e = e.astype(np.float64)
+            e = e.astype(np.float64, copy=False)  # _frozen makes the one copy
         if not np.all(np.isfinite(e)):
             raise ValueError("kernel entries must be finite")
         if np.triu(e, 1).any():

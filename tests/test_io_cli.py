@@ -4,15 +4,57 @@ import numpy as np
 import pytest
 
 import seqcore.acceptance as acceptance
-from seqcore import band_ops, cli, io
-from seqcore.generators import make_matrix, make_sequence
-from seqcore.types import BandSystem, FiniteSeq
+from seqcore import band_ops, cli, cores, duals, io, matclass
+from seqcore.generators import make_matrix, make_sequence, random_band_system, rng_from_seed
+from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
+
+
+def _signed_zero_cases() -> dict:
+    """Per case: a report builder and an input whose zeros carry a minus sign (some or all)."""
+    n, ladder = 32, (8, 16, 32)
+    block = rng_from_seed(31).uniform(-1.0, 1.0, (n, n))
+    sys = random_band_system(rng_from_seed(7), n)
+    p, q = ExponentSeq.constant(2.0, n), np.full(n, 1.5)
+    rng = np.random.default_rng(5)
+    ab = rng.integers(-3, 4, (1600, 2)).astype(np.float64)
+    ab = ab[np.abs(ab).sum(axis=1) <= 3.0][:400]  # a diamond: its vertices have a zero coordinate
+    ab[ab == 0.0] *= rng.choice([-1.0, 1.0], int(np.count_nonzero(ab == 0.0)))
+    lattice = np.empty(ab.shape[0], dtype=np.complex128)
+    lattice.real, lattice.imag = ab.T
+    window = (100, 400)
+    e_classes = [cid for cid, rule in matclass.CLASS_RULES.items() if rule[0] == "E"]
+    return {
+        "dual": (
+            lambda a: [
+                duals.dual_report(a, BandSystem.difference(n), p, space, "beta", ladder) for space in ("s0", "sinf")
+            ],
+            np.full(n, -0.0),
+        ),
+        "class": (
+            lambda A: [matclass.class_report(A, cid, sys, p=p, q=q, ladder=ladder) for cid in e_classes],
+            -np.tril(np.abs(block)),
+        ),
+        "hull": (lambda x: [cores.cluster_hull(x, window)], lattice),
+        "disc": (lambda x: [cores.disc_core(x, window)], lattice),
+        "alpha": (lambda x: [cores.alpha_core(x, BandSystem.difference(400), window)], lattice),
+    }
 
 
 class TestCanonicalJson:
     def test_fixed_float_formatting(self):
         assert io.canonical_dumps({"v": 0.1}) == '{"v":0.10000000000000001}\n'
         assert io.canonical_dumps([1, True, None, "x"]) == '[1,true,null,"x"]\n'
+        assert io.canonical_dumps([-0.0, np.float64(-0.0), 0.0]) == "[0,0,0]\n"
+
+    @pytest.mark.parametrize("case", list(_signed_zero_cases()))
+    def test_signed_zero_inputs_render_the_same_bytes(self, case):
+        report, signed = _signed_zero_cases()[case]
+        assert np.signbit([signed.real, signed.imag]).any()
+
+        def render(x):
+            return io.canonical_dumps([r.to_json() for r in report(x)])
+
+        assert render(signed) == render(signed + 0.0)
 
     def test_sorted_keys(self):
         assert io.canonical_dumps({"b": 1, "a": 2}) == '{"a":2,"b":1}\n'

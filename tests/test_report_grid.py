@@ -8,8 +8,7 @@ leave every digest in place.  The ladder (6, 12, 24) crosses the exact subset
 limit (20), so both the exact and the bound subset paths are pinned.  The
 s0/sinf alpha and beta reports are also pinned at ladder (8, 16, 32) for
 negative real weights (zeros of both signs included), for real weights whose
-imaginary parts are -0.0, and for complex weights: the sign of a zero
-imaginary part decides the sign of zeros in the row-scaled companion.
+imaginary parts are -0.0, and for complex weights.
 
 The core regions of the five C7 sequences at n = 2000 are pinned the same
 way: the hull, disc, statistical (three density tolerances) and alpha cores,
@@ -105,11 +104,7 @@ def _configs():
 
 
 def _edge_weight_configs():
-    """Dual reports at ladder (8, 16, 32) whose weights test the sign of zero imaginary parts.
-
-    Under the difference system the beta reports of the all -0.0 weights show
-    which sign their zero imaginary parts carry.
-    """
+    """Dual reports at ladder (8, 16, 32) on weights whose zeros carry both signs."""
     n = EDGE_LADDER[-1]
     rng = np.random.default_rng(20240615)
     signs = rng.choice([-1.0, 1.0], (2, n))

@@ -61,6 +61,17 @@ def test_triangle_kernel_rejects_upper_entries():
     assert kern.n == 2
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.complex128])
+def test_triangle_kernel_owns_a_read_only_copy(dtype):
+    e = np.array([[1, 0], [2, 3]], dtype=dtype)
+    kern = TriangleKernel(e)
+    e[1, 0] = 7
+    assert kern.entries[1, 0] == 2
+    assert not kern.entries.flags.writeable
+    with pytest.raises(ValueError):
+        kern.entries[0, 0] = 5
+
+
 @pytest.mark.parametrize("zero", [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0)])
 def test_triangle_kernel_accepts_negative_zero_above_diagonal(zero):
     e = np.array([[1.0, zero, zero], [2.0, 3.0, zero], [4.0, 5.0, 6.0]])
