@@ -9,8 +9,12 @@ transformed side encode multiplier statements about the original side:
 
 where V is the inverse band kernel and x the inverse transform of y.  The
 dual sets S1..S16 are boundedness/limit statements about C and D, optionally
-weighted by powers B^(+-1/p_k) and quantified over integers B > 1; the rule
-table below maps (space, dual) pairs to the required condition sets.
+weighted by powers B^(+-1/p_k) and quantified over integers B > 1: the
+alpha-, beta- and gamma-duals are the matrix classes C in (lambda, l1), D in
+(lambda, c) and D in (lambda, l_inf).  So they are rows of the one condition
+catalog in :mod:`seqcore.matclass`, evaluated and run there; this module
+keeps the rule table that maps (space, dual) pairs to the required
+condition sets, and :func:`dual_report` builds C and D and hands them over.
 
 Numerical policy: "sup over all finite index subsets" is solved exactly up
 to the exact cutoff and is otherwise replaced by its absolute-sum upper bound
@@ -22,17 +26,16 @@ the brute-force oracle scores it; it prunes a node only when the node's bound,
 padded by a proven rounding slack relative to the objectives, cannot beat that
 incumbent, and re-scores every surviving leaf the same way, so both return the
 same float bit for bit (an overflowing objective gives inf in both).
-That switch and the other matrix functionals the S sets share with the class
-catalog in :mod:`seqcore.matclass` (weighted row sups, signed column sups,
-power row and entry sups) live here.  A report builds the companions once, at
+That switch and the other matrix functionals of the catalog (signed column
+sups, power row and entry sups) live here.  A report builds the companions once, at
 its largest truncation: V, C and D at truncation n are bit-identical leading
 n x n blocks of their largest versions (no entry depends on a later index),
 so every ladder point reads a slice and every condition shares them.  When
 every weight up to the largest truncation has a zero imaginary part, C is
 built in real arithmetic: a_n V[n, k] then equals the real part of the
-complex product.  Quantifiers over all B > 1 are
-sampled over a finite B ladder by the engine in :mod:`seqcore.ladder`, and
-universally quantified verdicts are labelled as tested-ladder evidence only.
+complex product.  Quantifiers over all B > 1 are sampled over a finite B
+ladder by the engine in :mod:`seqcore.ladder`, and universally quantified
+verdicts are labelled as tested-ladder evidence only.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_ops import inverse_kernel, inverse_transform
-from .ladder import WITNESS_LAYERS, ladder_verdict, truncation_ladder, window, witness_ladder
+from .ladder import witness_ladder
 from .types import BandSystem, ExponentSeq, FiniteSeq, TriangleKernel
 from .verdicts import aggregate_verdict
 
@@ -52,7 +55,6 @@ __all__ = [
     "subset_sup",
     "subset_sup_bruteforce",
     "subset_estimate",
-    "weighted_row_sup",
     "signed_column_sup",
     "power_row_sup",
     "power_entry_sup",
@@ -274,11 +276,6 @@ def subset_estimate(matrix, axis, weights=None, outer_exponents=None) -> float:
     return subset_sup(matrix, axis, weights, outer_exponents, mode="exact" if exact else "bound")
 
 
-def weighted_row_sup(matrix: np.ndarray, weights: np.ndarray) -> float:
-    """sup_n sum_k |matrix[n, k]| w_k."""
-    return float(np.max(np.abs(matrix) @ weights))
-
-
 def signed_column_sup(matrix: np.ndarray, exponents: np.ndarray) -> float:
     """sup_k (sup_K |sum_{n in K} matrix[n, k]|)^p_k: the larger signed mass of each column."""
     if np.iscomplexobj(matrix):
@@ -301,82 +298,8 @@ def power_entry_sup(matrix: np.ndarray, exponents: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# S-set evaluators
+# dual rules
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SCondition:
-    anchor: str
-    quantifier: str  # plain | exists_b | forall_b
-    kind: str  # bounded | limit
-    needs_conjugate: bool = False
-    uses_beta_k: bool = False
-    uses_beta: bool = False
-
-
-S_CONDITIONS: dict[str, _SCondition] = {
-    "S1": _SCondition("row-scaled inverse, weighted subset column sums", "exists_b", "bounded"),
-    "S2": _SCondition("row-scaled inverse, absolute row sums", "plain", "bounded"),
-    "S3": _SCondition("cumulative companion, weighted absolute rows", "exists_b", "bounded"),
-    "S4": _SCondition("cumulative companion, column limits exist", "plain", "limit"),
-    "S5": _SCondition("cumulative companion, weighted deviation rows", "exists_b", "bounded", uses_beta_k=True),
-    "S6": _SCondition("cumulative companion, row sums converge", "plain", "limit", uses_beta=True),
-    "S7": _SCondition("cumulative companion, bounded row sums", "plain", "bounded"),
-    "S8": _SCondition("cumulative companion, inflated subset column sums", "forall_b", "bounded"),
-    "S9": _SCondition("cumulative companion, inflated absolute rows", "forall_b", "bounded"),
-    "S10": _SCondition("cumulative companion, inflated deviation rows vanish", "forall_b", "limit", uses_beta_k=True),
-    "S11": _SCondition("cumulative companion, inflated absolute rows", "forall_b", "bounded"),
-    "S12": _SCondition("cumulative companion, subset row sums, native exponents", "plain", "bounded"),
-    "S13": _SCondition("cumulative companion, subset column sums, conjugate exponents", "exists_b", "bounded", needs_conjugate=True),
-    "S14": _SCondition("cumulative companion, scaled rows, conjugate exponents", "exists_b", "bounded", needs_conjugate=True),
-    "S15": _SCondition("cumulative companion, entrywise native exponents", "plain", "bounded"),
-    "S16": _SCondition("cumulative companion, column limits exist", "plain", "limit"),
-}
-
-
-def _column_probe(n: int) -> int:
-    return min(16, max(1, n // 2))
-
-
-def _evaluate_s(cond_id, C, D, p: ExponentSeq, n: int, b, beta_k, beta):
-    """One ladder point of one S condition; returns (value, deviation | None)."""
-    pk = p.p[:n]
-    if cond_id == "S1":
-        return subset_estimate(C, "columns", float(b) ** (-1.0 / pk)), None
-    if cond_id == "S2":
-        return float(np.sum(np.abs(C.sum(axis=1)))), None
-    if cond_id == "S3":
-        return weighted_row_sup(D, float(b) ** (-1.0 / pk)), None
-    if cond_id in ("S4", "S16"):
-        cols = D[window(n), :_column_probe(n)]
-        spread = float(np.max(np.abs(cols.max(axis=0) - cols.min(axis=0)))) if cols.size else 0.0
-        return spread, spread
-    if cond_id == "S5":
-        return weighted_row_sup(np.tril(D - beta_k[None, :n]), float(b) ** (-1.0 / pk)), None
-    if cond_id == "S6":
-        rowsums = D.sum(axis=1)
-        dev = float(np.max(np.abs(rowsums[window(n)] - beta)))
-        return float(rowsums[-1].real if np.iscomplexobj(rowsums) else rowsums[-1]), dev
-    if cond_id == "S7":
-        return float(np.max(np.abs(D.sum(axis=1)))), None
-    if cond_id == "S8":
-        return subset_estimate(D, "columns", float(b) ** (1.0 / pk)), None
-    if cond_id in ("S9", "S11"):
-        return weighted_row_sup(D, float(b) ** (1.0 / pk)), None
-    if cond_id == "S10":
-        dev_rows = np.abs(np.tril(D - beta_k[None, :n])) @ (float(b) ** (1.0 / pk))
-        return float(dev_rows[-1]), float(np.max(dev_rows[window(n)]))
-    if cond_id == "S12":
-        return signed_column_sup(D, pk), None
-    if cond_id == "S13":
-        return subset_estimate(D / float(b), "rows", None, p.conjugate()[:n]), None
-    if cond_id == "S14":
-        # D is lower triangular, so no truncation to the triangle is needed
-        return power_row_sup(D / float(b), p.conjugate()[:n]), None
-    if cond_id == "S15":
-        return power_entry_sup(D, pk), None
-    raise KeyError(f"unknown dual condition {cond_id!r}")
 
 
 _LOW, _HIGH = "0<p<=1", "1<p<=H"
@@ -450,24 +373,23 @@ def dual_report(
 ) -> DualReport:
     """Evaluate the dual-set conditions for (space, dual) over a truncation ladder.
 
+    The conditions are rows of :data:`seqcore.matclass.DUAL_CONDITIONS`, run
+    by the class catalog's runner with the B ladder as witness values.
     Fitted parameters: the column limits beta_k are read off the last row of
     the cumulative companion at the largest truncation, and the scalar beta
     from its last row sum.  Existence quantifiers over B pass on the first
     successful ladder value; universal ones require every ladder value and
     are marked as tested-ladder evidence.
     """
-    ladder = truncation_ladder(ladder)
+    from .matclass import _check_inputs, _condition_verdict  # matclass imports this module at load
+
     b_ladder = witness_ladder(b_ladder)
     a = FiniteSeq.coerce(a)
+    cond_ids = _conditions_for(space, dual, p)
+    ladder, _ = _check_inputs(cond_ids, ladder, p, None)
     n_max = ladder[-1]
     if a.n < n_max:
         raise ValueError("weight sequence shorter than the largest truncation")
-    p.require_length(n_max)
-    cond_ids = _conditions_for(space, dual, p)
-
-    needs_conj = any(S_CONDITIONS[c].needs_conjugate for c in cond_ids)
-    if needs_conj and np.any(p.p <= 1.0):
-        raise ValueError("conjugate-exponent conditions require p_k > 1 for all k")
 
     # the companions at n_max; every rung reads their leading block
     w = a.values[:n_max]  # weights past n_max reach no companion entry
@@ -475,24 +397,6 @@ def dual_report(
         w = w.real  # a_n V[n, k] then equals the real part of the complex product
     C = TriangleKernel(w[:, None] * inverse_kernel(sys, n_max).entries).entries  # companion_c at n_max
     D = TriangleKernel(np.cumsum(C, axis=0)).entries  # companion_d at n_max, with its finiteness check
-    beta_k = D[-1, :].copy()
-    beta_val = float(np.real(D[-1, :].sum()))
-
-    verdicts = []
-    for cid in cond_ids:
-        meta = S_CONDITIONS[cid]
-        fitted: dict = {}
-        if meta.uses_beta_k:
-            fitted["beta_k_head"] = [float(np.real(v)) for v in beta_k[:8]]
-        if meta.uses_beta:
-            fitted["beta"] = beta_val
-
-        def evaluate(n, witnesses, cid=cid):
-            return _evaluate_s(cid, C[:n, :n], D[:n, :n], p, n, witnesses.get("B"), beta_k, beta_val)
-
-        layers = WITNESS_LAYERS[meta.quantifier]
-        verdicts.append(
-            ladder_verdict(cid, ladder, layers, meta.kind, evaluate, b_ladder, fitted, 0.0, meta.anchor)
-        )
-
-    return DualReport(space, dual, tuple(verdicts), aggregate_verdict(v.verdict for v in verdicts))
+    sources = {n: {"C": C[:n, :n], "D": D[:n, :n]} for n in ladder}
+    verdicts = tuple(_condition_verdict(cid, sources, ladder, p, None, b_ladder) for cid in cond_ids)
+    return DualReport(space, dual, verdicts, aggregate_verdict(v.verdict for v in verdicts))

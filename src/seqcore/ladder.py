@@ -1,4 +1,4 @@
-"""One ladder x quantifier engine shared by the dual-set and class catalogs.
+"""The ladder x quantifier engine that runs every catalog condition, class and dual.
 
 A catalog condition is a functional of a transformed-side matrix, read off a
 truncation ladder and quantified over integer witnesses (B, L, M).  The

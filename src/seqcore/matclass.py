@@ -12,26 +12,34 @@ second matrix B the relevant object is the band-transformed matrix
 
     btilde[n, k] = (r_n B[n, k] + s_{n-1} B[n-1, k]) / alpha_n
 
-(row -1 treated as zero).  The catalog below holds one entry per condition:
+(row -1 treated as zero).  The catalog below is one catalog in two rule
+tables, one entry per condition.  CONDITIONS holds the class conditions:
 mt23..mt41 drive the nine transformed-space mapping classes, the L2.x entries
 are classical variable-exponent conditions on a generic matrix, and the 4.x
-entries are the regularity/core conditions on btilde.  Class reports
-dispatch the exact condition set of the corresponding characterization and
-aggregate verdicts with fails dominating, then inconclusive.
+entries are the regularity/core conditions on btilde.  DUAL_CONDITIONS holds
+the dual sets S1..S16 on the companions C and D of :mod:`seqcore.duals`,
+whose reports run them through the same evaluator and runner; an S set that
+is a class condition on C or D (S1 = L2.3, S3 = L2.4a, S9 = S11 = mt29,
+S12 = L2.6ii, S13 = L2.6i, S14 = L2.7i, S15 = L2.7ii) shares its branch.
+Class reports dispatch the exact condition set of the corresponding
+characterization and aggregate verdicts with fails dominating, then
+inconclusive.
 
 Everything is ladder-based evidence in the sense of :mod:`seqcore.verdicts`;
 universally quantified integers L and existentially quantified integers M are
 sampled over a finite quantifier ladder by the engine in
-:mod:`seqcore.ladder`, which also runs the dual-set catalog.  The matrix
-functionals the L2.x entries share with the S sets (subset estimates,
-weighted row sups, signed column sups, power row and entry sups) live in
-:mod:`seqcore.duals`.  A class report builds its source once and hands it
+:mod:`seqcore.ladder`.  A dual set's B is sampled over the dual report's B
+ladder and binds as M when existential and as L when universal.  The matrix
+functionals (subset estimates, signed column sups, power row and entry sups)
+live in :mod:`seqcore.duals`.  A class report builds its source once and hands it
 to every condition: btilde once at the largest truncation, sliced per ladder
 point, and E with its partial-sum families from one composition at the
 largest truncation, sliced at each ladder point n where the first n rows of
 A vanish right of column n - 1 (every point, for a lower-triangular A), and
 composed again at every other ladder point.  An array a condition weights the same
-way at every witness (|E|, or |E - beta_k|) is built once per ladder point.
+way at every witness (|E|, |D|, |E - beta_k| or |tril(D - beta_k)|) is built
+once per ladder point.  beta_k is fitted from the top rung's last row and
+kept complex when the source is complex.
 """
 
 from __future__ import annotations
@@ -172,8 +180,8 @@ def default_density_sets(n: int) -> list[tuple[str, np.ndarray]]:
 @dataclass(frozen=True)
 class ConditionSpec:
     anchor: str
-    source: str  # "E" | "partial" | "btilde" | "matrix"
-    quantifier: str  # plain | forall_l | exists_m | forall_l_exists_m
+    source: str  # "E" | "partial" | "btilde" | "matrix" | companion "C" | "D"
+    quantifier: str  # plain | forall_l | exists_m | forall_l_exists_m | exists_b | forall_b
     kind: str  # bounded | limit
     needs_p: bool = False
     needs_q: bool = False
@@ -225,6 +233,28 @@ CONDITIONS: dict[str, ConditionSpec] = {
     "4.8": ConditionSpec("absolute row sums tend to one", "btilde", "plain", "limit", target=1.0),
 }
 
+# the dual sets: conditions on the companions C and D of a weight sequence
+DUAL_CONDITIONS: dict[str, ConditionSpec] = {
+    "S1": ConditionSpec("row-scaled inverse, weighted subset column sums", "C", "exists_b", "bounded", needs_p=True),
+    "S2": ConditionSpec("row-scaled inverse, absolute row sums", "C", "plain", "bounded"),
+    "S3": ConditionSpec("cumulative companion, weighted absolute rows", "D", "exists_b", "bounded", needs_p=True),
+    "S4": ConditionSpec("cumulative companion, column limits exist", "D", "plain", "limit"),
+    "S5": ConditionSpec("cumulative companion, weighted deviation rows", "D", "exists_b", "bounded", needs_p=True, uses_beta_k=True),
+    "S6": ConditionSpec("cumulative companion, row sums converge", "D", "plain", "limit", uses_beta=True),
+    "S7": ConditionSpec("cumulative companion, bounded row sums", "D", "plain", "bounded"),
+    "S8": ConditionSpec("cumulative companion, inflated subset column sums", "D", "forall_b", "bounded", needs_p=True),
+    "S9": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", needs_p=True),
+    "S10": ConditionSpec("cumulative companion, inflated deviation rows vanish", "D", "forall_b", "limit", needs_p=True, uses_beta_k=True),
+    "S11": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", needs_p=True),
+    "S12": ConditionSpec("cumulative companion, subset row sums, native exponents", "D", "plain", "bounded", needs_p=True),
+    "S13": ConditionSpec("cumulative companion, subset column sums, conjugate exponents", "D", "exists_b", "bounded", needs_p=True, needs_conjugate=True),
+    "S14": ConditionSpec("cumulative companion, scaled rows, conjugate exponents", "D", "exists_b", "bounded", needs_p=True, needs_conjugate=True),
+    "S15": ConditionSpec("cumulative companion, entrywise native exponents", "D", "plain", "bounded", needs_p=True),
+    "S16": ConditionSpec("cumulative companion, column limits exist", "D", "plain", "limit"),
+}
+
+_SPECS = {**CONDITIONS, **DUAL_CONDITIONS}
+
 
 def condition_catalog() -> dict:
     """Catalog metadata in serializable form."""
@@ -242,15 +272,17 @@ def condition_catalog() -> dict:
 def _witness_free(cond_id: str, G: np.ndarray, n: int, beta_k) -> np.ndarray | None:
     """The array a quantified condition weights the same way at every witness, or None.
 
-    mt24 reads |G| on the probe rows only; the others read all of |G| or of
-    |G - beta_k|.
+    mt24 reads |G| on the probe rows only; the others read all of |G|, of
+    |G - beta_k|, or (S5 and S10) of its lower triangle.
     """
     if cond_id == "mt24":
         return np.abs(G[: min(_PROBE_ROWS, n)])
-    if cond_id in ("mt29", "mt31", "mt32", "mt33", "mt35", "mt37", "L2.4a", "L2.5"):
+    if cond_id in ("mt29", "mt31", "mt32", "mt33", "mt35", "mt37", "L2.4a", "L2.5", "S3", "S9", "S11"):
         return np.abs(G)
     if cond_id in ("mt38", "L2.4c"):
         return np.abs(G - beta_k[:n][None, :])
+    if cond_id in ("S5", "S10"):
+        return np.abs(np.tril(G - beta_k[None, :n]))
     return None
 
 
@@ -270,14 +302,13 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets,
     ``free`` is the condition's witness-free array at this rung (see
     :func:`_witness_free`).
     """
-    spec = CONDITIONS[cond_id]
     pk = p.p[:n] if p is not None else None
     qn = q[:n] if q is not None else None
     win = window(n)
     rows = min(_PROBE_ROWS, n)
     cols = min(_PROBE_COLS, n)
 
-    if spec.source == "partial":
+    if isinstance(src, EPartial):
         partial = src
         if cond_id in ("mt23", "mt25"):
             spread = 0.0
@@ -307,8 +338,8 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets,
             return worst, worst
         raise KeyError(cond_id)
 
-    G = src  # dense matrix: E, btilde, or a directly supplied matrix
-    if cond_id in ("mt24", "mt29"):
+    G = src  # dense matrix: E, btilde, a directly supplied matrix, or a companion C or D
+    if cond_id in ("mt24", "mt29", "S9", "S11"):
         return _row_sup(free, float(L) ** (1.0 / pk)), None
     if cond_id in ("mt30", "L2.4b", "2.15", "4.2", "4.2z"):
         ref = np.zeros(cols) if cond_id == "4.2z" else beta_k[:cols]
@@ -339,7 +370,7 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets,
         w = float(M) ** (-1.0 / pk)
         f = (free @ w) * (float(L) ** (1.0 / qn))
         return float(np.max(f)), None
-    if cond_id in ("mt37", "L2.4a", "L2.5"):
+    if cond_id in ("mt37", "L2.4a", "L2.5", "S3", "S5"):
         return _row_sup(free, float(M) ** (-1.0 / pk)), None
     if cond_id == "mt38":
         w = float(M) ** (-1.0 / pk)
@@ -352,18 +383,34 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets,
         f = np.abs(G.sum(axis=1) - ref) ** qn
         dev = float(np.max(f[win])) if f[win].size else 0.0
         return float(f[-1]), dev
-    if cond_id == "L2.3":
+    if cond_id in ("L2.3", "S1"):
         return subset_estimate(G, "columns", float(M) ** (-1.0 / pk)), None
     if cond_id == "L2.4c":
         return _row_sup(free, float(M) ** (-1.0 / pk)), None
-    if cond_id == "L2.6i":
+    if cond_id in ("L2.6i", "S13"):
         return subset_estimate(G / float(M), "rows", None, p.conjugate()[:n]), None
-    if cond_id == "L2.6ii":
+    if cond_id in ("L2.6ii", "S12"):
         return signed_column_sup(G, pk), None
-    if cond_id == "L2.7i":
+    if cond_id in ("L2.7i", "S14"):
         return power_row_sup(G / float(M), p.conjugate()[:n]), None
-    if cond_id == "L2.7ii":
+    if cond_id in ("L2.7ii", "S15"):
         return power_entry_sup(G, pk), None
+    if cond_id == "S2":
+        return float(np.sum(np.abs(G.sum(axis=1)))), None
+    if cond_id in ("S4", "S16"):
+        block = G[win, : min(_PROBE_COLS, max(1, n // 2))]
+        spread = float(np.max(np.abs(block.max(axis=0) - block.min(axis=0)))) if block.size else 0.0
+        return spread, spread
+    if cond_id == "S6":
+        rowsums = G.sum(axis=1)
+        return float(np.real(rowsums[-1])), float(np.max(np.abs(rowsums[win] - beta)))
+    if cond_id == "S7":
+        return float(np.max(np.abs(G.sum(axis=1)))), None
+    if cond_id == "S8":
+        return subset_estimate(G, "columns", float(L) ** (1.0 / pk)), None
+    if cond_id == "S10":
+        dev_rows = free @ (float(L) ** (1.0 / pk))
+        return float(dev_rows[-1]), float(np.max(dev_rows[win]))
     if cond_id == "4.1":
         return float(np.max(np.abs(G).sum(axis=1))), None
     if cond_id == "4.5":
@@ -401,7 +448,7 @@ def _check_inputs(cond_ids, ladder, p, q):
     """Validate the ladder and the exponent inputs of the conditions; returns (ladder, q array)."""
     ladder = truncation_ladder(ladder)
     for cid in cond_ids:
-        spec = CONDITIONS[cid]
+        spec = _SPECS[cid]
         if spec.needs_p and p is None:
             raise ValueError(f"condition {cid} needs the exponent sequence p")
         if spec.needs_q and q is None:
@@ -443,15 +490,19 @@ def _ladder_sources(source: str, A, sys, matrix, ladder) -> dict:
     return {n: {source: top[:n, :n]} for n in ladder}
 
 
-def _condition_verdict(cond_id, sources, ladder, p, qa):
-    """Fit the condition's parameters at the top rung and run it through the ladder engine."""
-    spec = CONDITIONS[cond_id]
+def _condition_verdict(cond_id, sources, ladder, p, qa, witness_values):
+    """Fit the condition's parameters at the top rung and run it through the ladder engine.
+
+    beta_k is the top rung's last row, complex when the source is; its head
+    is reported by real parts.
+    """
+    spec = _SPECS[cond_id]
     top = sources[ladder[-1]][spec.source]
     fitted: dict = {}
     beta_k = beta = density_sets = None
     if spec.uses_beta_k:
-        beta_k = np.real(top[-1, :]).copy()
-        fitted["beta_k_head"] = [float(v) for v in beta_k[:8]]
+        beta_k = top[-1, :].copy()
+        fitted["beta_k_head"] = [float(np.real(v)) for v in beta_k[:8]]
     if spec.uses_beta:
         beta = fitted["beta"] = float(np.real(top[-1, :].sum()))
     if cond_id == "4.6":
@@ -464,13 +515,13 @@ def _condition_verdict(cond_id, sources, ladder, p, qa):
         src = sources[n][spec.source]
         if n not in free:
             free[n] = _witness_free(cond_id, src, n, beta_k)
-        L, M = witnesses.get("L"), witnesses.get("M")
+        b = witnesses.get("B")  # a dual set's B: the deflating M when existential, the inflating L when universal
+        L = witnesses.get("L", b if spec.quantifier == "forall_b" else None)
+        M = witnesses.get("M", b if spec.quantifier == "exists_b" else None)
         return _evaluate(cond_id, src, p, qa, n, L, M, beta_k, beta, density_sets, free[n])
 
     layers = WITNESS_LAYERS[spec.quantifier]
-    return ladder_verdict(
-        cond_id, ladder, layers, spec.kind, evaluate, DEFAULT_QUANTIFIER_LADDER, fitted, spec.target, spec.anchor
-    )
+    return ladder_verdict(cond_id, ladder, layers, spec.kind, evaluate, witness_values, fitted, spec.target, spec.anchor)
 
 
 def eval_condition(
@@ -503,7 +554,7 @@ def eval_condition(
         what = "the matrix" if spec.source == "btilde" else "A"
         raise ValueError(f"condition {cond_id} needs {what} and a band system")
     sources = _ladder_sources(spec.source, A, sys, matrix, ladder)
-    return _condition_verdict(cond_id, sources, ladder, p, qa)
+    return _condition_verdict(cond_id, sources, ladder, p, qa, DEFAULT_QUANTIFIER_LADDER)
 
 
 # ---------------------------------------------------------------------------
@@ -567,5 +618,5 @@ def class_report(
     if A is None or sys is None:
         raise ValueError(f"class {class_id} needs A and a band system")
     sources = _ladder_sources(source, A, sys, None, ladder)
-    verdicts = tuple(_condition_verdict(cid, sources, ladder, p, qa) for cid in cond_ids)
+    verdicts = tuple(_condition_verdict(cid, sources, ladder, p, qa, DEFAULT_QUANTIFIER_LADDER) for cid in cond_ids)
     return ClassReport(class_id, verdicts, aggregate_verdict(v.verdict for v in verdicts))

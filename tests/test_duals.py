@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcore import band_ops, duals
+from seqcore import band_ops, duals, matclass
 from seqcore.generators import make_sequence, random_band_system, rng_from_seed
 from seqcore.io import canonical_dumps
 from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
@@ -426,20 +426,21 @@ class TestDualReport:
         rng = rng_from_seed(6)
         a = FiniteSeq(rng.uniform(-1.0, 1.0, 48) if weights == "real" else complex_uniform(rng, 48))
         seen = {}
-        original = duals._evaluate_s
+        original = matclass._evaluate
 
-        def recording(cond_id, C, D, p, n, *args):
-            seen[n] = C, D
-            return original(cond_id, C, D, p, n, *args)
+        def recording(cond_id, src, p, q, n, *args):
+            seen[matclass.DUAL_CONDITIONS[cond_id].source, n] = src
+            return original(cond_id, src, p, q, n, *args)
 
-        monkeypatch.setattr(duals, "_evaluate_s", recording)
-        duals.dual_report(a, sys, ExponentSeq.constant(1.0, 48), "sc", "alpha", ladder)
+        monkeypatch.setattr(matclass, "_evaluate", recording)
+        for dual in ("alpha", "gamma"):  # the alpha conditions read C, the gamma conditions D
+            duals.dual_report(a, sys, ExponentSeq.constant(1.0, 48), "sc", dual, ladder)
         for n in ladder:
             C, D = duals.companion_c(a, sys, n).entries, duals.companion_d(a, sys, n).entries
             if weights == "real":
                 C, D = C.real, D.real
-            assert seen[n][0].tobytes() == C.tobytes()
-            assert seen[n][1].tobytes() == D.tobytes()
+            assert seen["C", n].tobytes() == C.tobytes()
+            assert seen["D", n].tobytes() == D.tobytes()
 
     def test_report_serialization_shape(self):
         a = FiniteSeq(0.5 ** np.arange(64))
@@ -449,3 +450,41 @@ class TestDualReport:
         assert {c["id"] for c in doc["conditions"]} == {"S3", "S4", "S5"}
         for cond in doc["conditions"]:
             assert {"id", "verdict", "estimates", "growth_exponent", "kind"} <= set(cond)
+
+
+# S id, its class-catalog twin, the companion both read, and a (space, dual, exponent regime) that runs the S id
+TWINS = [
+    ("S1", "L2.3", "C", "s0", "alpha", "high"),
+    ("S3", "L2.4a", "D", "s0", "gamma", "high"),
+    ("S12", "L2.6ii", "D", "lp", "alpha", "low"),
+    ("S13", "L2.6i", "D", "lp", "alpha", "high"),
+    ("S14", "L2.7i", "D", "lp", "gamma", "high"),
+    ("S15", "L2.7ii", "D", "lp", "gamma", "low"),
+]
+
+
+@pytest.mark.parametrize("weights", ["real", "complex"])
+@pytest.mark.parametrize("s_id, twin, source, space, dual, regime", TWINS)
+def test_dual_sets_equal_their_catalog_twins_on_the_companion(s_id, twin, source, space, dual, regime, weights):
+    ladder = (8, 16, 32)
+    n = ladder[-1]
+    rng = rng_from_seed(7)
+    signs = rng.choice([-1.0, 1.0], (2, n))
+    sys = BandSystem(signs[0] * rng.uniform(0.5, 2.0, n), signs[1] * rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
+    p = ExponentSeq(1.5 + rng.uniform(0.0, 1.5, n) if regime == "high" else rng.uniform(0.5, 1.0, n))
+    a = FiniteSeq(rng.uniform(-1.0, 1.0, n) if weights == "real" else complex_uniform(rng, n))
+    companion = (duals.companion_c if source == "C" else duals.companion_d)(a, sys, n).entries
+    if weights == "real":
+        companion = companion.real
+    if s_id == "S12" and weights == "complex":  # signed column sups are defined for real entries only
+        with pytest.raises(ValueError):
+            duals.dual_report(a, sys, p, space, dual, ladder)
+        with pytest.raises(ValueError):
+            matclass.eval_condition(twin, matrix=companion, p=p, ladder=ladder)
+        return
+    (dual_verdict,) = [c for c in duals.dual_report(a, sys, p, space, dual, ladder).conditions if c.cond_id == s_id]
+    twin_verdict = matclass.eval_condition(twin, matrix=companion, p=p, ladder=ladder)
+    assert [(m, w and w.replace("B=", "M="), _bits(v)) for m, w, v in dual_verdict.estimates] == [
+        (m, w, _bits(v)) for m, w, v in twin_verdict.estimates
+    ]
+    assert dual_verdict.verdict == twin_verdict.verdict

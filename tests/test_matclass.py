@@ -166,6 +166,14 @@ class TestEvalCondition:
         v215 = matclass.eval_condition("2.15", matrix="cesaro", ladder=LADDER)
         assert v215.verdict == "holds"  # columns 1/(n+1) -> 0
 
+    @pytest.mark.parametrize("scale", [1 + 1j, 1j])
+    def test_complex_column_limits_are_fitted_complex(self, scale):
+        # every column is eventually constant, so the limits exist; a real fit of beta_k
+        # would leave a deviation of |imag(scale)| = 1
+        v = matclass.eval_condition("L2.4b", matrix=np.tril(np.ones((64, 64))) * scale, ladder=(16, 32, 64))
+        assert v.verdict == "holds" and v.last_deviation == 0.0
+        assert v.fitted["beta_k_head"] == [scale.real] * 8
+
 
 class TestClassReport:
     def test_averaging_rows_are_regular(self):
