@@ -19,7 +19,10 @@ cloud within rounding of a circle, and of a lattice whose zeros carry both
 signs.  Statistical cores of windows that repeat few distinct values sit on
 either side of the count-weighted radius threshold (window length over
 distinct values 7 and 9), and hulls of windows on an axis hold both signs of
-zero in the other coordinate.
+zero in the other coordinate.  Statistical cores of random_bounded at
+n = 40000 over the window (10000, 40000), at two density tolerances and over
+probes ~1e3x the data spread, pin windows long enough for the cell
+prefilter of the radii.
 
 A config whose evaluation raises is pinned by its exception type.
 
@@ -54,6 +57,8 @@ CORE_SEQUENCES = (
     ("convergent", {"l": 0.6, "rate": 0.9}),
 )
 ST_TOLS = (0.02, 0.25, 1.0)
+LONG_N = 40_000
+LONG_WINDOW = (10_000, LONG_N)
 EDGE_LADDER = (8, 16, 32)
 EDGE_PAIRS = (("s0", "alpha"), ("s0", "beta"), ("sinf", "alpha"), ("sinf", "beta"))
 CYCLE_PROBES = ("eval|dense|mt27", "class|dense|sc:c_q", "dual|geometric|sinf.beta|p_high")
@@ -169,6 +174,10 @@ def _core_configs():
     out["core|repeats_above_threshold|st:0.02"] = lambda: cores.st_core(above, CORE_WINDOW, 0.02)
     out["core|imag_axis|hull"] = lambda: cores.cluster_hull(imag_axis, CORE_WINDOW)
     out["core|real_axis_signed_zero|hull"] = lambda: cores.cluster_hull(real_axis, CORE_WINDOW)
+    long_x = make_sequence("random_bounded", LONG_N, seed=7)
+    for tol in ST_TOLS[:2]:
+        out[f"core|random_bounded_40000|st:{tol}"] = lambda tol=tol: cores.st_core(long_x, LONG_WINDOW, tol)
+    out["core|random_bounded_40000|st:0.02|far_grid"] = lambda: cores.st_core(long_x, LONG_WINDOW, 0.02, z_grid=far)
     return out
 
 
