@@ -81,6 +81,11 @@ _OCTANTS = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1]
 _CANDIDATE_MARGIN = 64.0 * np.finfo(np.float64).eps
 # no difference of two coordinates this small, nor its length, overflows to inf
 _SAFE_MAX = np.finfo(np.float64).max / 4.0
+# st radii of windows this long go through the cell prefilter, in cells of about this many values
+_PREFILTER_MIN = 4096
+_CELL_VALUES = 64
+# a few ulps of the subnormal range, where a relative slack on a distance bound vanishes
+_TINY = 4.0 * np.finfo(np.float64).smallest_subnormal
 
 
 def direction_angles(n_directions: int) -> np.ndarray:
@@ -407,19 +412,101 @@ def _probe_radii(vals: np.ndarray, zs: np.ndarray, reduce) -> np.ndarray:
     return radii
 
 
+def _cells(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equal-count cells of the window: strips by real part, then cells by imaginary part.
+
+    Returns the (cells, size) table of cell values, the mask of cells that
+    hold size - 1 values (their last column repeats the cell's first value),
+    and the (4, cells) bounding boxes [x0, x1, y0, y1] of the cells.
+    """
+    w = vals.size
+    n_strips = max(1, round(np.sqrt(w / _CELL_VALUES)))
+    per_strip = max(1, w // _CELL_VALUES // n_strips)
+    order = np.argsort(vals.real)
+    edges = np.arange(n_strips + 1) * w // n_strips
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        order[lo:hi] = order[lo:hi][np.argsort(vals.imag[order[lo:hi]])]
+    starts = (edges[:-1, None] + np.arange(per_strip) * np.diff(edges)[:, None] // per_strip).ravel()
+    counts = np.diff(starts, append=w)
+    size = int(counts.max())
+    at = starts[:, None] + np.arange(size)
+    short = counts < size
+    at[short, -1] = starts[short]
+    table = vals[order[at]]
+    boxes = np.stack([table.real.min(axis=1), table.real.max(axis=1), table.imag.min(axis=1), table.imag.max(axis=1)])
+    return table, short, boxes
+
+
+def _prefiltered_radii(vals: np.ndarray, zs: np.ndarray, j: int) -> np.ndarray:
+    """The sorted |vals - z| at rank j for every probe z, from the cells that can hold it.
+
+    The rank-j distance is the need-th largest, need = w - j.  Per probe, the
+    k cells with the largest distance lower bounds hold at least need values
+    at distance >= L, the k-th largest lower bound, so a cell whose upper
+    bound is below L holds none of the need largest.  The exact |v - z| is
+    taken over the kept cells only, and the need-th largest of those is the
+    radius whenever it exceeds every dropped cell's upper bound: then every
+    distance above that bound is kept.  The test alone makes the result
+    exact, so only the upper bounds need a margin, for the rounding of
+    |v - z|.  A probe that fails it (say, a non-finite probe) is recomputed
+    from its full row, so the radius is always the full row's order
+    statistic.  Windows shorter than _PREFILTER_MIN, and blocks of probes
+    whose kept cells are most of the window, partition full rows instead.
+    """
+    def full_rows(d):
+        return np.partition(d, j, axis=1)[:, j]
+
+    if vals.size < _PREFILTER_MIN:
+        return _probe_radii(vals, zs, full_rows)
+    table, short, (x0, x1, y0, y1) = _cells(vals)
+    n_cells, size = table.shape
+    need = vals.size - j
+    k = -(-need // (size - int(short.any())))  # cells of the smallest count that hold need values
+    if 2 * k > n_cells:
+        return _probe_radii(vals, zs, full_rows)
+    radii = np.empty(zs.size)
+    exact = np.ones(zs.size, dtype=bool)
+    rows = max(1, _PROBE_BLOCK // vals.size)
+    for lo in range(0, zs.size, rows):
+        z = zs[lo : lo + rows, None]
+        left, right, below, above = x0 - z.real, z.real - x1, y0 - z.imag, z.imag - y1
+        gap = np.empty(left.shape, dtype=np.complex128)
+        with np.errstate(over="ignore"):  # a bound that overflows to inf is still a bound
+            gap.real, gap.imag = np.maximum(np.maximum(left, right), 0.0), np.maximum(np.maximum(below, above), 0.0)
+            level = np.partition(np.abs(gap), n_cells - k, axis=1)[:, n_cells - k, None]
+            gap.real, gap.imag = -np.minimum(left, right), -np.minimum(below, above)
+            upper = np.abs(gap) * (1.0 + _CANDIDATE_MARGIN) + _TINY
+        kept = max(k, int(np.count_nonzero(upper >= level, axis=1).max()))
+        if 2 * kept > n_cells:  # the kept cells hold most of the window
+            radii[lo : lo + rows] = full_rows(np.abs(vals - z))
+            continue
+        order = np.argpartition(upper, n_cells - kept, axis=1)
+        dropped = np.take_along_axis(upper, order[:, : n_cells - kept], axis=1).max(axis=1)
+        cells = order[:, n_cells - kept :]
+        d = np.abs(table[cells] - z[:, :, None])
+        d[..., -1][short[cells]] = -np.inf
+        d = d.reshape(z.size, -1)
+        radii[lo : lo + rows] = np.partition(d, d.shape[1] - need, axis=1)[:, d.shape[1] - need]
+        exact[lo : lo + rows] = radii[lo : lo + rows] > dropped
+    redo = np.flatnonzero(~exact)
+    if redo.size:
+        radii[redo] = _probe_radii(vals, zs[redo], full_rows)
+    return radii
+
+
 def _st_radii(vals: np.ndarray, zs: np.ndarray, j: int) -> np.ndarray:
     """The sorted |vals - z| at rank j for every probe z.
 
     A window with at most w/8 distinct values is read through its distinct
     values and their counts: per probe, the rank-j value is the distinct
     distance whose cumulative count in sorted order first exceeds j.
-    Otherwise a partition of the whole row picks it.  Both give the same
-    element as sorting the full row, and +-0.0 copies merged by np.unique
-    have equal distances.
+    Other windows go through the cell prefilter of _prefiltered_radii.  Both
+    give the same element as sorting the full row, and +-0.0 copies merged
+    by np.unique have equal distances.
     """
     distinct, counts = np.unique(vals, return_counts=True)
     if 8 * distinct.size > vals.size:
-        return _probe_radii(vals, zs, lambda d: np.partition(d, j, axis=1)[:, j])
+        return _prefiltered_radii(vals, zs, j)
 
     def weighted_rank(d):
         order = np.argsort(d, axis=1)

@@ -380,6 +380,63 @@ def test_block_st_radii_match_exceedance_count_rule(vals, probes, tol, block):
     assert got.tobytes() == _st_oracle(np.abs(v[None, :] - zs[:, None]), tol).tobytes()
 
 
+@st.composite
+def _prefilter_cases(draw) -> tuple[np.ndarray, np.ndarray, float]:
+    """A window, probes and a tol for the cell prefilter.
+
+    Windows are uniform clouds, real-only lines (cells of zero height),
+    tie-heavy lattices, or clouds near 1e308 whose bound and distance
+    lengths overflow to inf.  Probes sit in the window's box or 1e6x its
+    spread away; tols include need = 1 (tol * w < 1) and need = w.
+    """
+    w = draw(st.integers(min_value=8, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**30)))
+    kind = draw(st.sampled_from(["uniform", "real", "lattice", "huge"]))
+    if kind == "lattice":
+        vals = _complex(*rng.integers(-6, 7, (2, w)).astype(np.float64))
+    else:
+        vals = _complex(*rng.uniform(-1.0, 1.0, (2, w)))
+        if kind == "real":
+            vals = _complex(vals.real, np.zeros(w))
+        elif kind == "huge":
+            vals = vals * 1.5e308
+    spread = float(np.max(np.abs(vals - vals.mean()))) if kind != "huge" else 1e300
+    near = _complex(*rng.uniform(-1.5, 1.5, (2, draw(st.integers(1, 40))))) * spread
+    far = 1e6 * spread * np.exp(2j * np.pi * rng.random(draw(st.integers(0, 8))))
+    zs = np.concatenate([near, far if kind != "huge" else far * 0.0 + 1.7e308])
+    tol = draw(st.sampled_from([1e-9, np.nextafter(1.0, 0.0), 0.02, 0.25, 0.5]) | st.integers(1, w - 1).map(lambda k: k / w))
+    return vals, zs, tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_prefilter_cases(), cell=st.sampled_from([1, 2, 3, 5, 8]), block=st.integers(min_value=1, max_value=2400))
+def test_prefiltered_st_radii_match_exceedance_count_rule(case, cell, block):
+    vals, zs, tol = case
+    j = cores._st_rank(vals.size, tol)
+    with (
+        mock.patch.object(cores, "_PREFILTER_MIN", 1),
+        mock.patch.object(cores, "_CELL_VALUES", cell),
+        mock.patch.object(cores, "_PROBE_BLOCK", block),
+        np.errstate(over="ignore"),  # distances near 1e308 overflow on both sides
+    ):
+        got = cores._st_radii(vals, zs, j)
+        want = _st_oracle(np.abs(vals[None, :] - zs[:, None]), tol)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_prefilter_recomputes_a_probe_that_fails_its_test_from_the_full_row(monkeypatch):
+    # a NaN probe's bounds and distances are all NaN, so its radius never exceeds
+    # the dropped cells' bound; the finite probes of its block keep their prefiltered radii
+    vals = make_sequence("random_bounded", 6000, seed=3).values
+    zs = np.array([0.25 + 0.5j, complex(np.nan, 0.0), -2.0 + 1.0j, 30.0])
+    j = cores._st_rank(vals.size, 0.02)
+    full_rows = mock.Mock(wraps=cores._probe_radii)
+    monkeypatch.setattr(cores, "_probe_radii", full_rows)
+    got = cores._st_radii(vals, zs, j)
+    assert full_rows.call_count == 1 and np.isnan(full_rows.call_args.args[1]).all()
+    assert got.tobytes() == _st_oracle(np.abs(vals[None, :] - zs[:, None]), 0.02).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # extreme-point candidates against the full window, byte for byte
 # ---------------------------------------------------------------------------
