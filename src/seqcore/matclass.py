@@ -334,7 +334,8 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets,
             for i in range(rows):
                 block = partial.rows(i)
                 fit = float(np.median(block[-1]))
-                worst = max(worst, float(np.max(np.abs(np.tril(block[win] - fit, win.start)).sum(axis=1))))
+                dev = np.abs(np.tril(block[win] - fit, win.start)).sum(axis=1)
+                worst = max(worst, float(np.max(dev)) if dev.size else 0.0)
             return worst, worst
         raise KeyError(cond_id)
 
@@ -403,14 +404,15 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets,
         return spread, spread
     if cond_id == "S6":
         rowsums = G.sum(axis=1)
-        return float(np.real(rowsums[-1])), float(np.max(np.abs(rowsums[win] - beta)))
+        dev = float(np.max(np.abs(rowsums[win] - beta))) if rowsums[win].size else 0.0
+        return float(np.real(rowsums[-1])), dev
     if cond_id == "S7":
         return float(np.max(np.abs(G.sum(axis=1)))), None
     if cond_id == "S8":
         return subset_estimate(G, "columns", float(L) ** (1.0 / pk)), None
     if cond_id == "S10":
         dev_rows = free @ (float(L) ** (1.0 / pk))
-        return float(dev_rows[-1]), float(np.max(dev_rows[win]))
+        return float(dev_rows[-1]), float(np.max(dev_rows[win])) if dev_rows[win].size else 0.0
     if cond_id == "4.1":
         return float(np.max(np.abs(G).sum(axis=1))), None
     if cond_id == "4.5":

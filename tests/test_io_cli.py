@@ -208,6 +208,20 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["aggregate"] == "holds"
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            *(("dual-check", {"a": "e", "system": "delta", "p": 2.0, "space": space, "dual": "beta"}) for space in ("sc", "sinf")),
+            ("class-check", {"matrix": "cesaro", "system": "delta", "class": "sc:c_q", "p": 2.0, "q": 1.5}),
+        ],
+        ids=["sc.beta", "sinf.beta", "sc:c_q"],
+    )
+    def test_ladder_from_one_is_a_verdict(self, tmp_path, command, config):
+        # window(1) is empty: S6, S10 and mt28 reduce over it at the first rung
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config | {"ladder": [1, 2, 4]}))
+        assert cli.main([command, "--config", str(cfg)]) in (0, 1)
+
     def test_core_include_negative_control_exits_one(self, tmp_path):
         n = 2000
         x = make_sequence("e", n)
