@@ -1,4 +1,4 @@
-"""Dual-set verdicts against duals known in closed form.
+"""Dual-set and mapping-class verdicts against answers known in closed form.
 
 With p = 1 and weights a_k = k^(-e), k >= 1, two families have known duals:
 
@@ -12,12 +12,19 @@ Each expected verdict comes from the p-series rule (sum k^(-t) converges iff
 t > 1) applied to the governing sum, so the rows hold iff e > 2 (Kizmaz) and
 e > 1 (contracting).  Rows the current conditions get wrong are strict
 xfails that name their mechanism; a fix of that mechanism removes its marks.
+
+Class side: for A = D T, with T the band triangle and D = diag(d), the
+composed matrix E = A V is D itself, so with p = q = 1 each of the nine E
+classes follows the multiplier rule (Stieglitz & Tietz 1977): into l_inf
+from any source iff d is bounded; from l_inf into c or c0 iff d -> 0; from
+c0 into c0 or c iff d is bounded; from c into c0 iff d -> 0; from c into c
+iff d is bounded and convergent.
 """
 
 import numpy as np
 import pytest
 
-from seqcore import duals
+from seqcore import band_ops, duals, matclass
 from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
 
 LADDER = (128, 256, 512, 1024)
@@ -61,3 +68,72 @@ def test_dual_verdict_matches_known_dual(family, space, dual, e, m):
     report = duals.dual_report(a, sys, ExponentSeq.constant(1.0, N), space, dual, LADDER)
     assert report.aggregate == expected
 
+
+
+CLASS_LADDER = (64, 128, 256, 512)
+CLASS_N = CLASS_LADDER[-1]
+CLASS_SYSTEM = BandSystem.constant(-1.0, 1.0, 1.0, CLASS_N)
+
+# multiplier -> (d_n for n = 0, 1, ..., bounded, lim d_n or None when it has no limit)
+MULTIPLIERS = {
+    "one": (lambda n: np.ones(n.size), True, 1.0),
+    "harmonic": (lambda n: 1.0 / (n + 1.0), True, 0.0),
+    "sqrt": (lambda n: np.sqrt(n + 1.0), False, None),
+    "alternating": (lambda n: (-1.0) ** n, True, None),
+    "one_plus_harmonic": (lambda n: 1.0 + 1.0 / (n + 1.0), True, 1.0),
+}
+E_CLASSES = tuple(sorted(cid for cid, (source, _, _) in matclass.CLASS_RULES.items() if source == "E"))
+
+# (multiplier, class) -> the condition behind a verdict that is wrong today
+MT28 = "mt28 reads probe rows 0-7 only, so its value cannot decay with n"
+MT31 = "mt31 tests convergent row sums, not a tail that vanishes uniformly in n"
+MT38 = "mt38 fits beta_k from the top rung's last row, which holds its own diagonal entry"
+CLASS_KNOWN_WRONG = {
+    ("one", "s0:c_q"): MT38,
+    ("one", "sc:c_q"): f"{MT28}; {MT38}",
+    ("one", "sc:linf_q"): MT28,
+    ("one", "sinf:c"): MT31,
+    ("harmonic", "sc:c0_q"): MT28,
+    ("harmonic", "sc:c_q"): MT28,
+    ("harmonic", "sc:linf_q"): MT28,
+    ("alternating", "s0:c_q"): MT38,
+    ("alternating", "sc:linf_q"): MT28,
+    ("alternating", "sinf:c"): MT31,
+    ("one_plus_harmonic", "s0:c_q"): MT38,
+    ("one_plus_harmonic", "sc:c_q"): f"{MT28}; {MT38}",
+    ("one_plus_harmonic", "sc:linf_q"): MT28,
+    ("one_plus_harmonic", "sinf:c"): MT31,
+}
+
+
+def _multiplier_rule(class_id: str, bounded: bool, limit) -> bool:
+    source, target = class_id.split(":")
+    target = target.removesuffix("_q")
+    if target == "linf":
+        return bounded
+    if source == "sinf":  # l_inf into c or c0
+        return limit == 0.0
+    if source == "s0":  # c0 into c0 or c
+        return bounded
+    if target == "c0":  # c into c0
+        return limit == 0.0
+    return bounded and limit is not None  # c into c
+
+
+def _class_rows():
+    for name in MULTIPLIERS:
+        for class_id in E_CLASSES:
+            mechanism = CLASS_KNOWN_WRONG.get((name, class_id))
+            marks = [pytest.mark.xfail(strict=True, reason=mechanism)] if mechanism else []
+            yield pytest.param(name, class_id, marks=marks, id=f"{name}-{class_id}")
+
+
+@pytest.mark.parametrize("name, class_id", list(_class_rows()))
+def test_class_verdict_matches_multiplier_rule(name, class_id):
+    multiplier, bounded, limit = MULTIPLIERS[name]
+    d = multiplier(np.arange(CLASS_N, dtype=np.float64))
+    A = d[:, None] * band_ops.triangle_kernel(CLASS_SYSTEM, CLASS_N).entries
+    expected = "holds" if _multiplier_rule(class_id, bounded, limit) else "fails"
+    p = ExponentSeq.constant(1.0, CLASS_N)
+    report = matclass.class_report(A, class_id, CLASS_SYSTEM, p=p, q=1.0, ladder=CLASS_LADDER)
+    assert report.aggregate == expected
