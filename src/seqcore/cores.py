@@ -14,10 +14,17 @@ the transformed sequence tau_n = (r_n x_n + s_{n-1} x_{n-1}) / alpha_n is the
 The statistical limsup of a window of w values is one order statistic: the
 sorted value at rank _st_rank(w, tol).  It depends only on the window's
 distinct values and their counts, so a window with at most w/8 distinct
-values reads its radii off the distinct distances weighted by the counts;
-other windows partition each full row.  Probe distances |x_k - z| are built
-in blocks of whole probe rows of about _PROBE_BLOCK entries each, so memory
-stays bounded whatever the window length and the probe count.
+values reads its radii off the distinct distances weighted by the counts.
+Other windows of at least _PREFILTER_MIN values go through a cell
+prefilter: equal-count cells with bounding boxes give each probe lower and
+upper distance bounds, |x_k - z| is taken only in the cells whose upper
+bound reaches the level that enough high lower bounds guarantee, and the
+result is accepted only when it exceeds every dropped cell's upper bound
+(padded for rounding), so it is the full row's order statistic; a probe
+that fails the test, and shorter windows, partition the full row.  Probe
+distances |x_k - z| are built in blocks of whole probe rows of about
+_PROBE_BLOCK entries each, so memory stays bounded whatever the window
+length and the probe count.
 
 Only extreme window values can be a hull vertex or a window max of
 |x_k - z|, so cluster_hull (and through it alpha_core) and disc_core first
