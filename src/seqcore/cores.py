@@ -422,13 +422,14 @@ def _probe_radii(vals: np.ndarray, zs: np.ndarray, reduce) -> np.ndarray:
 def _cells(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Equal-count cells of the window: strips by real part, then cells by imaginary part.
 
-    Returns the (cells, size) table of cell values, the mask of cells that
-    hold size - 1 values (their last column repeats the cell's first value),
-    and the (4, cells) bounding boxes [x0, x1, y0, y1] of the cells.
+    The window holds at least _CELL_VALUES values.  Returns the (cells, size)
+    table of cell values, the mask of cells that hold size - 1 values (their
+    last column repeats the cell's first value), and the (4, cells) bounding
+    boxes [x0, x1, y0, y1] of the cells.
     """
     w = vals.size
-    n_strips = max(1, round(np.sqrt(w / _CELL_VALUES)))
-    per_strip = max(1, w // _CELL_VALUES // n_strips)
+    n_strips = round(np.sqrt(w / _CELL_VALUES))
+    per_strip = w // _CELL_VALUES // n_strips
     order = np.argsort(vals.real)
     edges = np.arange(n_strips + 1) * w // n_strips
     for lo, hi in zip(edges[:-1], edges[1:]):

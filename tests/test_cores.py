@@ -385,25 +385,27 @@ def _prefilter_cases(draw) -> tuple[np.ndarray, np.ndarray, float]:
     """A window, probes and a tol for the cell prefilter.
 
     Windows are uniform clouds, real-only lines (cells of zero height),
-    tie-heavy lattices, or clouds near 1e308 whose bound and distance
-    lengths overflow to inf.  Probes sit in the window's box or 1e6x its
-    spread away; tols include need = 1 (tol * w < 1) and need = w.
+    tie-heavy lattices, or clouds near 1e308 with probes as large, whose
+    bound and distance lengths overflow to inf.  Other probes sit in the
+    window's box or 1e6x its spread away; tols include need = 1
+    (tol * w < 1) and need = w.
     """
     w = draw(st.integers(min_value=8, max_value=400))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**30)))
     kind = draw(st.sampled_from(["uniform", "real", "lattice", "huge"]))
+    n_near, n_far = draw(st.integers(1, 40)), draw(st.integers(0, 8))
     if kind == "lattice":
-        vals = _complex(*rng.integers(-6, 7, (2, w)).astype(np.float64))
+        re, im = rng.integers(-6, 7, (2, w)).astype(np.float64)
     else:
-        vals = _complex(*rng.uniform(-1.0, 1.0, (2, w)))
-        if kind == "real":
-            vals = _complex(vals.real, np.zeros(w))
-        elif kind == "huge":
-            vals = vals * 1.5e308
-    spread = float(np.max(np.abs(vals - vals.mean()))) if kind != "huge" else 1e300
-    near = _complex(*rng.uniform(-1.5, 1.5, (2, draw(st.integers(1, 40))))) * spread
-    far = 1e6 * spread * np.exp(2j * np.pi * rng.random(draw(st.integers(0, 8))))
-    zs = np.concatenate([near, far if kind != "huge" else far * 0.0 + 1.7e308])
+        re, im = rng.uniform(-1.0, 1.0, (2, w))
+    if kind == "huge":  # probes as large as the values: differences and lengths overflow
+        vals = _complex(1.5e308 * re, 1.5e308 * im)
+        zs = _complex(*(1.7e308 * rng.uniform(-1.0, 1.0, (2, n_near + n_far))))
+    else:
+        vals = _complex(re, np.zeros(w) if kind == "real" else im)
+        spread = float(np.max(np.abs(vals - vals.mean())))
+        near = _complex(*rng.uniform(-1.5, 1.5, (2, n_near))) * spread
+        zs = np.concatenate([near, 1e6 * spread * np.exp(2j * np.pi * rng.random(n_far))])
     tol = draw(st.sampled_from([1e-9, np.nextafter(1.0, 0.0), 0.02, 0.25, 0.5]) | st.integers(1, w - 1).map(lambda k: k / w))
     return vals, zs, tol
 
