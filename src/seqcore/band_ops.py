@@ -17,6 +17,18 @@ order.  The inverse of a concrete vector is computed by forward substitution
 (solving the band recurrence), which is the numerically preferred path; the
 tests keep the explicit series through V as an independent cross-check.
 
+Forward substitution is serial, but on a long contracting system it runs on
+blocks of _BLOCK steps at once and still gives the serial loop's bits.  Its
+float lanes repeat CPython's complex arithmetic, where a float is promoted
+to complex(f, 0.0), term for term, so every step rounds, zero signs
+included, as the loop does.  Pass 1 starts each block from 0; a contracting
+block forgets that start to below an ulp.  Pass 2 restarts each block from
+pass 1's end of the block before.  The result is kept only at a fixed point:
+every pass-2 start equals pass 2's own end of the block before, so pass 2
+is the serial chain from the exact first value (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 8, on triangular solves).  Any other
+system runs the serial loop.
+
 Accuracy convention: products of the band ratios s_i/r_i act as the condition
 measure for everything here.  Residuals of identities that cancel huge
 intermediates (e.g. the triangle times its inverse) are therefore reported
@@ -26,6 +38,8 @@ intermediates exceed 1/eps.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -65,11 +79,16 @@ def inverse_transform(y, sys: BandSystem) -> FiniteSeq:
     """Invert the band triangle by forward substitution.
 
     Solves r_k x_k + s_{k-1} x_{k-1} = alpha_k y_k in index order, which is
-    the stable evaluation of the inverse series.
+    the stable evaluation of the inverse series.  Long contracting systems go
+    through _blocked_substitute, every other system through _substitute; both
+    give the same bits.
     """
     y = FiniteSeq.coerce(y)
-    r, s, a = (arr.tolist() for arr in sys.params(y.n))
-    return FiniteSeq(np.fromiter(_substitute(r, s, a, y.values.tolist()), np.complex128, y.n))
+    r, s, a = sys.params(y.n)
+    x = _blocked_substitute(r, s, a, y.values)
+    if x is None:
+        x = np.fromiter(_substitute(r.tolist(), s.tolist(), a.tolist(), y.values.tolist()), np.complex128, y.n)
+    return FiniteSeq(x)
 
 
 def _substitute(r: list, s: list, a: list, yv: list) -> list:
@@ -80,6 +99,101 @@ def _substitute(r: list, s: list, a: list, yv: list) -> list:
     for ak, yk, sk, rk in zip(a[1:], yv[1:], s, r[1:]):
         prev = (ak * yk - sk * prev) / rk
         append(prev)
+    return out
+
+
+# steps per block of _blocked_substitute; shorter systems run _substitute
+_BLOCK = 128
+# pass 2 compares its row with pass 1's after every this many steps
+_CHECK_EVERY = 16
+# a block started from 0 must shrink that error by 2**-60 (below an ulp) to meet the serial values
+_MIN_LOG_CONTRACTION = 60.0 * math.log(2.0)
+# CPython 3.11 promotes a float operand of complex arithmetic to complex(f, 0.0), so
+# 1.0 * (-0.0 - 1j) has real part -0.0 - 0.0 * -1.0 = +0.0; a real-times-complex rule gives -0.0
+_PROMOTES = math.copysign(1.0, (1.0 * complex(-0.0, -1.0)).real) > 0.0
+
+
+def _blocked_substitute(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray) -> np.ndarray | None:
+    """_substitute's result, bit for bit, from numpy lanes run over all blocks at once; None to fall back.
+
+    The first 1 + (n - 1) % _BLOCK values come from _substitute.  The remaining
+    steps form blocks of _BLOCK consecutive indices, and each step is a few
+    ufunc calls over every block, on a real and an imaginary float lane that
+    repeat CPython's complex arithmetic term for term: a float f is promoted
+    to (f, 0.0), a product is (ac - bd, ad + bc), and the quotient by (r, 0.0)
+    takes ratio = 0/r and denom = r + 0*ratio = r, as _Py_c_quot does.  Pass 1
+    starts every block after the first from 0.  Pass 2 restarts block b from
+    pass 1's end of block b - 1, and once its row of values equals pass 1's
+    bitwise it keeps pass 1's rows.  If every pass-2 start equals pass 2's
+    end of the block before, pass 2 is the serial chain started from the
+    exact head, so it is returned.  None when n < 4 * _BLOCK, when a block
+    started from 0 has a ratio walk sum log|s_{k-1}/r_k| above -60 ln 2, when
+    the check fails, when a value is not finite, or when the interpreter does
+    not promote floats to complex.
+    """
+    n = yv.size
+    if n < 4 * _BLOCK or not _PROMOTES:
+        return None
+    h = (n - 1) % _BLOCK  # the head x_0..x_h is serial; step k of the blocks solves for x_k, k > h
+    nb = (n - 1) // _BLOCK
+    with np.errstate(all="ignore"):
+        walk = np.log(np.abs(s[h:-1] / r[h + 1 :])).reshape(nb, _BLOCK).sum(axis=1)
+        if not np.all(walk[1:] <= -_MIN_LOG_CONTRACTION):
+            return None
+        head = _substitute(r[: h + 1].tolist(), s[: h + 1].tolist(), a[: h + 1].tolist(), yv[: h + 1].tolist())
+
+        def lanes(v):  # (nb * _BLOCK,) or (nb * _BLOCK, 2) -> (_BLOCK, 1 or 2, nb): row j is step j of every block
+            return np.ascontiguousarray(v.reshape(nb, _BLOCK, -1).transpose(1, 2, 0))
+
+        yk = lanes(yv[h + 1 :].view(np.float64))  # real and imaginary lane
+        zero_sign = np.array([[-0.0], [0.0]])
+        # (a, 0) * (yr, yi) = (a yr - 0 yi, a yi + 0 yr)
+        ay = lanes(a[h + 1 :]) * yk
+        ay += zero_sign * yk[:, ::-1]
+        rk = lanes(r[h + 1 :])
+        rat = (0.0 / rk) * np.array([[1.0], [-1.0]])  # (ratio, -ratio)
+        sk = lanes(s[h:-1])
+
+        xs = np.empty((_BLOCK, 2, nb))
+        t, u = np.empty((2, nb)), np.empty((2, nb))
+
+        def step(j, prev, out):
+            # (s, 0) * (xr, xi) = (s xr - 0 xi, s xi + 0 xr), with u = (-0 xi, 0 xr)
+            np.multiply(sk[j], prev, out=t)
+            np.multiply(zero_sign, prev[::-1], out=u)
+            np.add(t, u, out=t)
+            np.subtract(ay[j], t, out=t)
+            # (nr, ni) / (r, 0) = ((nr + ni ratio) / denom, (ni - nr ratio) / denom), denom = r + 0 ratio = r
+            np.multiply(t[::-1], rat[j], out=u)
+            np.add(t, u, out=t)
+            np.divide(t, rk[j], out=out)
+
+        start = np.zeros((2, nb))
+        start[:, 0] = head[-1].real, head[-1].imag
+        prev = start
+        for j in range(_BLOCK):
+            step(j, prev, xs[j])
+            prev = xs[j]
+        ends = xs[-1].copy()  # pass 1's end of every block
+        start[:, 1:] = ends[:, :-1]
+        row = np.empty((2, nb))
+        prev = start
+        for j in range(_BLOCK):
+            if (j + 1) % _CHECK_EVERY:
+                step(j, prev, xs[j])
+            else:
+                step(j, prev, row)
+                if np.array_equal(row.view(np.int64), xs[j].view(np.int64)):
+                    break  # pass 1's later rows are what pass 2 would compute
+                xs[j] = row
+            prev = xs[j]
+        if not np.array_equal(ends[:, :-1].view(np.int64), xs[-1, :, :-1].view(np.int64)):
+            return None
+        if not np.isfinite(xs).all():
+            return None
+    out = np.empty(n, dtype=np.complex128)
+    out[: h + 1] = head
+    out[h + 1 :].view(np.float64).reshape(nb, _BLOCK, 2)[:] = xs.transpose(2, 0, 1)
     return out
 
 

@@ -58,6 +58,7 @@ from .duals import (  # noqa: F401 - perfbench traces matclass.subset_sup as an 
     subset_sup,
 )
 from .generators import materialize_matrix
+from .io import SchemaError
 from .ladder import WITNESS_LAYERS, ladder_verdict, truncation_ladder, window
 from .types import BandSystem, ExponentSeq
 from .verdicts import ConditionVerdict, aggregate_verdict
@@ -456,7 +457,7 @@ def _check_inputs(cond_ids, ladder, p, q):
         if spec.needs_q and q is None:
             raise ValueError(f"condition {cid} needs the target exponent sequence q")
         if spec.needs_conjugate and p is not None and np.any(p.p <= 1.0):
-            raise ValueError(f"condition {cid} needs conjugate exponents, so p_k > 1")
+            raise SchemaError(f"condition {cid} needs conjugate exponents, so p_k > 1")
     if p is not None:
         p.require_length(ladder[-1])
     return ladder, (_validate_q(q, ladder[-1]) if q is not None else None)

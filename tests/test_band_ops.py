@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,109 @@ def test_inverse_transform_matches_indexed_loop_on_long_contracting_system():
     sys = BandSystem(r, rng.uniform(0.1, 0.9, n) * r, rng.uniform(0.5, 2.0, n))
     y = FiniteSeq(complex_uniform(rng, n))
     assert band_ops.inverse_transform(y, sys).values.tobytes() == _indexed_inverse(y, sys).tobytes()
+
+
+def _contracting_system(rng, n):
+    """|s_k| / |r_k| in [0.1, 0.9] with both signs of r and s, so every block's ratio walk falls fast."""
+    r = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    s = rng.uniform(0.1, 0.9, n) * np.abs(r) * rng.choice([-1.0, 1.0], n)
+    return BandSystem(r, s, rng.uniform(0.5, 2.0, n))
+
+
+def _blocked(y, sys):
+    return band_ops._blocked_substitute(*sys.params(y.n), y.values)
+
+
+def _with_zero_lane(y, zero):
+    """y with its imaginary lane set to a float zero, or its real lane to the imaginary part of +-0j."""
+    if isinstance(zero, complex):
+        return np.array([complex(zero.imag, v.imag) for v in y])
+    return np.array([complex(v.real, zero) for v in y])
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308, 1.7e308]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=4 * band_ops._BLOCK, max_value=3000),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+    zero_lane=st.sampled_from([None, 0.0, -0.0, 0.0j, -0.0j]),
+    edges=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), st.sampled_from(_EDGE_VALUES), st.booleans()),
+        max_size=40,
+    ),
+)
+def test_blocked_inverse_matches_indexed_loop_bitwise(seed, n, scale, zero_lane, edges):
+    # y has +-0.0, subnormals and values near 1e308 in either lane, or a whole lane of +-0.0;
+    # an overflow raises the same ValueError
+    rng = np.random.default_rng(seed)
+    sys = _contracting_system(rng, n)
+    y = complex_uniform(rng, n) * scale
+    if zero_lane is not None:
+        y = _with_zero_lane(y, zero_lane)
+    for where, value, real in edges:
+        k = int(where * n)
+        y[k] = complex(value, y[k].imag) if real else complex(y[k].real, value)
+    y = FiniteSeq(y)
+    expected = _bits(lambda: _indexed_inverse(y, sys))
+    assert _bits(lambda: band_ops.inverse_transform(y, sys).values) == expected
+    if all(abs(value) <= scale for _, value, _ in edges):
+        # a larger edge value starts a transient that a block started from 0 cannot match
+        assert _blocked(y, sys) is not None
+
+
+@pytest.mark.parametrize("r, s", [(2.0, 1.0), (-2.0, 1.0), (2.0, -1.0), (-2.0, -0.5)])
+def test_blocked_path_keeps_zero_signs(r, s):
+    # zero lanes are where CPython's promotion of floats to complex decides the sign of every zero
+    n = 1000
+    u = complex_uniform(rng_from_seed(7), n)
+    inputs = [np.full(n, complex(zr, zi)) for zr in (0.0, -0.0) for zi in (0.0, -0.0)]
+    inputs += [_with_zero_lane(u, zero) for zero in (0.0, -0.0, 0.0j, -0.0j)]
+    for sys in (BandSystem.constant(r, s, 1.5, n), _contracting_system(rng_from_seed(8), n)):
+        for y in map(FiniteSeq, inputs):
+            x = _blocked(y, sys)
+            assert x is not None
+            assert x.tobytes() == _indexed_inverse(y, sys).tobytes()
+
+
+def test_blocked_path_gives_up_on_systems_that_do_not_contract():
+    n = 4096
+    y = FiniteSeq(complex_uniform(rng_from_seed(4), n))
+    capped = random_band_system(rng_from_seed(5), n, amplification_cap=1e4)
+    for sys in (BandSystem.difference(n), capped, BandSystem.constant(1.0, 0.9, 1.0, n)):
+        assert _blocked(y, sys) is None
+        assert band_ops.inverse_transform(y, sys).values.tobytes() == _indexed_inverse(y, sys).tobytes()
+    assert _blocked(FiniteSeq(np.ones(4 * band_ops._BLOCK - 1)), TWO_ONE) is None  # too short
+
+
+@pytest.mark.parametrize("n", [512, 513, 2000])
+def test_constant_contracting_system_takes_blocked_path(n):
+    sys = BandSystem.constant(2.0, 1.0, 1.0, n)
+    for y in (FiniteSeq(complex_uniform(rng_from_seed(n), n)), FiniteSeq(-np.zeros(n))):
+        x = _blocked(y, sys)
+        assert x is not None
+        assert x.tobytes() == _indexed_inverse(y, sys).tobytes()
+        assert band_ops.inverse_transform(y, sys).values.tobytes() == x.tobytes()
+    # on constant y the iterates can settle into a rounding cycle of period 2 whose phase a block
+    # started from 0 does not know; the check then fails and the serial loop runs
+    ones = FiniteSeq(np.ones(n))
+    assert band_ops.inverse_transform(ones, sys).values.tobytes() == _indexed_inverse(ones, sys).tobytes()
+
+
+def test_blocked_path_raises_no_runtime_warning():
+    n = 2000
+    sys = _contracting_system(rng_from_seed(6), n)
+    huge = FiniteSeq(np.full(n, 1.7e308) * (1 - 1j))  # alpha * y overflows in the lanes
+    tiny = FiniteSeq(np.full(n, 5e-324) * (1 + 1j))  # the lanes run through subnormals and zeros
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _blocked(huge, sys) is None
+        with pytest.raises(ValueError):
+            band_ops.inverse_transform(huge, sys)
+        assert _blocked(tiny, sys) is not None
+        assert band_ops.inverse_transform(tiny, sys).values.tobytes() == _indexed_inverse(tiny, sys).tobytes()
 
 
 def _lattice_kernel(sys, n):

@@ -357,6 +357,8 @@ class TestExitCodeContract:
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[0, 2])], 3),
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[])], 3),
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[2, 4])], 1),
+            # lp.beta runs S14, whose conjugate exponents need p_k > 1
+            (["dual-check", "--config", self._dual_cfg(tmp_path, space="lp", dual="beta", p=0.5)], 3),
             # config exponent lists shorter than the largest rung
             (["dual-check", "--config", self._dual_cfg(tmp_path, p=[1, 1, 1])], 3),
             (["class-check", "--config", self._class_cfg(tmp_path, "zero", q=[1, 1])], 3),

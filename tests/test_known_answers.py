@@ -31,7 +31,7 @@ LADDER = (128, 256, 512, 1024)
 N = LADDER[-1]
 
 S8_READS_D = "S8 reads D, not C"
-SLOW_TAIL = "slow tail, ROADMAP item 6"
+SLOW_TAIL = "slow tail, ROADMAP item 8"
 
 # (family, space, dual, e) -> mechanism of a verdict that is wrong today
 KNOWN_WRONG = {
