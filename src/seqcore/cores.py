@@ -510,13 +510,8 @@ def _st_radii(vals: np.ndarray, zs: np.ndarray, j: int) -> np.ndarray:
     distance whose cumulative count in sorted order first exceeds j.
     Other windows go through the cell prefilter of _prefiltered_radii.  Both
     give the same element as sorting the full row, and +-0.0 copies merged
-    by np.unique have equal distances.  Distinct real parts never outnumber
-    distinct values, so a window with more than w/8 of them skips the complex
-    np.unique, which costs about 20 times the sort of the real parts.
+    by np.unique have equal distances.
     """
-    reals = np.sort(vals.real)
-    if 8 * (1 + np.count_nonzero(reals[1:] != reals[:-1])) > vals.size:
-        return _prefiltered_radii(vals, zs, j)
     distinct, counts = np.unique(vals, return_counts=True)
     if 8 * distinct.size > vals.size:
         return _prefiltered_radii(vals, zs, j)
