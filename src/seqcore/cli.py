@@ -135,11 +135,15 @@ def _config_exponents(value, n: int, what: str) -> ExponentSeq:
 def _parse_window(value, n: int, min_start: int = 0) -> tuple[int, int]:
     """(start, stop) from a "start,stop" argument or a config list; the last three quarters by default."""
     if value is None:
-        return max(min_start, n // 4), n
-    parts = _parse_ints(value, "window") if isinstance(value, str) else _config_ints(value, "window")
-    if len(parts) != 2:
-        raise SchemaError("window must be 'start,stop'")
-    return parts[0], parts[1]
+        start, stop = max(min_start, n // 4), n
+    else:
+        parts = _parse_ints(value, "window") if isinstance(value, str) else _config_ints(value, "window")
+        if len(parts) != 2:
+            raise SchemaError("window must be 'start,stop'")
+        start, stop = parts
+    if not min_start <= start < stop <= n:
+        raise SchemaError(f"window [{start}, {stop}) invalid for length {n} (start >= {min_start})")
+    return start, stop
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -259,6 +263,10 @@ def _cmd_class_check(args) -> int:
 
 
 def _build_region(kind, x, sys, window, directions, density_tol, grid_n, method="hull"):
+    if directions < 4:
+        raise SchemaError(f"directions must be at least 4: {directions!r}")
+    if grid_n < 0:
+        raise SchemaError(f"grid_n must be nonnegative: {grid_n!r}")
     if kind == "alpha":
         return cores.alpha_core(x, sys, window, directions)
     if kind == "k":

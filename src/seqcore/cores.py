@@ -31,8 +31,9 @@ Only extreme window values can be a hull vertex or a window max of
 keep the candidates of _extreme_candidates: the values not inside the
 polygon Q of the extremes in eight directions by more than a margin that
 exceeds the rounding of the chain's orientation test and of |x_k - z| for
-the probes at hand, deduplicated.  The regions render the same bytes as
-from every window value; a degenerate Q keeps every distinct value.  A hull
+the probes at hand, deduplicated by one sort of the complex values
+(_distinct), not by hashing.  The regions render the same bytes as from
+every window value; a degenerate Q keeps every distinct value.  A hull
 whose points share one x or one y is the segment between its two
 lexicographic extremes, returned without running the chain.
 
@@ -126,9 +127,28 @@ def _window_values(points, window, min_start=0) -> tuple[np.ndarray, tuple[int, 
 # ---------------------------------------------------------------------------
 
 
+def _distinct(vals: np.ndarray, return_counts: bool = False):
+    """The distinct complex values in (real, imag) order, and their counts if asked.
+
+    The sort branch of numpy's unique: one sort, then each value that differs from
+    the one before it.  +-0.0 parts compare equal, so the copy that sorts first
+    stands for both.  Window values are finite (FiniteSeq rejects NaN), so no
+    NaN needs merging.
+    """
+    s = np.sort(vals)
+    first = np.empty(s.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    if not return_counts:
+        return s[first]
+    starts = np.flatnonzero(first)
+    return s[starts], np.diff(starts, append=s.size)
+
+
 def _convex_hull(xy: np.ndarray) -> np.ndarray:
     """Andrew's monotone chain; returns CCW vertices, degenerate cases exact."""
-    pts = np.unique(xy, axis=0)  # lexicographic sort + dedupe
+    rows = np.ascontiguousarray(xy, dtype=np.float64).view(np.complex128).ravel()  # (x, y) bits as x + iy
+    pts = _distinct(rows).view(np.float64).reshape(-1, 2)  # lexicographic sort + dedupe
     if pts.shape[0] <= 2:
         return pts
     if np.any(np.all(pts == pts[0], axis=0)) and np.max(np.abs(pts)) <= _SAFE_MAX:
@@ -163,20 +183,20 @@ def _extreme_candidates(vals: np.ndarray, reach: float) -> np.ndarray:
     every z, some vertex of Q is at least d farther from z than a value at
     depth d inside Q, so a value deeper than the margin (which exceeds the
     rounding of a depth, of |v - z| and of the chain's orientation test) is
-    dropped.  The candidates come back deduplicated: all distinct values
-    when Q is degenerate, or so large that its edges could overflow.
+    dropped.  The candidates come back deduplicated by _distinct: all distinct
+    values when Q is degenerate, or so large that its edges could overflow.
     """
     xy = np.stack([vals.real, vals.imag])
     q = _convex_hull(xy[:, [np.argmax(d @ xy) for d in _OCTANTS]].T)  # no 8 x w temporary
     if q.shape[0] < 3 or np.max(np.abs(q)) > _SAFE_MAX:
-        return np.unique(vals)
+        return _distinct(vals)
     margin = _CANDIDATE_MARGIN * (float(np.max(np.abs(vals))) + reach)
     edges = np.roll(q, -1, axis=0) - q
     inward = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / np.hypot(edges[:, 0], edges[:, 1])[:, None]
     depth = np.full(vals.size, np.inf)
     for normal, corner in zip(inward, q):
         np.minimum(depth, normal @ xy - normal @ corner, out=depth)
-    return np.unique(vals[depth <= margin])
+    return _distinct(vals[depth <= margin])
 
 
 def _clip_halfplanes(angles: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -510,9 +530,9 @@ def _st_radii(vals: np.ndarray, zs: np.ndarray, j: int) -> np.ndarray:
     distance whose cumulative count in sorted order first exceeds j.
     Other windows go through the cell prefilter of _prefiltered_radii.  Both
     give the same element as sorting the full row, and +-0.0 copies merged
-    by np.unique have equal distances.
+    by _distinct have equal distances.
     """
-    distinct, counts = np.unique(vals, return_counts=True)
+    distinct, counts = _distinct(vals, return_counts=True)
     if 8 * distinct.size > vals.size:
         return _prefiltered_radii(vals, zs, j)
 

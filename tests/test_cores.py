@@ -608,6 +608,36 @@ def test_st_core_matches_full_window_oracle(case, lattice_probes):
     assert got == want
 
 
+@st.composite
+def _dedupe_windows(draw) -> np.ndarray:
+    """Windows for the sort-based dedupe: random, tie-heavy lattices, +-0.0 parts, subnormals, near +-1e308.
+
+    Up to 3000 values, so the sort runs past its small-array insertion sort.
+    """
+    w = draw(st.integers(min_value=0, max_value=3000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**30)))
+    kind = draw(st.sampled_from(["random", "lattice", "signed_zero", "subnormal", "huge"]))
+    if kind == "random":
+        ab = rng.normal(size=(2, w))
+    elif kind == "huge":  # a few distinct magnitudes within an ulp step of the largest floats
+        ab = rng.choice([-1.0, 1.0], (2, w)) * np.nextafter(np.finfo(np.float64).max, 0.0) / rng.integers(1, 4, (2, w))
+    else:
+        ab = rng.integers(-2, 3, (2, w)) * (5e-324 if kind == "subnormal" else 1.0)
+    if kind != "random":  # zeros of either sign in either part
+        zero = ab == 0.0
+        ab[zero] = rng.choice([-0.0, 0.0], int(np.count_nonzero(zero)))
+    return _complex(*ab)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vals=_dedupe_windows())
+def test_distinct_matches_numpy_unique_bitwise(vals):
+    want, want_counts = np.unique(vals, return_counts=True)
+    got, counts = cores._distinct(vals, return_counts=True)
+    assert got.tobytes() == want.tobytes() and counts.tobytes() == want_counts.tobytes()
+    assert cores._distinct(vals).tobytes() == want.tobytes()
+
+
 def _chain_hull(xy: np.ndarray) -> np.ndarray:
     """Andrew's monotone chain on every point, with no shortcut for axis-parallel input."""
     pts = np.unique(xy, axis=0)
@@ -642,6 +672,7 @@ def _chain_hull(xy: np.ndarray) -> np.ndarray:
     scale=st.sampled_from([1e-300, 1e-6, 1.0, 1e6, 3e307]),
 )
 @example(seed=0, w=12, vertical=False, level=1.5, scale=3e307)  # x spans 3e308: the chain's gaps overflow
+@example(seed=1, w=30_000, vertical=False, level=0.0, scale=1.0)  # the benchmark's window length
 def test_axis_parallel_hull_matches_chain(seed, w, vertical, level, scale):
     rng = np.random.default_rng(seed)
     along = rng.integers(-5, 6, w) * scale  # at 3e307 a coordinate gap can overflow
@@ -654,3 +685,10 @@ def test_axis_parallel_hull_matches_chain(seed, w, vertical, level, scale):
     x, window, angles = FiniteSeq(_complex(re, im)), (0, w), cores.direction_angles(64)
     want = cores.RegionEstimate(angles, np.zeros(angles.size), _chain_hull(xy), "cluster_hull", window)
     assert _bytes(cores.cluster_hull(x, window)) == _bytes(want)
+
+
+@pytest.mark.parametrize("family", ["lattice", "signed_zero"])
+def test_lattice_hull_matches_chain_at_benchmark_size(family):
+    vals = _family_values(family, 11, 30_000)
+    xy = np.stack([vals.real, vals.imag], axis=1)
+    assert cores._convex_hull(xy).tobytes() == _chain_hull(xy).tobytes()

@@ -330,7 +330,16 @@ class TestExitCodeContract:
             (["invert", "--y", "e", "--system", "random:seed=1,amplification_cap=inf", "--n", "8", "--out", "inf.json"], 0),
             (["core", "--kind", "k", "--x", "e", "--n", "10", "--window", "a,b"], 3),
             (["class-check", "--config", self._class_cfg(tmp_path, "zero"), "--ladder", "16,x"], 3),
-            (["core", "--kind", "k", "--x", "e", "--n", "10", "--window", "20,30"], 4),
+            # core windows, direction counts and probe grids outside their ranges
+            (["core", "--kind", "k", "--x", "e", "--n", "10", "--window", "20,30"], 3),
+            (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--window", "5,5"], 3),
+            (["core", "--kind", "alpha", "--x", "alternating:", "--system", "delta", "--n", "64", "--window", "0,10"], 3),
+            (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--directions", "2"], 3),
+            (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--grid-n", "-1"], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, window=[5, 5])], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, window=[30, 50])], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, directions=2)], 3),
+            (["core-include", "--config", self._include_cfg(tmp_path, kind="st", grid_n=-1)], 3),
             # generator documents: non-object params, unknown matrix generator
             (["class-check", "--config", self._class_cfg(tmp_path, "zero", system={"generator": "constant", "params": [1]})], 3),
             (["class-check", "--config", self._class_cfg(tmp_path, {"generator": "cesaro", "params": [1]})], 3),

@@ -22,7 +22,9 @@ distinct values 7 and 9), and hulls of windows on an axis hold both signs of
 zero in the other coordinate.  Statistical cores of random_bounded at
 n = 40000 over the window (10000, 40000), at two density tolerances and over
 probes ~1e3x the data spread, pin windows long enough for the cell
-prefilter of the radii.
+prefilter of the radii.  Alpha cores of alternating and convergent at
+n = 40000 over the same window pin real transformed windows of 30000
+distinct values, where the candidate filter keeps every value.
 
 A config whose evaluation raises is pinned by its exception type.
 
@@ -64,10 +66,15 @@ EDGE_PAIRS = (("s0", "alpha"), ("s0", "beta"), ("sinf", "alpha"), ("sinf", "beta
 CYCLE_PROBES = ("eval|dense|mt27", "class|dense|sc:c_q", "dual|geometric|sinf.beta|p_high")
 
 
+def _signed_system(rng, n: int) -> BandSystem:
+    """A random band system whose r and s entries carry random signs."""
+    signs = rng.choice([-1.0, 1.0], (2, n))
+    return BandSystem(signs[0] * rng.uniform(0.5, 2.0, n), signs[1] * rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
+
+
 def _inputs():
     rng = np.random.default_rng(20240611)
-    signs = rng.choice([-1.0, 1.0], (2, N))
-    sys = BandSystem(signs[0] * rng.uniform(0.5, 2.0, N), signs[1] * rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 2.0, N))
+    sys = _signed_system(rng, N)
     dense = np.tril(rng.uniform(-1.0, 2.0, (N, N))) / np.arange(1.0, N + 1.0)[:, None]
     p_high = ExponentSeq(1.5 + rng.uniform(0.0, 1.5, N))
     p_low = ExponentSeq(rng.uniform(0.5, 1.0, N))
@@ -112,8 +119,7 @@ def _edge_weight_configs():
     """Dual reports at ladder (8, 16, 32) on weights whose zeros carry both signs."""
     n = EDGE_LADDER[-1]
     rng = np.random.default_rng(20240615)
-    signs = rng.choice([-1.0, 1.0], (2, n))
-    sys = BandSystem(signs[0] * rng.uniform(0.5, 2.0, n), signs[1] * rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
+    sys = _signed_system(rng, n)
     p = ExponentSeq(1.5 + rng.uniform(0.0, 1.5, n))
     k = np.arange(n, dtype=np.float64)
     negative = -(0.8**k)
@@ -140,11 +146,7 @@ def _edge_weight_configs():
 
 
 def _core_configs():
-    rng = np.random.default_rng(20240612)
-    signs = rng.choice([-1.0, 1.0], (2, CORE_N))
-    sys = BandSystem(
-        signs[0] * rng.uniform(0.5, 2.0, CORE_N), signs[1] * rng.uniform(0.5, 2.0, CORE_N), rng.uniform(0.5, 2.0, CORE_N)
-    )
+    sys = _signed_system(np.random.default_rng(20240612), CORE_N)
     out = {}
     for name, params in CORE_SEQUENCES:
         x = make_sequence(name, CORE_N, **params)
@@ -178,6 +180,10 @@ def _core_configs():
     for tol in ST_TOLS[:2]:
         out[f"core|random_bounded_40000|st:{tol}"] = lambda tol=tol: cores.st_core(long_x, LONG_WINDOW, tol)
     out["core|random_bounded_40000|st:0.02|far_grid"] = lambda: cores.st_core(long_x, LONG_WINDOW, 0.02, z_grid=far)
+    long_sys = _signed_system(np.random.default_rng(20240616), LONG_N)
+    for name, params in (CORE_SEQUENCES[0], CORE_SEQUENCES[4]):
+        seq = make_sequence(name, LONG_N, **params)
+        out[f"core|{name}_40000|alpha"] = lambda seq=seq: cores.alpha_core(seq, long_sys, LONG_WINDOW)
     return out
 
 
