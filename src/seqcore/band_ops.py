@@ -18,16 +18,21 @@ order.  The inverse of a concrete vector is computed by forward substitution
 tests keep the explicit series through V as an independent cross-check.
 
 Forward substitution is serial, but on a long contracting system it runs on
-blocks of _BLOCK steps at once and still gives the serial loop's bits.  Its
-float lanes repeat CPython's complex arithmetic, where a float is promoted
-to complex(f, 0.0), term for term, so every step rounds, zero signs
-included, as the loop does.  Pass 1 starts each block from the last serial
-value; a contracting block forgets that start to below an ulp.  Pass 2
-restarts each block from pass 1's end of the block before.  The result is
-kept only at a fixed point: every pass-2 start equals pass 2's own end of
-the block before, so pass 2 is the serial chain from the exact first value
-(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 8, on
-triangular solves).  Any other system runs the serial loop.
+blocks of _BLOCK steps at once and still gives the serial loop's bits.  Pass
+1 starts each block from the last serial value; a contracting block forgets
+that start to below an ulp.  Pass 2 restarts each block from pass 1's end of
+the block before.  The result is kept only at a fixed point: every pass-2
+start equals pass 2's own end of the block before, so pass 2 is the serial
+chain from the exact first value (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 8, on triangular solves).  A step is three float
+ufuncs on (real, imaginary) pairs, x = (a y - s x) / r.  CPython promotes a
+float operand of complex arithmetic to complex(f, 0.0), which adds +-0 terms
+to every product and quotient.  They only sign zeros, and only a -0.0 part
+of a y lets such a sign through: a y - s x is a y when a y is nonzero and +0
+when a y is +0, whatever the sign of a zero s x, and +0 plus or minus a zero
+is +0.  So without a -0.0 in a y the three ufuncs round as the loop does;
+other input runs a step that adds the +-0 terms one by one.  Any other
+system runs the serial loop.
 
 Accuracy convention: products of the band ratios s_i/r_i act as the condition
 measure for everything here.  Residuals of identities that cancel huge
@@ -104,9 +109,10 @@ def _substitute(r: list, s: list, a: list, yv: list) -> list:
 
 # steps per block of _blocked_substitute
 _BLOCK = 128
-# shorter systems run _substitute: timed on 2 vCPUs, the two passes take 2-2.7 ms (median) at
-# every n up to 6144, while the serial loop takes 0.2 ms at n = 512 and 2.7 ms at n = 6144
-_MIN_BLOCKED_N = 48 * _BLOCK
+# shorter systems run _substitute, at the crossover of medians of 200 alternating calls on a random
+# contracting system (two runs, 2 vCPUs): serial 0.90-1.04 ms vs blocked 0.93-1.09 ms at n = 2048,
+# 0.75-0.91 vs 0.61-0.88 at n = 2304 and 0.75-1.07 vs 0.54-0.91 at n = 2560
+_MIN_BLOCKED_N = 18 * _BLOCK
 # pass 2 compares its row with pass 1's after every this many steps
 _CHECK_EVERY = 16
 # a block must shrink the error of its pass-1 start by 2**-60 (below an ulp) to meet the serial values
@@ -114,27 +120,47 @@ _MIN_LOG_CONTRACTION = 60.0 * math.log(2.0)
 # CPython 3.11 promotes a float operand of complex arithmetic to complex(f, 0.0), so
 # 1.0 * (-0.0 - 1j) has real part -0.0 - 0.0 * -1.0 = +0.0; a real-times-complex rule gives -0.0
 _PROMOTES = math.copysign(1.0, (1.0 * complex(-0.0, -1.0)).real) > 0.0
+# -0.0 read as an int64 (the sign bit alone); a y with such a part runs _exact_step
+_NEGATIVE_ZERO = np.iinfo(np.int64).min
+
+
+def _fast_step(x: np.ndarray, s: np.ndarray, ay: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
+    """out = (ay - s x) / r on a row of (real, imaginary) float pairs: three float ufuncs."""
+    np.multiply(x, s, out=out)
+    np.subtract(ay, out, out=out)
+    np.divide(out, r, out=out)
+
+
+def _exact_step(
+    x: np.ndarray, s: np.ndarray, ay: np.ndarray, r: np.ndarray, ratio: np.ndarray, out: np.ndarray
+) -> None:
+    """_fast_step with the +-0 terms of CPython's complex arithmetic, ratio = 0/r: nine float ufuncs.
+
+    A float f enters as (f, 0.0), so (s, 0) * (xr, xi) = (s xr - 0 xi, s xi + 0 xr),
+    and _Py_c_quot divides (nr, ni) by (r, 0) as ((nr + ni ratio) / denom,
+    (ni - nr ratio) / denom) with denom = r + 0 ratio = r.
+    """
+    zero = x * 0.0
+    zr, zi = zero[:, 0], zero[:, 1]
+    re, im = out[:, 0], out[:, 1]
+    np.multiply(x, s, out=out)
+    re -= zi
+    im += zr
+    np.subtract(ay, out, out=out)
+    np.multiply(out, ratio, out=zero)
+    re += zi
+    im -= zr
+    np.divide(out, r, out=out)
 
 
 def _blocked_substitute(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray) -> np.ndarray | None:
-    """_substitute's result, bit for bit, from numpy lanes run over all blocks at once; None to fall back.
+    """_substitute's result, bit for bit, from numpy rows run over all blocks at once; None to fall back.
 
-    The first 1 + (n - 1) % _BLOCK values come from _substitute.  The remaining
-    steps form blocks of _BLOCK consecutive indices, and each step is a few
-    ufunc calls over every block, on a real and an imaginary float lane that
-    repeat CPython's complex arithmetic term for term: a float f is promoted
-    to (f, 0.0), a product is (ac - bd, ad + bc), and the quotient by (r, 0.0)
-    takes ratio = 0/r and denom = r + 0*ratio = r, as _Py_c_quot does.  Pass 1
-    starts every block from the head's last value x_h; blocks are an even
-    number of steps long, so on constant data that settles into a rounding
-    cycle of period 2 the start has the cycle's phase.  Pass 2 restarts
-    block b from pass 1's end of block b - 1, and once its row of values
-    equals pass 1's bitwise it keeps pass 1's rows.  If every pass-2 start
-    equals pass 2's end of the block before, pass 2 is the serial chain
-    started from the exact head, so it is returned.  None when n < _MIN_BLOCKED_N, when a block
-    after the first has a ratio walk sum log|s_{k-1}/r_k| above -60 ln 2, when
-    the check fails, when a value is not finite, or when the interpreter does
-    not promote floats to complex.
+    The first 1 + (n - 1) % _BLOCK values x_0..x_h come from _substitute, and
+    _solve_blocks computes the others in blocks of _BLOCK consecutive steps.
+    None when n < _MIN_BLOCKED_N, when the interpreter does not promote floats
+    to complex, when a block after the first has a ratio walk sum
+    log|s_{k-1}/r_k| above -60 ln 2, or when _solve_blocks gives up.
     """
     n = yv.size
     if n < _MIN_BLOCKED_N or not _PROMOTES:
@@ -142,63 +168,86 @@ def _blocked_substitute(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndar
     h = (n - 1) % _BLOCK  # the head x_0..x_h is serial; step k of the blocks solves for x_k, k > h
     nb = (n - 1) // _BLOCK
     with np.errstate(all="ignore"):
-        walk = np.log(np.abs(s[h:-1] / r[h + 1 :])).reshape(nb, _BLOCK).sum(axis=1)
-        if not np.all(walk[1:] <= -_MIN_LOG_CONTRACTION):
+        walk = s[h:-1] / r[h + 1 :]
+        np.log(np.abs(walk, out=walk), out=walk)
+        if not np.all(walk.reshape(nb, _BLOCK).sum(axis=1)[1:] <= -_MIN_LOG_CONTRACTION):
             return None
         head = _substitute(r[: h + 1].tolist(), s[: h + 1].tolist(), a[: h + 1].tolist(), yv[: h + 1].tolist())
-
-        def lanes(v):  # (nb * _BLOCK,) or (nb * _BLOCK, 2) -> (_BLOCK, 1 or 2, nb): row j is step j of every block
-            return np.ascontiguousarray(v.reshape(nb, _BLOCK, -1).transpose(1, 2, 0))
-
-        yk = lanes(yv[h + 1 :].view(np.float64))  # real and imaginary lane
-        zero_sign = np.array([[-0.0], [0.0]])
-        # (a, 0) * (yr, yi) = (a yr - 0 yi, a yi + 0 yr)
-        ay = lanes(a[h + 1 :]) * yk
-        ay += zero_sign * yk[:, ::-1]
-        rk = lanes(r[h + 1 :])
-        rat = (0.0 / rk) * np.array([[1.0], [-1.0]])  # (ratio, -ratio)
-        sk = lanes(s[h:-1])
-
-        xs = np.empty((_BLOCK, 2, nb))
-        t, u = np.empty((2, nb)), np.empty((2, nb))
-
-        def step(j, prev, out):
-            # (s, 0) * (xr, xi) = (s xr - 0 xi, s xi + 0 xr), with u = (-0 xi, 0 xr)
-            np.multiply(sk[j], prev, out=t)
-            np.multiply(zero_sign, prev[::-1], out=u)
-            np.add(t, u, out=t)
-            np.subtract(ay[j], t, out=t)
-            # (nr, ni) / (r, 0) = ((nr + ni ratio) / denom, (ni - nr ratio) / denom), denom = r + 0 ratio = r
-            np.multiply(t[::-1], rat[j], out=u)
-            np.add(t, u, out=t)
-            np.divide(t, rk[j], out=out)
-
-        start = np.repeat([[head[-1].real], [head[-1].imag]], nb, axis=1)
-        prev = start
-        for j in range(_BLOCK):
-            step(j, prev, xs[j])
-            prev = xs[j]
-        ends = xs[-1].copy()  # pass 1's end of every block
-        start[:, 1:] = ends[:, :-1]
-        row = np.empty((2, nb))
-        prev = start
-        for j in range(_BLOCK):
-            if (j + 1) % _CHECK_EVERY:
-                step(j, prev, xs[j])
-            else:
-                step(j, prev, row)
-                if np.array_equal(row.view(np.int64), xs[j].view(np.int64)):
-                    break  # pass 1's later rows are what pass 2 would compute
-                xs[j] = row
-            prev = xs[j]
-        if not np.array_equal(ends[:, :-1].view(np.int64), xs[-1, :, :-1].view(np.int64)):
-            return None
-        if not np.isfinite(xs).all():
-            return None
+        # the lanes live in _solve_blocks, so the output below reuses their freed memory
+        xs = _solve_blocks(r[h + 1 :], s[h:-1], a[h + 1 :], yv[h + 1 :], head[-1])
+    if xs is None:
+        return None
     out = np.empty(n, dtype=np.complex128)
     out[: h + 1] = head
-    out[h + 1 :].view(np.float64).reshape(nb, _BLOCK, 2)[:] = xs.transpose(2, 0, 1)
+    out[h + 1 :].reshape(nb, _BLOCK)[:] = xs.view(np.complex128)[..., 0].T
     return out
+
+
+def _solve_blocks(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray, start: complex) -> np.ndarray | None:
+    """x_k = (a[k] yv[k] - s[k] x_{k-1}) / r[k] for k < m = nb * _BLOCK, x_{-1} = start; None to fall back.
+
+    The values come back as (_BLOCK, nb, 2) floats: row j holds step j of
+    every block as (real, imaginary) pairs, and a step is one call of
+    _fast_step or _exact_step on a row.  Pass 1 starts every block from start;
+    blocks are an even number of steps long, so on constant data that settles
+    into a rounding cycle of period 2 the start has the cycle's phase.  Pass 2
+    restarts block b from pass 1's end of block b - 1, and once its row equals
+    pass 1's bitwise it keeps pass 1's rows.  If every pass-2 start equals
+    pass 2's end of the block before, pass 2 is the serial chain from start.
+
+    Every step is _fast_step unless a part of the float product a y is -0.0.
+    The +-0 terms of _exact_step only sign zeros.  Those of a y change only a
+    -0.0 part.  Those of s x can sign a zero product otherwise, but s x enters
+    only a y - s x, which is a y when a y is nonzero and +0 when a y is +0.
+    So without a -0.0 in a y no a y - s x is -0.0, and the +-0 terms of the
+    quotient meet a nonzero number or +0, which they leave as it is
+    (+0 + -0 = +0 - +0 = +0).  None when a value is not finite or the
+    fixed-point check fails.
+    """
+    nb = yv.size // _BLOCK
+
+    def lanes(v):  # (nb * _BLOCK,) complex -> (_BLOCK, nb, 2) floats: row j is step j of every block
+        return np.ascontiguousarray(v.reshape(nb, _BLOCK).T).view(np.float64).reshape(_BLOCK, nb, 2)
+
+    def twice(v):  # (nb * _BLOCK,) floats, each in both places of its pair
+        pairs = np.empty((_BLOCK, nb, 2))
+        pairs[..., 0] = v.reshape(nb, _BLOCK).T
+        pairs[..., 1] = pairs[..., 0]
+        return pairs
+
+    sk, rk, ay = twice(s), twice(r), lanes(yv)
+    ay[..., 0] *= a.reshape(nb, _BLOCK).T
+    ay[..., 1] *= a.reshape(nb, _BLOCK).T
+    if (ay.view(np.int64) == _NEGATIVE_ZERO).any():
+        zero = lanes(yv) * 0.0
+        ay[..., 0] -= zero[..., 1]  # (a, 0) * (yr, yi) = (a yr - 0 yi, a yi + 0 yr)
+        ay[..., 1] += zero[..., 0]
+        step, rows = _exact_step, list(zip(sk, ay, rk, 0.0 / rk))
+    else:
+        step, rows = _fast_step, list(zip(sk, ay, rk))
+    xs = np.empty((_BLOCK, nb, 2))
+    first = np.empty((nb, 2))
+    first[:] = start.real, start.imag
+    prev = first
+    for j in range(_BLOCK):
+        step(prev, *rows[j], xs[j])
+        prev = xs[j]
+    ends = xs[-1].copy()  # pass 1's end of every block
+    first[1:] = ends[:-1]
+    row = np.empty((nb, 2))
+    prev = first
+    for j in range(_BLOCK):
+        if (j + 1) % _CHECK_EVERY:
+            step(prev, *rows[j], xs[j])
+        else:
+            step(prev, *rows[j], row)
+            if np.array_equal(row.view(np.int64), xs[j].view(np.int64)):
+                break  # pass 1's later rows are what pass 2 would compute
+            xs[j] = row
+        prev = xs[j]
+    if not np.array_equal(ends[:-1].view(np.int64), xs[-1, :-1].view(np.int64)) or not np.isfinite(xs).all():
+        return None
+    return xs
 
 
 def triangle_kernel(sys: BandSystem, n: int) -> TriangleKernel:

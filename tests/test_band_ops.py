@@ -267,11 +267,11 @@ def test_inverse_transform_matches_indexed_loop_on_long_contracting_system():
     assert band_ops.inverse_transform(y, sys).values.tobytes() == _indexed_inverse(y, sys).tobytes()
 
 
-def _contracting_system(rng, n):
-    """|s_k| / |r_k| in [0.1, 0.9] with both signs of r and s, so every block's ratio walk falls fast."""
-    r = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
-    s = rng.uniform(0.1, 0.9, n) * np.abs(r) * rng.choice([-1.0, 1.0], n)
-    return BandSystem(r, s, rng.uniform(0.5, 2.0, n))
+def _contracting_system(rng, n, r_sign=None, s_sign=None, alpha=None):
+    """|s_k| / |r_k| in [0.1, 0.9], so every block's ratio walk falls fast; r and s take both signs unless given."""
+    r = rng.uniform(1.0, 2.0, n) * (rng.choice([-1.0, 1.0], n) if r_sign is None else r_sign)
+    s = rng.uniform(0.1, 0.9, n) * np.abs(r) * (rng.choice([-1.0, 1.0], n) if s_sign is None else s_sign)
+    return BandSystem(r, s, rng.uniform(0.5, 2.0, n) if alpha is None else alpha)
 
 
 def _blocked(y, sys):
@@ -369,6 +369,109 @@ def test_blocked_path_raises_no_runtime_warning():
             band_ops.inverse_transform(huge, sys)
         assert _blocked(tiny, sys) is not None
         assert band_ops.inverse_transform(tiny, sys).values.tobytes() == _indexed_inverse(tiny, sys).tobytes()
+
+
+def _refuse(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(band_ops, name, refuse)
+
+
+@pytest.mark.parametrize("r_sign, s_sign", [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fast_step_alone_solves_contracting_complex_input(monkeypatch, seed, r_sign, s_sign):
+    _refuse(monkeypatch, "_exact_step")
+    rng = rng_from_seed(seed)
+    n = band_ops._MIN_BLOCKED_N + 1000 + seed
+    sys = _contracting_system(rng, n, r_sign, s_sign)
+    y = FiniteSeq(complex_uniform(rng, n))
+    assert _blocked(y, sys).tobytes() == _indexed_inverse(y, sys).tobytes()
+
+
+def _with_exact_zero(rng, n):
+    """A system with alpha = 1 and y whose chain has x_k = 0 exactly at k = n // 2."""
+    sys = _contracting_system(rng, n, -1.0, 1.0, alpha=np.ones(n))
+    y = complex_uniform(rng, n)
+    k = n // 2
+    # with alpha_k = 1, a_k y_k - s_{k-1} x_{k-1} cancels exactly
+    y[k] = float(sys.s[k - 1]) * complex(_indexed_inverse(FiniteSeq(y), sys)[k - 1])
+    x = _indexed_inverse(FiniteSeq(y), sys)
+    assert x[k] == 0 and np.count_nonzero(x.view(np.float64) == 0.0) == 2
+    return sys, FiniteSeq(y)
+
+
+def _with_subnormal_products(rng, n):
+    """A system and y whose chain has no zero but products s_{k-1} x_{k-1} below the normals."""
+    sys = _contracting_system(rng, n, 1.0, -1.0)
+    y = FiniteSeq(complex_uniform(rng, n) * 1e-306)
+    parts = np.abs(_indexed_inverse(y, sys).view(np.float64).reshape(n, 2))
+    assert np.all(parts > 0.0) and np.any(np.abs(sys.s[:-1, None]) * parts[:-1] < 2.0**-1022)
+    return sys, y
+
+
+@pytest.mark.parametrize("chain", [_with_exact_zero, _with_subnormal_products])
+def test_zeros_and_subnormal_products_in_chain_keep_fast_step(monkeypatch, chain):
+    # the +-0 terms of CPython's step can only sign a zero through a -0.0 part of a y
+    sys, y = chain(rng_from_seed(12), band_ops._MIN_BLOCKED_N + 1000)
+    _refuse(monkeypatch, "_exact_step")
+    assert _blocked(y, sys).tobytes() == _indexed_inverse(y, sys).tobytes()
+
+
+def _negative_zero_inputs(n):
+    u = complex_uniform(rng_from_seed(14), n)
+    one = u.copy()
+    one[n // 3] = complex(-0.0, u[n // 3].imag)
+    tiny = u.copy()
+    tiny[n // 2] = complex(u[n // 2].real, -5e-324)  # 0.5 * -5e-324 rounds to -0.0
+    return [one, _with_zero_lane(u, -0.0), tiny]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_negative_zero_in_products_takes_exact_step(monkeypatch, case):
+    n = band_ops._MIN_BLOCKED_N + 1000
+    sys = _contracting_system(rng_from_seed(15), n, 1.0, -1.0, alpha=np.full(n, 0.5))
+    y = FiniteSeq(_negative_zero_inputs(n)[case])
+    _refuse(monkeypatch, "_fast_step")
+    assert _blocked(y, sys).tobytes() == _indexed_inverse(y, sys).tobytes()
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+_STEP_SPECIALS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), nb=st.integers(min_value=1, max_value=8))
+def test_steps_match_cpython_complex_arithmetic(data, nb):
+    # one step x' = (a y - s x) / r of every lane against CPython's complex arithmetic: the exact
+    # step always, the fast step whenever no part of the float product a y is -0.0; x and y range
+    # over +-0.0, subnormals and doubles within 1e+-150, s over nonzero doubles there and r within
+    # 1e+-3, so no step overflows
+    def draw(elements, size):
+        return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)))
+
+    moderate = st.floats(min_value=-1e150, max_value=1e150)
+    x = draw(st.one_of(_STEP_SPECIALS, moderate), 2 * nb).reshape(nb, 2)
+    y = draw(st.one_of(_STEP_SPECIALS, moderate), 2 * nb).reshape(nb, 2)
+    a = draw(st.floats(min_value=1e-3, max_value=1e3), nb)
+    s = draw(_signed(st.floats(min_value=1e-150, max_value=1e150)), nb)
+    r = draw(_signed(st.floats(min_value=1e-3, max_value=1e3)), nb)
+    serial = [
+        (float(ak) * complex(*yk) - float(sk) * complex(*xk)) / float(rk) for ak, yk, sk, xk, rk in zip(a, y, s, x, r)
+    ]
+    expected = np.array(serial).view(np.float64).reshape(nb, 2)
+    s2, r2 = np.repeat(s, 2).reshape(nb, 2), np.repeat(r, 2).reshape(nb, 2)
+    out = np.empty((nb, 2))
+    promoted = np.array([float(ak) * complex(*yk) for ak, yk in zip(a, y)]).view(np.float64).reshape(nb, 2)
+    band_ops._exact_step(x, s2, promoted, r2, 0.0 / r2, out)
+    assert out.tobytes() == expected.tobytes()
+    ay = y * a[:, None]
+    if not np.any((ay == 0.0) & np.signbit(ay)):
+        band_ops._fast_step(x, s2, ay, r2, out)
+        assert out.tobytes() == expected.tobytes()
 
 
 def _lattice_kernel(sys, n):
