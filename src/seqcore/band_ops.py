@@ -30,9 +30,8 @@ float operand of complex arithmetic to complex(f, 0.0), which adds +-0 terms
 to every product and quotient.  They only sign zeros, and only a -0.0 part
 of a y lets such a sign through: a y - s x is a y when a y is nonzero and +0
 when a y is +0, whatever the sign of a zero s x, and +0 plus or minus a zero
-is +0.  So without a -0.0 in a y the three ufuncs round as the loop does;
-other input runs a step that adds the +-0 terms one by one.  Any other
-system runs the serial loop.
+is +0.  So without a -0.0 in a y the three ufuncs round as the loop does.
+Input with a -0.0 in a y, and any other system, runs the serial loop.
 
 Accuracy convention: products of the band ratios s_i/r_i act as the condition
 measure for everything here.  Residuals of identities that cancel huge
@@ -76,7 +75,10 @@ def forward_transform(x, sys: BandSystem) -> FiniteSeq:
     y = np.empty(x.n, dtype=np.complex128)
     y[0] = r[0] * v[0] / a[0]
     if x.n > 1:
-        y[1:] = (r[1:] * v[1:] + s[:-1] * v[:-1]) / a[1:]
+        tail = y[1:]  # built in place: one temporary, not three, and the same bits
+        np.multiply(r[1:], v[1:], out=tail)
+        tail += s[:-1] * v[:-1]
+        tail /= a[1:]
     return FiniteSeq(y)
 
 
@@ -120,7 +122,7 @@ _MIN_LOG_CONTRACTION = 60.0 * math.log(2.0)
 # CPython 3.11 promotes a float operand of complex arithmetic to complex(f, 0.0), so
 # 1.0 * (-0.0 - 1j) has real part -0.0 - 0.0 * -1.0 = +0.0; a real-times-complex rule gives -0.0
 _PROMOTES = math.copysign(1.0, (1.0 * complex(-0.0, -1.0)).real) > 0.0
-# -0.0 read as an int64 (the sign bit alone); a y with such a part runs _exact_step
+# -0.0 read as an int64 (the sign bit alone); a y with such a part runs _substitute
 _NEGATIVE_ZERO = np.iinfo(np.int64).min
 
 
@@ -128,28 +130,6 @@ def _fast_step(x: np.ndarray, s: np.ndarray, ay: np.ndarray, r: np.ndarray, out:
     """out = (ay - s x) / r on a row of (real, imaginary) float pairs: three float ufuncs."""
     np.multiply(x, s, out=out)
     np.subtract(ay, out, out=out)
-    np.divide(out, r, out=out)
-
-
-def _exact_step(
-    x: np.ndarray, s: np.ndarray, ay: np.ndarray, r: np.ndarray, ratio: np.ndarray, out: np.ndarray
-) -> None:
-    """_fast_step with the +-0 terms of CPython's complex arithmetic, ratio = 0/r: nine float ufuncs.
-
-    A float f enters as (f, 0.0), so (s, 0) * (xr, xi) = (s xr - 0 xi, s xi + 0 xr),
-    and _Py_c_quot divides (nr, ni) by (r, 0) as ((nr + ni ratio) / denom,
-    (ni - nr ratio) / denom) with denom = r + 0 ratio = r.
-    """
-    zero = x * 0.0
-    zr, zi = zero[:, 0], zero[:, 1]
-    re, im = out[:, 0], out[:, 1]
-    np.multiply(x, s, out=out)
-    re -= zi
-    im += zr
-    np.subtract(ay, out, out=out)
-    np.multiply(out, ratio, out=zero)
-    re += zi
-    im -= zr
     np.divide(out, r, out=out)
 
 
@@ -187,50 +167,43 @@ def _solve_blocks(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray, s
     """x_k = (a[k] yv[k] - s[k] x_{k-1}) / r[k] for k < m = nb * _BLOCK, x_{-1} = start; None to fall back.
 
     The values come back as (_BLOCK, nb, 2) floats: row j holds step j of
-    every block as (real, imaginary) pairs, and a step is one call of
-    _fast_step or _exact_step on a row.  Pass 1 starts every block from start;
-    blocks are an even number of steps long, so on constant data that settles
-    into a rounding cycle of period 2 the start has the cycle's phase.  Pass 2
-    restarts block b from pass 1's end of block b - 1, and once its row equals
-    pass 1's bitwise it keeps pass 1's rows.  If every pass-2 start equals
-    pass 2's end of the block before, pass 2 is the serial chain from start.
+    every block as (real, imaginary) pairs, and a step is one _fast_step on a
+    row.  Pass 1 starts every block from start; blocks are an even number of
+    steps long, so on constant data that settles into a rounding cycle of
+    period 2 the start has the cycle's phase.  Pass 2 restarts block b from
+    pass 1's end of block b - 1, and once its row equals pass 1's bitwise it
+    keeps pass 1's rows.  If every pass-2 start equals pass 2's end of the
+    block before, pass 2 is the serial chain from start.
 
-    Every step is _fast_step unless a part of the float product a y is -0.0.
-    The +-0 terms of _exact_step only sign zeros.  Those of a y change only a
-    -0.0 part.  Those of s x can sign a zero product otherwise, but s x enters
-    only a y - s x, which is a y when a y is nonzero and +0 when a y is +0.
-    So without a -0.0 in a y no a y - s x is -0.0, and the +-0 terms of the
-    quotient meet a nonzero number or +0, which they leave as it is
-    (+0 + -0 = +0 - +0 = +0).  None when a value is not finite or the
-    fixed-point check fails.
+    _fast_step leaves out the +-0 terms of CPython's complex arithmetic, which
+    only sign zeros.  Those of a y change only a -0.0 part.  Those of s x can
+    sign a zero product otherwise, but s x enters only a y - s x, which is a y
+    when a y is nonzero and +0 when a y is +0.  So without a -0.0 in a y no
+    a y - s x is -0.0, and the +-0 terms of the quotient meet a nonzero number
+    or +0, which they leave as it is (+0 + -0 = +0 - +0 = +0).  None when a
+    part of the float product a y is -0.0, when a value is not finite or when
+    the fixed-point check fails.
     """
     nb = yv.size // _BLOCK
+    ay = np.ascontiguousarray(yv.reshape(nb, _BLOCK).T).view(np.float64).reshape(_BLOCK, nb, 2)
+    ay[..., 0] *= a.reshape(nb, _BLOCK).T
+    ay[..., 1] *= a.reshape(nb, _BLOCK).T
+    if (ay.view(np.int64) == _NEGATIVE_ZERO).any():
+        return None
 
-    def lanes(v):  # (nb * _BLOCK,) complex -> (_BLOCK, nb, 2) floats: row j is step j of every block
-        return np.ascontiguousarray(v.reshape(nb, _BLOCK).T).view(np.float64).reshape(_BLOCK, nb, 2)
-
-    def twice(v):  # (nb * _BLOCK,) floats, each in both places of its pair
+    def twice(v):  # (nb * _BLOCK,) floats -> (_BLOCK, nb, 2), each in both places of its pair
         pairs = np.empty((_BLOCK, nb, 2))
         pairs[..., 0] = v.reshape(nb, _BLOCK).T
         pairs[..., 1] = pairs[..., 0]
         return pairs
 
-    sk, rk, ay = twice(s), twice(r), lanes(yv)
-    ay[..., 0] *= a.reshape(nb, _BLOCK).T
-    ay[..., 1] *= a.reshape(nb, _BLOCK).T
-    if (ay.view(np.int64) == _NEGATIVE_ZERO).any():
-        zero = lanes(yv) * 0.0
-        ay[..., 0] -= zero[..., 1]  # (a, 0) * (yr, yi) = (a yr - 0 yi, a yi + 0 yr)
-        ay[..., 1] += zero[..., 0]
-        step, rows = _exact_step, list(zip(sk, ay, rk, 0.0 / rk))
-    else:
-        step, rows = _fast_step, list(zip(sk, ay, rk))
+    rows = list(zip(twice(s), ay, twice(r)))
     xs = np.empty((_BLOCK, nb, 2))
     first = np.empty((nb, 2))
     first[:] = start.real, start.imag
     prev = first
     for j in range(_BLOCK):
-        step(prev, *rows[j], xs[j])
+        _fast_step(prev, *rows[j], xs[j])
         prev = xs[j]
     ends = xs[-1].copy()  # pass 1's end of every block
     first[1:] = ends[:-1]
@@ -238,9 +211,9 @@ def _solve_blocks(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray, s
     prev = first
     for j in range(_BLOCK):
         if (j + 1) % _CHECK_EVERY:
-            step(prev, *rows[j], xs[j])
+            _fast_step(prev, *rows[j], xs[j])
         else:
-            step(prev, *rows[j], row)
+            _fast_step(prev, *rows[j], row)
             if np.array_equal(row.view(np.int64), xs[j].view(np.int64)):
                 break  # pass 1's later rows are what pass 2 would compute
             xs[j] = row

@@ -11,9 +11,10 @@ verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
 unreadable input or schema violation (including invalid generator values,
 non-integer lists, non-numeric tolerances, density tolerances outside (0, 1),
 non-positive exponents, exponent lists shorter than the largest truncation,
-truncations below 1, B ladders that are empty or hold a B <= 1, and a value
-that names both an existing file and a generator), 4 internal evaluation
-errors.
+truncations below 1, B ladders that are empty or hold a B <= 1, an unknown
+(space, dual) pair, exponents on both sides of 1 where the dual rules split
+there, and a value that names both an existing file and a generator), 4
+internal evaluation errors.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_ops import inverse_kernel, inverse_transform
+from .io import SchemaError
 from .ladder import witness_ladder
 from .types import BandSystem, ExponentSeq, FiniteSeq, TriangleKernel
 from .verdicts import aggregate_verdict
@@ -335,14 +336,14 @@ def dual_rule_table() -> dict:
 
 def _conditions_for(space, dual, p: ExponentSeq):
     if space not in SPACES or dual not in DUALS:
-        raise ValueError(f"unknown (space, dual) pair ({space!r}, {dual!r})")
+        raise SchemaError(f"unknown (space, dual) pair ({space!r}, {dual!r})")
     rule = DUAL_RULES[(space, dual)]
     if isinstance(rule, dict):
         if np.all(p.p <= 1.0):
             return rule[_LOW]
         if np.all(p.p > 1.0):
             return rule[_HIGH]
-        raise ValueError("mixed exponent regimes (some p_k <= 1 < others) are not characterized")
+        raise SchemaError("mixed exponent regimes (some p_k <= 1 < others) are not characterized")
     return rule
 
 

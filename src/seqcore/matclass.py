@@ -496,8 +496,8 @@ def _ladder_sources(source: str, A, sys, matrix, ladder) -> dict:
 def _condition_verdict(cond_id, sources, ladder, p, qa, witness_values):
     """Fit the condition's parameters at the top rung and run it through the ladder engine.
 
-    beta_k is the top rung's last row, complex when the source is; its head
-    is reported by real parts.
+    beta_k is the top rung's last row and beta its sum, both complex when
+    the source is; they are reported by real parts.
     """
     spec = _SPECS[cond_id]
     top = sources[ladder[-1]][spec.source]
@@ -507,7 +507,8 @@ def _condition_verdict(cond_id, sources, ladder, p, qa, witness_values):
         beta_k = top[-1, :].copy()
         fitted["beta_k_head"] = [float(np.real(v)) for v in beta_k[:8]]
     if spec.uses_beta:
-        beta = fitted["beta"] = float(np.real(top[-1, :].sum()))
+        beta = top[-1, :].sum()
+        fitted["beta"] = float(np.real(beta))
     if cond_id == "4.6":
         density_sets = default_density_sets(ladder[-1])
         fitted["density_sets"] = [name for name, _ in density_sets]

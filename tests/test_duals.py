@@ -418,6 +418,18 @@ class TestDualReport:
         plain = canonical_dumps(duals.dual_report(FiniteSeq(a), sys, p, "lp", "alpha", ladder).to_json())
         assert canonical_dumps(duals.dual_report(FiniteSeq(tail), sys, p, "lp", "alpha", ladder).to_json()) == plain
 
+    def test_complex_row_sum_limit_is_fitted_complex(self):
+        # S6 compares D's row sums with their fitted limit beta; with weights i 0.5^k the limit is
+        # purely imaginary, and a beta cut to its real part leaves a deviation of 0.8 at every rung
+        k = np.arange(256.0)
+        sys = BandSystem.constant(2.0, 1.0, 1.0, 256)
+        p = ExponentSeq.constant(1.0, 256)
+        for weights in (0.5**k, 1j * 0.5**k):
+            report = duals.dual_report(FiniteSeq(weights), sys, p, "sc", "beta", (64, 128, 256))
+            s6 = next(c for c in report.conditions if c.cond_id == "S6")
+            assert s6.verdict == "holds" and s6.last_deviation == 0.0
+            assert s6.target == s6.fitted["beta"] == (0.0 if np.iscomplexobj(weights) else pytest.approx(0.8))
+
     @pytest.mark.parametrize("system", ["constant", "random"])
     @pytest.mark.parametrize("weights", ["real", "complex"])
     def test_top_rung_blocks_match_per_rung_companions(self, monkeypatch, system, weights):

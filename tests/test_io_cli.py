@@ -366,6 +366,9 @@ class TestExitCodeContract:
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[0, 2])], 3),
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[])], 3),
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[2, 4])], 1),
+            # an unknown (space, dual) pair, and exponents on both sides of 1 where the rules split there
+            (["dual-check", "--config", self._dual_cfg(tmp_path, space="foo")], 3),
+            (["dual-check", "--config", self._dual_cfg(tmp_path, space="lp", dual="alpha", p=[0.5] * 8 + [2.0] * 8)], 3),
             # lp.beta runs S14, whose conjugate exponents need p_k > 1
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="lp", dual="beta", p=0.5)], 3),
             # config exponent lists shorter than the largest rung

@@ -13,6 +13,11 @@ t > 1) applied to the governing sum, so the rows hold iff e > 2 (Kizmaz) and
 e > 1 (contracting).  Rows the current conditions get wrong are strict
 xfails that name their mechanism; a fix of that mechanism removes its marks.
 
+Finite support (an invariance, so no closed form is needed): when a has
+finitely many nonzero terms, sum a_n x_n is a finite sum for every x, so a
+lies in the alpha-, beta- and gamma-dual of every space, under every system
+and every p.  The rows use a = e_3.
+
 Class side: for A = D T, with T the band triangle and D = diag(d), the
 composed matrix E = A V is D itself, so with p = q = 1 each of the nine E
 classes follows the multiplier rule (Stieglitz & Tietz 1977): into l_inf
@@ -25,6 +30,8 @@ import numpy as np
 import pytest
 
 from seqcore import band_ops, duals, matclass
+from seqcore.generators import make_sequence
+from seqcore.io import SchemaError
 from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
 
 LADDER = (128, 256, 512, 1024)
@@ -68,6 +75,40 @@ def test_dual_verdict_matches_known_dual(family, space, dual, e, m):
     report = duals.dual_report(a, sys, ExponentSeq.constant(1.0, N), space, dual, LADDER)
     assert report.aggregate == expected
 
+
+
+SUPPORT_LADDER = (16, 64, 256)
+SUPPORT_N = SUPPORT_LADDER[-1]
+SUPPORT_SYSTEMS = {
+    "difference": BandSystem.difference(SUPPORT_N),
+    "contracting": BandSystem.constant(1.0, 0.5, 1.0, SUPPORT_N),
+    "expanding": BandSystem.constant(1.0, 2.0, 1.0, SUPPORT_N),
+    "negated_difference": BandSystem.constant(-1.0, 1.0, 1.0, SUPPORT_N),
+}
+
+# (space, dual, p) -> (mechanism of a verdict that is wrong today, the exception the row raises)
+SUPPORT_KNOWN_WRONG = {
+    **{("sinf", "alpha", p): (f"{S8_READS_D} (ROADMAP item 1.1)", AssertionError) for p in (0.5, 2.0)},
+    **{("lp", "alpha", p): ("S12 and S13 read D, not C (ROADMAP item 1.1)", AssertionError) for p in (0.5, 2.0)},
+    ("lp", "beta", 0.5): ("lp.beta runs S14, whose conjugate exponents need p_k > 1 (ROADMAP item 3)", SchemaError),
+}
+
+
+def _support_rows():
+    for system in SUPPORT_SYSTEMS:
+        for space in duals.SPACES:
+            for dual in duals.DUALS:
+                for p in (0.5, 2.0):
+                    mechanism, raises = SUPPORT_KNOWN_WRONG.get((space, dual, p), (None, None))
+                    marks = [pytest.mark.xfail(strict=True, raises=raises, reason=mechanism)] if mechanism else []
+                    yield pytest.param(system, space, dual, p, marks=marks, id=f"e3-{system}-{space}.{dual}-p{p:g}")
+
+
+@pytest.mark.parametrize("system, space, dual, p", list(_support_rows()))
+def test_finitely_supported_weight_is_in_every_dual(system, space, dual, p):
+    a = make_sequence("e_n", SUPPORT_N, k=3)
+    report = duals.dual_report(a, SUPPORT_SYSTEMS[system], ExponentSeq.constant(p, SUPPORT_N), space, dual, SUPPORT_LADDER)
+    assert report.aggregate == "holds"
 
 
 CLASS_LADDER = (64, 128, 256, 512)
