@@ -24,7 +24,10 @@ n = 40000 over the window (10000, 40000), at two density tolerances and over
 probes ~1e3x the data spread, pin windows long enough for the cell
 prefilter of the radii.  Alpha cores of alternating and convergent at
 n = 40000 over the same window pin real transformed windows of 30000
-distinct values, where the candidate filter keeps every value.
+distinct values, where the candidate filter keeps every value.  Hull, disc
+and statistical (tolerance 0.02) cores of the four other C7 sequences at
+n = 40000 over that window pin the benchmark's window length for real,
+few-valued and complex windows.
 
 A config whose evaluation raises is pinned by its exception type.
 
@@ -184,6 +187,13 @@ def _core_configs():
     for name, params in (CORE_SEQUENCES[0], CORE_SEQUENCES[4]):
         seq = make_sequence(name, LONG_N, **params)
         out[f"core|{name}_40000|alpha"] = lambda seq=seq: cores.alpha_core(seq, long_sys, LONG_WINDOW)
+    for name, params in CORE_SEQUENCES:
+        if name == "random_bounded":  # its long-window st cores are pinned above
+            continue
+        seq = make_sequence(name, LONG_N, **params)
+        out[f"core|{name}_40000|hull"] = lambda seq=seq: cores.cluster_hull(seq, LONG_WINDOW)
+        out[f"core|{name}_40000|disc"] = lambda seq=seq: cores.disc_core(seq, LONG_WINDOW)
+        out[f"core|{name}_40000|st:0.02"] = lambda seq=seq: cores.st_core(seq, LONG_WINDOW, 0.02)
     return out
 
 
