@@ -31,16 +31,19 @@ Only extreme window values can be a hull vertex or a window max of
 keep the candidates of _extreme_candidates: the values not inside the
 polygon Q of the extremes in eight directions by more than a margin that
 exceeds the rounding of the chain's orientation test and of |x_k - z| for
-the probes at hand, deduplicated by one sort of the complex values
-(_distinct), not by hashing.  The regions render the same bytes as from
+the probes at hand, deduplicated by one sort (_distinct), not by hashing.
+The sort is of the float real parts unless a -0.0 part or real parts tied
+under different imaginary parts need the complex sort, and it gives
+numpy's unique bytes either way.  The regions render the same bytes as from
 every window value; a degenerate Q keeps every distinct value.  A hull
 whose points share one x or one y is the segment between its two
 lexicographic extremes, returned without running the chain.
 
 The disc intersection is evaluated through its support envelope
 h(u) = min_z (z . u + radius(z)) over a finite z set, then canonicalized by
-clipping halfplanes into a polygon and re-sampling the support from its
-vertices, so stored support values and vertices are always consistent.  A
+clipping halfplanes into a polygon (float-pair vertices, one np.vecdot per
+halfplane) and re-sampling the support from its vertices, so stored support
+values and vertices are always consistent.  A
 finite z set yields a superset of the true intersection; probe points are
 therefore placed on a central grid plus far samples along each sampled
 direction, which pinches the envelope to within O(scale / t_far) of the
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band_ops import forward_transform
+from .band_ops import _NEGATIVE_ZERO, forward_transform
 from .generators import materialize_matrix
 from .types import BandSystem, FiniteSeq
 
@@ -132,17 +135,29 @@ def _distinct(vals: np.ndarray, return_counts: bool = False):
 
     The sort branch of numpy's unique: one sort, then each value that differs from
     the one before it.  +-0.0 parts compare equal, so the copy that sorts first
-    stands for both.  Window values are finite (FiniteSeq rejects NaN), so no
-    NaN needs merging.
+    stands for both; a window with a -0.0 part keeps the complex sort, which
+    decides that copy as numpy does.  In any other window equal values are
+    bitwise equal, so any lexicographic order gives numpy's bytes, and the
+    float real parts (which numpy sorts with SIMD kernels) give it: their sort
+    alone when every imaginary part is +0.0, else their argsort, accepted when
+    no two neighbours with equal real parts differ in imaginary part.  Window
+    values are finite (FiniteSeq rejects NaN), so no NaN needs merging.
     """
-    s = np.sort(vals)
+    re, im = vals.real, vals.imag
+    if (re.view(np.int64) == _NEGATIVE_ZERO).any() or (im.view(np.int64) == _NEGATIVE_ZERO).any():
+        s = np.sort(vals)
+    elif not im.any():
+        s = np.sort(re)
+    else:
+        s = vals[np.argsort(re)]
+        if np.any((s.real[1:] == s.real[:-1]) & (s.imag[1:] != s.imag[:-1])):
+            s = np.sort(vals)
     first = np.empty(s.size, dtype=bool)
     first[:1] = True
     np.not_equal(s[1:], s[:-1], out=first[1:])
-    if not return_counts:
-        return s[first]
     starts = np.flatnonzero(first)
-    return s[starts], np.diff(starts, append=s.size)
+    out = s[starts].astype(np.complex128, copy=False)  # real parts come back with +0.0 imaginary parts
+    return (out, np.diff(starts, append=s.size)) if return_counts else out
 
 
 def _convex_hull(xy: np.ndarray) -> np.ndarray:
@@ -200,21 +215,23 @@ def _extreme_candidates(vals: np.ndarray, reach: float) -> np.ndarray:
 
 
 def _clip_halfplanes(angles: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Intersect {x . u_d <= h_d} by successive polygon clipping."""
+    """Intersect {x . u_d <= h_d} by successive polygon clipping.
+
+    Vertices are (x, y) float pairs.  A halfplane's distances x . u_d come from
+    one np.vecdot over the vertices, which runs the ddot kernel of a 2-vector
+    p @ u (x*u0 + y*u1 in floats can round otherwise: the kernel may fuse a
+    multiply-add); the intersections and the near-duplicate pass are the float
+    operations of 2-element arrays, so the vertices keep their bits.
+    """
     radius = float(np.max(np.abs(h))) * 2.0 + 1.0
-    poly = [
-        np.array([-radius, -radius]),
-        np.array([radius, -radius]),
-        np.array([radius, radius]),
-        np.array([-radius, radius]),
-    ]
+    poly = [(-radius, -radius), (radius, -radius), (radius, radius), (-radius, radius)]
     units = _unit(angles)
     slack = 1e-12 * max(1.0, radius)
     for u, bound in zip(units, h):
         if not poly:
             break
         clipped = []
-        dist = [float(p @ u) - float(bound) for p in poly]
+        dist = (np.vecdot(np.array(poly), u) - bound).tolist()
         for i, p in enumerate(poly):
             j = (i + 1) % len(poly)
             q = poly[j]
@@ -223,20 +240,25 @@ def _clip_halfplanes(angles: np.ndarray, h: np.ndarray) -> np.ndarray:
                 clipped.append(p)
             if (din <= slack) != (dout <= slack) and abs(dout - din) > 0.0:
                 t = (0.0 - din) / (dout - din)
-                clipped.append(p + t * (q - p))
+                clipped.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
         poly = clipped
     if not poly:
         return np.zeros((0, 2))
-    out = np.array(poly)
     # dedupe nearly coincident vertices, keep order
-    keep = [0]
     tol = 1e-9 * max(1.0, radius)
-    for i in range(1, out.shape[0]):
-        if np.max(np.abs(out[i] - out[keep[-1]])) > tol:
-            keep.append(i)
-    if len(keep) > 1 and np.max(np.abs(out[keep[0]] - out[keep[-1]])) <= tol:
-        keep.pop()
-    return out[keep]
+    kept = [poly[0]]
+    for p in poly[1:]:
+        if _gap(p, kept[-1]) > tol:
+            kept.append(p)
+    if len(kept) > 1 and _gap(kept[0], kept[-1]) <= tol:
+        kept.pop()
+    return np.array(kept)
+
+
+def _gap(p: tuple, q: tuple) -> float:
+    """np.max(np.abs(p - q)) of two float pairs, NaN if either difference is NaN."""
+    dx, dy = abs(p[0] - q[0]), abs(p[1] - q[1])
+    return dx if dx != dx or dx >= dy else dy
 
 
 @dataclass(frozen=True)

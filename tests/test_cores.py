@@ -613,17 +613,26 @@ def _dedupe_windows(draw) -> np.ndarray:
     """Windows for the sort-based dedupe: random, tie-heavy lattices, +-0.0 parts, subnormals, near +-1e308.
 
     Up to 3000 values, so the sort runs past its small-array insertion sort.
+    Real windows with heavy ties have imaginary parts that are all +0.0 (or,
+    for real_signed_zero, zeros of either sign in both parts), and tied_real
+    windows repeat real parts under different imaginary parts, which the
+    real-part order cannot settle.
     """
     w = draw(st.integers(min_value=0, max_value=3000))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**30)))
-    kind = draw(st.sampled_from(["random", "lattice", "signed_zero", "subnormal", "huge"]))
+    kinds = ["random", "lattice", "signed_zero", "subnormal", "huge", "real_ties", "real_signed_zero", "tied_real"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "random":
         ab = rng.normal(size=(2, w))
     elif kind == "huge":  # a few distinct magnitudes within an ulp step of the largest floats
         ab = rng.choice([-1.0, 1.0], (2, w)) * np.nextafter(np.finfo(np.float64).max, 0.0) / rng.integers(1, 4, (2, w))
+    elif kind in ("real_ties", "real_signed_zero"):
+        ab = np.stack([rng.integers(-3, 4, w) * 0.5, np.zeros(w)])
+    elif kind == "tied_real":
+        ab = np.stack([rng.integers(-3, 4, w) * 0.5, rng.normal(size=w)])
     else:
         ab = rng.integers(-2, 3, (2, w)) * (5e-324 if kind == "subnormal" else 1.0)
-    if kind != "random":  # zeros of either sign in either part
+    if kind in ("lattice", "signed_zero", "subnormal", "huge", "real_signed_zero"):  # zeros of either sign in either part
         zero = ab == 0.0
         ab[zero] = rng.choice([-0.0, 0.0], int(np.count_nonzero(zero)))
     return _complex(*ab)
@@ -631,11 +640,38 @@ def _dedupe_windows(draw) -> np.ndarray:
 
 @settings(max_examples=200, deadline=None)
 @given(vals=_dedupe_windows())
+@example(vals=make_sequence("square_indicator", 40_000).values[10_000:])  # the benchmark's real window
+@example(vals=_complex(np.arange(30_000) % 7 - 3.0, np.arange(30_000) % 5 * 0.5))  # real parts tie under 5 imaginary parts
 def test_distinct_matches_numpy_unique_bitwise(vals):
     want, want_counts = np.unique(vals, return_counts=True)
     got, counts = cores._distinct(vals, return_counts=True)
     assert got.tobytes() == want.tobytes() and counts.tobytes() == want_counts.tobytes()
     assert cores._distinct(vals).tobytes() == want.tobytes()
+
+
+def test_distinct_sorts_complex_values_only_for_negative_zeros_or_tied_real_parts(monkeypatch):
+    sorted_dtypes = []
+    real_sort = np.sort
+
+    def spy(a, *args, **kwargs):
+        sorted_dtypes.append(np.asarray(a).dtype)
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    rng = np.random.default_rng(3)
+    ties = rng.integers(-3, 4, 500) * 0.5
+    cases = [
+        (_complex(ties, 0.0), False),  # real, +0.0 imaginary parts
+        (_complex(*rng.normal(size=(2, 500))), False),  # no two real parts tie
+        (_complex(ties, ties * 2.0 + 1.0), False),  # tied real parts share their imaginary part
+        (_complex(ties, rng.normal(size=500)), True),  # tied real parts under different imaginary parts
+        (_complex(ties, -0.0), True),
+        (_complex(np.where(ties == 0.0, -0.0, ties), rng.normal(size=500)), True),
+    ]
+    for vals, complex_sort in cases:
+        sorted_dtypes.clear()
+        cores._distinct(vals, return_counts=True)
+        assert (np.dtype(np.complex128) in sorted_dtypes) == complex_sort
 
 
 def _chain_hull(xy: np.ndarray) -> np.ndarray:
@@ -692,3 +728,90 @@ def test_lattice_hull_matches_chain_at_benchmark_size(family):
     vals = _family_values(family, 11, 30_000)
     xy = np.stack([vals.real, vals.imag], axis=1)
     assert cores._convex_hull(xy).tobytes() == _chain_hull(xy).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# halfplane clipping against the clip on 2-element arrays, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _array_clip(angles: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Successive polygon clipping with every vertex a 2-element array."""
+    radius = float(np.max(np.abs(h))) * 2.0 + 1.0
+    poly = [np.array([-radius, -radius]), np.array([radius, -radius]), np.array([radius, radius]), np.array([-radius, radius])]
+    slack = 1e-12 * max(1.0, radius)
+    for u, bound in zip(cores._unit(angles), h):
+        if not poly:
+            break
+        clipped = []
+        dist = [float(p @ u) - float(bound) for p in poly]
+        for i, p in enumerate(poly):
+            j = (i + 1) % len(poly)
+            q = poly[j]
+            din, dout = dist[i], dist[j]
+            if din <= slack:
+                clipped.append(p)
+            if (din <= slack) != (dout <= slack) and abs(dout - din) > 0.0:
+                t = (0.0 - din) / (dout - din)
+                clipped.append(p + t * (q - p))
+        poly = clipped
+    if not poly:
+        return np.zeros((0, 2))
+    out = np.array(poly)
+    keep = [0]
+    tol = 1e-9 * max(1.0, radius)
+    for i in range(1, out.shape[0]):
+        if np.max(np.abs(out[i] - out[keep[-1]])) > tol:
+            keep.append(i)
+    if len(keep) > 1 and np.max(np.abs(out[keep[0]] - out[keep[-1]])) <= tol:
+        keep.pop()
+    return out[keep]
+
+
+@st.composite
+def _halfplane_sets(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Direction angles and support samples h of a disc, a point, a segment, an empty set or a disc envelope.
+
+    4 to 128 directions, centres up to 1e+-3, radii from 1e-300 to infinity.
+    Segments lie along an axis, in a multiple of 4 directions, so that both
+    normals are sampled and the clip is flat.
+    """
+    shape = draw(st.sampled_from(["disc", "point", "segment", "empty", "envelope"]))
+    n = draw(st.integers(min_value=1, max_value=32)) * 4 if shape == "segment" else draw(st.integers(min_value=4, max_value=128))
+    angles = cores.direction_angles(n)
+    units = cores._unit(angles)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**30)))
+    scale = 10.0 ** draw(st.integers(min_value=-3, max_value=3))
+    c = rng.uniform(-1.0, 1.0, 2) * scale
+    r = draw(st.sampled_from([1e-300, 1e-12, 1e-3, 1.0, 1e6, 1e300, np.inf]))
+    if shape == "disc":
+        return angles, units @ c + r
+    if shape == "point":
+        return angles, units @ c
+    if shape == "segment":
+        step = np.zeros(2)
+        step[rng.integers(2)] = rng.normal() * scale
+        return angles, np.maximum(units @ c, units @ (c + step))
+    if shape == "empty":  # a disc of negative radius
+        return angles, units @ c - r
+    zs = c + rng.normal(size=(12, 2)) * scale  # the support envelope of 12 discs, as _disc_region takes it
+    return angles, np.min(zs @ units.T + (r + rng.uniform(0.0, scale, 12))[:, None], axis=0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
+@settings(max_examples=300, deadline=None)
+@given(case=_halfplane_sets())
+def test_clip_halfplanes_matches_array_clip_bitwise(case):
+    angles, h = case
+    got = cores._clip_halfplanes(angles, h)
+    want = _array_clip(angles, h)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**30), m=st.integers(min_value=1, max_value=64))
+def test_vecdot_rows_equal_two_vector_matmul_bitwise(seed, m):
+    rng = np.random.default_rng(seed)
+    P = rng.normal(size=(m, 2)) * 10.0 ** rng.integers(-300, 300, (m, 2))
+    u = cores._unit(rng.uniform(0.0, 2.0 * np.pi, 1))[0]
+    assert np.vecdot(P, u).tobytes() == np.array([p @ u for p in P]).tobytes()
