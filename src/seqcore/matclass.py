@@ -33,13 +33,12 @@ ladder and binds as M when existential and as L when universal.  The matrix
 functionals (subset estimates, signed column sups, power row and entry sups)
 live in :mod:`seqcore.duals`.  A class report builds its source once and hands it
 to every condition: btilde once at the largest truncation, sliced per ladder
-point, and E with its partial-sum families from one composition at the
-largest truncation, sliced at each ladder point n where the first n rows of
-A vanish right of column n - 1 (every point, for a lower-triangular A), and
-composed again at every other ladder point.  An array a condition weights the same
-way at every witness (|E|, |D|, |E - beta_k| or |tril(D - beta_k)|) is built
-once per ladder point.  beta_k is fitted from the top rung's last row and
-kept complex when the source is complex.
+point, and E once per ladder point: T is lower bidiagonal, so rung n solves
+E T = A on the leading n x n block of A in O(n^2), while the partial-sum
+families over V are sliced from the largest truncation.  An array a
+condition weights the same way at every witness (|E|, |D|, |E - beta_k| or
+|tril(D - beta_k)|) is built once per ladder point.  beta_k is fitted from
+the top rung's last row and kept complex when the source is complex.
 """
 
 from __future__ import annotations
@@ -102,9 +101,7 @@ class EPartial:
     buffer that every call reuses, so each call overwrites the block the
     previous call returned.  The cumulative sum runs only up to the
     last nonzero entry of A[n]; every later row adds exact zeros, so it is a
-    copy of that row and the block equals the full cumulative sum.  The
-    final row equals row n of the composed matrix, which is built from the
-    same additions in the same order.
+    copy of that row and the block equals the full cumulative sum.
     """
 
     def __init__(self, A: np.ndarray, V: np.ndarray):
@@ -135,29 +132,42 @@ class EPartial:
         return out
 
 
+def _solve_composed(dense: np.ndarray, sys: BandSystem) -> np.ndarray:
+    """E = dense V without V: solve E T = dense for the bidiagonal T, last column first.
+
+    E[:, k] = (alpha_k / r_k) (dense[:, k] - (s_k / alpha_{k+1}) E[:, k+1])
+    is one row of a transposed buffer (a complex one viewed as float pairs),
+    so a step is three in-place ufuncs over that row.
+    """
+    r, s, a = sys.params(dense.shape[0])
+    cols = np.array(dense.T, dtype=np.result_type(dense.dtype, np.float64), order="C")
+    work = cols.view(np.float64)
+    step = np.empty(work.shape[1])
+    scale, carry = (a / r).tolist(), (s[:-1] / a[1:]).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
+        work[-1] *= scale[-1]
+        for k in reversed(range(len(carry))):
+            np.multiply(work[k + 1], carry[k], out=step)
+            np.subtract(work[k], step, out=work[k])
+            np.multiply(work[k], scale[k], out=work[k])
+    if not np.isfinite(work).all():
+        raise OverflowError("composed matrix entries overflow double precision at this truncation")
+    return np.ascontiguousarray(cols.T)
+
+
 def e_matrix(A, sys: BandSystem, n: int) -> tuple[np.ndarray, EPartial]:
     """Composed matrix E = A V at truncation n, plus its partial-sum families.
 
-    E is accumulated by one sweep over j in index order,
-    ``E[lo_j:, :j+1] += A[lo_j:, j] V[j, :j+1]``, where lo_j is the first row
-    with a nonzero entry in column j of A.  The terms it skips are exact
-    zeros (V is lower triangular, and A vanishes above lo_j), so each E[i, k]
-    adds the other terms of the full cumulative sum sum_{j=0..n-1} A[i, j]
-    V[j, k] in the same order and equals it: ``partial.rows(i)[-1] == E[i]``
-    holds exactly, not just to rounding.  A lower-triangular A costs about
-    n^3/6 multiply-adds instead of n^3.
+    E is C-contiguous, from the O(n^2) solve :func:`_solve_composed`, and
+    within a few n eps (|A| |V|) of the cumulative sums of the partial-sum
+    families over the dense V (Higham, ch. 8), not bit for bit.  Raises
+    OverflowError when V or E leaves double precision.
     """
     if n < 1:
         raise ValueError("truncation must be >= 1")
     dense = materialize_matrix(A, n)
     V = inverse_kernel(sys, n).entries
-    E = np.zeros((n, n), dtype=np.result_type(dense.dtype, V.dtype))
-    nonzero = dense != 0
-    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), n)
-    for j, lo in enumerate(first.tolist()):
-        if lo < n:
-            E[lo:, : j + 1] += dense[lo:, j, None] * V[j, : j + 1]
-    return E, EPartial(dense, V)
+    return _solve_composed(dense, sys), EPartial(dense, V)
 
 
 def default_density_sets(n: int) -> list[tuple[str, np.ndarray]]:
@@ -470,23 +480,13 @@ def _ladder_sources(source: str, A, sys, matrix, ladder) -> dict:
     composition) are built once, at the top rung, and rung n reads the
     leading n x n block: no entry depends on a later row or column, so the
     block is bit-identical to a build at n.  E and its partial-sum families
-    come from one composition at the top rung.  Rung n reads their leading
-    n x n blocks when the first n rows of A have no entry right of column
-    n - 1, which holds at every rung for a lower-triangular A: E_n sums
-    A[i, j] V[j, k] over j < n only, and the top rung's sweep leaves those
-    rows alone for j >= n, so the block is bit-identical to a composition
-    at n.  Any other rung (an A with entries right of the diagonal) gets its
-    own composition.
+    come from one composition at the top rung.  Every other rung slices the
+    partial sums and solves E from its leading block of A, bit for bit as at n.
     """
     if source == "partial" or (source == "E" and matrix is None):
         E, partial = e_matrix(A, sys, ladder[-1])
         dense, V = partial._A, partial._V
-        sources = {}
-        for n in ladder[:-1]:
-            if np.any(dense[:n, n:]):
-                sources[n] = dict(zip(("E", "partial"), e_matrix(A, sys, n)))
-            else:
-                sources[n] = {"E": E[:n, :n], "partial": EPartial(dense[:n, :n], V[:n, :n])}
+        sources = {n: {"E": _solve_composed(dense[:n, :n], sys), "partial": EPartial(dense[:n, :n], V[:n, :n])} for n in ladder[:-1]}
         sources[ladder[-1]] = {"E": E, "partial": partial}
         return sources
     top = btilde(A, sys, ladder[-1]) if matrix is None else materialize_matrix(matrix, ladder[-1])
@@ -542,9 +542,8 @@ def eval_condition(
 
     The condition's source is the composed matrix and its partial sums from
     (A, sys), or the band-transformed matrix from (A, sys) or a
-    caller-supplied matrix/generator; :func:`_ladder_sources` says when each
-    is built once at the largest truncation and sliced.  beta_k / beta are
-    fitted at the largest truncation (last rows, last row sums).
+    caller-supplied matrix/generator (see :func:`_ladder_sources`).  beta_k /
+    beta are fitted at the largest truncation (last rows, last row sums).
     """
     if cond_id not in CONDITIONS:
         raise KeyError(f"unknown condition {cond_id!r}")

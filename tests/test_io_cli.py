@@ -189,6 +189,22 @@ class TestCli:
         cfg.write_text(json.dumps({"matrix": "zero", "system": "delta", "class": "c:sc_reg", "ladder": [16, 32, 64]}))
         assert cli.main(["class-check", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "matrix, top",
+        [
+            pytest.param("cesaro", 520, id="kernel"),  # V itself overflows from n = 513
+            pytest.param({"dense": (1e300 * make_matrix("cesaro", 64)).tolist()}, 64, id="composition"),
+        ],
+    )
+    def test_class_check_overflow_is_an_error(self, tmp_path, capsys, matrix, top):
+        # on an expanding system E leaves double precision: exit 4 and no report, never a report of inf
+        cfg = tmp_path / "overflow.json"
+        doc = {"matrix": matrix, "system": "constant:r=1,s=4", "class": "sinf:c0", "p": 1.0, "ladder": [16, top]}
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["class-check", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 4
+        assert "overflow" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_dual_check_config(self, tmp_path, capsys):
         cfg = tmp_path / "dual.json"
         cfg.write_text(
