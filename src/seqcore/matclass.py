@@ -34,8 +34,11 @@ functionals (subset estimates, signed column sups, power row and entry sups)
 live in :mod:`seqcore.duals`.  A class report builds its source once and hands it
 to every condition: btilde once at the largest truncation, sliced per ladder
 point, and E once per ladder point: T is lower bidiagonal, so rung n solves
-E T = A on the leading n x n block of A in O(n^2), while the partial-sum
-families over V are sliced from the largest truncation.  An array a
+E T = A on the leading n x n block of A in O(n^2).  V is lower triangular, so
+the partial-sum family of row i is zero from column stop_i on (one past the
+last nonzero of A[i]) and repeats its row stop_i - 1 below it; the
+partial-sum conditions read only that stop_i x stop_i support block, built
+per probe row from the leading blocks of the top rung's A and V.  An array a
 condition weights the same way at every witness (|E|, |D|, |E - beta_k| or
 |tril(D - beta_k)|) is built once per ladder point.  beta_k is fitted from
 the top rung's last row and kept complex when the source is complex.
@@ -96,40 +99,32 @@ def btilde(B, sys: BandSystem, n: int) -> np.ndarray:
 class EPartial:
     """Partial-sum families of the composed matrix.
 
-    ``rows(n)`` returns the (m, k) block of sum_{j=k..m} A[n, j] V[j, k],
-    accumulated in index order j.  The block is written into one n x n
-    buffer that every call reuses, so each call overwrites the block the
-    previous call returned.  The cumulative sum runs only up to the
-    last nonzero entry of A[n]; every later row adds exact zeros, so it is a
-    copy of that row and the block equals the full cumulative sum.
+    The family of row i is E^(i)[m, k] = sum_{j=k..m} A[i, j] V[j, k],
+    accumulated in index order j.  ``support(i)`` returns all of its content:
+    the stop x stop block of that cumulative sum, stop one past the last
+    nonzero entry of A[i] (0 for a zero row).  V is lower triangular, so the
+    family is zero in every column k >= stop, and every row m >= stop adds
+    only zero terms, so it repeats row stop - 1: the n x n family is the
+    block with zero columns appended and its last row repeated, equal in
+    value (and bit for bit up to the sign of a zero) to the cumulative sum
+    over all of V.
     """
 
     def __init__(self, A: np.ndarray, V: np.ndarray):
         self._A = A
         self._V = V
-        self._out = None
 
     @property
     def n(self) -> int:
         return self._A.shape[0]
 
-    def rows(self, n: int) -> np.ndarray:
-        if not 0 <= n < self.n:
-            raise IndexError(f"row {n} out of range")
-        a = self._A[n]
+    def support(self, i: int) -> np.ndarray:
+        if not 0 <= i < self.n:
+            raise IndexError(f"row {i} out of range")
+        a = self._A[i]
         nonzero = np.flatnonzero(a)
         stop = int(nonzero[-1]) + 1 if nonzero.size else 0
-        if self._out is None:
-            self._out = np.empty((self.n, self.n), dtype=np.result_type(a.dtype, self._V.dtype))
-        out = self._out
-        if stop == 0:
-            out.fill(0)
-            return out
-        terms = out[:stop]
-        np.multiply(a[:stop, None], self._V[:stop], out=terms)
-        np.cumsum(terms, axis=0, out=terms)
-        out[stop:] = out[stop - 1]
-        return out
+        return np.cumsum(a[:stop, None] * self._V[:stop, :stop], axis=0)
 
 
 def _solve_composed(dense: np.ndarray, sys: BandSystem) -> np.ndarray:
@@ -307,6 +302,24 @@ def _row_sup(abs_block: np.ndarray, weights) -> float:
     return float(np.max(abs_block @ weights))
 
 
+def _window_family(block: np.ndarray, n: int, start: int) -> tuple[np.ndarray, int]:
+    """The rows of a partial-sum family in the window start..n-1 that a window maximum can attain.
+
+    ``block`` is the family's support block (see :class:`EPartial`).  Its
+    rows from ``start`` up come first, zero-padded to n columns; returns them
+    with their count.  Row n - 1 follows when the family is longer than its
+    block: every later row repeats it, and its deviation sum bounds theirs,
+    since each of its entries is at least theirs and a rounded sum of
+    nonnegative terms is monotone in each term.
+    """
+    stop = block.shape[0]
+    below = max(stop - start, 0)
+    fam = np.zeros((below + (stop < n), n), dtype=block.dtype)
+    fam[:below, :stop] = block[stop - below :]
+    fam[below:, :stop] = block[-1]
+    return fam, below
+
+
 def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets, free):
     """One ladder point of one condition; returns (value, deviation | None).
 
@@ -320,35 +333,29 @@ def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets,
     cols = min(_PROBE_COLS, n)
 
     if isinstance(src, EPartial):
-        partial = src
-        if cond_id in ("mt23", "mt25"):
-            spread = 0.0
-            for i in range(rows):
-                block = partial.rows(i)[win]
-                if block.size:
-                    spread = max(spread, float(np.max(np.abs(block.max(axis=0) - block.min(axis=0)))))
-            return spread, spread
-        if cond_id == "mt26":
-            w = float(M) ** (-1.0 / pk)
-            worst = 0.0
-            for i in range(rows):
-                worst = max(worst, _row_sup(_abs_in_place(partial.rows(i)), w))
+        # each probe row's support block; a zero row of A has an empty block and a zero family
+        blocks = [(i, block) for i in range(rows) if (block := src.support(i)).size]
+        worst = 0.0
+        if cond_id in ("mt26", "mt27"):
+            deflate = float(M) ** (-1.0 / pk)
+            for i, block in blocks:
+                w = deflate if cond_id == "mt26" else float(L) ** (1.0 / qn[i]) * deflate
+                worst = max(worst, _row_sup(_abs_in_place(block), w[: block.shape[0]]))
             return worst, None
-        if cond_id == "mt27":
-            worst = 0.0
-            for i in range(rows):
-                w = float(L) ** (1.0 / qn[i]) * float(M) ** (-1.0 / pk)
-                worst = max(worst, _row_sup(_abs_in_place(partial.rows(i)), w))
-            return worst, None
-        if cond_id == "mt28":
-            worst = 0.0
-            for i in range(rows):
-                block = partial.rows(i)
-                fit = float(np.median(block[-1]))
-                dev = np.abs(np.tril(block[win] - fit, win.start)).sum(axis=1)
-                worst = max(worst, float(np.max(dev)) if dev.size else 0.0)
-            return worst, worst
-        raise KeyError(cond_id)
+        if cond_id not in ("mt23", "mt25", "mt28"):
+            raise KeyError(cond_id)
+        for _, block in blocks:
+            fam, below = _window_family(block, n, win.start)
+            if not fam.size:
+                continue
+            if cond_id == "mt28":
+                fit = float(np.median(fam[-1]))
+                dev = np.abs(fam - fit)
+                dev[:below] = np.tril(dev[:below], win.start)
+                worst = max(worst, float(np.max(dev.sum(axis=1))))
+            else:
+                worst = max(worst, float(np.max(np.abs(fam.max(axis=0) - fam.min(axis=0)))))
+        return worst, worst
 
     G = src  # dense matrix: E, btilde, a directly supplied matrix, or a companion C or D
     if cond_id in ("mt24", "mt29", "S9", "S11"):
@@ -481,9 +488,14 @@ def _ladder_sources(source: str, A, sys, matrix, ladder) -> dict:
     leading n x n block: no entry depends on a later row or column, so the
     block is bit-identical to a build at n.  E and its partial-sum families
     come from one composition at the top rung.  Every other rung slices the
-    partial sums and solves E from its leading block of A, bit for bit as at n.
+    partial sums and solves E from its leading block of A, bit for bit as at
+    n.  A "partial" source builds the families alone: A and V at the top rung
+    (V raises OverflowError as in :func:`e_matrix`), no E.
     """
-    if source == "partial" or (source == "E" and matrix is None):
+    if source == "partial":  # no partial-sum condition reads E, so none is solved
+        dense, V = materialize_matrix(A, ladder[-1]), inverse_kernel(sys, ladder[-1]).entries
+        return {n: {"partial": EPartial(dense[:n, :n], V[:n, :n])} for n in ladder}
+    if source == "E" and matrix is None:
         E, partial = e_matrix(A, sys, ladder[-1])
         dense, V = partial._A, partial._V
         sources = {n: {"E": _solve_composed(dense[:n, :n], sys), "partial": EPartial(dense[:n, :n], V[:n, :n])} for n in ladder[:-1]}

@@ -6,6 +6,7 @@ import pytest
 from seqcore import band_ops, matclass
 from seqcore.generators import GeneratorSpec, make_matrix, materialize_matrix, random_band_system, rng_from_seed
 from seqcore.io import canonical_dumps
+from seqcore.ladder import window
 from seqcore.types import BandSystem, ExponentSeq
 
 DELTA = BandSystem.difference(512)
@@ -22,6 +23,27 @@ def _rounding_bound(A, V) -> np.ndarray:
     scaled the same way.
     """
     return 2 * A.shape[0] * EPS * (np.abs(A) @ np.abs(V))
+
+
+def _family(block: np.ndarray, n: int) -> np.ndarray:
+    """The n x n partial-sum family of a support block: zero columns appended, its last row repeated."""
+    stop = block.shape[0]
+    out = np.zeros((n, n), dtype=block.dtype)
+    out[:stop, :stop] = block
+    if stop:
+        out[stop:, :stop] = block[-1]
+    return out
+
+
+def _assert_support_is_family(block: np.ndarray, A_row: np.ndarray, V: np.ndarray):
+    """The block is the leading stop x stop block of the cumulative sum over all of V, bit for bit,
+    and padded to n x n it equals that cumulative sum (a zero may differ in sign)."""
+    nonzero = np.flatnonzero(A_row)
+    stop = int(nonzero[-1]) + 1 if nonzero.size else 0
+    oracle = np.cumsum(A_row[:, None] * V, axis=0)
+    assert block.shape == (stop, stop)
+    assert block.tobytes() == np.ascontiguousarray(oracle[:stop, :stop]).tobytes()
+    assert np.array_equal(_family(block, V.shape[0]), oracle)
 
 
 class TestBtilde:
@@ -74,9 +96,11 @@ class TestEMatrix:
         n = 24
         A = band_ops.triangle_kernel(mild_system, n).entries  # two-band rows
         _, partial = matclass.e_matrix(A, mild_system, n)
+        V = band_ops.inverse_kernel(mild_system, n).entries
         for i in (0, 3, 7):
-            rows = partial.rows(i)
-            assert np.array_equal(rows[i + 1 :], np.tile(rows[i], (n - i - 1, 1)))
+            block = partial.support(i)
+            assert block.shape == (i + 1, i + 1)  # row i of A ends at the diagonal
+            _assert_support_is_family(block, A[i], V)
 
     def test_final_partial_sum_matches_e_to_rounding(self, mild_system, rng):
         n = 20
@@ -84,7 +108,7 @@ class TestEMatrix:
         E, partial = matclass.e_matrix(A, mild_system, n)
         bound = _rounding_bound(A, band_ops.inverse_kernel(mild_system, n).entries)
         for i in range(n):
-            assert np.all(np.abs(partial.rows(i)[-1] - E[i]) <= bound[i])
+            assert np.all(np.abs(_family(partial.support(i), n)[-1] - E[i]) <= bound[i])
 
 
 def _oracle_input(kind: str, n: int) -> np.ndarray:
@@ -108,10 +132,12 @@ def _oracle_input(kind: str, n: int) -> np.ndarray:
 class TestEMatrixOracle:
     """E and the partial-sum families against the literal cumulative-sum definition.
 
-    The partial sums are that definition, bit for bit.  E comes from the
-    bidiagonal solve, which adds in another order, so it matches the last
-    cumulative sum within the rounding bound; the bound is zero where every
-    term is zero, so zero rows and the zero matrix stay exact in value.
+    The support blocks are that definition, bit for bit: zero rows (an empty
+    block), -0.0 entries, complex entries and full rows (a block of n x n).
+    E comes from the bidiagonal solve, which adds in another order, so it
+    matches the last cumulative sum within the rounding bound; the bound is
+    zero where every term is zero, so zero rows and the zero matrix stay
+    exact in value.
     """
 
     @pytest.mark.parametrize(
@@ -127,9 +153,63 @@ class TestEMatrixOracle:
         V = band_ops.inverse_kernel(sys, n).entries
         bound = _rounding_bound(A, V)
         for i in range(n):
-            oracle = np.cumsum(A[i][:, None] * V, axis=0)
-            assert np.array_equal(partial.rows(i), oracle)
-            assert np.all(np.abs(E[i] - oracle[-1]) <= bound[i])
+            _assert_support_is_family(partial.support(i), A[i], V)
+            assert np.all(np.abs(E[i] - np.cumsum(A[i][:, None] * V, axis=0)[-1]) <= bound[i])
+
+
+def _dense_partial_value(cond_id: str, families: list, n: int, pk, qn, L, M) -> float:
+    """mt23 and mt25-mt28 read off the full n x n families of the probe rows."""
+    win = window(n)
+    worst = 0.0
+    for i, rows in enumerate(families):
+        if cond_id in ("mt23", "mt25"):
+            block = rows[win]
+            if block.size:
+                worst = max(worst, float(np.max(np.abs(block.max(axis=0) - block.min(axis=0)))))
+        elif cond_id in ("mt26", "mt27"):
+            w = float(M) ** (-1.0 / pk)
+            if cond_id == "mt27":
+                w = float(L) ** (1.0 / qn[i]) * w
+            worst = max(worst, float(np.max(np.abs(rows) @ w)))
+        else:
+            fit = float(np.median(rows[-1]))
+            dev = np.abs(np.tril(rows[win] - fit, win.start)).sum(axis=1)
+            worst = max(worst, float(np.max(dev)) if dev.size else 0.0)
+    return worst
+
+
+class TestPartialConditionsOracle:
+    """The partial-sum conditions on support blocks against the same formulas on full n x n families.
+
+    mt23, mt25 and mt28 match bit for bit; mt26 and mt27 sum |S| w in
+    another order (a shorter dot product), so they match within n eps.
+    Rung 6 has its window (rows 4-5) inside the support of the lower
+    triangular probe rows, rungs 12 and 48 start it past their support;
+    full rows have stop = n and zero rows stop = 0.
+    """
+
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")  # mt28 fits the real part
+    @pytest.mark.parametrize("cond_id", ["mt23", "mt25", "mt26", "mt27", "mt28"])
+    @pytest.mark.parametrize("kind", ["lower_triangular", "negated_triangular", "dense", "complex", "zero_rows_and_columns"])
+    @pytest.mark.parametrize("n", [6, 12, 48])
+    def test_support_blocks_match_dense_families(self, n, kind, cond_id):
+        sys = random_band_system(rng_from_seed(7), n)
+        A = _oracle_input(kind, 48)[:n, :n]
+        if kind == "zero_rows_and_columns":
+            A[2] = 0.0  # a zero probe row at every rung
+        _, partial = matclass.e_matrix(A, sys, n)
+        V = band_ops.inverse_kernel(sys, n).entries
+        families = [np.cumsum(A[i][:, None] * V, axis=0) for i in range(min(8, n))]
+        p = ExponentSeq(np.linspace(1.0, 3.0, n))
+        q = np.linspace(1.0, 2.0, n)
+        for L, M in [(None, None)] if cond_id in ("mt23", "mt25", "mt28") else [(2, 2), (16, 4), (256, 256)]:
+            got, dev = matclass._evaluate(cond_id, partial, p, q, n, L, M, None, None, None, None)
+            want = _dense_partial_value(cond_id, families, n, p.p[:n], q[:n], L, M)
+            if cond_id in ("mt26", "mt27"):
+                assert dev is None
+                assert abs(got - want) <= n * EPS * want
+            else:
+                assert got == want and dev == got
 
 
 # rational band systems whose every parameter is a double, so Fraction(r) is r itself
@@ -167,7 +247,7 @@ class TestEMatrixExact:
         exact = _exact_composition(A, sys)
         bound = _rounding_bound(A, band_ops.inverse_kernel(sys, n).entries)
         for i in range(n):
-            for got in (E[i], partial.rows(i)[-1]):
+            for got in (E[i], _family(partial.support(i), n)[-1]):
                 err = [abs(Fraction(v) - e) for v, e in zip(got.tolist(), exact[i])]
                 assert all(e <= Fraction(b) for e, b in zip(err, bound[i].tolist()))
 
@@ -242,6 +322,18 @@ class TestEvalCondition:
         verdict = matclass.eval_condition("mt23", A="difference", sys=mild_system, ladder=LADDER)
         assert verdict.verdict == "holds"
         assert all(v == 0.0 for _, _, v in verdict.estimates)
+
+    def test_partial_conditions_solve_no_composed_matrix(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("E solved for a partial-sum condition")
+
+        monkeypatch.setattr(matclass, "_solve_composed", unused)
+        p = ExponentSeq.constant(2.0, 128)
+        for cid in ("mt23", "mt25", "mt26", "mt27", "mt28"):
+            matclass.eval_condition(cid, A="cesaro", sys=DELTA, p=p, q=np.full(128, 1.5), ladder=LADDER)
+        # the kernel's overflow check still guards the partial sums
+        with pytest.raises(OverflowError):
+            matclass.eval_condition("mt23", A="cesaro", sys=EXPANDING, ladder=(64, 513))
 
     def test_missing_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -450,7 +542,7 @@ class TestComposedSources:
             assert np.array_equal(sources[n]["E"], E)
             assert sources[n]["E"].tobytes() == E.tobytes()
             for i in range(min(8, n)):
-                assert sources[n]["partial"].rows(i).tobytes() == partial.rows(i).tobytes()
+                assert sources[n]["partial"].support(i).tobytes() == partial.support(i).tobytes()
 
     @pytest.mark.parametrize("matrix", ["lower_triangular", "dense"])
     def test_class_reports_match_per_rung_compositions(self, monkeypatch, mild_system, matrix):
@@ -469,17 +561,6 @@ class TestComposedSources:
         sliced = render()
         monkeypatch.setattr(matclass, "_ladder_sources", _per_rung_sources)
         assert render() == sliced
-
-    def test_rows_overwrite_the_previous_block(self, mild_system):
-        n = 24
-        A = _oracle_input("zero_rows_and_columns", n)
-        zero_row = int(np.flatnonzero(~A.any(axis=1))[0])
-        _, partial = matclass.e_matrix(A, mild_system, n)
-        for i, j in [(3, 5), (5, 3), (n - 1, zero_row), (zero_row, n - 1), (3, 3)]:
-            first = partial.rows(i)
-            second = partial.rows(j)
-            assert second is first  # one buffer per family, overwritten by every call
-            assert second.tobytes() == matclass.e_matrix(A, mild_system, n)[1].rows(j).tobytes()
 
     def test_report_order_leaves_no_state(self):
         ladder = (16, 32, 64)
