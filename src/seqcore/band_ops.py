@@ -25,7 +25,12 @@ the block before.  The result is kept only at a fixed point: every pass-2
 start equals pass 2's own end of the block before, so pass 2 is the serial
 chain from the exact first value (Higham, *Accuracy and Stability of
 Numerical Algorithms*, ch. 8, on triangular solves).  A step is three float
-ufuncs on (real, imaginary) pairs, x = (a y - s x) / r.  CPython promotes a
+ufuncs, x = (a y - s x) / r, on a row of two planes: the real parts of
+every block, then the imaginary parts.  s and r are stored once per step, as
+one plane that numpy broadcasts over the outer (plane) axis, so each ufunc's
+inner loop still runs over contiguous blocks.  The lanes a y, s, r and x
+thus take 48 bytes per term, not the 64 of (real, imaginary) pairs with s
+and r written into both places of each pair.  CPython promotes a
 float operand of complex arithmetic to complex(f, 0.0), which adds +-0 terms
 to every product and quotient.  They only sign zeros, and only a -0.0 part
 of a y lets such a sign through: a y - s x is a y when a y is nonzero and +0
@@ -79,6 +84,7 @@ def forward_transform(x, sys: BandSystem) -> FiniteSeq:
         np.multiply(r[1:], v[1:], out=tail)
         tail += s[:-1] * v[:-1]
         tail /= a[1:]
+    y.setflags(write=False)  # nothing else refers to y, so FiniteSeq keeps it without a copy
     return FiniteSeq(y)
 
 
@@ -95,6 +101,7 @@ def inverse_transform(y, sys: BandSystem) -> FiniteSeq:
     x = _blocked_substitute(r, s, a, y.values)
     if x is None:
         x = np.fromiter(_substitute(r.tolist(), s.tolist(), a.tolist(), y.values.tolist()), np.complex128, y.n)
+    x.setflags(write=False)  # nothing else refers to x, so FiniteSeq keeps it without a copy
     return FiniteSeq(x)
 
 
@@ -127,7 +134,7 @@ _NEGATIVE_ZERO = np.iinfo(np.int64).min
 
 
 def _fast_step(x: np.ndarray, s: np.ndarray, ay: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
-    """out = (ay - s x) / r on a row of (real, imaginary) float pairs: three float ufuncs."""
+    """out = (ay - s x) / r on a row of float planes, s and r broadcast over them: three float ufuncs."""
     np.multiply(x, s, out=out)
     np.subtract(ay, out, out=out)
     np.divide(out, r, out=out)
@@ -150,7 +157,9 @@ def _blocked_substitute(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndar
     with np.errstate(all="ignore"):
         walk = s[h:-1] / r[h + 1 :]
         np.log(np.abs(walk, out=walk), out=walk)
-        if not np.all(walk.reshape(nb, _BLOCK).sum(axis=1)[1:] <= -_MIN_LOG_CONTRACTION):
+        contracts = np.all(walk.reshape(nb, _BLOCK).sum(axis=1)[1:] <= -_MIN_LOG_CONTRACTION)
+        del walk  # freed before the lanes are built
+        if not contracts:
             return None
         head = _substitute(r[: h + 1].tolist(), s[: h + 1].tolist(), a[: h + 1].tolist(), yv[: h + 1].tolist())
         # the lanes live in _solve_blocks, so the output below reuses their freed memory
@@ -159,16 +168,22 @@ def _blocked_substitute(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndar
         return None
     out = np.empty(n, dtype=np.complex128)
     out[: h + 1] = head
-    out[h + 1 :].reshape(nb, _BLOCK)[:] = xs.view(np.complex128)[..., 0].T
+    out[h + 1 :].view(np.float64).reshape(nb, _BLOCK, 2)[:] = xs.transpose(2, 0, 1)
     return out
 
 
 def _solve_blocks(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray, start: complex) -> np.ndarray | None:
     """x_k = (a[k] yv[k] - s[k] x_{k-1}) / r[k] for k < m = nb * _BLOCK, x_{-1} = start; None to fall back.
 
-    The values come back as (_BLOCK, nb, 2) floats: row j holds step j of
-    every block as (real, imaginary) pairs, and a step is one _fast_step on a
-    row.  Pass 1 starts every block from start; blocks are an even number of
+    The values come back as (_BLOCK, 2, nb) floats: row j holds step j of
+    every block as two planes, the real parts and then the imaginary parts.
+    a y and x are stored that way; s and r are stored once, as (_BLOCK, nb)
+    rows that _fast_step broadcasts over the two planes.  The broadcast is
+    over the outer axis, so every ufunc's inner loop runs over nb contiguous
+    values (a (nb, 1) broadcast inside (real, imaginary) pairs would not),
+    and s and r take half the memory of pair lanes that repeat them.
+
+    Pass 1 starts every block from start; blocks are an even number of
     steps long, so on constant data that settles into a rounding cycle of
     period 2 the start has the cycle's phase.  Pass 2 restarts block b from
     pass 1's end of block b - 1, and once its row equals pass 1's bitwise it
@@ -185,29 +200,29 @@ def _solve_blocks(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray, s
     the fixed-point check fails.
     """
     nb = yv.size // _BLOCK
-    ay = np.ascontiguousarray(yv.reshape(nb, _BLOCK).T).view(np.float64).reshape(_BLOCK, nb, 2)
-    ay[..., 0] *= a.reshape(nb, _BLOCK).T
-    ay[..., 1] *= a.reshape(nb, _BLOCK).T
+    by_step = a.reshape(nb, _BLOCK).T
+    ay = np.empty((_BLOCK, 2, nb))
+    ay[:, 0] = yv.reshape(nb, _BLOCK).T.real
+    ay[:, 1] = yv.reshape(nb, _BLOCK).T.imag
+    ay[:, 0] *= by_step
+    ay[:, 1] *= by_step
     if (ay.view(np.int64) == _NEGATIVE_ZERO).any():
         return None
 
-    def twice(v):  # (nb * _BLOCK,) floats -> (_BLOCK, nb, 2), each in both places of its pair
-        pairs = np.empty((_BLOCK, nb, 2))
-        pairs[..., 0] = v.reshape(nb, _BLOCK).T
-        pairs[..., 1] = pairs[..., 0]
-        return pairs
+    def plane(v):  # (nb * _BLOCK,) floats -> (_BLOCK, nb), row j holding step j of every block
+        return np.ascontiguousarray(v.reshape(nb, _BLOCK).T)
 
-    rows = list(zip(twice(s), ay, twice(r)))
-    xs = np.empty((_BLOCK, nb, 2))
-    first = np.empty((nb, 2))
-    first[:] = start.real, start.imag
+    rows = list(zip(plane(s), ay, plane(r)))
+    xs = np.empty((_BLOCK, 2, nb))
+    first = np.empty((2, nb))
+    first[0], first[1] = start.real, start.imag
     prev = first
     for j in range(_BLOCK):
         _fast_step(prev, *rows[j], xs[j])
         prev = xs[j]
     ends = xs[-1].copy()  # pass 1's end of every block
-    first[1:] = ends[:-1]
-    row = np.empty((nb, 2))
+    first[:, 1:] = ends[:, :-1]
+    row = np.empty((2, nb))
     prev = first
     for j in range(_BLOCK):
         if (j + 1) % _CHECK_EVERY:
@@ -218,7 +233,7 @@ def _solve_blocks(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray, s
                 break  # pass 1's later rows are what pass 2 would compute
             xs[j] = row
         prev = xs[j]
-    if not np.array_equal(ends[:-1].view(np.int64), xs[-1, :-1].view(np.int64)) or not np.isfinite(xs).all():
+    if not np.array_equal(ends[:, :-1].view(np.int64), xs[-1, :, :-1].view(np.int64)) or not np.isfinite(xs).all():
         return None
     return xs
 

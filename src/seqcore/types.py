@@ -5,6 +5,16 @@ index origin 0, operators are dense N x N blocks.  Instances are immutable
 after construction (arrays are frozen), so values can be shared freely
 between threads; construction validates the declared invariants and raises
 ``ValueError`` on violations.
+
+Construction copies an array unless it already owns its data and is
+read-only: a writable array, or any view (a slice, a reshape, a buffer
+read as an array), is copied and the copy frozen, so mutating the source
+afterwards leaves the value unchanged.  An array that owns its data and is
+read-only is kept as it is, which spares a producer such as
+``band_ops.inverse_transform`` a copy of the result it has just built and
+frozen.  A producer that freezes its array this way must hold no writable
+view of it.  A conversion (an int or float array given where complex is
+wanted) builds a fresh array, which is copied once more.
 """
 
 from __future__ import annotations
@@ -20,6 +30,9 @@ INF_POSITIVE_TOL = 1e-9
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr itself when it owns its data and is read-only, else a read-only copy."""
+    if arr.flags.owndata and not arr.flags.writeable:
+        return arr
     out = np.array(arr, copy=True)
     out.setflags(write=False)
     return out

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcore import band_ops
+from seqcore import band_ops, types
 from seqcore.generators import make_matrix, random_band_system, rng_from_seed
 from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
 
@@ -397,6 +398,54 @@ def test_fast_step_alone_solves_contracting_complex_input(seed, r_sign, s_sign):
     assert x.tobytes() == _indexed_inverse(y, sys).tobytes()
 
 
+def test_long_inverse_working_set():
+    # the lanes a y, s, r and x take 48 bytes per term and the gate's walk is freed before they
+    # are built, so at n = 65 536 the traced peak stays near 3.1 MB, output included
+    n = 65_536
+    rng = rng_from_seed(24)
+    sys = _contracting_system(rng, n)
+    y = FiniteSeq(complex_uniform(rng, n))
+    band_ops.inverse_transform(y, sys)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        x = band_ops.inverse_transform(y, sys)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert _blocked(y, sys) is not None
+    assert x.values.tobytes() == _indexed_inverse(y, sys).tobytes()
+    assert peak < 3.5 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 7, band_ops._MIN_BLOCKED_N + 5])
+def test_transform_outputs_are_frozen_and_not_copied(monkeypatch, n):
+    # each transform freezes the array it has just built, and FiniteSeq keeps that array
+    copied = []
+
+    def frozen(arr):
+        out = real(arr)
+        copied.append(out is not arr)
+        return out
+
+    real = types._frozen
+    monkeypatch.setattr(types, "_frozen", frozen)
+    rng = rng_from_seed(n)
+    sys = _contracting_system(rng, n)
+    x = FiniteSeq(complex_uniform(rng, n))
+    for transform in (band_ops.forward_transform, band_ops.inverse_transform):
+        copied.clear()
+        values = transform(x, sys).values
+        assert copied == [False]
+        assert values.flags.owndata and not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
+
 def _with_exact_zero(rng, n):
     """A system with alpha = 1 and y whose chain has x_k = 0 exactly at k = n // 2."""
     sys = _contracting_system(rng, n, -1.0, 1.0, alpha=np.ones(n))
@@ -487,12 +536,12 @@ def test_steps_match_cpython_complex_arithmetic(data, nb):
         (float(ak) * complex(*yk) - float(sk) * complex(*xk)) / float(rk) for ak, yk, sk, xk, rk in zip(a, y, s, x, r)
     ]
     expected = np.array(serial).view(np.float64).reshape(nb, 2)
-    s2, r2 = np.repeat(s, 2).reshape(nb, 2), np.repeat(r, 2).reshape(nb, 2)
-    out = np.empty((nb, 2))
-    ay = y * a[:, None]
+    # the planes of _solve_blocks: real parts, then imaginary parts, with s and r broadcast over both
+    out = np.empty((2, nb))
+    ay = y.T * a
     if not np.any((ay == 0.0) & np.signbit(ay)):
-        band_ops._fast_step(x, s2, ay, r2, out)
-        assert out.tobytes() == expected.tobytes()
+        band_ops._fast_step(np.ascontiguousarray(x.T), s, ay, r, out)
+        assert out.T.tobytes() == expected.tobytes()
 
 
 def _lattice_kernel(sys, n):

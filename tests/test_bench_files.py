@@ -1,0 +1,112 @@
+"""The committed BENCH_*.json files: their shape, and summaries that recompute from their runs.
+
+Each file records alternating benchmark runs of a parent tree and a change
+tree.  Every summary (median, quartiles, count, ratio of medians, pairs won)
+must follow from the runs listed beside it, so a hand-edited figure fails here.
+Quartiles are numpy's default linear interpolation.
+"""
+
+import json
+import math
+import shlex
+import statistics
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+TOP_KEYS = {"label", "change", "parent_commit", "protocol", "machine", "workloads"}
+WORKLOADS = {"class_ladder", "dual_scan", "core_regions", "roundtrip"}
+
+
+def _close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def _load(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert isinstance(doc, dict)
+    return doc
+
+
+def _value(run, metric):
+    return run["result"]["metrics"][metric]["value"]
+
+
+def _option(command, name):
+    words = shlex.split(command)
+    return words[words.index(name) + 1]
+
+
+def test_bench_files_exist():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_shape(path):
+    doc = _load(path)
+    assert TOP_KEYS <= set(doc)
+    assert path.name == f"BENCH_{doc['label']}.json"
+    assert len(doc["parent_commit"]) == 40 and int(doc["parent_commit"], 16) >= 0
+    assert isinstance(doc["change"], str) and isinstance(doc["protocol"], str)
+    assert {"nproc", "python", "numpy"} <= set(doc["machine"])
+    assert doc["workloads"]
+    for entry in doc["workloads"].values():
+        assert {"command", "runs", "summary"} <= set(entry)
+        assert shlex.split(entry["command"])[:2] == ["python3", "perfbench/run.py"]
+        workload, seed = _option(entry["command"], "--workload"), int(_option(entry["command"], "--seed"))
+        assert workload in WORKLOADS
+        assert entry["runs"]
+        for run in entry["runs"]:
+            assert run["tree"] in ("parent", "change")
+            assert run["result"]["correct"] is True
+            assert run["result"]["failed"] == 0
+            meta = run["meta"]["meta"]
+            assert meta["workload"] == workload and meta["env"]["seed"] == seed
+            assert meta["failed"] == 0 and meta["attempted"] == run["result"]["attempted"]
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_summaries_recompute_from_runs(path):
+    for name, entry in _load(path)["workloads"].items():
+        runs, summary = entry["runs"], entry["summary"]
+        stats = {metric: s for metric, s in summary.items() if isinstance(s, dict) and "parent" in s}
+        assert "ops_per_s" in stats, name
+        for metric, s in stats.items():
+            for tree in ("parent", "change"):
+                values = [_value(run, metric) for run in runs if run["tree"] == tree]
+                q1, q3 = np.percentile(values, [25, 75])
+                got = s[tree]
+                assert got["n"] == len(values), (name, metric, tree)
+                assert _close(got["median"], statistics.median(values)), (name, metric, tree)
+                assert _close(got["q1"], float(q1)) and _close(got["q3"], float(q3)), (name, metric, tree)
+            assert _close(s["change_over_parent"], s["change"]["median"] / s["parent"]["median"]), (name, metric)
+        if "all_correct" in summary:
+            assert summary["all_correct"] is True
+        if "ops_per_s_pairs_won_by_change" in summary:
+            # runs pair up in the order listed, one parent and one change run per pair
+            pairs = [runs[i : i + 2] for i in range(0, len(runs), 2)]
+            assert all(sorted(run["tree"] for run in pair) == ["change", "parent"] for pair in pairs), name
+            won = sum(
+                _value(next(r for r in pair if r["tree"] == "change"), "ops_per_s")
+                > _value(next(r for r in pair if r["tree"] == "parent"), "ops_per_s")
+                for pair in pairs
+            )
+            assert summary["ops_per_s_pairs_won_by_change"] == f"{won} of {len(pairs)}", name
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_aa_spread_recomputes_from_runs(path):
+    doc = _load(path)
+    if "aa_spread" not in doc:
+        pytest.skip("no back-to-back pairs recorded")
+    spread = doc["aa_spread"]
+    runs = doc["workloads"][spread["workload"]]["runs"]
+    for pair in spread["pairs"]:
+        first, second = (runs[i] for i in pair["runs"])
+        assert first["tree"] == second["tree"] == pair["tree"]
+        values = [_value(first, spread["metric"]), _value(second, spread["metric"])]
+        assert pair[spread["metric"]] == values
+        assert _close(pair["relative_gap"], (max(values) - min(values)) / min(values))

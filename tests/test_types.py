@@ -19,6 +19,54 @@ def test_finite_seq_is_immutable():
         seq.values[0] = 5.0
 
 
+# every type that freezes its arrays: the array it keeps, from a source of the target dtype
+_KEPT = {
+    "FiniteSeq": (lambda v: FiniteSeq(v).values, lambda: np.array([1.0 + 2.0j, 3.0, -4.0j])),
+    "BandSystem.r": (lambda v: BandSystem(v, np.ones(3), np.ones(3)).r, lambda: np.array([2.0, -3.0, 4.0])),
+    "BandSystem.s": (lambda v: BandSystem(np.ones(3), v, np.ones(3)).s, lambda: np.array([2.0, -3.0, 4.0])),
+    "BandSystem.alpha": (lambda v: BandSystem(np.ones(3), np.ones(3), v).alpha, lambda: np.array([2.0, 3.0, 4.0])),
+    "ExponentSeq": (lambda v: ExponentSeq(v).p, lambda: np.array([0.5, 2.0, 1.5])),
+    "TriangleKernel": (lambda v: TriangleKernel(v).entries, lambda: np.array([[1.0, 0.0], [2.0, 3.0]])),
+}
+
+
+@pytest.mark.parametrize("source", ["writable", "read_only_view"])
+@pytest.mark.parametrize("name", sorted(_KEPT))
+def test_frozen_value_does_not_follow_its_source(name, source):
+    # a writable array and a view are copied, so mutating the source afterwards leaves the value unchanged
+    build, make = _KEPT[name]
+    base = make()
+    arr = base
+    if source == "read_only_view":
+        arr = base[...]
+        arr.setflags(write=False)
+    kept = build(arr)
+    before = kept.tobytes()
+    base *= 2.0
+    assert kept is not arr and kept.tobytes() == before
+    assert kept.flags.owndata and not kept.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(_KEPT))
+def test_frozen_value_keeps_a_read_only_array_that_owns_its_data(name):
+    build, make = _KEPT[name]
+    arr = make()
+    arr.setflags(write=False)
+    assert build(arr) is arr
+
+
+def test_kept_array_is_still_validated():
+    for bad in ([1.0, np.nan], [np.inf]):
+        arr = np.array(bad, dtype=np.complex128)
+        arr.setflags(write=False)
+        with pytest.raises(ValueError, match="finite"):
+            FiniteSeq(arr)
+    arr = np.array([[1.0, 5.0], [2.0, 3.0]])
+    arr.setflags(write=False)
+    with pytest.raises(ValueError, match="above the diagonal"):
+        TriangleKernel(arr)
+
+
 def test_band_system_invariants():
     with pytest.raises(ValueError):
         BandSystem(np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0]))
