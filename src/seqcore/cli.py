@@ -11,10 +11,11 @@ verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
 unreadable input or schema violation (including invalid generator values,
 non-integer lists, non-numeric tolerances, density tolerances outside (0, 1),
 non-positive exponents, exponent lists shorter than the largest truncation,
-truncations below 1, B ladders that are empty or hold a B <= 1, an unknown
-(space, dual) pair, exponents on both sides of 1 where the dual rules split
-there, and a value that names both an existing file and a generator), 4
-internal evaluation errors.
+truncations below 1, B ladders that are empty or hold a B <= 1, cutoffs
+outside [0, n), sup paranorms with some p_k <= 1e-9, a missing p or q, an
+unknown (space, dual) pair, exponents on both sides of 1 where the dual rules
+split there, and a value that names both an existing file and a generator),
+4 internal evaluation errors.
 """
 
 from __future__ import annotations
@@ -193,6 +194,8 @@ def _cmd_paranorm(args) -> int:
     n = args.n
     x = seq_from_spec(_resolve_spec(args.x), n)
     p = _parse_exponents(args.p, x.n)
+    if args.kind == "sup" and not p.inf_positive:
+        raise SchemaError(f"the sup paranorm needs exponents bounded away from zero: {args.p!r}")
     doc = {"command": "paranorm", "kind": args.kind, "n": x.n}
     if args.raw:
         doc["value"] = band_ops.maddox_paranorm(x, p, args.kind)
@@ -209,6 +212,8 @@ def _cmd_basis_residual(args) -> int:
     sys = system_from_spec(_resolve_spec(args.system), x.n)
     p = _parse_exponents(args.p, x.n)
     cutoffs = _parse_ints(args.cutoffs, "cutoffs")
+    if not all(0 <= c < x.n for c in cutoffs):
+        raise SchemaError(f"cutoffs {args.cutoffs!r} invalid for length {x.n} (each in [0, {x.n}))")
     y = band_ops.forward_transform(x, sys)
     rows = [
         {

@@ -63,6 +63,7 @@ import numpy as np
 
 from .band_ops import _NEGATIVE_ZERO, forward_transform
 from .generators import materialize_matrix
+from .ladder import truncation_ladder
 from .types import BandSystem, FiniteSeq
 
 __all__ = [
@@ -361,9 +362,7 @@ def _indicator(E, n: int) -> np.ndarray:
 
 def natural_density(E, ladder) -> DensityEstimate:
     """Counting densities |{0 <= k < n : k in E}| / n along a ladder."""
-    ladder = [int(n) for n in ladder]
-    if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] < 1:
-        raise ValueError("ladder must be nonempty, positive, strictly increasing")
+    ladder = truncation_ladder(ladder)
     mask = _indicator(E, ladder[-1])
     counts = np.cumsum(mask)
     vals = tuple((n, float(counts[n - 1] / n)) for n in ladder)
@@ -376,9 +375,7 @@ def a_density(A, E, ladder) -> DensityEstimate:
     Requires entrywise nonnegative A; with the Cesaro generator this matches
     the counting density at every ladder point exactly.
     """
-    ladder = [int(n) for n in ladder]
-    if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])) or ladder[0] < 1:
-        raise ValueError("ladder must be nonempty, positive, strictly increasing")
+    ladder = truncation_ladder(ladder)
     n_max = ladder[-1]
     dense = materialize_matrix(A, n_max)
     if np.iscomplexobj(dense) or np.any(dense < 0.0):

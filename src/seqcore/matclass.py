@@ -13,17 +13,18 @@ second matrix B the relevant object is the band-transformed matrix
     btilde[n, k] = (r_n B[n, k] + s_{n-1} B[n-1, k]) / alpha_n
 
 (row -1 treated as zero).  The catalog below is one catalog in two rule
-tables, one entry per condition.  CONDITIONS holds the class conditions:
-mt23..mt41 drive the nine transformed-space mapping classes, the L2.x entries
-are classical variable-exponent conditions on a generic matrix, and the 4.x
-entries are the regularity/core conditions on btilde.  DUAL_CONDITIONS holds
-the dual sets S1..S16 on the companions C and D of :mod:`seqcore.duals`,
-whose reports run them through the same evaluator and runner; an S set that
-is a class condition on C or D (S1 = L2.3, S3 = L2.4a, S9 = S11 = mt29,
-S12 = L2.6ii, S13 = L2.6i, S14 = L2.7i, S15 = L2.7ii) shares its branch.
-Class reports dispatch the exact condition set of the corresponding
-characterization and aggregate verdicts with fails dominating, then
-inconclusive.
+tables, and a row is the one place its condition is defined: source,
+quantifier, kind, exponent inputs, the witness-free array it reads and the
+evaluator that reads it (both methods of :class:`_Rung`).  CONDITIONS holds
+the class conditions: mt23..mt41 drive the nine transformed-space mapping
+classes, the L2.x entries are classical variable-exponent conditions on a
+generic matrix, and the 4.x entries are the regularity/core conditions on
+btilde.  DUAL_CONDITIONS holds the dual sets S1..S16 on the companions C and
+D of :mod:`seqcore.duals`, whose reports run them through the same runner.
+Twins, such as an S set that is a class condition on C or D, share one
+evaluator and differ only in their source or array.  Class reports dispatch
+the exact condition set of the corresponding characterization and aggregate
+verdicts with fails dominating, then inconclusive.
 
 Everything is ladder-based evidence in the sense of :mod:`seqcore.verdicts`;
 universally quantified integers L and existentially quantified integers M are
@@ -31,23 +32,24 @@ sampled over a finite quantifier ladder by the engine in
 :mod:`seqcore.ladder`.  A dual set's B is sampled over the dual report's B
 ladder and binds as M when existential and as L when universal.  The matrix
 functionals (subset estimates, signed column sups, power row and entry sups)
-live in :mod:`seqcore.duals`.  A class report builds its source once and hands it
-to every condition: btilde once at the largest truncation, sliced per ladder
-point, and E once per ladder point: T is lower bidiagonal, so rung n solves
-E T = A on the leading n x n block of A in O(n^2).  V is lower triangular, so
-the partial-sum family of row i is zero from column stop_i on (one past the
-last nonzero of A[i]) and repeats its row stop_i - 1 below it; the
-partial-sum conditions read only that stop_i x stop_i support block, built
-per probe row from the leading blocks of the top rung's A and V.  An array a
-condition weights the same way at every witness (|E|, |D|, |E - beta_k| or
-|tril(D - beta_k)|) is built once per ladder point.  beta_k is fitted from
-the top rung's last row and kept complex when the source is complex.
+live in :mod:`seqcore.duals`.  A class report builds its sources once per
+rung and hands them to every condition: btilde once at the largest
+truncation, sliced per ladder point, and E once per ladder point: T is lower
+bidiagonal, so rung n solves E T = A on the leading n x n block of A in
+O(n^2).  V is lower triangular, so the partial-sum family of row i is zero
+from column stop_i on (one past the last nonzero of A[i]) and repeats its row
+stop_i - 1 below it; the partial-sum conditions (mt23, mt25-mt28) share each
+probe row's stop_i x stop_i support block, built from the leading blocks of
+the top rung's A and V.  A condition's witness-free array (|E|, |D - beta_k|,
+|block|) is built once per rung.  beta_k is fitted from the top rung's last
+row and kept complex when the source is complex.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -183,12 +185,187 @@ def default_density_sets(n: int) -> list[tuple[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
+class _Rung:
+    """One ladder point of one condition: its witness-free array and the functionals that read it.
+
+    A catalog row's ``free`` builds ``self.free`` once from the rung's source
+    (the source itself when the row names none), and its ``evaluate`` reads
+    it at a witness binding, returning (value, deviation | None).
+    """
+
+    def __init__(self, spec, src, n: int, p, q, beta_k, beta):
+        self.n, self.win, self.p, self.beta_k = n, window(n), p, beta_k
+        self.pk = p.p[:n] if p is not None else None
+        self.qn = q[:n] if q is not None else None
+        self.ref = beta if spec.uses_beta else spec.target
+        self.free = spec.free(self, src) if spec.free else src
+
+    # witness-free arrays, from a dense source or (partial sums) the probe rows' support blocks
+    def absolute(self, G):
+        return np.abs(G)
+
+    def absolute_probe_rows(self, G):
+        return np.abs(G[:_PROBE_ROWS])
+
+    def deviations(self, G):
+        return np.abs(G - self.beta_k[: self.n][None, :])
+
+    def lower_deviations(self, G):
+        return np.abs(np.tril(G - self.beta_k[None, : self.n]))
+
+    def column_deviations(self, G):
+        cols = min(_PROBE_COLS, self.n)
+        return np.abs(G[self.win, :cols] - self.beta_k[:cols][None, :])
+
+    def column_deviations_in_q(self, G):
+        return self.column_deviations(G) ** self.qn[self.win][:, None]
+
+    def window_deviation_sums(self, G):
+        return np.abs(G[self.win] - self.beta_k[: self.n][None, :]).sum(axis=1)
+
+    def density_window_sums(self, G):
+        return np.array([np.abs(G[:, mask]).sum(axis=1)[self.win] for _, mask in default_density_sets(self.n)])
+
+    def row_sums(self, G):
+        return G.sum(axis=1)
+
+    def real_row_sums(self, G):
+        return np.real(G.sum(axis=1))
+
+    def absolute_row_sums(self, G):
+        return np.abs(G).sum(axis=1)
+
+    def window_columns(self, G):
+        return [G[self.win, : min(_PROBE_COLS, max(1, self.n // 2))]]
+
+    def absolute_blocks(self, blocks):
+        return [(i, np.abs(block)) for i, block in blocks]
+
+    def window_blocks(self, blocks):
+        """The window rows of each support block: a family's later rows repeat its last and add no spread."""
+        return [block[self.win.start :] for _, block in blocks]
+
+    # evaluators at one witness binding
+    def inflated_rows(self, L, M):
+        return float(np.max(self.free @ (float(L) ** (1.0 / self.pk)))), None
+
+    def deflated_rows(self, L, M):
+        return float(np.max(self.free @ (float(M) ** (-1.0 / self.pk)))), None
+
+    def scaled_rows(self, L, M):
+        return float(np.max((self.free @ (float(M) ** (-1.0 / self.pk))) * (float(L) ** (1.0 / self.qn)))), None
+
+    def deflated_rows_in_q(self, L, M):
+        return float(np.max((self.free @ (float(M) ** (-1.0 / self.pk))) ** self.qn)), None
+
+    def inflated_row_sum_spread(self, L, M):
+        fw = (self.free @ (float(L) ** (1.0 / self.pk)))[self.win]
+        spread = float(np.max(fw) - np.min(fw)) if fw.size else 0.0
+        return spread, spread
+
+    def inflated_row_sums_vanish(self, L, M):
+        fw = (self.free @ (float(L) ** (1.0 / self.pk)))[self.win]
+        val = float(np.max(fw)) if fw.size else 0.0
+        return val, val
+
+    def inflated_deviation_rows(self, L, M):
+        f = self.free @ (float(L) ** (1.0 / self.pk))
+        return float(f[-1]), float(np.max(f[self.win])) if f[self.win].size else 0.0
+
+    def window_max(self, L, M):
+        val = float(np.max(self.free)) if self.free.size else 0.0
+        return val, val
+
+    def largest_absolute(self, L, M):
+        return float(np.max(np.abs(self.free))), None
+
+    def absolute_total(self, L, M):
+        return float(np.sum(np.abs(self.free))), None
+
+    def largest_absolute_in_q(self, L, M):
+        return float(np.max(np.abs(self.free) ** self.qn)), None
+
+    def row_sums_converge(self, L, M):
+        f = self.free
+        return float(np.real(f[-1])), float(np.max(np.abs(f[self.win] - self.ref))) if f[self.win].size else 0.0
+
+    def row_sums_converge_in_q(self, L, M):
+        f = np.abs(self.free - self.ref) ** self.qn
+        return float(f[-1]), float(np.max(f[self.win])) if f[self.win].size else 0.0
+
+    def deflated_subset_columns(self, L, M):
+        return subset_estimate(self.free, "columns", float(M) ** (-1.0 / self.pk)), None
+
+    def inflated_subset_columns(self, L, M):
+        return subset_estimate(self.free, "columns", float(L) ** (1.0 / self.pk)), None
+
+    def subset_rows_conjugate(self, L, M):
+        return subset_estimate(self.free / float(M), "rows", None, self.p.conjugate()[: self.n]), None
+
+    def signed_columns(self, L, M):
+        return signed_column_sup(self.free, self.pk), None
+
+    def power_rows_conjugate(self, L, M):
+        return power_row_sup(self.free / float(M), self.p.conjugate()[: self.n]), None
+
+    def power_entries(self, L, M):
+        return power_entry_sup(self.free, self.pk), None
+
+    def window_spread(self, L, M):
+        """The largest spread max - min down a column of any window block."""
+        worst = 0.0
+        for block in self.free:
+            if block.size:
+                worst = max(worst, float(np.max(np.abs(block.max(axis=0) - block.min(axis=0)))))
+        return worst, worst
+
+    def scaled_partial_rows(self, L, M):
+        """Probe row i's largest absolute partial-sum row deflated by M^(-1/p_k), and inflated by L^(1/q_i) when L is bound."""
+        deflate = float(M) ** (-1.0 / self.pk)
+        worst = 0.0
+        for i, block in self.free:
+            w = deflate if L is None else float(L) ** (1.0 / self.qn[i]) * deflate
+            worst = max(worst, float(np.max(block @ w[: block.shape[0]])))
+        return worst, None
+
+    def deflated_partial_rows(self, L, M):
+        return self.scaled_partial_rows(None, M)
+
+    def partial_concentration(self, L, M):
+        """The largest window deviation sum of a probe row's family from the median of its last row.
+
+        The family is its support block zero-padded to n columns, with row
+        n - 1 appended when the family is longer than its block: every later
+        row repeats the block's last, and row n - 1's deviation sum bounds
+        theirs, since each of its entries is at least theirs and a rounded
+        sum of nonnegative terms is monotone in each term.  A complex family
+        fits the medians of its real and imaginary parts.
+        """
+        worst, start = 0.0, self.win.start
+        for _, block in self.free:
+            stop = block.shape[0]
+            below = max(stop - start, 0)
+            fam = np.zeros((below + (stop < self.n), self.n), dtype=block.dtype)
+            if not fam.size:
+                continue
+            fam[:below, :stop] = block[stop - below :]
+            fam[below:, :stop] = block[-1]
+            last = fam[-1]
+            fit = complex(np.median(last.real), np.median(last.imag)) if np.iscomplexobj(last) else float(np.median(last))
+            dev = np.abs(fam - fit)
+            dev[:below] = np.tril(dev[:below], start)
+            worst = max(worst, float(np.max(dev.sum(axis=1))))
+        return worst, worst
+
+
 @dataclass(frozen=True)
 class ConditionSpec:
     anchor: str
     source: str  # "E" | "partial" | "btilde" | "matrix" | companion "C" | "D"
     quantifier: str  # plain | forall_l | exists_m | forall_l_exists_m | exists_b | forall_b
     kind: str  # bounded | limit
+    evaluate: Callable  # a _Rung evaluator; twins share it and differ in free
+    free: Callable | None = None  # a _Rung witness-free array builder; None reads the source itself
     needs_p: bool = False
     needs_q: bool = False
     needs_conjugate: bool = False
@@ -199,64 +376,64 @@ class ConditionSpec:
 
 CONDITIONS: dict[str, ConditionSpec] = {
     # composed-matrix conditions driving the mapping-class reports
-    "mt23": ConditionSpec("partial sums defining the composed matrix stabilize", "partial", "plain", "limit"),
-    "mt24": ConditionSpec("weighted absolute rows finite for every inflation L", "E", "forall_l", "bounded", needs_p=True),
-    "mt25": ConditionSpec("partial sums converge rowwise to fitted limits", "partial", "plain", "limit"),
-    "mt26": ConditionSpec("deflated partial-sum rows bounded for some M", "partial", "exists_m", "bounded", needs_p=True),
-    "mt27": ConditionSpec("jointly inflated/deflated partial-sum rows bounded", "partial", "forall_l_exists_m", "bounded", needs_p=True, needs_q=True),
-    "mt28": ConditionSpec("partial-sum rows concentrate at a single fitted value", "partial", "plain", "limit"),
-    "mt29": ConditionSpec("inflated absolute rows uniformly bounded", "E", "forall_l", "bounded", needs_p=True),
-    "mt30": ConditionSpec("columns converge to fitted limits", "E", "plain", "limit", uses_beta_k=True),
-    "mt31": ConditionSpec("inflated absolute row sums converge", "E", "forall_l", "limit", needs_p=True),
-    "mt32": ConditionSpec("inflated absolute row sums vanish", "E", "forall_l", "limit", needs_p=True),
-    "mt33": ConditionSpec("deflated absolute rows bounded in target exponents", "E", "exists_m", "bounded", needs_p=True, needs_q=True),
-    "mt34": ConditionSpec("entries vanish in target exponents", "E", "plain", "limit", needs_q=True),
-    "mt35": ConditionSpec("jointly scaled absolute rows bounded", "E", "forall_l_exists_m", "bounded", needs_p=True, needs_q=True),
-    "mt36": ConditionSpec("column deviations vanish in target exponents", "E", "plain", "limit", needs_q=True, uses_beta_k=True),
-    "mt37": ConditionSpec("deflated absolute rows bounded for some M", "E", "exists_m", "bounded", needs_p=True),
-    "mt38": ConditionSpec("scaled column-deviation rows bounded", "E", "forall_l_exists_m", "bounded", needs_p=True, needs_q=True, uses_beta_k=True),
-    "mt39": ConditionSpec("row sums bounded in target exponents", "E", "plain", "bounded", needs_q=True),
-    "mt40": ConditionSpec("row sums vanish in target exponents", "E", "plain", "limit", needs_q=True),
-    "mt41": ConditionSpec("row sums converge in target exponents", "E", "plain", "limit", needs_q=True, uses_beta=True),
+    "mt23": ConditionSpec("partial sums defining the composed matrix stabilize", "partial", "plain", "limit", _Rung.window_spread, _Rung.window_blocks),
+    "mt24": ConditionSpec("weighted absolute rows finite for every inflation L", "E", "forall_l", "bounded", _Rung.inflated_rows, _Rung.absolute_probe_rows, needs_p=True),
+    "mt25": ConditionSpec("partial sums converge rowwise to fitted limits", "partial", "plain", "limit", _Rung.window_spread, _Rung.window_blocks),
+    "mt26": ConditionSpec("deflated partial-sum rows bounded for some M", "partial", "exists_m", "bounded", _Rung.deflated_partial_rows, _Rung.absolute_blocks, needs_p=True),
+    "mt27": ConditionSpec("jointly inflated/deflated partial-sum rows bounded", "partial", "forall_l_exists_m", "bounded", _Rung.scaled_partial_rows, _Rung.absolute_blocks, needs_p=True, needs_q=True),
+    "mt28": ConditionSpec("partial-sum rows concentrate at a single fitted value", "partial", "plain", "limit", _Rung.partial_concentration),
+    "mt29": ConditionSpec("inflated absolute rows uniformly bounded", "E", "forall_l", "bounded", _Rung.inflated_rows, _Rung.absolute, needs_p=True),
+    "mt30": ConditionSpec("columns converge to fitted limits", "E", "plain", "limit", _Rung.window_max, _Rung.column_deviations, uses_beta_k=True),
+    "mt31": ConditionSpec("inflated absolute row sums converge", "E", "forall_l", "limit", _Rung.inflated_row_sum_spread, _Rung.absolute, needs_p=True),
+    "mt32": ConditionSpec("inflated absolute row sums vanish", "E", "forall_l", "limit", _Rung.inflated_row_sums_vanish, _Rung.absolute, needs_p=True),
+    "mt33": ConditionSpec("deflated absolute rows bounded in target exponents", "E", "exists_m", "bounded", _Rung.deflated_rows_in_q, _Rung.absolute, needs_p=True, needs_q=True),
+    "mt34": ConditionSpec("entries vanish in target exponents", "E", "plain", "limit", _Rung.window_max, _Rung.column_deviations_in_q, needs_q=True),
+    "mt35": ConditionSpec("jointly scaled absolute rows bounded", "E", "forall_l_exists_m", "bounded", _Rung.scaled_rows, _Rung.absolute, needs_p=True, needs_q=True),
+    "mt36": ConditionSpec("column deviations vanish in target exponents", "E", "plain", "limit", _Rung.window_max, _Rung.column_deviations_in_q, needs_q=True, uses_beta_k=True),
+    "mt37": ConditionSpec("deflated absolute rows bounded for some M", "E", "exists_m", "bounded", _Rung.deflated_rows, _Rung.absolute, needs_p=True),
+    "mt38": ConditionSpec("scaled column-deviation rows bounded", "E", "forall_l_exists_m", "bounded", _Rung.scaled_rows, _Rung.deviations, needs_p=True, needs_q=True, uses_beta_k=True),
+    "mt39": ConditionSpec("row sums bounded in target exponents", "E", "plain", "bounded", _Rung.largest_absolute_in_q, _Rung.row_sums, needs_q=True),
+    "mt40": ConditionSpec("row sums vanish in target exponents", "E", "plain", "limit", _Rung.row_sums_converge_in_q, _Rung.row_sums, needs_q=True),
+    "mt41": ConditionSpec("row sums converge in target exponents", "E", "plain", "limit", _Rung.row_sums_converge_in_q, _Rung.row_sums, needs_q=True, uses_beta=True),
     # classical variable-exponent conditions on a generic matrix
-    "L2.3": ConditionSpec("deflated subset column sums summable for some B", "matrix", "exists_m", "bounded", needs_p=True),
-    "L2.4a": ConditionSpec("deflated absolute rows bounded for some B", "matrix", "exists_m", "bounded", needs_p=True),
-    "L2.4b": ConditionSpec("columns converge to fitted limits", "matrix", "plain", "limit", uses_beta_k=True),
-    "L2.4c": ConditionSpec("deflated column-deviation rows bounded for some B", "matrix", "exists_m", "bounded", needs_p=True, uses_beta_k=True),
-    "L2.5": ConditionSpec("deflated absolute rows bounded for some B", "matrix", "exists_m", "bounded", needs_p=True),
-    "L2.6i": ConditionSpec("subset row sums bounded in conjugate exponents", "matrix", "exists_m", "bounded", needs_p=True, needs_conjugate=True),
-    "L2.6ii": ConditionSpec("subset column sups bounded in native exponents", "matrix", "plain", "bounded", needs_p=True),
-    "L2.7i": ConditionSpec("scaled rows bounded in conjugate exponents", "matrix", "exists_m", "bounded", needs_p=True, needs_conjugate=True),
-    "L2.7ii": ConditionSpec("entries bounded in native exponents", "matrix", "plain", "bounded", needs_p=True),
-    "2.15": ConditionSpec("columns converge to fitted limits", "matrix", "plain", "limit", uses_beta_k=True),
+    "L2.3": ConditionSpec("deflated subset column sums summable for some B", "matrix", "exists_m", "bounded", _Rung.deflated_subset_columns, needs_p=True),
+    "L2.4a": ConditionSpec("deflated absolute rows bounded for some B", "matrix", "exists_m", "bounded", _Rung.deflated_rows, _Rung.absolute, needs_p=True),
+    "L2.4b": ConditionSpec("columns converge to fitted limits", "matrix", "plain", "limit", _Rung.window_max, _Rung.column_deviations, uses_beta_k=True),
+    "L2.4c": ConditionSpec("deflated column-deviation rows bounded for some B", "matrix", "exists_m", "bounded", _Rung.deflated_rows, _Rung.deviations, needs_p=True, uses_beta_k=True),
+    "L2.5": ConditionSpec("deflated absolute rows bounded for some B", "matrix", "exists_m", "bounded", _Rung.deflated_rows, _Rung.absolute, needs_p=True),
+    "L2.6i": ConditionSpec("subset row sums bounded in conjugate exponents", "matrix", "exists_m", "bounded", _Rung.subset_rows_conjugate, needs_p=True, needs_conjugate=True),
+    "L2.6ii": ConditionSpec("subset column sups bounded in native exponents", "matrix", "plain", "bounded", _Rung.signed_columns, needs_p=True),
+    "L2.7i": ConditionSpec("scaled rows bounded in conjugate exponents", "matrix", "exists_m", "bounded", _Rung.power_rows_conjugate, needs_p=True, needs_conjugate=True),
+    "L2.7ii": ConditionSpec("entries bounded in native exponents", "matrix", "plain", "bounded", _Rung.power_entries, needs_p=True),
+    "2.15": ConditionSpec("columns converge to fitted limits", "matrix", "plain", "limit", _Rung.window_max, _Rung.column_deviations, uses_beta_k=True),
     # band-transformed-matrix conditions (regularity and core inclusion)
-    "4.1": ConditionSpec("absolute row sums bounded", "btilde", "plain", "bounded"),
-    "4.2": ConditionSpec("columns converge to fitted limits", "btilde", "plain", "limit", uses_beta_k=True),
-    "4.2z": ConditionSpec("columns vanish", "btilde", "plain", "limit"),
-    "4.3": ConditionSpec("absolute column-deviation rows vanish", "btilde", "plain", "limit", uses_beta_k=True),
-    "4.5": ConditionSpec("row sums tend to one", "btilde", "plain", "limit", target=1.0),
-    "4.6": ConditionSpec("absolute rows over density-zero sets vanish", "btilde", "plain", "limit"),
-    "4.8": ConditionSpec("absolute row sums tend to one", "btilde", "plain", "limit", target=1.0),
+    "4.1": ConditionSpec("absolute row sums bounded", "btilde", "plain", "bounded", _Rung.largest_absolute, _Rung.absolute_row_sums),
+    "4.2": ConditionSpec("columns converge to fitted limits", "btilde", "plain", "limit", _Rung.window_max, _Rung.column_deviations, uses_beta_k=True),
+    "4.2z": ConditionSpec("columns vanish", "btilde", "plain", "limit", _Rung.window_max, _Rung.column_deviations),
+    "4.3": ConditionSpec("absolute column-deviation rows vanish", "btilde", "plain", "limit", _Rung.window_max, _Rung.window_deviation_sums, uses_beta_k=True),
+    "4.5": ConditionSpec("row sums tend to one", "btilde", "plain", "limit", _Rung.row_sums_converge, _Rung.real_row_sums, target=1.0),
+    "4.6": ConditionSpec("absolute rows over density-zero sets vanish", "btilde", "plain", "limit", _Rung.window_max, _Rung.density_window_sums),
+    "4.8": ConditionSpec("absolute row sums tend to one", "btilde", "plain", "limit", _Rung.row_sums_converge, _Rung.absolute_row_sums, target=1.0),
 }
 
 # the dual sets: conditions on the companions C and D of a weight sequence
 DUAL_CONDITIONS: dict[str, ConditionSpec] = {
-    "S1": ConditionSpec("row-scaled inverse, weighted subset column sums", "C", "exists_b", "bounded", needs_p=True),
-    "S2": ConditionSpec("row-scaled inverse, absolute row sums", "C", "plain", "bounded"),
-    "S3": ConditionSpec("cumulative companion, weighted absolute rows", "D", "exists_b", "bounded", needs_p=True),
-    "S4": ConditionSpec("cumulative companion, column limits exist", "D", "plain", "limit"),
-    "S5": ConditionSpec("cumulative companion, weighted deviation rows", "D", "exists_b", "bounded", needs_p=True, uses_beta_k=True),
-    "S6": ConditionSpec("cumulative companion, row sums converge", "D", "plain", "limit", uses_beta=True),
-    "S7": ConditionSpec("cumulative companion, bounded row sums", "D", "plain", "bounded"),
-    "S8": ConditionSpec("cumulative companion, inflated subset column sums", "D", "forall_b", "bounded", needs_p=True),
-    "S9": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", needs_p=True),
-    "S10": ConditionSpec("cumulative companion, inflated deviation rows vanish", "D", "forall_b", "limit", needs_p=True, uses_beta_k=True),
-    "S11": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", needs_p=True),
-    "S12": ConditionSpec("cumulative companion, subset row sums, native exponents", "D", "plain", "bounded", needs_p=True),
-    "S13": ConditionSpec("cumulative companion, subset column sums, conjugate exponents", "D", "exists_b", "bounded", needs_p=True, needs_conjugate=True),
-    "S14": ConditionSpec("cumulative companion, scaled rows, conjugate exponents", "D", "exists_b", "bounded", needs_p=True, needs_conjugate=True),
-    "S15": ConditionSpec("cumulative companion, entrywise native exponents", "D", "plain", "bounded", needs_p=True),
-    "S16": ConditionSpec("cumulative companion, column limits exist", "D", "plain", "limit"),
+    "S1": ConditionSpec("row-scaled inverse, weighted subset column sums", "C", "exists_b", "bounded", _Rung.deflated_subset_columns, needs_p=True),
+    "S2": ConditionSpec("row-scaled inverse, absolute row sums", "C", "plain", "bounded", _Rung.absolute_total, _Rung.row_sums),
+    "S3": ConditionSpec("cumulative companion, weighted absolute rows", "D", "exists_b", "bounded", _Rung.deflated_rows, _Rung.absolute, needs_p=True),
+    "S4": ConditionSpec("cumulative companion, column limits exist", "D", "plain", "limit", _Rung.window_spread, _Rung.window_columns),
+    "S5": ConditionSpec("cumulative companion, weighted deviation rows", "D", "exists_b", "bounded", _Rung.deflated_rows, _Rung.lower_deviations, needs_p=True, uses_beta_k=True),
+    "S6": ConditionSpec("cumulative companion, row sums converge", "D", "plain", "limit", _Rung.row_sums_converge, _Rung.row_sums, uses_beta=True),
+    "S7": ConditionSpec("cumulative companion, bounded row sums", "D", "plain", "bounded", _Rung.largest_absolute, _Rung.row_sums),
+    "S8": ConditionSpec("cumulative companion, inflated subset column sums", "D", "forall_b", "bounded", _Rung.inflated_subset_columns, needs_p=True),
+    "S9": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", _Rung.inflated_rows, _Rung.absolute, needs_p=True),
+    "S10": ConditionSpec("cumulative companion, inflated deviation rows vanish", "D", "forall_b", "limit", _Rung.inflated_deviation_rows, _Rung.lower_deviations, needs_p=True, uses_beta_k=True),
+    "S11": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", _Rung.inflated_rows, _Rung.absolute, needs_p=True),
+    "S12": ConditionSpec("cumulative companion, subset row sums, native exponents", "D", "plain", "bounded", _Rung.signed_columns, needs_p=True),
+    "S13": ConditionSpec("cumulative companion, subset column sums, conjugate exponents", "D", "exists_b", "bounded", _Rung.subset_rows_conjugate, needs_p=True, needs_conjugate=True),
+    "S14": ConditionSpec("cumulative companion, scaled rows, conjugate exponents", "D", "exists_b", "bounded", _Rung.power_rows_conjugate, needs_p=True, needs_conjugate=True),
+    "S15": ConditionSpec("cumulative companion, entrywise native exponents", "D", "plain", "bounded", _Rung.power_entries, needs_p=True),
+    "S16": ConditionSpec("cumulative companion, column limits exist", "D", "plain", "limit", _Rung.window_spread, _Rung.window_columns),
 }
 
 _SPECS = {**CONDITIONS, **DUAL_CONDITIONS}
@@ -273,182 +450,6 @@ def condition_catalog() -> dict:
         }
         for cid, spec in sorted(CONDITIONS.items())
     }
-
-
-def _witness_free(cond_id: str, G: np.ndarray, n: int, beta_k) -> np.ndarray | None:
-    """The array a quantified condition weights the same way at every witness, or None.
-
-    mt24 reads |G| on the probe rows only; the others read all of |G|, of
-    |G - beta_k|, or (S5 and S10) of its lower triangle.
-    """
-    if cond_id == "mt24":
-        return np.abs(G[: min(_PROBE_ROWS, n)])
-    if cond_id in ("mt29", "mt31", "mt32", "mt33", "mt35", "mt37", "L2.4a", "L2.5", "S3", "S9", "S11"):
-        return np.abs(G)
-    if cond_id in ("mt38", "L2.4c"):
-        return np.abs(G - beta_k[:n][None, :])
-    if cond_id in ("S5", "S10"):
-        return np.abs(np.tril(G - beta_k[None, :n]))
-    return None
-
-
-def _abs_in_place(block: np.ndarray) -> np.ndarray:
-    """|block|, written over a real block; a complex block needs a new real array."""
-    return np.abs(block) if np.iscomplexobj(block) else np.abs(block, out=block)
-
-
-def _row_sup(abs_block: np.ndarray, weights) -> float:
-    """sup_n sum_k abs_block[n, k] w_k, for a block that already holds absolute values."""
-    return float(np.max(abs_block @ weights))
-
-
-def _window_family(block: np.ndarray, n: int, start: int) -> tuple[np.ndarray, int]:
-    """The rows of a partial-sum family in the window start..n-1 that a window maximum can attain.
-
-    ``block`` is the family's support block (see :class:`EPartial`).  Its
-    rows from ``start`` up come first, zero-padded to n columns; returns them
-    with their count.  Row n - 1 follows when the family is longer than its
-    block: every later row repeats it, and its deviation sum bounds theirs,
-    since each of its entries is at least theirs and a rounded sum of
-    nonnegative terms is monotone in each term.
-    """
-    stop = block.shape[0]
-    below = max(stop - start, 0)
-    fam = np.zeros((below + (stop < n), n), dtype=block.dtype)
-    fam[:below, :stop] = block[stop - below :]
-    fam[below:, :stop] = block[-1]
-    return fam, below
-
-
-def _evaluate(cond_id: str, src, p, q, n: int, L, M, beta_k, beta, density_sets, free):
-    """One ladder point of one condition; returns (value, deviation | None).
-
-    ``free`` is the condition's witness-free array at this rung (see
-    :func:`_witness_free`).
-    """
-    pk = p.p[:n] if p is not None else None
-    qn = q[:n] if q is not None else None
-    win = window(n)
-    rows = min(_PROBE_ROWS, n)
-    cols = min(_PROBE_COLS, n)
-
-    if isinstance(src, EPartial):
-        # each probe row's support block; a zero row of A has an empty block and a zero family
-        blocks = [(i, block) for i in range(rows) if (block := src.support(i)).size]
-        worst = 0.0
-        if cond_id in ("mt26", "mt27"):
-            deflate = float(M) ** (-1.0 / pk)
-            for i, block in blocks:
-                w = deflate if cond_id == "mt26" else float(L) ** (1.0 / qn[i]) * deflate
-                worst = max(worst, _row_sup(_abs_in_place(block), w[: block.shape[0]]))
-            return worst, None
-        if cond_id not in ("mt23", "mt25", "mt28"):
-            raise KeyError(cond_id)
-        for _, block in blocks:
-            fam, below = _window_family(block, n, win.start)
-            if not fam.size:
-                continue
-            if cond_id == "mt28":
-                fit = float(np.median(fam[-1]))
-                dev = np.abs(fam - fit)
-                dev[:below] = np.tril(dev[:below], win.start)
-                worst = max(worst, float(np.max(dev.sum(axis=1))))
-            else:
-                worst = max(worst, float(np.max(np.abs(fam.max(axis=0) - fam.min(axis=0)))))
-        return worst, worst
-
-    G = src  # dense matrix: E, btilde, a directly supplied matrix, or a companion C or D
-    if cond_id in ("mt24", "mt29", "S9", "S11"):
-        return _row_sup(free, float(L) ** (1.0 / pk)), None
-    if cond_id in ("mt30", "L2.4b", "2.15", "4.2", "4.2z"):
-        ref = np.zeros(cols) if cond_id == "4.2z" else beta_k[:cols]
-        dev_block = np.abs(G[win, :cols] - ref[None, :])
-        val = float(np.max(dev_block)) if dev_block.size else 0.0
-        return val, val
-    if cond_id == "4.3":
-        dev_full = np.abs(G[win] - beta_k[:n][None, :])
-        val = float(np.max(dev_full.sum(axis=1))) if dev_full.size else 0.0
-        return val, val
-    if cond_id in ("mt31", "mt32"):
-        f = free @ (float(L) ** (1.0 / pk))
-        fw = f[win]
-        if cond_id == "mt31":
-            spread = float(np.max(fw) - np.min(fw)) if fw.size else 0.0
-            return spread, spread
-        val = float(np.max(fw)) if fw.size else 0.0
-        return val, val
-    if cond_id == "mt33":
-        f = free @ (float(M) ** (-1.0 / pk))
-        return float(np.max(f**qn)), None
-    if cond_id in ("mt34", "mt36"):
-        ref = np.zeros(cols) if cond_id == "mt34" else beta_k[:cols]
-        dev = np.abs(G[win, :cols] - ref[None, :]) ** qn[win][:, None]
-        val = float(np.max(dev)) if dev.size else 0.0
-        return val, val
-    if cond_id == "mt35":
-        w = float(M) ** (-1.0 / pk)
-        f = (free @ w) * (float(L) ** (1.0 / qn))
-        return float(np.max(f)), None
-    if cond_id in ("mt37", "L2.4a", "L2.5", "S3", "S5"):
-        return _row_sup(free, float(M) ** (-1.0 / pk)), None
-    if cond_id == "mt38":
-        w = float(M) ** (-1.0 / pk)
-        f = (free @ w) * (float(L) ** (1.0 / qn))
-        return float(np.max(f)), None
-    if cond_id == "mt39":
-        return float(np.max(np.abs(G.sum(axis=1)) ** qn)), None
-    if cond_id in ("mt40", "mt41"):
-        ref = 0.0 if cond_id == "mt40" else beta
-        f = np.abs(G.sum(axis=1) - ref) ** qn
-        dev = float(np.max(f[win])) if f[win].size else 0.0
-        return float(f[-1]), dev
-    if cond_id in ("L2.3", "S1"):
-        return subset_estimate(G, "columns", float(M) ** (-1.0 / pk)), None
-    if cond_id == "L2.4c":
-        return _row_sup(free, float(M) ** (-1.0 / pk)), None
-    if cond_id in ("L2.6i", "S13"):
-        return subset_estimate(G / float(M), "rows", None, p.conjugate()[:n]), None
-    if cond_id in ("L2.6ii", "S12"):
-        return signed_column_sup(G, pk), None
-    if cond_id in ("L2.7i", "S14"):
-        return power_row_sup(G / float(M), p.conjugate()[:n]), None
-    if cond_id in ("L2.7ii", "S15"):
-        return power_entry_sup(G, pk), None
-    if cond_id == "S2":
-        return float(np.sum(np.abs(G.sum(axis=1)))), None
-    if cond_id in ("S4", "S16"):
-        block = G[win, : min(_PROBE_COLS, max(1, n // 2))]
-        spread = float(np.max(np.abs(block.max(axis=0) - block.min(axis=0)))) if block.size else 0.0
-        return spread, spread
-    if cond_id == "S6":
-        rowsums = G.sum(axis=1)
-        dev = float(np.max(np.abs(rowsums[win] - beta))) if rowsums[win].size else 0.0
-        return float(np.real(rowsums[-1])), dev
-    if cond_id == "S7":
-        return float(np.max(np.abs(G.sum(axis=1)))), None
-    if cond_id == "S8":
-        return subset_estimate(G, "columns", float(L) ** (1.0 / pk)), None
-    if cond_id == "S10":
-        dev_rows = free @ (float(L) ** (1.0 / pk))
-        return float(dev_rows[-1]), float(np.max(dev_rows[win])) if dev_rows[win].size else 0.0
-    if cond_id == "4.1":
-        return float(np.max(np.abs(G).sum(axis=1))), None
-    if cond_id == "4.5":
-        rowsums = np.real(G.sum(axis=1))
-        dev = float(np.max(np.abs(rowsums[win] - 1.0))) if rowsums[win].size else 0.0
-        return float(rowsums[-1]), dev
-    if cond_id == "4.6":
-        worst = 0.0
-        for _, mask in density_sets:
-            f = np.abs(G[:, mask[:n]]).sum(axis=1)
-            if f[win].size:
-                worst = max(worst, float(np.max(f[win])))
-        return worst, worst
-    if cond_id == "4.8":
-        rowsums = np.abs(G).sum(axis=1)
-        dev = float(np.max(np.abs(rowsums[win] - 1.0))) if rowsums[win].size else 0.0
-        return float(rowsums[-1]), dev
-    raise KeyError(f"unknown condition {cond_id!r}")
 
 
 def _validate_q(q, n: int) -> np.ndarray:
@@ -470,9 +471,9 @@ def _check_inputs(cond_ids, ladder, p, q):
     for cid in cond_ids:
         spec = _SPECS[cid]
         if spec.needs_p and p is None:
-            raise ValueError(f"condition {cid} needs the exponent sequence p")
+            raise SchemaError(f"condition {cid} needs the exponent sequence p")
         if spec.needs_q and q is None:
-            raise ValueError(f"condition {cid} needs the target exponent sequence q")
+            raise SchemaError(f"condition {cid} needs the target exponent sequence q")
         if spec.needs_conjugate and p is not None and np.any(p.p <= 1.0):
             raise SchemaError(f"condition {cid} needs conjugate exponents, so p_k > 1")
     if p is not None:
@@ -480,27 +481,31 @@ def _check_inputs(cond_ids, ladder, p, q):
     return ladder, (_validate_q(q, ladder[-1]) if q is not None else None)
 
 
+def _probe_blocks(partial: EPartial) -> list:
+    """(i, support block) of each probe row i; a zero row of A has an empty block and a zero family, and is left out."""
+    return [(i, block) for i in range(min(_PROBE_ROWS, partial.n)) if (block := partial.support(i)).size]
+
+
 def _ladder_sources(source: str, A, sys, matrix, ladder) -> dict:
-    """The source matrices of every ladder point, keyed by rung, then by source kind.
+    """The sources of every ladder point, keyed by rung, then by source kind.
 
     btilde and a caller-supplied matrix (matrix=, which bypasses the
     composition) are built once, at the top rung, and rung n reads the
     leading n x n block: no entry depends on a later row or column, so the
-    block is bit-identical to a build at n.  E and its partial-sum families
-    come from one composition at the top rung.  Every other rung slices the
-    partial sums and solves E from its leading block of A, bit for bit as at
-    n.  A "partial" source builds the families alone: A and V at the top rung
-    (V raises OverflowError as in :func:`e_matrix`), no E.
+    block is bit-identical to a build at n.  E comes from one composition at
+    the top rung, and every other rung solves E from its leading block of A,
+    bit for bit as at n.  A rung's "partial" source is its probe rows'
+    support blocks (:func:`_probe_blocks`) from the leading blocks of the top
+    rung's A and V; alone, it builds A and V at the top rung (V raises
+    OverflowError as in :func:`e_matrix`), no E.
     """
     if source == "partial":  # no partial-sum condition reads E, so none is solved
         dense, V = materialize_matrix(A, ladder[-1]), inverse_kernel(sys, ladder[-1]).entries
-        return {n: {"partial": EPartial(dense[:n, :n], V[:n, :n])} for n in ladder}
+        return {n: {"partial": _probe_blocks(EPartial(dense[:n, :n], V[:n, :n]))} for n in ladder}
     if source == "E" and matrix is None:
         E, partial = e_matrix(A, sys, ladder[-1])
         dense, V = partial._A, partial._V
-        sources = {n: {"E": _solve_composed(dense[:n, :n], sys), "partial": EPartial(dense[:n, :n], V[:n, :n])} for n in ladder[:-1]}
-        sources[ladder[-1]] = {"E": E, "partial": partial}
-        return sources
+        return {n: {"E": E if n == ladder[-1] else _solve_composed(dense[:n, :n], sys), "partial": _probe_blocks(EPartial(dense[:n, :n], V[:n, :n]))} for n in ladder}
     top = btilde(A, sys, ladder[-1]) if matrix is None else materialize_matrix(matrix, ladder[-1])
     return {n: {source: top[:n, :n]} for n in ladder}
 
@@ -514,7 +519,7 @@ def _condition_verdict(cond_id, sources, ladder, p, qa, witness_values):
     spec = _SPECS[cond_id]
     top = sources[ladder[-1]][spec.source]
     fitted: dict = {}
-    beta_k = beta = density_sets = None
+    beta_k, beta = np.zeros(ladder[-1]), None  # a condition that fits no beta_k reads zero column limits
     if spec.uses_beta_k:
         beta_k = top[-1, :].copy()
         fitted["beta_k_head"] = [float(np.real(v)) for v in beta_k[:8]]
@@ -522,19 +527,16 @@ def _condition_verdict(cond_id, sources, ladder, p, qa, witness_values):
         beta = top[-1, :].sum()
         fitted["beta"] = float(np.real(beta))
     if cond_id == "4.6":
-        density_sets = default_density_sets(ladder[-1])
-        fitted["density_sets"] = [name for name, _ in density_sets]
-
-    free = {}
+        fitted["density_sets"] = [name for name, _ in default_density_sets(ladder[-1])]
+    rungs = {}
 
     def evaluate(n, witnesses):
-        src = sources[n][spec.source]
-        if n not in free:
-            free[n] = _witness_free(cond_id, src, n, beta_k)
+        if n not in rungs:
+            rungs[n] = _Rung(spec, sources[n][spec.source], n, p, qa, beta_k, beta)
         b = witnesses.get("B")  # a dual set's B: the deflating M when existential, the inflating L when universal
         L = witnesses.get("L", b if spec.quantifier == "forall_b" else None)
         M = witnesses.get("M", b if spec.quantifier == "exists_b" else None)
-        return _evaluate(cond_id, src, p, qa, n, L, M, beta_k, beta, density_sets, free[n])
+        return spec.evaluate(rungs[n], L, M)
 
     layers = WITNESS_LAYERS[spec.quantifier]
     return ladder_verdict(cond_id, ladder, layers, spec.kind, evaluate, witness_values, fitted, spec.target, spec.anchor)
@@ -576,20 +578,20 @@ def eval_condition(
 # class reports
 # ---------------------------------------------------------------------------
 
-# class id -> (source kind, condition ids, needs q)
-CLASS_RULES: dict[str, tuple[str, tuple[str, ...], bool]] = {
-    "sinf:linf": ("E", ("mt23", "mt24", "mt29"), False),
-    "sinf:c": ("E", ("mt23", "mt24", "mt30", "mt31"), False),
-    "sinf:c0": ("E", ("mt23", "mt24", "mt32"), False),
-    "s0:linf_q": ("E", ("mt25", "mt26", "mt27", "mt33"), True),
-    "s0:c0_q": ("E", ("mt25", "mt26", "mt27", "mt34", "mt35"), True),
-    "s0:c_q": ("E", ("mt25", "mt26", "mt27", "mt36", "mt37", "mt38"), True),
-    "sc:linf_q": ("E", ("mt25", "mt26", "mt27", "mt28", "mt33", "mt39"), True),
-    "sc:c0_q": ("E", ("mt25", "mt26", "mt27", "mt28", "mt34", "mt35", "mt40"), True),
-    "sc:c_q": ("E", ("mt25", "mt26", "mt27", "mt28", "mt36", "mt37", "mt38", "mt41"), True),
-    "linf:sc": ("btilde", ("4.1", "4.2", "4.3"), False),
-    "c:sc_reg": ("btilde", ("4.1", "4.2z", "4.5"), False),
-    "st:sc_reg": ("btilde", ("4.1", "4.2z", "4.5", "4.6"), False),
+# class id -> (source kind, condition ids)
+CLASS_RULES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "sinf:linf": ("E", ("mt23", "mt24", "mt29")),
+    "sinf:c": ("E", ("mt23", "mt24", "mt30", "mt31")),
+    "sinf:c0": ("E", ("mt23", "mt24", "mt32")),
+    "s0:linf_q": ("E", ("mt25", "mt26", "mt27", "mt33")),
+    "s0:c0_q": ("E", ("mt25", "mt26", "mt27", "mt34", "mt35")),
+    "s0:c_q": ("E", ("mt25", "mt26", "mt27", "mt36", "mt37", "mt38")),
+    "sc:linf_q": ("E", ("mt25", "mt26", "mt27", "mt28", "mt33", "mt39")),
+    "sc:c0_q": ("E", ("mt25", "mt26", "mt27", "mt28", "mt34", "mt35", "mt40")),
+    "sc:c_q": ("E", ("mt25", "mt26", "mt27", "mt28", "mt36", "mt37", "mt38", "mt41")),
+    "linf:sc": ("btilde", ("4.1", "4.2", "4.3")),
+    "c:sc_reg": ("btilde", ("4.1", "4.2z", "4.5")),
+    "st:sc_reg": ("btilde", ("4.1", "4.2z", "4.5", "4.6")),
 }
 
 
@@ -623,12 +625,7 @@ def class_report(
     """Evaluate every condition of one mapping-class characterization."""
     if class_id not in CLASS_RULES:
         raise KeyError(f"unknown class {class_id!r}; known: {sorted(CLASS_RULES)}")
-    source, cond_ids, needs_q = CLASS_RULES[class_id]
-    if needs_q and q is None:
-        raise ValueError(f"class {class_id} targets a variable-exponent space and needs q")
-    needs_p = any(CONDITIONS[c].needs_p for c in cond_ids)
-    if needs_p and p is None:
-        raise ValueError(f"class {class_id} needs the exponent sequence p")
+    source, cond_ids = CLASS_RULES[class_id]
     ladder, qa = _check_inputs(cond_ids, ladder, p, q)
     if A is None or sys is None:
         raise ValueError(f"class {class_id} needs A and a band system")

@@ -438,13 +438,13 @@ class TestDualReport:
         rng = rng_from_seed(6)
         a = FiniteSeq(rng.uniform(-1.0, 1.0, 48) if weights == "real" else complex_uniform(rng, 48))
         seen = {}
-        original = matclass._evaluate
+        original = matclass._Rung
 
-        def recording(cond_id, src, p, q, n, *args):
-            seen[matclass.DUAL_CONDITIONS[cond_id].source, n] = src
-            return original(cond_id, src, p, q, n, *args)
+        def recording(spec, src, n, *args):
+            seen[spec.source, n] = src
+            return original(spec, src, n, *args)
 
-        monkeypatch.setattr(matclass, "_evaluate", recording)
+        monkeypatch.setattr(matclass, "_Rung", recording)
         for dual in ("alpha", "gamma"):  # the alpha conditions read C, the gamma conditions D
             duals.dual_report(a, sys, ExponentSeq.constant(1.0, 48), "sc", dual, ladder)
         for n in ladder:

@@ -416,6 +416,15 @@ class TestExitCodeContract:
             (["class-check", "--config", self._class_cfg(tmp_path, "zero", q=-1)], 3),
             (["paranorm", "--x", "e", "--p", "-1", "--n", "8", "--raw"], 3),
             (["basis-residual", "--x", "e", "--system", "delta", "--p", "1,1,0,1", "--cutoffs", "2", "--n", "4"], 3),
+            # a class whose conditions need a p or q that the config leaves out
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero", **{"class": "s0:c_q", "p": 1.0})], 3),
+            (["class-check", "--config", self._class_cfg(tmp_path, "zero", **{"class": "sinf:c"})], 3),
+            # expansion cutoffs outside [0, n), and sup paranorms of exponents not bounded away from zero
+            (["basis-residual", "--x", "e", "--system", "delta", "--p", "1", "--cutoffs", "-3", "--n", "64"], 3),
+            (["basis-residual", "--x", "e", "--system", "delta", "--p", "1", "--cutoffs", "0,64", "--n", "64"], 3),
+            (["basis-residual", "--x", "e", "--system", "delta", "--p", "1", "--cutoffs", "0,63", "--n", "64", "--out", str(tmp_path / "br.json")], 0),
+            (["paranorm", "--x", "e", "--p", "1e-10", "--n", "8", "--raw"], 3),
+            (["paranorm", "--x", "e", "--p", "1e-10", "--n", "8", "--raw", "--kind", "sum", "--out", str(tmp_path / "pn.json")], 0),
             # a value naming both an existing file and a generator; either spelling settles it
             (["core", "--kind", "k", "--x", "alternating", "--n", "40"], 3),
             (["core", "--kind", "k", "--x", "./alternating", "--n", "40", "--out", "file.json"], 0),

@@ -123,7 +123,7 @@ MULTIPLIERS = {
     "alternating": (lambda n: (-1.0) ** n, True, None),
     "one_plus_harmonic": (lambda n: 1.0 + 1.0 / (n + 1.0), True, 1.0),
 }
-E_CLASSES = tuple(sorted(cid for cid, (source, _, _) in matclass.CLASS_RULES.items() if source == "E"))
+E_CLASSES = tuple(sorted(cid for cid, (source, _) in matclass.CLASS_RULES.items() if source == "E"))
 
 # (multiplier, class) -> the condition behind a verdict that is wrong today
 MT28 = "mt28 reads probe rows 0-7 only, so its value cannot decay with n"

@@ -172,7 +172,8 @@ def _dense_partial_value(cond_id: str, families: list, n: int, pk, qn, L, M) -> 
                 w = float(L) ** (1.0 / qn[i]) * w
             worst = max(worst, float(np.max(np.abs(rows) @ w)))
         else:
-            fit = float(np.median(rows[-1]))
+            last = rows[-1]
+            fit = complex(np.median(last.real), np.median(last.imag)) if np.iscomplexobj(last) else float(np.median(last))
             dev = np.abs(np.tril(rows[win] - fit, win.start)).sum(axis=1)
             worst = max(worst, float(np.max(dev)) if dev.size else 0.0)
     return worst
@@ -188,7 +189,6 @@ class TestPartialConditionsOracle:
     full rows have stop = n and zero rows stop = 0.
     """
 
-    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")  # mt28 fits the real part
     @pytest.mark.parametrize("cond_id", ["mt23", "mt25", "mt26", "mt27", "mt28"])
     @pytest.mark.parametrize("kind", ["lower_triangular", "negated_triangular", "dense", "complex", "zero_rows_and_columns"])
     @pytest.mark.parametrize("n", [6, 12, 48])
@@ -202,8 +202,10 @@ class TestPartialConditionsOracle:
         families = [np.cumsum(A[i][:, None] * V, axis=0) for i in range(min(8, n))]
         p = ExponentSeq(np.linspace(1.0, 3.0, n))
         q = np.linspace(1.0, 2.0, n)
+        spec = matclass.CONDITIONS[cond_id]
+        rung = matclass._Rung(spec, matclass._probe_blocks(partial), n, p, q, None, None)
         for L, M in [(None, None)] if cond_id in ("mt23", "mt25", "mt28") else [(2, 2), (16, 4), (256, 256)]:
-            got, dev = matclass._evaluate(cond_id, partial, p, q, n, L, M, None, None, None, None)
+            got, dev = spec.evaluate(rung, L, M)
             want = _dense_partial_value(cond_id, families, n, p.p[:n], q[:n], L, M)
             if cond_id in ("mt26", "mt27"):
                 assert dev is None
@@ -362,6 +364,18 @@ class TestEvalCondition:
         v215 = matclass.eval_condition("2.15", matrix="cesaro", ladder=LADDER)
         assert v215.verdict == "holds"  # columns 1/(n+1) -> 0
 
+    def test_partial_concentration_fit_is_invariant_under_unimodular_scales(self):
+        # a complex family fits the medians of its real and imaginary parts, so mt28 reads
+        # the same deviations for every scale of modulus one
+        sys = BandSystem.constant(2.0, 1.0, 1.0, 64)
+        runs = [
+            matclass.eval_condition("mt28", A=np.full((64, 64), 1 / 64) * s, sys=sys, ladder=(16, 32, 64))
+            for s in (1, -1, 1j, -1j)
+        ]
+        estimates = [[v for _, _, v in run.estimates] for run in runs]
+        assert all(e == pytest.approx(estimates[0], rel=1e-12) for e in estimates[1:])
+        assert all(0.005 < v < 0.006 for v in estimates[0])
+
     @pytest.mark.parametrize("scale", [1 + 1j, 1j])
     def test_complex_column_limits_are_fitted_complex(self, scale):
         # every column is eventually constant, so the limits exist; a real fit of beta_k
@@ -484,18 +498,34 @@ class TestClassReport:
         sys = BandSystem.constant(-1.0, 1.0, 1.0, 48) if system == "constant" else random_band_system(rng_from_seed(5), 48)
         A = "cesaro" if matrix == "cesaro" else rng_from_seed(6).uniform(-1.0, 1.0, (48, 48))
         seen = {}
-        original = matclass._evaluate
+        original = matclass._Rung
 
-        def recording(cond_id, src, p, q, n, *args):
-            seen[matclass.CONDITIONS[cond_id].source, n] = src
-            return original(cond_id, src, p, q, n, *args)
+        def recording(spec, src, n, *args):
+            seen[spec.source, n] = src
+            return original(spec, src, n, *args)
 
-        monkeypatch.setattr(matclass, "_evaluate", recording)
+        monkeypatch.setattr(matclass, "_Rung", recording)
         matclass.class_report(A, "st:sc_reg", sys, ladder=ladder)
         matclass.eval_condition("2.15", matrix=A, ladder=ladder)
         for n in ladder:
             assert seen["btilde", n].tobytes() == matclass.btilde(A, sys, n).tobytes()
             assert seen["matrix", n].tobytes() == materialize_matrix(A, n).tobytes()
+
+    def test_support_blocks_built_once_per_rung(self, monkeypatch):
+        calls = []
+        original = matclass.EPartial.support
+
+        def counted(self, i):
+            calls.append((self.n, i))
+            return original(self, i)
+
+        monkeypatch.setattr(matclass.EPartial, "support", counted)
+        n = 256
+        p, q = ExponentSeq.constant(2.0, n), np.full(n, 1.5)
+        matclass.class_report("cesaro", "sc:c_q", DELTA, p=p, q=q, ladder=(64, 128, 256))
+        # one block per probe row and rung, shared by mt25-mt28
+        assert len(calls) == 24
+        assert sorted(calls) == [(m, i) for m in (64, 128, 256) for i in range(8)]
 
     def test_report_serialization(self):
         report = matclass.class_report("cesaro", "c:sc_reg", DELTA, ladder=(16, 32, 64))
@@ -520,11 +550,15 @@ def _lower_triangular_inputs(n: int) -> dict:
 
 
 def _per_rung_sources(source, A, sys, matrix, ladder):
-    """E and its partial sums composed at every rung through the public builder."""
-    return {n: dict(zip(("E", "partial"), matclass.e_matrix(A, sys, n))) for n in ladder}
+    """E and its probe rows' support blocks composed at every rung through the public builder."""
+    sources = {}
+    for n in ladder:
+        E, partial = matclass.e_matrix(A, sys, n)
+        sources[n] = {"E": E, "partial": matclass._probe_blocks(partial)}
+    return sources
 
 
-E_CLASSES = [cid for cid, rule in matclass.CLASS_RULES.items() if rule[0] == "E"]
+E_CLASSES = [cid for cid, (source, _) in matclass.CLASS_RULES.items() if source == "E"]
 
 
 class TestComposedSources:
@@ -541,8 +575,10 @@ class TestComposedSources:
             E, partial = matclass.e_matrix(A, sys, n)
             assert np.array_equal(sources[n]["E"], E)
             assert sources[n]["E"].tobytes() == E.tobytes()
-            for i in range(min(8, n)):
-                assert sources[n]["partial"].support(i).tobytes() == partial.support(i).tobytes()
+            blocks = [(i, partial.support(i)) for i in range(min(8, n))]
+            assert [i for i, _ in sources[n]["partial"]] == [i for i, block in blocks if block.size]
+            for i, block in sources[n]["partial"]:
+                assert block.tobytes() == blocks[i][1].tobytes()
 
     @pytest.mark.parametrize("matrix", ["lower_triangular", "dense"])
     def test_class_reports_match_per_rung_compositions(self, monkeypatch, mild_system, matrix):
@@ -581,6 +617,26 @@ class TestComposedSources:
             }
 
         assert render(runs) == render(runs[::-1])
+
+
+# condition ids that share one evaluator body and differ only in the witness-free array or source they read
+TWIN_GROUPS = [
+    ("S1", "L2.3"),
+    ("S3", "S5", "L2.4a", "L2.5", "L2.4c", "mt37"),
+    ("S9", "S11", "mt24", "mt29"),
+    ("S12", "L2.6ii"),
+    ("S13", "L2.6i"),
+    ("S14", "L2.7i"),
+    ("S15", "L2.7ii"),
+    ("S4", "S16", "mt23", "mt25"),
+    ("mt35", "mt38"),
+]
+
+
+@pytest.mark.parametrize("group", TWIN_GROUPS, ids=["-".join(g) for g in TWIN_GROUPS])
+def test_twins_resolve_to_one_evaluator(group):
+    specs = {**matclass.CONDITIONS, **matclass.DUAL_CONDITIONS}
+    assert len({specs[cid].evaluate for cid in group}) == 1
 
 
 def test_density_set_family_has_vanishing_density():
