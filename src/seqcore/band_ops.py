@@ -9,13 +9,11 @@ Its inverse is the full lower triangle
 
     V[n, k] = (-1)^(n-k) (alpha_k / r_n) prod_{i=k..n-1} (s_i / r_i),
 
-whose entries are evaluated through log-magnitude prefix sums with separate
-sign accumulation, so long products neither overflow nor underflow.  The
-magnitudes are exponentiated in one n x n buffer, and the signs enter as a
-row vector times a column vector of +-1 factors, which is exact in any
-order.  The inverse of a concrete vector is computed by forward substitution
-(solving the band recurrence), which is the numerically preferred path; the
-tests keep the explicit series through V as an independent cross-check.
+built by its row recurrence (:func:`inverse_kernel`), within (m - k + 1) eps
+of exact entry by entry; its columns are the basis vectors.  The inverse of
+a concrete vector is computed by forward substitution (solving the band
+recurrence), which is the numerically preferred path; the tests keep the
+explicit series through V as an independent cross-check.
 
 Forward substitution is serial, but on a long contracting system it runs on
 blocks of _BLOCK steps at once and still gives the serial loop's bits.  Pass
@@ -251,56 +249,58 @@ def triangle_kernel(sys: BandSystem, n: int) -> TriangleKernel:
     return TriangleKernel(ent)
 
 
-def _log_prefix(sys: BandSystem, n: int):
-    """Prefix data for products prod_{i=k..n-1} (s_i/r_i): cum log-magnitudes and signs."""
-    r, s, _ = sys.params(n)
-    cum = np.zeros(n)
-    sgn = np.ones(n)
-    if n > 1:
-        ratio = s[:-1] / r[:-1]
-        cum[1:] = np.cumsum(np.log(np.abs(ratio)))
-        sgn[1:] = np.cumprod(np.sign(ratio))
-    return cum, sgn
+# the smallest positive normal double; an entry below it keeps fewer than 53 bits
+_TINY = float(np.finfo(np.float64).tiny)
 
 
-def inverse_kernel(sys: BandSystem, n: int, method: str = "log") -> TriangleKernel:
-    """Dense inverse V of the band triangle.
+def _regrows(ent: np.ndarray, r: np.ndarray, s: np.ndarray, a: np.ndarray) -> bool:
+    """Whether a column of V falls below the normal range and grows back into it, which the recurrence cannot follow.
 
-    method="log" (default) evaluates every entry as
-
-        exp((log a_k - log|r_n|) + (cum_n - cum_k)) * (-1)^n sgn_n sign(r_n) * (-1)^k sgn_k,
-
-    with cum and sgn the prefix log-magnitudes and signs of the ratios
-    s_i/r_i, in one n x n buffer, and is safe for arbitrary truncations;
-    method="direct" accumulates the raw products and is intended as a
-    cross-check at small truncations (<= a few hundred) where the products
-    cannot overflow.
+    log(|V[m, k]| / tiny) = low_k + W_m, with W the walk of log|c_m|.  An O(n) gate passes each column whose
+    minimum keeps that log above 1; a flagged column regrows if W's maximum after its first entry below the
+    normal range (read off V) lifts the log back to 0.
     """
+    logr = np.log(np.abs(r))
+    walk = np.concatenate(([0.0], np.cumsum(np.log(np.abs(s[:-1])) - logr[1:])))
+    low = np.log(a) - logr - walk - math.log(_TINY)
+    cols = np.flatnonzero(low + np.minimum.accumulate(walk[::-1])[::-1] < 1.0)
+    below = (np.abs(ent[:, cols]) < _TINY) & (np.arange(r.size)[:, None] >= cols)
+    later = np.append(np.maximum.accumulate(walk[:0:-1])[::-1], -math.inf)  # later[j]: W's maximum over m > j
+    return bool(np.any(below.any(axis=0) & (low[cols] + later[below.argmax(axis=0)] >= 0.0)))
+
+
+def inverse_kernel(sys: BandSystem, n: int, method: str = "rows") -> TriangleKernel:
+    """Dense inverse V of the band triangle, by its row recurrence; "rows" is the only method.
+
+    V[k, k] = alpha_k / r_k, and row m is row m - 1 times c_m = -s_{m-1}/r_m, each factor rounded once, so
+    V[m, k] is within (m - k + 1) eps of exact.  Raises OverflowError when an entry overflows, or when one
+    below the normal range would grow back into it (:func:`_regrows`).
+    """
+    if method != "rows":
+        raise ValueError("method must be 'rows'")
     if n < 1:
         raise ValueError("truncation must be >= 1")
     r, s, a = sys.params(n)
-    if method == "log":
-        cum, sgn = _log_prefix(sys, n)
-        ent = np.log(a)[None, :] - np.log(np.abs(r))[:, None]
-        ent += np.subtract.outer(cum, cum)
-        # +-1 factors (0 after a ratio that underflowed), so their products are exact in any order
-        col = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * sgn
-        with np.errstate(over="ignore"):  # overflow surfaces as OverflowError below
-            np.exp(ent, out=ent)
-            ent *= (col * np.sign(r))[:, None]
-            ent *= col
-        ent = np.tril(ent)
-    elif method == "direct":
-        # column recurrence V[m, k] = -(s_{m-1}/r_m) V[m-1, k], V[k, k] = a_k/r_k
-        q = np.ones(n)
-        if n > 1:
-            q[1:] = np.cumprod(-s[:-1] / r[1:])
-        with np.errstate(over="ignore"):
-            ent = np.tril((a / r)[None, :] * (q[:, None] / q[None, :]))
-    else:
-        raise ValueError("method must be 'log' or 'direct'")
-    if not np.isfinite(ent).all():
+    ent = np.zeros((n, n))
+    with np.errstate(over="ignore", under="ignore"):  # overflow surfaces as OverflowError below
+        ent.reshape(-1)[:: n + 1] = a / r  # the diagonal
+        for m, c in enumerate((-s[:-1] / r[1:]).tolist(), 1):
+            prev, row = ent[m - 1, :m], ent[m, :m]
+            if _TINY <= abs(c) < math.inf:
+                np.multiply(prev, c, out=row)
+                continue
+            # c outside the normal range: f 2^e from the exponents of s and r, f rounded once
+            (ms, es), (mr, er) = math.frexp(s[m - 1]), math.frexp(r[m])
+            f, e = math.frexp(-ms / mr)
+            e += es - er
+            if e > 0:  # |f| in [1, 2), so prev f cannot underflow where prev c is normal; else [0.5, 1), no overflow
+                f, e = 2.0 * f, e - 1
+            np.ldexp(np.multiply(prev, f, out=row), e, out=row)
+    if not np.isfinite(ent[-1]).all():  # no factor is 0 or inf, so an overflow stays inf down its column
         raise OverflowError("inverse kernel entries overflow double precision at this truncation")
+    if _regrows(ent, r, s, a):
+        raise OverflowError("inverse kernel entries underflow and regrow, which double precision loses, at this truncation")
+    ent.setflags(write=False)  # nothing else refers to ent, so TriangleKernel keeps it without a copy
     return TriangleKernel(ent)
 
 
@@ -347,15 +347,10 @@ def space_paranorm(x, sys: BandSystem, p: ExponentSeq, kind: str) -> float:
 
 
 def basis_vector(sys: BandSystem, k: int, n: int) -> FiniteSeq:
-    """Basis element b^(k): column k of the inverse kernel, via its recurrence."""
+    """Basis element b^(k): column k of the inverse kernel, with its OverflowError contract."""
     if not 0 <= k < n:
         raise IndexError(f"basis index {k} out of range for truncation {n}")
-    r, s, a = sys.params(n)
-    col = np.zeros(n)
-    col[k] = a[k] / r[k]
-    for m in range(k + 1, n):
-        col[m] = -s[m - 1] * col[m - 1] / r[m]
-    return FiniteSeq(col)
+    return FiniteSeq(inverse_kernel(sys, n).entries[:, k])
 
 
 def z_vector(sys: BandSystem, n: int) -> FiniteSeq:

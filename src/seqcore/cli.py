@@ -230,12 +230,17 @@ def _cmd_basis_residual(args) -> int:
 _DUAL_KEYS = {"command", "a", "system", "p", "space", "dual", "ladder", "b_ladder", "out"}
 
 
-def _cmd_dual_check(args) -> int:
+def _ladder_config(args, command: str, allowed: set, required: set) -> tuple[dict, list[int]]:
+    """The checked config document of a ladder command, with --ladder in place of its ladder, and that ladder."""
     config = load_json(args.config)
     if args.ladder and isinstance(config, dict):  # _check_config rejects the rest
         config = dict(config, ladder=_parse_ints(args.ladder, "ladder"))
-    _check_config(config, "dual-check", _DUAL_KEYS, {"a", "system", "p", "space", "dual", "ladder"})
-    ladder = _config_ladder(config["ladder"], "ladder", truncation_ladder)
+    _check_config(config, command, allowed, required | {"ladder"})
+    return config, _config_ladder(config["ladder"], "ladder", truncation_ladder)
+
+
+def _cmd_dual_check(args) -> int:
+    config, ladder = _ladder_config(args, "dual-check", _DUAL_KEYS, {"a", "system", "p", "space", "dual"})
     n = ladder[-1]
     a = seq_from_spec(config["a"], n)
     sys = system_from_spec(config["system"], n)
@@ -250,11 +255,7 @@ _CLASS_KEYS = {"command", "matrix", "system", "class", "p", "q", "ladder", "out"
 
 
 def _cmd_class_check(args) -> int:
-    config = load_json(args.config)
-    if args.ladder and isinstance(config, dict):  # _check_config rejects the rest
-        config = dict(config, ladder=_parse_ints(args.ladder, "ladder"))
-    _check_config(config, "class-check", _CLASS_KEYS, {"matrix", "system", "class", "ladder"})
-    ladder = _config_ladder(config["ladder"], "ladder", truncation_ladder)
+    config, ladder = _ladder_config(args, "class-check", _CLASS_KEYS, {"matrix", "system", "class"})
     n = ladder[-1]
     matrix = matrix_from_spec(config["matrix"], n)
     sys = system_from_spec(config["system"], n)

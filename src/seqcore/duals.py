@@ -30,12 +30,13 @@ That switch and the other matrix functionals of the catalog (signed column
 sups, power row and entry sups) live here.  A report builds the companions once, at
 its largest truncation: V, C and D at truncation n are bit-identical leading
 n x n blocks of their largest versions (no entry depends on a later index),
-so every ladder point reads a slice and every condition shares them.  When
-every weight up to the largest truncation has a zero imaginary part, C is
-built in real arithmetic: a_n V[n, k] then equals the real part of the
-complex product.  Quantifiers over all B > 1 are sampled over a finite B
-ladder by the engine in :mod:`seqcore.ladder`, and universally quantified
-verdicts are labelled as tested-ladder evidence only.
+so every ladder point reads a slice and every condition shares them.
+:func:`companion_c` builds C for reports and identity residuals alike, in real
+arithmetic when every weight has a zero imaginary part (a_n V[n, k] then
+equals the real part of the complex product), and D is its column cumsum.
+Quantifiers over all B > 1 are sampled over a finite B ladder by the engine in
+:mod:`seqcore.ladder`, and universally quantified verdicts are labelled as
+tested-ladder evidence only.
 """
 
 from __future__ import annotations
@@ -77,17 +78,24 @@ DUALS = ("alpha", "beta", "gamma")
 
 
 def companion_c(a, sys: BandSystem, n: int) -> TriangleKernel:
-    """Row-scaled inverse kernel: C[n, k] = V[n, k] * a_n."""
+    """Row-scaled inverse kernel: C[n, k] = V[n, k] * a_n, real when every weight up to n is real."""
     a = FiniteSeq.coerce(a)
     if a.n < n:
         raise ValueError(f"weight sequence of length {a.n} cannot serve truncation {n}")
-    V = inverse_kernel(sys, n).entries
-    return TriangleKernel(a.values[:n, None] * V)
+    w = a.values[:n]  # weights past n reach no entry
+    if not w.imag.any():
+        w = w.real
+    return TriangleKernel(w[:, None] * inverse_kernel(sys, n).entries)
+
+
+def _column_cumsum(C: TriangleKernel) -> TriangleKernel:
+    """D from C, with TriangleKernel's finiteness check."""
+    return TriangleKernel(np.cumsum(C.entries, axis=0))
 
 
 def companion_d(a, sys: BandSystem, n: int) -> TriangleKernel:
     """Column-cumulative companion: D[n, k] = sum_{j=k..n} a_j V[j, k], the column cumsum of C."""
-    return TriangleKernel(np.cumsum(companion_c(a, sys, n).entries, axis=0))
+    return _column_cumsum(companion_c(a, sys, n))
 
 
 def companion_identity_residuals(a, y, sys: BandSystem) -> tuple[float, float]:
@@ -102,9 +110,9 @@ def companion_identity_residuals(a, y, sys: BandSystem) -> tuple[float, float]:
     n = y.n
     x = inverse_transform(y, sys).values
     ax = a.values[:n] * x
-    C = companion_c(a, sys, n).entries
-    lhs_c = C @ y.values
-    lhs_d = TriangleKernel(np.cumsum(C, axis=0)).entries @ y.values  # companion_d, without a second V
+    C = companion_c(a, sys, n)
+    lhs_c = C.entries @ y.values
+    lhs_d = _column_cumsum(C).entries @ y.values
     rhs_d = np.cumsum(ax)
 
     def rel(lhs, rhs):
@@ -385,19 +393,11 @@ def dual_report(
     from .matclass import _check_inputs, _condition_verdict  # matclass imports this module at load
 
     b_ladder = witness_ladder(b_ladder)
-    a = FiniteSeq.coerce(a)
     cond_ids = _conditions_for(space, dual, p)
     ladder, _ = _check_inputs(cond_ids, ladder, p, None)
-    n_max = ladder[-1]
-    if a.n < n_max:
-        raise ValueError("weight sequence shorter than the largest truncation")
-
-    # the companions at n_max; every rung reads their leading block
-    w = a.values[:n_max]  # weights past n_max reach no companion entry
-    if not w.imag.any():
-        w = w.real  # a_n V[n, k] then equals the real part of the complex product
-    C = TriangleKernel(w[:, None] * inverse_kernel(sys, n_max).entries).entries  # companion_c at n_max
-    D = TriangleKernel(np.cumsum(C, axis=0)).entries  # companion_d at n_max, with its finiteness check
-    sources = {n: {"C": C[:n, :n], "D": D[:n, :n]} for n in ladder}
+    # the companions at the largest truncation; every rung reads their leading block
+    C = companion_c(a, sys, ladder[-1])
+    D = _column_cumsum(C)
+    sources = {n: {"C": C.entries[:n, :n], "D": D.entries[:n, :n]} for n in ladder}
     verdicts = tuple(_condition_verdict(cid, sources, ladder, p, None, b_ladder) for cid in cond_ids)
     return DualReport(space, dual, verdicts, aggregate_verdict(v.verdict for v in verdicts))

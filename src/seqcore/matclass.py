@@ -486,28 +486,31 @@ def _probe_blocks(partial: EPartial) -> list:
     return [(i, block) for i in range(min(_PROBE_ROWS, partial.n)) if (block := partial.support(i)).size]
 
 
-def _ladder_sources(source: str, A, sys, matrix, ladder) -> dict:
-    """The sources of every ladder point, keyed by rung, then by source kind.
+def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> dict:
+    """The sources of every ladder point that the conditions read, keyed by rung, then by source kind.
 
     btilde and a caller-supplied matrix (matrix=, which bypasses the
     composition) are built once, at the top rung, and rung n reads the
     leading n x n block: no entry depends on a later row or column, so the
     block is bit-identical to a build at n.  E comes from one composition at
     the top rung, and every other rung solves E from its leading block of A,
-    bit for bit as at n.  A rung's "partial" source is its probe rows'
-    support blocks (:func:`_probe_blocks`) from the leading blocks of the top
-    rung's A and V; alone, it builds A and V at the top rung (V raises
-    OverflowError as in :func:`e_matrix`), no E.
+    bit for bit as at n.  Only a "partial" reader gets each rung's probe-row
+    support blocks (:func:`_probe_blocks`), from the leading blocks of the
+    top rung's A and V; without E, no E is solved.
     """
-    if source == "partial":  # no partial-sum condition reads E, so none is solved
-        dense, V = materialize_matrix(A, ladder[-1]), inverse_kernel(sys, ladder[-1]).entries
-        return {n: {"partial": _probe_blocks(EPartial(dense[:n, :n], V[:n, :n]))} for n in ladder}
-    if source == "E" and matrix is None:
-        E, partial = e_matrix(A, sys, ladder[-1])
+    top = ladder[-1]
+    if "E" in kinds and matrix is None:
+        E, partial = e_matrix(A, sys, top)
         dense, V = partial._A, partial._V
-        return {n: {"E": E if n == ladder[-1] else _solve_composed(dense[:n, :n], sys), "partial": _probe_blocks(EPartial(dense[:n, :n], V[:n, :n]))} for n in ladder}
-    top = btilde(A, sys, ladder[-1]) if matrix is None else materialize_matrix(matrix, ladder[-1])
-    return {n: {source: top[:n, :n]} for n in ladder}
+        sources = {n: {"E": E if n == top else _solve_composed(dense[:n, :n], sys)} for n in ladder}
+    elif "partial" in kinds:
+        dense, V, sources = materialize_matrix(A, top), inverse_kernel(sys, top).entries, {n: {} for n in ladder}
+    else:
+        full = btilde(A, sys, top) if matrix is None else materialize_matrix(matrix, top)
+        return {n: {kind: full[:n, :n] for kind in kinds} for n in ladder}
+    for n in ladder if "partial" in kinds else ():
+        sources[n]["partial"] = _probe_blocks(EPartial(dense[:n, :n], V[:n, :n]))
+    return sources
 
 
 def _condition_verdict(cond_id, sources, ladder, p, qa, witness_values):
@@ -570,7 +573,7 @@ def eval_condition(
     elif (spec.source == "partial" or matrix is None) and (A is None or sys is None):
         what = "the matrix" if spec.source == "btilde" else "A"
         raise ValueError(f"condition {cond_id} needs {what} and a band system")
-    sources = _ladder_sources(spec.source, A, sys, matrix, ladder)
+    sources = _ladder_sources({spec.source}, A, sys, matrix, ladder)
     return _condition_verdict(cond_id, sources, ladder, p, qa, DEFAULT_QUANTIFIER_LADDER)
 
 
@@ -625,10 +628,10 @@ def class_report(
     """Evaluate every condition of one mapping-class characterization."""
     if class_id not in CLASS_RULES:
         raise KeyError(f"unknown class {class_id!r}; known: {sorted(CLASS_RULES)}")
-    source, cond_ids = CLASS_RULES[class_id]
+    _, cond_ids = CLASS_RULES[class_id]
     ladder, qa = _check_inputs(cond_ids, ladder, p, q)
     if A is None or sys is None:
         raise ValueError(f"class {class_id} needs A and a band system")
-    sources = _ladder_sources(source, A, sys, None, ladder)
+    sources = _ladder_sources({_SPECS[cid].source for cid in cond_ids}, A, sys, None, ladder)
     verdicts = tuple(_condition_verdict(cid, sources, ladder, p, qa, DEFAULT_QUANTIFIER_LADDER) for cid in cond_ids)
     return ClassReport(class_id, verdicts, aggregate_verdict(v.verdict for v in verdicts))

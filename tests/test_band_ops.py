@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,13 +97,11 @@ class TestKernels:
         V = band_ops.inverse_kernel(sys, 32).entries
         assert np.allclose(np.diagonal(V), sys.alpha[:32] / sys.r[:32], rtol=1e-13)
 
-    def test_log_and_direct_paths_agree(self, rng):
-        for _ in range(5):
-            sys = random_band_system(rng, 64)
-            V_log = band_ops.inverse_kernel(sys, 64, method="log").entries
-            V_dir = band_ops.inverse_kernel(sys, 64, method="direct").entries
-            scale = np.maximum(np.abs(V_dir), 1e-300)
-            assert np.max(np.abs(V_log - V_dir) / scale) < 1e-12
+    def test_rows_is_the_only_method(self):
+        assert np.array_equal(band_ops.inverse_kernel(TWO_ONE, 8, method="rows").entries, band_ops.inverse_kernel(TWO_ONE, 8).entries)
+        for method in ("log", "direct"):
+            with pytest.raises(ValueError):
+                band_ops.inverse_kernel(TWO_ONE, 8, method=method)
 
     def test_forward_of_inverse_columns_gives_units(self, mild_system):
         n = 32
@@ -545,7 +544,7 @@ def test_steps_match_cpython_complex_arithmetic(data, nb):
 
 
 def _lattice_kernel(sys, n):
-    """V from an n x n parity matrix and sign lattice, the oracle of ``inverse_kernel(method="log")``."""
+    """V from log-magnitude prefix sums and a sign lattice: the overflow-edge oracle of ``inverse_kernel``."""
     r, s, a = sys.params(n)
     k = np.arange(n)
     cum, sgn = np.zeros(n), np.ones(n)
@@ -563,55 +562,129 @@ def _lattice_kernel(sys, n):
     return ent
 
 
-def _kernel_bits(call) -> str:
-    """dtype, shape and bytes of a kernel (zero signs included), or the exception raised."""
+_EPS = Fraction(2) ** -52
+_MAX = Fraction(float(np.finfo(np.float64).max))
+_TINY = Fraction(float(np.finfo(np.float64).tiny))
+# relative width of the band around the largest double and the smallest normal where either outcome
+# is right: the entries are rounded (n + 1) eps away from exact, and the regrowth gate reads logs
+_EDGE = Fraction(1, 10**9)
+
+
+def _exact_kernel(sys, n):
+    """V in exact rational arithmetic, column by column: V[k][k] = alpha_k/r_k, V[m][k] = V[m-1][k] (-s_{m-1}/r_m)."""
+    r, s, a = (list(map(Fraction, v.tolist())) for v in sys.params(n))
+    c = [-s[m - 1] / r[m] for m in range(1, n)]
+    V = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        v = V[k][k] = a[k] / r[k]
+        for m in range(k + 1, n):
+            v = V[m][k] = v * c[m - 1]
+    return V
+
+
+def _leaves_range(V, edge):
+    """Whether an exact entry exceeds the largest double, or regrows from below the smallest normal to it, past edge."""
+    n = len(V)
+    for k in range(n):
+        below = False
+        for m in range(k, n):
+            mag = abs(V[m][k])
+            if mag > _MAX * (1 + edge) or (below and mag >= _TINY * (1 + edge)):
+                return True
+            below = below or mag < _TINY * (1 - edge)
+    return False
+
+
+def _assert_kernel_within_exact_bound(sys, n):
+    """inverse_kernel against the exact V: it raises OverflowError exactly when V leaves the double range
+    (either outcome within _EDGE of the range's ends), and every returned entry whose exact value is a
+    normal double is within (m - k + 1) eps of it, relatively."""
+    V = _exact_kernel(sys, n)
+    must, may = _leaves_range(V, _EDGE), _leaves_range(V, -_EDGE)
     try:
-        with np.errstate(all="ignore"):
-            ent = call()
-    except OverflowError as exc:
-        return f"raises {type(exc).__name__}"
-    return f"{ent.dtype}{ent.shape}:{ent.tobytes().hex()}"
-
-
-def _assert_kernel_matches_lattice(sys, n):
-    got = _kernel_bits(lambda: band_ops.inverse_kernel(sys, n).entries)
-    assert got == _kernel_bits(lambda: _lattice_kernel(sys, n))
+        got = band_ops.inverse_kernel(sys, n).entries
+    except OverflowError:
+        assert may, "raised OverflowError on a V inside the double range"
+        return
+    assert not must, "returned a V that leaves the double range"
+    if may:
+        return
+    assert not np.triu(got, 1).any()
+    worst = (Fraction(0), 0, 0)  # (error in units of the bound, m, k)
+    for k in range(n):
+        for m in range(k, n):
+            if abs(V[m][k]) >= _TINY:
+                err = abs(Fraction(float(got[m, k])) - V[m][k]) / abs(V[m][k]) / ((m - k + 1) * _EPS)
+                worst = max(worst, (err, m, k))
+    err, m, k = worst
+    assert err <= 1, f"V[{m}, {k}] is {float(err) * (m - k + 1):.3g} eps from exact, bound {m - k + 1} eps"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_inverse_kernel_matches_sign_lattice_on_seeded_systems(seed):
-    _assert_kernel_matches_lattice(random_band_system(rng_from_seed(seed), 300), 300)
-    _assert_kernel_matches_lattice(random_band_system(rng_from_seed(seed), 300, amplification_cap=1e4), 300)
+def test_inverse_kernel_within_exact_bound_on_seeded_systems(seed):
+    _assert_kernel_within_exact_bound(random_band_system(rng_from_seed(seed), 96), 96)
+    _assert_kernel_within_exact_bound(random_band_system(rng_from_seed(seed), 96, amplification_cap=1e4), 96)
     for sys in (DELTA, PLUS, TWO_ONE, BandSystem.constant(-1.5, 2.0, 3.0, 300)):
-        _assert_kernel_matches_lattice(sys, 1 + 97 * seed)
+        _assert_kernel_within_exact_bound(sys, 1 + 19 * seed)
 
 
-@settings(max_examples=120, deadline=None)
+@pytest.mark.parametrize(
+    "r, s, alpha",
+    [(1.0, 4.0, 1.0), (2.0, 1.0, 1.0), (-1.3, 0.7, 1.0), (2.0, 0.8, 1.3), (1.0, -1.0, 1.0), (-2.0, 6.0, 1e3)],
+)
+def test_inverse_kernel_within_exact_bound_on_constant_systems(r, s, alpha):
+    _assert_kernel_within_exact_bound(BandSystem.constant(r, s, alpha, 96), 96)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n=st.integers(min_value=1, max_value=300),
+    n=st.integers(min_value=1, max_value=96),
     reach=st.floats(min_value=-720.0, max_value=720.0),
     alpha_spread=st.sampled_from([0.0, 1.0, 30.0]),
 )
-def test_inverse_kernel_matches_sign_lattice_bitwise(seed, n, reach, alpha_spread):
-    # mixed signs; the log-ratio walk ends near `reach`, so |reach| ~ 710 sits at the overflow edge
-    # (with n <= 2, log|r| and log alpha carry the rest; each step keeps s finite)
+def test_inverse_kernel_within_exact_bound_near_the_range_ends(seed, n, reach, alpha_spread):
+    # mixed signs; the log-ratio walk ends near `reach`, so reach ~ 710 sits at the overflow edge, and near
+    # -708 the walk's noise can cross the smallest normal and come back (with n <= 2, log|r| and log alpha
+    # carry the rest)
     rng = np.random.default_rng(seed)
     steps = np.clip(reach / max(n - 1, 1) + rng.normal(0.0, 0.5, n), -700.0, 700.0)
     r = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-2.0, 2.0, n))
     s = rng.choice([-1.0, 1.0], n) * np.abs(r) * np.exp(steps)
-    sys = BandSystem(r, s, np.exp(rng.uniform(-alpha_spread, alpha_spread, n)))
-    _assert_kernel_matches_lattice(sys, n)
+    _assert_kernel_within_exact_bound(BandSystem(r, s, np.exp(rng.uniform(-alpha_spread, alpha_spread, n))), n)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=1, max_value=12))
-def test_inverse_kernel_matches_sign_lattice_on_extreme_doubles(data, n):
-    # ratios that overflow to inf or underflow to 0, subnormal and huge alphas
+def test_inverse_kernel_within_exact_bound_on_extreme_doubles(data, n):
+    # factors -s/r that overflow or fall below the normal range, subnormal and huge alphas
     nonzero = _FINITE.filter(lambda v: v != 0.0)
     r, s = data.draw(_float_lists(nonzero, n)), data.draw(_float_lists(nonzero, n))
     alpha = data.draw(_float_lists(_FINITE.filter(lambda v: v > 0.0), n))
-    _assert_kernel_matches_lattice(BandSystem(r, s, alpha), n)
+    _assert_kernel_within_exact_bound(BandSystem(r, s, alpha), n)
+
+
+@pytest.mark.parametrize(
+    "r, s, alpha",
+    [
+        ([1.0, 5e-324], [1.0, 1.0], [2.0**-60, 2.0**-100]),  # -s_0/r_1 = -2^1074 overflows; V[1, 0] = -2^1014
+        ([1.0, 2.0**1000], [2.0**-100, 1.0], [2.0**1000, 2.0**990]),  # -s_0/r_1 = -2^-1100 is below every double
+    ],
+)
+def test_inverse_kernel_rescales_factors_outside_the_normal_range(r, s, alpha):
+    # the plain quotient -s_{m-1}/r_m is inf or 0 here, while every entry of V is a normal double
+    sys = BandSystem(r, s, alpha)
+    _assert_kernel_within_exact_bound(sys, 2)
+    assert band_ops.inverse_kernel(sys, 2).entries[1, 0] == -float(Fraction(alpha[0]) / Fraction(r[0]) * Fraction(s[0]) / Fraction(r[1]))
+
+
+def test_inverse_kernel_raises_where_a_flushed_entry_would_regrow():
+    # V[2, 0] = 1e-348 is below every double, and V[4, 0] = 1 exactly; the recurrence would return 0.0
+    sys = BandSystem(np.ones(5), [1e-174, 1e-174, 1e174, 1e174, 1.0], [1.0, 1.0, 1e-100, 1.0, 1.0])
+    _assert_kernel_within_exact_bound(sys, 5)
+    with pytest.raises(OverflowError):
+        band_ops.inverse_kernel(sys, 5)
+    assert np.isfinite(band_ops.inverse_kernel(sys, 2).entries).all()
 
 
 def _seeded_runaway(n):
@@ -621,7 +694,7 @@ def _seeded_runaway(n):
     return BandSystem(r, s, rng.uniform(0.5, 2.0, n))
 
 
-# (system, first truncation whose kernel overflows), pinned on the sign-lattice evaluation
+# (system, first truncation whose kernel overflows), pinned on the log-magnitude evaluation
 OVERFLOW_EDGES = {
     "r=1,s=3": (BandSystem.constant(1.0, 3.0, 1.0, 700), 648),
     "r=1,s=4": (BandSystem.constant(1.0, 4.0, 1.0, 600), 513),  # 4^512 = 2^1024, the first power of 2 past the largest double
@@ -634,21 +707,35 @@ OVERFLOW_EDGES = {
 @pytest.mark.parametrize("name", sorted(OVERFLOW_EDGES))
 def test_inverse_kernel_overflows_at_pinned_truncation(name):
     sys, first = OVERFLOW_EDGES[name]
-    _assert_kernel_matches_lattice(sys, first - 1)
     assert np.isfinite(band_ops.inverse_kernel(sys, first - 1).entries).all()
+    assert np.isfinite(_lattice_kernel(sys, first - 1)).all()
     with pytest.raises(OverflowError):
         band_ops.inverse_kernel(sys, first)
     with pytest.raises(OverflowError):
         _lattice_kernel(sys, first)
 
 
+def _assert_same_bits(got, want, what):
+    """Bitwise equality (zero signs included), reporting the first differing index."""
+    assert got.shape == want.shape, f"{what}: shape {got.shape} against {want.shape}"
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert not differ.size, f"{what}: {differ.size} entries differ, first at {differ[0]}: {got[differ[0]]!r} against {want[differ[0]]!r}"
+
+
 class TestBasis:
     def test_basis_vector_is_kernel_column(self):
         b0 = band_ops.basis_vector(TWO_ONE, 0, 4).values
-        assert np.allclose(b0, [0.5, -0.25, 0.125, -0.0625], rtol=1e-13)
-        V = band_ops.inverse_kernel(TWO_ONE, 4).entries
-        for k in range(4):
-            assert np.allclose(band_ops.basis_vector(TWO_ONE, k, 4).values, V[:, k], rtol=1e-12)
+        assert np.array_equal(b0, [0.5, -0.25, 0.125, -0.0625])
+        for seed in range(10):
+            sys = random_band_system(rng_from_seed(seed), 300)
+            V = band_ops.inverse_kernel(sys, 300).entries
+            for k in (0, 1, 150, 299):
+                _assert_same_bits(band_ops.basis_vector(sys, k, 300).values.real, V[:, k], f"seed {seed}, column {k}")
+
+    def test_basis_vector_shares_the_kernel_overflow_contract(self):
+        sys = BandSystem(np.ones(5), [1e-174, 1e-174, 1e174, 1e174, 1.0], [1.0, 1.0, 1e-100, 1.0, 1.0])
+        with pytest.raises(OverflowError):
+            band_ops.basis_vector(sys, 0, 5)
 
     def test_basis_vanishes_before_its_index(self, mild_system):
         b = band_ops.basis_vector(mild_system, 5, 12).values

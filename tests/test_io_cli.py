@@ -205,6 +205,27 @@ class TestCli:
         assert "overflow" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize(
+        "system, ladder, cause",
+        [
+            pytest.param("constant:r=1,s=4", [16, 520], "overflow", id="overflow"),  # V overflows from n = 513
+            # V[2, 0] = 1e-348 is below every double and V[4, 0] = 1: the recurrence would return 0.0
+            pytest.param(
+                {"r": [1.0] * 5, "s": [1e-174, 1e-174, 1e174, 1e174, 1.0], "alpha": [1.0, 1.0, 1e-100, 1.0, 1.0]},
+                [4, 5],
+                "regrow",
+                id="regrowth",
+            ),
+        ],
+    )
+    def test_dual_check_kernel_out_of_range_is_an_error(self, tmp_path, capsys, system, ladder, cause):
+        cfg = tmp_path / "range.json"
+        doc = {"a": "alternating", "system": system, "p": 1.0, "space": "s0", "dual": "beta", "ladder": ladder}
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["dual-check", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 4
+        assert cause in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_dual_check_config(self, tmp_path, capsys):
         cfg = tmp_path / "dual.json"
         cfg.write_text(

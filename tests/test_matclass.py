@@ -266,8 +266,8 @@ def _expanding_kernel(n: int) -> np.ndarray:
 class TestEMatrixOverflow:
     """On an expanding system E raises OverflowError where it leaves double precision, never returns inf.
 
-    The log kernel is the oracle for where that happens: e_matrix raises
-    where the log kernel V, or the product A V with it, stops being finite.
+    The kernel is the oracle for where that happens: e_matrix raises where
+    V, or the product A V with it, stops being finite.
     Below that, E matches the product with the exact kernel within rounding.
     """
 
@@ -279,7 +279,7 @@ class TestEMatrixOverflow:
     def test_kernel_overflow_raises(self):
         self._assert_matches_exact_kernel("cesaro", 512)
         with pytest.raises(OverflowError):
-            band_ops.inverse_kernel(EXPANDING, 513, method="log")
+            band_ops.inverse_kernel(EXPANDING, 513)
         with pytest.raises(OverflowError):
             matclass.e_matrix("cesaro", EXPANDING, 513)
 
@@ -287,7 +287,7 @@ class TestEMatrixOverflow:
         # |E| ~ 2^300 4^(n-1) / n: finite at n = 200, past the largest double at n = 400, where V is finite
         A = 2.0**300 * materialize_matrix("cesaro", 400)
         self._assert_matches_exact_kernel(A, 200)
-        V = band_ops.inverse_kernel(EXPANDING, 400, method="log").entries
+        V = band_ops.inverse_kernel(EXPANDING, 400).entries
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(A @ V).all()
         with pytest.raises(OverflowError):
@@ -527,6 +527,20 @@ class TestClassReport:
         assert len(calls) == 24
         assert sorted(calls) == [(m, i) for m in (64, 128, 256) for i in range(8)]
 
+    def test_conditions_on_e_build_no_support_blocks(self, monkeypatch):
+        calls = []
+        original = matclass.EPartial.support
+
+        def counted(self, i):
+            calls.append((self.n, i))
+            return original(self, i)
+
+        monkeypatch.setattr(matclass.EPartial, "support", counted)
+        n = 256
+        A = rng_from_seed(5).uniform(-1.0, 1.0, (n, n))  # every row full, so a block would be 256 x 256
+        matclass.eval_condition("mt24", A=A, sys=DELTA, p=ExponentSeq.constant(2.0, n), ladder=(64, 128, 256))
+        assert calls == []
+
     def test_report_serialization(self):
         report = matclass.class_report("cesaro", "c:sc_reg", DELTA, ladder=(16, 32, 64))
         doc = report.to_json()
@@ -549,7 +563,7 @@ def _lower_triangular_inputs(n: int) -> dict:
     return inputs
 
 
-def _per_rung_sources(source, A, sys, matrix, ladder):
+def _per_rung_sources(kinds, A, sys, matrix, ladder):
     """E and its probe rows' support blocks composed at every rung through the public builder."""
     sources = {}
     for n in ladder:
@@ -570,7 +584,7 @@ class TestComposedSources:
         n_top = self.LADDER[-1]
         sys = BandSystem.constant(-1.0, 1.0, 1.0, n_top) if system == "constant" else random_band_system(rng_from_seed(7), n_top)
         A = _lower_triangular_inputs(n_top)[kind]
-        sources = matclass._ladder_sources("E", A, sys, None, self.LADDER)
+        sources = matclass._ladder_sources({"E", "partial"}, A, sys, None, self.LADDER)
         for n in self.LADDER:
             E, partial = matclass.e_matrix(A, sys, n)
             assert np.array_equal(sources[n]["E"], E)
