@@ -8,13 +8,12 @@ regions of bounded sequences together with inclusion tests between them.
 """
 
 from . import acceptance, band_ops, cores, duals, generators, matclass, verdicts
-from .types import BandSystem, ExponentSeq, FiniteSeq, TriangleKernel
+from .types import BandSystem, ExponentSeq, FiniteSeq
 
 __all__ = [
     "BandSystem",
     "ExponentSeq",
     "FiniteSeq",
-    "TriangleKernel",
     "acceptance",
     "band_ops",
     "cores",

@@ -50,7 +50,7 @@ import math
 
 import numpy as np
 
-from .types import BandSystem, ExponentSeq, FiniteSeq, TriangleKernel
+from .types import BandSystem, ExponentSeq, FiniteSeq
 
 __all__ = [
     "forward_transform",
@@ -199,18 +199,20 @@ def _solve_blocks(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray, s
     """
     nb = yv.size // _BLOCK
     by_step = a.reshape(nb, _BLOCK).T
-    ay = np.empty((_BLOCK, 2, nb))
+    # a y's two planes, s and r in one block: once glibc has mapped and freed a block this large, it serves the next
+    # from its heap and keeps the pages (a loop of inverse_transform at n = 65 536 on glibc 2.36, 2 vCPU: about 1
+    # minor fault per call, against 607 with three separate lanes)
+    lanes = np.empty((4, _BLOCK, nb))
+    ay = lanes[:2].reshape(_BLOCK, 2, nb)
     ay[:, 0] = yv.reshape(nb, _BLOCK).T.real
     ay[:, 1] = yv.reshape(nb, _BLOCK).T.imag
     ay[:, 0] *= by_step
     ay[:, 1] *= by_step
     if (ay.view(np.int64) == _NEGATIVE_ZERO).any():
         return None
-
-    def plane(v):  # (nb * _BLOCK,) floats -> (_BLOCK, nb), row j holding step j of every block
-        return np.ascontiguousarray(v.reshape(nb, _BLOCK).T)
-
-    rows = list(zip(plane(s), ay, plane(r)))
+    lanes[2] = s.reshape(nb, _BLOCK).T  # row j holds step j of every block
+    lanes[3] = r.reshape(nb, _BLOCK).T
+    rows = list(zip(lanes[2], ay, lanes[3]))
     xs = np.empty((_BLOCK, 2, nb))
     first = np.empty((2, nb))
     first[0], first[1] = start.real, start.imag
@@ -236,17 +238,18 @@ def _solve_blocks(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray, s
     return xs
 
 
-def triangle_kernel(sys: BandSystem, n: int) -> TriangleKernel:
-    """Dense truncation of the band triangle itself."""
+def triangle_kernel(sys: BandSystem, n: int) -> np.ndarray:
+    """Dense truncation of the band triangle itself, read-only; OverflowError when a band entry overflows."""
     if n < 1:
         raise ValueError("truncation must be >= 1")
     r, s, a = sys.params(n)
-    ent = np.zeros((n, n))
-    idx = np.arange(n)
-    ent[idx, idx] = r / a
-    if n > 1:
-        ent[idx[1:], idx[:-1]] = s[:-1] / a[1:]
-    return TriangleKernel(ent)
+    with np.errstate(over="ignore"):  # overflow surfaces as OverflowError below
+        ent = np.diag(r / a)
+        np.fill_diagonal(ent[1:], s[:-1] / a[1:])
+    if not (np.isfinite(ent.diagonal()).all() and np.isfinite(ent.diagonal(-1)).all()):
+        raise OverflowError("band triangle entries overflow double precision")
+    ent.setflags(write=False)
+    return ent
 
 
 # the smallest positive normal double; an entry below it keeps fewer than 53 bits
@@ -269,8 +272,8 @@ def _regrows(ent: np.ndarray, r: np.ndarray, s: np.ndarray, a: np.ndarray) -> bo
     return bool(np.any(below.any(axis=0) & (low[cols] + later[below.argmax(axis=0)] >= 0.0)))
 
 
-def inverse_kernel(sys: BandSystem, n: int, method: str = "rows") -> TriangleKernel:
-    """Dense inverse V of the band triangle, by its row recurrence; "rows" is the only method.
+def inverse_kernel(sys: BandSystem, n: int, method: str = "rows") -> np.ndarray:
+    """Dense inverse V of the band triangle, read-only, by its row recurrence; "rows" is the only method.
 
     V[k, k] = alpha_k / r_k, and row m is row m - 1 times c_m = -s_{m-1}/r_m, each factor rounded once, so
     V[m, k] is within (m - k + 1) eps of exact.  Raises OverflowError when an entry overflows, or when one
@@ -300,8 +303,8 @@ def inverse_kernel(sys: BandSystem, n: int, method: str = "rows") -> TriangleKer
         raise OverflowError("inverse kernel entries overflow double precision at this truncation")
     if _regrows(ent, r, s, a):
         raise OverflowError("inverse kernel entries underflow and regrow, which double precision loses, at this truncation")
-    ent.setflags(write=False)  # nothing else refers to ent, so TriangleKernel keeps it without a copy
-    return TriangleKernel(ent)
+    ent.setflags(write=False)
+    return ent
 
 
 def kernel_identity_residual(sys: BandSystem, n: int) -> float:
@@ -314,8 +317,8 @@ def kernel_identity_residual(sys: BandSystem, n: int) -> float:
     how completely the inverse cancels the triangle, which is the strongest
     statement double precision supports.
     """
-    T = triangle_kernel(sys, n).entries
-    V = inverse_kernel(sys, n).entries
+    T = triangle_kernel(sys, n)
+    V = inverse_kernel(sys, n)
     resid = np.abs(T @ V - np.eye(n))
     scale = np.maximum(1.0, np.abs(T) @ np.abs(V))
     return float(np.max(resid / scale))
@@ -350,7 +353,7 @@ def basis_vector(sys: BandSystem, k: int, n: int) -> FiniteSeq:
     """Basis element b^(k): column k of the inverse kernel, with its OverflowError contract."""
     if not 0 <= k < n:
         raise IndexError(f"basis index {k} out of range for truncation {n}")
-    return FiniteSeq(inverse_kernel(sys, n).entries[:, k])
+    return FiniteSeq(inverse_kernel(sys, n)[:, k])
 
 
 def z_vector(sys: BandSystem, n: int) -> FiniteSeq:
@@ -384,6 +387,6 @@ def expansion_residual(x, sys: BandSystem, p: ExponentSeq, n: int) -> float:
     if not 0 <= n < x.n:
         raise IndexError(f"expansion cutoff {n} out of range for truncation {x.n}")
     y = forward_transform(x, sys)
-    V = inverse_kernel(sys, x.n).entries
+    V = inverse_kernel(sys, x.n)
     partial = V[:, : n + 1] @ y.values[: n + 1]
     return maddox_paranorm(forward_transform(FiniteSeq(x.values - partial), sys), p, "sup")

@@ -57,7 +57,7 @@ regions is the sup-norm gap of their supports.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -272,7 +272,7 @@ class RegionEstimate:
     """
 
     angles: np.ndarray
-    support: np.ndarray
+    support: np.ndarray = field(init=False)
     vertices: np.ndarray
     method: str
     window: tuple[int, int]
@@ -316,7 +316,7 @@ class RegionEstimate:
 
 def _region_from_points(xy, angles, method, window) -> RegionEstimate:
     hull = _convex_hull(np.asarray(xy, dtype=np.float64))
-    return RegionEstimate(angles, np.zeros(angles.size), hull, method, window)
+    return RegionEstimate(angles, hull, method, window)
 
 
 def _region_from_support(h, angles, method, window) -> RegionEstimate:
@@ -324,7 +324,7 @@ def _region_from_support(h, angles, method, window) -> RegionEstimate:
     if poly.shape[0] == 0:
         raise ValueError("support samples describe an empty region")
     hull = _convex_hull(poly)
-    return RegionEstimate(angles, np.zeros(angles.size), hull, method, window)
+    return RegionEstimate(angles, hull, method, window)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +648,7 @@ def sign_witness(A, row_blocks) -> FiniteSeq:
     absolute sum; with disjoint row supports this is the full row's absolute
     sum, exactly for real entries.
     """
-    dense = np.asarray(A.entries) if hasattr(A, "entries") else np.asarray(A)
+    dense = np.asarray(A)
     if dense.ndim != 2:
         raise ValueError("witness needs a dense matrix")
     n_rows, n_cols = dense.shape

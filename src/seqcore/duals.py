@@ -34,6 +34,8 @@ so every ladder point reads a slice and every condition shares them.
 :func:`companion_c` builds C for reports and identity residuals alike, in real
 arithmetic when every weight has a zero imaginary part (a_n V[n, k] then
 equals the real part of the complex product), and D is its column cumsum.
+Both are read-only arrays and raise OverflowError when an entry leaves double
+precision.
 Quantifiers over all B > 1 are sampled over a finite B ladder by the engine in
 :mod:`seqcore.ladder`, and universally quantified verdicts are labelled as
 tested-ladder evidence only.
@@ -48,7 +50,7 @@ import numpy as np
 from .band_ops import inverse_kernel, inverse_transform
 from .io import SchemaError
 from .ladder import witness_ladder
-from .types import BandSystem, ExponentSeq, FiniteSeq, TriangleKernel
+from .types import BandSystem, ExponentSeq, FiniteSeq
 from .verdicts import aggregate_verdict
 
 __all__ = [
@@ -77,24 +79,34 @@ SPACES = ("s0", "sc", "sinf", "lp")
 DUALS = ("alpha", "beta", "gamma")
 
 
-def companion_c(a, sys: BandSystem, n: int) -> TriangleKernel:
-    """Row-scaled inverse kernel: C[n, k] = V[n, k] * a_n, real when every weight up to n is real."""
+def companion_c(a, sys: BandSystem, n: int) -> np.ndarray:
+    """Row-scaled inverse kernel: C[n, k] = V[n, k] * a_n, read-only, real when every weight up to n is real."""
     a = FiniteSeq.coerce(a)
     if a.n < n:
         raise ValueError(f"weight sequence of length {a.n} cannot serve truncation {n}")
     w = a.values[:n]  # weights past n reach no entry
     if not w.imag.any():
         w = w.real
-    return TriangleKernel(w[:, None] * inverse_kernel(sys, n).entries)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
+        C = w[:, None] * inverse_kernel(sys, n)
+    if not np.isfinite(C).all():
+        raise OverflowError("companion entries overflow double precision at this truncation")
+    C.setflags(write=False)
+    return C
 
 
-def _column_cumsum(C: TriangleKernel) -> TriangleKernel:
-    """D from C, with TriangleKernel's finiteness check."""
-    return TriangleKernel(np.cumsum(C.entries, axis=0))
+def _column_cumsum(C: np.ndarray) -> np.ndarray:
+    """D from a finite C, read-only; a non-finite entry stays so down its column, so the last row shows any."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
+        D = np.cumsum(C, axis=0)
+    if not np.isfinite(D[-1]).all():
+        raise OverflowError("companion entries overflow double precision at this truncation")
+    D.setflags(write=False)
+    return D
 
 
-def companion_d(a, sys: BandSystem, n: int) -> TriangleKernel:
-    """Column-cumulative companion: D[n, k] = sum_{j=k..n} a_j V[j, k], the column cumsum of C."""
+def companion_d(a, sys: BandSystem, n: int) -> np.ndarray:
+    """Column-cumulative companion: D[n, k] = sum_{j=k..n} a_j V[j, k], the column cumsum of C; read-only."""
     return _column_cumsum(companion_c(a, sys, n))
 
 
@@ -111,8 +123,8 @@ def companion_identity_residuals(a, y, sys: BandSystem) -> tuple[float, float]:
     x = inverse_transform(y, sys).values
     ax = a.values[:n] * x
     C = companion_c(a, sys, n)
-    lhs_c = C.entries @ y.values
-    lhs_d = _column_cumsum(C).entries @ y.values
+    lhs_c = C @ y.values
+    lhs_d = _column_cumsum(C) @ y.values
     rhs_d = np.cumsum(ax)
 
     def rel(lhs, rhs):
@@ -128,7 +140,7 @@ def companion_identity_residuals(a, y, sys: BandSystem) -> tuple[float, float]:
 
 
 def _working_matrix(matrix, axis, weights):
-    W = matrix.entries if isinstance(matrix, TriangleKernel) else np.asarray(matrix)
+    W = np.asarray(matrix)
     if W.ndim != 2:
         raise ValueError("subset_sup needs a matrix")
     if axis == "rows":
@@ -398,6 +410,6 @@ def dual_report(
     # the companions at the largest truncation; every rung reads their leading block
     C = companion_c(a, sys, ladder[-1])
     D = _column_cumsum(C)
-    sources = {n: {"C": C.entries[:n, :n], "D": D.entries[:n, :n]} for n in ladder}
+    sources = {n: {"C": C[:n, :n], "D": D[:n, :n]} for n in ladder}
     verdicts = tuple(_condition_verdict(cid, sources, ladder, p, None, b_ladder) for cid in cond_ids)
     return DualReport(space, dual, verdicts, aggregate_verdict(v.verdict for v in verdicts))

@@ -163,7 +163,7 @@ def e_matrix(A, sys: BandSystem, n: int) -> tuple[np.ndarray, EPartial]:
     if n < 1:
         raise ValueError("truncation must be >= 1")
     dense = materialize_matrix(A, n)
-    V = inverse_kernel(sys, n).entries
+    V = inverse_kernel(sys, n)
     return _solve_composed(dense, sys), EPartial(dense, V)
 
 
@@ -504,7 +504,7 @@ def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> dict:
         dense, V = partial._A, partial._V
         sources = {n: {"E": E if n == top else _solve_composed(dense[:n, :n], sys)} for n in ladder}
     elif "partial" in kinds:
-        dense, V, sources = materialize_matrix(A, top), inverse_kernel(sys, top).entries, {n: {} for n in ladder}
+        dense, V, sources = materialize_matrix(A, top), inverse_kernel(sys, top), {n: {} for n in ladder}
     else:
         full = btilde(A, sys, top) if matrix is None else materialize_matrix(matrix, top)
         return {n: {kind: full[:n, :n] for kind in kinds} for n in ladder}
@@ -581,26 +581,26 @@ def eval_condition(
 # class reports
 # ---------------------------------------------------------------------------
 
-# class id -> (source kind, condition ids)
-CLASS_RULES: dict[str, tuple[str, tuple[str, ...]]] = {
-    "sinf:linf": ("E", ("mt23", "mt24", "mt29")),
-    "sinf:c": ("E", ("mt23", "mt24", "mt30", "mt31")),
-    "sinf:c0": ("E", ("mt23", "mt24", "mt32")),
-    "s0:linf_q": ("E", ("mt25", "mt26", "mt27", "mt33")),
-    "s0:c0_q": ("E", ("mt25", "mt26", "mt27", "mt34", "mt35")),
-    "s0:c_q": ("E", ("mt25", "mt26", "mt27", "mt36", "mt37", "mt38")),
-    "sc:linf_q": ("E", ("mt25", "mt26", "mt27", "mt28", "mt33", "mt39")),
-    "sc:c0_q": ("E", ("mt25", "mt26", "mt27", "mt28", "mt34", "mt35", "mt40")),
-    "sc:c_q": ("E", ("mt25", "mt26", "mt27", "mt28", "mt36", "mt37", "mt38", "mt41")),
-    "linf:sc": ("btilde", ("4.1", "4.2", "4.3")),
-    "c:sc_reg": ("btilde", ("4.1", "4.2z", "4.5")),
-    "st:sc_reg": ("btilde", ("4.1", "4.2z", "4.5", "4.6")),
+# class id -> condition ids; each condition's spec names its source
+CLASS_RULES: dict[str, tuple[str, ...]] = {
+    "sinf:linf": ("mt23", "mt24", "mt29"),
+    "sinf:c": ("mt23", "mt24", "mt30", "mt31"),
+    "sinf:c0": ("mt23", "mt24", "mt32"),
+    "s0:linf_q": ("mt25", "mt26", "mt27", "mt33"),
+    "s0:c0_q": ("mt25", "mt26", "mt27", "mt34", "mt35"),
+    "s0:c_q": ("mt25", "mt26", "mt27", "mt36", "mt37", "mt38"),
+    "sc:linf_q": ("mt25", "mt26", "mt27", "mt28", "mt33", "mt39"),
+    "sc:c0_q": ("mt25", "mt26", "mt27", "mt28", "mt34", "mt35", "mt40"),
+    "sc:c_q": ("mt25", "mt26", "mt27", "mt28", "mt36", "mt37", "mt38", "mt41"),
+    "linf:sc": ("4.1", "4.2", "4.3"),
+    "c:sc_reg": ("4.1", "4.2z", "4.5"),
+    "st:sc_reg": ("4.1", "4.2z", "4.5", "4.6"),
 }
 
 
 def class_rule_table() -> dict:
     """class id -> dispatched condition ids, in serializable form."""
-    return {cid: list(rule[1]) for cid, rule in sorted(CLASS_RULES.items())}
+    return {cid: list(ids) for cid, ids in sorted(CLASS_RULES.items())}
 
 
 @dataclass(frozen=True)
@@ -628,7 +628,7 @@ def class_report(
     """Evaluate every condition of one mapping-class characterization."""
     if class_id not in CLASS_RULES:
         raise KeyError(f"unknown class {class_id!r}; known: {sorted(CLASS_RULES)}")
-    _, cond_ids = CLASS_RULES[class_id]
+    cond_ids = CLASS_RULES[class_id]
     ladder, qa = _check_inputs(cond_ids, ladder, p, q)
     if A is None or sys is None:
         raise ValueError(f"class {class_id} needs A and a band system")

@@ -1,10 +1,12 @@
 """Value types shared across the package.
 
 Everything here is a finite truncation: sequences are length-N arrays with
-index origin 0, operators are dense N x N blocks.  Instances are immutable
-after construction (arrays are frozen), so values can be shared freely
-between threads; construction validates the declared invariants and raises
-``ValueError`` on violations.
+index origin 0.  Operators are not value types: the kernels of
+:mod:`seqcore.band_ops` and the companions of :mod:`seqcore.duals` are plain
+read-only N x N numpy arrays, each range-checked by its producer.  Instances
+are immutable after construction (arrays are frozen), so values can be
+shared freely between threads; construction validates the declared
+invariants and raises ``ValueError`` on violations.
 
 Construction copies an array unless it already owns its data and is
 read-only: a writable array, or any view (a slice, a reshape, a buffer
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FiniteSeq", "BandSystem", "ExponentSeq", "TriangleKernel"]
+__all__ = ["FiniteSeq", "BandSystem", "ExponentSeq"]
 
 # inf p_k below this is treated as "not bounded away from zero"
 INF_POSITIVE_TOL = 1e-9
@@ -172,26 +174,3 @@ class ExponentSeq:
     @classmethod
     def constant(cls, value: float, length: int) -> "ExponentSeq":
         return cls(np.full(length, float(value)))
-
-
-@dataclass(frozen=True)
-class TriangleKernel:
-    """A dense N x N block that is zero strictly above the diagonal."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries)
-        if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 1:
-            raise ValueError("kernel must be a square N x N block with N >= 1")
-        if not np.issubdtype(e.dtype, np.complexfloating):
-            e = e.astype(np.float64, copy=False)  # _frozen makes the one copy
-        if not np.all(np.isfinite(e)):
-            raise ValueError("kernel entries must be finite")
-        if np.triu(e, 1).any():
-            raise ValueError("kernel must vanish strictly above the diagonal")
-        object.__setattr__(self, "entries", _frozen(e))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]

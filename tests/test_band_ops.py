@@ -25,7 +25,7 @@ TWO_ONE = BandSystem.constant(2.0, 1.0, 1.0, 512)
 def _inverse_transform_series(y, sys: BandSystem) -> FiniteSeq:
     """Oracle for the recurrence-based inverse: the explicit series x = V y, O(N^2)."""
     y = FiniteSeq.coerce(y)
-    return FiniteSeq(band_ops.inverse_kernel(sys, y.n).entries @ y.values)
+    return FiniteSeq(band_ops.inverse_kernel(sys, y.n) @ y.values)
 
 
 class TestForward:
@@ -77,35 +77,35 @@ class TestInverse:
 
 class TestKernels:
     def test_triangle_entries(self):
-        T = band_ops.triangle_kernel(TWO_ONE, 3).entries
+        T = band_ops.triangle_kernel(TWO_ONE, 3)
         assert np.allclose(T, [[2, 0, 0], [1, 2, 0], [0, 1, 2]])
-        D = band_ops.triangle_kernel(DELTA, 2).entries
+        D = band_ops.triangle_kernel(DELTA, 2)
         assert np.allclose(D, [[1, 0], [-1, 1]])
 
     def test_triangle_is_two_band(self, rng):
         sys = random_band_system(rng, 16)
-        T = band_ops.triangle_kernel(sys, 16).entries
+        T = band_ops.triangle_kernel(sys, 16)
         assert np.array_equal(np.tril(T, -2), np.zeros_like(T))
         assert np.array_equal(np.triu(T, 1), np.zeros_like(T))
 
     def test_inverse_kernel_example(self):
-        V = band_ops.inverse_kernel(TWO_ONE, 3).entries
+        V = band_ops.inverse_kernel(TWO_ONE, 3)
         assert np.allclose(V, [[0.5, 0, 0], [-0.25, 0.5, 0], [0.125, -0.25, 0.5]])
 
     def test_inverse_diagonal_is_alpha_over_r(self, rng):
         sys = random_band_system(rng, 32)
-        V = band_ops.inverse_kernel(sys, 32).entries
+        V = band_ops.inverse_kernel(sys, 32)
         assert np.allclose(np.diagonal(V), sys.alpha[:32] / sys.r[:32], rtol=1e-13)
 
     def test_rows_is_the_only_method(self):
-        assert np.array_equal(band_ops.inverse_kernel(TWO_ONE, 8, method="rows").entries, band_ops.inverse_kernel(TWO_ONE, 8).entries)
+        assert np.array_equal(band_ops.inverse_kernel(TWO_ONE, 8, method="rows"), band_ops.inverse_kernel(TWO_ONE, 8))
         for method in ("log", "direct"):
             with pytest.raises(ValueError):
                 band_ops.inverse_kernel(TWO_ONE, 8, method=method)
 
     def test_forward_of_inverse_columns_gives_units(self, mild_system):
         n = 32
-        V = band_ops.inverse_kernel(mild_system, n).entries
+        V = band_ops.inverse_kernel(mild_system, n)
         for k in (0, 3, 17):
             y = band_ops.forward_transform(V[:, k], mild_system).values
             unit = np.zeros(n)
@@ -116,8 +116,8 @@ class TestKernels:
         n = 64
         rng = rng_from_seed(77)
         x = complex_uniform(rng, n)
-        T = band_ops.triangle_kernel(mild_system, n).entries
-        V = band_ops.inverse_kernel(mild_system, n).entries
+        T = band_ops.triangle_kernel(mild_system, n)
+        V = band_ops.inverse_kernel(mild_system, n)
         assert np.max(np.abs(T @ x - band_ops.forward_transform(x, mild_system).values)) < 1e-10
         assert np.max(np.abs(V @ x - band_ops.inverse_transform(x, mild_system).values)) < 1e-10
 
@@ -602,7 +602,7 @@ def _assert_kernel_within_exact_bound(sys, n):
     V = _exact_kernel(sys, n)
     must, may = _leaves_range(V, _EDGE), _leaves_range(V, -_EDGE)
     try:
-        got = band_ops.inverse_kernel(sys, n).entries
+        got = band_ops.inverse_kernel(sys, n)
     except OverflowError:
         assert may, "raised OverflowError on a V inside the double range"
         return
@@ -675,7 +675,7 @@ def test_inverse_kernel_rescales_factors_outside_the_normal_range(r, s, alpha):
     # the plain quotient -s_{m-1}/r_m is inf or 0 here, while every entry of V is a normal double
     sys = BandSystem(r, s, alpha)
     _assert_kernel_within_exact_bound(sys, 2)
-    assert band_ops.inverse_kernel(sys, 2).entries[1, 0] == -float(Fraction(alpha[0]) / Fraction(r[0]) * Fraction(s[0]) / Fraction(r[1]))
+    assert band_ops.inverse_kernel(sys, 2)[1, 0] == -float(Fraction(alpha[0]) / Fraction(r[0]) * Fraction(s[0]) / Fraction(r[1]))
 
 
 def test_inverse_kernel_raises_where_a_flushed_entry_would_regrow():
@@ -684,7 +684,7 @@ def test_inverse_kernel_raises_where_a_flushed_entry_would_regrow():
     _assert_kernel_within_exact_bound(sys, 5)
     with pytest.raises(OverflowError):
         band_ops.inverse_kernel(sys, 5)
-    assert np.isfinite(band_ops.inverse_kernel(sys, 2).entries).all()
+    assert np.isfinite(band_ops.inverse_kernel(sys, 2)).all()
 
 
 def _seeded_runaway(n):
@@ -707,7 +707,7 @@ OVERFLOW_EDGES = {
 @pytest.mark.parametrize("name", sorted(OVERFLOW_EDGES))
 def test_inverse_kernel_overflows_at_pinned_truncation(name):
     sys, first = OVERFLOW_EDGES[name]
-    assert np.isfinite(band_ops.inverse_kernel(sys, first - 1).entries).all()
+    assert np.isfinite(band_ops.inverse_kernel(sys, first - 1)).all()
     assert np.isfinite(_lattice_kernel(sys, first - 1)).all()
     with pytest.raises(OverflowError):
         band_ops.inverse_kernel(sys, first)
@@ -728,7 +728,7 @@ class TestBasis:
         assert np.array_equal(b0, [0.5, -0.25, 0.125, -0.0625])
         for seed in range(10):
             sys = random_band_system(rng_from_seed(seed), 300)
-            V = band_ops.inverse_kernel(sys, 300).entries
+            V = band_ops.inverse_kernel(sys, 300)
             for k in (0, 1, 150, 299):
                 _assert_same_bits(band_ops.basis_vector(sys, k, 300).values.real, V[:, k], f"seed {seed}, column {k}")
 
@@ -782,6 +782,6 @@ def test_special_case_collapse_to_classical_matrices():
     n = 8
     r, s = 1.75, -0.5
     sys = BandSystem.constant(r, s, 1.0, n)
-    T = band_ops.triangle_kernel(sys, n).entries
+    T = band_ops.triangle_kernel(sys, n)
     assert np.allclose(T, make_matrix("band", n, r=r, s=s))
-    assert np.allclose(band_ops.triangle_kernel(BandSystem.difference(n), n).entries, make_matrix("difference", n))
+    assert np.allclose(band_ops.triangle_kernel(BandSystem.difference(n), n), make_matrix("difference", n))

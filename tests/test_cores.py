@@ -719,7 +719,7 @@ def test_axis_parallel_hull_matches_chain(seed, w, vertical, level, scale):
     xy = np.stack([re, im], axis=1)
     assert cores._convex_hull(xy).tobytes() == _chain_hull(xy).tobytes()
     x, window, angles = FiniteSeq(_complex(re, im)), (0, w), cores.direction_angles(64)
-    want = cores.RegionEstimate(angles, np.zeros(angles.size), _chain_hull(xy), "cluster_hull", window)
+    want = cores.RegionEstimate(angles, _chain_hull(xy), "cluster_hull", window)
     assert _bytes(cores.cluster_hull(x, window)) == _bytes(want)
 
 

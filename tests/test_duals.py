@@ -18,18 +18,18 @@ TWO_ONE = BandSystem.constant(2.0, 1.0, 1.0, 512)
 
 class TestCompanions:
     def test_unit_weights_give_inverse_kernel(self):
-        C = duals.companion_c(np.ones(8), TWO_ONE, 8).entries
-        V = band_ops.inverse_kernel(TWO_ONE, 8).entries
+        C = duals.companion_c(np.ones(8), TWO_ONE, 8)
+        V = band_ops.inverse_kernel(TWO_ONE, 8)
         assert np.array_equal(C, V)
 
     def test_zero_weights_give_zero(self):
-        assert np.all(duals.companion_c(np.zeros(6), PLUS, 6).entries == 0)
-        assert np.all(duals.companion_d(np.zeros(6), PLUS, 6).entries == 0)
+        assert np.all(duals.companion_c(np.zeros(6), PLUS, 6) == 0)
+        assert np.all(duals.companion_d(np.zeros(6), PLUS, 6) == 0)
 
     def test_unit_impulse_companion_d(self):
         n = 6
         a = make_sequence("e_n", n, k=0)
-        D = duals.companion_d(a, TWO_ONE, n).entries
+        D = duals.companion_d(a, TWO_ONE, n)
         expected = np.zeros((n, n))
         expected[:, 0] = TWO_ONE.alpha[0] / TWO_ONE.r[0]
         assert np.allclose(D, expected, rtol=1e-13)
@@ -37,6 +37,23 @@ class TestCompanions:
     def test_length_guard(self):
         with pytest.raises(ValueError):
             duals.companion_c(np.ones(4), PLUS, 8)
+
+    def test_companion_c_overflow_raises(self):
+        # V of r = 1, s = 4 reaches 4^511 at n = 512, so C = 1e300 V overflows; D is C's column cumsum
+        expanding, a = BandSystem.constant(1.0, 4.0, 1.0, 512), np.full(512, 1e300)
+        assert np.isfinite(band_ops.inverse_kernel(expanding, 512)).all()
+        with np.errstate(all="raise"):  # no numpy overflow warning escapes the builders
+            for companion in (duals.companion_c, duals.companion_d):
+                with pytest.raises(OverflowError, match="^companion entries overflow double precision"):
+                    companion(a, expanding, 512)
+
+    def test_companion_d_overflow_raises(self):
+        # on the difference system C = 1e308 is finite and its column cumsum reaches 32e308
+        a = np.full(32, 1e308)
+        with np.errstate(all="raise"):
+            assert np.isfinite(duals.companion_c(a, BandSystem.difference(32), 32)).all()
+            with pytest.raises(OverflowError, match="^companion entries overflow double precision"):
+                duals.companion_d(a, BandSystem.difference(32), 32)
 
     def test_multiplier_identities(self, rng):
         worst = 0.0
@@ -240,7 +257,7 @@ def test_subset_sup_matches_recursive_solver_on_companion_blocks():
     p1, p2 = ExponentSeq.constant(1.0, n), ExponentSeq.constant(2.0, n)
     for family, base in (("geometric", 0.5**k), ("harmonic_sq", 1.0 / (k + 1.0) ** 2), ("ones", np.ones(n)), ("linear", k + 1.0)):
         a = FiniteSeq(base * rng.uniform(0.5, 2.0))
-        C, D = duals.companion_c(a, PLUS, n).entries.real, duals.companion_d(a, PLUS, n).entries.real
+        C, D = duals.companion_c(a, PLUS, n).real, duals.companion_d(a, PLUS, n).real
         for b in duals.DEFAULT_B_LADDER:
             for args in (
                 (C, "columns", float(b) ** (-1.0 / p1.p)),
@@ -448,7 +465,7 @@ class TestDualReport:
         for dual in ("alpha", "gamma"):  # the alpha conditions read C, the gamma conditions D
             duals.dual_report(a, sys, ExponentSeq.constant(1.0, 48), "sc", dual, ladder)
         for n in ladder:
-            C, D = duals.companion_c(a, sys, n).entries, duals.companion_d(a, sys, n).entries
+            C, D = duals.companion_c(a, sys, n), duals.companion_d(a, sys, n)
             if weights == "real":
                 C, D = C.real, D.real
             assert seen["C", n].tobytes() == C.tobytes()
@@ -485,7 +502,7 @@ def test_dual_sets_equal_their_catalog_twins_on_the_companion(s_id, twin, source
     sys = BandSystem(signs[0] * rng.uniform(0.5, 2.0, n), signs[1] * rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
     p = ExponentSeq(1.5 + rng.uniform(0.0, 1.5, n) if regime == "high" else rng.uniform(0.5, 1.0, n))
     a = FiniteSeq(rng.uniform(-1.0, 1.0, n) if weights == "real" else complex_uniform(rng, n))
-    companion = (duals.companion_c if source == "C" else duals.companion_d)(a, sys, n).entries
+    companion = (duals.companion_c if source == "C" else duals.companion_d)(a, sys, n)
     if weights == "real":
         companion = companion.real
     if s_id == "S12" and weights == "complex":  # signed column sups are defined for real entries only

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def _signed_zero_cases() -> dict:
     lattice = np.empty(ab.shape[0], dtype=np.complex128)
     lattice.real, lattice.imag = ab.T
     window = (100, 400)
-    e_classes = [cid for cid, rule in matclass.CLASS_RULES.items() if rule[0] == "E"]
+    e_classes = [cid for cid, ids in matclass.CLASS_RULES.items() if matclass.CONDITIONS[ids[0]].source in ("E", "partial")]
     return {
         "dual": (
             lambda a: [
@@ -224,6 +225,25 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         assert cli.main(["dual-check", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 4
         assert cause in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "weight, n, system, dual, ladder",
+        [
+            pytest.param(1e300, 512, "constant:r=1,s=4", "alpha", [16, 512], id="C"),  # V is finite up to 4^511
+            pytest.param(1e308, 32, "difference", "beta", [8, 16, 32], id="D"),  # C = 1e308 is finite, its cumsum not
+        ],
+    )
+    def test_dual_check_companion_overflow_is_one_error_line(self, tmp_path, capsys, weight, n, system, dual, ladder):
+        cfg = tmp_path / "companion.json"
+        doc = {"a": {"values": [[weight, 0.0]] * n}, "system": system, "p": 1.0, "space": "s0", "dual": dual, "ladder": ladder}
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["dual-check", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 4
+        assert [str(w.message) for w in caught] == []  # a numpy RuntimeWarning would print a line of its own
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("seqcore:") and "overflow" in err[0]
         assert not (tmp_path / "out.json").exists()
 
     def test_dual_check_config(self, tmp_path, capsys):

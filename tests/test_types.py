@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqcore.types import BandSystem, ExponentSeq, FiniteSeq, TriangleKernel
+from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
 
 
 def test_finite_seq_rejects_bad_input():
@@ -26,7 +26,6 @@ _KEPT = {
     "BandSystem.s": (lambda v: BandSystem(np.ones(3), v, np.ones(3)).s, lambda: np.array([2.0, -3.0, 4.0])),
     "BandSystem.alpha": (lambda v: BandSystem(np.ones(3), np.ones(3), v).alpha, lambda: np.array([2.0, 3.0, 4.0])),
     "ExponentSeq": (lambda v: ExponentSeq(v).p, lambda: np.array([0.5, 2.0, 1.5])),
-    "TriangleKernel": (lambda v: TriangleKernel(v).entries, lambda: np.array([[1.0, 0.0], [2.0, 3.0]])),
 }
 
 
@@ -61,10 +60,6 @@ def test_kept_array_is_still_validated():
         arr.setflags(write=False)
         with pytest.raises(ValueError, match="finite"):
             FiniteSeq(arr)
-    arr = np.array([[1.0, 5.0], [2.0, 3.0]])
-    arr.setflags(write=False)
-    with pytest.raises(ValueError, match="above the diagonal"):
-        TriangleKernel(arr)
 
 
 def test_band_system_invariants():
@@ -100,52 +95,3 @@ def test_exponent_conjugate_requires_p_above_one():
         ExponentSeq(np.array([0.5, 2.0])).conjugate()
     pc = ExponentSeq(np.array([2.0, 4.0])).conjugate()
     assert np.allclose(pc, [2.0, 4.0 / 3.0])
-
-
-def test_triangle_kernel_rejects_upper_entries():
-    with pytest.raises(ValueError):
-        TriangleKernel(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    kern = TriangleKernel(np.array([[1.0, 0.0], [2.0, 3.0]]))
-    assert kern.n == 2
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.complex128])
-def test_triangle_kernel_owns_a_read_only_copy(dtype):
-    e = np.array([[1, 0], [2, 3]], dtype=dtype)
-    kern = TriangleKernel(e)
-    e[1, 0] = 7
-    assert kern.entries[1, 0] == 2
-    assert not kern.entries.flags.writeable
-    with pytest.raises(ValueError):
-        kern.entries[0, 0] = 5
-
-
-@pytest.mark.parametrize("zero", [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0)])
-def test_triangle_kernel_accepts_negative_zero_above_diagonal(zero):
-    e = np.array([[1.0, zero, zero], [2.0, 3.0, zero], [4.0, 5.0, 6.0]])
-    assert TriangleKernel(e).entries.tobytes() == e.tobytes()
-
-
-@pytest.mark.parametrize("entry", [0.5, -5e-324, 1j, complex(-0.0, 2.0), complex(1e-300, 0.0)])
-def test_triangle_kernel_rejects_nonzero_upper_entries(entry):
-    for row, col in ((0, 1), (0, 2), (1, 2)):
-        e = np.zeros((3, 3), dtype=np.asarray(entry).dtype)
-        e[row, col] = entry
-        with pytest.raises(ValueError, match="^kernel must vanish strictly above the diagonal$"):
-            TriangleKernel(e)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)])
-@pytest.mark.parametrize("where", [(0, 0), (2, 0), (0, 2)])
-def test_triangle_kernel_rejects_nonfinite_entries(bad, where):
-    e = np.zeros((3, 3), dtype=np.asarray(bad).dtype)
-    e[where] = bad
-    with pytest.raises(ValueError, match="^kernel entries must be finite$"):
-        TriangleKernel(e)
-
-
-def test_triangle_kernel_one_by_one():
-    assert TriangleKernel(np.array([[-2.5]])).n == 1
-    assert TriangleKernel(np.array([[1j]])).entries.dtype == np.complex128
-    with pytest.raises(ValueError, match="^kernel entries must be finite$"):
-        TriangleKernel(np.array([[np.nan]]))
