@@ -12,7 +12,12 @@ faults per operation.
 
 Prints one line per cycle, then one per operation key and the totals over
 the steady-state cycles: every cycle but the first, which warms the heap,
-when there is more than one.  Exits 1 when an operation fails its check.
+when there is more than one.  After the timed cycles, one more cycle runs
+untimed under ``tracemalloc``, and each key's line also gives the peak of
+memory traced during its operation (the largest over that key's operations
+in the cycle), free of page-fault noise: a report that keeps its large
+arrays in one block shows that block's size there.  Exits 1 when an
+operation fails its check.
 
 Usage: python3 scripts/op_faults.py WORKLOAD [--seed 0] [--cycles 2] [--tiny]
 """
@@ -20,6 +25,7 @@ Usage: python3 scripts/op_faults.py WORKLOAD [--seed 0] [--cycles 2] [--tiny]
 import argparse
 import resource
 import sys
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -64,14 +70,25 @@ def main() -> int:
                 seconds[key].append(elapsed)
         ops = workload.cycle_len
         print(f"cycle {cycle}: {cycle_faults / ops:9.1f} faults/op {1e3 * cycle_s / ops:9.3f} ms/op")
-    print(f"{'key':<40} {'ops':>4} {'faults/op':>10} {'ms/op':>9}")
+    peaks = defaultdict(int)
+    tracemalloc.start()
+    try:
+        for pos in range(workload.cycle_len):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            loop.run(args.cycles * workload.cycle_len + pos, count=False)
+            key = workload.op_at(pos).key
+            peaks[key] = max(peaks[key], tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    print(f"{'key':<40} {'ops':>4} {'faults/op':>10} {'ms/op':>9} {'peak KiB':>9}")
     for key in faults:
         n = len(faults[key])
-        print(f"{key:<40} {n:>4} {sum(faults[key]) / n:>10.1f} {1e3 * sum(seconds[key]) / n:>9.3f}")
+        print(f"{key:<40} {n:>4} {sum(faults[key]) / n:>10.1f} {1e3 * sum(seconds[key]) / n:>9.3f} {peaks[key] / 1024:>9.0f}")
     total = sum(len(v) for v in faults.values())
     all_faults = sum(sum(v) for v in faults.values())
     all_s = sum(sum(v) for v in seconds.values())
-    print(f"{'all':<40} {total:>4} {all_faults / total:>10.1f} {1e3 * all_s / total:>9.3f}")
+    print(f"{'all':<40} {total:>4} {all_faults / total:>10.1f} {1e3 * all_s / total:>9.3f} {max(peaks.values()) / 1024:>9.0f}")
     for error in loop.errors:
         print(f"failed: {error}", file=sys.stderr)
     return 1 if loop.failed else 0

@@ -272,19 +272,27 @@ def _regrows(ent: np.ndarray, r: np.ndarray, s: np.ndarray, a: np.ndarray) -> bo
     return bool(np.any(below.any(axis=0) & (low[cols] + later[below.argmax(axis=0)] >= 0.0)))
 
 
-def inverse_kernel(sys: BandSystem, n: int, method: str = "rows") -> np.ndarray:
+def inverse_kernel(sys: BandSystem, n: int, method: str = "rows", out: np.ndarray | None = None) -> np.ndarray:
     """Dense inverse V of the band triangle, read-only, by its row recurrence; "rows" is the only method.
 
     V[k, k] = alpha_k / r_k, and row m is row m - 1 times c_m = -s_{m-1}/r_m, each factor rounded once, so
     V[m, k] is within (m - k + 1) eps of exact.  Raises OverflowError when an entry overflows, or when one
-    below the normal range would grow back into it (:func:`_regrows`).
+    below the normal range would grow back into it (:func:`_regrows`).  With ``out``, a C-contiguous n x n
+    float64 array, V is built there with the same bits and ``out`` is returned writable, for its owner to
+    build on.
     """
     if method != "rows":
         raise ValueError("method must be 'rows'")
     if n < 1:
         raise ValueError("truncation must be >= 1")
+    if out is None:
+        ent = np.zeros((n, n))
+    elif out.shape != (n, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape ({n}, {n})")
+    else:
+        ent = out
+        ent.fill(0.0)
     r, s, a = sys.params(n)
-    ent = np.zeros((n, n))
     with np.errstate(over="ignore", under="ignore"):  # overflow surfaces as OverflowError below
         ent.reshape(-1)[:: n + 1] = a / r  # the diagonal
         for m, c in enumerate((-s[:-1] / r[1:]).tolist(), 1):
@@ -303,7 +311,8 @@ def inverse_kernel(sys: BandSystem, n: int, method: str = "rows") -> np.ndarray:
         raise OverflowError("inverse kernel entries overflow double precision at this truncation")
     if _regrows(ent, r, s, a):
         raise OverflowError("inverse kernel entries underflow and regrow, which double precision loses, at this truncation")
-    ent.setflags(write=False)
+    if out is None:
+        ent.setflags(write=False)
     return ent
 
 

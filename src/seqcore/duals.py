@@ -27,15 +27,22 @@ padded by a proven rounding slack relative to the objectives, cannot beat that
 incumbent, and re-scores every surviving leaf the same way, so both return the
 same float bit for bit (an overflowing objective gives inf in both).
 That switch and the other matrix functionals of the catalog (signed column
-sups, power row and entry sups) live here.  A report builds the companions once, at
-its largest truncation: V, C and D at truncation n are bit-identical leading
-n x n blocks of their largest versions (no entry depends on a later index),
-so every ladder point reads a slice and every condition shares them.
-:func:`companion_c` builds C for reports and identity residuals alike, in real
-arithmetic when every weight has a zero imaginary part (a_n V[n, k] then
-equals the real part of the complex product), and D is its column cumsum.
-Both are read-only arrays and raise OverflowError when an entry leaves double
-precision.
+sups, power row and entry sups) live here; each takes an ``out`` array for its
+n x n intermediate.
+
+A report builds only the companion its rule reads (no rule reads both), once,
+at its largest truncation, in the first region of the report's one workspace
+block (:class:`seqcore.matclass._Workspace`): V is built there, scaled in
+place into C by real weights, and summed down its columns in place into D.
+Complex weights multiply into a complex region, with V built in the block's
+scratch.  V, C and D at truncation n are bit-identical leading n x n blocks of
+their largest versions (no entry depends on a later index), so every ladder
+point reads a slice and every condition shares it.  :func:`companion_c`,
+:func:`companion_d` and :func:`companion_identity_residuals` run the same
+builder on an array of their own.  C is real when every weight has a zero
+imaginary part (a_n V[n, k] then equals the real part of the complex
+product).  The builder raises OverflowError when an entry leaves double
+precision, and the public companions are read-only arrays.
 Quantifiers over all B > 1 are sampled over a finite B ladder by the engine in
 :mod:`seqcore.ladder`, and universally quantified verdicts are labelled as
 tested-ladder evidence only.
@@ -79,35 +86,56 @@ SPACES = ("s0", "sc", "sinf", "lp")
 DUALS = ("alpha", "beta", "gamma")
 
 
-def companion_c(a, sys: BandSystem, n: int) -> np.ndarray:
-    """Row-scaled inverse kernel: C[n, k] = V[n, k] * a_n, read-only, real when every weight up to n is real."""
+def _companion_weights(a, n: int) -> np.ndarray:
+    """The weights a_0..a_{n-1}, real when all their imaginary parts are zero; weights past n reach no entry."""
     a = FiniteSeq.coerce(a)
     if a.n < n:
         raise ValueError(f"weight sequence of length {a.n} cannot serve truncation {n}")
-    w = a.values[:n]  # weights past n reach no entry
-    if not w.imag.any():
-        w = w.real
+    w = a.values[:n]
+    return w if w.imag.any() else w.real
+
+
+def _companion(w: np.ndarray, sys: BandSystem, out: np.ndarray, cumulative: bool, kernel=None) -> np.ndarray:
+    """C = diag(w) V, or D, its column cumsum, when cumulative; built in out, an n x n array of w's dtype, and returned.
+
+    Real weights scale V in place in out.  Complex ones build V in kernel (a
+    fresh array when kernel is None) and multiply into out.  The products
+    are those of w[:, None] * V, bit for bit.  Raises OverflowError when an
+    entry leaves double precision.
+    """
+    V = inverse_kernel(sys, out.shape[0], out=kernel if np.iscomplexobj(out) else out)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
-        C = w[:, None] * inverse_kernel(sys, n)
+        C = np.multiply(w[:, None], V, out=out)
+    if cumulative:
+        return _cumulate(C)
     if not np.isfinite(C).all():
         raise OverflowError("companion entries overflow double precision at this truncation")
+    return C
+
+
+def _cumulate(C: np.ndarray) -> np.ndarray:
+    """D, the column cumsum of C, in place; a non-finite entry stays so down its column, so the last row shows any."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
+        np.cumsum(C, axis=0, out=C)
+    if not np.isfinite(C[-1]).all():
+        raise OverflowError("companion entries overflow double precision at this truncation")
+    return C
+
+
+def companion_c(a, sys: BandSystem, n: int) -> np.ndarray:
+    """Row-scaled inverse kernel: C[n, k] = V[n, k] * a_n, read-only, real when every weight up to n is real."""
+    w = _companion_weights(a, n)
+    C = _companion(w, sys, np.empty((n, n), w.dtype), cumulative=False)
     C.setflags(write=False)
     return C
 
 
-def _column_cumsum(C: np.ndarray) -> np.ndarray:
-    """D from a finite C, read-only; a non-finite entry stays so down its column, so the last row shows any."""
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
-        D = np.cumsum(C, axis=0)
-    if not np.isfinite(D[-1]).all():
-        raise OverflowError("companion entries overflow double precision at this truncation")
-    D.setflags(write=False)
-    return D
-
-
 def companion_d(a, sys: BandSystem, n: int) -> np.ndarray:
     """Column-cumulative companion: D[n, k] = sum_{j=k..n} a_j V[j, k], the column cumsum of C; read-only."""
-    return _column_cumsum(companion_c(a, sys, n))
+    w = _companion_weights(a, n)
+    D = _companion(w, sys, np.empty((n, n), w.dtype), cumulative=True)
+    D.setflags(write=False)
+    return D
 
 
 def companion_identity_residuals(a, y, sys: BandSystem) -> tuple[float, float]:
@@ -122,9 +150,10 @@ def companion_identity_residuals(a, y, sys: BandSystem) -> tuple[float, float]:
     n = y.n
     x = inverse_transform(y, sys).values
     ax = a.values[:n] * x
-    C = companion_c(a, sys, n)
+    w = _companion_weights(a, n)
+    C = _companion(w, sys, np.empty((n, n), w.dtype), cumulative=False)
     lhs_c = C @ y.values
-    lhs_d = _column_cumsum(C) @ y.values
+    lhs_d = _cumulate(C) @ y.values  # D overwrites C in place
     rhs_d = np.cumsum(ax)
 
     def rel(lhs, rhs):
@@ -139,7 +168,8 @@ def companion_identity_residuals(a, y, sys: BandSystem) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _working_matrix(matrix, axis, weights):
+def _working_matrix(matrix, axis, weights, out=None):
+    """W, the matrix with the subset indices as columns, weighted; a real W is weighted in out (in W's orientation)."""
     W = np.asarray(matrix)
     if W.ndim != 2:
         raise ValueError("subset_sup needs a matrix")
@@ -151,7 +181,7 @@ def _working_matrix(matrix, axis, weights):
         w = np.asarray(weights, dtype=np.float64)
         if w.size != W.shape[1] or not np.all((w > 0.0) & np.isfinite(w)):
             raise ValueError("weights must be finite and positive, one per subset index")
-        W = W * w[None, :]
+        W = np.multiply(W, w[None, :], out=None if np.iscomplexobj(W) else out)
     return W
 
 
@@ -177,29 +207,31 @@ def subset_sup_bruteforce(matrix, axis="columns", weights=None, outer_exponents=
     return best
 
 
-def subset_sup(matrix, axis: str = "columns", weights=None, outer_exponents=None, mode: str = "exact"):
+def subset_sup(matrix, axis: str = "columns", weights=None, outer_exponents=None, mode: str = "exact", out=None):
     """sup over subsets K of one axis of sum_i |sum_{k in K} W[i, k]|^(e_i).
 
     mode="exact" solves by branch and bound (subset count capped at
     EXACT_SUBSET_LIMIT); mode="bound" returns the absolute-sum upper bound,
     the objective with every |W[i, k]| in place of W[i, k].  Both return a
-    float.
+    float.  In bound mode, out (a float64 array of the matrix's shape, which
+    may be the matrix itself) takes |W|, and a real W is weighted in it too.
     """
-    W = _working_matrix(matrix, axis, weights)
+    if out is not None and axis == "rows":
+        out = out.T  # in W's orientation
+    W = _working_matrix(matrix, axis, weights, out if mode == "bound" else None)
     e = np.ones(W.shape[0]) if outer_exponents is None else np.asarray(outer_exponents, dtype=np.float64)
     if e.size != W.shape[0] or not np.all((e > 0.0) & np.isfinite(e)):
         raise ValueError("outer exponents must be finite and positive, one per outer index")
 
-    absW = np.abs(W)
     if mode == "bound":
-        return float((absW.sum(axis=1) ** e).sum())
+        return float((np.abs(W, out=out).sum(axis=1) ** e).sum())
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'bound'")
     ncols = W.shape[1]
     if ncols > EXACT_SUBSET_LIMIT:
         raise ValueError(f"exact subset sup is limited to {EXACT_SUBSET_LIMIT} subset indices (got {ncols})")
 
-    return _branch_and_bound(W, absW, e)
+    return _branch_and_bound(W, np.abs(W), e)
 
 
 def _bound_slack(absW, e):
@@ -291,31 +323,35 @@ def _branch_and_bound(W, absW, e) -> float:
     return best
 
 
-def subset_estimate(matrix, axis, weights=None, outer_exponents=None) -> float:
-    """Exact subset sup up to EXACT_SUBSET_LIMIT subset indices, absolute-sum upper bound beyond."""
+def subset_estimate(matrix, axis, weights=None, outer_exponents=None, out=None) -> float:
+    """Exact subset sup up to EXACT_SUBSET_LIMIT subset indices, absolute-sum upper bound (into out) beyond."""
     exact = np.shape(matrix)[1 if axis == "columns" else 0] <= EXACT_SUBSET_LIMIT
-    return subset_sup(matrix, axis, weights, outer_exponents, mode="exact" if exact else "bound")
+    return subset_sup(matrix, axis, weights, outer_exponents, mode="exact" if exact else "bound", out=out)
 
 
-def signed_column_sup(matrix: np.ndarray, exponents: np.ndarray) -> float:
+# out: a float64 array of the matrix's shape for the functional's n x n intermediate; it may be the matrix itself
+
+
+def signed_column_sup(matrix: np.ndarray, exponents: np.ndarray, out: np.ndarray | None = None) -> float:
     """sup_k (sup_K |sum_{n in K} matrix[n, k]|)^p_k: the larger signed mass of each column."""
     if np.iscomplexobj(matrix):
         raise ValueError("subset column sups need real entries")
-    pos = np.maximum(matrix, 0.0).sum(axis=0)
-    neg = np.maximum(-matrix, 0.0).sum(axis=0)
+    pos = np.maximum(matrix, 0.0, out=out).sum(axis=0)
+    neg = np.maximum(np.negative(matrix, out=out), 0.0, out=out).sum(axis=0)
     return float(np.max(np.maximum(pos, neg) ** exponents))
 
 
-def power_row_sup(matrix: np.ndarray, exponents: np.ndarray) -> float:
+def power_row_sup(matrix: np.ndarray, exponents: np.ndarray, out: np.ndarray | None = None) -> float:
     """sup_n sum_k |matrix[n, k]|^p_k."""
-    powers = np.abs(matrix).astype(np.float64, copy=False)
-    np.power(powers, exponents[None, :], out=powers)  # one n x n temporary, not two
+    powers = np.abs(matrix, out=out).astype(np.float64, copy=False)
+    np.power(powers, exponents[None, :], out=powers)
     return float(np.max(powers.sum(axis=1)))
 
 
-def power_entry_sup(matrix: np.ndarray, exponents: np.ndarray) -> float:
+def power_entry_sup(matrix: np.ndarray, exponents: np.ndarray, out: np.ndarray | None = None) -> float:
     """sup_{n,k} |matrix[n, k]|^p_k."""
-    return float(np.max(np.abs(matrix) ** exponents[None, :]))
+    powers = np.abs(matrix, out=out).astype(np.float64, copy=False)
+    return float(np.max(np.power(powers, exponents[None, :], out=powers)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +438,20 @@ def dual_report(
     successful ladder value; universal ones require every ladder value and
     are marked as tested-ladder evidence.
     """
-    from .matclass import _check_inputs, _condition_verdict  # matclass imports this module at load
+    from .matclass import DUAL_CONDITIONS, _Workspace, _check_inputs, _condition_verdict  # matclass imports this module
 
     b_ladder = witness_ladder(b_ladder)
     cond_ids = _conditions_for(space, dual, p)
     ladder, _ = _check_inputs(cond_ids, ladder, p, None)
-    # the companions at the largest truncation; every rung reads their leading block
-    C = companion_c(a, sys, ladder[-1])
-    D = _column_cumsum(C)
-    sources = {n: {"C": C[:n, :n], "D": D[:n, :n]} for n in ladder}
-    verdicts = tuple(_condition_verdict(cid, sources, ladder, p, None, b_ladder) for cid in cond_ids)
+    top = ladder[-1]
+    w = _companion_weights(a, top)
+    real_only = [cid for cid in cond_ids if DUAL_CONDITIONS[cid].real_only]
+    if real_only and np.iscomplexobj(w):
+        raise SchemaError(f"{space}.{dual}: condition {real_only[0]} is characterized for real weights only")
+    (source,) = {DUAL_CONDITIONS[cid].source for cid in cond_ids}  # no rule reads both C and D
+    # the companion at the largest truncation, in the workspace; every rung reads its leading block
+    work = _Workspace(ladder, lead=top * top * w.itemsize // 8)
+    companion = _companion(w, sys, work.lead(top, w.dtype), source == "D", kernel=work.scratch(top))
+    sources = {n: {source: companion[:n, :n]} for n in ladder}
+    verdicts = tuple(_condition_verdict(cid, sources, ladder, p, None, b_ladder, work) for cid in cond_ids)
     return DualReport(space, dual, verdicts, aggregate_verdict(v.verdict for v in verdicts))

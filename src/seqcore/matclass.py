@@ -43,6 +43,16 @@ probe row's stop_i x stop_i support block, built from the leading blocks of
 the top rung's A and V.  A condition's witness-free array (|E|, |D - beta_k|,
 |block|) is built once per rung.  beta_k is fitted from the top rung's last
 row and kept complex when the source is complex.
+
+Every class, single-condition and dual report runs its conditions in one
+:class:`_Workspace`, a float64 block allocated once per report: an n x n
+witness-free array goes in its rung's slot, and the n x n temporaries of a
+witness (the weighted bound of a subset sup, signed masses, M-deflated
+sources and their powers) go in the block's scratch, through the ``out``
+arguments of the :mod:`seqcore.duals` functionals, with the ufuncs, order and
+layouts of fresh arrays, so bit for bit.  A dual report's companion is the
+block's lead region; E, btilde and the partial-sum blocks stay arrays of
+their own.
 """
 
 from __future__ import annotations
@@ -185,33 +195,90 @@ def default_density_sets(n: int) -> list[tuple[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
+class _Workspace:
+    """One float64 block for a report's n x n arrays, allocated once and freed when the report returns.
+
+    In order, the block holds a lead region (a dual report's companion), a
+    slot per rung for the witness-free array of the condition being run, and
+    a scratch of the top rung's size for the temporaries of one witness.
+    Conditions run one after another, and each reuses the slots and the
+    scratch.  Every region starts a multiple of 64 bytes into the block, and
+    its views are C-contiguous like the fresh arrays they replace, so the
+    ufuncs and reductions that fill and read them give the same bits.  With
+    no other large array live beside it, freeing the block leaves glibc's
+    heap below its dynamic trim threshold (twice the largest chunk freed so
+    far), so the next report reuses the same pages instead of faulting them
+    back in.
+    """
+
+    def __init__(self, ladder, lead: int = 0):
+        sizes = [lead] + [n * n for n in ladder] + [ladder[-1] ** 2]
+        starts = np.cumsum([0] + [-(-size // 8) * 8 for size in sizes]).tolist()
+        self._block = np.empty(starts[-1])
+        self._slots = dict(zip(ladder, starts[1:-2]))
+        self._scratch = starts[-2]
+
+    def _view(self, start: int, n: int, dtype=np.float64) -> np.ndarray:
+        size = n * n * np.dtype(dtype).itemsize // 8
+        return self._block[start : start + size].view(dtype).reshape(n, n)
+
+    def lead(self, n: int, dtype) -> np.ndarray:
+        """The lead region as an n x n array of dtype (float64 or complex128)."""
+        return self._view(0, n, dtype)
+
+    def slot(self, n: int) -> np.ndarray:
+        """Rung n's n x n float64 slot."""
+        return self._view(self._slots[n], n)
+
+    def scratch(self, n: int) -> np.ndarray:
+        """An n x n float64 scratch, n at most the top rung."""
+        return self._view(self._scratch, n)
+
+
 class _Rung:
     """One ladder point of one condition: its witness-free array and the functionals that read it.
 
     A catalog row's ``free`` builds ``self.free`` once from the rung's source
     (the source itself when the row names none), and its ``evaluate`` reads
-    it at a witness binding, returning (value, deviation | None).
+    it at a witness binding, returning (value, deviation | None).  An n x n
+    witness-free array lives in the rung's workspace slot, and an evaluator's
+    n x n temporaries in the workspace scratch; a complex difference or
+    quotient is still a temporary of its own.
     """
 
-    def __init__(self, spec, src, n: int, p, q, beta_k, beta):
-        self.n, self.win, self.p, self.beta_k = n, window(n), p, beta_k
+    def __init__(self, spec, src, n: int, p, q, beta_k, beta, work: _Workspace):
+        self.n, self.win, self.p, self.beta_k, self.work = n, window(n), p, beta_k, work
         self.pk = p.p[:n] if p is not None else None
         self.qn = q[:n] if q is not None else None
         self.ref = beta if spec.uses_beta else spec.target
         self.free = spec.free(self, src) if spec.free else src
 
+    def _absolute_deviations(self, G, shift):
+        """|G - shift| in the rung's slot; a real difference is taken there too."""
+        out = self.work.slot(self.n)
+        real = not (np.iscomplexobj(G) or np.iscomplexobj(shift))
+        return np.abs(np.subtract(G, shift, out=out if real else None), out=out)
+
+    def _deflated(self, M):
+        """(free / M, a float64 scratch for its modulus); a real quotient is taken in the scratch itself."""
+        out = self.work.scratch(self.n)
+        return np.divide(self.free, float(M), out=None if np.iscomplexobj(self.free) else out), out
+
     # witness-free arrays, from a dense source or (partial sums) the probe rows' support blocks
     def absolute(self, G):
-        return np.abs(G)
+        return np.abs(G, out=self.work.slot(self.n))
 
     def absolute_probe_rows(self, G):
         return np.abs(G[:_PROBE_ROWS])
 
     def deviations(self, G):
-        return np.abs(G - self.beta_k[: self.n][None, :])
+        return self._absolute_deviations(G, self.beta_k[: self.n][None, :])
 
     def lower_deviations(self, G):
-        return np.abs(np.tril(G - self.beta_k[None, : self.n]))
+        dev = self._absolute_deviations(G, self.beta_k[None, : self.n])
+        k = np.arange(self.n)
+        np.copyto(dev, 0.0, where=k[:, None] < k)  # the strict upper triangle, as np.tril leaves it
+        return dev
 
     def column_deviations(self, G):
         cols = min(_PROBE_COLS, self.n)
@@ -233,7 +300,7 @@ class _Rung:
         return np.real(G.sum(axis=1))
 
     def absolute_row_sums(self, G):
-        return np.abs(G).sum(axis=1)
+        return np.abs(G, out=self.work.slot(self.n)).sum(axis=1)
 
     def window_columns(self, G):
         return [G[self.win, : min(_PROBE_COLS, max(1, self.n // 2))]]
@@ -294,22 +361,24 @@ class _Rung:
         return float(f[-1]), float(np.max(f[self.win])) if f[self.win].size else 0.0
 
     def deflated_subset_columns(self, L, M):
-        return subset_estimate(self.free, "columns", float(M) ** (-1.0 / self.pk)), None
+        return subset_estimate(self.free, "columns", float(M) ** (-1.0 / self.pk), out=self.work.scratch(self.n)), None
 
     def inflated_subset_columns(self, L, M):
-        return subset_estimate(self.free, "columns", float(L) ** (1.0 / self.pk)), None
+        return subset_estimate(self.free, "columns", float(L) ** (1.0 / self.pk), out=self.work.scratch(self.n)), None
 
     def subset_rows_conjugate(self, L, M):
-        return subset_estimate(self.free / float(M), "rows", None, self.p.conjugate()[: self.n]), None
+        scaled, out = self._deflated(M)
+        return subset_estimate(scaled, "rows", None, self.p.conjugate()[: self.n], out=out), None
 
     def signed_columns(self, L, M):
-        return signed_column_sup(self.free, self.pk), None
+        return signed_column_sup(self.free, self.pk, out=self.work.scratch(self.n)), None
 
     def power_rows_conjugate(self, L, M):
-        return power_row_sup(self.free / float(M), self.p.conjugate()[: self.n]), None
+        scaled, out = self._deflated(M)
+        return power_row_sup(scaled, self.p.conjugate()[: self.n], out=out), None
 
     def power_entries(self, L, M):
-        return power_entry_sup(self.free, self.pk), None
+        return power_entry_sup(self.free, self.pk, out=self.work.scratch(self.n)), None
 
     def window_spread(self, L, M):
         """The largest spread max - min down a column of any window block."""
@@ -372,6 +441,7 @@ class ConditionSpec:
     uses_beta_k: bool = False
     uses_beta: bool = False
     target: float = 0.0
+    real_only: bool = False  # characterized for real sources only; a dual report on complex weights raises SchemaError
 
 
 CONDITIONS: dict[str, ConditionSpec] = {
@@ -429,7 +499,7 @@ DUAL_CONDITIONS: dict[str, ConditionSpec] = {
     "S9": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", _Rung.inflated_rows, _Rung.absolute, needs_p=True),
     "S10": ConditionSpec("cumulative companion, inflated deviation rows vanish", "D", "forall_b", "limit", _Rung.inflated_deviation_rows, _Rung.lower_deviations, needs_p=True, uses_beta_k=True),
     "S11": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", _Rung.inflated_rows, _Rung.absolute, needs_p=True),
-    "S12": ConditionSpec("cumulative companion, subset row sums, native exponents", "D", "plain", "bounded", _Rung.signed_columns, needs_p=True),
+    "S12": ConditionSpec("cumulative companion, subset row sums, native exponents", "D", "plain", "bounded", _Rung.signed_columns, needs_p=True, real_only=True),
     "S13": ConditionSpec("cumulative companion, subset column sums, conjugate exponents", "D", "exists_b", "bounded", _Rung.subset_rows_conjugate, needs_p=True, needs_conjugate=True),
     "S14": ConditionSpec("cumulative companion, scaled rows, conjugate exponents", "D", "exists_b", "bounded", _Rung.power_rows_conjugate, needs_p=True, needs_conjugate=True),
     "S15": ConditionSpec("cumulative companion, entrywise native exponents", "D", "plain", "bounded", _Rung.power_entries, needs_p=True),
@@ -513,7 +583,7 @@ def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> dict:
     return sources
 
 
-def _condition_verdict(cond_id, sources, ladder, p, qa, witness_values):
+def _condition_verdict(cond_id, sources, ladder, p, qa, witness_values, work: _Workspace):
     """Fit the condition's parameters at the top rung and run it through the ladder engine.
 
     beta_k is the top rung's last row and beta its sum, both complex when
@@ -535,7 +605,7 @@ def _condition_verdict(cond_id, sources, ladder, p, qa, witness_values):
 
     def evaluate(n, witnesses):
         if n not in rungs:
-            rungs[n] = _Rung(spec, sources[n][spec.source], n, p, qa, beta_k, beta)
+            rungs[n] = _Rung(spec, sources[n][spec.source], n, p, qa, beta_k, beta, work)
         b = witnesses.get("B")  # a dual set's B: the deflating M when existential, the inflating L when universal
         L = witnesses.get("L", b if spec.quantifier == "forall_b" else None)
         M = witnesses.get("M", b if spec.quantifier == "exists_b" else None)
@@ -574,7 +644,7 @@ def eval_condition(
         what = "the matrix" if spec.source == "btilde" else "A"
         raise ValueError(f"condition {cond_id} needs {what} and a band system")
     sources = _ladder_sources({spec.source}, A, sys, matrix, ladder)
-    return _condition_verdict(cond_id, sources, ladder, p, qa, DEFAULT_QUANTIFIER_LADDER)
+    return _condition_verdict(cond_id, sources, ladder, p, qa, DEFAULT_QUANTIFIER_LADDER, _Workspace(ladder))
 
 
 # ---------------------------------------------------------------------------
@@ -633,5 +703,6 @@ def class_report(
     if A is None or sys is None:
         raise ValueError(f"class {class_id} needs A and a band system")
     sources = _ladder_sources({_SPECS[cid].source for cid in cond_ids}, A, sys, None, ladder)
-    verdicts = tuple(_condition_verdict(cid, sources, ladder, p, qa, DEFAULT_QUANTIFIER_LADDER) for cid in cond_ids)
+    work = _Workspace(ladder)
+    verdicts = tuple(_condition_verdict(cid, sources, ladder, p, qa, DEFAULT_QUANTIFIER_LADDER, work) for cid in cond_ids)
     return ClassReport(class_id, verdicts, aggregate_verdict(v.verdict for v in verdicts))

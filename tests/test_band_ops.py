@@ -715,6 +715,72 @@ def test_inverse_kernel_overflows_at_pinned_truncation(name):
         _lattice_kernel(sys, first)
 
 
+def _kernel_into_out(sys, n):
+    """inverse_kernel built into a caller's buffer filled with NaN, so an entry it leaves unwritten shows."""
+    out = np.full((n, n), np.nan)
+    got = band_ops.inverse_kernel(sys, n, out=out)
+    assert got is out and got.flags.writeable
+    return got
+
+
+def _assert_out_matches_allocating_call(sys, n):
+    try:
+        want = band_ops.inverse_kernel(sys, n)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as into_out:
+            _kernel_into_out(sys, n)
+        assert str(into_out.value) == str(exc)
+        return
+    _assert_same_bits(_kernel_into_out(sys, n), want, f"out= at n = {n}")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_inverse_kernel_into_out_matches_the_allocating_call_on_seeded_and_constant_systems(seed):
+    _assert_out_matches_allocating_call(random_band_system(rng_from_seed(seed), 300), 300)
+    _assert_out_matches_allocating_call(random_band_system(rng_from_seed(seed), 96, amplification_cap=1e4), 96)
+    for sys in (DELTA, PLUS, TWO_ONE, BandSystem.constant(-1.5, 2.0, 3.0, 300)):
+        _assert_out_matches_allocating_call(sys, 1 + 99 * seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=12))
+def test_inverse_kernel_into_out_matches_the_allocating_call_on_extreme_doubles(data, n):
+    nonzero = _FINITE.filter(lambda v: v != 0.0)
+    r, s = data.draw(_float_lists(nonzero, n)), data.draw(_float_lists(nonzero, n))
+    alpha = data.draw(_float_lists(_FINITE.filter(lambda v: v > 0.0), n))
+    _assert_out_matches_allocating_call(BandSystem(r, s, alpha), n)
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_EDGES) + ["regrowth"])
+def test_inverse_kernel_into_out_raises_the_same_overflow(name):
+    if name == "regrowth":
+        sys, first = BandSystem(np.ones(5), [1e-174, 1e-174, 1e174, 1e174, 1.0], [1.0, 1.0, 1e-100, 1.0, 1.0]), 5
+    else:
+        sys, first = OVERFLOW_EDGES[name]
+    with pytest.raises(OverflowError):
+        band_ops.inverse_kernel(sys, first)
+    for n in (first - 1, first):
+        _assert_out_matches_allocating_call(sys, n)
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        pytest.param(np.zeros((8, 9)), id="shape"),
+        pytest.param(np.zeros((9, 9)), id="larger"),
+        pytest.param(np.zeros((8, 8), dtype=np.float32), id="float32"),
+        pytest.param(np.zeros((8, 8), dtype=np.complex128), id="complex"),
+        pytest.param(np.zeros((8, 8), order="F"), id="fortran"),
+        pytest.param(np.zeros((8, 16))[:, ::2], id="strided"),
+    ],
+)
+def test_inverse_kernel_rejects_an_unfit_out(out):
+    before = out.copy()
+    with pytest.raises(ValueError, match="^out must be a C-contiguous float64 array of shape"):
+        band_ops.inverse_kernel(TWO_ONE, 8, out=out)
+    assert np.array_equal(out, before)
+
+
 def _assert_same_bits(got, want, what):
     """Bitwise equality (zero signs included), reporting the first differing index."""
     assert got.shape == want.shape, f"{what}: shape {got.shape} against {want.shape}"

@@ -110,3 +110,23 @@ def test_bench_aa_spread_recomputes_from_runs(path):
         values = [_value(first, spread["metric"]), _value(second, spread["metric"])]
         assert pair[spread["metric"]] == values
         assert _close(pair["relative_gap"], (max(values) - min(values)) / min(values))
+
+
+def test_dual_workspace_claim_holds_on_its_runs():
+    # the claim: dual_scan ops_per_s rises by at least 20 %, winning 9 of every 10 alternating pairs with medians
+    # further apart than the parent's quartiles, and the gain holds at the held-out seed 3
+    doc = _load(ROOT / "BENCH_dual_workspace.json")
+    for name, min_pairs in (("dual_scan", 10), ("dual_scan_seed3", 4)):
+        runs = doc["workloads"][name]["runs"]
+        pairs = [runs[i : i + 2] for i in range(0, len(runs), 2)]
+        assert len(pairs) >= min_pairs, name
+        values = {tree: [_value(run, "ops_per_s") for run in runs if run["tree"] == tree] for tree in ("parent", "change")}
+        won = sum(
+            _value(next(r for r in pair if r["tree"] == "change"), "ops_per_s")
+            > _value(next(r for r in pair if r["tree"] == "parent"), "ops_per_s")
+            for pair in pairs
+        )
+        assert 10 * won >= 9 * len(pairs), name
+        q1, q3 = np.percentile(values["parent"], [25, 75])
+        parent, change = statistics.median(values["parent"]), statistics.median(values["change"])
+        assert change - parent > q3 - q1 and change >= 1.2 * parent, name

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from seqcore import band_ops, duals, matclass
 from seqcore.generators import make_sequence, random_band_system, rng_from_seed
-from seqcore.io import canonical_dumps
+from seqcore.io import SchemaError, canonical_dumps
 from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
 
 from conftest import complex_uniform
@@ -297,6 +298,14 @@ class TestRuleTable:
         assert set(table) == {f"{s}.{d}" for s in duals.SPACES for d in duals.DUALS}
 
 
+# the (space, dual, p) pairs of the benchmark's dual_scan workload
+DUAL_SCAN_PAIRS = (
+    [(space, dual, 1.0) for space in ("s0", "sc", "sinf") for dual in ("alpha", "beta", "gamma")]
+    + [("lp", "alpha", 1.0), ("lp", "gamma", 1.0)]
+    + [("lp", dual, 2.0) for dual in ("alpha", "beta", "gamma")]
+)
+
+
 class TestDualReport:
     LADDER = (16, 32, 64)
 
@@ -411,7 +420,9 @@ class TestDualReport:
         if s11.verdict == "holds":
             assert s11.note == "tested ladder only"
 
-    def test_inverse_kernel_built_once_per_report(self, monkeypatch):
+    @pytest.mark.parametrize("weights", ["real", "complex"])
+    @pytest.mark.parametrize("space, dual, p", DUAL_SCAN_PAIRS)
+    def test_inverse_kernel_built_once_per_report(self, monkeypatch, space, dual, p, weights):
         calls = []
         original = duals.inverse_kernel
 
@@ -420,8 +431,14 @@ class TestDualReport:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(duals, "inverse_kernel", counted)
-        a = FiniteSeq(0.5 ** np.arange(64))
-        duals.dual_report(a, PLUS, ExponentSeq.constant(1.0, 64), "sc", "beta", self.LADDER)
+        a = FiniteSeq(0.5 ** np.arange(64) * (1.0 if weights == "real" else 1.0 + 1.0j))
+        report = partial(duals.dual_report, a, PLUS, ExponentSeq.constant(p, 64), space, dual, self.LADDER)
+        if weights == "complex" and (space, dual, p) == ("lp", "alpha", 1.0):  # S12, characterized for real weights only
+            with pytest.raises(SchemaError):
+                report()
+            assert calls == []
+            return
+        report()
         assert len(calls) == 1
 
     def test_weights_past_the_top_rung_do_not_change_the_report(self):
@@ -479,6 +496,41 @@ class TestDualReport:
         assert {c["id"] for c in doc["conditions"]} == {"S3", "S4", "S5"}
         for cond in doc["conditions"]:
             assert {"id", "verdict", "estimates", "growth_exponent", "kind"} <= set(cond)
+
+
+WEIGHT_FAMILIES = {
+    "geometric": lambda k: 0.5**k,
+    "harmonic_sq": lambda k: 1.0 / (k + 1.0) ** 2,
+    "ones": np.ones_like,
+    "linear": lambda k: k + 1.0,
+}
+
+
+@pytest.mark.parametrize("family", sorted(WEIGHT_FAMILIES))
+@pytest.mark.parametrize("space, dual, p", DUAL_SCAN_PAIRS)
+def test_dual_report_traces_little_beside_its_workspace(monkeypatch, space, dual, p, family):
+    # the companion, every rung's witness-free array and every witness's n x n temporaries live in the report's
+    # one block; beside it the exact subset solver's frontier at n = 16, about 200 KiB, is the largest allocation
+    n, ladder = 256, (16, 64, 256)
+    blocks = []
+    original = matclass._Workspace
+
+    class Recorded(original):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            blocks.append(self._block.nbytes)
+
+    monkeypatch.setattr(matclass, "_Workspace", Recorded)
+    a = FiniteSeq(WEIGHT_FAMILIES[family](np.arange(n, dtype=np.float64)))
+    tracemalloc.start()
+    try:
+        duals.dual_report(a, PLUS, ExponentSeq.constant(p, n), space, dual, ladder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (block,) = blocks
+    assert block >= 3 * n * n * 8  # the companion, the top rung's slot and the scratch
+    assert peak <= block + 256 * 1024
 
 
 # S id, its class-catalog twin, the companion both read, and a (space, dual, exponent regime) that runs the S id

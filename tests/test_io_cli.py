@@ -246,6 +246,17 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("seqcore:") and "overflow" in err[0]
         assert not (tmp_path / "out.json").exists()
 
+    def test_dual_check_complex_weights_on_signed_column_sups_is_a_schema_error(self, tmp_path, capsys):
+        # lp.alpha at p <= 1 is S12, whose subset column sups are characterized for real weights only
+        cfg = tmp_path / "complex.json"
+        a = [[2.0**-k, 2.0**-k] for k in range(16)]  # a_k = 2^-k (1 + i)
+        doc = {"a": {"values": a}, "system": "difference", "p": 1.0, "space": "lp", "dual": "alpha", "ladder": [4, 8, 16]}
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["dual-check", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("seqcore:") and "real weights" in err[0]
+        assert not (tmp_path / "out.json").exists()
+
     def test_dual_check_config(self, tmp_path, capsys):
         cfg = tmp_path / "dual.json"
         cfg.write_text(

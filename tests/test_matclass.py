@@ -203,7 +203,7 @@ class TestPartialConditionsOracle:
         p = ExponentSeq(np.linspace(1.0, 3.0, n))
         q = np.linspace(1.0, 2.0, n)
         spec = matclass.CONDITIONS[cond_id]
-        rung = matclass._Rung(spec, matclass._probe_blocks(partial), n, p, q, None, None)
+        rung = matclass._Rung(spec, matclass._probe_blocks(partial), n, p, q, None, None, matclass._Workspace([n]))
         for L, M in [(None, None)] if cond_id in ("mt23", "mt25", "mt28") else [(2, 2), (16, 4), (256, 256)]:
             got, dev = spec.evaluate(rung, L, M)
             want = _dense_partial_value(cond_id, families, n, p.p[:n], q[:n], L, M)
