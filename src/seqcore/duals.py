@@ -99,13 +99,17 @@ def _companion(w: np.ndarray, sys: BandSystem, out: np.ndarray, cumulative: bool
     """C = diag(w) V, or D, its column cumsum, when cumulative; built in out, an n x n array of w's dtype, and returned.
 
     Real weights scale V in place in out.  Complex ones build V in kernel (a
-    fresh array when kernel is None) and multiply into out.  The products
-    are those of w[:, None] * V, bit for bit.  Raises OverflowError when an
-    entry leaves double precision.
+    fresh array when kernel is None), copy it into out as V + 0j, the cast
+    the product would make in a buffer of its own, and scale it there.  The
+    products are those of w[:, None] * V, bit for bit.  Raises OverflowError
+    when an entry leaves double precision.
     """
-    V = inverse_kernel(sys, out.shape[0], out=kernel if np.iscomplexobj(out) else out)
+    if np.iscomplexobj(out):
+        out[...] = inverse_kernel(sys, out.shape[0], out=kernel)
+    else:
+        inverse_kernel(sys, out.shape[0], out=out)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
-        C = np.multiply(w[:, None], V, out=out)
+        C = np.multiply(w[:, None], out, out=out)
     if cumulative:
         return _cumulate(C)
     if not np.isfinite(C).all():
@@ -168,8 +172,8 @@ def companion_identity_residuals(a, y, sys: BandSystem) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _working_matrix(matrix, axis, weights, out=None):
-    """W, the matrix with the subset indices as columns, weighted; a real W is weighted in out (in W's orientation)."""
+def _working_matrix(matrix, axis, weights, out=None, staged=None):
+    """W, the matrix with the subset indices as columns, weighted; a real W in out, a complex one in staged (in W's orientation)."""
     W = np.asarray(matrix)
     if W.ndim != 2:
         raise ValueError("subset_sup needs a matrix")
@@ -181,7 +185,7 @@ def _working_matrix(matrix, axis, weights, out=None):
         w = np.asarray(weights, dtype=np.float64)
         if w.size != W.shape[1] or not np.all((w > 0.0) & np.isfinite(w)):
             raise ValueError("weights must be finite and positive, one per subset index")
-        W = np.multiply(W, w[None, :], out=None if np.iscomplexobj(W) else out)
+        W = np.multiply(W, w[None, :], out=staged if np.iscomplexobj(W) else out)
     return W
 
 
@@ -207,18 +211,22 @@ def subset_sup_bruteforce(matrix, axis="columns", weights=None, outer_exponents=
     return best
 
 
-def subset_sup(matrix, axis: str = "columns", weights=None, outer_exponents=None, mode: str = "exact", out=None):
+def subset_sup(matrix, axis: str = "columns", weights=None, outer_exponents=None, mode: str = "exact", out=None, staged=None):
     """sup over subsets K of one axis of sum_i |sum_{k in K} W[i, k]|^(e_i).
 
     mode="exact" solves by branch and bound (subset count capped at
     EXACT_SUBSET_LIMIT); mode="bound" returns the absolute-sum upper bound,
     the objective with every |W[i, k]| in place of W[i, k].  Both return a
     float.  In bound mode, out (a float64 array of the matrix's shape, which
-    may be the matrix itself) takes |W|, and a real W is weighted in it too.
+    may be the matrix itself) takes |W|, and a real W is weighted in it too;
+    a complex W is weighted in staged, a complex128 array of the matrix's
+    shape, when one is given.
     """
-    if out is not None and axis == "rows":
-        out = out.T  # in W's orientation
-    W = _working_matrix(matrix, axis, weights, out if mode == "bound" else None)
+    if axis == "rows":  # out and staged in W's orientation
+        out = None if out is None else out.T
+        staged = None if staged is None else staged.T
+    bound = mode == "bound"
+    W = _working_matrix(matrix, axis, weights, out if bound else None, staged if bound else None)
     e = np.ones(W.shape[0]) if outer_exponents is None else np.asarray(outer_exponents, dtype=np.float64)
     if e.size != W.shape[0] or not np.all((e > 0.0) & np.isfinite(e)):
         raise ValueError("outer exponents must be finite and positive, one per outer index")
@@ -323,10 +331,10 @@ def _branch_and_bound(W, absW, e) -> float:
     return best
 
 
-def subset_estimate(matrix, axis, weights=None, outer_exponents=None, out=None) -> float:
-    """Exact subset sup up to EXACT_SUBSET_LIMIT subset indices, absolute-sum upper bound (into out) beyond."""
+def subset_estimate(matrix, axis, weights=None, outer_exponents=None, out=None, staged=None) -> float:
+    """Exact subset sup up to EXACT_SUBSET_LIMIT subset indices, absolute-sum upper bound (into out and staged) beyond."""
     exact = np.shape(matrix)[1 if axis == "columns" else 0] <= EXACT_SUBSET_LIMIT
-    return subset_sup(matrix, axis, weights, outer_exponents, mode="exact" if exact else "bound", out=out)
+    return subset_sup(matrix, axis, weights, outer_exponents, mode="exact" if exact else "bound", out=out, staged=staged)
 
 
 # out: a float64 array of the matrix's shape for the functional's n x n intermediate; it may be the matrix itself
@@ -450,8 +458,8 @@ def dual_report(
         raise SchemaError(f"{space}.{dual}: condition {real_only[0]} is characterized for real weights only")
     (source,) = {DUAL_CONDITIONS[cid].source for cid in cond_ids}  # no rule reads both C and D
     # the companion at the largest truncation, in the workspace; every rung reads its leading block
-    work = _Workspace(ladder, lead=top * top * w.itemsize // 8)
-    companion = _companion(w, sys, work.lead(top, w.dtype), source == "D", kernel=work.scratch(top))
+    work = _Workspace(ladder, [top * top * w.itemsize // 8], width=w.itemsize // 8)
+    companion = _companion(w, sys, work.lead(0, top, w.dtype), source == "D", kernel=work.scratch(top))
     sources = {n: {source: companion[:n, :n]} for n in ladder}
     verdicts = tuple(_condition_verdict(cid, sources, ladder, p, None, b_ladder, work) for cid in cond_ids)
     return DualReport(space, dual, verdicts, aggregate_verdict(v.verdict for v in verdicts))

@@ -34,10 +34,12 @@ ladder and binds as M when existential and as L when universal.  The matrix
 functionals (subset estimates, signed column sups, power row and entry sups)
 live in :mod:`seqcore.duals`.  A class report builds its sources once per
 rung and hands them to every condition: btilde once at the largest
-truncation, sliced per ladder point, and E once per ladder point: T is lower
-bidiagonal, so rung n solves E T = A on the leading n x n block of A in
-O(n^2).  V is lower triangular, so the partial-sum family of row i is zero
-from column stop_i on (one past the last nonzero of A[i]) and repeats its row
+truncation, sliced per ladder point, and E for every ladder point in one
+backward sweep (:func:`_compose`): T is lower bidiagonal, so rung n solves
+E T = A on the leading n x n block of A in O(n^2), and the sweep runs every
+rung's solve at once, each entry through the ufuncs of its own rung's solve.
+V is lower triangular, so the partial-sum family of row i is zero from
+column stop_i on (one past the last nonzero of A[i]) and repeats its row
 stop_i - 1 below it; the partial-sum conditions (mt23, mt25-mt28) share each
 probe row's stop_i x stop_i support block, built from the leading blocks of
 the top rung's A and V.  A condition's witness-free array (|E|, |D - beta_k|,
@@ -48,11 +50,13 @@ Every class, single-condition and dual report runs its conditions in one
 :class:`_Workspace`, a float64 block allocated once per report: an n x n
 witness-free array goes in its rung's slot, and the n x n temporaries of a
 witness (the weighted bound of a subset sup, signed masses, M-deflated
-sources and their powers) go in the block's scratch, through the ``out``
-arguments of the :mod:`seqcore.duals` functionals, with the ufuncs, order and
-layouts of fresh arrays, so bit for bit.  A dual report's companion is the
-block's lead region; E, btilde and the partial-sum blocks stay arrays of
-their own.
+sources and their powers, complex differences, quotients and products) go
+in the block's scratch, through the ``out`` arguments of the
+:mod:`seqcore.duals` functionals, with the ufuncs, order and layouts of
+fresh arrays, so bit for bit.  A dual report's companion is the block's lead
+region, and a class report's E takes a lead region per rung, with V and the
+sweep's buffer in the block too; btilde and the partial-sum blocks stay
+arrays of their own.
 """
 
 from __future__ import annotations
@@ -98,13 +102,16 @@ _PROBE_COLS = 16
 
 
 def btilde(B, sys: BandSystem, n: int) -> np.ndarray:
-    """Band-transform the rows of B: (r_n B[n] + s_{n-1} B[n-1]) / alpha_n."""
+    """Band-transform the rows of B: (r_n B[n] + s_{n-1} B[n-1]) / alpha_n, with one n x n temporary."""
     dense = materialize_matrix(B, n)
     r, s, a = sys.params(n)
     out = np.empty_like(dense, dtype=np.result_type(dense.dtype, np.float64))
     out[0] = r[0] * dense[0] / a[0]
     if n > 1:
-        out[1:] = (r[1:, None] * dense[1:] + s[:-1, None] * dense[:-1]) / a[1:, None]
+        rows = out[1:]
+        np.multiply(r[1:, None], dense[1:], out=rows)
+        np.add(rows, s[:-1, None] * dense[:-1], out=rows)
+        np.divide(rows, a[1:, None], out=rows)
     return out
 
 
@@ -139,33 +146,52 @@ class EPartial:
         return np.cumsum(a[:stop, None] * self._V[:stop, :stop], axis=0)
 
 
-def _solve_composed(dense: np.ndarray, sys: BandSystem) -> np.ndarray:
-    """E = dense V without V: solve E T = dense for the bidiagonal T, last column first.
+def _compose(dense: np.ndarray, sys: BandSystem, ladder, buf: np.ndarray | None = None) -> list:
+    """E = A V at every rung n of the ladder from the leading n x n block of dense, in one backward sweep.
 
-    E[:, k] = (alpha_k / r_k) (dense[:, k] - (s_k / alpha_{k+1}) E[:, k+1])
-    is one row of a transposed buffer (a complex one viewed as float pairs),
-    so a step is three in-place ufuncs over that row.
+    Rung n solves E T = A for the bidiagonal T, last column first:
+    E[:, k] = (alpha_k / r_k) (A[:, k] - (s_k / alpha_{k+1}) E[:, k+1]).  Row k
+    of buf, a top x sum(ladder) float64 array (twice as wide for a complex
+    A, viewed as float pairs; a fresh one when None), holds column k of
+    every rung's block side by side, largest rung first, so the rungs that
+    reach column k are a prefix of the row, and a step is three in-place
+    ufuncs over that prefix: every entry goes through the ufuncs of its own
+    rung's solve alone.  Returns each rung's E^T, a view of buf (row k is
+    E[:, k]), in ladder order.  Raises OverflowError when an entry leaves
+    double precision.
     """
-    r, s, a = sys.params(dense.shape[0])
-    cols = np.array(dense.T, dtype=np.result_type(dense.dtype, np.float64), order="C")
-    work = cols.view(np.float64)
-    step = np.empty(work.shape[1])
+    dtype = np.result_type(dense.dtype, np.float64)
+    rungs = sorted(ladder, reverse=True)
+    bounds = np.cumsum([0] + [dtype.itemsize // 8 * n for n in rungs]).tolist()  # rung j spans bounds[j]:bounds[j + 1]
+    buf = np.empty((rungs[0], bounds[-1])) if buf is None else buf
+    spans = [buf[:n, lo:hi].view(dtype) for n, lo, hi in zip(rungs, bounds, bounds[1:])]
+    for n, cols in zip(rungs, spans):
+        cols[...] = dense[:n, :n].T
+    r, s, a = sys.params(rungs[0])
     scale, carry = (a / r).tolist(), (s[:-1] / a[1:]).tolist()
+    step = np.empty(buf.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
-        work[-1] *= scale[-1]
-        for k in reversed(range(len(carry))):
-            np.multiply(work[k + 1], carry[k], out=step)
-            np.subtract(work[k], step, out=work[k])
-            np.multiply(work[k], scale[k], out=work[k])
-    if not np.isfinite(work).all():
+        for j, (n, below) in enumerate(zip(rungs, rungs[1:] + [0])):
+            if j:  # column n - 1 is rung j's last; the larger rungs step into it from column n
+                lanes, tmp = buf[:, : bounds[j]], step[: bounds[j]]
+                np.multiply(lanes[n], carry[n - 1], out=tmp)
+                np.subtract(lanes[n - 1], tmp, out=lanes[n - 1])
+            lanes, tmp = buf[:, : bounds[j + 1]], step[: bounds[j + 1]]  # rungs 0..j, down to column below
+            np.multiply(lanes[n - 1], scale[n - 1], out=lanes[n - 1])
+            for k in reversed(range(below, n - 1)):
+                row = lanes[k]
+                np.multiply(lanes[k + 1], carry[k], out=tmp)
+                np.subtract(row, tmp, out=row)
+                np.multiply(row, scale[k], out=row)
+    if not all(np.isfinite(cols).all() for cols in spans):
         raise OverflowError("composed matrix entries overflow double precision at this truncation")
-    return np.ascontiguousarray(cols.T)
+    return spans[::-1]
 
 
 def e_matrix(A, sys: BandSystem, n: int) -> tuple[np.ndarray, EPartial]:
     """Composed matrix E = A V at truncation n, plus its partial-sum families.
 
-    E is C-contiguous, from the O(n^2) solve :func:`_solve_composed`, and
+    E is C-contiguous, from the one-rung sweep of :func:`_compose`, and
     within a few n eps (|A| |V|) of the cumulative sums of the partial-sum
     families over the dense V (Higham, ch. 8), not bit for bit.  Raises
     OverflowError when V or E leaves double precision.
@@ -174,7 +200,8 @@ def e_matrix(A, sys: BandSystem, n: int) -> tuple[np.ndarray, EPartial]:
         raise ValueError("truncation must be >= 1")
     dense = materialize_matrix(A, n)
     V = inverse_kernel(sys, n)
-    return _solve_composed(dense, sys), EPartial(dense, V)
+    (cols,) = _compose(dense, sys, (n,))
+    return np.ascontiguousarray(cols.T), EPartial(dense, V)
 
 
 def default_density_sets(n: int) -> list[tuple[str, np.ndarray]]:
@@ -198,41 +225,52 @@ def default_density_sets(n: int) -> list[tuple[str, np.ndarray]]:
 class _Workspace:
     """One float64 block for a report's n x n arrays, allocated once and freed when the report returns.
 
-    In order, the block holds a lead region (a dual report's companion), a
-    slot per rung for the witness-free array of the condition being run, and
-    a scratch of the top rung's size for the temporaries of one witness.
-    Conditions run one after another, and each reuses the slots and the
-    scratch.  Every region starts a multiple of 64 bytes into the block, and
-    its views are C-contiguous like the fresh arrays they replace, so the
-    ufuncs and reductions that fill and read them give the same bits.  With
-    no other large array live beside it, freeing the block leaves glibc's
-    heap below its dynamic trim threshold (twice the largest chunk freed so
-    far), so the next report reuses the same pages instead of faulting them
-    back in.
+    In order, the block holds its lead regions (a dual report's companion,
+    or a class report's E per rung), a slot per rung for the witness-free
+    array of the condition being run, and a scratch of the top rung's size
+    for the temporaries of one witness, wide enough for a complex n x n
+    array when ``width`` is 2.  Conditions run one after another, and each
+    reuses the slots and the scratch.  Until the first one runs, the slots
+    and the scratch together hold a class report's sweep buffer
+    (:func:`_compose`, at least ``sweep`` float64s; the scratch grows when
+    the buffer needs more).  Every region starts a multiple of 64 bytes into
+    the block, and its views are C-contiguous like the fresh arrays they
+    replace, so the ufuncs and reductions that fill and read them give the
+    same bits.  With no other large array live beside it, freeing the block
+    leaves glibc's heap below its dynamic trim threshold (twice the largest
+    chunk freed so far), so the next report reuses the same pages instead of
+    faulting them back in.
     """
 
-    def __init__(self, ladder, lead: int = 0):
-        sizes = [lead] + [n * n for n in ladder] + [ladder[-1] ** 2]
+    def __init__(self, ladder, leads=(), width: int = 1, sweep: int = 0):
+        slots = [-(-n * n // 8) * 8 for n in ladder]
+        sizes = [*leads, *slots, max(width * ladder[-1] ** 2, sweep - sum(slots))]
         starts = np.cumsum([0] + [-(-size // 8) * 8 for size in sizes]).tolist()
         self._block = np.empty(starts[-1])
-        self._slots = dict(zip(ladder, starts[1:-2]))
+        self._leads = starts[: len(leads)]
+        self._slots = dict(zip(ladder, starts[len(leads) : -2]))
         self._scratch = starts[-2]
 
     def _view(self, start: int, n: int, dtype=np.float64) -> np.ndarray:
         size = n * n * np.dtype(dtype).itemsize // 8
         return self._block[start : start + size].view(dtype).reshape(n, n)
 
-    def lead(self, n: int, dtype) -> np.ndarray:
-        """The lead region as an n x n array of dtype (float64 or complex128)."""
-        return self._view(0, n, dtype)
+    def lead(self, i: int, n: int, dtype=np.float64) -> np.ndarray:
+        """Lead region i as an n x n array of dtype (float64 or complex128)."""
+        return self._view(self._leads[i], n, dtype)
 
     def slot(self, n: int) -> np.ndarray:
         """Rung n's n x n float64 slot."""
         return self._view(self._slots[n], n)
 
-    def scratch(self, n: int) -> np.ndarray:
-        """An n x n float64 scratch, n at most the top rung."""
-        return self._view(self._scratch, n)
+    def scratch(self, n: int, dtype=np.float64) -> np.ndarray:
+        """An n x n scratch of dtype, n at most the top rung; complex128 needs a workspace of width 2."""
+        return self._view(self._scratch, n, dtype)
+
+    def sweep(self, rows: int, cols: int) -> np.ndarray:
+        """The slots and the scratch as one rows x cols float64 array, for a class report's sweep buffer."""
+        start = self._slots[min(self._slots)]
+        return self._block[start : start + rows * cols].reshape(rows, cols)
 
 
 class _Rung:
@@ -242,8 +280,10 @@ class _Rung:
     (the source itself when the row names none), and its ``evaluate`` reads
     it at a witness binding, returning (value, deviation | None).  An n x n
     witness-free array lives in the rung's workspace slot, and an evaluator's
-    n x n temporaries in the workspace scratch; a complex difference or
-    quotient is still a temporary of its own.
+    n x n temporaries in the workspace scratch.  A complex difference,
+    quotient or product is taken in the scratch viewed as complex; the
+    evaluators that deflate or weight a complex source read the source
+    itself, so the modulus of that temporary goes in the idle slot.
     """
 
     def __init__(self, spec, src, n: int, p, q, beta_k, beta, work: _Workspace):
@@ -254,15 +294,25 @@ class _Rung:
         self.free = spec.free(self, src) if spec.free else src
 
     def _absolute_deviations(self, G, shift):
-        """|G - shift| in the rung's slot; a real difference is taken there too."""
+        """|G - shift| in the rung's slot; a real difference is taken there too, a complex one in the scratch."""
         out = self.work.slot(self.n)
-        real = not (np.iscomplexobj(G) or np.iscomplexobj(shift))
-        return np.abs(np.subtract(G, shift, out=out if real else None), out=out)
+        dtype = np.result_type(G, shift)
+        diff = self.work.scratch(self.n, dtype) if dtype.kind == "c" else out
+        return np.abs(np.subtract(G, shift, out=diff), out=out)
 
     def _deflated(self, M):
-        """(free / M, a float64 scratch for its modulus); a real quotient is taken in the scratch itself."""
+        """(free / M, a float64 array for its modulus): the scratch for both when free is real, else the scratch and the slot."""
         out = self.work.scratch(self.n)
-        return np.divide(self.free, float(M), out=None if np.iscomplexobj(self.free) else out), out
+        if not np.iscomplexobj(self.free):
+            return np.divide(self.free, float(M), out=out), out
+        return np.divide(self.free, float(M), out=self.work.scratch(self.n, self.free.dtype)), self.work.slot(self.n)
+
+    def _subset_columns(self, weights):
+        """The subset column estimate of free weighted by columns; a complex free is weighted in the scratch, its modulus in the slot."""
+        if not np.iscomplexobj(self.free):
+            return subset_estimate(self.free, "columns", weights, out=self.work.scratch(self.n))
+        staged = self.work.scratch(self.n, np.result_type(self.free, np.float64))
+        return subset_estimate(self.free, "columns", weights, out=self.work.slot(self.n), staged=staged)
 
     # witness-free arrays, from a dense source or (partial sums) the probe rows' support blocks
     def absolute(self, G):
@@ -361,10 +411,10 @@ class _Rung:
         return float(f[-1]), float(np.max(f[self.win])) if f[self.win].size else 0.0
 
     def deflated_subset_columns(self, L, M):
-        return subset_estimate(self.free, "columns", float(M) ** (-1.0 / self.pk), out=self.work.scratch(self.n)), None
+        return self._subset_columns(float(M) ** (-1.0 / self.pk)), None
 
     def inflated_subset_columns(self, L, M):
-        return subset_estimate(self.free, "columns", float(L) ** (1.0 / self.pk), out=self.work.scratch(self.n)), None
+        return self._subset_columns(float(L) ** (1.0 / self.pk)), None
 
     def subset_rows_conjugate(self, L, M):
         scaled, out = self._deflated(M)
@@ -556,31 +606,42 @@ def _probe_blocks(partial: EPartial) -> list:
     return [(i, block) for i in range(min(_PROBE_ROWS, partial.n)) if (block := partial.support(i)).size]
 
 
-def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> dict:
-    """The sources of every ladder point that the conditions read, keyed by rung, then by source kind.
+def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> tuple[dict, _Workspace]:
+    """The sources of every ladder point that the conditions read, keyed by rung, then by source kind, and the report's workspace.
 
     btilde and a caller-supplied matrix (matrix=, which bypasses the
     composition) are built once, at the top rung, and rung n reads the
     leading n x n block: no entry depends on a later row or column, so the
-    block is bit-identical to a build at n.  E comes from one composition at
-    the top rung, and every other rung solves E from its leading block of A,
-    bit for bit as at n.  Only a "partial" reader gets each rung's probe-row
-    support blocks (:func:`_probe_blocks`), from the leading blocks of the
-    top rung's A and V; without E, no E is solved.
+    block is bit-identical to a build at n.  E comes from one sweep over the
+    whole ladder (:func:`_compose`), every rung bit for bit as a solve at n
+    alone, and each rung's E is a lead region of the workspace, with the
+    sweep's buffer in its slots and scratch.  V is built first, so that its
+    overflow raises before E's, in the last lead region: the top rung's E
+    region, which takes that rung's E only after the probe rows' support
+    blocks (:func:`_probe_blocks`, built for a "partial" reader only, from
+    the leading blocks of the top rung's A and V) have read it, or a region
+    of its own when no E is solved.
     """
     top = ladder[-1]
-    if "E" in kinds and matrix is None:
-        E, partial = e_matrix(A, sys, top)
-        dense, V = partial._A, partial._V
-        sources = {n: {"E": E if n == top else _solve_composed(dense[:n, :n], sys)} for n in ladder}
-    elif "partial" in kinds:
-        dense, V, sources = materialize_matrix(A, top), inverse_kernel(sys, top), {n: {} for n in ladder}
-    else:
+    solve = "E" in kinds and matrix is None
+    if not solve and "partial" not in kinds:
         full = btilde(A, sys, top) if matrix is None else materialize_matrix(matrix, top)
-        return {n: {kind: full[:n, :n] for kind in kinds} for n in ladder}
+        return {n: {kind: full[:n, :n] for kind in kinds} for n in ladder}, _Workspace(ladder, width=1 + np.iscomplexobj(full))
+    dense = materialize_matrix(A, top)
+    dtype = np.result_type(dense.dtype, np.float64) if solve else np.dtype(np.float64)
+    width = dtype.itemsize // 8
+    row = width * sum(ladder) if solve else 0  # a row of the sweep's buffer
+    leads = [width * n * n for n in ladder] if solve else [top * top]
+    work = _Workspace(ladder, leads, width, sweep=top * row)
+    V = inverse_kernel(sys, top, out=work.lead(-1, top))
+    spans = _compose(dense, sys, ladder, work.sweep(top, row)) if solve else ()
+    sources = {n: {} for n in ladder}
     for n in ladder if "partial" in kinds else ():
         sources[n]["partial"] = _probe_blocks(EPartial(dense[:n, :n], V[:n, :n]))
-    return sources
+    for i, (n, cols) in enumerate(zip(ladder, spans)):
+        sources[n]["E"] = work.lead(i, n, dtype)
+        np.copyto(sources[n]["E"], cols.T)
+    return sources, work
 
 
 def _condition_verdict(cond_id, sources, ladder, p, qa, witness_values, work: _Workspace):
@@ -643,8 +704,8 @@ def eval_condition(
     elif (spec.source == "partial" or matrix is None) and (A is None or sys is None):
         what = "the matrix" if spec.source == "btilde" else "A"
         raise ValueError(f"condition {cond_id} needs {what} and a band system")
-    sources = _ladder_sources({spec.source}, A, sys, matrix, ladder)
-    return _condition_verdict(cond_id, sources, ladder, p, qa, DEFAULT_QUANTIFIER_LADDER, _Workspace(ladder))
+    sources, work = _ladder_sources({spec.source}, A, sys, matrix, ladder)
+    return _condition_verdict(cond_id, sources, ladder, p, qa, DEFAULT_QUANTIFIER_LADDER, work)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +763,6 @@ def class_report(
     ladder, qa = _check_inputs(cond_ids, ladder, p, q)
     if A is None or sys is None:
         raise ValueError(f"class {class_id} needs A and a band system")
-    sources = _ladder_sources({_SPECS[cid].source for cid in cond_ids}, A, sys, None, ladder)
-    work = _Workspace(ladder)
+    sources, work = _ladder_sources({_SPECS[cid].source for cid in cond_ids}, A, sys, None, ladder)
     verdicts = tuple(_condition_verdict(cid, sources, ladder, p, qa, DEFAULT_QUANTIFIER_LADDER, work) for cid in cond_ids)
     return ClassReport(class_id, verdicts, aggregate_verdict(v.verdict for v in verdicts))

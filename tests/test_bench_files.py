@@ -130,3 +130,15 @@ def test_dual_workspace_claim_holds_on_its_runs():
         q1, q3 = np.percentile(values["parent"], [25, 75])
         parent, change = statistics.median(values["parent"]), statistics.median(values["change"])
         assert change - parent > q3 - q1 and change >= 1.2 * parent, name
+
+
+def test_class_workspace_claim_holds_on_its_runs():
+    # the claim: class_ladder ops_per_s rises by at least 10 % in the median over at least 10 alternating pairs
+    # at seed 0, in each of two rounds, and rises at the held-out seed 3
+    doc = _load(ROOT / "BENCH_class_workspace.json")
+    rounds = (("class_ladder", 10, 1.1), ("class_ladder_round2", 10, 1.1), ("class_ladder_seed3", 4, 1.0))
+    for name, min_pairs, gain in rounds:
+        runs = doc["workloads"][name]["runs"]
+        assert len(runs) >= 2 * min_pairs, name
+        values = {tree: [_value(run, "ops_per_s") for run in runs if run["tree"] == tree] for tree in ("parent", "change")}
+        assert statistics.median(values["change"]) > gain * statistics.median(values["parent"]), name

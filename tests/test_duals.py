@@ -39,6 +39,24 @@ class TestCompanions:
         with pytest.raises(ValueError):
             duals.companion_c(np.ones(4), PLUS, 8)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
+    def test_complex_companion_is_the_broadcast_product_bit_for_bit(self, n, seed):
+        # the complex builder scales V + 0j in place instead of casting V in the product's buffers;
+        # signed zeros in the weights and in V (negative r) must come out the same
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], (2, n))
+        sys = BandSystem(signs[0] * rng.uniform(0.5, 2.0, n), signs[1] * rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
+        w = complex_uniform(rng, n)
+        w.real[rng.random(n) < 0.3] = -0.0
+        w.imag[rng.random(n) < 0.3] = -0.0
+        w[0] = complex(w[0].real, 0.5)  # some imaginary part is nonzero, so C is complex
+        V = band_ops.inverse_kernel(sys, n)
+        C = duals.companion_c(w, sys, n)
+        assert C.dtype == np.complex128
+        assert C.tobytes() == (w[:, None] * V).tobytes()
+        assert duals.companion_d(w, sys, n).tobytes() == np.cumsum(w[:, None] * V, axis=0).tobytes()
+
     def test_companion_c_overflow_raises(self):
         # V of r = 1, s = 4 reaches 4^511 at n = 512, so C = 1e300 V overflows; D is C's column cumsum
         expanding, a = BandSystem.constant(1.0, 4.0, 1.0, 512), np.full(512, 1e300)
@@ -503,6 +521,8 @@ WEIGHT_FAMILIES = {
     "harmonic_sq": lambda k: 1.0 / (k + 1.0) ** 2,
     "ones": np.ones_like,
     "linear": lambda k: k + 1.0,
+    # complex weights: a complex companion, and complex differences, quotients and products per witness
+    "complex_geometric": lambda k: 0.5**k * (1.0 + 0.5j),
 }
 
 
@@ -522,6 +542,11 @@ def test_dual_report_traces_little_beside_its_workspace(monkeypatch, space, dual
 
     monkeypatch.setattr(matclass, "_Workspace", Recorded)
     a = FiniteSeq(WEIGHT_FAMILIES[family](np.arange(n, dtype=np.float64)))
+    if a.values.imag.any() and (space, dual, p) == ("lp", "alpha", 1.0):
+        with pytest.raises(SchemaError):  # S12 is characterized for real weights only
+            duals.dual_report(a, PLUS, ExponentSeq.constant(p, n), space, dual, ladder)
+        assert blocks == []
+        return
     tracemalloc.start()
     try:
         duals.dual_report(a, PLUS, ExponentSeq.constant(p, n), space, dual, ladder)

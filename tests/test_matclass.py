@@ -1,9 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqcore import band_ops, matclass
+from seqcore import band_ops, duals, matclass
 from seqcore.generators import GeneratorSpec, make_matrix, materialize_matrix, random_band_system, rng_from_seed
 from seqcore.io import canonical_dumps
 from seqcore.ladder import window
@@ -293,6 +296,76 @@ class TestEMatrixOverflow:
         with pytest.raises(OverflowError):
             matclass.e_matrix(A, EXPANDING, 400)
 
+    @pytest.mark.parametrize(
+        "A, ladder",
+        [
+            pytest.param("cesaro", (16, 513), id="kernel"),
+            pytest.param(2.0**300 * materialize_matrix("cesaro", 400), (200, 400), id="composition"),
+        ],
+    )
+    def test_class_report_raises_the_same_overflow(self, A, ladder):
+        with pytest.raises(OverflowError) as alone:
+            matclass.e_matrix(A, EXPANDING, ladder[-1])
+        with pytest.raises(OverflowError) as report:
+            matclass.class_report(A, "sinf:c0", EXPANDING, p=ExponentSeq.constant(1.0, ladder[-1]), ladder=ladder)
+        assert str(report.value) == str(alone.value)
+
+
+def _column_solve(dense: np.ndarray, sys: BandSystem) -> np.ndarray:
+    """E of one truncation by the bidiagonal recurrence, last column first, on a transposed copy of dense.
+
+    E[:, k] = (alpha_k / r_k) (dense[:, k] - (s_k / alpha_{k+1}) E[:, k+1]), each
+    step three float ufuncs over one row of the copy (a complex one viewed as
+    float pairs): the per-rung solve that the one sweep must reproduce.
+    """
+    r, s, a = sys.params(dense.shape[0])
+    cols = np.array(dense.T, dtype=np.result_type(dense.dtype, np.float64), order="C")
+    work = cols.view(np.float64)
+    scale, carry = (a / r).tolist(), (s[:-1] / a[1:]).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        work[-1] *= scale[-1]
+        for k in reversed(range(len(carry))):
+            step = work[k + 1] * carry[k]
+            np.subtract(work[k], step, out=work[k])
+            np.multiply(work[k], scale[k], out=work[k])
+    return np.ascontiguousarray(cols.T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rungs=st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
+    rows=st.sampled_from(["full", "lower"]),
+    field=st.sampled_from(["real", "complex"]),
+    signs=st.sampled_from(["negative", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_sweep_matches_per_rung_solves_bit_for_bit(rungs, rows, field, signs, seed):
+    # every rung's E from the one sweep equals e_matrix at that rung, and both equal the per-rung recurrence,
+    # bit for bit: full and lower-triangular rows, -0.0 entries, and negative carries s_k / alpha_{k+1}
+    ladder = tuple(sorted(rungs))
+    top = ladder[-1]
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, (top, top))
+    zero = -0.0
+    if field == "complex":
+        A = A + 1j * rng.uniform(-1.0, 1.0, (top, top))
+        zero = complex(-0.0, -0.0)
+    A[rng.random((top, top)) < 0.2] = zero
+    if rows == "lower":
+        A[np.triu_indices(top, 1)] = zero
+    s = rng.uniform(0.3, 2.0, top) * (-1.0 if signs == "negative" else rng.choice([-1.0, 1.0], top))
+    sys = BandSystem(rng.uniform(0.5, 2.5, top) * rng.choice([-1.0, 1.0], top), s, rng.uniform(0.5, 2.0, top))
+    sources, _ = matclass._ladder_sources({"E", "partial"}, A, sys, None, ladder)
+    for n in ladder:
+        E, partial = matclass.e_matrix(A, sys, n)
+        swept = sources[n]["E"]
+        assert swept.dtype == E.dtype and swept.flags.c_contiguous
+        assert swept.tobytes() == E.tobytes() == _column_solve(A[:n, :n], sys).tobytes()
+        blocks = matclass._probe_blocks(partial)
+        assert [i for i, _ in sources[n]["partial"]] == [i for i, _ in blocks]
+        for (_, got), (_, want) in zip(sources[n]["partial"], blocks):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestEvalCondition:
     def test_row_sum_condition_on_cesaro_rows(self):
@@ -329,7 +402,7 @@ class TestEvalCondition:
         def unused(*args):
             raise AssertionError("E solved for a partial-sum condition")
 
-        monkeypatch.setattr(matclass, "_solve_composed", unused)
+        monkeypatch.setattr(matclass, "_compose", unused)
         p = ExponentSeq.constant(2.0, 128)
         for cid in ("mt23", "mt25", "mt26", "mt27", "mt28"):
             matclass.eval_condition(cid, A="cesaro", sys=DELTA, p=p, q=np.full(128, 1.5), ladder=LADDER)
@@ -463,8 +536,8 @@ class TestClassReport:
     @pytest.mark.parametrize(
         "class_id, builder, matrix",
         [
-            pytest.param("sc:c_q", "e_matrix", "cesaro", id="sc:c_q-e_matrix"),
-            pytest.param("sc:c_q", "e_matrix", "dense", id="sc:c_q-e_matrix-dense"),
+            pytest.param("sc:c_q", "_compose", "cesaro", id="sc:c_q-sweep"),
+            pytest.param("sc:c_q", "_compose", "dense", id="sc:c_q-sweep-dense"),
             pytest.param("st:sc_reg", "btilde", "cesaro", id="st:sc_reg-btilde"),
         ],
     )
@@ -473,7 +546,7 @@ class TestClassReport:
         p = ExponentSeq.constant(2.0, 64)
         q = np.full(64, 1.5)
         A = "cesaro" if matrix == "cesaro" else rng_from_seed(6).uniform(-1.0, 1.0, (64, 64))
-        calls = {"e_matrix": 0, "btilde": 0}
+        calls = {"e_matrix": 0, "_compose": 0, "btilde": 0}
         for name in calls:
             original = getattr(matclass, name)
 
@@ -483,8 +556,8 @@ class TestClassReport:
 
             monkeypatch.setattr(matclass, name, counted)
         report = matclass.class_report(A, class_id, DELTA, p=p, q=q, ladder=ladder)
-        # btilde and E are built once at the top rung; lower rungs slice btilde and
-        # solve E from the leading block of A, whatever A's shape
+        # btilde is built once at the top rung and lower rungs slice it; one sweep solves
+        # E for every rung from its leading block of A, whatever A's shape
         assert calls[builder] == 1
         assert sum(calls.values()) == 1
         for cond in report.conditions:
@@ -564,12 +637,12 @@ def _lower_triangular_inputs(n: int) -> dict:
 
 
 def _per_rung_sources(kinds, A, sys, matrix, ladder):
-    """E and its probe rows' support blocks composed at every rung through the public builder."""
+    """E and its probe rows' support blocks composed at every rung through the public builder, and a workspace."""
     sources = {}
     for n in ladder:
         E, partial = matclass.e_matrix(A, sys, n)
         sources[n] = {"E": E, "partial": matclass._probe_blocks(partial)}
-    return sources
+    return sources, matclass._Workspace(ladder, width=2 if np.iscomplexobj(E) else 1)
 
 
 E_CLASSES = [cid for cid, ids in matclass.CLASS_RULES.items() if matclass.CONDITIONS[ids[0]].source in ("E", "partial")]
@@ -584,7 +657,7 @@ class TestComposedSources:
         n_top = self.LADDER[-1]
         sys = BandSystem.constant(-1.0, 1.0, 1.0, n_top) if system == "constant" else random_band_system(rng_from_seed(7), n_top)
         A = _lower_triangular_inputs(n_top)[kind]
-        sources = matclass._ladder_sources({"E", "partial"}, A, sys, None, self.LADDER)
+        sources, _ = matclass._ladder_sources({"E", "partial"}, A, sys, None, self.LADDER)
         for n in self.LADDER:
             E, partial = matclass.e_matrix(A, sys, n)
             assert np.array_equal(sources[n]["E"], E)
@@ -659,3 +732,84 @@ def test_density_set_family_has_vanishing_density():
     for name, mask in matclass.default_density_sets(4096):
         dens = natural_density(mask, (512, 1024, 2048, 4096))
         assert dens.values[-1][1] < dens.values[0][1] < 0.2
+
+
+# beside its block and A's materialized copy, a class report's largest allocation is a condition's own
+# temporary: 4.3's window deviations (64 x 256 doubles, twice) or a ufunc's cast buffers
+CLASS_TRACE_BOUND = 320 * 1024
+
+
+@pytest.mark.parametrize("class_id", sorted(matclass.CLASS_RULES))
+@pytest.mark.parametrize("matrix", ["cesaro", "dense"])
+def test_class_report_traces_little_beside_its_workspace(monkeypatch, matrix, class_id):
+    # E per rung, V and the sweep's buffer live in the report's one block; btilde and the probe rows'
+    # support blocks (at most 8 x 8 on these lower-triangular inputs) are arrays of their own
+    n, ladder = 256, (64, 128, 256)
+    sys = BandSystem.constant(2.0, 0.8, 1.2, n)
+    p, q = ExponentSeq.constant(2.0, n), np.full(n, 1.5)
+    dense = np.tril(rng_from_seed(0).uniform(0.0, 2.0, (n, n))) / np.arange(1.0, n + 1.0)[:, None]
+    A = "cesaro" if matrix == "cesaro" else dense
+    blocks = []
+    original = matclass._Workspace
+
+    class Recorded(original):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            blocks.append(self._block.nbytes)
+
+    monkeypatch.setattr(matclass, "_Workspace", Recorded)
+    matclass.class_report(A, class_id, sys, p=p, q=q, ladder=ladder)  # first calls import and cache what they use
+    blocks.clear()
+    tracemalloc.start()
+    try:
+        matclass.class_report(A, class_id, sys, p=p, q=q, ladder=ladder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (block,) = blocks
+    if matclass.CONDITIONS[matclass.CLASS_RULES[class_id][0]].source != "btilde":
+        assert block >= 2 * sum(m * m for m in ladder) * 8  # each rung's E and its slot
+    assert peak <= block + n * n * 8 + CLASS_TRACE_BOUND
+
+
+# evaluator -> its value at witness B computed on fresh arrays (G the complex source, pk and conj the exponents)
+FRESH_COMPLEX = {
+    "deflated_subset_columns": lambda G, B, pk, conj: duals.subset_estimate(G, "columns", float(B) ** (-1.0 / pk)),
+    "inflated_subset_columns": lambda G, B, pk, conj: duals.subset_estimate(G, "columns", float(B) ** (1.0 / pk)),
+    "subset_rows_conjugate": lambda G, B, pk, conj: duals.subset_estimate(G / float(B), "rows", None, conj),
+    "power_rows_conjugate": lambda G, B, pk, conj: duals.power_row_sup(G / float(B), conj),
+}
+
+
+@pytest.mark.parametrize("n", [16, 48], ids=["exact", "bound"])
+@pytest.mark.parametrize("evaluator", sorted(FRESH_COMPLEX))
+def test_complex_witness_temporaries_in_the_workspace_match_fresh_arrays(evaluator, n):
+    # a complex quotient or weighted product is staged in the scratch and its modulus taken in the slot:
+    # the value is that of the functional on fresh arrays, bit for bit, whatever the block held before
+    rng = rng_from_seed(11)
+    G = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    G[rng.random((n, n)) < 0.2] = complex(-0.0, -0.0)
+    p = ExponentSeq(1.5 + rng.uniform(0.0, 1.5, n))
+    work = matclass._Workspace([n], width=2)
+    work._block.fill(np.nan)
+    spec = next(spec for spec in matclass.DUAL_CONDITIONS.values() if spec.evaluate is getattr(matclass._Rung, evaluator))
+    rung = matclass._Rung(spec, G, n, p, None, np.zeros(n), None, work)
+    for B in (2, 16, 256):
+        got, _ = getattr(rung, evaluator)(B, B)
+        assert np.float64(got).tobytes() == np.float64(FRESH_COMPLEX[evaluator](G, B, p.p, p.conjugate())).tobytes()
+
+
+@pytest.mark.parametrize("builder", ["deviations", "lower_deviations"])
+def test_complex_deviations_in_the_workspace_match_fresh_arrays(builder):
+    n = 48
+    rng = rng_from_seed(12)
+    G = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    beta_k = G[-1].copy()
+    work = matclass._Workspace([n], width=2)
+    work._block.fill(np.nan)
+    spec = matclass.DUAL_CONDITIONS["S5"]
+    rung = matclass._Rung(spec, G, n, ExponentSeq.constant(2.0, n), None, beta_k, None, work)
+    fresh = np.abs(G - beta_k[None, :])
+    if builder == "lower_deviations":
+        fresh = np.tril(fresh)
+    assert getattr(rung, builder)(G).tobytes() == fresh.tobytes()
