@@ -9,7 +9,8 @@ and quartiles of each tree, the ratio of the medians, and the pairs whose
 change run made more ops per second than their parent run.  The workload goes
 in the file under ``--name`` (default W, or W_seedN for a seed other than
 0); an existing file keeps its other workloads, so one file can collect
-several invocations.  The first workload written with two pairs or more
+several invocations of one parent.  The parent's commit is read from
+PARENT_DIR, which must be a git checkout.  The first workload written with two pairs or more
 also gives the file's ``aa_spread``: the gaps between the back-to-back runs
 of one tree (runs 1 and 2, 3 and 4, ...).
 
@@ -19,7 +20,7 @@ directories must have paths of equal length; the script refuses others.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
        [--seed 0] [--pairs 10] [--seconds 8] --out BENCH_<label>.json
-       [--name NAME] [--change TEXT] [--parent-commit SHA]
+       [--name NAME] [--change TEXT]
 """
 
 import argparse
@@ -89,7 +90,6 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--name", help="the workload's key in the file")
     parser.add_argument("--change", help="what the change tree changes (kept from the file when omitted)")
-    parser.add_argument("--parent-commit", help="the parent tree's commit (default: git rev-parse HEAD in PARENT_DIR)")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -106,12 +106,12 @@ def main() -> int:
         )
 
     old = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
-    commit = args.parent_commit or old.get("parent_commit")
-    if commit is None:
-        git = subprocess.run(["git", "-C", str(trees["parent"]), "rev-parse", "HEAD"], stdout=subprocess.PIPE, text=True)
-        if git.returncode:
-            parser.error("no --parent-commit given and PARENT_DIR is not a git checkout")
-        commit = git.stdout.strip()
+    git = subprocess.run(["git", "-C", str(trees["parent"]), "rev-parse", "HEAD"], stdout=subprocess.PIPE, text=True)
+    if git.returncode:
+        parser.error(f"parent directory {trees['parent']} is not a git checkout")
+    commit = git.stdout.strip()
+    if old.get("parent_commit", commit) != commit:
+        parser.error(f"{args.out} records runs of parent {old['parent_commit']}, not {commit}")
 
     runs = []
     for pair in range(args.pairs):

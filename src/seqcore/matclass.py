@@ -37,7 +37,9 @@ rung and hands them to every condition: btilde once at the largest
 truncation, sliced per ladder point, and E for every ladder point in one
 backward sweep (:func:`_compose`): T is lower bidiagonal, so rung n solves
 E T = A on the leading n x n block of A in O(n^2), and the sweep runs every
-rung's solve at once, each entry through the ufuncs of its own rung's solve.
+rung's solve at once, each entry through the ufuncs of its own rung's solve
+(a long ladder whose sweep buffer would outgrow the workspace's slots and
+scratch is swept in a few batches of rungs).
 V is lower triangular, so the partial-sum family of row i is zero from
 column stop_i on (one past the last nonzero of A[i]) and repeats its row
 stop_i - 1 below it; the partial-sum conditions (mt23, mt25-mt28) share each
@@ -102,16 +104,13 @@ _PROBE_COLS = 16
 
 
 def btilde(B, sys: BandSystem, n: int) -> np.ndarray:
-    """Band-transform the rows of B: (r_n B[n] + s_{n-1} B[n-1]) / alpha_n, with one n x n temporary."""
+    """Band-transform the rows of B: (r_n B[n] + s_{n-1} B[n-1]) / alpha_n."""
     dense = materialize_matrix(B, n)
     r, s, a = sys.params(n)
     out = np.empty_like(dense, dtype=np.result_type(dense.dtype, np.float64))
     out[0] = r[0] * dense[0] / a[0]
     if n > 1:
-        rows = out[1:]
-        np.multiply(r[1:, None], dense[1:], out=rows)
-        np.add(rows, s[:-1, None] * dense[:-1], out=rows)
-        np.divide(rows, a[1:, None], out=rows)
+        out[1:] = (r[1:, None] * dense[1:] + s[:-1, None] * dense[:-1]) / a[1:, None]
     return out
 
 
@@ -231,9 +230,8 @@ class _Workspace:
     for the temporaries of one witness, wide enough for a complex n x n
     array when ``width`` is 2.  Conditions run one after another, and each
     reuses the slots and the scratch.  Until the first one runs, the slots
-    and the scratch together hold a class report's sweep buffer
-    (:func:`_compose`, at least ``sweep`` float64s; the scratch grows when
-    the buffer needs more).  Every region starts a multiple of 64 bytes into
+    and the scratch together (``room`` float64s) hold a class report's sweep
+    buffer (:func:`_compose`).  Every region starts a multiple of 64 bytes into
     the block, and its views are C-contiguous like the fresh arrays they
     replace, so the ufuncs and reductions that fill and read them give the
     same bits.  With no other large array live beside it, freeing the block
@@ -242,14 +240,14 @@ class _Workspace:
     faulting them back in.
     """
 
-    def __init__(self, ladder, leads=(), width: int = 1, sweep: int = 0):
-        slots = [-(-n * n // 8) * 8 for n in ladder]
-        sizes = [*leads, *slots, max(width * ladder[-1] ** 2, sweep - sum(slots))]
+    def __init__(self, ladder, leads=(), width: int = 1):
+        sizes = [*leads, *(n * n for n in ladder), width * ladder[-1] ** 2]
         starts = np.cumsum([0] + [-(-size // 8) * 8 for size in sizes]).tolist()
         self._block = np.empty(starts[-1])
         self._leads = starts[: len(leads)]
         self._slots = dict(zip(ladder, starts[len(leads) : -2]))
         self._scratch = starts[-2]
+        self.room = starts[-1] - starts[len(leads)]
 
     def _view(self, start: int, n: int, dtype=np.float64) -> np.ndarray:
         size = n * n * np.dtype(dtype).itemsize // 8
@@ -268,7 +266,7 @@ class _Workspace:
         return self._view(self._scratch, n, dtype)
 
     def sweep(self, rows: int, cols: int) -> np.ndarray:
-        """The slots and the scratch as one rows x cols float64 array, for a class report's sweep buffer."""
+        """The slots and the scratch as one rows x cols float64 array, rows * cols at most ``room``, for a class report's sweep buffer."""
         start = self._slots[min(self._slots)]
         return self._block[start : start + rows * cols].reshape(rows, cols)
 
@@ -606,21 +604,39 @@ def _probe_blocks(partial: EPartial) -> list:
     return [(i, block) for i in range(min(_PROBE_ROWS, partial.n)) if (block := partial.support(i)).size]
 
 
+def _sweep_batches(ladder, width: int, room: int) -> list:
+    """The ladder's rungs in batches whose sweep buffers (top rung x width * sum of rungs) take at most room float64s.
+
+    Rungs join a batch from the largest down while its buffer fits; a rung
+    alone fits when room holds width * top^2.  Batches and the rungs in
+    each are in ladder order, so the top rung's batch is the last.
+    """
+    batches = []
+    for n in reversed(ladder):
+        if batches and batches[-1][0] * width * (sum(batches[-1]) + n) <= room:
+            batches[-1].append(n)
+        else:
+            batches.append([n])
+    return [batch[::-1] for batch in reversed(batches)]
+
+
 def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> tuple[dict, _Workspace]:
     """The sources of every ladder point that the conditions read, keyed by rung, then by source kind, and the report's workspace.
 
     btilde and a caller-supplied matrix (matrix=, which bypasses the
     composition) are built once, at the top rung, and rung n reads the
     leading n x n block: no entry depends on a later row or column, so the
-    block is bit-identical to a build at n.  E comes from one sweep over the
-    whole ladder (:func:`_compose`), every rung bit for bit as a solve at n
-    alone, and each rung's E is a lead region of the workspace, with the
-    sweep's buffer in its slots and scratch.  V is built first, so that its
-    overflow raises before E's, in the last lead region: the top rung's E
-    region, which takes that rung's E only after the probe rows' support
-    blocks (:func:`_probe_blocks`, built for a "partial" reader only, from
-    the leading blocks of the top rung's A and V) have read it, or a region
-    of its own when no E is solved.
+    block is bit-identical to a build at n.  E comes from sweeps over the
+    ladder (:func:`_compose`), every rung bit for bit as a solve at n alone,
+    and each rung's E is a lead region of the workspace, with the sweep's
+    buffer in its slots and scratch: one sweep when the buffer fits there,
+    else a few over batches of rungs (:func:`_sweep_batches`), so the block
+    is never larger for it.  V is built first, so that its overflow raises
+    before E's, in the last lead region: the top rung's E region, which
+    takes that rung's E only after the probe rows' support blocks
+    (:func:`_probe_blocks`, built for a "partial" reader only, from the
+    leading blocks of the top rung's A and V) have read it, or a region of
+    its own when no E is solved.
     """
     top = ladder[-1]
     solve = "E" in kinds and matrix is None
@@ -630,16 +646,18 @@ def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> tuple[dict, _Workspac
     dense = materialize_matrix(A, top)
     dtype = np.result_type(dense.dtype, np.float64) if solve else np.dtype(np.float64)
     width = dtype.itemsize // 8
-    row = width * sum(ladder) if solve else 0  # a row of the sweep's buffer
     leads = [width * n * n for n in ladder] if solve else [top * top]
-    work = _Workspace(ladder, leads, width, sweep=top * row)
+    work = _Workspace(ladder, leads, width)
     V = inverse_kernel(sys, top, out=work.lead(-1, top))
-    spans = _compose(dense, sys, ladder, work.sweep(top, row)) if solve else ()
-    sources = {n: {} for n in ladder}
+    sources = {n: {"E": work.lead(i, n, dtype)} if solve else {} for i, n in enumerate(ladder)}
+    spans = []
+    for batch in _sweep_batches(ladder, width, work.room) if solve else ():  # the top rung's batch comes last
+        for n, cols in spans:
+            np.copyto(sources[n]["E"], cols.T)
+        spans = list(zip(batch, _compose(dense, sys, batch, work.sweep(batch[-1], width * sum(batch)))))
     for n in ladder if "partial" in kinds else ():
         sources[n]["partial"] = _probe_blocks(EPartial(dense[:n, :n], V[:n, :n]))
-    for i, (n, cols) in enumerate(zip(ladder, spans)):
-        sources[n]["E"] = work.lead(i, n, dtype)
+    for n, cols in spans:
         np.copyto(sources[n]["E"], cols.T)
     return sources, work
 
