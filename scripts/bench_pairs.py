@@ -10,9 +10,9 @@ change run made more ops per second than their parent run.  The workload goes
 in the file under ``--name`` (default W, or W_seedN for a seed other than
 0); an existing file keeps its other workloads, so one file can collect
 several invocations of one parent.  The parent's commit is read from
-PARENT_DIR, which must be a git checkout.  The first workload written with two pairs or more
-also gives the file's ``aa_spread``: the gaps between the back-to-back runs
-of one tree (runs 1 and 2, 3 and 4, ...).
+PARENT_DIR, which must be a git checkout.  The first workload written with
+two pairs or more also gives the file's ``aa_spread``: the gaps between the
+back-to-back runs of one tree (runs 1 and 2, 3 and 4, ...).
 
 A workload's heap layout, and with it its page faults and up to a quarter
 of its speed, moves with the length of the checkout's path, so the two
