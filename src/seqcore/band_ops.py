@@ -16,7 +16,7 @@ recurrence), which is the numerically preferred path; the tests keep the
 explicit series through V as an independent cross-check.
 
 Forward substitution is serial, but on a long contracting system it runs on
-blocks of _BLOCK steps at once and still gives the serial loop's bits.  Pass
+blocks of _BLOCK steps at once and still gives the serial loop's values.  Pass
 1 starts each block from the last serial value; a contracting block forgets
 that start to below an ulp.  Pass 2 restarts each block from pass 1's end of
 the block before.  The result is kept only at a fixed point: every pass-2
@@ -28,13 +28,15 @@ every block, then the imaginary parts.  s and r are stored once per step, as
 one plane that numpy broadcasts over the outer (plane) axis, so each ufunc's
 inner loop still runs over contiguous blocks.  The lanes a y, s, r and x
 thus take 48 bytes per term, not the 64 of (real, imaginary) pairs with s
-and r written into both places of each pair.  CPython promotes a
-float operand of complex arithmetic to complex(f, 0.0), which adds +-0 terms
-to every product and quotient.  They only sign zeros, and only a -0.0 part
-of a y lets such a sign through: a y - s x is a y when a y is nonzero and +0
-when a y is +0, whatever the sign of a zero s x, and +0 plus or minus a zero
-is +0.  So without a -0.0 in a y the three ufuncs round as the loop does.
-Input with a -0.0 in a y, and any other system, runs the serial loop.
+and r written into both places of each pair.  Any other system, and a block
+run that fails the fixed-point check, runs the serial loop.
+
+Zero contract: the blocked path equals the serial loop up to the sign of
+zero parts, which :mod:`seqcore.io` renders as 0.  CPython 3.11 to 3.13
+promote a float operand of complex arithmetic to complex(f, 0.0), which adds
++-0 terms to every product and quotient of the loop; the float ufuncs leave
+them out.  Such a term can change only the sign of a zero result, so every
+nonzero bit and the position of every zero match on any interpreter.
 
 Accuracy convention: products of the band ratios s_i/r_i act as the condition
 measure for everything here.  Residuals of identities that cancel huge
@@ -92,7 +94,7 @@ def inverse_transform(y, sys: BandSystem) -> FiniteSeq:
     Solves r_k x_k + s_{k-1} x_{k-1} = alpha_k y_k in index order, which is
     the stable evaluation of the inverse series.  Long contracting systems go
     through _blocked_substitute, every other system through _substitute; both
-    give the same bits.
+    give the same bits up to the sign of zero parts.
     """
     y = FiniteSeq.coerce(y)
     r, s, a = sys.params(y.n)
@@ -124,11 +126,6 @@ _MIN_BLOCKED_N = 18 * _BLOCK
 _CHECK_EVERY = 16
 # a block must shrink the error of its pass-1 start by 2**-60 (below an ulp) to meet the serial values
 _MIN_LOG_CONTRACTION = 60.0 * math.log(2.0)
-# CPython 3.11 promotes a float operand of complex arithmetic to complex(f, 0.0), so
-# 1.0 * (-0.0 - 1j) has real part -0.0 - 0.0 * -1.0 = +0.0; a real-times-complex rule gives -0.0
-_PROMOTES = math.copysign(1.0, (1.0 * complex(-0.0, -1.0)).real) > 0.0
-# -0.0 read as an int64 (the sign bit alone); a y with such a part runs _substitute
-_NEGATIVE_ZERO = np.iinfo(np.int64).min
 
 
 def _fast_step(x: np.ndarray, s: np.ndarray, ay: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
@@ -139,16 +136,15 @@ def _fast_step(x: np.ndarray, s: np.ndarray, ay: np.ndarray, r: np.ndarray, out:
 
 
 def _blocked_substitute(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray) -> np.ndarray | None:
-    """_substitute's result, bit for bit, from numpy rows run over all blocks at once; None to fall back.
+    """_substitute's result up to the sign of zero parts, from numpy rows run over all blocks at once; None to fall back.
 
     The first 1 + (n - 1) % _BLOCK values x_0..x_h come from _substitute, and
     _solve_blocks computes the others in blocks of _BLOCK consecutive steps.
-    None when n < _MIN_BLOCKED_N, when the interpreter does not promote floats
-    to complex, when a block after the first has a ratio walk sum
-    log|s_{k-1}/r_k| above -60 ln 2, or when _solve_blocks gives up.
+    None when n < _MIN_BLOCKED_N, when a block after the first has a ratio
+    walk sum log|s_{k-1}/r_k| above -60 ln 2, or when _solve_blocks gives up.
     """
     n = yv.size
-    if n < _MIN_BLOCKED_N or not _PROMOTES:
+    if n < _MIN_BLOCKED_N:
         return None
     h = (n - 1) % _BLOCK  # the head x_0..x_h is serial; step k of the blocks solves for x_k, k > h
     nb = (n - 1) // _BLOCK
@@ -188,14 +184,11 @@ def _solve_blocks(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray, s
     keeps pass 1's rows.  If every pass-2 start equals pass 2's end of the
     block before, pass 2 is the serial chain from start.
 
-    _fast_step leaves out the +-0 terms of CPython's complex arithmetic, which
-    only sign zeros.  Those of a y change only a -0.0 part.  Those of s x can
-    sign a zero product otherwise, but s x enters only a y - s x, which is a y
-    when a y is nonzero and +0 when a y is +0.  So without a -0.0 in a y no
-    a y - s x is -0.0, and the +-0 terms of the quotient meet a nonzero number
-    or +0, which they leave as it is (+0 + -0 = +0 - +0 = +0).  None when a
-    part of the float product a y is -0.0, when a value is not finite or when
-    the fixed-point check fails.
+    Both checks compare values, not bits: _fast_step maps inputs that differ
+    only in the signs of zeros to outputs that differ only there, so pass 2
+    equals the serial chain up to the sign of zero parts, the contract of
+    the module docstring.  None when a value is not finite or when the
+    fixed-point check fails.
     """
     nb = yv.size // _BLOCK
     by_step = a.reshape(nb, _BLOCK).T
@@ -208,8 +201,6 @@ def _solve_blocks(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray, s
     ay[:, 1] = yv.reshape(nb, _BLOCK).T.imag
     ay[:, 0] *= by_step
     ay[:, 1] *= by_step
-    if (ay.view(np.int64) == _NEGATIVE_ZERO).any():
-        return None
     lanes[2] = s.reshape(nb, _BLOCK).T  # row j holds step j of every block
     lanes[3] = r.reshape(nb, _BLOCK).T
     rows = list(zip(lanes[2], ay, lanes[3]))
@@ -229,11 +220,11 @@ def _solve_blocks(r: np.ndarray, s: np.ndarray, a: np.ndarray, yv: np.ndarray, s
             _fast_step(prev, *rows[j], xs[j])
         else:
             _fast_step(prev, *rows[j], row)
-            if np.array_equal(row.view(np.int64), xs[j].view(np.int64)):
+            if np.array_equal(row, xs[j]):
                 break  # pass 1's later rows are what pass 2 would compute
             xs[j] = row
         prev = xs[j]
-    if not np.array_equal(ends[:, :-1].view(np.int64), xs[-1, :, :-1].view(np.int64)) or not np.isfinite(xs).all():
+    if not np.array_equal(ends[:, :-1], xs[-1, :, :-1]) or not np.isfinite(xs).all():
         return None
     return xs
 
@@ -372,9 +363,11 @@ def z_vector(sys: BandSystem, n: int) -> FiniteSeq:
 
 
 def tail_paranorm(y, p: ExponentSeq, n: int) -> float:
-    """sup_{k > n} |y_k|^(p_k/M); zero when the tail is empty."""
+    """sup_{k > n} |y_k|^(p_k/M); zero when the tail is empty, IndexError when n < 0."""
     y = FiniteSeq.coerce(y)
     p.require_length(y.n)
+    if n < 0:
+        raise IndexError(f"tail cutoff {n} is negative")
     if n >= y.n - 1:
         return 0.0
     tail = np.abs(y.values[n + 1 :])

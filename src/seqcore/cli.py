@@ -9,8 +9,9 @@ produce byte-identical output.
 Exit codes: 0 all verdicts hold / inclusion true / computation done, 1 some
 verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
 unreadable input or schema violation (including invalid generator values,
-non-integer lists, non-numeric tolerances, density tolerances outside (0, 1),
-non-positive exponents, exponent lists shorter than the largest truncation,
+sequence values or dense matrix entries that are not finite numbers, ragged
+dense matrices, non-integer lists, non-numeric tolerances, density
+tolerances outside (0, 1), non-positive exponents, exponent lists shorter than the largest truncation,
 truncations below 1, B ladders that are empty or hold a B <= 1, cutoffs
 outside [0, n), sup paranorms with some p_k <= 1e-9, a missing p or q, an
 unknown (space, dual) pair, exponents on both sides of 1 where the dual rules

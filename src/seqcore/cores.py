@@ -32,12 +32,13 @@ keep the candidates of _extreme_candidates: the values not inside the
 polygon Q of the extremes in eight directions by more than a margin that
 exceeds the rounding of the chain's orientation test and of |x_k - z| for
 the probes at hand, deduplicated by one sort (_distinct), not by hashing.
-The sort is of the float real parts unless a -0.0 part or real parts tied
-under different imaginary parts need the complex sort, and it gives
-numpy's unique bytes either way.  The regions render the same bytes as from
-every window value; a degenerate Q keeps every distinct value.  A hull
-whose points share one x or one y is the segment between its two
-lexicographic extremes, returned without running the chain.
+The sort is of the float real parts unless real parts tied under different
+imaginary parts need the complex sort.  Zero contract: it gives numpy's
+unique bytes up to the sign of zero parts, which :mod:`seqcore.io` renders
+as 0, so the regions render the same bytes as from every window value; a
+degenerate Q keeps every distinct value.  A hull whose points share one x
+or one y is the segment between its two lexicographic extremes, returned
+without running the chain.
 
 The disc intersection is evaluated through its support envelope
 h(u) = min_z (z . u + radius(z)) over a finite z set, then canonicalized by
@@ -61,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .band_ops import _NEGATIVE_ZERO, forward_transform
+from .band_ops import forward_transform
 from .generators import materialize_matrix
 from .ladder import truncation_ladder
 from .types import BandSystem, FiniteSeq
@@ -135,19 +136,18 @@ def _distinct(vals: np.ndarray, return_counts: bool = False):
     """The distinct complex values in (real, imag) order, and their counts if asked.
 
     The sort branch of numpy's unique: one sort, then each value that differs from
-    the one before it.  +-0.0 parts compare equal, so the copy that sorts first
-    stands for both; a window with a -0.0 part keeps the complex sort, which
-    decides that copy as numpy does.  In any other window equal values are
-    bitwise equal, so any lexicographic order gives numpy's bytes, and the
+    the one before it.  Equal values are bitwise equal up to the sign of zero
+    parts, so any lexicographic order gives numpy's values and counts, and the
     float real parts (which numpy sorts with SIMD kernels) give it: their sort
-    alone when every imaginary part is +0.0, else their argsort, accepted when
-    no two neighbours with equal real parts differ in imaginary part.  Window
-    values are finite (FiniteSeq rejects NaN), so no NaN needs merging.
+    alone when every imaginary part is zero, else their argsort, accepted when
+    no two neighbours with equal real parts differ in imaginary part.  +-0.0
+    parts compare equal, so the copy that sorts first stands for both, and the
+    sign of its zeros may differ from numpy's: the zero contract of the module
+    docstring.  Window values are finite (FiniteSeq rejects NaN), so no NaN
+    needs merging.
     """
     re, im = vals.real, vals.imag
-    if (re.view(np.int64) == _NEGATIVE_ZERO).any() or (im.view(np.int64) == _NEGATIVE_ZERO).any():
-        s = np.sort(vals)
-    elif not im.any():
+    if not im.any():
         s = np.sort(re)
     else:
         s = vals[np.argsort(re)]

@@ -119,10 +119,12 @@ def seq_from_spec(spec, n: int | None = None) -> FiniteSeq:
         pairs = spec["values"]
         try:
             vals = np.array([complex(p[0], p[1]) for p in pairs])
-        except (TypeError, IndexError) as exc:
+        except (TypeError, IndexError, KeyError) as exc:
             raise SchemaError("sequence values must be [re, im] pairs") from exc
-        if n is not None and vals.size < n:
-            raise SchemaError(f"sequence has {vals.size} values, need {n}")
+        if n is not None and not 1 <= n <= vals.size:
+            raise SchemaError(f"sequence has {vals.size} values, cannot serve length {n}")
+        if not np.isfinite(vals).all():
+            raise SchemaError("sequence values must be finite")
         return FiniteSeq(vals[:n] if n is not None else vals)
     if isinstance(spec, str) or (isinstance(spec, dict) and "generator" in spec):
         name, params = _generator(spec)
@@ -167,9 +169,14 @@ def system_from_spec(spec, length: int) -> BandSystem:
 def matrix_from_spec(spec, n: int):
     """Matrix argument for class checks: dense block, generator document, or shorthand."""
     if isinstance(spec, dict) and "dense" in spec:
-        dense = np.asarray(spec["dense"], dtype=np.float64)
+        try:
+            dense = np.asarray(spec["dense"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"dense matrix must be rows of numbers of one length: {exc}") from exc
         if dense.ndim != 2 or dense.shape[0] < n or dense.shape[1] < n:
             raise SchemaError(f"dense matrix smaller than requested truncation {n}")
+        if not np.isfinite(dense).all():
+            raise SchemaError("dense matrix entries must be finite")
         return dense
     if isinstance(spec, str) or (isinstance(spec, dict) and "generator" in spec):
         name, params = _generator(spec)

@@ -228,6 +228,11 @@ def _bits(call) -> str:
         return f"raises {type(exc).__name__}"
 
 
+def _canonical(values) -> bytes:
+    """The complex128 bytes of values with every -0.0 part made +0.0, as io renders them: the blocked path's contract."""
+    return (np.asarray(values, dtype=np.complex128) + 0.0).tobytes()
+
+
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
 _ANY_FLOAT = st.one_of(st.sampled_from(_SPECIAL), st.floats())
 _FINITE = st.one_of(st.sampled_from([v for v in _SPECIAL if np.isfinite(v)]), st.floats(allow_nan=False, allow_infinity=False))
@@ -265,6 +270,10 @@ def test_inverse_transform_matches_indexed_loop_on_long_contracting_system():
     sys = BandSystem(r, rng.uniform(0.1, 0.9, n) * r, rng.uniform(0.5, 2.0, n))
     y = FiniteSeq(complex_uniform(rng, n))
     assert band_ops.inverse_transform(y, sys).values.tobytes() == _indexed_inverse(y, sys).tobytes()
+    # real data written with -0.0 imaginary parts takes the blocked path too
+    y = FiniteSeq(_with_zero_lane(y.values, -0.0))
+    x = _blocked(y, sys)
+    assert x is not None and _canonical(x) == _canonical(_indexed_inverse(y, sys))
 
 
 def _contracting_system(rng, n, r_sign=None, s_sign=None, alpha=None):
@@ -276,14 +285,6 @@ def _contracting_system(rng, n, r_sign=None, s_sign=None, alpha=None):
 
 def _blocked(y, sys):
     return band_ops._blocked_substitute(*sys.params(y.n), y.values)
-
-
-def _negative_zero_product(y, sys):
-    """Whether a part of the float product alpha_k y_k is -0.0 at a step k past the serial head."""
-    h = (y.n - 1) % band_ops._BLOCK
-    with np.errstate(over="ignore"):
-        ay = y.values.view(np.float64).reshape(y.n, 2)[h + 1 :] * sys.params(y.n)[2][h + 1 :, None]
-    return bool(np.any((ay == 0.0) & np.signbit(ay)))
 
 
 def _with_zero_lane(y, zero):
@@ -309,7 +310,7 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308, 
 )
 def test_blocked_inverse_matches_indexed_loop_bitwise(seed, n, scale, zero_lane, edges):
     # y has +-0.0, subnormals and values near 1e308 in either lane, or a whole lane of +-0.0;
-    # an overflow raises the same ValueError
+    # bitwise up to the sign of zero parts, and an overflow raises the same ValueError
     rng = np.random.default_rng(seed)
     sys = _contracting_system(rng, n)
     y = complex_uniform(rng, n) * scale
@@ -319,30 +320,29 @@ def test_blocked_inverse_matches_indexed_loop_bitwise(seed, n, scale, zero_lane,
         k = int(where * n)
         y[k] = complex(value, y[k].imag) if real else complex(y[k].real, value)
     y = FiniteSeq(y)
-    expected = _bits(lambda: _indexed_inverse(y, sys))
-    assert _bits(lambda: band_ops.inverse_transform(y, sys).values) == expected
-    if _negative_zero_product(y, sys):
-        assert _blocked(y, sys) is None
-    elif all(abs(value) <= scale for _, value, _ in edges):
+    expected = _bits(lambda: _indexed_inverse(y, sys) + 0.0)
+    assert _bits(lambda: band_ops.inverse_transform(y, sys).values + 0.0) == expected
+    if all(abs(value) <= scale for _, value, _ in edges):
         # a larger edge value starts a transient that a block started from x_h cannot match
-        assert _blocked(y, sys) is not None
+        x = _blocked(y, sys)
+        assert x is not None
+        assert _bits(lambda: x + 0.0) == expected
 
 
 @pytest.mark.parametrize("r, s", [(2.0, 1.0), (-2.0, 1.0), (2.0, -1.0), (-2.0, -0.5)])
-def test_blocked_path_keeps_zero_signs(r, s):
+def test_blocked_path_keeps_zeros_in_place(r, s):
     # zero lanes are where CPython's promotion of floats to complex decides the sign of every zero;
-    # a -0.0 lane of y makes a -0.0 lane of a y, which only the serial loop solves
+    # the blocked path has a zero wherever the loop has one, and only its sign, which io does not render, may differ
     n = band_ops._MIN_BLOCKED_N + 1000
     u = complex_uniform(rng_from_seed(7), n)
     inputs = [np.full(n, complex(zr, zi)) for zr in (0.0, -0.0) for zi in (0.0, -0.0)]
     inputs += [_with_zero_lane(u, zero) for zero in (0.0, -0.0, 0.0j, -0.0j)]
     for sys in (BandSystem.constant(r, s, 1.5, n), _contracting_system(rng_from_seed(8), n)):
         for y in map(FiniteSeq, inputs):
-            expected = _indexed_inverse(y, sys).tobytes()
+            expected = _canonical(_indexed_inverse(y, sys))
             x = _blocked(y, sys)
-            assert (x is None) == _negative_zero_product(y, sys)
-            assert x is None or x.tobytes() == expected
-            assert band_ops.inverse_transform(y, sys).values.tobytes() == expected
+            assert x is not None and _canonical(x) == expected
+            assert _canonical(band_ops.inverse_transform(y, sys).values) == expected
 
 
 def test_blocked_path_gives_up_on_systems_that_do_not_contract():
@@ -364,11 +364,10 @@ def test_constant_contracting_system_takes_blocked_path(extra):
     sys = BandSystem.constant(2.0, 1.0, 1.0, n)
     for y in (complex_uniform(rng_from_seed(n), n), -np.zeros(n), np.ones(n)):
         y = FiniteSeq(y)
-        expected = _indexed_inverse(y, sys).tobytes()
+        expected = _canonical(_indexed_inverse(y, sys))
         x = _blocked(y, sys)
-        assert (x is None) == _negative_zero_product(y, sys)  # -0.0 input runs the serial loop
-        assert x is None or x.tobytes() == expected
-        assert band_ops.inverse_transform(y, sys).values.tobytes() == expected
+        assert x is not None and _canonical(x) == expected
+        assert _canonical(band_ops.inverse_transform(y, sys).values) == expected
 
 
 def test_blocked_path_raises_no_runtime_warning():
@@ -468,7 +467,7 @@ def _with_subnormal_products(rng, n):
 
 @pytest.mark.parametrize("chain", [_with_exact_zero, _with_subnormal_products])
 def test_zeros_and_subnormal_products_in_chain_keep_fast_step(chain):
-    # the +-0 terms of CPython's step can only sign a zero through a -0.0 part of a y
+    # the +-0 terms of CPython's step can only sign a zero, and these chains give it none to sign
     sys, y = chain(rng_from_seed(12), band_ops._MIN_BLOCKED_N + 1000)
     x = _blocked(y, sys)
     assert x is not None
@@ -485,12 +484,14 @@ def _negative_zero_inputs(n):
 
 
 @pytest.mark.parametrize("case", range(3))
-def test_negative_zero_in_products_falls_back_to_serial_loop(case):
+def test_negative_zero_in_products_takes_blocked_path(case):
     n = band_ops._MIN_BLOCKED_N + 1000
     sys = _contracting_system(rng_from_seed(15), n, 1.0, -1.0, alpha=np.full(n, 0.5))
     y = FiniteSeq(_negative_zero_inputs(n)[case])
-    assert _blocked(y, sys) is None
-    assert band_ops.inverse_transform(y, sys).values.tobytes() == _indexed_inverse(y, sys).tobytes()
+    expected = _canonical(_indexed_inverse(y, sys))
+    x = _blocked(y, sys)
+    assert x is not None and _canonical(x) == expected
+    assert _canonical(band_ops.inverse_transform(y, sys).values) == expected
 
 
 def _signed(magnitudes):
@@ -519,9 +520,10 @@ def test_forward_transform_built_in_place_matches_one_expression(data, n):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), nb=st.integers(min_value=1, max_value=8))
 def test_steps_match_cpython_complex_arithmetic(data, nb):
-    # one step x' = (a y - s x) / r of every lane against CPython's complex arithmetic whenever no
-    # part of the float product a y is -0.0; x and y range over +-0.0, subnormals and doubles
-    # within 1e+-150, s over nonzero doubles there and r within 1e+-3, so no step overflows
+    # one step x' = (a y - s x) / r of every lane against CPython's complex arithmetic: equal up to
+    # the sign of zero parts, and bitwise when no part of the float product a y is -0.0; x and y
+    # range over +-0.0, subnormals and doubles within 1e+-150, s over nonzero doubles there and r
+    # within 1e+-3, so no step overflows
     def draw(elements, size):
         return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)))
 
@@ -538,8 +540,9 @@ def test_steps_match_cpython_complex_arithmetic(data, nb):
     # the planes of _solve_blocks: real parts, then imaginary parts, with s and r broadcast over both
     out = np.empty((2, nb))
     ay = y.T * a
+    band_ops._fast_step(np.ascontiguousarray(x.T), s, ay, r, out)
+    assert (out.T + 0.0).tobytes() == (expected + 0.0).tobytes()
     if not np.any((ay == 0.0) & np.signbit(ay)):
-        band_ops._fast_step(np.ascontiguousarray(x.T), s, ay, r, out)
         assert out.T.tobytes() == expected.tobytes()
 
 
@@ -840,8 +843,14 @@ class TestExpansionResidual:
 
     def test_cutoff_guard(self):
         p = ExponentSeq.constant(1.0, 4)
+        for cutoff in (4, -5):
+            with pytest.raises(IndexError):
+                band_ops.expansion_residual([1, 2, 3, 4], DELTA, p, cutoff)
+        # the tail past -5 is all of y, whose sup is 10, but y[n + 1:] reads only the last four values
+        y, p = np.arange(10.0, 0.0, -1.0), ExponentSeq.constant(1.0, 10)
         with pytest.raises(IndexError):
-            band_ops.expansion_residual([1, 2, 3, 4], DELTA, p, 4)
+            band_ops.tail_paranorm(y, p, -5)
+        assert band_ops.tail_paranorm(y, p, 0) == 9.0 and band_ops.tail_paranorm(y, p, 9) == 0.0
 
 
 def test_special_case_collapse_to_classical_matrices():

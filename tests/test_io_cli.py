@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -255,6 +256,27 @@ class TestCli:
         assert cli.main(["dual-check", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("seqcore:") and "real weights" in err[0]
+        assert not (tmp_path / "out.json").exists()
+
+    _CLASS_DOC = {"system": "delta", "class": "c:sc_reg", "ladder": [1, 2]}
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": {"dense": [["a", 1.0], [1.0, 1.0]]}}, id="dense-text"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": {"dense": [[1.0, 1.0], [1.0]]}}, id="dense-ragged"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": {"dense": [[1.0, math.nan], [1.0, 1.0]]}}, id="dense-nan"),
+            pytest.param(["transform", "--system", "delta", "--n", "2", "--x"], {"values": [[1.0, 0.0], [math.nan, 0.0]]}, id="values-nan"),
+            pytest.param(["transform", "--system", "delta", "--n", "-1", "--x"], {"values": [[1.0, 0.0]] * 4}, id="n-negative"),
+            pytest.param(["transform", "--system", "delta", "--n", "0", "--x"], {"values": [[1.0, 0.0]] * 4}, id="n-zero"),
+        ],
+    )
+    def test_malformed_input_document_is_a_schema_error(self, tmp_path, capsys, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))  # NaN is written as NaN, which json reads back
+        assert cli.main(argv + [str(path), "--out", str(tmp_path / "out.json")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("seqcore:")
         assert not (tmp_path / "out.json").exists()
 
     def test_dual_check_config(self, tmp_path, capsys):

@@ -16,7 +16,8 @@ xfails that name their mechanism; a fix of that mechanism removes its marks.
 Finite support (an invariance, so no closed form is needed): when a has
 finitely many nonzero terms, sum a_n x_n is a finite sum for every x, so a
 lies in the alpha-, beta- and gamma-dual of every space, under every system
-and every p.  The rows use a = e_3.
+and every p.  The rows use a = e_3 and a seeded weight with eight nonzero
+terms in +-[0.5, 2], supported on {0, ..., 7}.
 
 Class side: for A = D T, with T the band triangle and D = diag(d), the
 composed matrix E = A V is D itself, so with p = q = 1 each of the nine E
@@ -25,6 +26,8 @@ from any source iff d is bounded; from l_inf into c or c0 iff d -> 0; from
 c0 into c0 or c iff d is bounded; from c into c0 iff d -> 0; from c into c
 iff d is bounded and convergent.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -86,6 +89,15 @@ SUPPORT_SYSTEMS = {
     "negated_difference": BandSystem.constant(-1.0, 1.0, 1.0, SUPPORT_N),
 }
 
+
+def _seeded_support(rng, terms: int) -> FiniteSeq:
+    """Terms of modulus in [0.5, 2] and random sign on {0, ..., terms - 1}, zeros after them."""
+    head = rng.uniform(0.5, 2.0, terms) * rng.choice([-1.0, 1.0], terms)
+    return FiniteSeq(np.concatenate([head, np.zeros(SUPPORT_N - terms)]))
+
+
+SUPPORT_WEIGHTS = {"e3": make_sequence("e_n", SUPPORT_N, k=3), "support8": _seeded_support(np.random.default_rng(2), 8)}
+
 # (space, dual, p) -> (mechanism of a verdict that is wrong today, the exception the row raises)
 SUPPORT_KNOWN_WRONG = {
     **{("sinf", "alpha", p): (f"{S8_READS_D} (ROADMAP item 1.1)", AssertionError) for p in (0.5, 2.0)},
@@ -95,18 +107,16 @@ SUPPORT_KNOWN_WRONG = {
 
 
 def _support_rows():
-    for system in SUPPORT_SYSTEMS:
-        for space in duals.SPACES:
-            for dual in duals.DUALS:
-                for p in (0.5, 2.0):
-                    mechanism, raises = SUPPORT_KNOWN_WRONG.get((space, dual, p), (None, None))
-                    marks = [pytest.mark.xfail(strict=True, raises=raises, reason=mechanism)] if mechanism else []
-                    yield pytest.param(system, space, dual, p, marks=marks, id=f"e3-{system}-{space}.{dual}-p{p:g}")
+    rows = itertools.product(SUPPORT_WEIGHTS, SUPPORT_SYSTEMS, duals.SPACES, duals.DUALS, (0.5, 2.0))
+    for weight, system, space, dual, p in rows:
+        mechanism, raises = SUPPORT_KNOWN_WRONG.get((space, dual, p), (None, None))
+        marks = [pytest.mark.xfail(strict=True, raises=raises, reason=mechanism)] if mechanism else []
+        yield pytest.param(weight, system, space, dual, p, marks=marks, id=f"{weight}-{system}-{space}.{dual}-p{p:g}")
 
 
-@pytest.mark.parametrize("system, space, dual, p", list(_support_rows()))
-def test_finitely_supported_weight_is_in_every_dual(system, space, dual, p):
-    a = make_sequence("e_n", SUPPORT_N, k=3)
+@pytest.mark.parametrize("weight, system, space, dual, p", list(_support_rows()))
+def test_finitely_supported_weight_is_in_every_dual(weight, system, space, dual, p):
+    a = SUPPORT_WEIGHTS[weight]
     report = duals.dual_report(a, SUPPORT_SYSTEMS[system], ExponentSeq.constant(p, SUPPORT_N), space, dual, SUPPORT_LADDER)
     assert report.aggregate == "holds"
 
