@@ -10,7 +10,12 @@ Its inverse is the full lower triangle
     V[n, k] = (-1)^(n-k) (alpha_k / r_n) prod_{i=k..n-1} (s_i / r_i),
 
 built by its row recurrence (:func:`inverse_kernel`), within (m - k + 1) eps
-of exact entry by entry; its columns are the basis vectors.  The inverse of
+of exact entry by entry; its columns are the basis vectors.  V depends on the
+system and the truncation only, not on a weight, space or matrix class, so
+each system keeps the V of the largest truncation built from it, and every
+report on that system reads that one read-only array or a copy of its
+leading block (a leading block of V is bit-identical to V built at that
+size).  The inverse of
 a concrete vector is computed by forward substitution (solving the band
 recurrence), which is the numerically preferred path; the tests keep the
 explicit series through V as an independent cross-check.
@@ -263,27 +268,38 @@ def _regrows(ent: np.ndarray, r: np.ndarray, s: np.ndarray, a: np.ndarray) -> bo
     return bool(np.any(below.any(axis=0) & (low[cols] + later[below.argmax(axis=0)] >= 0.0)))
 
 
-def inverse_kernel(sys: BandSystem, n: int, method: str = "rows", out: np.ndarray | None = None) -> np.ndarray:
+def inverse_kernel(sys: BandSystem, n: int, method: str = "rows") -> np.ndarray:
     """Dense inverse V of the band triangle, read-only, by its row recurrence; "rows" is the only method.
 
     V[k, k] = alpha_k / r_k, and row m is row m - 1 times c_m = -s_{m-1}/r_m, each factor rounded once, so
     V[m, k] is within (m - k + 1) eps of exact.  Raises OverflowError when an entry overflows, or when one
-    below the normal range would grow back into it (:func:`_regrows`).  With ``out``, a C-contiguous n x n
-    float64 array, V is built there with the same bits and ``out`` is returned writable, for its owner to
-    build on.
+    below the normal range would grow back into it (:func:`_regrows`).
+
+    V is built once per system, at the largest truncation N asked of it so far, and kept on the system
+    (``sys._inverse``).  A call at N returns that array itself, one at n < N a read-only copy of its leading
+    n x n block: row m reads only rows < m, and V_N passing both checks implies V_n passes them (the flagged
+    columns and the walk maxima only grow with N), so the copy has the bits of a build at n.  A build that
+    raises is not kept, so every later call at that truncation raises again.
     """
     if method != "rows":
         raise ValueError("method must be 'rows'")
     if n < 1:
         raise ValueError("truncation must be >= 1")
-    if out is None:
-        ent = np.zeros((n, n))
-    elif out.shape != (n, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape ({n}, {n})")
-    else:
-        ent = out
-        ent.fill(0.0)
+    kept = sys._inverse.get("V")
+    if kept is None or kept.shape[0] < n:
+        kept = _build_inverse(sys, n)
+        sys._inverse["V"] = kept
+    if kept.shape[0] == n:
+        return kept
+    block = kept[:n, :n].copy()
+    block.setflags(write=False)
+    return block
+
+
+def _build_inverse(sys: BandSystem, n: int) -> np.ndarray:
+    """V at truncation n by its row recurrence, range-checked and read-only."""
     r, s, a = sys.params(n)
+    ent = np.zeros((n, n))
     with np.errstate(over="ignore", under="ignore"):  # overflow surfaces as OverflowError below
         ent.reshape(-1)[:: n + 1] = a / r  # the diagonal
         for m, c in enumerate((-s[:-1] / r[1:]).tolist(), 1):
@@ -302,8 +318,7 @@ def inverse_kernel(sys: BandSystem, n: int, method: str = "rows", out: np.ndarra
         raise OverflowError("inverse kernel entries overflow double precision at this truncation")
     if _regrows(ent, r, s, a):
         raise OverflowError("inverse kernel entries underflow and regrow, which double precision loses, at this truncation")
-    if out is None:
-        ent.setflags(write=False)
+    ent.setflags(write=False)
     return ent
 
 

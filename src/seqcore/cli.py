@@ -12,7 +12,8 @@ unreadable input or schema violation (including invalid generator values,
 sequence values or dense matrix entries that are not finite numbers, ragged
 dense matrices, non-integer lists, non-numeric tolerances, density
 tolerances outside (0, 1), non-positive exponents, exponent lists shorter than the largest truncation,
-truncations below 1, B ladders that are empty or hold a B <= 1, cutoffs
+truncations below 1, direction counts outside [4, 1024] (MAX_DIRECTIONS),
+B ladders that are empty or hold a B <= 1, cutoffs
 outside [0, n), sup paranorms with some p_k <= 1e-9, a missing p or q, an
 unknown (space, dual) pair, exponents on both sides of 1 where the dual rules
 split there, and a value that names both an existing file and a generator),
@@ -270,9 +271,14 @@ def _cmd_class_check(args) -> int:
     return _VERDICT_EXIT[report.aggregate]
 
 
+# the most support-function directions a core may sample: a disc or st core's envelope is a (grid_n^2 + 6 D) x D
+# float64 array, 54 MB at D = 1024 and the default grid_n, and grows with D^2
+MAX_DIRECTIONS = 1024
+
+
 def _build_region(kind, x, sys, window, directions, density_tol, grid_n, method="hull"):
-    if directions < 4:
-        raise SchemaError(f"directions must be at least 4: {directions!r}")
+    if not 4 <= directions <= MAX_DIRECTIONS:
+        raise SchemaError(f"directions must lie in [4, {MAX_DIRECTIONS}]: {directions!r}")
     if grid_n < 0:
         raise SchemaError(f"grid_n must be nonnegative: {grid_n!r}")
     if kind == "alpha":
@@ -437,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("hull", "disc"), default="hull", help="estimator for plain cores")
     sp.add_argument("--x", required=True)
     sp.add_argument("--window", help="start,stop (default: last three quarters)")
-    sp.add_argument("--directions", type=int, default=64)
+    sp.add_argument("--directions", type=int, default=64, help=f"support-function directions, 4 to {MAX_DIRECTIONS}")
     sp.add_argument("--density-tol", dest="density_tol", type=float, default=0.02)
     sp.add_argument("--grid-n", dest="grid_n", type=int, default=21)
     sp.add_argument("--out-csv", dest="out_csv", help="write region vertices as CSV")

@@ -32,17 +32,18 @@ n x n intermediate.
 
 A report builds only the companion its rule reads (no rule reads both), once,
 at its largest truncation, in the first region of the report's one workspace
-block (:class:`seqcore.matclass._Workspace`): V is built there, scaled in
-place into C by real weights, and summed down its columns in place into D.
-Complex weights multiply into a complex region, with V built in the block's
-scratch.  V, C and D at truncation n are bit-identical leading n x n blocks of
-their largest versions (no entry depends on a later index), so every ladder
-point reads a slice and every condition shares it.  :func:`companion_c`,
-:func:`companion_d` and :func:`companion_identity_residuals` run the same
-builder on an array of their own.  C is real when every weight has a zero
-imaginary part (a_n V[n, k] then equals the real part of the complex
-product).  The builder raises OverflowError when an entry leaves double
-precision, and the public companions are read-only arrays.
+block (:class:`seqcore.matclass._Workspace`): the weights multiply the
+system's read-only V (:func:`seqcore.band_ops.inverse_kernel`, built once per
+system) into that region, a complex one for complex weights, and D is summed
+down C's columns in place.  V, C and D at truncation n are bit-identical
+leading n x n blocks of their largest versions (no entry depends on a later
+index), so every ladder point reads a slice and every condition shares it.
+:func:`companion_c`, :func:`companion_d` and
+:func:`companion_identity_residuals` run the same builder on an array of
+their own.  C is real when every weight has a zero imaginary part (a_n V[n, k]
+then equals the real part of the complex product).  The builder raises
+OverflowError when an entry leaves double precision, and the public
+companions are read-only arrays.
 Quantifiers over all B > 1 are sampled over a finite B ladder by the engine in
 :mod:`seqcore.ladder`, and universally quantified verdicts are labelled as
 tested-ladder evidence only.
@@ -95,21 +96,20 @@ def _companion_weights(a, n: int) -> np.ndarray:
     return w if w.imag.any() else w.real
 
 
-def _companion(w: np.ndarray, sys: BandSystem, out: np.ndarray, cumulative: bool, kernel=None) -> np.ndarray:
+def _companion(w: np.ndarray, sys: BandSystem, out: np.ndarray, cumulative: bool) -> np.ndarray:
     """C = diag(w) V, or D, its column cumsum, when cumulative; built in out, an n x n array of w's dtype, and returned.
 
-    Real weights scale V in place in out.  Complex ones build V in kernel (a
-    fresh array when kernel is None), copy it into out as V + 0j, the cast
-    the product would make in a buffer of its own, and scale it there.  The
-    products are those of w[:, None] * V, bit for bit.  Raises OverflowError
-    when an entry leaves double precision.
+    The products are those of w[:, None] * V, bit for bit.  Complex weights
+    multiply V + 0j, copied into out first: the mixed-type product would
+    buffer its casts, twice the copy's temporary memory.  Raises
+    OverflowError when an entry leaves double precision.
     """
+    V = inverse_kernel(sys, out.shape[0])
     if np.iscomplexobj(out):
-        out[...] = inverse_kernel(sys, out.shape[0], out=kernel)
-    else:
-        inverse_kernel(sys, out.shape[0], out=out)
+        out[...] = V
+        V = out
     with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
-        C = np.multiply(w[:, None], out, out=out)
+        C = np.multiply(w[:, None], V, out=out)
     if cumulative:
         return _cumulate(C)
     if not np.isfinite(C).all():
@@ -459,7 +459,7 @@ def dual_report(
     (source,) = {DUAL_CONDITIONS[cid].source for cid in cond_ids}  # no rule reads both C and D
     # the companion at the largest truncation, in the workspace; every rung reads its leading block
     work = _Workspace(ladder, [top * top * w.itemsize // 8], width=w.itemsize // 8)
-    companion = _companion(w, sys, work.lead(0, top, w.dtype), source == "D", kernel=work.scratch(top))
+    companion = _companion(w, sys, work.lead(0, top, w.dtype), source == "D")
     sources = {n: {source: companion[:n, :n]} for n in ladder}
     verdicts = tuple(_condition_verdict(cid, sources, ladder, p, None, b_ladder, work) for cid in cond_ids)
     return DualReport(space, dual, verdicts, aggregate_verdict(v.verdict for v in verdicts))

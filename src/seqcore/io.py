@@ -167,7 +167,7 @@ def system_from_spec(spec, length: int) -> BandSystem:
 
 
 def matrix_from_spec(spec, n: int):
-    """Matrix argument for class checks: dense block, generator document, or shorthand."""
+    """Matrix argument for class checks, as an array: a dense block, or a generator document or shorthand built at n."""
     if isinstance(spec, dict) and "dense" in spec:
         try:
             dense = np.asarray(spec["dense"], dtype=np.float64)
@@ -182,12 +182,10 @@ def matrix_from_spec(spec, n: int):
         name, params = _generator(spec)
         if name not in MATRIX_NAMES:
             raise SchemaError(f"unknown matrix generator {name!r}; known: {MATRIX_NAMES}")
-        spec = GeneratorSpec(name, params)
         try:
-            make_matrix(spec, n)  # a report builds it later; bad parameter values are a schema error
+            return make_matrix(GeneratorSpec(name, params), n)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"invalid {name} matrix parameters: {exc}") from exc
-        return spec
     raise SchemaError("matrix spec must give a dense block, a generator document, or shorthand")
 
 

@@ -56,9 +56,9 @@ sources and their powers, complex differences, quotients and products) go
 in the block's scratch, through the ``out`` arguments of the
 :mod:`seqcore.duals` functionals, with the ufuncs, order and layouts of
 fresh arrays, so bit for bit.  A dual report's companion is the block's lead
-region, and a class report's E takes a lead region per rung, with V and the
-sweep's buffer in the block too; btilde and the partial-sum blocks stay
-arrays of their own.
+region, and a class report's E takes a lead region per rung, with the
+sweep's buffer in the block too; V is the band system's own read-only
+array, and btilde and the partial-sum blocks stay arrays of their own.
 """
 
 from __future__ import annotations
@@ -631,12 +631,11 @@ def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> tuple[dict, _Workspac
     and each rung's E is a lead region of the workspace, with the sweep's
     buffer in its slots and scratch: one sweep when the buffer fits there,
     else a few over batches of rungs (:func:`_sweep_batches`), so the block
-    is never larger for it.  V is built first, so that its overflow raises
-    before E's, in the last lead region: the top rung's E region, which
-    takes that rung's E only after the probe rows' support blocks
-    (:func:`_probe_blocks`, built for a "partial" reader only, from the
-    leading blocks of the top rung's A and V) have read it, or a region of
-    its own when no E is solved.
+    is never larger for it.  V is the system's read-only kernel
+    (:func:`seqcore.band_ops.inverse_kernel`), read before E is solved, so
+    that its overflow raises before E's; the probe rows' support blocks
+    (:func:`_probe_blocks`, built for a "partial" reader only) read the
+    leading blocks of the top rung's A and V.
     """
     top = ladder[-1]
     solve = "E" in kinds and matrix is None
@@ -646,19 +645,14 @@ def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> tuple[dict, _Workspac
     dense = materialize_matrix(A, top)
     dtype = np.result_type(dense.dtype, np.float64) if solve else np.dtype(np.float64)
     width = dtype.itemsize // 8
-    leads = [width * n * n for n in ladder] if solve else [top * top]
-    work = _Workspace(ladder, leads, width)
-    V = inverse_kernel(sys, top, out=work.lead(-1, top))
+    work = _Workspace(ladder, [width * n * n for n in ladder] if solve else [], width)
+    V = inverse_kernel(sys, top)
     sources = {n: {"E": work.lead(i, n, dtype)} if solve else {} for i, n in enumerate(ladder)}
-    spans = []
-    for batch in _sweep_batches(ladder, width, work.room) if solve else ():  # the top rung's batch comes last
-        for n, cols in spans:
+    for batch in _sweep_batches(ladder, width, work.room) if solve else ():
+        for n, cols in zip(batch, _compose(dense, sys, batch, work.sweep(batch[-1], width * sum(batch)))):
             np.copyto(sources[n]["E"], cols.T)
-        spans = list(zip(batch, _compose(dense, sys, batch, work.sweep(batch[-1], width * sum(batch)))))
     for n in ladder if "partial" in kinds else ():
         sources[n]["partial"] = _probe_blocks(EPartial(dense[:n, :n], V[:n, :n]))
-    for n, cols in spans:
-        np.copyto(sources[n]["E"], cols.T)
     return sources, work
 
 

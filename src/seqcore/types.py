@@ -6,7 +6,12 @@ index origin 0.  Operators are not value types: the kernels of
 read-only N x N numpy arrays, each range-checked by its producer.  Instances
 are immutable after construction (arrays are frozen), so values can be
 shared freely between threads; construction validates the declared
-invariants and raises ``ValueError`` on violations.
+invariants and raises ``ValueError`` on violations.  The one exception is a
+``BandSystem``'s private ``_inverse`` memo, which
+``band_ops.inverse_kernel`` fills lazily with the read-only V of the largest
+truncation built so far.  It lives and dies with its system, takes no part
+in equality, and is safe to race: every build at one truncation has the
+same bits, so a lost or smaller store costs at most a rebuild.
 
 Construction copies an array unless it already owns its data and is
 read-only: a writable array, or any view (a slice, a reshape, a buffer
@@ -21,7 +26,7 @@ wanted) builds a fresh array, which is copied once more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,6 +84,8 @@ class BandSystem:
     r: np.ndarray
     s: np.ndarray
     alpha: np.ndarray
+    # band_ops.inverse_kernel's memo: {"V": V at the largest truncation built so far}
+    _inverse: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.float64)

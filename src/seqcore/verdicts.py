@@ -18,6 +18,8 @@ evidence, not proofs, and the thresholds below are fixed constants.
 
 from __future__ import annotations
 
+import functools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,16 +54,36 @@ DECAY_THRESHOLD = -0.05  # fitted log-log exponent at or below this decays
 ZERO_ATOL = 1e-8  # a final deviation at or below this is zero
 
 
+@functools.lru_cache
+def _line_fit(ladder: tuple) -> tuple:
+    """np.polyfit(log(ladder), y, 1)'s setup, which does not depend on y: its column-scaled Vandermonde matrix, the
+    column scales and rcond, read-only."""
+    x = np.log(np.array(ladder)) + 0.0
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    lhs.setflags(write=False)
+    scale.setflags(write=False)
+    return lhs, scale, len(x) * np.finfo(x.dtype).eps
+
+
 def fit_growth_exponent(ns, values) -> float:
-    """Least-squares slope of log(value) against log(N) over the ladder."""
+    """Least-squares slope of log(value) against log(N) over the ladder.
+
+    The steps of ``np.polyfit(log(ns), log(values), 1)[0]``, bit for bit, with
+    the steps that read the ladder only done once per ladder (:func:`_line_fit`).
+    """
     ns = np.asarray(ns, dtype=np.float64)
     vals = np.maximum(np.abs(np.asarray(values, dtype=np.float64)), 1e-300)
     if ns.size < 2:
         return 0.0
-    x = np.log(ns)
-    y = np.log(vals)
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    if ns.ndim != 1 or vals.shape != ns.shape:
+        raise TypeError("expected one value per ladder point")
+    lhs, scale, rcond = _line_fit(tuple(ns.tolist()))
+    c, _, rank, _ = np.linalg.lstsq(lhs, np.log(vals) + 0.0, rcond)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    return float(c[0] / scale[0])
 
 
 def _stabilized(a: float, b: float) -> bool:

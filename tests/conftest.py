@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seqcore.generators import random_band_system, rng_from_seed
+from seqcore.types import BandSystem
 
 
 @pytest.fixture
@@ -17,3 +18,8 @@ def mild_system():
 
 def complex_uniform(rng, n):
     return rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+
+
+def twin(sys: BandSystem) -> BandSystem:
+    """A system equal to sys but a separate object, with an empty inverse-kernel memo: its V is a build of its own."""
+    return BandSystem(sys.r, sys.s, sys.alpha)

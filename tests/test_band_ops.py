@@ -1,5 +1,9 @@
+import gc
+import threading
 import tracemalloc
 import warnings
+import weakref
+from sys import getswitchinterval, setswitchinterval
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +15,7 @@ from seqcore import band_ops, types
 from seqcore.generators import make_matrix, random_band_system, rng_from_seed
 from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
 
-from conftest import complex_uniform
+from conftest import complex_uniform, twin
 
 # the blocked substitution runs its float lanes under np.errstate, so a numpy warning leaking
 # from them, or from any other band operation, fails the test that raised it
@@ -98,7 +102,7 @@ class TestKernels:
         assert np.allclose(np.diagonal(V), sys.alpha[:32] / sys.r[:32], rtol=1e-13)
 
     def test_rows_is_the_only_method(self):
-        assert np.array_equal(band_ops.inverse_kernel(TWO_ONE, 8, method="rows"), band_ops.inverse_kernel(TWO_ONE, 8))
+        assert np.array_equal(band_ops.inverse_kernel(TWO_ONE, 8, method="rows"), band_ops.inverse_kernel(twin(TWO_ONE), 8))
         for method in ("log", "direct"):
             with pytest.raises(ValueError):
                 band_ops.inverse_kernel(TWO_ONE, 8, method=method)
@@ -718,70 +722,128 @@ def test_inverse_kernel_overflows_at_pinned_truncation(name):
         _lattice_kernel(sys, first)
 
 
-def _kernel_into_out(sys, n):
-    """inverse_kernel built into a caller's buffer filled with NaN, so an entry it leaves unwritten shows."""
-    out = np.full((n, n), np.nan)
-    got = band_ops.inverse_kernel(sys, n, out=out)
-    assert got is out and got.flags.writeable
-    return got
+def _memo(sys):
+    """The V kept on sys, or None."""
+    return sys._inverse.get("V")
 
 
-def _assert_out_matches_allocating_call(sys, n):
+def _assert_memo_matches_fresh_builds(sys, n):
+    """V served from sys's memo, at n and at leading blocks below it, has the bits of builds on equal, separate systems.
+
+    When the build at n raises, every call raises the same message and the memo stays empty.
+    """
+    assert _memo(sys) is None
     try:
-        want = band_ops.inverse_kernel(sys, n)
+        want = band_ops.inverse_kernel(twin(sys), n)
     except OverflowError as exc:
-        with pytest.raises(OverflowError) as into_out:
-            _kernel_into_out(sys, n)
-        assert str(into_out.value) == str(exc)
+        for _ in range(2):
+            with pytest.raises(OverflowError) as again:
+                band_ops.inverse_kernel(sys, n)
+            assert str(again.value) == str(exc)
+            assert _memo(sys) is None
         return
-    _assert_same_bits(_kernel_into_out(sys, n), want, f"out= at n = {n}")
+    got = band_ops.inverse_kernel(sys, n)
+    assert _memo(sys) is got and band_ops.inverse_kernel(sys, n) is got
+    _assert_same_bits(got, want, f"memo at n = {n}")
+    for m in sorted({1, n // 2, n - 1} - {0}):
+        block = band_ops.inverse_kernel(sys, m)
+        assert block.flags.owndata and block.flags.c_contiguous and not block.flags.writeable
+        _assert_same_bits(block, band_ops.inverse_kernel(twin(sys), m), f"memo block at m = {m} of n = {n}")
+    assert _memo(sys) is got
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_inverse_kernel_into_out_matches_the_allocating_call_on_seeded_and_constant_systems(seed):
-    _assert_out_matches_allocating_call(random_band_system(rng_from_seed(seed), 300), 300)
-    _assert_out_matches_allocating_call(random_band_system(rng_from_seed(seed), 96, amplification_cap=1e4), 96)
+def test_memo_served_kernel_matches_fresh_builds_on_seeded_and_constant_systems(seed):
+    _assert_memo_matches_fresh_builds(random_band_system(rng_from_seed(seed), 300), 300)
+    _assert_memo_matches_fresh_builds(random_band_system(rng_from_seed(seed), 96, amplification_cap=1e4), 96)
     for sys in (DELTA, PLUS, TWO_ONE, BandSystem.constant(-1.5, 2.0, 3.0, 300)):
-        _assert_out_matches_allocating_call(sys, 1 + 99 * seed)
+        _assert_memo_matches_fresh_builds(twin(sys), 1 + 99 * seed)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=1, max_value=12))
-def test_inverse_kernel_into_out_matches_the_allocating_call_on_extreme_doubles(data, n):
+def test_memo_served_kernel_matches_fresh_builds_on_extreme_doubles(data, n):
     nonzero = _FINITE.filter(lambda v: v != 0.0)
     r, s = data.draw(_float_lists(nonzero, n)), data.draw(_float_lists(nonzero, n))
     alpha = data.draw(_float_lists(_FINITE.filter(lambda v: v > 0.0), n))
-    _assert_out_matches_allocating_call(BandSystem(r, s, alpha), n)
+    _assert_memo_matches_fresh_builds(BandSystem(r, s, alpha), n)
+
+
+REGROWTH = (BandSystem(np.ones(5), [1e-174, 1e-174, 1e174, 1e174, 1.0], [1.0, 1.0, 1e-100, 1.0, 1.0]), 5)
 
 
 @pytest.mark.parametrize("name", sorted(OVERFLOW_EDGES) + ["regrowth"])
-def test_inverse_kernel_into_out_raises_the_same_overflow(name):
-    if name == "regrowth":
-        sys, first = BandSystem(np.ones(5), [1e-174, 1e-174, 1e174, 1e174, 1.0], [1.0, 1.0, 1e-100, 1.0, 1.0]), 5
-    else:
-        sys, first = OVERFLOW_EDGES[name]
+def test_memo_keeps_no_kernel_that_raises(name):
+    sys, first = REGROWTH if name == "regrowth" else OVERFLOW_EDGES[name]
     with pytest.raises(OverflowError):
-        band_ops.inverse_kernel(sys, first)
-    for n in (first - 1, first):
-        _assert_out_matches_allocating_call(sys, n)
+        band_ops.inverse_kernel(twin(sys), first)
+    _assert_memo_matches_fresh_builds(twin(sys), first)  # raises the same message on every call, keeps nothing
+    _assert_memo_matches_fresh_builds(twin(sys), first - 1)
+    # a memo filled below the edge keeps its V when a larger build raises, and keeps serving it
+    below, n = twin(sys), 3 if name == "regrowth" else first - 1  # the regrowth system raises from n = 4 on
+    kept = band_ops.inverse_kernel(below, n)
+    with pytest.raises(OverflowError):
+        band_ops.inverse_kernel(below, first)
+    assert _memo(below) is kept and band_ops.inverse_kernel(below, n) is kept
 
 
-@pytest.mark.parametrize(
-    "out",
-    [
-        pytest.param(np.zeros((8, 9)), id="shape"),
-        pytest.param(np.zeros((9, 9)), id="larger"),
-        pytest.param(np.zeros((8, 8), dtype=np.float32), id="float32"),
-        pytest.param(np.zeros((8, 8), dtype=np.complex128), id="complex"),
-        pytest.param(np.zeros((8, 8), order="F"), id="fortran"),
-        pytest.param(np.zeros((8, 16))[:, ::2], id="strided"),
-    ],
-)
-def test_inverse_kernel_rejects_an_unfit_out(out):
-    before = out.copy()
-    with pytest.raises(ValueError, match="^out must be a C-contiguous float64 array of shape"):
-        band_ops.inverse_kernel(TWO_ONE, 8, out=out)
-    assert np.array_equal(out, before)
+def test_memo_grows_to_the_largest_truncation_asked():
+    sys = random_band_system(rng_from_seed(4), 64)
+    small = band_ops.inverse_kernel(sys, 16)
+    assert _memo(sys) is small
+    large = band_ops.inverse_kernel(sys, 64)
+    assert _memo(sys) is large and large.shape == (64, 64)
+    _assert_same_bits(large[:16, :16].copy(), small, "the smaller build is the larger one's leading block")
+    assert band_ops.inverse_kernel(sys, 32).base is None  # a copy, not a view that would pin the larger array
+
+
+def test_memo_is_read_only_and_freed_with_its_system():
+    sys = random_band_system(rng_from_seed(6), 32)
+    V = band_ops.inverse_kernel(sys, 32)
+    with pytest.raises(ValueError):
+        V[0, 0] = 1.0
+    ref = weakref.ref(V)
+    system_ref = weakref.ref(sys)
+    del sys, V
+    gc.collect()
+    assert system_ref() is None and ref() is None
+
+
+def test_memo_raced_by_threads_serves_the_bits_of_fresh_builds():
+    # six threads ask one system for V at sizes in rotated orders, switching every microsecond: whichever store
+    # wins, every V served has the bits of a build on a system of its own, and so has the V left in the memo
+    sys = random_band_system(rng_from_seed(9), 96)
+    sizes = [8, 96, 24, 64, 96, 40] * 3
+    want = {n: band_ops.inverse_kernel(twin(sys), n).tobytes() for n in set(sizes)}
+    got, errors = [], []
+
+    def work(order):
+        try:
+            got.extend((n, band_ops.inverse_kernel(sys, n).tobytes()) for n in order)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(sizes[i:] + sizes[:i],)) for i in range(6)]
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert len(got) == 6 * len(sizes) and all(bits == want[n] for n, bits in got)
+    assert _memo(sys).tobytes() == want[_memo(sys).shape[0]]
+
+
+def test_memo_is_neither_an_argument_nor_shown():
+    sys = random_band_system(rng_from_seed(6), 8)
+    band_ops.inverse_kernel(sys, 8)
+    assert "_inverse" not in repr(sys)
+    with pytest.raises(TypeError):
+        BandSystem(sys.r, sys.s, sys.alpha, {})
 
 
 def _assert_same_bits(got, want, what):

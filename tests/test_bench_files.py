@@ -1,7 +1,8 @@
 """The committed BENCH_*.json files: their shape, and summaries that recompute from their runs.
 
 Each file records alternating benchmark runs of a parent tree and a change
-tree.  Every summary (median, quartiles, count, ratio of medians, pairs won)
+tree, and may record interleaved runs of both trees in one process, cycle by
+cycle.  Every summary (median, quartiles, count, ratio of medians, pairs won)
 must follow from the runs listed beside it, so a hand-edited figure fails here.
 Quartiles are numpy's default linear interpolation.
 """
@@ -112,6 +113,31 @@ def test_bench_aa_spread_recomputes_from_runs(path):
         assert _close(pair["relative_gap"], (max(values) - min(values)) / min(values))
 
 
+INTERLEAVED = [path for path in BENCH_FILES if "interleaved" in _load(path)]
+
+
+@pytest.mark.parametrize("path", INTERLEAVED, ids=lambda p: p.name)
+def test_bench_interleaved_summaries_recompute_from_cycles(path):
+    # each cycle's ratio is its parent time over its change time; the summary is the ratio's median, quartiles and
+    # count, and each tree's ops per second at its median cycle time
+    for name, entry in _load(path)["interleaved"].items():
+        words = shlex.split(entry["command"])
+        assert words[:2] == ["python3", "scripts/bench_pairs.py"] and "--interleaved" in words, name
+        assert _option(entry["command"], "--workload") in WORKLOADS
+        cycles, summary = entry["cycles"], entry["summary"]
+        assert cycles and entry["ops_per_cycle"] >= 1, name
+        for cycle in cycles:
+            assert _close(cycle["ratio"], cycle["parent_s"] / cycle["change_s"]), name
+        ratios = [cycle["ratio"] for cycle in cycles]
+        q1, q3 = np.percentile(ratios, [25, 75])
+        assert summary["ratio"]["n"] == len(ratios), name
+        assert _close(summary["ratio"]["median"], statistics.median(ratios)), name
+        assert _close(summary["ratio"]["q1"], float(q1)) and _close(summary["ratio"]["q3"], float(q3)), name
+        for tree in ("parent", "change"):
+            median = statistics.median(cycle[f"{tree}_s"] for cycle in cycles)
+            assert _close(summary[f"{tree}_ops_per_s"], entry["ops_per_cycle"] / median), (name, tree)
+
+
 def _claim(runs):
     """ops_per_s over alternating pairs: (pairs, pairs won by the change, parent median, change median, the
     distance between the parent's quartiles)."""
@@ -153,3 +179,15 @@ def test_class_workspace_claim_holds_on_its_runs():
     assert pairs >= 10 and 10 * won >= 9 * pairs and change >= 1.1 * parent
     pairs, won, parent, change, spread = _claim(workloads["class_ladder_seed3"]["runs"])
     assert pairs >= 10 and 10 * won >= 9 * pairs and change - parent > spread
+
+
+def test_inverse_memo_claim_holds_on_its_runs():
+    # the claim: dual_scan ops_per_s rises, winning 9 of every 10 alternating pairs with medians further apart than
+    # the parent's quartiles, at seed 0 and at the held-out seed 3, and both quartiles of its interleaved per-cycle
+    # ratio lie above 1; class_ladder, which reads the shared V and the growth fit too, rises by the same rules
+    doc = _load(ROOT / "BENCH_inverse_memo.json")
+    for name in ("dual_scan", "dual_scan_seed3", "class_ladder"):
+        pairs, won, parent, change, spread = _claim(doc["workloads"][name]["runs"])
+        assert pairs >= 10 and 10 * won >= 9 * pairs and change - parent > spread, name
+    for name in ("dual_scan", "class_ladder"):
+        assert doc["interleaved"][name]["summary"]["ratio"]["q1"] > 1.0, name

@@ -11,7 +11,7 @@ from seqcore.generators import make_sequence, random_band_system, rng_from_seed
 from seqcore.io import SchemaError, canonical_dumps
 from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
 
-from conftest import complex_uniform
+from conftest import complex_uniform, twin
 
 PLUS = BandSystem.constant(1.0, 1.0, 1.0, 512)
 TWO_ONE = BandSystem.constant(2.0, 1.0, 1.0, 512)
@@ -530,8 +530,10 @@ WEIGHT_FAMILIES = {
 @pytest.mark.parametrize("space, dual, p", DUAL_SCAN_PAIRS)
 def test_dual_report_traces_little_beside_its_workspace(monkeypatch, space, dual, p, family):
     # the companion, every rung's witness-free array and every witness's n x n temporaries live in the report's
-    # one block; beside it the exact subset solver's frontier at n = 16, about 200 KiB, is the largest allocation
+    # one block; beside it the exact subset solver's frontier at n = 16, about 200 KiB, is the largest allocation,
+    # and the first report on a system builds the system's V, one n x n array that later reports reuse
     n, ladder = 256, (16, 64, 256)
+    sys = twin(PLUS)
     blocks = []
     original = matclass._Workspace
 
@@ -544,18 +546,21 @@ def test_dual_report_traces_little_beside_its_workspace(monkeypatch, space, dual
     a = FiniteSeq(WEIGHT_FAMILIES[family](np.arange(n, dtype=np.float64)))
     if a.values.imag.any() and (space, dual, p) == ("lp", "alpha", 1.0):
         with pytest.raises(SchemaError):  # S12 is characterized for real weights only
-            duals.dual_report(a, PLUS, ExponentSeq.constant(p, n), space, dual, ladder)
+            duals.dual_report(a, sys, ExponentSeq.constant(p, n), space, dual, ladder)
         assert blocks == []
         return
-    tracemalloc.start()
-    try:
-        duals.dual_report(a, PLUS, ExponentSeq.constant(p, n), space, dual, ladder)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    (block,) = blocks
-    assert block >= 3 * n * n * 8  # the companion, the top rung's slot and the scratch
-    assert peak <= block + 256 * 1024
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            duals.dual_report(a, sys, ExponentSeq.constant(p, n), space, dual, ladder)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block = blocks[0]
+    assert blocks == [block, block] and block >= 3 * n * n * 8  # the companion, the top rung's slot and the scratch
+    assert peaks[0] <= block + n * n * 8 + 256 * 1024
+    assert peaks[1] <= block + 256 * 1024
 
 
 # S id, its class-catalog twin, the companion both read, and a (space, dual, exponent regime) that runs the S id
@@ -594,3 +599,32 @@ def test_dual_sets_equal_their_catalog_twins_on_the_companion(s_id, twin, source
         (m, w, _bits(v)) for m, w, v in twin_verdict.estimates
     ]
     assert dual_verdict.verdict == twin_verdict.verdict
+
+
+def test_reports_sharing_a_system_give_the_bytes_of_fresh_systems():
+    # dual and class reports on one system share its read-only V, which grows with the largest top rung asked and
+    # serves smaller tops their leading block; in either order every report renders as it does on a system of its
+    # own, and the shared V ends with the bytes of a fresh build
+    n = 64
+    sys = random_band_system(rng_from_seed(12), n, amplification_cap=50.0)
+    a = FiniteSeq(1.0 / np.arange(1.0, n + 1.0) ** 2)
+    p, q = ExponentSeq.constant(2.0, n), np.full(n, 1.5)
+    runs = [("dual", "s0", "beta", (8, 16, 32)), ("class", "sc:c_q", "cesaro", (16, 32, 64))]
+    runs += [("dual", "sinf", "gamma", (16, 32, 64)), ("class", "s0:c_q", "cesaro", (8, 16, 32))]
+    runs += [("dual", "lp", "gamma", (16, 32, 48)), ("class", "sinf:c", "cesaro", (16, 32, 48))]
+
+    def render(run, system):
+        kind, first, second, ladder = run
+        if kind == "dual":
+            report = duals.dual_report(a, system, p, first, second, ladder)
+        else:
+            report = matclass.class_report(second, first, system, p=p, q=q, ladder=ladder)
+        return canonical_dumps(report.to_json())
+
+    fresh = [render(run, twin(sys)) for run in runs]
+    for order in (runs, runs[::-1]):
+        shared = twin(sys)
+        assert [render(run, shared) for run in order] == [fresh[runs.index(run)] for run in order]
+        V = shared._inverse["V"]
+        assert V.shape == (n, n) and not V.flags.writeable
+        assert V.tobytes() == band_ops.inverse_kernel(twin(sys), n).tobytes()

@@ -7,7 +7,7 @@ import pytest
 
 import seqcore.acceptance as acceptance
 from seqcore import band_ops, cli, cores, duals, io, matclass
-from seqcore.generators import make_matrix, make_sequence, random_band_system, rng_from_seed
+from seqcore.generators import GeneratorSpec, make_matrix, make_sequence, random_band_system, rng_from_seed
 from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
 
 
@@ -105,10 +105,10 @@ class TestSpecs:
     def test_matrix_spec_dense_and_generator(self):
         dense = io.matrix_from_spec({"dense": np.eye(4).tolist()}, 4)
         assert np.array_equal(dense, np.eye(4))
-        spec = io.matrix_from_spec("cesaro", 4)
-        from seqcore.generators import materialize_matrix
-
-        assert np.allclose(materialize_matrix(spec, 3), make_matrix("cesaro", 3))
+        built = io.matrix_from_spec("cesaro", 4)
+        assert type(built) is np.ndarray and built.tobytes() == make_matrix("cesaro", 4).tobytes()
+        doc = io.matrix_from_spec({"generator": "riesz", "params": {"t": 2.0}}, 5)
+        assert doc.tobytes() == make_matrix(GeneratorSpec("riesz", {"t": 2.0}), 5).tobytes()
 
 
 class TestCli:
@@ -425,6 +425,8 @@ class TestExitCodeContract:
             (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--window", "5,5"], 3),
             (["core", "--kind", "alpha", "--x", "alternating:", "--system", "delta", "--n", "64", "--window", "0,10"], 3),
             (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--directions", "2"], 3),
+            (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--directions", str(cli.MAX_DIRECTIONS + 1)], 3),
+            (["core", "--kind", "st", "--x", "alternating:", "--n", "64", "--directions", str(cli.MAX_DIRECTIONS), "--out", "most.json"], 0),
             (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--grid-n", "-1"], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, window=[5, 5])], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, window=[30, 50])], 3),
@@ -506,6 +508,19 @@ class TestExitCodeContract:
         ]
         for argv, expected in cases:
             assert cli.main(argv) == expected, argv
+
+    @pytest.mark.parametrize("where", ["core", "core-include"])
+    def test_a_direction_count_past_the_maximum_is_one_schema_line(self, tmp_path, capsys, where):
+        # checked before the directions are allocated: 10^15 of them once died in np.arange with exit 1
+        out = tmp_path / "region.json"
+        if where == "core":
+            argv = ["core", "--kind", "k", "--x", "e", "--n", "8", "--directions", "1000000000000000", "--out", str(out)]
+        else:
+            argv = ["core-include", "--config", self._include_cfg(tmp_path, directions=10**15), "--out", str(out)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"seqcore: directions must lie in [4, {cli.MAX_DIRECTIONS}]: 1000000000000000"]
+        assert "Traceback" not in err and not out.exists()
 
     def test_inconclusive_aggregate_maps_to_exit_two(self, tmp_path, monkeypatch):
         from seqcore import matclass

@@ -12,6 +12,8 @@ from seqcore.io import canonical_dumps
 from seqcore.ladder import window
 from seqcore.types import BandSystem, ExponentSeq
 
+from conftest import twin
+
 DELTA = BandSystem.difference(512)
 LADDER = (32, 64, 128)
 EPS = np.finfo(np.float64).eps
@@ -152,7 +154,7 @@ class TestEMatrixOracle:
         # constant r=-1, s=1 has a negative inverse kernel, so zero terms can sum to -0.0
         sys = BandSystem.constant(-1.0, 1.0, 1.0, n) if system == "constant" else random_band_system(rng_from_seed(7), n)
         A = _oracle_input(kind, n)
-        E, partial = matclass.e_matrix(A, sys, n)
+        E, partial = matclass.e_matrix(A, twin(sys), n)
         V = band_ops.inverse_kernel(sys, n)
         bound = _rounding_bound(A, V)
         for i in range(n):
@@ -248,7 +250,7 @@ class TestEMatrixExact:
         sys = RATIONAL_SYSTEMS[system]
         n = 24
         A = materialize_matrix(matrix, n) if matrix == "cesaro" else rng_from_seed(9).uniform(-1.0, 1.0, (n, n))
-        E, partial = matclass.e_matrix(A, sys, n)
+        E, partial = matclass.e_matrix(A, twin(sys), n)
         exact = _exact_composition(A, sys)
         bound = _rounding_bound(A, band_ops.inverse_kernel(sys, n))
         for i in range(n):
@@ -357,7 +359,7 @@ def test_one_sweep_matches_per_rung_solves_bit_for_bit(rungs, rows, field, signs
     sys = BandSystem(rng.uniform(0.5, 2.5, top) * rng.choice([-1.0, 1.0], top), s, rng.uniform(0.5, 2.0, top))
     sources, _ = matclass._ladder_sources({"E", "partial"}, A, sys, None, ladder)
     for n in ladder:
-        E, partial = matclass.e_matrix(A, sys, n)
+        E, partial = matclass.e_matrix(A, twin(sys), n)
         swept = sources[n]["E"]
         assert swept.dtype == E.dtype and swept.flags.c_contiguous
         assert swept.tobytes() == E.tobytes() == _column_solve(A[:n, :n], sys).tobytes()
@@ -394,7 +396,7 @@ def test_long_ladder_is_swept_in_batches_inside_its_block(monkeypatch, field):
     assert work._block.size == sum(-(-size // 8) * 8 for size in regions)
     monkeypatch.setattr(matclass, "_compose", original)
     for n in ladder:
-        E, partial = matclass.e_matrix(A, sys, n)
+        E, partial = matclass.e_matrix(A, twin(sys), n)
         assert sources[n]["E"].tobytes() == E.tobytes()
         blocks = matclass._probe_blocks(partial)
         assert [i for i, _ in sources[n]["partial"]] == [i for i, _ in blocks]
@@ -672,10 +674,13 @@ def _lower_triangular_inputs(n: int) -> dict:
 
 
 def _per_rung_sources(kinds, A, sys, matrix, ladder):
-    """E and its probe rows' support blocks composed at every rung through the public builder, and a workspace."""
+    """E and its probe rows' support blocks composed at every rung through the public builder, and a workspace.
+
+    Each rung composes on an equal but separate system, so its V is a build of its own, not the shared one.
+    """
     sources = {}
     for n in ladder:
-        E, partial = matclass.e_matrix(A, sys, n)
+        E, partial = matclass.e_matrix(A, twin(sys), n)
         sources[n] = {"E": E, "partial": matclass._probe_blocks(partial)}
     return sources, matclass._Workspace(ladder, width=2 if np.iscomplexobj(E) else 1)
 
@@ -694,7 +699,7 @@ class TestComposedSources:
         A = _lower_triangular_inputs(n_top)[kind]
         sources, _ = matclass._ladder_sources({"E", "partial"}, A, sys, None, self.LADDER)
         for n in self.LADDER:
-            E, partial = matclass.e_matrix(A, sys, n)
+            E, partial = matclass.e_matrix(A, twin(sys), n)
             assert np.array_equal(sources[n]["E"], E)
             assert sources[n]["E"].tobytes() == E.tobytes()
             blocks = [(i, partial.support(i)) for i in range(min(8, n))]
@@ -778,8 +783,9 @@ CLASS_TRACE_BOUND = {"E": 192 * 1024, "btilde": 480 * 1024}
 @pytest.mark.parametrize("class_id", sorted(matclass.CLASS_RULES))
 @pytest.mark.parametrize("matrix", ["cesaro", "dense"])
 def test_class_report_traces_little_beside_its_workspace(monkeypatch, matrix, class_id):
-    # E per rung, V and the sweep's buffer live in the report's one block; btilde and the probe rows'
-    # support blocks (at most 8 x 8 on these lower-triangular inputs) are arrays of their own
+    # E per rung and the sweep's buffer live in the report's one block, and V on the system since the first call;
+    # btilde and the probe rows' support blocks (at most 8 x 8 on these lower-triangular inputs) are arrays of
+    # their own
     n, ladder = 256, (64, 128, 256)
     sys = BandSystem.constant(2.0, 0.8, 1.2, n)
     p, q = ExponentSeq.constant(2.0, n), np.full(n, 1.5)

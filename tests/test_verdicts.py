@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqcore.verdicts import (
     DECAY_THRESHOLD,
@@ -110,3 +113,18 @@ class TestCombine:
         assert combine_forall([HOLDS, INCONCLUSIVE]) == INCONCLUSIVE
         assert combine_exists([FAILS, INCONCLUSIVE]) == INCONCLUSIVE
         assert aggregate_verdict(iter(mixed)) == FAILS
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    ladder=st.lists(st.integers(1, 1 << 20), min_size=2, max_size=8, unique=True).map(sorted),
+)
+def test_growth_fit_is_polyfit_bit_for_bit(data, ladder):
+    # values from the 1e-300 floor to 1e300, of either sign, and zeros, which the floor lifts
+    signed = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-300, 1e300) | st.just(0.0))
+    values = [sign * v for sign, v in data.draw(st.lists(signed, min_size=len(ladder), max_size=len(ladder)))]
+    want = np.polyfit(np.log(np.asarray(ladder, dtype=np.float64)), np.log(np.maximum(np.abs(values), 1e-300)), 1)[0]
+    got = fit_growth_exponent(ladder, values)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert fit_growth_exponent(np.asarray(ladder), values) == got  # the ladder's setup is shared by value, not by object
