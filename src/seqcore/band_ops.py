@@ -57,7 +57,7 @@ import math
 
 import numpy as np
 
-from .types import BandSystem, ExponentSeq, FiniteSeq
+from .types import BandSystem, ExponentSeq, FiniteSeq, SchemaError
 
 __all__ = [
     "forward_transform",
@@ -343,8 +343,8 @@ def maddox_paranorm(v, p: ExponentSeq, kind: str) -> float:
     """Variable-exponent paranorms of a truncation.
 
     kind="sup" returns sup_k |v_k|^(p_k/M) and requires inf p_k bounded away
-    from zero (the sup functional is not a paranorm otherwise); kind="sum"
-    returns (sum_k |v_k|^(p_k))^(1/M).
+    from zero (the sup functional is not a paranorm otherwise; SchemaError);
+    kind="sum" returns (sum_k |v_k|^(p_k))^(1/M).
     """
     v = FiniteSeq.coerce(v)
     p.require_length(v.n)
@@ -352,7 +352,7 @@ def maddox_paranorm(v, p: ExponentSeq, kind: str) -> float:
     exps = p.p[: v.n]
     if kind == "sup":
         if not p.inf_positive:
-            raise ValueError("sup-type paranorm requires inf p_k > 0")
+            raise SchemaError(f"the sup paranorm needs exponents bounded away from zero: inf p_k = {float(np.min(p.p))!r}")
         return float(np.max(mag ** (exps / p.M)))
     if kind == "sum":
         return float(np.sum(mag ** exps) ** (1.0 / p.M))

@@ -11,13 +11,19 @@ verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
 unreadable input or schema violation (including invalid generator values,
 sequence values or dense matrix entries that are not finite numbers, ragged
 dense matrices, non-integer lists, non-numeric tolerances, density
-tolerances outside (0, 1), non-positive exponents, exponent lists shorter than the largest truncation,
-truncations below 1, direction counts outside [4, 1024] (MAX_DIRECTIONS),
-B ladders that are empty or hold a B <= 1, cutoffs
-outside [0, n), sup paranorms with some p_k <= 1e-9, a missing p or q, an
-unknown (space, dual) pair, exponents on both sides of 1 where the dual rules
-split there, and a value that names both an existing file and a generator),
-4 internal evaluation errors.
+tolerances outside (0, 1), non-positive exponents, exponent lists shorter
+than the largest truncation, truncations below 1, core windows outside the
+sequence, direction counts outside [4, 1024] (cores.MAX_DIRECTIONS), grid_n
+outside [0, 64] (cores.MAX_GRID_N), B ladders that are empty or hold a
+B <= 1, cutoffs outside [0, n), sup paranorms with some p_k <= 1e-9, a
+missing p or q, an unknown (space, dual) pair, exponents on both sides of 1
+where the dual rules split there, and a value that names both an existing
+file and a generator), 4 internal evaluation errors (an overflow, or memory
+running out).  Each error is one "seqcore: ..." line on stderr.
+
+A caller-argument rule is checked once, by the library function that reads
+the argument, which raises ``SchemaError`` (exit 3); this module parses
+arguments and config documents into the values those functions take.
 """
 
 from __future__ import annotations
@@ -31,18 +37,9 @@ import numpy as np
 
 from . import acceptance, band_ops, cores, duals, matclass
 from .generators import MATRIX_NAMES, SEQUENCE_NAMES, SYSTEM_NAMES
-from .io import (
-    SchemaError,
-    canonical_dumps,
-    load_json,
-    matrix_from_spec,
-    region_to_csv,
-    seq_from_spec,
-    seq_to_json,
-    system_from_spec,
-)
-from .ladder import truncation_ladder, witness_ladder
-from .types import ExponentSeq, FiniteSeq
+from .io import canonical_dumps, load_json, matrix_from_spec, region_to_csv, seq_from_spec, seq_to_json, system_from_spec
+from .ladder import truncation_ladder
+from .types import ExponentSeq, SchemaError
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -70,24 +67,13 @@ def _resolve_spec(text: str):
 
 
 def _parse_exponents(text: str, n: int) -> ExponentSeq:
-    parts = [p for p in text.split(",") if p]
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise SchemaError(f"exponents must be numeric: {text!r}") from exc
-    if len(vals) != 1 and len(vals) < n:
-        raise SchemaError(f"{len(vals)} exponents cannot serve truncation {n}")
-    try:
-        return ExponentSeq.constant(vals[0], n) if len(vals) == 1 else ExponentSeq(np.asarray(vals[:n]))
-    except ValueError as exc:
-        raise SchemaError(f"exponents {text!r}: {exc}") from exc
+    """A constant or comma-separated exponents, truncated to n: ``ExponentSeq.M`` reads the whole sequence."""
+    vals = [_config_float(v, "p") for v in text.split(",") if v]
+    return _config_exponents(vals[0] if len(vals) == 1 else vals[:n], n, "p")
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise SchemaError(f"{what} must be comma-separated integers: {text!r}") from exc
+    return _config_ints([v for v in text.split(",") if v], what)
 
 
 def _config_int(value, what: str) -> int:
@@ -113,15 +99,6 @@ def _config_ints(values, what: str) -> list[int]:
     return [_config_int(v, what) for v in values]
 
 
-def _config_ladder(values, what: str, check) -> list[int]:
-    """A ladder of integers from a config document, validated by the library's ``check``."""
-    values = _config_ints(values, what)
-    try:
-        return check(values)
-    except ValueError as exc:
-        raise SchemaError(f"{what}: {exc}") from exc
-
-
 def _config_exponents(value, n: int, what: str) -> ExponentSeq:
     """A constant or a list of positive exponents from a config document, as n or more values."""
     try:
@@ -137,17 +114,13 @@ def _config_exponents(value, n: int, what: str) -> ExponentSeq:
 
 
 def _parse_window(value, n: int, min_start: int = 0) -> tuple[int, int]:
-    """(start, stop) from a "start,stop" argument or a config list; the last three quarters by default."""
+    """(start, stop) from a "start,stop" argument or a config list, range-checked by the cores; the last three quarters by default."""
     if value is None:
-        start, stop = max(min_start, n // 4), n
-    else:
-        parts = _parse_ints(value, "window") if isinstance(value, str) else _config_ints(value, "window")
-        if len(parts) != 2:
-            raise SchemaError("window must be 'start,stop'")
-        start, stop = parts
-    if not min_start <= start < stop <= n:
-        raise SchemaError(f"window [{start}, {stop}) invalid for length {n} (start >= {min_start})")
-    return start, stop
+        return max(min_start, n // 4), n
+    parts = _parse_ints(value, "window") if isinstance(value, str) else _config_ints(value, "window")
+    if len(parts) != 2:
+        raise SchemaError("window must be 'start,stop'")
+    return parts[0], parts[1]
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -196,8 +169,6 @@ def _cmd_paranorm(args) -> int:
     n = args.n
     x = seq_from_spec(_resolve_spec(args.x), n)
     p = _parse_exponents(args.p, x.n)
-    if args.kind == "sup" and not p.inf_positive:
-        raise SchemaError(f"the sup paranorm needs exponents bounded away from zero: {args.p!r}")
     doc = {"command": "paranorm", "kind": args.kind, "n": x.n}
     if args.raw:
         doc["value"] = band_ops.maddox_paranorm(x, p, args.kind)
@@ -238,7 +209,7 @@ def _ladder_config(args, command: str, allowed: set, required: set) -> tuple[dic
     if args.ladder and isinstance(config, dict):  # _check_config rejects the rest
         config = dict(config, ladder=_parse_ints(args.ladder, "ladder"))
     _check_config(config, command, allowed, required | {"ladder"})
-    return config, _config_ladder(config["ladder"], "ladder", truncation_ladder)
+    return config, truncation_ladder(_config_ints(config["ladder"], "ladder"))
 
 
 def _cmd_dual_check(args) -> int:
@@ -247,7 +218,7 @@ def _cmd_dual_check(args) -> int:
     a = seq_from_spec(config["a"], n)
     sys = system_from_spec(config["system"], n)
     p = _config_exponents(config["p"], n, "p")
-    b_ladder = _config_ladder(config.get("b_ladder", duals.DEFAULT_B_LADDER), "b_ladder", witness_ladder)
+    b_ladder = _config_ints(config.get("b_ladder", duals.DEFAULT_B_LADDER), "b_ladder")
     report = duals.dual_report(a, sys, p, config["space"], config["dual"], ladder, b_ladder)
     _emit(report.to_json(), args.out or config.get("out"))
     return _VERDICT_EXIT[report.aggregate]
@@ -271,16 +242,45 @@ def _cmd_class_check(args) -> int:
     return _VERDICT_EXIT[report.aggregate]
 
 
-# the most support-function directions a core may sample: a disc or st core's envelope is a (grid_n^2 + 6 D) x D
-# float64 array, 54 MB at D = 1024 and the default grid_n, and grows with D^2
-MAX_DIRECTIONS = 1024
+# the core options' defaults, for the core command and core-include specs alike
+_CORE_DEFAULTS = {"method": "hull", "directions": 64, "density_tol": 0.02, "grid_n": 21}
+_CORE_OPTIONS = ("window", *_CORE_DEFAULTS)
 
 
-def _build_region(kind, x, sys, window, directions, density_tol, grid_n, method="hull"):
-    if not 4 <= directions <= MAX_DIRECTIONS:
-        raise SchemaError(f"directions must lie in [4, {MAX_DIRECTIONS}]: {directions!r}")
-    if grid_n < 0:
-        raise SchemaError(f"grid_n must be nonnegative: {grid_n!r}")
+def _cmd_core(args) -> int:
+    spec = {"kind": args.kind, "x": _resolve_spec(args.x), "n": args.n}
+    if args.system is not None:
+        spec["system"] = _resolve_spec(args.system)
+    spec |= {key: getattr(args, key) for key in _CORE_OPTIONS if getattr(args, key) is not None}
+    region = _region_from_config(spec)
+    if args.out_csv:
+        Path(args.out_csv).write_text(region_to_csv(region), encoding="utf-8")
+    _emit({"command": "core", "kind": args.kind} | region.to_json(), args.out)
+    return EXIT_HOLDS
+
+
+_CORE_SPEC_KEYS = {"kind", "x", "system", "n", *_CORE_OPTIONS}
+_INCLUDE_KEYS = {"command", "inner", "outer", "tol", "out"}
+
+
+def _region_from_config(spec: dict) -> cores.RegionEstimate:
+    """The region of a core spec: a core-include config's inner or outer, or the core command's options.
+
+    The cores check the window, direction count, density tolerance and probe
+    grid; grid_n is checked for every kind, as every kind accepts it.
+    """
+    _check_config(spec, "core spec", _CORE_SPEC_KEYS, {"kind", "x", "n"})
+    spec = _CORE_DEFAULTS | spec
+    n = _config_int(spec["n"], "n")
+    x = seq_from_spec(spec["x"], n)
+    kind, method = spec["kind"], spec["method"]
+    sys = system_from_spec(spec["system"], n) if "system" in spec else None
+    if kind == "alpha" and sys is None:
+        raise SchemaError("alpha cores need a system")
+    window = _parse_window(spec.get("window"), n, 1 if kind == "alpha" else 0)
+    directions = _config_int(spec["directions"], "directions")
+    density_tol = _config_float(spec["density_tol"], "density_tol")
+    grid_n = cores.check_grid_n(_config_int(spec["grid_n"], "grid_n"))
     if kind == "alpha":
         return cores.alpha_core(x, sys, window, directions)
     if kind == "k":
@@ -290,50 +290,8 @@ def _build_region(kind, x, sys, window, directions, density_tol, grid_n, method=
             return cores.disc_core(x, window, n_directions=directions, grid_n=grid_n)
         raise SchemaError(f"unknown core method {method!r} (expected hull or disc)")
     if kind == "st":
-        if not 0.0 < density_tol < 1.0:
-            raise SchemaError(f"density_tol must lie in (0, 1): {density_tol!r}")
         return cores.st_core(x, window, density_tol, n_directions=directions, grid_n=grid_n)
     raise SchemaError(f"unknown core kind {kind!r} (expected alpha, k, or st)")
-
-
-def _cmd_core(args) -> int:
-    n = args.n
-    x = seq_from_spec(_resolve_spec(args.x), n)
-    sys = None
-    if args.kind == "alpha":
-        if args.system is None:
-            raise SchemaError("alpha cores need --system")
-        sys = system_from_spec(_resolve_spec(args.system), x.n)
-    window = _parse_window(args.window, x.n, 1 if args.kind == "alpha" else 0)
-    region = _build_region(args.kind, x, sys, window, args.directions, args.density_tol, args.grid_n, args.method)
-    if args.out_csv:
-        Path(args.out_csv).write_text(region_to_csv(region), encoding="utf-8")
-    _emit({"command": "core", "kind": args.kind} | region.to_json(), args.out)
-    return EXIT_HOLDS
-
-
-_CORE_SPEC_KEYS = {"kind", "method", "x", "system", "n", "window", "directions", "density_tol", "grid_n"}
-_INCLUDE_KEYS = {"command", "inner", "outer", "tol", "out"}
-
-
-def _region_from_config(spec: dict) -> cores.RegionEstimate:
-    _check_config(spec, "core spec", _CORE_SPEC_KEYS, {"kind", "x", "n"})
-    n = _config_int(spec["n"], "n")
-    x = seq_from_spec(spec["x"], n)
-    kind = spec["kind"]
-    sys = system_from_spec(spec["system"], n) if "system" in spec else None
-    if kind == "alpha" and sys is None:
-        raise SchemaError("alpha cores need a system")
-    return _build_region(
-        kind,
-        x,
-        sys,
-        _parse_window(spec.get("window"), n, 1 if kind == "alpha" else 0),
-        _config_int(spec.get("directions", 64), "directions"),
-        _config_float(spec.get("density_tol", 0.02), "density_tol"),
-        _config_int(spec.get("grid_n", 21), "grid_n"),
-        spec.get("method", "hull"),
-    )
 
 
 def _cmd_core_include(args) -> int:
@@ -391,8 +349,15 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are schema errors (exit 3), not argparse's exit 2, which means inconclusive here."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="seqcore", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="seqcore", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, system=True):
@@ -440,15 +405,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("core", help="core region of a sequence")
     sp.add_argument("--kind", choices=("k", "st", "alpha"), required=True)
-    sp.add_argument("--method", choices=("hull", "disc"), default="hull", help="estimator for plain cores")
+    sp.add_argument("--method", choices=("hull", "disc"), help="estimator for plain cores (default: %(default)s)")
     sp.add_argument("--x", required=True)
     sp.add_argument("--window", help="start,stop (default: last three quarters)")
-    sp.add_argument("--directions", type=int, default=64, help=f"support-function directions, 4 to {MAX_DIRECTIONS}")
-    sp.add_argument("--density-tol", dest="density_tol", type=float, default=0.02)
-    sp.add_argument("--grid-n", dest="grid_n", type=int, default=21)
+    sp.add_argument("--directions", type=int, help=f"support-function directions, 4 to {cores.MAX_DIRECTIONS} (default: %(default)s)")
+    sp.add_argument("--density-tol", dest="density_tol", type=float, help="st cores, in (0, 1) (default: %(default)s)")
+    sp.add_argument("--grid-n", dest="grid_n", type=int, help=f"probe grid side, 0 to {cores.MAX_GRID_N} (default: %(default)s)")
     sp.add_argument("--out-csv", dest="out_csv", help="write region vertices as CSV")
     add_common(sp)
-    sp.set_defaults(fn=_cmd_core)
+    sp.set_defaults(fn=_cmd_core, **_CORE_DEFAULTS)
 
     sp = sub.add_parser("core-include", help="support-function inclusion test of two regions")
     sp.add_argument("--config", required=True)
@@ -465,15 +430,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except SchemaError as exc:
         _sys.stderr.write(f"seqcore: {exc}\n")
         return EXIT_SCHEMA
     except (ValueError, KeyError, IndexError, OverflowError, OSError) as exc:
         _sys.stderr.write(f"seqcore: {exc}\n")
+        return EXIT_INTERNAL
+    except MemoryError as exc:
+        _sys.stderr.write(f"seqcore: out of memory ({exc})\n")
         return EXIT_INTERNAL
 
 

@@ -65,7 +65,7 @@ import numpy as np
 from .band_ops import forward_transform
 from .generators import materialize_matrix
 from .ladder import truncation_ladder
-from .types import BandSystem, FiniteSeq
+from .types import BandSystem, FiniteSeq, SchemaError
 
 __all__ = [
     "RegionEstimate",
@@ -82,10 +82,19 @@ __all__ = [
     "hausdorff_distance",
     "sign_witness",
     "default_z_points",
+    "check_grid_n",
+    "MAX_DIRECTIONS",
+    "MAX_GRID_N",
 ]
 
 _BOUNDED_WARN = 1e6
 _DEFAULT_DIRECTIONS = 64
+# the most support-function directions a core may sample: a disc or st core's envelope is a (grid_n^2 + 6 D) x D
+# float64 array, 54 MB at D = 1024 and the default grid_n, and grows with D^2
+MAX_DIRECTIONS = 1024
+# the widest central probe grid: its grid_n^2 probes then stay below the 6 D far probes at D = MAX_DIRECTIONS, so
+# the envelope stays within (64^2 + 6 * 1024) x 1024 float64, 84 MB
+MAX_GRID_N = 64
 _FAR_MULTIPLES = (2.0, 4.0, 8.0, 16.0, 64.0, 256.0)
 _PROBE_BLOCK = 1 << 20  # distance entries per block of probe rows
 _OCTANTS = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]], dtype=np.float64)
@@ -102,8 +111,9 @@ _TINY = 4.0 * np.finfo(np.float64).smallest_subnormal
 
 
 def direction_angles(n_directions: int) -> np.ndarray:
-    if n_directions < 4:
-        raise ValueError("need at least 4 directions")
+    """n equally spaced angles; a count outside [4, MAX_DIRECTIONS] is a SchemaError, raised before any is allocated."""
+    if not 4 <= n_directions <= MAX_DIRECTIONS:
+        raise SchemaError(f"directions must lie in [4, {MAX_DIRECTIONS}]: {n_directions!r}")
     return 2.0 * np.pi * np.arange(n_directions) / n_directions
 
 
@@ -114,7 +124,7 @@ def _unit(angles: np.ndarray) -> np.ndarray:
 def _check_window(n: int, window, min_start: int = 0) -> tuple[int, int]:
     start, stop = int(window[0]), int(window[1])
     if not (min_start <= start < stop <= n):
-        raise ValueError(f"window [{start}, {stop}) invalid for length {n} (start >= {min_start})")
+        raise SchemaError(f"window [{start}, {stop}) invalid for length {n} (start >= {min_start})")
     return start, stop
 
 
@@ -394,9 +404,10 @@ def _st_rank(w: int, density_tol: float) -> int:
     smallest level whose strict exceedance density is below the tolerance.
     At density_tol = 1 that is the window minimum, every radius is the nearest
     window distance and the discs rarely meet, so the range is open at 1.
+    A tolerance outside (0, 1) is a SchemaError.
     """
     if not 0.0 < density_tol < 1.0:
-        raise ValueError("density_tol must lie in (0, 1)")
+        raise SchemaError(f"density_tol must lie in (0, 1): {density_tol!r}")
     return int(np.argmax((w - 1 - np.arange(w)) < density_tol * w))
 
 
@@ -428,14 +439,24 @@ def cluster_hull(points, window, n_directions: int = _DEFAULT_DIRECTIONS) -> Reg
     return _region_from_points(np.stack([cands.real, cands.imag], axis=1), angles, "cluster_hull", win)
 
 
+def check_grid_n(grid_n: int) -> int:
+    """grid_n when it lies in [0, MAX_GRID_N], else a SchemaError."""
+    if not 0 <= grid_n <= MAX_GRID_N:
+        raise SchemaError(f"grid_n must lie in [0, {MAX_GRID_N}]: {grid_n!r}")
+    return grid_n
+
+
 def default_z_points(values: np.ndarray, angles: np.ndarray, grid_n: int = 21) -> np.ndarray:
     """Probe centers for disc intersections: central grid plus far directional samples.
 
-    The central grid spans 1.5x the data spread around its centroid; the far
-    samples sit on the rays opposite every sampled direction at multiples of
-    the spread, which is what makes the disc envelope tight (the exact region
-    is an intersection over all centers, approached as probes recede).
+    The central grid of grid_n x grid_n probes spans 1.5x the data spread
+    around its centroid; the far samples sit on the rays opposite every
+    sampled direction at multiples of the spread, which is what makes the
+    disc envelope tight (the exact region is an intersection over all
+    centers, approached as probes recede).  grid_n is checked by
+    :func:`check_grid_n` before any probe is allocated.
     """
+    check_grid_n(grid_n)
     c = complex(np.mean(values))
     spread = float(np.max(np.abs(values - c)))
     scale = max(spread, 1e-9)
@@ -622,7 +643,7 @@ def alpha_core(x, sys: BandSystem, window, n_directions: int = _DEFAULT_DIRECTIO
 
 def _require_same_angles(r1: RegionEstimate, r2: RegionEstimate):
     if r1.angles.size != r2.angles.size or not np.allclose(r1.angles, r2.angles):
-        raise ValueError("regions were sampled on different direction sets")
+        raise SchemaError("regions were sampled on different direction sets")
 
 
 def region_included(inner: RegionEstimate, outer: RegionEstimate, tol: float = 0.0) -> tuple[bool, float]:

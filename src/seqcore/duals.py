@@ -56,9 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_ops import inverse_kernel, inverse_transform
-from .io import SchemaError
 from .ladder import witness_ladder
-from .types import BandSystem, ExponentSeq, FiniteSeq
+from .types import BandSystem, ExponentSeq, FiniteSeq, SchemaError
 from .verdicts import aggregate_verdict
 
 __all__ = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import BandSystem, FiniteSeq
+from .types import BandSystem, FiniteSeq, SchemaError
 
 __all__ = [
     "GeneratorSpec",
@@ -118,14 +118,18 @@ def make_matrix(spec, n: int, **params) -> np.ndarray:
 
 
 def materialize_matrix(matrix, n: int) -> np.ndarray:
-    """Resolve a matrix argument (dense block, GeneratorSpec, or name) to n x n."""
+    """Resolve a matrix argument (dense block, GeneratorSpec, or name) to n x n.
+
+    A dense block must be at least n x n with finite entries, all of it, not
+    only its leading n x n block; else SchemaError.
+    """
     if isinstance(matrix, (GeneratorSpec, str)):
         return make_matrix(matrix, n)
     dense = np.asarray(matrix)
     if dense.ndim != 2 or dense.shape[0] < n or dense.shape[1] < n:
-        raise ValueError(f"dense block smaller than requested truncation {n}")
+        raise SchemaError(f"dense matrix smaller than requested truncation {n}")
     if not np.all(np.isfinite(dense)):
-        raise ValueError("dense block entries must be finite")
+        raise SchemaError("dense matrix entries must be finite")
     return np.array(dense[:n, :n])
 
 

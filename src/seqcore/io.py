@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .generators import MATRIX_NAMES, GeneratorSpec, band_system_from_spec, make_matrix, make_sequence
-from .types import BandSystem, FiniteSeq
+from .types import BandSystem, FiniteSeq, SchemaError
 
 __all__ = [
     "SchemaError",
@@ -31,10 +31,6 @@ __all__ = [
     "region_to_csv",
     "parse_shorthand",
 ]
-
-
-class SchemaError(ValueError):
-    """Raised when an input document does not match its expected schema."""
 
 
 def _fmt_float(x: float) -> str:
@@ -159,25 +155,24 @@ def system_from_spec(spec, length: int) -> BandSystem:
     if isinstance(spec, dict) and {"r", "s", "alpha"} <= set(spec):
         try:
             sys = BandSystem(np.asarray(spec["r"]), np.asarray(spec["s"]), np.asarray(spec["alpha"]))
+            sys.require_length(length)
         except ValueError as exc:
             raise SchemaError(f"invalid band system: {exc}") from exc
-        sys.require_length(length)
         return sys
     raise SchemaError("system spec must give r/s/alpha arrays, a generator document, or shorthand")
 
 
 def matrix_from_spec(spec, n: int):
-    """Matrix argument for class checks, as an array: a dense block, or a generator document or shorthand built at n."""
+    """Matrix argument for class checks, as an array: a dense block, or a generator document or shorthand built at n.
+
+    A dense block is parsed here; its shape and entries are checked by
+    :func:`seqcore.generators.materialize_matrix` where a report reads it.
+    """
     if isinstance(spec, dict) and "dense" in spec:
         try:
-            dense = np.asarray(spec["dense"], dtype=np.float64)
+            return np.asarray(spec["dense"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"dense matrix must be rows of numbers of one length: {exc}") from exc
-        if dense.ndim != 2 or dense.shape[0] < n or dense.shape[1] < n:
-            raise SchemaError(f"dense matrix smaller than requested truncation {n}")
-        if not np.isfinite(dense).all():
-            raise SchemaError("dense matrix entries must be finite")
-        return dense
     if isinstance(spec, str) or (isinstance(spec, dict) and "generator" in spec):
         name, params = _generator(spec)
         if name not in MATRIX_NAMES:

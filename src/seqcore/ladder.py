@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .types import SchemaError
 from .verdicts import HOLDS, ConditionVerdict, classify_series, combine_exists, combine_forall
 
 __all__ = ["FORALL", "EXISTS", "WITNESS_LAYERS", "truncation_ladder", "witness_ladder", "window", "ladder_verdict"]
@@ -31,22 +32,22 @@ WITNESS_LAYERS: dict[str, tuple[tuple[str, str], ...]] = {
 
 
 def truncation_ladder(ladder) -> list[int]:
-    """The ladder as ints; it must be nonempty, strictly increasing and start at 1 or above."""
+    """The ladder as ints; it must be nonempty, strictly increasing and start at 1 or above, else SchemaError."""
     ladder = [int(n) for n in ladder]
     if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("ladder must be nonempty and strictly increasing")
+        raise SchemaError("ladder must be nonempty and strictly increasing")
     if ladder[0] < 1:
-        raise ValueError(f"truncations must be >= 1 (got {ladder[0]})")
+        raise SchemaError(f"ladder: truncations must be >= 1 (got {ladder[0]})")
     return ladder
 
 
 def witness_ladder(ladder) -> list[int]:
-    """The witness ladder as ints; it must be nonempty with every witness above 1."""
+    """The witness ladder (a dual report's b_ladder) as ints; it must be nonempty with every witness above 1, else SchemaError."""
     ladder = [int(w) for w in ladder]
     if not ladder:
-        raise ValueError("witness ladder must be nonempty")
+        raise SchemaError("b_ladder: witness ladder must be nonempty")
     if min(ladder) <= 1:
-        raise ValueError(f"witnesses must be > 1 (got {min(ladder)})")
+        raise SchemaError(f"b_ladder: witnesses must be > 1 (got {min(ladder)})")
     return ladder
 
 

@@ -78,9 +78,8 @@ from .duals import (  # noqa: F401 - perfbench traces matclass.subset_sup as an 
     subset_sup,
 )
 from .generators import materialize_matrix
-from .io import SchemaError
 from .ladder import WITNESS_LAYERS, ladder_verdict, truncation_ladder, window
-from .types import BandSystem, ExponentSeq
+from .types import BandSystem, ExponentSeq, SchemaError
 from .verdicts import ConditionVerdict, aggregate_verdict
 
 __all__ = [

@@ -6,12 +6,21 @@ index origin 0.  Operators are not value types: the kernels of
 read-only N x N numpy arrays, each range-checked by its producer.  Instances
 are immutable after construction (arrays are frozen), so values can be
 shared freely between threads; construction validates the declared
-invariants and raises ``ValueError`` on violations.  The one exception is a
-``BandSystem``'s private ``_inverse`` memo, which
+invariants and raises ``ValueError`` on violations, since the value types
+also wrap computed results, where a violation is an evaluation error.  The
+one exception is a ``BandSystem``'s private ``_inverse`` memo, which
 ``band_ops.inverse_kernel`` fills lazily with the read-only V of the largest
-truncation built so far.  It lives and dies with its system, takes no part
-in equality, and is safe to race: every build at one truncation has the
-same bits, so a lost or smaller store costs at most a rebuild.
+truncation built so far.  It lives and dies with its system and is safe to
+race: every build at one truncation has the same bits, so a lost or smaller
+store costs at most a rebuild.
+
+Equality is identity: two values compare equal only when they are the same
+object, and hash by identity, so they can key dicts and sets.  To compare
+the parameters of two values, compare their arrays (``np.array_equal``).
+
+``SchemaError`` lives here, in the bottom layer, so that every module can
+raise it for a caller argument outside its documented range;
+:mod:`seqcore.io` re-exports it and the CLI maps it to exit 3.
 
 Construction copies an array unless it already owns its data and is
 read-only: a writable array, or any view (a slice, a reshape, a buffer
@@ -30,10 +39,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["FiniteSeq", "BandSystem", "ExponentSeq"]
+__all__ = ["SchemaError", "FiniteSeq", "BandSystem", "ExponentSeq"]
 
 # inf p_k below this is treated as "not bounded away from zero"
 INF_POSITIVE_TOL = 1e-9
+
+
+class SchemaError(ValueError):
+    """Raised when an input document or a caller argument does not match its expected schema."""
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -45,7 +58,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSeq:
     """A length-N complex-valued sequence truncation, indices 0..N-1."""
 
@@ -68,7 +81,7 @@ class FiniteSeq:
         return x if isinstance(x, FiniteSeq) else FiniteSeq(np.asarray(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandSystem:
     """Parameter triple (r_k), (s_k), (alpha_k) of the double-band transform.
 
@@ -85,7 +98,7 @@ class BandSystem:
     s: np.ndarray
     alpha: np.ndarray
     # band_ops.inverse_kernel's memo: {"V": V at the largest truncation built so far}
-    _inverse: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _inverse: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.float64)
@@ -131,7 +144,7 @@ class BandSystem:
         return cls.constant(1.0, -1.0, 1.0, length)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentSeq:
     """A bounded sequence of strictly positive exponents (p_k).
 

@@ -425,9 +425,26 @@ class TestExitCodeContract:
             (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--window", "5,5"], 3),
             (["core", "--kind", "alpha", "--x", "alternating:", "--system", "delta", "--n", "64", "--window", "0,10"], 3),
             (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--directions", "2"], 3),
-            (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--directions", str(cli.MAX_DIRECTIONS + 1)], 3),
-            (["core", "--kind", "st", "--x", "alternating:", "--n", "64", "--directions", str(cli.MAX_DIRECTIONS), "--out", "most.json"], 0),
+            (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--directions", str(cores.MAX_DIRECTIONS + 1)], 3),
+            (["core", "--kind", "st", "--x", "alternating:", "--n", "64", "--directions", str(cores.MAX_DIRECTIONS), "--out", "most.json"], 0),
             (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--grid-n", "-1"], 3),
+            (["core", "--kind", "k", "--x", "alternating:", "--n", "64", "--grid-n", "100000"], 3),
+            (["core", "--kind", "st", "--x", "alternating:", "--n", "64", "--grid-n", str(cores.MAX_GRID_N + 1)], 3),
+            (["core", "--kind", "st", "--x", "alternating:", "--n", "64", "--grid-n", str(cores.MAX_GRID_N), "--out", "widest.json"], 0),
+            (["core", "--kind", "k", "--method", "disc", "--x", "e", "--n", "40", "--grid-n", "0", "--out", "nogrid.json"], 0),
+            (["core-include", "--config", self._include_cfg(tmp_path, kind="st", grid_n=cores.MAX_GRID_N + 1)], 3),
+            # two regions compare only on one direction set
+            (["core-include", "--config", self._include_cfg(tmp_path, directions=16)], 3),
+            # usage errors: a value argparse cannot convert or a choice it does not know
+            (["transform", "--x", "e", "--system", "delta", "--n", "x"], 3),
+            (["core", "--kind", "st", "--x", "e", "--n", "40", "--density-tol", "x"], 3),
+            (["core", "--kind", "k", "--method", "x", "--x", "e", "--n", "40"], 3),
+            (["paranorm", "--x", "e", "--p", "2", "--kind", "max", "--n", "8", "--raw"], 3),
+            # a system is read as in a core-include spec, by every kind
+            (["core", "--kind", "k", "--x", "e", "--n", "8", "--system", "constant:r=0"], 3),
+            (["core", "--kind", "st", "--x", "e", "--n", "8", "--system", "delta", "--out", "sys.json"], 0),
+            # a band system document shorter than the truncation
+            (["transform", "--x", "e", "--system", self._cfg(tmp_path, {"r": [1.0], "s": [1.0], "alpha": [1.0]}), "--n", "16"], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, window=[5, 5])], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, window=[30, 50])], 3),
             (["core-include", "--config", self._include_cfg(tmp_path, directions=2)], 3),
@@ -519,8 +536,38 @@ class TestExitCodeContract:
             argv = ["core-include", "--config", self._include_cfg(tmp_path, directions=10**15), "--out", str(out)]
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"seqcore: directions must lie in [4, {cli.MAX_DIRECTIONS}]: 1000000000000000"]
+        assert err.splitlines() == [f"seqcore: directions must lie in [4, {cores.MAX_DIRECTIONS}]: 1000000000000000"]
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("where", ["core", "core-include"])
+    def test_a_probe_grid_past_the_maximum_is_one_schema_line(self, tmp_path, capsys, where):
+        # checked before the probe grid is allocated: a 10^5 grid side once died allocating 149 GiB with exit 1
+        out = tmp_path / "region.json"
+        if where == "core":
+            argv = ["core", "--kind", "st", "--x", "e", "--n", "40", "--grid-n", "100000", "--out", str(out)]
+        else:
+            argv = ["core-include", "--config", self._include_cfg(tmp_path, kind="st", grid_n=100000), "--out", str(out)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"seqcore: grid_n must lie in [0, {cores.MAX_GRID_N}]: 100000"]
+        assert "Traceback" not in err and not out.exists()
+
+    def test_running_out_of_memory_is_one_internal_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 149. GiB for an array with shape (100000, 100000)")
+
+        monkeypatch.setattr(cli.cores, "st_core", exhausted)
+        out = tmp_path / "region.json"
+        assert cli.main(["core", "--kind", "st", "--x", "e", "--n", "40", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["seqcore: out of memory (Unable to allocate 149. GiB for an array with shape (100000, 100000))"]
+        assert not out.exists()
+
+    @pytest.mark.xfail(strict=True, reason="an st core whose discs share no point raises 'empty region', an internal error")
+    @pytest.mark.parametrize("tol", ["0.5", "0.99"])
+    def test_an_st_core_at_a_high_density_tolerance_is_a_verdict(self, tmp_path, tol):
+        argv = ["core", "--kind", "st", "--x", "random_bounded:seed=5", "--n", "40", "--grid-n", "5", "--directions", "16"]
+        assert cli.main([*argv, "--density-tol", tol, "--out", str(tmp_path / "st.json")]) == 0
 
     def test_inconclusive_aggregate_maps_to_exit_two(self, tmp_path, monkeypatch):
         from seqcore import matclass

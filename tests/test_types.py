@@ -95,3 +95,12 @@ def test_exponent_conjugate_requires_p_above_one():
         ExponentSeq(np.array([0.5, 2.0])).conjugate()
     pc = ExponentSeq(np.array([2.0, 4.0])).conjugate()
     assert np.allclose(pc, [2.0, 4.0 / 3.0])
+
+
+def test_value_types_compare_and_hash_by_identity():
+    # the dataclass __eq__ once compared array fields and raised on any system longer than 1
+    a, b = BandSystem.difference(8), BandSystem.difference(8)
+    seq, p = FiniteSeq(np.ones(8)), ExponentSeq.constant(2.0, 8)
+    assert a == a and a != b and seq == seq and seq != FiniteSeq(np.ones(8)) and p != ExponentSeq.constant(2.0, 8)
+    assert len({a, b, seq, p}) == 4 and {a: 1}[a] == 1
+    assert hash(a) == hash(a) and hash(p) == hash(p)
