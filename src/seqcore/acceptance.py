@@ -20,7 +20,7 @@ from .generators import make_matrix, make_sequence, random_band_system, rng_from
 from .io import canonical_dumps
 from .types import BandSystem, ExponentSeq, FiniteSeq
 
-__all__ = ["CheckResult", "run_all", "CHECK_IDS", "check_function", "BUDGETS_S"]
+__all__ = ["CheckResult", "CHECK_IDS", "check_function", "BUDGETS_S"]
 
 # wall-clock budgets (seconds) of the checks that carry one
 BUDGETS_S = {"C1": 5.0, "C7": 30.0}
@@ -487,7 +487,3 @@ def check_function(check_id: str):
         return CHECKS[CHECK_IDS.index(check_id)]
     except ValueError:
         raise KeyError(f"unknown check {check_id!r}; known: {list(CHECK_IDS)}") from None
-
-
-def run_all() -> list[CheckResult]:
-    return [fn() for fn in CHECKS]

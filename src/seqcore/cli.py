@@ -233,7 +233,7 @@ def _cmd_class_check(args) -> int:
     matrix = matrix_from_spec(config["matrix"], n)
     sys = system_from_spec(config["system"], n)
     p = _config_exponents(config["p"], n, "p") if "p" in config else None
-    q = _config_exponents(config["q"], n, "q").p if "q" in config else None
+    q = _config_exponents(config["q"], n, "q") if "q" in config else None
     try:
         report = matclass.class_report(matrix, config["class"], sys, p=p, q=q, ladder=ladder)
     except KeyError as exc:

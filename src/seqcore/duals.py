@@ -449,7 +449,7 @@ def dual_report(
 
     b_ladder = witness_ladder(b_ladder)
     cond_ids = _conditions_for(space, dual, p)
-    ladder, _ = _check_inputs(cond_ids, ladder, p, None)
+    ladder, p, _ = _check_inputs(cond_ids, ladder, p, None)
     top = ladder[-1]
     w = _companion_weights(a, top)
     real_only = [cid for cid in cond_ids if DUAL_CONDITIONS[cid].real_only]

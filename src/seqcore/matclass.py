@@ -32,21 +32,23 @@ sampled over a finite quantifier ladder by the engine in
 :mod:`seqcore.ladder`.  A dual set's B is sampled over the dual report's B
 ladder and binds as M when existential and as L when universal.  The matrix
 functionals (subset estimates, signed column sups, power row and entry sups)
-live in :mod:`seqcore.duals`.  A class report builds its sources once per
-rung and hands them to every condition: btilde once at the largest
-truncation, sliced per ladder point, and E for every ladder point in one
-backward sweep (:func:`_compose`): T is lower bidiagonal, so rung n solves
-E T = A on the leading n x n block of A in O(n^2), and the sweep runs every
-rung's solve at once, each entry through the ufuncs of its own rung's solve
-(a long ladder whose sweep buffer would outgrow the workspace's slots and
-scratch is swept in a few batches of rungs).
+live in :mod:`seqcore.duals`.  A class report builds its sources once and
+hands them to every condition.  Every source but E is built once, at the
+top rung, and rung n reads its leading block: btilde, a caller's matrix,
+and the probe rows' partial-sum families.  E comes for every ladder point
+from one backward sweep (:func:`_compose`): T is lower bidiagonal, so rung
+n solves E T = A on the leading n x n block of A in O(n^2), and the sweep
+runs every rung's solve at once, each entry through the ufuncs of its own
+rung's solve (a long ladder whose sweep buffer would outgrow the
+workspace's slots and scratch is swept in a few batches of rungs).
 V is lower triangular, so the partial-sum family of row i is zero from
 column stop_i on (one past the last nonzero of A[i]) and repeats its row
 stop_i - 1 below it; the partial-sum conditions (mt23, mt25-mt28) share each
-probe row's stop_i x stop_i support block, built from the leading blocks of
-the top rung's A and V.  A condition's witness-free array (|E|, |D - beta_k|,
-|block|) is built once per rung.  beta_k is fitted from the top rung's last
-row and kept complex when the source is complex.
+probe row's stop_i x stop_i support block, a leading block of the row's
+family at the top rung (:func:`_probe_blocks`).  A condition's
+witness-free array (|E|, |D - beta_k|, |block|) is built once per rung.
+beta_k is fitted from the top rung's last row and kept complex when the
+source is complex.
 
 Every class, single-condition and dual report runs its conditions in one
 :class:`_Workspace`, a float64 block allocated once per report: an n x n
@@ -58,7 +60,7 @@ in the block's scratch, through the ``out`` arguments of the
 fresh arrays, so bit for bit.  A dual report's companion is the block's lead
 region, and a class report's E takes a lead region per rung, with the
 sweep's buffer in the block too; V is the band system's own read-only
-array, and btilde and the partial-sum blocks stay arrays of their own.
+array, and btilde and the partial-sum families stay arrays of their own.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from .verdicts import ConditionVerdict, aggregate_verdict
 __all__ = [
     "btilde",
     "e_matrix",
-    "EPartial",
     "eval_condition",
     "ClassReport",
     "class_report",
@@ -111,37 +112,6 @@ def btilde(B, sys: BandSystem, n: int) -> np.ndarray:
     if n > 1:
         out[1:] = (r[1:, None] * dense[1:] + s[:-1, None] * dense[:-1]) / a[1:, None]
     return out
-
-
-class EPartial:
-    """Partial-sum families of the composed matrix.
-
-    The family of row i is E^(i)[m, k] = sum_{j=k..m} A[i, j] V[j, k],
-    accumulated in index order j.  ``support(i)`` returns all of its content:
-    the stop x stop block of that cumulative sum, stop one past the last
-    nonzero entry of A[i] (0 for a zero row).  V is lower triangular, so the
-    family is zero in every column k >= stop, and every row m >= stop adds
-    only zero terms, so it repeats row stop - 1: the n x n family is the
-    block with zero columns appended and its last row repeated, equal in
-    value (and bit for bit up to the sign of a zero) to the cumulative sum
-    over all of V.
-    """
-
-    def __init__(self, A: np.ndarray, V: np.ndarray):
-        self._A = A
-        self._V = V
-
-    @property
-    def n(self) -> int:
-        return self._A.shape[0]
-
-    def support(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.n:
-            raise IndexError(f"row {i} out of range")
-        a = self._A[i]
-        nonzero = np.flatnonzero(a)
-        stop = int(nonzero[-1]) + 1 if nonzero.size else 0
-        return np.cumsum(a[:stop, None] * self._V[:stop, :stop], axis=0)
 
 
 def _compose(dense: np.ndarray, sys: BandSystem, ladder, buf: np.ndarray | None = None) -> list:
@@ -186,20 +156,22 @@ def _compose(dense: np.ndarray, sys: BandSystem, ladder, buf: np.ndarray | None 
     return spans[::-1]
 
 
-def e_matrix(A, sys: BandSystem, n: int) -> tuple[np.ndarray, EPartial]:
-    """Composed matrix E = A V at truncation n, plus its partial-sum families.
+def e_matrix(A, sys: BandSystem, n: int) -> np.ndarray:
+    """Composed matrix E = A V at truncation n.
 
     E is C-contiguous, from the one-rung sweep of :func:`_compose`, and
-    within a few n eps (|A| |V|) of the cumulative sums of the partial-sum
-    families over the dense V (Higham, ch. 8), not bit for bit.  Raises
-    OverflowError when V or E leaves double precision.
+    within a few n eps (|A| |V|) of the last rows of the partial-sum
+    families over the dense V (Higham, ch. 8), not bit for bit; row i's
+    family is :func:`seqcore.duals.companion_d` of A[i].  V is read first,
+    so that its overflow raises before E's: raises OverflowError when V or E
+    leaves double precision.
     """
     if n < 1:
         raise ValueError("truncation must be >= 1")
     dense = materialize_matrix(A, n)
-    V = inverse_kernel(sys, n)
+    inverse_kernel(sys, n)
     (cols,) = _compose(dense, sys, (n,))
-    return np.ascontiguousarray(cols.T), EPartial(dense, V)
+    return np.ascontiguousarray(cols.T)
 
 
 def default_density_sets(n: int) -> list[tuple[str, np.ndarray]]:
@@ -444,9 +416,6 @@ class _Rung:
             worst = max(worst, float(np.max(block @ w[: block.shape[0]])))
         return worst, None
 
-    def deflated_partial_rows(self, L, M):
-        return self.scaled_partial_rows(None, M)
-
     def partial_concentration(self, L, M):
         """The largest window deviation sum of a probe row's family from the median of its last row.
 
@@ -496,7 +465,7 @@ CONDITIONS: dict[str, ConditionSpec] = {
     "mt23": ConditionSpec("partial sums defining the composed matrix stabilize", "partial", "plain", "limit", _Rung.window_spread, _Rung.window_blocks),
     "mt24": ConditionSpec("weighted absolute rows finite for every inflation L", "E", "forall_l", "bounded", _Rung.inflated_rows, _Rung.absolute_probe_rows, needs_p=True),
     "mt25": ConditionSpec("partial sums converge rowwise to fitted limits", "partial", "plain", "limit", _Rung.window_spread, _Rung.window_blocks),
-    "mt26": ConditionSpec("deflated partial-sum rows bounded for some M", "partial", "exists_m", "bounded", _Rung.deflated_partial_rows, _Rung.absolute_blocks, needs_p=True),
+    "mt26": ConditionSpec("deflated partial-sum rows bounded for some M", "partial", "exists_m", "bounded", _Rung.scaled_partial_rows, _Rung.absolute_blocks, needs_p=True),
     "mt27": ConditionSpec("jointly inflated/deflated partial-sum rows bounded", "partial", "forall_l_exists_m", "bounded", _Rung.scaled_partial_rows, _Rung.absolute_blocks, needs_p=True, needs_q=True),
     "mt28": ConditionSpec("partial-sum rows concentrate at a single fitted value", "partial", "plain", "limit", _Rung.partial_concentration),
     "mt29": ConditionSpec("inflated absolute rows uniformly bounded", "E", "forall_l", "bounded", _Rung.inflated_rows, _Rung.absolute, needs_p=True),
@@ -569,22 +538,22 @@ def condition_catalog() -> dict:
     }
 
 
-def _validate_q(q, n: int) -> np.ndarray:
-    qa = np.asarray(q, dtype=np.float64)
-    if qa.ndim == 0:
-        qa = np.full(n, float(qa))
-    if qa.size < n:
-        raise ValueError("q sequence shorter than the largest truncation")
-    if not np.all((qa[:n] > 0.0) & np.isfinite(qa[:n])):
-        raise ValueError("q entries must be finite and strictly positive")
-    if np.any(np.diff(qa[:n]) < 0.0) or np.max(qa[:n]) > 1e6:
-        warnings.warn("q is expected to be non-decreasing and bounded", stacklevel=4)
-    return qa
+def _exponents(x, name: str, n: int) -> ExponentSeq:
+    """x as an exponent sequence (a scalar stands for n equal values) of at least n terms, else SchemaError."""
+    try:
+        seq = x if isinstance(x, ExponentSeq) else ExponentSeq(np.full(n, x, dtype=np.float64) if np.ndim(x) == 0 else x)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{name}: {exc}") from exc
+    if seq.length < n:
+        raise SchemaError(f"{name} of length {seq.length} cannot serve truncation {n}")
+    return seq
 
 
 def _check_inputs(cond_ids, ladder, p, q):
-    """Validate the ladder and the exponent inputs of the conditions; returns (ladder, q array)."""
+    """Validate the ladder and the exponent inputs of the conditions; returns (ladder, p as an ExponentSeq, q's terms)."""
     ladder = truncation_ladder(ladder)
+    top = ladder[-1]
+    p = None if p is None else _exponents(p, "p", top)
     for cid in cond_ids:
         spec = _SPECS[cid]
         if spec.needs_p and p is None:
@@ -593,14 +562,37 @@ def _check_inputs(cond_ids, ladder, p, q):
             raise SchemaError(f"condition {cid} needs the target exponent sequence q")
         if spec.needs_conjugate and p is not None and np.any(p.p <= 1.0):
             raise SchemaError(f"condition {cid} needs conjugate exponents, so p_k > 1")
-    if p is not None:
-        p.require_length(ladder[-1])
-    return ladder, (_validate_q(q, ladder[-1]) if q is not None else None)
+    if q is None:
+        return ladder, p, None
+    qa = _exponents(q, "q", top).p
+    if np.any(np.diff(qa[:top]) < 0.0) or np.max(qa[:top]) > 1e6:
+        warnings.warn("q is expected to be non-decreasing and bounded", stacklevel=3)
+    return ladder, p, qa
 
 
-def _probe_blocks(partial: EPartial) -> list:
-    """(i, support block) of each probe row i; a zero row of A has an empty block and a zero family, and is left out."""
-    return [(i, block) for i in range(min(_PROBE_ROWS, partial.n)) if (block := partial.support(i)).size]
+def _probe_blocks(dense: np.ndarray, V: np.ndarray, ladder) -> dict:
+    """Rung n -> (i, support block) of each probe row i < n, from one family per row built at the top rung.
+
+    Row i's partial-sum family is E^(i)[m, k] = sum_{j=k..m} A[i, j] V[j, k],
+    accumulated in index order j.  At rung n its support block is the
+    stop x stop block of that cumulative sum, stop one past the last nonzero
+    of A[i, :n]: V is lower triangular, so the family is zero in every
+    column k >= stop, and every row m >= stop adds only zero terms and
+    repeats row stop - 1.  The probe rows' products A[i, j] V[j, k] over the
+    row's own stop s at the top rung are taken in one s x s array and
+    summed down j in place, so rung n's block is a leading block of it: the
+    same terms summed in the same order as a build at n alone, bit for bit.
+    A zero row (stop 0) has an empty block and a zero family, and is left
+    out.
+    """
+    rows = dense[:_PROBE_ROWS]
+    # row i's stop at rung n is stops[i, n - 1]
+    stops = np.maximum.accumulate(np.where(rows != 0, np.arange(1, rows.shape[1] + 1), 0), axis=1)
+    families = []
+    for row, s in zip(rows, stops[:, -1].tolist()):
+        family = row[:s, None] * V[:s, :s]
+        families.append(np.cumsum(family, axis=0, out=family))
+    return {n: [(i, families[i][:stop, :stop]) for i, stop in enumerate(stops[:n, n - 1].tolist()) if stop] for n in ladder}
 
 
 def _sweep_batches(ladder, width: int, room: int) -> list:
@@ -632,9 +624,10 @@ def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> tuple[dict, _Workspac
     else a few over batches of rungs (:func:`_sweep_batches`), so the block
     is never larger for it.  V is the system's read-only kernel
     (:func:`seqcore.band_ops.inverse_kernel`), read before E is solved, so
-    that its overflow raises before E's; the probe rows' support blocks
-    (:func:`_probe_blocks`, built for a "partial" reader only) read the
-    leading blocks of the top rung's A and V.
+    that its overflow raises before E's.  The probe rows' partial-sum
+    families, like btilde, are built once at the top rung, for a "partial"
+    reader only, and rung n reads leading blocks of them
+    (:func:`_probe_blocks`).  So every source but E is built once.
     """
     top = ladder[-1]
     solve = "E" in kinds and matrix is None
@@ -650,8 +643,8 @@ def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> tuple[dict, _Workspac
     for batch in _sweep_batches(ladder, width, work.room) if solve else ():
         for n, cols in zip(batch, _compose(dense, sys, batch, work.sweep(batch[-1], width * sum(batch)))):
             np.copyto(sources[n]["E"], cols.T)
-    for n in ladder if "partial" in kinds else ():
-        sources[n]["partial"] = _probe_blocks(EPartial(dense[:n, :n], V[:n, :n]))
+    for n, blocks in _probe_blocks(dense, V, ladder).items() if "partial" in kinds else ():
+        sources[n]["partial"] = blocks
     return sources, work
 
 
@@ -707,7 +700,7 @@ def eval_condition(
     if cond_id not in CONDITIONS:
         raise KeyError(f"unknown condition {cond_id!r}")
     spec = CONDITIONS[cond_id]
-    ladder, qa = _check_inputs((cond_id,), ladder, p, q)
+    ladder, p, qa = _check_inputs((cond_id,), ladder, p, q)
     if spec.source == "matrix":
         matrix = A if matrix is None else matrix
         if matrix is None:
@@ -771,7 +764,7 @@ def class_report(
     if class_id not in CLASS_RULES:
         raise KeyError(f"unknown class {class_id!r}; known: {sorted(CLASS_RULES)}")
     cond_ids = CLASS_RULES[class_id]
-    ladder, qa = _check_inputs(cond_ids, ladder, p, q)
+    ladder, p, qa = _check_inputs(cond_ids, ladder, p, q)
     if A is None or sys is None:
         raise ValueError(f"class {class_id} needs A and a band system")
     sources, work = _ladder_sources({_SPECS[cid].source for cid in cond_ids}, A, sys, None, ladder)

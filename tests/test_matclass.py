@@ -10,7 +10,7 @@ from seqcore import band_ops, duals, matclass
 from seqcore.generators import GeneratorSpec, make_matrix, materialize_matrix, random_band_system, rng_from_seed
 from seqcore.io import canonical_dumps
 from seqcore.ladder import window
-from seqcore.types import BandSystem, ExponentSeq
+from seqcore.types import BandSystem, ExponentSeq, SchemaError
 
 from conftest import twin
 
@@ -40,11 +40,30 @@ def _family(block: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _stop(row: np.ndarray) -> int:
+    """One past the last nonzero entry of row, 0 for a zero row."""
+    nonzero = np.flatnonzero(row)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _oracle_blocks(A: np.ndarray, V: np.ndarray, n: int) -> list:
+    """(i, support block) of each probe row i < n with a nonzero A[i, :n], by the literal cumulative sum."""
+    stops = [(i, _stop(A[i, :n])) for i in range(min(8, n))]
+    return [(i, np.cumsum(A[i, :stop, None] * V[:stop, :stop], axis=0)) for i, stop in stops if stop]
+
+
+def _assert_blocks_are_oracle(blocks: list, A: np.ndarray, V: np.ndarray, n: int):
+    """A rung's probe blocks are the literal cumulative sums: the same row indices, dtypes and bytes."""
+    want = _oracle_blocks(A, V, n)
+    assert [i for i, _ in blocks] == [i for i, _ in want]
+    for (_, got), (_, block) in zip(blocks, want):
+        assert got.dtype == block.dtype and got.tobytes() == block.tobytes()
+
+
 def _assert_support_is_family(block: np.ndarray, A_row: np.ndarray, V: np.ndarray):
     """The block is the leading stop x stop block of the cumulative sum over all of V, bit for bit,
     and padded to n x n it equals that cumulative sum (a zero may differ in sign)."""
-    nonzero = np.flatnonzero(A_row)
-    stop = int(nonzero[-1]) + 1 if nonzero.size else 0
+    stop = _stop(A_row)
     oracle = np.cumsum(A_row[:, None] * V, axis=0)
     assert block.shape == (stop, stop)
     assert block.tobytes() == np.ascontiguousarray(oracle[:stop, :stop]).tobytes()
@@ -86,34 +105,38 @@ class TestEMatrix:
     def test_triangle_composes_to_identity(self):
         n = 24
         T = band_ops.triangle_kernel(DELTA, n)
-        E, _ = matclass.e_matrix(T, DELTA, n)
+        E = matclass.e_matrix(T, DELTA, n)
         # E[:, k] = T[:, k] + E[:, k+1] cancels the -1 below the diagonal exactly and leaves no -0.0
         assert E.tobytes() == np.eye(n).tobytes()
         assert E.flags.c_contiguous
 
     def test_identity_composes_to_inverse(self, mild_system):
         n = 24
-        E, _ = matclass.e_matrix(np.eye(n), mild_system, n)
+        E = matclass.e_matrix(np.eye(n), mild_system, n)
         V = band_ops.inverse_kernel(mild_system, n)
         assert np.allclose(E, V, rtol=1e-12, atol=1e-14)
 
     def test_partial_sums_stabilize_exactly_for_banded_input(self, mild_system):
         n = 24
         A = band_ops.triangle_kernel(mild_system, n)  # two-band rows
-        _, partial = matclass.e_matrix(A, mild_system, n)
         V = band_ops.inverse_kernel(mild_system, n)
+        blocks = dict(matclass._probe_blocks(A, V, (n,))[n])
         for i in (0, 3, 7):
-            block = partial.support(i)
+            block = blocks[i]
             assert block.shape == (i + 1, i + 1)  # row i of A ends at the diagonal
             _assert_support_is_family(block, A[i], V)
 
     def test_final_partial_sum_matches_e_to_rounding(self, mild_system, rng):
         n = 20
         A = rng.uniform(-1.0, 1.0, (n, n))
-        E, partial = matclass.e_matrix(A, mild_system, n)
-        bound = _rounding_bound(A, band_ops.inverse_kernel(mild_system, n))
+        E = matclass.e_matrix(A, mild_system, n)
+        V = band_ops.inverse_kernel(mild_system, n)
+        bound = _rounding_bound(A, V)
+        for i, block in matclass._probe_blocks(A, V, (n,))[n]:
+            assert np.all(np.abs(_family(block, n)[-1] - E[i]) <= bound[i])
+        # every row's family is its companion D
         for i in range(n):
-            assert np.all(np.abs(_family(partial.support(i), n)[-1] - E[i]) <= bound[i])
+            assert np.all(np.abs(duals.companion_d(A[i], mild_system, n)[-1] - E[i]) <= bound[i])
 
 
 def _oracle_input(kind: str, n: int) -> np.ndarray:
@@ -137,8 +160,9 @@ def _oracle_input(kind: str, n: int) -> np.ndarray:
 class TestEMatrixOracle:
     """E and the partial-sum families against the literal cumulative-sum definition.
 
-    The support blocks are that definition, bit for bit: zero rows (an empty
-    block), -0.0 entries, complex entries and full rows (a block of n x n).
+    The probe rows' support blocks are that definition, bit for bit: zero
+    rows (left out), -0.0 entries, complex entries and full rows (a block of
+    n x n); every row's family is its companion D, equal in value.
     E comes from the bidiagonal solve, which adds in another order, so it
     matches the last cumulative sum within the rounding bound; the bound is
     zero where every term is zero, so zero rows and the zero matrix stay
@@ -154,12 +178,17 @@ class TestEMatrixOracle:
         # constant r=-1, s=1 has a negative inverse kernel, so zero terms can sum to -0.0
         sys = BandSystem.constant(-1.0, 1.0, 1.0, n) if system == "constant" else random_band_system(rng_from_seed(7), n)
         A = _oracle_input(kind, n)
-        E, partial = matclass.e_matrix(A, twin(sys), n)
+        E = matclass.e_matrix(A, twin(sys), n)
         V = band_ops.inverse_kernel(sys, n)
         bound = _rounding_bound(A, V)
+        blocks = matclass._probe_blocks(A, V, (n,))[n]
+        _assert_blocks_are_oracle(blocks, A, V, n)
+        for i, block in blocks:
+            _assert_support_is_family(block, A[i], V)
         for i in range(n):
-            _assert_support_is_family(partial.support(i), A[i], V)
-            assert np.all(np.abs(E[i] - np.cumsum(A[i][:, None] * V, axis=0)[-1]) <= bound[i])
+            family = np.cumsum(A[i][:, None] * V, axis=0)
+            assert np.array_equal(duals.companion_d(A[i], sys, n), family)
+            assert np.all(np.abs(E[i] - family[-1]) <= bound[i])
 
 
 def _dense_partial_value(cond_id: str, families: list, n: int, pk, qn, L, M) -> float:
@@ -202,14 +231,14 @@ class TestPartialConditionsOracle:
         A = _oracle_input(kind, 48)[:n, :n]
         if kind == "zero_rows_and_columns":
             A[2] = 0.0  # a zero probe row at every rung
-        _, partial = matclass.e_matrix(A, sys, n)
         V = band_ops.inverse_kernel(sys, n)
         families = [np.cumsum(A[i][:, None] * V, axis=0) for i in range(min(8, n))]
         p = ExponentSeq(np.linspace(1.0, 3.0, n))
         q = np.linspace(1.0, 2.0, n)
         spec = matclass.CONDITIONS[cond_id]
-        rung = matclass._Rung(spec, matclass._probe_blocks(partial), n, p, q, None, None, matclass._Workspace([n]))
-        for L, M in [(None, None)] if cond_id in ("mt23", "mt25", "mt28") else [(2, 2), (16, 4), (256, 256)]:
+        rung = matclass._Rung(spec, matclass._probe_blocks(A, V, (n,))[n], n, p, q, None, None, matclass._Workspace([n]))
+        witnesses = [(2, 2), (16, 4), (256, 256)] if cond_id == "mt27" else [(None, 2), (None, 4), (None, 256)]  # mt26 binds M alone
+        for L, M in [(None, None)] if cond_id in ("mt23", "mt25", "mt28") else witnesses:
             got, dev = spec.evaluate(rung, L, M)
             want = _dense_partial_value(cond_id, families, n, p.p[:n], q[:n], L, M)
             if cond_id in ("mt26", "mt27"):
@@ -250,11 +279,14 @@ class TestEMatrixExact:
         sys = RATIONAL_SYSTEMS[system]
         n = 24
         A = materialize_matrix(matrix, n) if matrix == "cesaro" else rng_from_seed(9).uniform(-1.0, 1.0, (n, n))
-        E, partial = matclass.e_matrix(A, twin(sys), n)
+        E = matclass.e_matrix(A, twin(sys), n)
         exact = _exact_composition(A, sys)
-        bound = _rounding_bound(A, band_ops.inverse_kernel(sys, n))
+        V = band_ops.inverse_kernel(sys, n)
+        bound = _rounding_bound(A, V)
+        blocks = dict(matclass._probe_blocks(A, V, (n,))[n])
         for i in range(n):
-            for got in (E[i], _family(partial.support(i), n)[-1]):
+            probe = [_family(blocks[i], n)[-1]] if i in blocks else []
+            for got in (E[i], duals.companion_d(A[i], sys, n)[-1], *probe):
                 err = [abs(Fraction(v) - e) for v, e in zip(got.tolist(), exact[i])]
                 assert all(e <= Fraction(b) for e, b in zip(err, bound[i].tolist()))
 
@@ -277,7 +309,7 @@ class TestEMatrixOverflow:
     """
 
     def _assert_matches_exact_kernel(self, A, n):
-        E, _ = matclass.e_matrix(A, EXPANDING, n)
+        E = matclass.e_matrix(A, EXPANDING, n)
         dense, V = materialize_matrix(A, n), _expanding_kernel(n)
         assert np.all(np.abs(E - dense @ V) <= _rounding_bound(dense, V))
 
@@ -358,15 +390,41 @@ def test_one_sweep_matches_per_rung_solves_bit_for_bit(rungs, rows, field, signs
     s = rng.uniform(0.3, 2.0, top) * (-1.0 if signs == "negative" else rng.choice([-1.0, 1.0], top))
     sys = BandSystem(rng.uniform(0.5, 2.5, top) * rng.choice([-1.0, 1.0], top), s, rng.uniform(0.5, 2.0, top))
     sources, _ = matclass._ladder_sources({"E", "partial"}, A, sys, None, ladder)
+    V = band_ops.inverse_kernel(twin(sys), top)
     for n in ladder:
-        E, partial = matclass.e_matrix(A, twin(sys), n)
+        E = matclass.e_matrix(A, twin(sys), n)
         swept = sources[n]["E"]
         assert swept.dtype == E.dtype and swept.flags.c_contiguous
         assert swept.tobytes() == E.tobytes() == _column_solve(A[:n, :n], sys).tobytes()
-        blocks = matclass._probe_blocks(partial)
-        assert [i for i, _ in sources[n]["partial"]] == [i for i, _ in blocks]
-        for (_, got), (_, want) in zip(sources[n]["partial"], blocks):
-            assert got.tobytes() == want.tobytes()
+        _assert_blocks_are_oracle(sources[n]["partial"], A, V, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rungs=st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
+    field=st.sampled_from(["real", "complex"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_probe_blocks_are_the_cumulative_sum_at_every_rung(rungs, field, seed):
+    # the families built once at the top rung give every rung the literal cumulative sum over its stop x stop
+    # block, bit for bit and in its dtype: interior zero gaps and trailing zeros (so a row's stop differs between
+    # rungs), zero rows, -0.0 entries, and complex rows beside real ones in a complex A
+    ladder = tuple(sorted(rungs))
+    top = ladder[-1]
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, (top, top))
+    zero = -0.0
+    if field == "complex":
+        A = A + 1j * rng.uniform(-1.0, 1.0, (top, top))
+        A.imag[rng.random(top) < 0.5] = 0.0
+        zero = complex(-0.0, -0.0)
+    A[rng.random((top, top)) < 0.3] = zero
+    A[np.arange(top) >= rng.integers(0, top + 1, top)[:, None]] = zero  # row i ends at a random column, 0 for a zero row
+    sys = BandSystem(rng.uniform(0.5, 2.5, top) * rng.choice([-1.0, 1.0], top), rng.uniform(-2.0, 2.0, top), rng.uniform(0.5, 2.0, top))
+    sources, _ = matclass._ladder_sources({"partial"}, A, sys, None, ladder)
+    V = band_ops.inverse_kernel(twin(sys), top)
+    for n in ladder:
+        _assert_blocks_are_oracle(sources[n]["partial"], A, V, n)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -395,13 +453,10 @@ def test_long_ladder_is_swept_in_batches_inside_its_block(monkeypatch, field):
     regions = [*(width * n * n for n in ladder), *(n * n for n in ladder), width * top * top]
     assert work._block.size == sum(-(-size // 8) * 8 for size in regions)
     monkeypatch.setattr(matclass, "_compose", original)
+    V = band_ops.inverse_kernel(twin(sys), top)
     for n in ladder:
-        E, partial = matclass.e_matrix(A, twin(sys), n)
-        assert sources[n]["E"].tobytes() == E.tobytes()
-        blocks = matclass._probe_blocks(partial)
-        assert [i for i, _ in sources[n]["partial"]] == [i for i, _ in blocks]
-        for (_, got), (_, want) in zip(sources[n]["partial"], blocks):
-            assert got.tobytes() == want.tobytes()
+        assert sources[n]["E"].tobytes() == matclass.e_matrix(A, twin(sys), n).tobytes()
+        _assert_blocks_are_oracle(sources[n]["partial"], A, V, n)
 
 
 class TestEvalCondition:
@@ -543,15 +598,26 @@ class TestClassReport:
 
     def test_short_q_rejected(self):
         p = ExponentSeq.constant(1.0, 16)
-        with pytest.raises(ValueError, match="shorter than the largest truncation"):
+        with pytest.raises(SchemaError, match="q of length 2 cannot serve truncation 16"):
             matclass.class_report("cesaro", "s0:c0_q", DELTA, p=p, q=[1.0, 1.0], ladder=(8, 16))
+
+    def test_short_p_rejected(self):
+        p = ExponentSeq.constant(1.0, 8)
+        with pytest.raises(SchemaError, match="p of length 8 cannot serve truncation 16"):
+            matclass.class_report("cesaro", "s0:c0_q", DELTA, p=p, q=np.ones(16), ladder=(8, 16))
+
+    def test_p_and_q_may_be_array_likes(self):
+        p, q, ladder = ExponentSeq.constant(2.0, 16), np.full(16, 1.5), (8, 16)
+        report = matclass.class_report("cesaro", "sc:c_q", DELTA, p=p, q=q, ladder=ladder)
+        assert matclass.class_report("cesaro", "sc:c_q", DELTA, p=[2.0] * 16, q=list(q), ladder=ladder) == report
+        assert matclass.eval_condition("mt25", A="cesaro", sys=DELTA, p=[2.0] * 16, q=q, ladder=ladder) == report.conditions[0]
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_q_must_be_finite_and_positive(self, bad):
         p = ExponentSeq.constant(2.0, 16)
         q = np.full(16, 1.5)
         q[5] = bad
-        with pytest.raises(ValueError, match="q entries must be finite and strictly positive"):
+        with pytest.raises(SchemaError, match="q: exponents must be finite and strictly positive"):
             matclass.class_report("cesaro", "sc:c_q", DELTA, p=p, q=q, ladder=(8, 16))
 
     @pytest.mark.parametrize("ladder", [(0, 16), (-4, 16)])
@@ -621,31 +687,30 @@ class TestClassReport:
             assert seen["btilde", n].tobytes() == matclass.btilde(A, sys, n).tobytes()
             assert seen["matrix", n].tobytes() == materialize_matrix(A, n).tobytes()
 
-    def test_support_blocks_built_once_per_rung(self, monkeypatch):
+    @staticmethod
+    def _count_family_builds(monkeypatch) -> list:
+        """Record the ladder and the per-rung probe rows of each family build."""
         calls = []
-        original = matclass.EPartial.support
+        original = matclass._probe_blocks
 
-        def counted(self, i):
-            calls.append((self.n, i))
-            return original(self, i)
+        def counted(dense, V, ladder):
+            blocks = original(dense, V, ladder)
+            calls.append({n: [i for i, _ in blocks[n]] for n in ladder})
+            return blocks
 
-        monkeypatch.setattr(matclass.EPartial, "support", counted)
+        monkeypatch.setattr(matclass, "_probe_blocks", counted)
+        return calls
+
+    def test_probe_families_built_once_per_report(self, monkeypatch):
+        calls = self._count_family_builds(monkeypatch)
         n = 256
         p, q = ExponentSeq.constant(2.0, n), np.full(n, 1.5)
         matclass.class_report("cesaro", "sc:c_q", DELTA, p=p, q=q, ladder=(64, 128, 256))
-        # one block per probe row and rung, shared by mt25-mt28
-        assert len(calls) == 24
-        assert sorted(calls) == [(m, i) for m in (64, 128, 256) for i in range(8)]
+        # one build at the top rung, whose blocks every rung reads and mt25-mt28 share
+        assert calls == [{m: list(range(8)) for m in (64, 128, 256)}]
 
     def test_conditions_on_e_build_no_support_blocks(self, monkeypatch):
-        calls = []
-        original = matclass.EPartial.support
-
-        def counted(self, i):
-            calls.append((self.n, i))
-            return original(self, i)
-
-        monkeypatch.setattr(matclass.EPartial, "support", counted)
+        calls = self._count_family_builds(monkeypatch)
         n = 256
         A = rng_from_seed(5).uniform(-1.0, 1.0, (n, n))  # every row full, so a block would be 256 x 256
         matclass.eval_condition("mt24", A=A, sys=DELTA, p=ExponentSeq.constant(2.0, n), ladder=(64, 128, 256))
@@ -674,14 +739,15 @@ def _lower_triangular_inputs(n: int) -> dict:
 
 
 def _per_rung_sources(kinds, A, sys, matrix, ladder):
-    """E and its probe rows' support blocks composed at every rung through the public builder, and a workspace.
+    """E through the public builder and its probe rows' support blocks by the literal cumulative sum, at every rung, and a workspace.
 
     Each rung composes on an equal but separate system, so its V is a build of its own, not the shared one.
     """
     sources = {}
     for n in ladder:
-        E, partial = matclass.e_matrix(A, twin(sys), n)
-        sources[n] = {"E": E, "partial": matclass._probe_blocks(partial)}
+        rung_sys = twin(sys)
+        E = matclass.e_matrix(A, rung_sys, n)
+        sources[n] = {"E": E, "partial": _oracle_blocks(materialize_matrix(A, n), band_ops.inverse_kernel(rung_sys, n), n)}
     return sources, matclass._Workspace(ladder, width=2 if np.iscomplexobj(E) else 1)
 
 
@@ -699,13 +765,11 @@ class TestComposedSources:
         A = _lower_triangular_inputs(n_top)[kind]
         sources, _ = matclass._ladder_sources({"E", "partial"}, A, sys, None, self.LADDER)
         for n in self.LADDER:
-            E, partial = matclass.e_matrix(A, twin(sys), n)
+            rung_sys = twin(sys)
+            E = matclass.e_matrix(A, rung_sys, n)
             assert np.array_equal(sources[n]["E"], E)
             assert sources[n]["E"].tobytes() == E.tobytes()
-            blocks = [(i, partial.support(i)) for i in range(min(8, n))]
-            assert [i for i, _ in sources[n]["partial"]] == [i for i, block in blocks if block.size]
-            for i, block in sources[n]["partial"]:
-                assert block.tobytes() == blocks[i][1].tobytes()
+            _assert_blocks_are_oracle(sources[n]["partial"], materialize_matrix(A, n), band_ops.inverse_kernel(rung_sys, n), n)
 
     @pytest.mark.parametrize("matrix", ["lower_triangular", "dense"])
     def test_class_reports_match_per_rung_compositions(self, monkeypatch, mild_system, matrix):
@@ -778,19 +842,28 @@ def test_density_set_family_has_vanishing_density():
 # from measured maxima of 153.4 KiB (E: the probe rows' support blocks, cast buffers) and 414.6 KiB (btilde: the
 # n x n temporaries of its expression, taken before the block exists, beside btilde itself)
 CLASS_TRACE_BOUND = {"E": 192 * 1024, "btilde": 480 * 1024}
+# on full rows every probe row's family is n x n, 4 MiB for the eight at n = 256: measured maxima of 4.09 MiB when
+# only mt23 reads the families, and 8.78 MiB when mt26 and mt27 also take the blocks' moduli at every rung; blocks
+# built per rung trace 5.76 and 10.03 MiB
+FULL_ROW_TRACE_BOUND = {"mt23": 4.5 * 2**20, "mt26": 9.25 * 2**20}
+# row 0 full and rows 1-7 lower triangular: row 0's family is n x n (0.5 MiB) and the others at most 8 x 8; measured
+# maximum 0.69 MiB, where blocks built per rung traced 1.17 MiB and families sized by the largest stop 4.19 MiB
+UNEVEN_ROW_TRACE_BOUND = 0.8 * 2**20
 
 
 @pytest.mark.parametrize("class_id", sorted(matclass.CLASS_RULES))
-@pytest.mark.parametrize("matrix", ["cesaro", "dense"])
+@pytest.mark.parametrize("matrix", ["cesaro", "dense", "full", "uneven"])
 def test_class_report_traces_little_beside_its_workspace(monkeypatch, matrix, class_id):
     # E per rung and the sweep's buffer live in the report's one block, and V on the system since the first call;
-    # btilde and the probe rows' support blocks (at most 8 x 8 on these lower-triangular inputs) are arrays of
-    # their own
+    # btilde and the probe rows' families (at most 8 x 8 on the lower-triangular inputs, n x n on full rows, each
+    # row's own size on uneven ones) are arrays of their own
     n, ladder = 256, (64, 128, 256)
     sys = BandSystem.constant(2.0, 0.8, 1.2, n)
     p, q = ExponentSeq.constant(2.0, n), np.full(n, 1.5)
     dense = np.tril(rng_from_seed(0).uniform(0.0, 2.0, (n, n))) / np.arange(1.0, n + 1.0)[:, None]
-    A = "cesaro" if matrix == "cesaro" else dense
+    uneven = dense.copy()
+    uneven[0] = rng_from_seed(22).uniform(0.5, 1.5, n)
+    A = {"cesaro": "cesaro", "dense": dense, "full": rng_from_seed(22).uniform(0.5, 1.5, (n, n)), "uneven": uneven}[matrix]
     blocks = []
     original = matclass._Workspace
 
@@ -809,10 +882,14 @@ def test_class_report_traces_little_beside_its_workspace(monkeypatch, matrix, cl
     finally:
         tracemalloc.stop()
     (block,) = blocks
-    source = "btilde" if matclass.CONDITIONS[matclass.CLASS_RULES[class_id][0]].source == "btilde" else "E"
+    rules = matclass.CLASS_RULES[class_id]
+    source = "btilde" if matclass.CONDITIONS[rules[0]].source == "btilde" else "E"
     if source == "E":
         assert block >= 2 * sum(m * m for m in ladder) * 8  # each rung's E and its slot
-    assert peak <= block + n * n * 8 + CLASS_TRACE_BOUND[source]
+    bound = CLASS_TRACE_BOUND[source]
+    if source == "E" and matrix in ("full", "uneven"):
+        bound = FULL_ROW_TRACE_BOUND["mt26" if "mt26" in rules else "mt23"] if matrix == "full" else UNEVEN_ROW_TRACE_BOUND
+    assert peak <= block + n * n * 8 + bound
 
 
 # evaluator -> its value at witness B computed on fresh arrays (G the complex source, pk and conj the exponents)
