@@ -80,17 +80,27 @@ def forward_transform(x, sys: BandSystem) -> FiniteSeq:
     Row 0 has no subdiagonal entry (x_{-1} = 0), so y_0 = r_0 x_0 / alpha_0.
     """
     x = FiniteSeq.coerce(x)
-    r, s, a = sys.params(x.n)
-    v = x.values
-    y = np.empty(x.n, dtype=np.complex128)
-    y[0] = r[0] * v[0] / a[0]
-    if x.n > 1:
-        tail = y[1:]  # built in place: one temporary, not three, and the same bits
-        np.multiply(r[1:], v[1:], out=tail)
-        tail += s[:-1] * v[:-1]
-        tail /= a[1:]
+    y = _band_rows(x.values, sys, np.empty(x.n, dtype=np.complex128))
     y.setflags(write=False)  # nothing else refers to y, so FiniteSeq keeps it without a copy
     return FiniteSeq(y)
+
+
+def _band_rows(x: np.ndarray, sys: BandSystem, out: np.ndarray) -> np.ndarray:
+    """The band triangle applied down the first axis of x, into out: out[k] = (r_k x[k] + s_{k-1} x[k-1]) / alpha_k.
+
+    x is a vector or a matrix whose rows are transformed.  Rows 1 on are
+    built in place by three ufuncs, so one temporary, not three, and the
+    same bits as the plain expression.  Returns out.
+    """
+    n = x.shape[0]
+    r, s, a = (v.reshape((n,) + (1,) * (x.ndim - 1)) for v in sys.params(n))
+    out[0] = r[0] * x[0] / a[0]
+    if n > 1:
+        tail = out[1:]
+        np.multiply(r[1:], x[1:], out=tail)
+        tail += s[:-1] * x[:-1]
+        tail /= a[1:]
+    return out
 
 
 def inverse_transform(y, sys: BandSystem) -> FiniteSeq:

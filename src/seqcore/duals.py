@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_ops import inverse_kernel, inverse_transform
-from .ladder import witness_ladder
+from .ladder import truncation_ladder, witness_ladder
 from .types import BandSystem, ExponentSeq, FiniteSeq, SchemaError
 from .verdicts import aggregate_verdict
 
@@ -445,11 +445,13 @@ def dual_report(
     successful ladder value; universal ones require every ladder value and
     are marked as tested-ladder evidence.
     """
-    from .matclass import DUAL_CONDITIONS, _Workspace, _check_inputs, _condition_verdict  # matclass imports this module
+    from .matclass import DUAL_CONDITIONS, _Workspace, _check_inputs, _condition_verdict, _exponents  # matclass imports this module
 
     b_ladder = witness_ladder(b_ladder)
+    ladder = truncation_ladder(ladder)
+    p = _exponents(p, "p", ladder[-1])  # every pair needs p, and the lp regime split reads its terms
     cond_ids = _conditions_for(space, dual, p)
-    ladder, p, _ = _check_inputs(cond_ids, ladder, p, None)
+    _check_inputs(cond_ids, ladder, p, None)
     top = ladder[-1]
     w = _companion_weights(a, top)
     real_only = [cid for cid in cond_ids if DUAL_CONDITIONS[cid].real_only]

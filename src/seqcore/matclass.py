@@ -33,14 +33,13 @@ sampled over a finite quantifier ladder by the engine in
 ladder and binds as M when existential and as L when universal.  The matrix
 functionals (subset estimates, signed column sups, power row and entry sups)
 live in :mod:`seqcore.duals`.  A class report builds its sources once and
-hands them to every condition.  Every source but E is built once, at the
-top rung, and rung n reads its leading block: btilde, a caller's matrix,
-and the probe rows' partial-sum families.  E comes for every ladder point
-from one backward sweep (:func:`_compose`): T is lower bidiagonal, so rung
-n solves E T = A on the leading n x n block of A in O(n^2), and the sweep
-runs every rung's solve at once, each entry through the ufuncs of its own
-rung's solve (a long ladder whose sweep buffer would outgrow the
-workspace's slots and scratch is swept in a few batches of rungs).
+hands them to every condition.  Every source is built once, at the top
+rung, and rung n reads its leading block: btilde, a caller's matrix, the
+probe rows' partial-sum families and E.  T is lower bidiagonal, so the top
+rung solves E T = A backward in O(n^2) (:func:`_compose`), and where A's
+first n rows stop at column n - 1, as on every lower-triangular A, the
+leading n x n block of the top rung's E is rung n's E; a rung whose rows
+reach past it solves its own.
 V is lower triangular, so the partial-sum family of row i is zero from
 column stop_i on (one past the last nonzero of A[i]) and repeats its row
 stop_i - 1 below it; the partial-sum conditions (mt23, mt25-mt28) share each
@@ -58,9 +57,10 @@ sources and their powers, complex differences, quotients and products) go
 in the block's scratch, through the ``out`` arguments of the
 :mod:`seqcore.duals` functionals, with the ufuncs, order and layouts of
 fresh arrays, so bit for bit.  A dual report's companion is the block's lead
-region, and a class report's E takes a lead region per rung, with the
-sweep's buffer in the block too; V is the band system's own read-only
-array, and btilde and the partial-sum families stay arrays of their own.
+region, and a class report's E takes one at the top rung and one at each
+rung that solves its own, each solved in the scratch; V is the band
+system's own read-only array, and btilde and the partial-sum families stay
+arrays of their own.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from typing import Callable
 
 import numpy as np
 
-from .band_ops import inverse_kernel
+from .band_ops import _band_rows, inverse_kernel
 from .duals import (  # noqa: F401 - perfbench traces matclass.subset_sup as an import site
     power_entry_sup,
     power_row_sup,
@@ -106,60 +106,41 @@ _PROBE_COLS = 16
 def btilde(B, sys: BandSystem, n: int) -> np.ndarray:
     """Band-transform the rows of B: (r_n B[n] + s_{n-1} B[n-1]) / alpha_n."""
     dense = materialize_matrix(B, n)
-    r, s, a = sys.params(n)
-    out = np.empty_like(dense, dtype=np.result_type(dense.dtype, np.float64))
-    out[0] = r[0] * dense[0] / a[0]
-    if n > 1:
-        out[1:] = (r[1:, None] * dense[1:] + s[:-1, None] * dense[:-1]) / a[1:, None]
-    return out
+    return _band_rows(dense, sys, np.empty_like(dense, dtype=np.result_type(dense.dtype, np.float64)))
 
 
-def _compose(dense: np.ndarray, sys: BandSystem, ladder, buf: np.ndarray | None = None) -> list:
-    """E = A V at every rung n of the ladder from the leading n x n block of dense, in one backward sweep.
+def _compose(dense: np.ndarray, sys: BandSystem, n: int, buf: np.ndarray | None = None) -> np.ndarray:
+    """E^T for E = A V at truncation n, from the leading n x n block of dense, by one backward solve.
 
-    Rung n solves E T = A for the bidiagonal T, last column first:
-    E[:, k] = (alpha_k / r_k) (A[:, k] - (s_k / alpha_{k+1}) E[:, k+1]).  Row k
-    of buf, a top x sum(ladder) float64 array (twice as wide for a complex
-    A, viewed as float pairs; a fresh one when None), holds column k of
-    every rung's block side by side, largest rung first, so the rungs that
-    reach column k are a prefix of the row, and a step is three in-place
-    ufuncs over that prefix: every entry goes through the ufuncs of its own
-    rung's solve alone.  Returns each rung's E^T, a view of buf (row k is
-    E[:, k]), in ladder order.  Raises OverflowError when an entry leaves
-    double precision.
+    T is lower bidiagonal, so E T = A is solved last column first:
+    E[:, k] = (alpha_k / r_k) (A[:, k] - (s_k / alpha_{k+1}) E[:, k+1]).  buf,
+    an n x n C-contiguous array of E's dtype (a fresh one when None), holds
+    E^T, so column k of E is row k of buf and a step is three in-place
+    ufuncs over that row, a complex one viewed as float pairs.  Returns buf.
+    Raises OverflowError when an entry leaves double precision.
     """
-    dtype = np.result_type(dense.dtype, np.float64)
-    rungs = sorted(ladder, reverse=True)
-    bounds = np.cumsum([0] + [dtype.itemsize // 8 * n for n in rungs]).tolist()  # rung j spans bounds[j]:bounds[j + 1]
-    buf = np.empty((rungs[0], bounds[-1])) if buf is None else buf
-    spans = [buf[:n, lo:hi].view(dtype) for n, lo, hi in zip(rungs, bounds, bounds[1:])]
-    for n, cols in zip(rungs, spans):
-        cols[...] = dense[:n, :n].T
-    r, s, a = sys.params(rungs[0])
+    buf = np.empty((n, n), np.result_type(dense.dtype, np.float64)) if buf is None else buf
+    buf[...] = dense[:n, :n].T
+    rows = list(buf.view(np.float64))  # each row's view made once, not at every step that reads it
+    r, s, a = sys.params(n)
     scale, carry = (a / r).tolist(), (s[:-1] / a[1:]).tolist()
-    step = np.empty(buf.shape[1])
+    step = np.empty(rows[0].size)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
-        for j, (n, below) in enumerate(zip(rungs, rungs[1:] + [0])):
-            if j:  # column n - 1 is rung j's last; the larger rungs step into it from column n
-                lanes, tmp = buf[:, : bounds[j]], step[: bounds[j]]
-                np.multiply(lanes[n], carry[n - 1], out=tmp)
-                np.subtract(lanes[n - 1], tmp, out=lanes[n - 1])
-            lanes, tmp = buf[:, : bounds[j + 1]], step[: bounds[j + 1]]  # rungs 0..j, down to column below
-            np.multiply(lanes[n - 1], scale[n - 1], out=lanes[n - 1])
-            for k in reversed(range(below, n - 1)):
-                row = lanes[k]
-                np.multiply(lanes[k + 1], carry[k], out=tmp)
-                np.subtract(row, tmp, out=row)
-                np.multiply(row, scale[k], out=row)
-    if not all(np.isfinite(cols).all() for cols in spans):
+        np.multiply(rows[n - 1], scale[n - 1], out=rows[n - 1])
+        for k in reversed(range(n - 1)):
+            row = rows[k]
+            np.multiply(rows[k + 1], carry[k], out=step)
+            np.subtract(row, step, out=row)
+            np.multiply(row, scale[k], out=row)
+    if not np.isfinite(buf).all():
         raise OverflowError("composed matrix entries overflow double precision at this truncation")
-    return spans[::-1]
+    return buf
 
 
 def e_matrix(A, sys: BandSystem, n: int) -> np.ndarray:
     """Composed matrix E = A V at truncation n.
 
-    E is C-contiguous, from the one-rung sweep of :func:`_compose`, and
+    E is C-contiguous, from the backward solve of :func:`_compose`, and
     within a few n eps (|A| |V|) of the last rows of the partial-sum
     families over the dense V (Higham, ch. 8), not bit for bit; row i's
     family is :func:`seqcore.duals.companion_d` of A[i].  V is read first,
@@ -170,8 +151,7 @@ def e_matrix(A, sys: BandSystem, n: int) -> np.ndarray:
         raise ValueError("truncation must be >= 1")
     dense = materialize_matrix(A, n)
     inverse_kernel(sys, n)
-    (cols,) = _compose(dense, sys, (n,))
-    return np.ascontiguousarray(cols.T)
+    return np.ascontiguousarray(_compose(dense, sys, n).T)
 
 
 def default_density_sets(n: int) -> list[tuple[str, np.ndarray]]:
@@ -196,12 +176,12 @@ class _Workspace:
     """One float64 block for a report's n x n arrays, allocated once and freed when the report returns.
 
     In order, the block holds its lead regions (a dual report's companion,
-    or a class report's E per rung), a slot per rung for the witness-free
-    array of the condition being run, and a scratch of the top rung's size
-    for the temporaries of one witness, wide enough for a complex n x n
-    array when ``width`` is 2.  Conditions run one after another, and each
-    reuses the slots and the scratch.  Until the first one runs, the slots
-    and the scratch together (``room`` float64s) hold a class report's sweep
+    or a class report's E at the top rung and at each rung that solves its
+    own), a slot per rung for the witness-free array of the condition being
+    run, and a scratch of the top rung's size for the temporaries of one
+    witness, wide enough for a complex n x n array when ``width`` is 2.
+    Conditions run one after another, and each reuses the slots and the
+    scratch.  Before the first one runs, the scratch holds each solve's
     buffer (:func:`_compose`).  Every region starts a multiple of 64 bytes into
     the block, and its views are C-contiguous like the fresh arrays they
     replace, so the ufuncs and reductions that fill and read them give the
@@ -218,7 +198,6 @@ class _Workspace:
         self._leads = starts[: len(leads)]
         self._slots = dict(zip(ladder, starts[len(leads) : -2]))
         self._scratch = starts[-2]
-        self.room = starts[-1] - starts[len(leads)]
 
     def _view(self, start: int, n: int, dtype=np.float64) -> np.ndarray:
         size = n * n * np.dtype(dtype).itemsize // 8
@@ -235,11 +214,6 @@ class _Workspace:
     def scratch(self, n: int, dtype=np.float64) -> np.ndarray:
         """An n x n scratch of dtype, n at most the top rung; complex128 needs a workspace of width 2."""
         return self._view(self._scratch, n, dtype)
-
-    def sweep(self, rows: int, cols: int) -> np.ndarray:
-        """The slots and the scratch as one rows x cols float64 array, rows * cols at most ``room``, for a class report's sweep buffer."""
-        start = self._slots[min(self._slots)]
-        return self._block[start : start + rows * cols].reshape(rows, cols)
 
 
 class _Rung:
@@ -263,10 +237,11 @@ class _Rung:
         self.free = spec.free(self, src) if spec.free else src
 
     def _absolute_deviations(self, G, shift):
-        """|G - shift| in the rung's slot; a real difference is taken there too, a complex one in the scratch."""
-        out = self.work.slot(self.n)
+        """|G - shift| in the first rows of the rung's slot; a real difference is taken there too, a complex one in the scratch."""
+        rows = len(G)
+        out = self.work.slot(self.n)[:rows]
         dtype = np.result_type(G, shift)
-        diff = self.work.scratch(self.n, dtype) if dtype.kind == "c" else out
+        diff = self.work.scratch(self.n, dtype)[:rows] if dtype.kind == "c" else out
         return np.abs(np.subtract(G, shift, out=diff), out=out)
 
     def _deflated(self, M):
@@ -307,7 +282,7 @@ class _Rung:
         return self.column_deviations(G) ** self.qn[self.win][:, None]
 
     def window_deviation_sums(self, G):
-        return np.abs(G[self.win] - self.beta_k[: self.n][None, :]).sum(axis=1)
+        return self._absolute_deviations(G[self.win], self.beta_k[: self.n][None, :]).sum(axis=1)
 
     def density_window_sums(self, G):
         return np.array([np.abs(G[:, mask]).sum(axis=1)[self.win] for _, mask in default_density_sets(self.n)])
@@ -595,39 +570,23 @@ def _probe_blocks(dense: np.ndarray, V: np.ndarray, ladder) -> dict:
     return {n: [(i, families[i][:stop, :stop]) for i, stop in enumerate(stops[:n, n - 1].tolist()) if stop] for n in ladder}
 
 
-def _sweep_batches(ladder, width: int, room: int) -> list:
-    """The ladder's rungs in batches whose sweep buffers (top rung x width * sum of rungs) take at most room float64s.
-
-    Rungs join a batch from the largest down while its buffer fits; a rung
-    alone fits when room holds width * top^2.  Batches and the rungs in
-    each are in ladder order, so the top rung's batch is the last.
-    """
-    batches = []
-    for n in reversed(ladder):
-        if batches and batches[-1][0] * width * (sum(batches[-1]) + n) <= room:
-            batches[-1].append(n)
-        else:
-            batches.append([n])
-    return [batch[::-1] for batch in reversed(batches)]
-
-
 def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> tuple[dict, _Workspace]:
     """The sources of every ladder point that the conditions read, keyed by rung, then by source kind, and the report's workspace.
 
-    btilde and a caller-supplied matrix (matrix=, which bypasses the
-    composition) are built once, at the top rung, and rung n reads the
-    leading n x n block: no entry depends on a later row or column, so the
-    block is bit-identical to a build at n.  E comes from sweeps over the
-    ladder (:func:`_compose`), every rung bit for bit as a solve at n alone,
-    and each rung's E is a lead region of the workspace, with the sweep's
-    buffer in its slots and scratch: one sweep when the buffer fits there,
-    else a few over batches of rungs (:func:`_sweep_batches`), so the block
-    is never larger for it.  V is the system's read-only kernel
+    Every source is built once, at the top rung, and rung n reads its
+    leading n x n block: btilde, a caller-supplied matrix (matrix=, which
+    bypasses the composition), the probe rows' partial-sum families (for a
+    "partial" reader only, :func:`_probe_blocks`) and E.  No entry of the
+    first three depends on a later row or column, so a block is bit-identical
+    to a build at n.  E's exception is a rung whose first n rows of A reach
+    past column n - 1: it solves its own E (:func:`_compose`).  Otherwise
+    the top solve carries only zeros from column n on into those rows, so
+    each entry of the block goes through the ufuncs of a solve at n alone,
+    up to the sign of a zero where A holds -0.0, which :mod:`seqcore.io`
+    renders as 0.  Each E is a lead region of the workspace, solved in its
+    scratch.  V is the system's read-only kernel
     (:func:`seqcore.band_ops.inverse_kernel`), read before E is solved, so
-    that its overflow raises before E's.  The probe rows' partial-sum
-    families, like btilde, are built once at the top rung, for a "partial"
-    reader only, and rung n reads leading blocks of them
-    (:func:`_probe_blocks`).  So every source but E is built once.
+    that its overflow raises before E's.
     """
     top = ladder[-1]
     solve = "E" in kinds and matrix is None
@@ -637,12 +596,14 @@ def _ladder_sources(kinds: set, A, sys, matrix, ladder) -> tuple[dict, _Workspac
     dense = materialize_matrix(A, top)
     dtype = np.result_type(dense.dtype, np.float64) if solve else np.dtype(np.float64)
     width = dtype.itemsize // 8
-    work = _Workspace(ladder, [width * n * n for n in ladder] if solve else [], width)
+    own = [n for n in ladder if n == top or dense[:n, n:].any()] if solve else []
+    work = _Workspace(ladder, [width * n * n for n in own], width)
     V = inverse_kernel(sys, top)
-    sources = {n: {"E": work.lead(i, n, dtype)} if solve else {} for i, n in enumerate(ladder)}
-    for batch in _sweep_batches(ladder, width, work.room) if solve else ():
-        for n, cols in zip(batch, _compose(dense, sys, batch, work.sweep(batch[-1], width * sum(batch)))):
-            np.copyto(sources[n]["E"], cols.T)
+    E = {}
+    for i, n in enumerate(own):
+        E[n] = work.lead(i, n, dtype)
+        np.copyto(E[n], _compose(dense, sys, n, work.scratch(n, dtype)).T)
+    sources = {n: {"E": E[n] if n in E else E[top][:n, :n]} if solve else {} for n in ladder}
     for n, blocks in _probe_blocks(dense, V, ladder).items() if "partial" in kinds else ():
         sources[n]["partial"] = blocks
     return sources, work

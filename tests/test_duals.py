@@ -392,6 +392,14 @@ class TestDualReport:
         rep_high = duals.dual_report(a, PLUS, high, "lp", "alpha", self.LADDER)
         assert [c.cond_id for c in rep_high.conditions] == ["S13"]
 
+    @pytest.mark.parametrize("dual", duals.DUALS)
+    def test_lp_pairs_take_array_like_and_scalar_exponents(self, dual):
+        # the lp regime split reads p's terms, so p is coerced before it, as every other pair's p is
+        a = FiniteSeq(0.5 ** np.arange(64))
+        expected = canonical_dumps(duals.dual_report(a, PLUS, ExponentSeq.constant(2.0, 64), "lp", dual, self.LADDER).to_json())
+        for p in ([2.0] * 64, 2.0):
+            assert canonical_dumps(duals.dual_report(a, PLUS, p, "lp", dual, self.LADDER).to_json()) == expected
+
     def test_conjugate_conditions_reject_small_exponents(self):
         a = FiniteSeq(0.5 ** np.arange(64))
         p = ExponentSeq.constant(0.5, 64)

@@ -25,6 +25,11 @@ classes follows the multiplier rule (Stieglitz & Tietz 1977): into l_inf
 from any source iff d is bounded; from l_inf into c or c0 iff d -> 0; from
 c0 into c0 or c iff d is bounded; from c into c0 iff d -> 0; from c into c
 iff d is bounded and convergent.
+
+Class side, finite support: when A has finitely many nonzero entries, Ax has
+finitely many nonzero terms for every x, so A lies in each of the nine E
+classes, under every system and every p and q.  The rows use two seeded
+blocks, 8 x 8 and 8 x 24, with terms in +-[0.5, 2].
 """
 
 import itertools
@@ -188,3 +193,28 @@ def test_class_verdict_matches_multiplier_rule(name, class_id):
     p = ExponentSeq.constant(1.0, CLASS_N)
     report = matclass.class_report(A, class_id, CLASS_SYSTEM, p=p, q=1.0, ladder=CLASS_LADDER)
     assert report.aggregate == expected
+
+
+def _seeded_block(rng, rows: int, cols: int) -> np.ndarray:
+    """Terms of modulus in [0.5, 2] and random sign on the leading rows x cols block, zeros elsewhere."""
+    A = np.zeros((SUPPORT_N, SUPPORT_N))
+    A[:rows, :cols] = rng.uniform(0.5, 2.0, (rows, cols)) * rng.choice([-1.0, 1.0], (rows, cols))
+    return A
+
+
+# the 8 x 24 block's rows reach past the first rung, which solves its own E; every other rung reads the top rung's
+SUPPORT_MATRICES = {"block8x8": _seeded_block(np.random.default_rng(3), 8, 8), "block8x24": _seeded_block(np.random.default_rng(4), 8, 24)}
+
+
+def _support_class_rows():
+    rows = itertools.product(SUPPORT_MATRICES, SUPPORT_SYSTEMS, E_CLASSES, (0.5, 2.0))
+    for matrix, system, class_id, p in rows:
+        marks = [pytest.mark.xfail(strict=True, reason=MT28)] if class_id.startswith("sc:") else []
+        yield pytest.param(matrix, system, class_id, p, marks=marks, id=f"{matrix}-{system}-{class_id}-p{p:g}")
+
+
+@pytest.mark.parametrize("matrix, system, class_id, p", list(_support_class_rows()))
+def test_finitely_supported_matrix_is_in_every_class(matrix, system, class_id, p):
+    p = ExponentSeq.constant(p, SUPPORT_N)
+    report = matclass.class_report(SUPPORT_MATRICES[matrix], class_id, SUPPORT_SYSTEMS[system], p=p, q=1.5, ladder=SUPPORT_LADDER)
+    assert report.aggregate == "holds"

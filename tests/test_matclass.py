@@ -100,6 +100,22 @@ class TestBtilde:
         rhs = matclass.btilde(B1, mild_system, n) + matclass.btilde(B2, mild_system, n)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rows_built_in_place_match_the_plain_expression(self, mild_system, field):
+        # the three in-place ufuncs on B's rows give the bits of (r B[1:] + s B[:-1]) / alpha, -0.0 entries included
+        n = 48
+        rng = rng_from_seed(14)
+        B = rng.uniform(-1.0, 1.0, (n, n))
+        zero = -0.0
+        if field == "complex":
+            B, zero = B + 1j * rng.uniform(-1.0, 1.0, (n, n)), complex(-0.0, -0.0)
+        B[rng.random((n, n)) < 0.2] = zero
+        r, s, a = mild_system.params(n)
+        plain = np.empty_like(B)
+        plain[0] = r[0] * B[0] / a[0]
+        plain[1:] = (r[1:, None] * B[1:] + s[:-1, None] * B[:-1]) / a[1:, None]
+        assert matclass.btilde(B, mild_system, n).tobytes() == plain.tobytes()
+
 
 class TestEMatrix:
     def test_triangle_composes_to_identity(self):
@@ -350,7 +366,7 @@ def _column_solve(dense: np.ndarray, sys: BandSystem) -> np.ndarray:
 
     E[:, k] = (alpha_k / r_k) (dense[:, k] - (s_k / alpha_{k+1}) E[:, k+1]), each
     step three float ufuncs over one row of the copy (a complex one viewed as
-    float pairs): the per-rung solve that the one sweep must reproduce.
+    float pairs): the per-rung solve that every rung's E must reproduce.
     """
     r, s, a = sys.params(dense.shape[0])
     cols = np.array(dense.T, dtype=np.result_type(dense.dtype, np.float64), order="C")
@@ -371,19 +387,22 @@ def _column_solve(dense: np.ndarray, sys: BandSystem) -> np.ndarray:
     rows=st.sampled_from(["full", "lower"]),
     field=st.sampled_from(["real", "complex"]),
     signs=st.sampled_from(["negative", "mixed"]),
+    zeros=st.sampled_from(["-0.0", "+0.0"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_one_sweep_matches_per_rung_solves_bit_for_bit(rungs, rows, field, signs, seed):
-    # every rung's E from the one sweep equals e_matrix at that rung, and both equal the per-rung recurrence,
-    # bit for bit: full and lower-triangular rows, -0.0 entries, and negative carries s_k / alpha_{k+1}
+def test_every_rung_e_matches_its_own_solve(rungs, rows, field, signs, zeros, seed):
+    # a rung whose rows reach past it solves its own E: C-contiguous and bit for bit e_matrix at that rung and the
+    # per-rung recurrence; a rung that reads the top rung's leading block matches them bit for bit where A's zeros
+    # are +0.0, and up to the sign of a zero where they are -0.0: full and lower-triangular rows, and negative
+    # carries s_k / alpha_{k+1}
     ladder = tuple(sorted(rungs))
     top = ladder[-1]
     rng = np.random.default_rng(seed)
     A = rng.uniform(-1.0, 1.0, (top, top))
-    zero = -0.0
+    zero = float(zeros)
     if field == "complex":
         A = A + 1j * rng.uniform(-1.0, 1.0, (top, top))
-        zero = complex(-0.0, -0.0)
+        zero = complex(zero, zero)
     A[rng.random((top, top)) < 0.2] = zero
     if rows == "lower":
         A[np.triu_indices(top, 1)] = zero
@@ -393,9 +412,14 @@ def test_one_sweep_matches_per_rung_solves_bit_for_bit(rungs, rows, field, signs
     V = band_ops.inverse_kernel(twin(sys), top)
     for n in ladder:
         E = matclass.e_matrix(A, twin(sys), n)
-        swept = sources[n]["E"]
-        assert swept.dtype == E.dtype and swept.flags.c_contiguous
-        assert swept.tobytes() == E.tobytes() == _column_solve(A[:n, :n], sys).tobytes()
+        got = sources[n]["E"]
+        assert got.dtype == E.dtype and E.tobytes() == _column_solve(A[:n, :n], sys).tobytes()
+        own = n == top or A[:n, n:].any()
+        assert got.flags.c_contiguous or not own
+        if own or zeros == "+0.0":
+            assert got.tobytes() == E.tobytes()
+        else:
+            assert (got + 0.0).tobytes() == (E + 0.0).tobytes()
         _assert_blocks_are_oracle(sources[n]["partial"], A, V, n)
 
 
@@ -427,11 +451,12 @@ def test_probe_blocks_are_the_cumulative_sum_at_every_rung(rungs, field, seed):
         _assert_blocks_are_oracle(sources[n]["partial"], A, V, n)
 
 
+@pytest.mark.parametrize("rows", ["full", "lower"])
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_long_ladder_is_swept_in_batches_inside_its_block(monkeypatch, field):
-    # twelve evenly spaced rungs: one buffer for all would outgrow the slots and scratch, so the rungs are swept
-    # in batches, the top rung's last; every rung's E is still e_matrix's at that rung, bit for bit, and the
-    # block is each rung's E region and slot and the scratch, no larger
+def test_long_ladder_solves_e_once_on_lower_triangular_rows(monkeypatch, rows, field):
+    # twelve evenly spaced rungs: on full rows every rung solves its own E at its own n, and on np.tril of the same
+    # A the top rung's one solve serves every rung; either way every rung's E is e_matrix's at that rung, bit for
+    # bit, and the block is the solved rungs' E regions, a slot per rung and the scratch, no larger
     ladder = tuple(range(8, 97, 8))
     top = ladder[-1]
     rng = rng_from_seed(13)
@@ -439,18 +464,21 @@ def test_long_ladder_is_swept_in_batches_inside_its_block(monkeypatch, field):
     width = 1
     if field == "complex":
         A, width = A + 1j * rng.uniform(-1.0, 1.0, (top, top)), 2
+    if rows == "lower":
+        A = np.tril(A)
     sys = BandSystem(rng.uniform(0.5, 2.5, top) * rng.choice([-1.0, 1.0], top), rng.uniform(-2.0, 2.0, top), rng.uniform(0.5, 2.0, top))
-    batches = []
+    solves = []
     original = matclass._compose
 
-    def recorded(dense, sys, rungs, buf=None):
-        batches.append(tuple(rungs))
-        return original(dense, sys, rungs, buf)
+    def recorded(dense, sys, n, buf=None):
+        solves.append(n)
+        return original(dense, sys, n, buf)
 
     monkeypatch.setattr(matclass, "_compose", recorded)
     sources, work = matclass._ladder_sources({"E", "partial"}, A, sys, None, ladder)
-    assert len(batches) > 1 and top in batches[-1] and sorted(sum(batches, ())) == list(ladder)
-    regions = [*(width * n * n for n in ladder), *(n * n for n in ladder), width * top * top]
+    own = list(ladder) if rows == "full" else [top]
+    assert solves == own
+    regions = [*(width * n * n for n in own), *(n * n for n in ladder), width * top * top]
     assert work._block.size == sum(-(-size // 8) * 8 for size in regions)
     monkeypatch.setattr(matclass, "_compose", original)
     V = band_ops.inverse_kernel(twin(sys), top)
@@ -637,14 +665,14 @@ class TestClassReport:
         assert set(table) == set(matclass.CLASS_RULES)
 
     @pytest.mark.parametrize(
-        "class_id, builder, matrix",
+        "class_id, builder, matrix, builds",
         [
-            pytest.param("sc:c_q", "_compose", "cesaro", id="sc:c_q-sweep"),
-            pytest.param("sc:c_q", "_compose", "dense", id="sc:c_q-sweep-dense"),
-            pytest.param("st:sc_reg", "btilde", "cesaro", id="st:sc_reg-btilde"),
+            pytest.param("sc:c_q", "_compose", "cesaro", 1, id="sc:c_q-compose"),
+            pytest.param("sc:c_q", "_compose", "dense", 3, id="sc:c_q-compose-dense"),
+            pytest.param("st:sc_reg", "btilde", "cesaro", 1, id="st:sc_reg-btilde"),
         ],
     )
-    def test_sources_built_once_per_rung(self, monkeypatch, class_id, builder, matrix):
+    def test_sources_built_once_per_rung(self, monkeypatch, class_id, builder, matrix, builds):
         ladder = (16, 32, 64)
         p = ExponentSeq.constant(2.0, 64)
         q = np.full(64, 1.5)
@@ -659,10 +687,10 @@ class TestClassReport:
 
             monkeypatch.setattr(matclass, name, counted)
         report = matclass.class_report(A, class_id, DELTA, p=p, q=q, ladder=ladder)
-        # btilde is built once at the top rung and lower rungs slice it; one sweep solves
-        # E for every rung from its leading block of A, whatever A's shape
-        assert calls[builder] == 1
-        assert sum(calls.values()) == 1
+        # btilde is built once at the top rung and lower rungs slice it; so is E on Cesaro's
+        # lower-triangular rows, and on full rows each rung solves its own from its leading block of A
+        assert calls[builder] == builds
+        assert sum(calls.values()) == builds
         for cond in report.conditions:
             alone = matclass.eval_condition(cond.cond_id, A=A, sys=DELTA, p=p, q=q, ladder=ladder)
             assert cond.to_json() == alone.to_json()
@@ -768,7 +796,10 @@ class TestComposedSources:
             rung_sys = twin(sys)
             E = matclass.e_matrix(A, rung_sys, n)
             assert np.array_equal(sources[n]["E"], E)
-            assert sources[n]["E"].tobytes() == E.tobytes()
+            if kind == "negated":  # -0.0 above the diagonal, where the top rung's solve may flip the sign of a zero
+                assert (sources[n]["E"] + 0.0).tobytes() == (E + 0.0).tobytes()
+            else:
+                assert sources[n]["E"].tobytes() == E.tobytes()
             _assert_blocks_are_oracle(sources[n]["partial"], materialize_matrix(A, n), band_ops.inverse_kernel(rung_sys, n), n)
 
     @pytest.mark.parametrize("matrix", ["lower_triangular", "dense"])
@@ -838,9 +869,11 @@ def test_density_set_family_has_vanishing_density():
         assert dens.values[-1][1] < dens.values[0][1] < 0.2
 
 
-# the traced peak above a class report's block and A's materialized copy, by the source its conditions read,
-# from measured maxima of 153.4 KiB (E: the probe rows' support blocks, cast buffers) and 414.6 KiB (btilde: the
-# n x n temporaries of its expression, taken before the block exists, beside btilde itself)
+# the traced peak above a class report's block and A's materialized copy, by the source its conditions read: the
+# E classes measured at most 153.4 KiB with an E region per rung (the probe rows' support blocks, cast buffers)
+# and 115.9 KiB with E solved once at the top rung (its row views among them); the btilde classes 414.6 KiB with
+# btilde's expression and its n x n temporaries, and 74.0-76.0 KiB with btilde's rows built in place and 4.3's
+# window deviations in the slot
 CLASS_TRACE_BOUND = {"E": 192 * 1024, "btilde": 480 * 1024}
 # on full rows every probe row's family is n x n, 4 MiB for the eight at n = 256: measured maxima of 4.09 MiB when
 # only mt23 reads the families, and 8.78 MiB when mt26 and mt27 also take the blocks' moduli at every rung; blocks
@@ -854,7 +887,7 @@ UNEVEN_ROW_TRACE_BOUND = 0.8 * 2**20
 @pytest.mark.parametrize("class_id", sorted(matclass.CLASS_RULES))
 @pytest.mark.parametrize("matrix", ["cesaro", "dense", "full", "uneven"])
 def test_class_report_traces_little_beside_its_workspace(monkeypatch, matrix, class_id):
-    # E per rung and the sweep's buffer live in the report's one block, and V on the system since the first call;
+    # E and its solve's buffer live in the report's one block, and V on the system since the first call;
     # btilde and the probe rows' families (at most 8 x 8 on the lower-triangular inputs, n x n on full rows, each
     # row's own size on uneven ones) are arrays of their own
     n, ladder = 256, (64, 128, 256)
@@ -884,8 +917,9 @@ def test_class_report_traces_little_beside_its_workspace(monkeypatch, matrix, cl
     (block,) = blocks
     rules = matclass.CLASS_RULES[class_id]
     source = "btilde" if matclass.CONDITIONS[rules[0]].source == "btilde" else "E"
-    if source == "E":
-        assert block >= 2 * sum(m * m for m in ladder) * 8  # each rung's E and its slot
+    if source == "E":  # E at the top rung and at every rung whose rows reach past it, a slot per rung, and the scratch
+        solved = ladder if matrix in ("full", "uneven") else ladder[-1:]
+        assert block >= 8 * (sum(m * m for m in solved) + sum(m * m for m in ladder) + n * n)
     bound = CLASS_TRACE_BOUND[source]
     if source == "E" and matrix in ("full", "uneven"):
         bound = FULL_ROW_TRACE_BOUND["mt26" if "mt26" in rules else "mt23"] if matrix == "full" else UNEVEN_ROW_TRACE_BOUND
@@ -919,7 +953,7 @@ def test_complex_witness_temporaries_in_the_workspace_match_fresh_arrays(evaluat
         assert np.float64(got).tobytes() == np.float64(FRESH_COMPLEX[evaluator](G, B, p.p, p.conjugate())).tobytes()
 
 
-@pytest.mark.parametrize("builder", ["deviations", "lower_deviations"])
+@pytest.mark.parametrize("builder", ["deviations", "lower_deviations", "window_deviation_sums"])
 def test_complex_deviations_in_the_workspace_match_fresh_arrays(builder):
     n = 48
     rng = rng_from_seed(12)
@@ -932,4 +966,6 @@ def test_complex_deviations_in_the_workspace_match_fresh_arrays(builder):
     fresh = np.abs(G - beta_k[None, :])
     if builder == "lower_deviations":
         fresh = np.tril(fresh)
+    if builder == "window_deviation_sums":  # condition 4.3: the window's rows in the first rows of the slot, then summed
+        fresh = np.abs(G[window(n)] - beta_k[None, :]).sum(axis=1)
     assert getattr(rung, builder)(G).tobytes() == fresh.tobytes()
