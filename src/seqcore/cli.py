@@ -10,7 +10,12 @@ Exit codes: 0 all verdicts hold / inclusion true / computation done, 1 some
 verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
 unreadable input or schema violation (including invalid generator values,
 sequence values or dense matrix entries that are not finite numbers, ragged
-dense matrices, non-integer lists, non-numeric tolerances, density
+dense matrices, a number in a JSON document that is not a JSON number (a
+numeric string such as "1.5", or an integer beyond double range, in dense
+entries, sequence values, r/s/alpha, p, q, tol or density_tol, and a string
+in an integer field such as the ladder), a JSON document the parser refuses
+(an integer literal of more than 4300 digits, arrays nested too deep),
+non-integer lists, non-numeric tolerances, density
 tolerances outside (0, 1), non-positive exponents, exponent lists shorter
 than the largest truncation, truncations below 1, core windows outside the
 sequence, direction counts outside [4, 1024] (cores.MAX_DIRECTIONS), grid_n
@@ -37,7 +42,7 @@ import numpy as np
 
 from . import acceptance, band_ops, cores, duals, matclass
 from .generators import MATRIX_NAMES, SEQUENCE_NAMES, SYSTEM_NAMES
-from .io import canonical_dumps, load_json, matrix_from_spec, region_to_csv, seq_from_spec, seq_to_json, system_from_spec
+from .io import canonical_dumps, load_json, matrix_from_spec, number, number_list, region_to_csv, seq_from_spec, seq_to_json, system_from_spec
 from .ladder import truncation_ladder
 from .types import ExponentSeq, SchemaError
 
@@ -68,29 +73,31 @@ def _resolve_spec(text: str):
 
 def _parse_exponents(text: str, n: int) -> ExponentSeq:
     """A constant or comma-separated exponents, truncated to n: ``ExponentSeq.M`` reads the whole sequence."""
-    vals = [_config_float(v, "p") for v in text.split(",") if v]
+    try:
+        vals = [float(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise SchemaError(f"p must be a number or comma-separated numbers: {text!r}") from exc
     return _config_exponents(vals[0] if len(vals) == 1 else vals[:n], n, "p")
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
-    return _config_ints([v for v in text.split(",") if v], what)
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise SchemaError(f"{what} must be comma-separated integers: {text!r}") from exc
 
 
 def _config_int(value, what: str) -> int:
+    """A JSON integer, or a float with an integer value; never a string."""
+    if isinstance(value, str):
+        raise SchemaError(f"{what} must be an integer, not a string: {value!r:.40}")
     try:
-        number = int(value)
+        integer = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{what} must be an integer: {value!r}") from exc
-    if isinstance(value, float) and number != value:
+        raise SchemaError(f"{what} must be an integer: {value!r:.40}") from exc
+    if isinstance(value, float) and integer != value:
         raise SchemaError(f"{what} must be an integer: {value!r}")
-    return number
-
-
-def _config_float(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{what} must be a number: {value!r}") from exc
+    return integer
 
 
 def _config_ints(values, what: str) -> list[int]:
@@ -101,11 +108,8 @@ def _config_ints(values, what: str) -> list[int]:
 
 def _config_exponents(value, n: int, what: str) -> ExponentSeq:
     """A constant or a list of positive exponents from a config document, as n or more values."""
-    try:
-        values = np.full(n, float(value)) if np.isscalar(value) else np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what} must be a number or a list of numbers: {value!r}") from exc
-    if values.ndim == 1 and values.size < n:
+    values = number_list(value, what) if isinstance(value, list) else np.full(n, number(value, what))
+    if values.size < n:
         raise SchemaError(f"{values.size} {what} values cannot serve truncation {n}")
     try:
         return ExponentSeq(values)
@@ -279,7 +283,7 @@ def _region_from_config(spec: dict) -> cores.RegionEstimate:
         raise SchemaError("alpha cores need a system")
     window = _parse_window(spec.get("window"), n, 1 if kind == "alpha" else 0)
     directions = _config_int(spec["directions"], "directions")
-    density_tol = _config_float(spec["density_tol"], "density_tol")
+    density_tol = number(spec["density_tol"], "density_tol")
     grid_n = cores.check_grid_n(_config_int(spec["grid_n"], "grid_n"))
     if kind == "alpha":
         return cores.alpha_core(x, sys, window, directions)
@@ -299,7 +303,7 @@ def _cmd_core_include(args) -> int:
     _check_config(config, "core-include", _INCLUDE_KEYS, {"inner", "outer"})
     inner = _region_from_config(config["inner"])
     outer = _region_from_config(config["outer"])
-    tol = _config_float(config.get("tol", args.tol), "tol")
+    tol = number(config.get("tol", args.tol), "tol")
     included, violation = cores.region_included(inner, outer, tol)
     _emit(
         {

@@ -66,7 +66,11 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 
 def make_matrix(spec, n: int, **params) -> np.ndarray:
-    """Dense n x n truncation of the named infinite matrix."""
+    """Dense n x n truncation of the named infinite matrix.
+
+    The triangular means are one ``np.where`` over the lower-triangle mask
+    ``idx[:, None] >= idx``, with no n x n product before the mask.
+    """
     if isinstance(spec, GeneratorSpec):
         name, params = spec.name, dict(spec.params)
     else:
@@ -76,7 +80,7 @@ def make_matrix(spec, n: int, **params) -> np.ndarray:
     idx = np.arange(n)
 
     if name == "cesaro":
-        out = np.tril(1.0 / (idx + 1.0)[:, None] * np.ones(n))
+        out = np.where(idx[:, None] >= idx, 1.0 / (idx + 1.0)[:, None], 0.0)
     elif name == "riesz":
         t = np.asarray(params.get("t", np.ones(n)), dtype=np.float64)
         if t.ndim == 0:
@@ -86,7 +90,8 @@ def make_matrix(spec, n: int, **params) -> np.ndarray:
         t = t[:n]
         if not np.all((t > 0.0) & np.isfinite(t)):
             raise ValueError("riesz weights must be finite and strictly positive")
-        out = np.tril(np.ones((n, n)) * t[None, :]) / np.cumsum(t)[:, None]
+        out = np.where(idx[:, None] >= idx, t, 0.0)
+        out /= np.cumsum(t)[:, None]
     elif name == "band":
         r, s = float(params["r"]), float(params["s"])
         if r == 0.0 or s == 0.0:
@@ -103,7 +108,7 @@ def make_matrix(spec, n: int, **params) -> np.ndarray:
         if n > 1:
             out[idx[1:], idx[:-1]] = s[:-1]
     elif name == "summation":
-        out = np.tril(np.ones((n, n)))
+        out = np.where(idx[:, None] >= idx, 1.0, 0.0)
     elif name == "difference":
         out = np.eye(n)
         if n > 1:

@@ -3,16 +3,34 @@
 Sequences travel as {"values": [[re, im], ...]}, band systems as
 {"r": [...], "s": [...], "alpha": [...]} or {"generator": name,
 "params": {...}}, matrices as {"dense": [[...]]} or a generator spec.
+Every number in such a document must be a JSON number: a numeric string, or
+an integer beyond double range, is a ``SchemaError`` like any other value
+that is not a number (:func:`number`, :func:`number_list`).
+
+A dense block, and a sequence's [re, im] pairs, are parsed row by row
+(:func:`number_rows`): one ``struct`` pack per row writes the row's doubles
+straight into a preallocated float64 array, with no per-element Python
+dispatch and no transient bytes copy.  On every valid block the result
+equals ``np.asarray(rows, dtype=np.float64)`` bit for bit; a ragged row, an
+entry that is not a number or an integer beyond double range raises
+``SchemaError``.
+
 Reports are rendered by :func:`canonical_dumps`, which sorts keys and prints
 every float with 17 significant digits, so identical inputs produce
 byte-identical output files.  -0.0 and 0.0 render as 0: no verdict depends
-on the sign of a zero, so no computation has to carry it.
+on the sign of a zero, so no computation has to carry it.  The renderer
+takes exact floats, strings and ints by their type first; dicts, then
+lists, tuples and arrays, then None, bools (checked before ints, as a bool is
+an int), numpy scalars and subclasses follow by isinstance.  A non-finite
+float raises ``ValueError`` and a value of any other type ``TypeError``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
+from json.encoder import encode_basestring_ascii as _encode_str  # what json.dumps does to a str
 
 import numpy as np
 
@@ -23,6 +41,9 @@ __all__ = [
     "SchemaError",
     "canonical_dumps",
     "load_json",
+    "number",
+    "number_list",
+    "number_rows",
     "seq_to_json",
     "seq_from_spec",
     "system_to_json",
@@ -39,42 +60,103 @@ def _fmt_float(x: float) -> str:
     return format(float(x) + 0.0, ".17g")
 
 
+def _key_text(item) -> str:
+    return str(item[0])
+
+
+def _render(o) -> str:
+    t = type(o)
+    if t is float:
+        if math.isfinite(o):
+            return format(o + 0.0, ".17g")
+        raise ValueError("reports cannot contain non-finite floats")
+    if t is str:
+        return _encode_str(o)
+    if t is int:
+        return str(o)
+    if isinstance(o, dict):
+        return "{" + ",".join([_encode_str(str(k)) + ":" + _render(v) for k, v in sorted(o.items(), key=_key_text)]) + "}"
+    if isinstance(o, (list, tuple, np.ndarray)):
+        return "[" + ",".join([_render(v) for v in o]) + "]"
+    if o is None:
+        return "null"
+    if isinstance(o, (bool, np.bool_)):  # before int: bool is an int
+        return "true" if o else "false"
+    if isinstance(o, (int, np.integer)):
+        return str(int(o))
+    if isinstance(o, (float, np.floating)):
+        return _fmt_float(float(o))
+    if isinstance(o, str):
+        return _encode_str(o)
+    raise TypeError(f"cannot serialize {type(o).__name__}")
+
+
 def canonical_dumps(obj) -> str:
     """Deterministic JSON: sorted keys, fixed float formatting, no whitespace drift.
 
     Floats print with 17 significant digits after adding 0.0, which maps
-    -0.0 to 0 and leaves every other finite double unchanged.
+    -0.0 to 0 and leaves every other finite double unchanged.  Strings are
+    escaped as ``json.dumps`` escapes them, and keys sort by their ``str``.
+    Each list and dict joins its own rendered items, so no one list gathers
+    the fragments of the whole report.
     """
-
-    def render(o) -> str:
-        if o is None:
-            return "null"
-        if isinstance(o, bool) or isinstance(o, np.bool_):
-            return "true" if o else "false"
-        if isinstance(o, (int, np.integer)):
-            return str(int(o))
-        if isinstance(o, (float, np.floating)):
-            return _fmt_float(float(o))
-        if isinstance(o, str):
-            return json.dumps(o)
-        if isinstance(o, (list, tuple, np.ndarray)):
-            return "[" + ",".join(render(v) for v in o) + "]"
-        if isinstance(o, dict):
-            items = sorted(o.items(), key=lambda kv: str(kv[0]))
-            return "{" + ",".join(json.dumps(str(k)) + ":" + render(v) for k, v in items) + "}"
-        raise TypeError(f"cannot serialize {type(o).__name__}")
-
-    return render(obj) + "\n"
+    return _render(obj) + "\n"
 
 
 def load_json(path: str):
+    """A JSON document; SchemaError when it is unreadable, not JSON, or beyond what the parser takes.
+
+    The parser raises ``ValueError`` for an integer literal of more than
+    4300 digits, and ``RecursionError`` for arrays nested too deep.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     except OSError as exc:
         raise SchemaError(f"{path}: unreadable ({exc})") from exc
+
+
+def number(value, what: str) -> float:
+    """A JSON number as a float; SchemaError for a string, any other non-number, or an integer beyond double range."""
+    if isinstance(value, str):
+        raise SchemaError(f"{what} must be a number, not a string: {value!r:.40}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{what} must be a number: {value!r:.40}") from exc
+
+
+def number_rows(rows, what: str) -> np.ndarray:
+    """Equally long lists of JSON numbers as one (len(rows), m) float64 array, packed row by row.
+
+    Bitwise equal to ``np.asarray(rows, dtype=np.float64)``.  ``struct``
+    takes what ``float`` takes except strings, and reports an integer beyond
+    double range as ``struct.error``, so a ragged row, a numeric string, any
+    other non-number and a huge integer all raise SchemaError.
+    """
+    if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
+        raise SchemaError(f"{what} must be a non-empty list of lists of numbers")
+    m = len(rows[0])
+    out = np.empty((len(rows), m))
+    pack_into = struct.Struct(f"={m}d").pack_into
+    try:
+        for i, row in enumerate(rows):
+            pack_into(out, 8 * m * i, *row)
+    except (struct.error, TypeError) as exc:
+        raise SchemaError(f"{what}: row {i} is not {m} numbers ({exc})") from exc
+    return out
+
+
+def number_list(values, what: str) -> np.ndarray:
+    """A list of JSON numbers as a float64 array: :func:`number_rows` on one row."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{what} must be a list of numbers")
+    try:
+        return number_rows([values], what)[0]
+    except SchemaError as exc:
+        raise SchemaError(f"{what} must be a list of numbers ({exc.__cause__})") from exc
 
 
 def parse_shorthand(text: str) -> tuple[str, dict]:
@@ -88,7 +170,7 @@ def parse_shorthand(text: str) -> tuple[str, dict]:
                 raise SchemaError(f"malformed generator parameter {item!r}")
             try:
                 params[key] = json.loads(val)
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or an integer literal beyond the parser's 4300 digits
                 params[key] = val
     return name.strip(), params
 
@@ -112,11 +194,10 @@ def seq_from_spec(spec, n: int | None = None) -> FiniteSeq:
     if isinstance(spec, FiniteSeq):
         return spec
     if isinstance(spec, dict) and "values" in spec:
-        pairs = spec["values"]
-        try:
-            vals = np.array([complex(p[0], p[1]) for p in pairs])
-        except (TypeError, IndexError, KeyError) as exc:
-            raise SchemaError("sequence values must be [re, im] pairs") from exc
+        pairs = number_rows(spec["values"], "sequence values")
+        if pairs.shape[1] != 2:
+            raise SchemaError("sequence values must be [re, im] pairs")
+        vals = pairs.view(np.complex128)[:, 0]
         if n is not None and not 1 <= n <= vals.size:
             raise SchemaError(f"sequence has {vals.size} values, cannot serve length {n}")
         if not np.isfinite(vals).all():
@@ -128,7 +209,7 @@ def seq_from_spec(spec, n: int | None = None) -> FiniteSeq:
             raise SchemaError("generator sequences need an explicit length")
         try:
             return make_sequence(GeneratorSpec(name, params), n)
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"invalid sequence generator: {exc}") from exc
     raise SchemaError("sequence spec must be values, a generator document, or shorthand")
 
@@ -150,11 +231,11 @@ def system_from_spec(spec, length: int) -> BandSystem:
         name, params = _generator(spec)
         try:
             return band_system_from_spec(name, params, length)
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"invalid band system: {exc}") from exc
     if isinstance(spec, dict) and {"r", "s", "alpha"} <= set(spec):
         try:
-            sys = BandSystem(np.asarray(spec["r"]), np.asarray(spec["s"]), np.asarray(spec["alpha"]))
+            sys = BandSystem(*(number_list(spec[key], key) for key in ("r", "s", "alpha")))
             sys.require_length(length)
         except ValueError as exc:
             raise SchemaError(f"invalid band system: {exc}") from exc
@@ -165,21 +246,19 @@ def system_from_spec(spec, length: int) -> BandSystem:
 def matrix_from_spec(spec, n: int):
     """Matrix argument for class checks, as an array: a dense block, or a generator document or shorthand built at n.
 
-    A dense block is parsed here; its shape and entries are checked by
+    A dense block is parsed here, row by row (:func:`number_rows`); its size
+    and the finiteness of its entries are checked by
     :func:`seqcore.generators.materialize_matrix` where a report reads it.
     """
     if isinstance(spec, dict) and "dense" in spec:
-        try:
-            return np.asarray(spec["dense"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"dense matrix must be rows of numbers of one length: {exc}") from exc
+        return number_rows(spec["dense"], "dense matrix")
     if isinstance(spec, str) or (isinstance(spec, dict) and "generator" in spec):
         name, params = _generator(spec)
         if name not in MATRIX_NAMES:
             raise SchemaError(f"unknown matrix generator {name!r}; known: {MATRIX_NAMES}")
         try:
             return make_matrix(GeneratorSpec(name, params), n)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"invalid {name} matrix parameters: {exc}") from exc
     raise SchemaError("matrix spec must give a dense block, a generator document, or shorthand")
 

@@ -54,7 +54,15 @@ _BAD_SEQS = [
     "e_n:k=-1",
     "e_n:k=999",
 ]
-_BAD_SEQ_DOCS = [_values(), _values((1.0, "x")), _values(*[(float("nan"), 0.0)] * 64), _values((1.0, 0.0))]
+_HUGE = 10**400  # an integer beyond double range
+_BAD_SEQ_DOCS = [
+    _values(),
+    _values((1.0, "x")),
+    _values(*[(float("nan"), 0.0)] * 64),
+    _values((1.0, 0.0)),
+    _values(*[(1.0, 0.0)] * 63, ("1.5", 0.0)),
+    _values(*[(1.0, 0.0)] * 63, (_HUGE, 0.0)),
+]
 _BAD_SYSTEMS = [
     "nope",
     "constant:r=0",
@@ -63,7 +71,12 @@ _BAD_SYSTEMS = [
     "constant:alpha=nan",
     "random:seed=1,amplification_cap=0.5",
 ]
-_BAD_SYSTEM_DOCS = [{"r": [1.0], "s": [1.0], "alpha": [1.0]}, {"r": [1.0] * 64, "s": [0.0] * 64, "alpha": [1.0] * 64}]
+_BAD_SYSTEM_DOCS = [
+    {"r": [1.0], "s": [1.0], "alpha": [1.0]},
+    {"r": [1.0] * 64, "s": [0.0] * 64, "alpha": [1.0] * 64},
+    {"r": ["2"] * 64, "s": [1.0] * 64, "alpha": [1.0] * 64},
+    {"r": [1.0] * 64, "s": [1.0] * 64, "alpha": [1.0] * 63 + [_HUGE]},
+]
 _SYSTEMS = ["delta", ["constant:r=2,s=1", "difference", "random:seed=3,amplification_cap=100"], _BAD_SYSTEMS]
 _P_LIST = ",".join(["1.5", "2.5"] * 32)
 _P = ["2", ["0.5", "1", _P_LIST], ["-1", "0", "x", "nan", "inf", "1,2"]]
@@ -148,7 +161,7 @@ CONFIG_BASES = {
     "dual-check": {
         "a": ["e", ["alternating:", "convergent:", _values(*[(0.5, 0.0)] * 16)], _CONFIG_SEQS],
         "system": _CONFIG_SYSTEMS,
-        "p": [2.0, [1.5, [2.0] * 16], [-1, 0, "x", None, [1.0] * 3, [1.0] * 15 + [0.0], float("nan"), float("inf")]],
+        "p": [2.0, [1.5, [2.0] * 16], [-1, 0, "x", None, [1.0] * 3, [1.0] * 15 + [0.0], float("nan"), float("inf"), "1.5", _HUGE]],
         "space": ["s0", ["sc", "sinf", "lp"], ["foo", 1]],
         "dual": ["beta", ["alpha", "gamma"], ["delta", None]],
         "ladder": _LADDER,
@@ -169,12 +182,14 @@ CONFIG_BASES = {
                 {"dense": np.where(_TRIANGLE > 4, np.nan, _TRIANGLE).tolist()},
                 {"dense": np.pad(_TRIANGLE, (0, 1), constant_values=np.inf).tolist()},
                 {"dense": [["a"] * 16] * 16},
+                {"dense": [*_TRIANGLE[:-1].tolist(), [*_TRIANGLE[-1, :-1].tolist(), "1.5"]]},
+                {"dense": [*_TRIANGLE[:-1].tolist(), [*_TRIANGLE[-1, :-1].tolist(), _HUGE]]},
             ],
         ],
         "system": _CONFIG_SYSTEMS,
         "class": ["s0:c_q", ["c:sc_reg", "sinf:c", "sc:linf_q", "st:sc_reg"], ["nope", "s0:c"]],
-        "p": [2.0, [3.0, [2.0] * 16], [-1, "x", None, [2.0] * 3]],
-        "q": [1.5, [2.0], [-1, 0, "x", [1.5] * 3]],
+        "p": [2.0, [3.0, [2.0] * 16], [-1, "x", None, [2.0] * 3, "2", [2.0] * 15 + [_HUGE]]],
+        "q": [1.5, [2.0], [-1, 0, "x", [1.5] * 3, "1.5", _HUGE]],
         "ladder": _LADDER,
         "--ladder": _ARGV_LADDER,
         "extra": [OMIT, [], [1]],

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqcore.acceptance as acceptance
 from seqcore import band_ops, cli, cores, duals, io, matclass
@@ -70,6 +72,146 @@ class TestCanonicalJson:
         once = io.canonical_dumps(doc)
         again = io.canonical_dumps(json.loads(once))
         assert once == again
+
+
+def _render_oracle(obj) -> str:
+    """The recursive isinstance renderer that io.canonical_dumps replaced, kept as its oracle."""
+
+    def render(o) -> str:
+        if o is None:
+            return "null"
+        if isinstance(o, bool) or isinstance(o, np.bool_):
+            return "true" if o else "false"
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, (float, np.floating)):
+            if not math.isfinite(float(o)):
+                raise ValueError("reports cannot contain non-finite floats")
+            return format(float(o) + 0.0, ".17g")
+        if isinstance(o, str):
+            return json.dumps(o)
+        if isinstance(o, (list, tuple, np.ndarray)):
+            return "[" + ",".join(render(v) for v in o) + "]"
+        if isinstance(o, dict):
+            items = sorted(o.items(), key=lambda kv: str(kv[0]))
+            return "{" + ",".join(json.dumps(str(k)) + ":" + render(v) for k, v in items) + "}"
+        raise TypeError(f"cannot serialize {type(o).__name__}")
+
+    return render(obj) + "\n"
+
+
+def _rendered_or_raised(render, obj):
+    try:
+        return render(obj)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+_SUBNORMAL = 5e-324
+_FLOATS = st.sampled_from([0.0, -0.0, _SUBNORMAL, -_SUBNORMAL, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3])
+_FLOATS |= st.floats(allow_nan=True, allow_infinity=True) | st.floats(allow_subnormal=True, max_value=1e-300, min_value=-1e-300)
+_SCALARS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.text(max_size=6),
+    st.text(max_size=3).map(np.str_),
+    st.sampled_from([1 + 2j, object(), {1, 2}, b"x", np.complex128(1j)]),  # no JSON form: TypeError
+)
+_ARRAYS = st.one_of(
+    st.lists(_FLOATS, max_size=5).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.integers(-9, 9), max_size=5).map(np.array),
+    st.lists(st.booleans(), max_size=5).map(lambda v: np.array(v, dtype=bool)),
+    _FLOATS.map(np.array),  # 0-d: not iterable, TypeError
+    st.integers(1, 3).map(lambda n: np.arange(n * 2.0).reshape(n, 2) - 1.0),
+)
+_KEYS = st.text(max_size=5) | st.integers(-3, 3) | st.sampled_from([None, 1.5, (1, 2)])
+_REPORTS = st.recursive(
+    _SCALARS | _ARRAYS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestFastPathsAgainstOracles:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(obj=_REPORTS)
+    def test_renderer_matches_its_recursive_oracle(self, obj):
+        # the bytes when both render, else the same exception type: ValueError for non-finite, TypeError otherwise
+        assert _rendered_or_raised(io.canonical_dumps, obj) == _rendered_or_raised(_render_oracle, obj)
+
+    def test_renderer_matches_its_oracle_on_reports(self):
+        n, ladder = 32, (8, 16, 32)
+        sys = random_band_system(rng_from_seed(7), n)
+        p, q = ExponentSeq.constant(2.0, n), np.full(n, 1.5)
+        docs = [matclass.class_report("cesaro", cid, sys, p=p, q=q, ladder=ladder).to_json() for cid in sorted(matclass.CLASS_RULES)]
+        docs.append(duals.dual_report(np.full(n, 0.5), sys, p, "s0", "beta", ladder).to_json())
+        docs.append(cores.cluster_hull(make_sequence("roots_of_unity", 64, m=3), (16, 64)).to_json())
+        for doc in docs:
+            assert io.canonical_dumps(doc) == _render_oracle(doc)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 13), (64, 64)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dense_parse_matches_asarray_bit_for_bit(self, shape, seed):
+        rng = np.random.default_rng([seed, *shape])
+        specials = [
+            -0.0, 0.0, _SUBNORMAL, -_SUBNORMAL, 2.2250738585072014e-308, 1e308, -1e308, math.ulp(1.0),
+            0, -7, 2**53 + 1, -(2**63), 2**64 + 1, 10**300, True, False,
+        ]
+        picks = rng.integers(0, len(specials) + 1, shape)
+        noise = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        rows = [[specials[k] if k < len(specials) else float(x) for k, x in zip(pr, nr)] for pr, nr in zip(picks, noise)]
+        parsed, oracle = io.matrix_from_spec({"dense": rows}, 1), np.asarray(rows, dtype=np.float64)
+        assert parsed.dtype == oracle.dtype and parsed.shape == oracle.shape and parsed.flags.c_contiguous
+        assert parsed.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.0, 2.0], [3.0]],
+            [[1.0], [2.0, 3.0]],
+            [[1.0, "1.5"], [1.0, 1.0]],
+            [[1.0, 1.0], [10**400, 1.0]],
+            [[1.0, None]],
+            [[1.0, [2.0]]],
+            [[1.0, 1.0], 2.0],
+            [[1.0, 1.0], "ab"],
+            [[1.0, 1.0], {"a": 1, "b": 2}],
+            [1.0, 2.0],
+            [],
+            "dense",
+        ],
+        ids=[
+            "short-row", "long-row", "numeric-string", "huge-int", "null", "nested", "scalar-row", "text-row",
+            "object-row", "flat", "empty", "text",
+        ],
+    )
+    def test_dense_parse_rejects_what_is_not_a_block_of_numbers(self, rows):
+        with pytest.raises(io.SchemaError):
+            io.matrix_from_spec({"dense": rows}, 1)
+
+    def test_sequence_pairs_parse_as_their_complex_values(self):
+        pairs = [[-0.0, -0.0], [_SUBNORMAL, 1e308], [3, True], [0.1, -2.5]]
+        parsed = io.seq_from_spec({"values": pairs}).values
+        assert parsed.tobytes() == np.array([complex(re, im) for re, im in pairs]).tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" + "1" * 5000 + "]", "[" * 100_000 + "]" * 100_000],
+        ids=["literal-beyond-parser-digits", "nested-beyond-recursion"],
+    )
+    def test_documents_the_json_parser_refuses_are_schema_errors(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(io.SchemaError):
+            io.load_json(str(path))
 
 
 class TestSpecs:
@@ -259,6 +401,8 @@ class TestCli:
         assert not (tmp_path / "out.json").exists()
 
     _CLASS_DOC = {"system": "delta", "class": "c:sc_reg", "ladder": [1, 2]}
+    _SYSTEM_DOC = {"r": [1.0, 1.0], "s": [-1.0, -1.0], "alpha": [1.0, 1.0]}
+    _HUGE = 10**400  # a 401-digit integer, beyond double range
 
     @pytest.mark.parametrize(
         "argv, doc",
@@ -266,6 +410,23 @@ class TestCli:
             pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": {"dense": [["a", 1.0], [1.0, 1.0]]}}, id="dense-text"),
             pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": {"dense": [[1.0, 1.0], [1.0]]}}, id="dense-ragged"),
             pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": {"dense": [[1.0, math.nan], [1.0, 1.0]]}}, id="dense-nan"),
+            # numbers must be JSON numbers: a numeric string or an integer beyond double range is a schema error
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": {"dense": [[1.0, "1.5"], [1.0, 1.0]]}}, id="dense-numeric-string"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": {"dense": [[1.0, 1.0], [_HUGE, 1.0]]}}, id="dense-huge-int"),
+            pytest.param(["transform", "--system", "delta", "--n", "2", "--x"], {"values": [[1.0, 0.0], [_HUGE, 0.0]]}, id="values-huge-int"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": _SYSTEM_DOC | {"r": [1.0, _HUGE]}}, id="r-huge-int"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": _SYSTEM_DOC | {"s": [_HUGE, 1.0]}}, id="s-huge-int"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": _SYSTEM_DOC | {"alpha": [1.0, _HUGE]}}, id="alpha-huge-int"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": _SYSTEM_DOC | {"r": [1.0, "2"]}}, id="r-numeric-string"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "p": [1.5, _HUGE]}, id="p-list-huge-int"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "p": _HUGE}, id="p-huge-int"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "p": "1.5"}, id="p-numeric-string"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "p": [1.5, "1.5"]}, id="p-list-numeric-string"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "q": "1.5"}, id="q-numeric-string"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "ladder": [1, "2"]}, id="ladder-numeric-string"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": {"generator": "constant", "params": {"r": _HUGE}}}, id="system-param-huge-int"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": {"generator": "constant", "params": {"r": [2.0]}}}, id="system-param-list"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": {"generator": "riesz", "params": {"t": _HUGE}}}, id="riesz-param-huge-int"),
             pytest.param(["transform", "--system", "delta", "--n", "2", "--x"], {"values": [[1.0, 0.0], [math.nan, 0.0]]}, id="values-nan"),
             pytest.param(["transform", "--system", "delta", "--n", "-1", "--x"], {"values": [[1.0, 0.0]] * 4}, id="n-negative"),
             pytest.param(["transform", "--system", "delta", "--n", "0", "--x"], {"values": [[1.0, 0.0]] * 4}, id="n-zero"),
