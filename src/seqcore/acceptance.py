@@ -306,8 +306,9 @@ def check_core_agreement() -> CheckResult:
     )
 
 
-def _cesaro_action(values: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    return scale * np.cumsum(values) / np.arange(1, values.size + 1)
+def _cesaro_action(values: np.ndarray, sys: BandSystem, scale: float = 1.0) -> FiniteSeq:
+    """The averaging lift of values: the sequence whose band transform is scale times their Cesaro means."""
+    return band_ops.inverse_transform(FiniteSeq(scale * np.cumsum(values) / np.arange(1, values.size + 1)), sys)
 
 
 def check_core_inclusion() -> CheckResult:
@@ -328,7 +329,7 @@ def check_core_inclusion() -> CheckResult:
     details = {}
     for name, params in _CORE_FAMILY:
         x = make_sequence(name, n, **params)
-        lifted = band_ops.inverse_transform(FiniteSeq(_cesaro_action(x.values)), sys)
+        lifted = _cesaro_action(x.values, sys)
         inner = cores.alpha_core(lifted, sys, window)
         outer = cores.cluster_hull(x, window)
         ok, violation = cores.region_included(inner, outer, tol)
@@ -336,14 +337,14 @@ def check_core_inclusion() -> CheckResult:
         included_all = included_all and ok
 
     ones = make_sequence("e", n)
-    lifted_bad = band_ops.inverse_transform(FiniteSeq(_cesaro_action(ones.values, 2.0)), sys)
+    lifted_bad = _cesaro_action(ones.values, sys, 2.0)
     inner_bad = cores.alpha_core(lifted_bad, sys, window)
     outer_ones = cores.cluster_hull(ones, window)
     bad_ok, bad_violation = cores.region_included(inner_bad, outer_ones, tol)
     negative_detected = (not bad_ok) and bad_violation > 0.5
 
     alt = make_sequence("alternating", n)
-    lifted_alt = band_ops.inverse_transform(FiniteSeq(_cesaro_action(alt.values, 2.0)), sys)
+    lifted_alt = _cesaro_action(alt.values, sys, 2.0)
     alt_ok, alt_violation = cores.region_included(
         cores.alpha_core(lifted_alt, sys, window), cores.cluster_hull(alt, window), tol
     )
@@ -369,7 +370,7 @@ def check_vanishing_density_core() -> CheckResult:
     n, window, bound = 4000, (1000, 4000), 0.05
     sys = BandSystem.difference(n)
     x = make_sequence("square_indicator", n)
-    lifted = band_ops.inverse_transform(FiniteSeq(_cesaro_action(x.values)), sys)
+    lifted = _cesaro_action(x.values, sys)
     inner = cores.alpha_core(lifted, sys, window)
     worst = float(np.max(inner.support))
     passed = worst <= bound

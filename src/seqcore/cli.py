@@ -12,10 +12,10 @@ unreadable input or schema violation (including invalid generator values,
 sequence values or dense matrix entries that are not finite numbers, ragged
 dense matrices, a number in a JSON document that is not a JSON number (a
 numeric string such as "1.5", or an integer beyond double range, in dense
-entries, sequence values, r/s/alpha, p, q, tol or density_tol, and a string
-in an integer field such as the ladder), a JSON document the parser refuses
-(an integer literal of more than 4300 digits, arrays nested too deep),
-non-integer lists, non-numeric tolerances, density
+entries, sequence values, r/s/alpha, generator params, p, q, tol or
+density_tol, and a string in an integer field such as the ladder), a JSON
+document the parser refuses (an integer literal of more than 4300 digits,
+arrays nested too deep), non-integer lists, non-numeric tolerances, density
 tolerances outside (0, 1), non-positive exponents, exponent lists shorter
 than the largest truncation, truncations below 1, core windows outside the
 sequence, direction counts outside [4, 1024] (cores.MAX_DIRECTIONS), grid_n
@@ -37,8 +37,6 @@ import argparse
 import sys as _sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import acceptance, band_ops, cores, duals, matclass
 from .generators import MATRIX_NAMES, SEQUENCE_NAMES, SYSTEM_NAMES
@@ -77,7 +75,7 @@ def _parse_exponents(text: str, n: int) -> ExponentSeq:
         vals = [float(v) for v in text.split(",") if v]
     except ValueError as exc:
         raise SchemaError(f"p must be a number or comma-separated numbers: {text!r}") from exc
-    return _config_exponents(vals[0] if len(vals) == 1 else vals[:n], n, "p")
+    return ExponentSeq.coerce(vals[0] if len(vals) == 1 else vals[:n], n, "p")
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -107,14 +105,8 @@ def _config_ints(values, what: str) -> list[int]:
 
 
 def _config_exponents(value, n: int, what: str) -> ExponentSeq:
-    """A constant or a list of positive exponents from a config document, as n or more values."""
-    values = number_list(value, what) if isinstance(value, list) else np.full(n, number(value, what))
-    if values.size < n:
-        raise SchemaError(f"{values.size} {what} values cannot serve truncation {n}")
-    try:
-        return ExponentSeq(values)
-    except ValueError as exc:
-        raise SchemaError(f"{what}: {exc}") from exc
+    """A JSON number or a list of them from a config document, as an exponent sequence of n or more values."""
+    return ExponentSeq.coerce(number_list(value, what) if isinstance(value, list) else number(value, what), n, what)
 
 
 def _parse_window(value, n: int, min_start: int = 0) -> tuple[int, int]:

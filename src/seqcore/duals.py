@@ -445,11 +445,11 @@ def dual_report(
     successful ladder value; universal ones require every ladder value and
     are marked as tested-ladder evidence.
     """
-    from .matclass import DUAL_CONDITIONS, _Workspace, _check_inputs, _condition_verdict, _exponents  # matclass imports this module
+    from .matclass import DUAL_CONDITIONS, _Workspace, _check_inputs, _condition_verdict  # matclass imports this module
 
     b_ladder = witness_ladder(b_ladder)
     ladder = truncation_ladder(ladder)
-    p = _exponents(p, "p", ladder[-1])  # every pair needs p, and the lp regime split reads its terms
+    p = ExponentSeq.coerce(p, ladder[-1], "p")  # every pair needs p, and the lp regime split reads its terms
     cond_ids = _conditions_for(space, dual, p)
     _check_inputs(cond_ids, ladder, p, None)
     top = ladder[-1]

@@ -3,9 +3,10 @@
 Sequences travel as {"values": [[re, im], ...]}, band systems as
 {"r": [...], "s": [...], "alpha": [...]} or {"generator": name,
 "params": {...}}, matrices as {"dense": [[...]]} or a generator spec.
-Every number in such a document must be a JSON number: a numeric string, or
-an integer beyond double range, is a ``SchemaError`` like any other value
-that is not a number (:func:`number`, :func:`number_list`).
+Every number in such a document, a generator's params included, must be a
+JSON number: a numeric string, or an integer beyond double range, is a
+``SchemaError`` like any other value that is not a number (:func:`number`,
+:func:`number_list`).
 
 A dense block, and a sequence's [re, im] pairs, are parsed row by row
 (:func:`number_rows`): one ``struct`` pack per row writes the row's doubles
@@ -159,6 +160,16 @@ def number_list(values, what: str) -> np.ndarray:
         raise SchemaError(f"{what} must be a list of numbers ({exc.__cause__})") from exc
 
 
+def _shorthand_value(val: str):
+    """A shorthand param: JSON, else a float literal that JSON lacks ("inf", "nan"), else the text itself."""
+    for parse in (json.loads, float):
+        try:
+            return parse(val)
+        except ValueError:  # not JSON, or an integer literal beyond the parser's 4300 digits
+            pass
+    return val
+
+
 def parse_shorthand(text: str) -> tuple[str, dict]:
     """Parse "name" or "name:key=val,key=val" generator shorthand."""
     name, _, rest = text.partition(":")
@@ -168,20 +179,22 @@ def parse_shorthand(text: str) -> tuple[str, dict]:
             key, sep, val = item.partition("=")
             if not sep:
                 raise SchemaError(f"malformed generator parameter {item!r}")
-            try:
-                params[key] = json.loads(val)
-            except ValueError:  # not JSON, or an integer literal beyond the parser's 4300 digits
-                params[key] = val
+            params[key] = _shorthand_value(val)
     return name.strip(), params
 
 
 def _generator(spec) -> tuple[str, dict]:
-    """(name, params) of generator shorthand or of a {"generator", "params"} document."""
-    if isinstance(spec, str):
-        return parse_shorthand(spec)
-    name, params = spec["generator"], spec.get("params", {})
+    """(name, params) of generator shorthand or of a {"generator", "params"} document.
+
+    Each param must be a JSON number, a list of them, or null (``random``'s
+    ``amplification_cap``), else SchemaError; the generators read them.
+    """
+    name, params = parse_shorthand(spec) if isinstance(spec, str) else (spec["generator"], spec.get("params", {}))
     if not isinstance(name, str) or not isinstance(params, dict):
         raise SchemaError('a generator document needs a "generator" name and a "params" object')
+    for key, value in params.items():
+        if value is not None:
+            (number_list if isinstance(value, list) else number)(value, f"{name} parameter {key}")
     return name, params
 
 

@@ -22,7 +22,10 @@ generic matrix, and the 4.x entries are the regularity/core conditions on
 btilde.  DUAL_CONDITIONS holds the dual sets S1..S16 on the companions C and
 D of :mod:`seqcore.duals`, whose reports run them through the same runner.
 Twins, such as an S set that is a class condition on C or D, share one
-evaluator and differ only in their source or array.  Class reports dispatch
+evaluator and differ only in their source or array.  The p-weights of a
+witness follow one rule (``_Rung._weights``): L^(1/p_k) when L is bound,
+else M^(-1/p_k), so an inflating row and its deflating twin (S9 and S3,
+S8 and S1) name the same evaluator.  Class reports dispatch
 the exact condition set of the corresponding characterization and aggregate
 verdicts with fails dominating, then inconclusive.
 
@@ -73,6 +76,7 @@ import numpy as np
 
 from .band_ops import _band_rows, inverse_kernel
 from .duals import (  # noqa: F401 - perfbench traces matclass.subset_sup as an import site
+    DEFAULT_B_LADDER,
     power_entry_sup,
     power_row_sup,
     signed_column_sup,
@@ -97,7 +101,7 @@ __all__ = [
     "DEFAULT_QUANTIFIER_LADDER",
 ]
 
-DEFAULT_QUANTIFIER_LADDER = (2, 4, 16, 256)
+DEFAULT_QUANTIFIER_LADDER = DEFAULT_B_LADDER  # one witness ladder for L, M and B
 
 _PROBE_ROWS = 8
 _PROBE_COLS = 16
@@ -251,12 +255,12 @@ class _Rung:
             return np.divide(self.free, float(M), out=out), out
         return np.divide(self.free, float(M), out=self.work.scratch(self.n, self.free.dtype)), self.work.slot(self.n)
 
-    def _subset_columns(self, weights):
-        """The subset column estimate of free weighted by columns; a complex free is weighted in the scratch, its modulus in the slot."""
-        if not np.iscomplexobj(self.free):
-            return subset_estimate(self.free, "columns", weights, out=self.work.scratch(self.n))
-        staged = self.work.scratch(self.n, np.result_type(self.free, np.float64))
-        return subset_estimate(self.free, "columns", weights, out=self.work.slot(self.n), staged=staged)
+    def _weights(self, L, M):
+        """The p-weights of a witness binding: L^(1/p_k) when L is bound, else M^(-1/p_k).
+
+        A jointly scaled evaluator passes M alone and scales by L^(1/q) itself.
+        """
+        return float(L) ** (1.0 / self.pk) if L is not None else float(M) ** (-1.0 / self.pk)
 
     # witness-free arrays, from a dense source or (partial sums) the probe rows' support blocks
     def absolute(self, G):
@@ -307,30 +311,27 @@ class _Rung:
         return [block[self.win.start :] for _, block in blocks]
 
     # evaluators at one witness binding
-    def inflated_rows(self, L, M):
-        return float(np.max(self.free @ (float(L) ** (1.0 / self.pk)))), None
-
-    def deflated_rows(self, L, M):
-        return float(np.max(self.free @ (float(M) ** (-1.0 / self.pk)))), None
+    def weighted_rows(self, L, M):
+        return float(np.max(self.free @ self._weights(L, M))), None
 
     def scaled_rows(self, L, M):
-        return float(np.max((self.free @ (float(M) ** (-1.0 / self.pk))) * (float(L) ** (1.0 / self.qn)))), None
+        return float(np.max((self.free @ self._weights(None, M)) * (float(L) ** (1.0 / self.qn)))), None
 
     def deflated_rows_in_q(self, L, M):
-        return float(np.max((self.free @ (float(M) ** (-1.0 / self.pk))) ** self.qn)), None
+        return float(np.max((self.free @ self._weights(None, M)) ** self.qn)), None
 
     def inflated_row_sum_spread(self, L, M):
-        fw = (self.free @ (float(L) ** (1.0 / self.pk)))[self.win]
+        fw = (self.free @ self._weights(L, None))[self.win]
         spread = float(np.max(fw) - np.min(fw)) if fw.size else 0.0
         return spread, spread
 
     def inflated_row_sums_vanish(self, L, M):
-        fw = (self.free @ (float(L) ** (1.0 / self.pk)))[self.win]
+        fw = (self.free @ self._weights(L, None))[self.win]
         val = float(np.max(fw)) if fw.size else 0.0
         return val, val
 
     def inflated_deviation_rows(self, L, M):
-        f = self.free @ (float(L) ** (1.0 / self.pk))
+        f = self.free @ self._weights(L, None)
         return float(f[-1]), float(np.max(f[self.win])) if f[self.win].size else 0.0
 
     def window_max(self, L, M):
@@ -354,11 +355,13 @@ class _Rung:
         f = np.abs(self.free - self.ref) ** self.qn
         return float(f[-1]), float(np.max(f[self.win])) if f[self.win].size else 0.0
 
-    def deflated_subset_columns(self, L, M):
-        return self._subset_columns(float(M) ** (-1.0 / self.pk)), None
-
-    def inflated_subset_columns(self, L, M):
-        return self._subset_columns(float(L) ** (1.0 / self.pk)), None
+    def weighted_subset_columns(self, L, M):
+        """The subset column estimate of free weighted by columns; a complex free is weighted in the scratch, its modulus in the slot."""
+        weights = self._weights(L, M)
+        if not np.iscomplexobj(self.free):
+            return subset_estimate(self.free, "columns", weights, out=self.work.scratch(self.n)), None
+        staged = self.work.scratch(self.n, np.result_type(self.free, np.float64))
+        return subset_estimate(self.free, "columns", weights, out=self.work.slot(self.n), staged=staged), None
 
     def subset_rows_conjugate(self, L, M):
         scaled, out = self._deflated(M)
@@ -384,7 +387,7 @@ class _Rung:
 
     def scaled_partial_rows(self, L, M):
         """Probe row i's largest absolute partial-sum row deflated by M^(-1/p_k), and inflated by L^(1/q_i) when L is bound."""
-        deflate = float(M) ** (-1.0 / self.pk)
+        deflate = self._weights(None, M)
         worst = 0.0
         for i, block in self.free:
             w = deflate if L is None else float(L) ** (1.0 / self.qn[i]) * deflate
@@ -438,12 +441,12 @@ class ConditionSpec:
 CONDITIONS: dict[str, ConditionSpec] = {
     # composed-matrix conditions driving the mapping-class reports
     "mt23": ConditionSpec("partial sums defining the composed matrix stabilize", "partial", "plain", "limit", _Rung.window_spread, _Rung.window_blocks),
-    "mt24": ConditionSpec("weighted absolute rows finite for every inflation L", "E", "forall_l", "bounded", _Rung.inflated_rows, _Rung.absolute_probe_rows, needs_p=True),
+    "mt24": ConditionSpec("weighted absolute rows finite for every inflation L", "E", "forall_l", "bounded", _Rung.weighted_rows, _Rung.absolute_probe_rows, needs_p=True),
     "mt25": ConditionSpec("partial sums converge rowwise to fitted limits", "partial", "plain", "limit", _Rung.window_spread, _Rung.window_blocks),
     "mt26": ConditionSpec("deflated partial-sum rows bounded for some M", "partial", "exists_m", "bounded", _Rung.scaled_partial_rows, _Rung.absolute_blocks, needs_p=True),
     "mt27": ConditionSpec("jointly inflated/deflated partial-sum rows bounded", "partial", "forall_l_exists_m", "bounded", _Rung.scaled_partial_rows, _Rung.absolute_blocks, needs_p=True, needs_q=True),
     "mt28": ConditionSpec("partial-sum rows concentrate at a single fitted value", "partial", "plain", "limit", _Rung.partial_concentration),
-    "mt29": ConditionSpec("inflated absolute rows uniformly bounded", "E", "forall_l", "bounded", _Rung.inflated_rows, _Rung.absolute, needs_p=True),
+    "mt29": ConditionSpec("inflated absolute rows uniformly bounded", "E", "forall_l", "bounded", _Rung.weighted_rows, _Rung.absolute, needs_p=True),
     "mt30": ConditionSpec("columns converge to fitted limits", "E", "plain", "limit", _Rung.window_max, _Rung.column_deviations, uses_beta_k=True),
     "mt31": ConditionSpec("inflated absolute row sums converge", "E", "forall_l", "limit", _Rung.inflated_row_sum_spread, _Rung.absolute, needs_p=True),
     "mt32": ConditionSpec("inflated absolute row sums vanish", "E", "forall_l", "limit", _Rung.inflated_row_sums_vanish, _Rung.absolute, needs_p=True),
@@ -451,17 +454,17 @@ CONDITIONS: dict[str, ConditionSpec] = {
     "mt34": ConditionSpec("entries vanish in target exponents", "E", "plain", "limit", _Rung.window_max, _Rung.column_deviations_in_q, needs_q=True),
     "mt35": ConditionSpec("jointly scaled absolute rows bounded", "E", "forall_l_exists_m", "bounded", _Rung.scaled_rows, _Rung.absolute, needs_p=True, needs_q=True),
     "mt36": ConditionSpec("column deviations vanish in target exponents", "E", "plain", "limit", _Rung.window_max, _Rung.column_deviations_in_q, needs_q=True, uses_beta_k=True),
-    "mt37": ConditionSpec("deflated absolute rows bounded for some M", "E", "exists_m", "bounded", _Rung.deflated_rows, _Rung.absolute, needs_p=True),
+    "mt37": ConditionSpec("deflated absolute rows bounded for some M", "E", "exists_m", "bounded", _Rung.weighted_rows, _Rung.absolute, needs_p=True),
     "mt38": ConditionSpec("scaled column-deviation rows bounded", "E", "forall_l_exists_m", "bounded", _Rung.scaled_rows, _Rung.deviations, needs_p=True, needs_q=True, uses_beta_k=True),
     "mt39": ConditionSpec("row sums bounded in target exponents", "E", "plain", "bounded", _Rung.largest_absolute_in_q, _Rung.row_sums, needs_q=True),
     "mt40": ConditionSpec("row sums vanish in target exponents", "E", "plain", "limit", _Rung.row_sums_converge_in_q, _Rung.row_sums, needs_q=True),
     "mt41": ConditionSpec("row sums converge in target exponents", "E", "plain", "limit", _Rung.row_sums_converge_in_q, _Rung.row_sums, needs_q=True, uses_beta=True),
     # classical variable-exponent conditions on a generic matrix
-    "L2.3": ConditionSpec("deflated subset column sums summable for some B", "matrix", "exists_m", "bounded", _Rung.deflated_subset_columns, needs_p=True),
-    "L2.4a": ConditionSpec("deflated absolute rows bounded for some B", "matrix", "exists_m", "bounded", _Rung.deflated_rows, _Rung.absolute, needs_p=True),
+    "L2.3": ConditionSpec("deflated subset column sums summable for some B", "matrix", "exists_m", "bounded", _Rung.weighted_subset_columns, needs_p=True),
+    "L2.4a": ConditionSpec("deflated absolute rows bounded for some B", "matrix", "exists_m", "bounded", _Rung.weighted_rows, _Rung.absolute, needs_p=True),
     "L2.4b": ConditionSpec("columns converge to fitted limits", "matrix", "plain", "limit", _Rung.window_max, _Rung.column_deviations, uses_beta_k=True),
-    "L2.4c": ConditionSpec("deflated column-deviation rows bounded for some B", "matrix", "exists_m", "bounded", _Rung.deflated_rows, _Rung.deviations, needs_p=True, uses_beta_k=True),
-    "L2.5": ConditionSpec("deflated absolute rows bounded for some B", "matrix", "exists_m", "bounded", _Rung.deflated_rows, _Rung.absolute, needs_p=True),
+    "L2.4c": ConditionSpec("deflated column-deviation rows bounded for some B", "matrix", "exists_m", "bounded", _Rung.weighted_rows, _Rung.deviations, needs_p=True, uses_beta_k=True),
+    "L2.5": ConditionSpec("deflated absolute rows bounded for some B", "matrix", "exists_m", "bounded", _Rung.weighted_rows, _Rung.absolute, needs_p=True),
     "L2.6i": ConditionSpec("subset row sums bounded in conjugate exponents", "matrix", "exists_m", "bounded", _Rung.subset_rows_conjugate, needs_p=True, needs_conjugate=True),
     "L2.6ii": ConditionSpec("subset column sups bounded in native exponents", "matrix", "plain", "bounded", _Rung.signed_columns, needs_p=True),
     "L2.7i": ConditionSpec("scaled rows bounded in conjugate exponents", "matrix", "exists_m", "bounded", _Rung.power_rows_conjugate, needs_p=True, needs_conjugate=True),
@@ -479,17 +482,17 @@ CONDITIONS: dict[str, ConditionSpec] = {
 
 # the dual sets: conditions on the companions C and D of a weight sequence
 DUAL_CONDITIONS: dict[str, ConditionSpec] = {
-    "S1": ConditionSpec("row-scaled inverse, weighted subset column sums", "C", "exists_b", "bounded", _Rung.deflated_subset_columns, needs_p=True),
+    "S1": ConditionSpec("row-scaled inverse, weighted subset column sums", "C", "exists_b", "bounded", _Rung.weighted_subset_columns, needs_p=True),
     "S2": ConditionSpec("row-scaled inverse, absolute row sums", "C", "plain", "bounded", _Rung.absolute_total, _Rung.row_sums),
-    "S3": ConditionSpec("cumulative companion, weighted absolute rows", "D", "exists_b", "bounded", _Rung.deflated_rows, _Rung.absolute, needs_p=True),
+    "S3": ConditionSpec("cumulative companion, weighted absolute rows", "D", "exists_b", "bounded", _Rung.weighted_rows, _Rung.absolute, needs_p=True),
     "S4": ConditionSpec("cumulative companion, column limits exist", "D", "plain", "limit", _Rung.window_spread, _Rung.window_columns),
-    "S5": ConditionSpec("cumulative companion, weighted deviation rows", "D", "exists_b", "bounded", _Rung.deflated_rows, _Rung.lower_deviations, needs_p=True, uses_beta_k=True),
+    "S5": ConditionSpec("cumulative companion, weighted deviation rows", "D", "exists_b", "bounded", _Rung.weighted_rows, _Rung.lower_deviations, needs_p=True, uses_beta_k=True),
     "S6": ConditionSpec("cumulative companion, row sums converge", "D", "plain", "limit", _Rung.row_sums_converge, _Rung.row_sums, uses_beta=True),
     "S7": ConditionSpec("cumulative companion, bounded row sums", "D", "plain", "bounded", _Rung.largest_absolute, _Rung.row_sums),
-    "S8": ConditionSpec("cumulative companion, inflated subset column sums", "D", "forall_b", "bounded", _Rung.inflated_subset_columns, needs_p=True),
-    "S9": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", _Rung.inflated_rows, _Rung.absolute, needs_p=True),
+    "S8": ConditionSpec("cumulative companion, inflated subset column sums", "D", "forall_b", "bounded", _Rung.weighted_subset_columns, needs_p=True),
+    "S9": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", _Rung.weighted_rows, _Rung.absolute, needs_p=True),
     "S10": ConditionSpec("cumulative companion, inflated deviation rows vanish", "D", "forall_b", "limit", _Rung.inflated_deviation_rows, _Rung.lower_deviations, needs_p=True, uses_beta_k=True),
-    "S11": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", _Rung.inflated_rows, _Rung.absolute, needs_p=True),
+    "S11": ConditionSpec("cumulative companion, inflated absolute rows", "D", "forall_b", "bounded", _Rung.weighted_rows, _Rung.absolute, needs_p=True),
     "S12": ConditionSpec("cumulative companion, subset row sums, native exponents", "D", "plain", "bounded", _Rung.signed_columns, needs_p=True, real_only=True),
     "S13": ConditionSpec("cumulative companion, subset column sums, conjugate exponents", "D", "exists_b", "bounded", _Rung.subset_rows_conjugate, needs_p=True, needs_conjugate=True),
     "S14": ConditionSpec("cumulative companion, scaled rows, conjugate exponents", "D", "exists_b", "bounded", _Rung.power_rows_conjugate, needs_p=True, needs_conjugate=True),
@@ -513,22 +516,11 @@ def condition_catalog() -> dict:
     }
 
 
-def _exponents(x, name: str, n: int) -> ExponentSeq:
-    """x as an exponent sequence (a scalar stands for n equal values) of at least n terms, else SchemaError."""
-    try:
-        seq = x if isinstance(x, ExponentSeq) else ExponentSeq(np.full(n, x, dtype=np.float64) if np.ndim(x) == 0 else x)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{name}: {exc}") from exc
-    if seq.length < n:
-        raise SchemaError(f"{name} of length {seq.length} cannot serve truncation {n}")
-    return seq
-
-
 def _check_inputs(cond_ids, ladder, p, q):
     """Validate the ladder and the exponent inputs of the conditions; returns (ladder, p as an ExponentSeq, q's terms)."""
     ladder = truncation_ladder(ladder)
     top = ladder[-1]
-    p = None if p is None else _exponents(p, "p", top)
+    p = None if p is None else ExponentSeq.coerce(p, top, "p")
     for cid in cond_ids:
         spec = _SPECS[cid]
         if spec.needs_p and p is None:
@@ -539,7 +531,7 @@ def _check_inputs(cond_ids, ladder, p, q):
             raise SchemaError(f"condition {cid} needs conjugate exponents, so p_k > 1")
     if q is None:
         return ladder, p, None
-    qa = _exponents(q, "q", top).p
+    qa = ExponentSeq.coerce(q, top, "q").p
     if np.any(np.diff(qa[:top]) < 0.0) or np.max(qa[:top]) > 1e6:
         warnings.warn("q is expected to be non-decreasing and bounded", stacklevel=3)
     return ladder, p, qa

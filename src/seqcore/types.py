@@ -21,6 +21,11 @@ the parameters of two values, compare their arrays (``np.array_equal``).
 ``SchemaError`` lives here, in the bottom layer, so that every module can
 raise it for a caller argument outside its documented range;
 :mod:`seqcore.io` re-exports it and the CLI maps it to exit 3.
+``ExponentSeq.coerce`` is the one coercion of a caller's exponents (p or q,
+a scalar or a sequence, at a truncation): the class, single-condition and
+dual reports and the CLI all read their exponents through it, so a bad
+value or a short sequence raises ``SchemaError`` with one message wherever
+it enters.
 
 Construction copies an array unless it already owns its data and is
 read-only: a writable array, or any view (a slice, a reshape, a buffer
@@ -194,3 +199,14 @@ class ExponentSeq:
     @classmethod
     def constant(cls, value: float, length: int) -> "ExponentSeq":
         return cls(np.full(length, float(value)))
+
+    @staticmethod
+    def coerce(x, n: int, name: str) -> "ExponentSeq":
+        """x as an exponent sequence (a scalar stands for n equal values) of at least n terms, else SchemaError naming it."""
+        try:
+            seq = x if isinstance(x, ExponentSeq) else ExponentSeq(np.full(n, x, dtype=np.float64) if np.ndim(x) == 0 else x)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{name}: {exc}") from exc
+        if seq.length < n:
+            raise SchemaError(f"{name} of length {seq.length} cannot serve truncation {n}")
+        return seq

@@ -62,6 +62,7 @@ _BAD_SEQ_DOCS = [
     _values((1.0, 0.0)),
     _values(*[(1.0, 0.0)] * 63, ("1.5", 0.0)),
     _values(*[(1.0, 0.0)] * 63, (_HUGE, 0.0)),
+    {"generator": "convergent", "params": {"rate": "0.5"}},
 ]
 _BAD_SYSTEMS = [
     "nope",
@@ -76,6 +77,7 @@ _BAD_SYSTEM_DOCS = [
     {"r": [1.0] * 64, "s": [0.0] * 64, "alpha": [1.0] * 64},
     {"r": ["2"] * 64, "s": [1.0] * 64, "alpha": [1.0] * 64},
     {"r": [1.0] * 64, "s": [1.0] * 64, "alpha": [1.0] * 63 + [_HUGE]},
+    {"generator": "constant", "params": {"r": "2"}},
 ]
 _SYSTEMS = ["delta", ["constant:r=2,s=1", "difference", "random:seed=3,amplification_cap=100"], _BAD_SYSTEMS]
 _P_LIST = ",".join(["1.5", "2.5"] * 32)
@@ -184,6 +186,7 @@ CONFIG_BASES = {
                 {"dense": [["a"] * 16] * 16},
                 {"dense": [*_TRIANGLE[:-1].tolist(), [*_TRIANGLE[-1, :-1].tolist(), "1.5"]]},
                 {"dense": [*_TRIANGLE[:-1].tolist(), [*_TRIANGLE[-1, :-1].tolist(), _HUGE]]},
+                {"generator": "riesz", "params": {"t": ["1"] * 16}},
             ],
         ],
         "system": _CONFIG_SYSTEMS,

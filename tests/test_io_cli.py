@@ -427,6 +427,16 @@ class TestCli:
             pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": {"generator": "constant", "params": {"r": _HUGE}}}, id="system-param-huge-int"),
             pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": {"generator": "constant", "params": {"r": [2.0]}}}, id="system-param-list"),
             pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": {"generator": "riesz", "params": {"t": _HUGE}}}, id="riesz-param-huge-int"),
+            # generator params too: each is a JSON number, a list of them, or null
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": {"generator": "constant", "params": {"r": "2"}}}, id="system-param-numeric-string"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": {"generator": "riesz", "params": {"t": ["1", "1"]}}}, id="riesz-param-numeric-strings"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": 'constant:r="2",s=1'}, id="system-shorthand-numeric-string"),
+            pytest.param(
+                ["dual-check", "--config"],
+                {"a": {"generator": "convergent", "params": {"rate": "0.5"}}, "system": "delta", "p": 1.0, "space": "s0", "dual": "beta", "ladder": [1, 2]},
+                id="sequence-param-numeric-string",
+            ),
+            pytest.param(["core", "--kind", "k", "--n", "40", "--x"], 'roots_of_unity:m="4"', id="core-shorthand-numeric-string"),
             pytest.param(["transform", "--system", "delta", "--n", "2", "--x"], {"values": [[1.0, 0.0], [math.nan, 0.0]]}, id="values-nan"),
             pytest.param(["transform", "--system", "delta", "--n", "-1", "--x"], {"values": [[1.0, 0.0]] * 4}, id="n-negative"),
             pytest.param(["transform", "--system", "delta", "--n", "0", "--x"], {"values": [[1.0, 0.0]] * 4}, id="n-zero"),

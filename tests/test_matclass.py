@@ -927,18 +927,19 @@ def test_class_report_traces_little_beside_its_workspace(monkeypatch, matrix, cl
     assert peak <= block + n * n * 8 + bound
 
 
-# evaluator -> its value at witness B computed on fresh arrays (G the complex source, pk and conj the exponents)
+# (evaluator, the witness bound: inflating L or deflating M) -> its value at witness B computed on fresh arrays
+# (G the complex source, pk and conj the exponents)
 FRESH_COMPLEX = {
-    "deflated_subset_columns": lambda G, B, pk, conj: duals.subset_estimate(G, "columns", float(B) ** (-1.0 / pk)),
-    "inflated_subset_columns": lambda G, B, pk, conj: duals.subset_estimate(G, "columns", float(B) ** (1.0 / pk)),
-    "subset_rows_conjugate": lambda G, B, pk, conj: duals.subset_estimate(G / float(B), "rows", None, conj),
-    "power_rows_conjugate": lambda G, B, pk, conj: duals.power_row_sup(G / float(B), conj),
+    ("weighted_subset_columns", "M"): lambda G, B, pk, conj: duals.subset_estimate(G, "columns", float(B) ** (-1.0 / pk)),
+    ("weighted_subset_columns", "L"): lambda G, B, pk, conj: duals.subset_estimate(G, "columns", float(B) ** (1.0 / pk)),
+    ("subset_rows_conjugate", "M"): lambda G, B, pk, conj: duals.subset_estimate(G / float(B), "rows", None, conj),
+    ("power_rows_conjugate", "M"): lambda G, B, pk, conj: duals.power_row_sup(G / float(B), conj),
 }
 
 
 @pytest.mark.parametrize("n", [16, 48], ids=["exact", "bound"])
-@pytest.mark.parametrize("evaluator", sorted(FRESH_COMPLEX))
-def test_complex_witness_temporaries_in_the_workspace_match_fresh_arrays(evaluator, n):
+@pytest.mark.parametrize("evaluator, witness", sorted(FRESH_COMPLEX))
+def test_complex_witness_temporaries_in_the_workspace_match_fresh_arrays(evaluator, witness, n):
     # a complex quotient or weighted product is staged in the scratch and its modulus taken in the slot:
     # the value is that of the functional on fresh arrays, bit for bit, whatever the block held before
     rng = rng_from_seed(11)
@@ -950,8 +951,9 @@ def test_complex_witness_temporaries_in_the_workspace_match_fresh_arrays(evaluat
     spec = next(spec for spec in matclass.DUAL_CONDITIONS.values() if spec.evaluate is getattr(matclass._Rung, evaluator))
     rung = matclass._Rung(spec, G, n, p, None, np.zeros(n), None, work)
     for B in (2, 16, 256):
-        got, _ = getattr(rung, evaluator)(B, B)
-        assert np.float64(got).tobytes() == np.float64(FRESH_COMPLEX[evaluator](G, B, p.p, p.conjugate())).tobytes()
+        got, _ = getattr(rung, evaluator)(*((B, None) if witness == "L" else (None, B)))
+        fresh = FRESH_COMPLEX[evaluator, witness](G, B, p.p, p.conjugate())
+        assert np.float64(got).tobytes() == np.float64(fresh).tobytes()
 
 
 @pytest.mark.parametrize("builder", ["deviations", "lower_deviations", "window_deviation_sums"])
