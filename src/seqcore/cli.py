@@ -9,11 +9,14 @@ produce byte-identical output.
 Exit codes: 0 all verdicts hold / inclusion true / computation done, 1 some
 verdict fails / inclusion false, 2 inconclusive or nothing verified, 3
 unreadable input or schema violation (including invalid generator values,
-sequence values or dense matrix entries that are not finite numbers, ragged
-dense matrices, a number in a JSON document that is not a JSON number (a
-numeric string such as "1.5", or an integer beyond double range, in dense
-entries, sequence values, r/s/alpha, generator params, p, q, tol or
-density_tol, and a string in an integer field such as the ladder), a JSON
+a generator's integer param (seed, m, k) with a fractional part, sequence
+values or dense matrix entries that are not finite numbers, ragged dense
+matrices, a number in a JSON document that is not a JSON number (a numeric
+string such as "1.5", or an integer beyond double range, in dense entries,
+sequence values, r/s/alpha, generator params, p, q, tol or density_tol; a
+boolean in a generator param, p, q, tol or density_tol; and a string or a
+boolean in an integer field such as the ladder; only a list of numbers,
+such as dense rows, sequence values or r/s/alpha, takes true as 1.0), a JSON
 document the parser refuses (an integer literal of more than 4300 digits,
 arrays nested too deep), non-integer lists, non-numeric tolerances, density
 tolerances outside (0, 1), non-positive exponents, exponent lists shorter
@@ -42,7 +45,7 @@ from . import acceptance, band_ops, cores, duals, matclass
 from .generators import MATRIX_NAMES, SEQUENCE_NAMES, SYSTEM_NAMES
 from .io import canonical_dumps, load_json, matrix_from_spec, number, number_list, region_to_csv, seq_from_spec, seq_to_json, system_from_spec
 from .ladder import truncation_ladder
-from .types import ExponentSeq, SchemaError
+from .types import ExponentSeq, SchemaError, coerce_int
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -85,23 +88,10 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise SchemaError(f"{what} must be comma-separated integers: {text!r}") from exc
 
 
-def _config_int(value, what: str) -> int:
-    """A JSON integer, or a float with an integer value; never a string."""
-    if isinstance(value, str):
-        raise SchemaError(f"{what} must be an integer, not a string: {value!r:.40}")
-    try:
-        integer = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{what} must be an integer: {value!r:.40}") from exc
-    if isinstance(value, float) and integer != value:
-        raise SchemaError(f"{what} must be an integer: {value!r}")
-    return integer
-
-
 def _config_ints(values, what: str) -> list[int]:
     if not isinstance(values, (list, tuple)):
         raise SchemaError(f"{what} must be a list of integers: {values!r}")
-    return [_config_int(v, what) for v in values]
+    return [coerce_int(v, what) for v in values]
 
 
 def _config_exponents(value, n: int, what: str) -> ExponentSeq:
@@ -267,16 +257,16 @@ def _region_from_config(spec: dict) -> cores.RegionEstimate:
     """
     _check_config(spec, "core spec", _CORE_SPEC_KEYS, {"kind", "x", "n"})
     spec = _CORE_DEFAULTS | spec
-    n = _config_int(spec["n"], "n")
+    n = coerce_int(spec["n"], "n")
     x = seq_from_spec(spec["x"], n)
     kind, method = spec["kind"], spec["method"]
     sys = system_from_spec(spec["system"], n) if "system" in spec else None
     if kind == "alpha" and sys is None:
         raise SchemaError("alpha cores need a system")
     window = _parse_window(spec.get("window"), n, 1 if kind == "alpha" else 0)
-    directions = _config_int(spec["directions"], "directions")
+    directions = coerce_int(spec["directions"], "directions")
     density_tol = number(spec["density_tol"], "density_tol")
-    grid_n = cores.check_grid_n(_config_int(spec["grid_n"], "grid_n"))
+    grid_n = cores.check_grid_n(coerce_int(spec["grid_n"], "grid_n"))
     if kind == "alpha":
         return cores.alpha_core(x, sys, window, directions)
     if kind == "k":

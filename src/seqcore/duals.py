@@ -40,9 +40,13 @@ leading n x n blocks of their largest versions (no entry depends on a later
 index), so every ladder point reads a slice and every condition shares it.
 :func:`companion_c`, :func:`companion_d` and
 :func:`companion_identity_residuals` run the same builder on an array of
-their own.  C is real when every weight has a zero imaginary part (a_n V[n, k]
-then equals the real part of the complex product).  The builder raises
-OverflowError when an entry leaves double precision, and the public
+their own, and so does each probe row of a class report: its partial-sum
+family in :mod:`seqcore.matclass` is the cumulative companion of the row's
+weights over a leading block of V.  The builder takes V, not the system, and
+is the one place that forms diag(w) V or its column sums.  C is real when
+every weight has a zero imaginary part (a_n V[n, k] then equals the real
+part of the complex product).  The builder raises OverflowError when an
+entry leaves double precision, with no numpy warning, and the public
 companions are read-only arrays.
 Quantifiers over all B > 1 are sampled over a finite B ladder by the engine in
 :mod:`seqcore.ladder`, and universally quantified verdicts are labelled as
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_ops import inverse_kernel, inverse_transform
-from .ladder import truncation_ladder, witness_ladder
+from .ladder import witness_ladder
 from .types import BandSystem, ExponentSeq, FiniteSeq, SchemaError
 from .verdicts import aggregate_verdict
 
@@ -95,32 +99,25 @@ def _companion_weights(a, n: int) -> np.ndarray:
     return w if w.imag.any() else w.real
 
 
-def _companion(w: np.ndarray, sys: BandSystem, out: np.ndarray, cumulative: bool) -> np.ndarray:
+def _companion(w: np.ndarray, V: np.ndarray, out: np.ndarray, cumulative: bool) -> np.ndarray:
     """C = diag(w) V, or D, its column cumsum, when cumulative; built in out, an n x n array of w's dtype, and returned.
 
-    The products are those of w[:, None] * V, bit for bit.  Complex weights
-    multiply V + 0j, copied into out first: the mixed-type product would
-    buffer its casts, twice the copy's temporary memory.  Raises
-    OverflowError when an entry leaves double precision.
+    V is an n x n leading block of the inverse kernel, or a view of one.  The
+    products are those of w[:, None] * V, bit for bit, and D sums them down
+    each column in index order.  Complex weights multiply V + 0j, copied
+    into out first: the mixed-type product would buffer its casts, twice the
+    copy's temporary memory.  Raises OverflowError when an entry leaves
+    double precision; a non-finite entry of D stays so down its column, so
+    its last row shows any.
     """
-    V = inverse_kernel(sys, out.shape[0])
     if np.iscomplexobj(out):
         out[...] = V
         V = out
     with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
         C = np.multiply(w[:, None], V, out=out)
-    if cumulative:
-        return _cumulate(C)
-    if not np.isfinite(C).all():
-        raise OverflowError("companion entries overflow double precision at this truncation")
-    return C
-
-
-def _cumulate(C: np.ndarray) -> np.ndarray:
-    """D, the column cumsum of C, in place; a non-finite entry stays so down its column, so the last row shows any."""
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as OverflowError below
-        np.cumsum(C, axis=0, out=C)
-    if not np.isfinite(C[-1]).all():
+        if cumulative:
+            np.cumsum(C, axis=0, out=C)
+    if not np.isfinite(C[-1] if cumulative else C).all():
         raise OverflowError("companion entries overflow double precision at this truncation")
     return C
 
@@ -128,7 +125,7 @@ def _cumulate(C: np.ndarray) -> np.ndarray:
 def companion_c(a, sys: BandSystem, n: int) -> np.ndarray:
     """Row-scaled inverse kernel: C[n, k] = V[n, k] * a_n, read-only, real when every weight up to n is real."""
     w = _companion_weights(a, n)
-    C = _companion(w, sys, np.empty((n, n), w.dtype), cumulative=False)
+    C = _companion(w, inverse_kernel(sys, n), np.empty((n, n), w.dtype), cumulative=False)
     C.setflags(write=False)
     return C
 
@@ -136,7 +133,7 @@ def companion_c(a, sys: BandSystem, n: int) -> np.ndarray:
 def companion_d(a, sys: BandSystem, n: int) -> np.ndarray:
     """Column-cumulative companion: D[n, k] = sum_{j=k..n} a_j V[j, k], the column cumsum of C; read-only."""
     w = _companion_weights(a, n)
-    D = _companion(w, sys, np.empty((n, n), w.dtype), cumulative=True)
+    D = _companion(w, inverse_kernel(sys, n), np.empty((n, n), w.dtype), cumulative=True)
     D.setflags(write=False)
     return D
 
@@ -153,10 +150,10 @@ def companion_identity_residuals(a, y, sys: BandSystem) -> tuple[float, float]:
     n = y.n
     x = inverse_transform(y, sys).values
     ax = a.values[:n] * x
-    w = _companion_weights(a, n)
-    C = _companion(w, sys, np.empty((n, n), w.dtype), cumulative=False)
+    w, V = _companion_weights(a, n), inverse_kernel(sys, n)
+    C = _companion(w, V, np.empty((n, n), w.dtype), cumulative=False)
     lhs_c = C @ y.values
-    lhs_d = _cumulate(C) @ y.values  # D overwrites C in place
+    lhs_d = _companion(w, V, C, cumulative=True) @ y.values  # D overwrites C
     rhs_d = np.cumsum(ax)
 
     def rel(lhs, rhs):
@@ -397,12 +394,13 @@ def dual_rule_table() -> dict:
     return out
 
 
-def _conditions_for(space, dual, p: ExponentSeq):
+def _conditions_for(space, dual, p: ExponentSeq | None):
+    """The condition ids of a (space, dual) pair; without p, a split rule's low regime, whose ids need p like every pair's."""
     if space not in SPACES or dual not in DUALS:
         raise SchemaError(f"unknown (space, dual) pair ({space!r}, {dual!r})")
     rule = DUAL_RULES[(space, dual)]
     if isinstance(rule, dict):
-        if np.all(p.p <= 1.0):
+        if p is None or np.all(p.p <= 1.0):
             return rule[_LOW]
         if np.all(p.p > 1.0):
             return rule[_HIGH]
@@ -445,13 +443,12 @@ def dual_report(
     successful ladder value; universal ones require every ladder value and
     are marked as tested-ladder evidence.
     """
-    from .matclass import DUAL_CONDITIONS, _Workspace, _check_inputs, _condition_verdict  # matclass imports this module
+    from .matclass import DUAL_CONDITIONS, _Workspace, _check_inputs, _check_needs, _condition_verdict  # matclass imports this module
 
     b_ladder = witness_ladder(b_ladder)
-    ladder = truncation_ladder(ladder)
-    p = ExponentSeq.coerce(p, ladder[-1], "p")  # every pair needs p, and the lp regime split reads its terms
+    ladder, p, _ = _check_inputs((), ladder, p, None)
     cond_ids = _conditions_for(space, dual, p)
-    _check_inputs(cond_ids, ladder, p, None)
+    _check_needs(cond_ids, p, None)
     top = ladder[-1]
     w = _companion_weights(a, top)
     real_only = [cid for cid in cond_ids if DUAL_CONDITIONS[cid].real_only]
@@ -460,7 +457,7 @@ def dual_report(
     (source,) = {DUAL_CONDITIONS[cid].source for cid in cond_ids}  # no rule reads both C and D
     # the companion at the largest truncation, in the workspace; every rung reads its leading block
     work = _Workspace(ladder, [top * top * w.itemsize // 8], width=w.itemsize // 8)
-    companion = _companion(w, sys, work.lead(0, top, w.dtype), source == "D")
+    companion = _companion(w, inverse_kernel(sys, top), work.lead(0, top, w.dtype), source == "D")
     sources = {n: {source: companion[:n, :n]} for n in ladder}
     verdicts = tuple(_condition_verdict(cid, sources, ladder, p, None, b_ladder, work) for cid in cond_ids)
     return DualReport(space, dual, verdicts, aggregate_verdict(v.verdict for v in verdicts))

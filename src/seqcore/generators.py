@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import BandSystem, FiniteSeq, SchemaError
+from .types import BandSystem, FiniteSeq, SchemaError, coerce_int
 
 __all__ = [
     "GeneratorSpec",
@@ -151,7 +151,7 @@ def make_sequence(spec, n: int, **params) -> FiniteSeq:
     if name == "alternating":
         vals = np.where(k % 2 == 0, 1.0, -1.0).astype(np.complex128)
     elif name == "roots_of_unity":
-        m = int(params.get("m", 4))
+        m = coerce_int(params.get("m", 4), "roots_of_unity parameter m")
         if m < 1:
             raise ValueError("roots_of_unity needs m >= 1")
         vals = np.exp(2j * np.pi * (k % m) / m)  # k mod m keeps equal angles bit-identical
@@ -165,12 +165,12 @@ def make_sequence(spec, n: int, **params) -> FiniteSeq:
             raise ValueError("convergent rate must lie in (0, 1)")
         vals = limit + rate ** k.astype(np.float64)
     elif name == "random_bounded":
-        rng = rng_from_seed(int(params.get("seed", 0)))
+        rng = rng_from_seed(coerce_int(params.get("seed", 0), "random_bounded parameter seed"))
         vals = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
     elif name == "e":
         vals = np.ones(n, dtype=np.complex128)
     elif name == "e_n":
-        pos = int(params.get("k", 0))
+        pos = coerce_int(params.get("k", 0), "e_n parameter k")
         if not 0 <= pos < n:
             raise ValueError("unit sequence position out of range")
         vals = np.zeros(n, dtype=np.complex128)
@@ -284,7 +284,7 @@ def band_system_from_spec(name: str, params: dict, length: int) -> BandSystem:
             length,
         )
     if name == "random":
-        rng = rng_from_seed(int(params.get("seed", 0)))
+        rng = rng_from_seed(coerce_int(params.get("seed", 0), "random parameter seed"))
         cap = params.get("amplification_cap")
         return random_band_system(rng, length, amplification_cap=None if cap is None else float(cap))
     raise ValueError(f"unknown band system generator {name!r}; known: {SYSTEM_NAMES}")

@@ -6,7 +6,10 @@ Sequences travel as {"values": [[re, im], ...]}, band systems as
 Every number in such a document, a generator's params included, must be a
 JSON number: a numeric string, or an integer beyond double range, is a
 ``SchemaError`` like any other value that is not a number (:func:`number`,
-:func:`number_list`).
+:func:`number_list`).  So is a JSON boolean where one number is read
+(:func:`number`).  The one exception is a list of numbers (dense rows,
+sequence pairs, :func:`number_list`): ``struct`` packs ``true`` as 1.0, and
+a per-element type check would triple the parse time of a dense block.
 
 A dense block, and a sequence's [re, im] pairs, are parsed row by row
 (:func:`number_rows`): one ``struct`` pack per row writes the row's doubles
@@ -120,9 +123,9 @@ def load_json(path: str):
 
 
 def number(value, what: str) -> float:
-    """A JSON number as a float; SchemaError for a string, any other non-number, or an integer beyond double range."""
-    if isinstance(value, str):
-        raise SchemaError(f"{what} must be a number, not a string: {value!r:.40}")
+    """A JSON number as a float; SchemaError for a string, a boolean, any other non-number, or an integer beyond double range."""
+    if isinstance(value, (str, bool)):
+        raise SchemaError(f"{what} must be a number, not {'a string' if isinstance(value, str) else 'a boolean'}: {value!r:.40}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:

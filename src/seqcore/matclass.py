@@ -47,7 +47,10 @@ V is lower triangular, so the partial-sum family of row i is zero from
 column stop_i on (one past the last nonzero of A[i]) and repeats its row
 stop_i - 1 below it; the partial-sum conditions (mt23, mt25-mt28) share each
 probe row's stop_i x stop_i support block, a leading block of the row's
-family at the top rung (:func:`_probe_blocks`).  A condition's
+family at the top rung (:func:`_probe_blocks`).  That family is the
+cumulative companion D of the weights A[i] (the builder of
+:mod:`seqcore.duals`), so it raises OverflowError when an entry leaves
+double precision, as E does, even where E's sums cancel.  A condition's
 witness-free array (|E|, |D - beta_k|, |block|) is built once per rung.
 beta_k is fitted from the top rung's last row and kept complex when the
 source is complex.
@@ -77,6 +80,7 @@ import numpy as np
 from .band_ops import _band_rows, inverse_kernel
 from .duals import (  # noqa: F401 - perfbench traces matclass.subset_sup as an import site
     DEFAULT_B_LADDER,
+    _companion,
     power_entry_sup,
     power_row_sup,
     signed_column_sup,
@@ -521,6 +525,17 @@ def _check_inputs(cond_ids, ladder, p, q):
     ladder = truncation_ladder(ladder)
     top = ladder[-1]
     p = None if p is None else ExponentSeq.coerce(p, top, "p")
+    _check_needs(cond_ids, p, q)
+    if q is None:
+        return ladder, p, None
+    qa = ExponentSeq.coerce(q, top, "q").p
+    if np.any(np.diff(qa[:top]) < 0.0) or np.max(qa[:top]) > 1e6:
+        warnings.warn("q is expected to be non-decreasing and bounded", stacklevel=3)
+    return ladder, p, qa
+
+
+def _check_needs(cond_ids, p, q):
+    """SchemaError unless each condition has the exponent inputs it reads: p (as an ExponentSeq, or None) and q."""
     for cid in cond_ids:
         spec = _SPECS[cid]
         if spec.needs_p and p is None:
@@ -529,12 +544,6 @@ def _check_inputs(cond_ids, ladder, p, q):
             raise SchemaError(f"condition {cid} needs the target exponent sequence q")
         if spec.needs_conjugate and p is not None and np.any(p.p <= 1.0):
             raise SchemaError(f"condition {cid} needs conjugate exponents, so p_k > 1")
-    if q is None:
-        return ladder, p, None
-    qa = ExponentSeq.coerce(q, top, "q").p
-    if np.any(np.diff(qa[:top]) < 0.0) or np.max(qa[:top]) > 1e6:
-        warnings.warn("q is expected to be non-decreasing and bounded", stacklevel=3)
-    return ladder, p, qa
 
 
 def _probe_blocks(dense: np.ndarray, V: np.ndarray, ladder) -> dict:
@@ -545,20 +554,21 @@ def _probe_blocks(dense: np.ndarray, V: np.ndarray, ladder) -> dict:
     stop x stop block of that cumulative sum, stop one past the last nonzero
     of A[i, :n]: V is lower triangular, so the family is zero in every
     column k >= stop, and every row m >= stop adds only zero terms and
-    repeats row stop - 1.  The probe rows' products A[i, j] V[j, k] over the
-    row's own stop s at the top rung are taken in one s x s array and
-    summed down j in place, so rung n's block is a leading block of it: the
-    same terms summed in the same order as a build at n alone, bit for bit.
-    A zero row (stop 0) has an empty block and a zero family, and is left
-    out.
+    repeats row stop - 1.  Over the row's own stop s at the top rung, the
+    family is the cumulative companion of the weights A[i, :s]
+    (:func:`seqcore.duals._companion`), one s x s array, so rung n's block is
+    a leading block of it: the same terms summed in the same order as a build
+    at n alone, bit for bit.  The builder raises OverflowError when an entry
+    leaves double precision.  A zero row (stop 0) has an empty block and a
+    zero family, builds nothing and is left out.
     """
     rows = dense[:_PROBE_ROWS]
+    dtype = np.result_type(rows, np.float64)
     # row i's stop at rung n is stops[i, n - 1]
     stops = np.maximum.accumulate(np.where(rows != 0, np.arange(1, rows.shape[1] + 1), 0), axis=1)
     families = []
     for row, s in zip(rows, stops[:, -1].tolist()):
-        family = row[:s, None] * V[:s, :s]
-        families.append(np.cumsum(family, axis=0, out=family))
+        families.append(_companion(row[:s], V[:s, :s], np.empty((s, s), dtype), True) if s else None)
     return {n: [(i, families[i][:stop, :stop]) for i, stop in enumerate(stops[:n, n - 1].tolist()) if stop] for n in ladder}
 
 

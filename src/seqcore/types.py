@@ -26,6 +26,10 @@ a scalar or a sequence, at a truncation): the class, single-condition and
 dual reports and the CLI all read their exponents through it, so a bad
 value or a short sequence raises ``SchemaError`` with one message wherever
 it enters.
+Likewise :func:`coerce_int` is the one reader of an integer: the CLI's
+integer config fields and the generators' integer params (a seed, ``m``,
+``k``) go through it, so 2.5, "2" or ``true`` raises ``SchemaError`` where
+an integer is read.
 
 Construction copies an array unless it already owns its data and is
 read-only: a writable array, or any view (a slice, a reshape, a buffer
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SchemaError", "FiniteSeq", "BandSystem", "ExponentSeq"]
+__all__ = ["SchemaError", "coerce_int", "FiniteSeq", "BandSystem", "ExponentSeq"]
 
 # inf p_k below this is treated as "not bounded away from zero"
 INF_POSITIVE_TOL = 1e-9
@@ -52,6 +56,19 @@ INF_POSITIVE_TOL = 1e-9
 
 class SchemaError(ValueError):
     """Raised when an input document or a caller argument does not match its expected schema."""
+
+
+def coerce_int(value, what: str) -> int:
+    """value as an int: an integer, or a float with an integer value; else SchemaError naming it (a string and a boolean too)."""
+    if isinstance(value, (str, bool)):
+        raise SchemaError(f"{what} must be an integer, not {'a string' if isinstance(value, str) else 'a boolean'}: {value!r:.40}")
+    try:
+        integer = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{what} must be an integer: {value!r:.40}") from exc
+    if integer != value:
+        raise SchemaError(f"{what} must be an integer: {value!r}")
+    return integer
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

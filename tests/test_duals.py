@@ -437,6 +437,11 @@ class TestDualReport:
         with pytest.raises(ValueError, match="cannot serve truncation 16"):
             duals.dual_report(a, PLUS, ExponentSeq(np.ones(3)), "s0", "gamma", (8, 16))
 
+    @pytest.mark.parametrize("space, dual", sorted(duals.DUAL_RULES))
+    def test_every_pair_needs_p(self, space, dual):
+        with pytest.raises(SchemaError, match="needs the exponent sequence p"):
+            duals.dual_report(FiniteSeq(np.ones(16)), PLUS, None, space, dual, (8, 16))
+
     def test_forall_quantifier_is_labelled(self):
         a = FiniteSeq(0.5 ** np.arange(64))
         p = ExponentSeq.constant(1.0, 64)

@@ -53,6 +53,9 @@ _BAD_SEQS = [
     "roots_of_unity:m=0",
     "e_n:k=-1",
     "e_n:k=999",
+    "e_n:k=2.7",
+    "roots_of_unity:m=4.5",
+    "random_bounded:seed=1.9",
 ]
 _HUGE = 10**400  # an integer beyond double range
 _BAD_SEQ_DOCS = [
@@ -71,6 +74,7 @@ _BAD_SYSTEMS = [
     "constant:alpha=-1",
     "constant:alpha=nan",
     "random:seed=1,amplification_cap=0.5",
+    "random:seed=2.5",
 ]
 _BAD_SYSTEM_DOCS = [
     {"r": [1.0], "s": [1.0], "alpha": [1.0]},
@@ -145,17 +149,17 @@ ARGV_BASES = {
     "verify": {"--select": ["C10", ["C11", "C9,C12", ""], ["C99", "C0", "x"]]},
 }
 
-_LADDER = [[8, 16], [[4, 16], [4, 8, 16]], [[], [16, 8], [0, 16], [-4, 16], ["a", 16], [8.5, 16], "x", None]]
+_LADDER = [[8, 16], [[4, 16], [4, 8, 16]], [[], [16, 8], [0, 16], [-4, 16], ["a", 16], [8.5, 16], [True, 16], "x", None]]
 _ARGV_LADDER = [OMIT, ["4,16", "2,8,16"], ["16,x", "-4,16", "16,8", "0,16"]]
 _CONFIG_SEQS = ["nope", "convergent:rate=2", *_BAD_SEQ_DOCS, {"generator": "e", "params": "k=1"}]
 _CONFIG_SYSTEMS = ["delta", _SYSTEMS[1], _BAD_SYSTEMS + _BAD_SYSTEM_DOCS + [{"generator": "constant", "params": [1]}]]
 _CORE_SPEC = {
     "x": ["alternating:", ["roots_of_unity:m=4", "convergent:"], _CONFIG_SEQS],
-    "n": [40, [64], [0, -1, "a", 2.5, None]],
+    "n": [40, [64], [0, -1, "a", 2.5, None, True]],
     "window": [OMIT, [[10, 30], "1,33"], [[5, 5], [30, 999], ["a", 40], [1, 2, 3], "x"]],
     # the other spec keeps the default 64 directions, and two regions compare only on one direction set
     "directions": [OMIT, [64], [2, 1025, 10**15, None, "x", 2.5, 16]],
-    "grid_n": [OMIT, [0, 41], [-1, 65, 100000, [21], None]],
+    "grid_n": [OMIT, [0, 41], [-1, 65, 100000, [21], None, True]],
 }
 _TRIANGLE = np.tril(np.add.outer(np.arange(16.0), np.arange(16.0)) % 5 + 1.0)
 
@@ -163,12 +167,12 @@ CONFIG_BASES = {
     "dual-check": {
         "a": ["e", ["alternating:", "convergent:", _values(*[(0.5, 0.0)] * 16)], _CONFIG_SEQS],
         "system": _CONFIG_SYSTEMS,
-        "p": [2.0, [1.5, [2.0] * 16], [-1, 0, "x", None, [1.0] * 3, [1.0] * 15 + [0.0], float("nan"), float("inf"), "1.5", _HUGE]],
+        "p": [2.0, [1.5, [2.0] * 16], [-1, 0, "x", None, [1.0] * 3, [1.0] * 15 + [0.0], float("nan"), float("inf"), "1.5", _HUGE, True]],
         "space": ["s0", ["sc", "sinf", "lp"], ["foo", 1]],
         "dual": ["beta", ["alpha", "gamma"], ["delta", None]],
         "ladder": _LADDER,
         "--ladder": _ARGV_LADDER,
-        "b_ladder": [OMIT, [[2, 4], [3]], [[], [1, 4], [0], ["x"], None]],
+        "b_ladder": [OMIT, [[2, 4], [3]], [[], [1, 4], [0], ["x"], None, [True, 4]]],
         "extra": [OMIT, [], [1]],
     },
     "class-check": {
@@ -191,20 +195,20 @@ CONFIG_BASES = {
         ],
         "system": _CONFIG_SYSTEMS,
         "class": ["s0:c_q", ["c:sc_reg", "sinf:c", "sc:linf_q", "st:sc_reg"], ["nope", "s0:c"]],
-        "p": [2.0, [3.0, [2.0] * 16], [-1, "x", None, [2.0] * 3, "2", [2.0] * 15 + [_HUGE]]],
-        "q": [1.5, [2.0], [-1, 0, "x", [1.5] * 3, "1.5", _HUGE]],
+        "p": [2.0, [3.0, [2.0] * 16], [-1, "x", None, [2.0] * 3, "2", [2.0] * 15 + [_HUGE], True]],
+        "q": [1.5, [2.0], [-1, 0, "x", [1.5] * 3, "1.5", _HUGE, True]],
         "ladder": _LADDER,
         "--ladder": _ARGV_LADDER,
         "extra": [OMIT, [], [1]],
     },
     "core-include": {
         **{f"inner.{key}": field for key, field in _CORE_SPEC.items()},
-        "inner.density_tol": [OMIT, [0.02, 0.2], [0, 1, 1.5, None, "x", [0.1]]],
+        "inner.density_tol": [OMIT, [0.02, 0.2], [0, 1, 1.5, None, "x", [0.1], True]],
         "outer.x": _CORE_SPEC["x"],
         "outer.method": [OMIT, ["disc"], ["x"]],
         "outer.kind": ["k", ["st"], ["z", None]],
         "outer.grid_n": _CORE_SPEC["grid_n"],
-        "tol": [0.05, [0.2, 0.0], [None, "x", [0.05]]],
+        "tol": [0.05, [0.2, 0.0], [None, "x", [0.05], False]],
         "extra": [OMIT, [], [1]],
     },
 }

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from seqcore.generators import (
     GeneratorSpec,
+    band_system_from_spec,
     make_matrix,
     make_sequence,
     materialize_matrix,
@@ -65,6 +66,19 @@ def test_random_sequences_are_reproducible():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.max(np.abs(a.real)) <= 1.0 and np.max(np.abs(a.imag)) <= 1.0
+
+
+@pytest.mark.parametrize("name, key", [("roots_of_unity", "m"), ("random_bounded", "seed"), ("e_n", "k")])
+def test_integer_params_must_be_integral(name, key):
+    assert np.array_equal(make_sequence(name, 8, **{key: 2.0}).values, make_sequence(name, 8, **{key: 2}).values)
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_sequence(name, 8, **{key: 2.5})
+
+
+def test_random_system_seed_must_be_integral():
+    assert np.array_equal(band_system_from_spec("random", {"seed": 3.0}, 8).r, band_system_from_spec("random", {"seed": 3}, 8).r)
+    with pytest.raises(ValueError, match="must be an integer"):
+        band_system_from_spec("random", {"seed": 2.5}, 8)
 
 
 def _system_digest(sys) -> str:

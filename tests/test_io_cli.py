@@ -389,6 +389,20 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("seqcore:") and "overflow" in err[0]
         assert not (tmp_path / "out.json").exists()
 
+    def test_class_check_partial_sum_overflow_is_one_error_line(self, tmp_path, capsys):
+        # E is finite at both rungs, but row 0's partial-sum family sums 1e308 + 1e308
+        cfg = tmp_path / "family.json"
+        dense = [[-1e308, 1e308, 1e308, -1e308], [0.5, 0, 0, 0], [0.25, 0.25, 0, 0], [0.1, 0.1, 0.1, 0]]
+        doc = {"matrix": {"dense": dense}, "system": "difference", "class": "sinf:linf", "p": 2.0, "ladder": [2, 4]}
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["class-check", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 4
+        assert [str(w.message) for w in caught] == []  # a numpy RuntimeWarning would print a line of its own
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("seqcore:") and "companion entries overflow" in err[0]
+        assert not (tmp_path / "out.json").exists()
+
     def test_dual_check_complex_weights_on_signed_column_sups_is_a_schema_error(self, tmp_path, capsys):
         # lp.alpha at p <= 1 is S12, whose subset column sups are characterized for real weights only
         cfg = tmp_path / "complex.json"
@@ -437,6 +451,15 @@ class TestCli:
                 id="sequence-param-numeric-string",
             ),
             pytest.param(["core", "--kind", "k", "--n", "40", "--x"], 'roots_of_unity:m="4"', id="core-shorthand-numeric-string"),
+            # a JSON boolean is not a number, nor an integer
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "ladder": [True, 2]}, id="ladder-boolean"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "p": True}, id="p-boolean"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": {"generator": "constant", "params": {"r": True}}}, id="system-param-boolean"),
+            # a generator's integer param must be integral
+            pytest.param(["core", "--kind", "k", "--n", "40", "--x"], "roots_of_unity:m=4.5", id="roots-of-unity-fractional-m"),
+            pytest.param(["core", "--kind", "k", "--n", "40", "--x"], "random_bounded:seed=1.9", id="random-bounded-fractional-seed"),
+            pytest.param(["core", "--kind", "k", "--n", "40", "--x"], "e_n:k=2.7", id="e-n-fractional-k"),
+            pytest.param(["class-check", "--config"], _CLASS_DOC | {"matrix": "cesaro", "system": "random:seed=2.5"}, id="random-system-fractional-seed"),
             pytest.param(["transform", "--system", "delta", "--n", "2", "--x"], {"values": [[1.0, 0.0], [math.nan, 0.0]]}, id="values-nan"),
             pytest.param(["transform", "--system", "delta", "--n", "-1", "--x"], {"values": [[1.0, 0.0]] * 4}, id="n-negative"),
             pytest.param(["transform", "--system", "delta", "--n", "0", "--x"], {"values": [[1.0, 0.0]] * 4}, id="n-zero"),

@@ -360,6 +360,25 @@ class TestEMatrixOverflow:
             matclass.class_report(A, "sinf:c0", EXPANDING, p=ExponentSeq.constant(1.0, ladder[-1]), ladder=ladder)
         assert str(report.value) == str(alone.value)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cond_id", ["mt23", "mt25", "mt26", "mt27", "mt28"])
+    def test_partial_sum_overflow_raises(self, cond_id):
+        # each family of rows of 1e307 over the summation kernel passes the largest double; its inf - inf is a NaN
+        # that max() would drop, so a verdict read off it would hold on no finite number
+        n = 256
+        p, q = ExponentSeq.constant(2.0, n), np.full(n, 1.5)
+        with pytest.raises(OverflowError, match="companion entries overflow"):
+            matclass.eval_condition(cond_id, A=np.full((n, n), 1e307), sys=BandSystem.difference(n), p=p, q=q, ladder=(64, 128, n))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_class_report_raises_on_a_family_overflow_with_a_finite_e(self):
+        # row 0's family sums 1e308 + 1e308 in column 1, while E's row sums cancel at both rungs
+        A = np.array([[-1e308, 1e308, 1e308, -1e308], [0.5, 0, 0, 0], [0.25, 0.25, 0, 0], [0.1, 0.1, 0.1, 0]])
+        sys = BandSystem.difference(4)
+        assert all(np.isfinite(matclass.e_matrix(A, sys, n)).all() for n in (2, 4))
+        with pytest.raises(OverflowError, match="companion entries overflow"):
+            matclass.class_report(A, "sinf:linf", sys, p=ExponentSeq.constant(2.0, 4), ladder=(2, 4))
+
 
 def _column_solve(dense: np.ndarray, sys: BandSystem) -> np.ndarray:
     """E of one truncation by the bidiagonal recurrence, last column first, on a transposed copy of dense.
@@ -526,7 +545,7 @@ class TestEvalCondition:
         p = ExponentSeq.constant(2.0, 128)
         for cid in ("mt23", "mt25", "mt26", "mt27", "mt28"):
             matclass.eval_condition(cid, A="cesaro", sys=DELTA, p=p, q=np.full(128, 1.5), ladder=LADDER)
-        # the kernel's overflow check still guards the partial sums
+        # V is read first, so an overflowing kernel raises before any family is built
         with pytest.raises(OverflowError):
             matclass.eval_condition("mt23", A="cesaro", sys=EXPANDING, ladder=(64, 513))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqcore.types import BandSystem, ExponentSeq, FiniteSeq
+from seqcore.types import BandSystem, ExponentSeq, FiniteSeq, SchemaError, coerce_int
 
 
 def test_finite_seq_rejects_bad_input():
@@ -11,6 +11,17 @@ def test_finite_seq_rejects_bad_input():
         FiniteSeq(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         FiniteSeq(np.array([1.0, np.inf]))
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
+def test_coerce_int_reads_integral_values(value):
+    assert coerce_int(value, "n") == 3 and type(coerce_int(value, "n")) is int
+
+
+@pytest.mark.parametrize("value", [2.5, "3", True, False, None, [3], float("inf"), float("nan")])
+def test_coerce_int_rejects_what_is_not_an_integer(value):
+    with pytest.raises(SchemaError, match="n must be an integer"):
+        coerce_int(value, "n")
 
 
 def test_finite_seq_is_immutable():
