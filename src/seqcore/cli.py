@@ -18,7 +18,10 @@ boolean in a generator param, p, q, tol or density_tol; and a string or a
 boolean in an integer field such as the ladder; only a list of numbers,
 such as dense rows, sequence values or r/s/alpha, takes true as 1.0), a JSON
 document the parser refuses (an integer literal of more than 4300 digits,
-arrays nested too deep), non-integer lists, non-numeric tolerances, density
+arrays nested too deep), non-integer lists, a fractional number in a
+ladder, b_ladder, window, directions or grid_n (raised by the library
+reader, ladder.truncation_ladder, ladder.witness_ladder or the cores, while
+8.0 reads as 8), non-numeric tolerances, density
 tolerances outside (0, 1), non-positive exponents, exponent lists shorter
 than the largest truncation, truncations below 1, core windows outside the
 sequence, direction counts outside [4, 1024] (cores.MAX_DIRECTIONS), grid_n
@@ -31,7 +34,9 @@ running out).  Each error is one "seqcore: ..." line on stderr.
 
 A caller-argument rule is checked once, by the library function that reads
 the argument, which raises ``SchemaError`` (exit 3); this module parses
-arguments and config documents into the values those functions take.
+arguments and config documents into the values those functions take, and
+passes config integers on as they are.  It reads no integer itself beyond
+argv text and the n it uses for a core spec.
 """
 
 from __future__ import annotations
@@ -88,25 +93,16 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise SchemaError(f"{what} must be comma-separated integers: {text!r}") from exc
 
 
-def _config_ints(values, what: str) -> list[int]:
-    if not isinstance(values, (list, tuple)):
-        raise SchemaError(f"{what} must be a list of integers: {values!r}")
-    return [coerce_int(v, what) for v in values]
-
-
 def _config_exponents(value, n: int, what: str) -> ExponentSeq:
     """A JSON number or a list of them from a config document, as an exponent sequence of n or more values."""
     return ExponentSeq.coerce(number_list(value, what) if isinstance(value, list) else number(value, what), n, what)
 
 
-def _parse_window(value, n: int, min_start: int = 0) -> tuple[int, int]:
-    """(start, stop) from a "start,stop" argument or a config list, range-checked by the cores; the last three quarters by default."""
+def _parse_window(value, n: int, min_start: int = 0):
+    """The ints of a "start,stop" argument, or a config list as it is, for the cores to read; the last three quarters by default."""
     if value is None:
         return max(min_start, n // 4), n
-    parts = _parse_ints(value, "window") if isinstance(value, str) else _config_ints(value, "window")
-    if len(parts) != 2:
-        raise SchemaError("window must be 'start,stop'")
-    return parts[0], parts[1]
+    return _parse_ints(value, "window") if isinstance(value, str) else value
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -134,20 +130,10 @@ def _check_config(config: dict, command: str, allowed: set, required: set) -> No
 
 
 def _cmd_transform(args) -> int:
-    n = args.n
-    x = seq_from_spec(_resolve_spec(args.x), n)
+    """transform (T applied to --x) and invert (T's inverse applied to --y, read into args.x)."""
+    x = seq_from_spec(_resolve_spec(args.x), args.n)
     sys = system_from_spec(_resolve_spec(args.system), x.n)
-    y = band_ops.forward_transform(x, sys)
-    _emit({"command": "transform", "n": x.n} | seq_to_json(y), args.out)
-    return EXIT_HOLDS
-
-
-def _cmd_invert(args) -> int:
-    n = args.n
-    y = seq_from_spec(_resolve_spec(args.y), n)
-    sys = system_from_spec(_resolve_spec(args.system), y.n)
-    x = band_ops.inverse_transform(y, sys)
-    _emit({"command": "invert", "n": y.n} | seq_to_json(x), args.out)
+    _emit({"command": args.command, "n": x.n} | seq_to_json(args.apply(x, sys)), args.out)
     return EXIT_HOLDS
 
 
@@ -195,7 +181,7 @@ def _ladder_config(args, command: str, allowed: set, required: set) -> tuple[dic
     if args.ladder and isinstance(config, dict):  # _check_config rejects the rest
         config = dict(config, ladder=_parse_ints(args.ladder, "ladder"))
     _check_config(config, command, allowed, required | {"ladder"})
-    return config, truncation_ladder(_config_ints(config["ladder"], "ladder"))
+    return config, truncation_ladder(config["ladder"])
 
 
 def _cmd_dual_check(args) -> int:
@@ -204,8 +190,7 @@ def _cmd_dual_check(args) -> int:
     a = seq_from_spec(config["a"], n)
     sys = system_from_spec(config["system"], n)
     p = _config_exponents(config["p"], n, "p")
-    b_ladder = _config_ints(config.get("b_ladder", duals.DEFAULT_B_LADDER), "b_ladder")
-    report = duals.dual_report(a, sys, p, config["space"], config["dual"], ladder, b_ladder)
+    report = duals.dual_report(a, sys, p, config["space"], config["dual"], ladder, config.get("b_ladder", duals.DEFAULT_B_LADDER))
     _emit(report.to_json(), args.out or config.get("out"))
     return _VERDICT_EXIT[report.aggregate]
 
@@ -229,7 +214,7 @@ def _cmd_class_check(args) -> int:
 
 
 # the core options' defaults, for the core command and core-include specs alike
-_CORE_DEFAULTS = {"method": "hull", "directions": 64, "density_tol": 0.02, "grid_n": 21}
+_CORE_DEFAULTS = {"method": "hull", "directions": cores.DEFAULT_DIRECTIONS, "density_tol": cores.DEFAULT_DENSITY_TOL, "grid_n": cores.DEFAULT_GRID_N}
 _CORE_OPTIONS = ("window", *_CORE_DEFAULTS)
 
 
@@ -252,8 +237,9 @@ _INCLUDE_KEYS = {"command", "inner", "outer", "tol", "out"}
 def _region_from_config(spec: dict) -> cores.RegionEstimate:
     """The region of a core spec: a core-include config's inner or outer, or the core command's options.
 
-    The cores check the window, direction count, density tolerance and probe
-    grid; grid_n is checked for every kind, as every kind accepts it.
+    The cores read and check the window, direction count, density tolerance
+    and probe grid, each passed on as the spec holds it; grid_n is read for
+    every kind, as every kind accepts it.
     """
     _check_config(spec, "core spec", _CORE_SPEC_KEYS, {"kind", "x", "n"})
     spec = _CORE_DEFAULTS | spec
@@ -264,9 +250,8 @@ def _region_from_config(spec: dict) -> cores.RegionEstimate:
     if kind == "alpha" and sys is None:
         raise SchemaError("alpha cores need a system")
     window = _parse_window(spec.get("window"), n, 1 if kind == "alpha" else 0)
-    directions = coerce_int(spec["directions"], "directions")
+    directions, grid_n = spec["directions"], cores.check_grid_n(spec["grid_n"])
     density_tol = number(spec["density_tol"], "density_tol")
-    grid_n = cores.check_grid_n(coerce_int(spec["grid_n"], "grid_n"))
     if kind == "alpha":
         return cores.alpha_core(x, sys, window, directions)
     if kind == "k":
@@ -352,15 +337,14 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--system", help="band system document or shorthand")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    sp = sub.add_parser("transform", help="apply the band transform to a sequence")
-    sp.add_argument("--x", required=True)
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_transform)
-
-    sp = sub.add_parser("invert", help="invert the band transform")
-    sp.add_argument("--y", required=True)
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_invert)
+    for command, flag, apply, text in (
+        ("transform", "--x", band_ops.forward_transform, "apply the band transform to a sequence"),
+        ("invert", "--y", band_ops.inverse_transform, "invert the band transform"),
+    ):
+        sp = sub.add_parser(command, help=text)
+        sp.add_argument(flag, dest="x", metavar=flag[2:].upper(), required=True)
+        add_common(sp)
+        sp.set_defaults(fn=_cmd_transform, apply=apply)
 
     sp = sub.add_parser("paranorm", help="variable-exponent paranorm of a (transformed) sequence")
     sp.add_argument("--x", required=True)
@@ -377,17 +361,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.set_defaults(fn=_cmd_basis_residual)
 
-    sp = sub.add_parser("dual-check", help="dual-set condition report from a config")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--ladder", help="comma-separated truncations overriding the config")
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_dual_check)
-
-    sp = sub.add_parser("class-check", help="mapping-class condition report from a config")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--ladder", help="comma-separated truncations overriding the config")
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_class_check)
+    for command, fn, text in (
+        ("dual-check", _cmd_dual_check, "dual-set condition report from a config"),
+        ("class-check", _cmd_class_check, "mapping-class condition report from a config"),
+    ):
+        sp = sub.add_parser(command, help=text)
+        sp.add_argument("--config", required=True)
+        sp.add_argument("--ladder", help="comma-separated truncations overriding the config")
+        sp.add_argument("--out")
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("core", help="core region of a sequence")
     sp.add_argument("--kind", choices=("k", "st", "alpha"), required=True)

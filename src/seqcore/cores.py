@@ -65,7 +65,7 @@ import numpy as np
 from .band_ops import forward_transform
 from .generators import materialize_matrix
 from .ladder import truncation_ladder
-from .types import BandSystem, FiniteSeq, SchemaError
+from .types import BandSystem, FiniteSeq, SchemaError, coerce_int, coerce_ints
 
 __all__ = [
     "RegionEstimate",
@@ -83,12 +83,18 @@ __all__ = [
     "sign_witness",
     "default_z_points",
     "check_grid_n",
+    "DEFAULT_DIRECTIONS",
+    "DEFAULT_DENSITY_TOL",
+    "DEFAULT_GRID_N",
     "MAX_DIRECTIONS",
     "MAX_GRID_N",
 ]
 
 _BOUNDED_WARN = 1e6
-_DEFAULT_DIRECTIONS = 64
+# the defaults of the core readers, and of the CLI's core options
+DEFAULT_DIRECTIONS = 64
+DEFAULT_DENSITY_TOL = 0.02
+DEFAULT_GRID_N = 21
 # the most support-function directions a core may sample: a disc or st core's envelope is a (grid_n^2 + 6 D) x D
 # float64 array, 54 MB at D = 1024 and the default grid_n, and grows with D^2
 MAX_DIRECTIONS = 1024
@@ -111,7 +117,8 @@ _TINY = 4.0 * np.finfo(np.float64).smallest_subnormal
 
 
 def direction_angles(n_directions: int) -> np.ndarray:
-    """n equally spaced angles; a count outside [4, MAX_DIRECTIONS] is a SchemaError, raised before any is allocated."""
+    """n equally spaced angles; a count that is not an integer in [4, MAX_DIRECTIONS] is a SchemaError, raised before any is allocated."""
+    n_directions = coerce_int(n_directions, "directions")
     if not 4 <= n_directions <= MAX_DIRECTIONS:
         raise SchemaError(f"directions must lie in [4, {MAX_DIRECTIONS}]: {n_directions!r}")
     return 2.0 * np.pi * np.arange(n_directions) / n_directions
@@ -122,7 +129,11 @@ def _unit(angles: np.ndarray) -> np.ndarray:
 
 
 def _check_window(n: int, window, min_start: int = 0) -> tuple[int, int]:
-    start, stop = int(window[0]), int(window[1])
+    """The window's two integer bounds (start, stop), with min_start <= start < stop <= n, else SchemaError."""
+    bounds = coerce_ints(window, "window")
+    if len(bounds) != 2:
+        raise SchemaError(f"window must be two integers (start, stop): {window!r:.40}")
+    start, stop = bounds
     if not (min_start <= start < stop <= n):
         raise SchemaError(f"window [{start}, {stop}) invalid for length {n} (start >= {min_start})")
     return start, stop
@@ -411,7 +422,7 @@ def _st_rank(w: int, density_tol: float) -> int:
     return int(np.argmax((w - 1 - np.arange(w)) < density_tol * w))
 
 
-def st_limsup(v, window, density_tol: float = 0.02) -> float:
+def st_limsup(v, window, density_tol: float = DEFAULT_DENSITY_TOL) -> float:
     """Smallest level whose exceedance set has empirical density below tol.
 
     The returned level is an order statistic of the window values, so it is
@@ -431,7 +442,7 @@ def st_limsup(v, window, density_tol: float = 0.02) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cluster_hull(points, window, n_directions: int = _DEFAULT_DIRECTIONS) -> RegionEstimate:
+def cluster_hull(points, window, n_directions: int = DEFAULT_DIRECTIONS) -> RegionEstimate:
     """Convex hull of the window values: the tail-hull estimate of the core."""
     vals, win = _window_values(points, window)
     angles = direction_angles(n_directions)
@@ -440,13 +451,14 @@ def cluster_hull(points, window, n_directions: int = _DEFAULT_DIRECTIONS) -> Reg
 
 
 def check_grid_n(grid_n: int) -> int:
-    """grid_n when it lies in [0, MAX_GRID_N], else a SchemaError."""
+    """grid_n as an int when it is an integer in [0, MAX_GRID_N], else a SchemaError."""
+    grid_n = coerce_int(grid_n, "grid_n")
     if not 0 <= grid_n <= MAX_GRID_N:
         raise SchemaError(f"grid_n must lie in [0, {MAX_GRID_N}]: {grid_n!r}")
     return grid_n
 
 
-def default_z_points(values: np.ndarray, angles: np.ndarray, grid_n: int = 21) -> np.ndarray:
+def default_z_points(values: np.ndarray, angles: np.ndarray, grid_n: int = DEFAULT_GRID_N) -> np.ndarray:
     """Probe centers for disc intersections: central grid plus far directional samples.
 
     The central grid of grid_n x grid_n probes spans 1.5x the data spread
@@ -456,7 +468,7 @@ def default_z_points(values: np.ndarray, angles: np.ndarray, grid_n: int = 21) -
     centers, approached as probes recede).  grid_n is checked by
     :func:`check_grid_n` before any probe is allocated.
     """
-    check_grid_n(grid_n)
+    grid_n = check_grid_n(grid_n)
     c = complex(np.mean(values))
     spread = float(np.max(np.abs(values - c)))
     scale = max(spread, 1e-9)
@@ -596,8 +608,8 @@ def disc_core(
     points,
     window,
     z_grid=None,
-    n_directions: int = _DEFAULT_DIRECTIONS,
-    grid_n: int = 21,
+    n_directions: int = DEFAULT_DIRECTIONS,
+    grid_n: int = DEFAULT_GRID_N,
 ) -> RegionEstimate:
     """Intersection of discs with window-max radii |x_k - z| over probe centers z."""
     vals, win = _window_values(points, window)
@@ -611,10 +623,10 @@ def disc_core(
 def st_core(
     points,
     window,
-    density_tol: float = 0.02,
+    density_tol: float = DEFAULT_DENSITY_TOL,
     z_grid=None,
-    n_directions: int = _DEFAULT_DIRECTIONS,
-    grid_n: int = 21,
+    n_directions: int = DEFAULT_DIRECTIONS,
+    grid_n: int = DEFAULT_GRID_N,
 ) -> RegionEstimate:
     """Disc intersection with statistical-limsup radii of |x_k - z|."""
     vals, win = _window_values(points, window)
@@ -624,7 +636,7 @@ def st_core(
     return _disc_region(win, zs, angles, _st_radii(vals, zs, j), "disc_intersection")
 
 
-def alpha_core(x, sys: BandSystem, window, n_directions: int = _DEFAULT_DIRECTIONS) -> RegionEstimate:
+def alpha_core(x, sys: BandSystem, window, n_directions: int = DEFAULT_DIRECTIONS) -> RegionEstimate:
     """Hull estimate of the core of the band-transformed sequence.
 
     The transformed index 0 is excluded from windows (the intersection of

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .types import SchemaError
+from .types import SchemaError, coerce_ints
 from .verdicts import HOLDS, ConditionVerdict, classify_series, combine_exists, combine_forall
 
 __all__ = ["FORALL", "EXISTS", "WITNESS_LAYERS", "truncation_ladder", "witness_ladder", "window", "ladder_verdict"]
@@ -32,8 +32,8 @@ WITNESS_LAYERS: dict[str, tuple[tuple[str, str], ...]] = {
 
 
 def truncation_ladder(ladder) -> list[int]:
-    """The ladder as ints; it must be nonempty, strictly increasing and start at 1 or above, else SchemaError."""
-    ladder = [int(n) for n in ladder]
+    """The ladder as ints (read by coerce_ints); it must be nonempty, strictly increasing and start at 1 or above, else SchemaError."""
+    ladder = coerce_ints(ladder, "ladder")
     if not ladder or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise SchemaError("ladder must be nonempty and strictly increasing")
     if ladder[0] < 1:
@@ -42,8 +42,8 @@ def truncation_ladder(ladder) -> list[int]:
 
 
 def witness_ladder(ladder) -> list[int]:
-    """The witness ladder (a dual report's b_ladder) as ints; it must be nonempty with every witness above 1, else SchemaError."""
-    ladder = [int(w) for w in ladder]
+    """The witness ladder (a dual report's b_ladder) as ints (read by coerce_ints); it must be nonempty with every witness above 1, else SchemaError."""
+    ladder = coerce_ints(ladder, "b_ladder")
     if not ladder:
         raise SchemaError("b_ladder: witness ladder must be nonempty")
     if min(ladder) <= 1:

@@ -26,10 +26,13 @@ a scalar or a sequence, at a truncation): the class, single-condition and
 dual reports and the CLI all read their exponents through it, so a bad
 value or a short sequence raises ``SchemaError`` with one message wherever
 it enters.
-Likewise :func:`coerce_int` is the one reader of an integer: the CLI's
-integer config fields and the generators' integer params (a seed, ``m``,
-``k``) go through it, so 2.5, "2" or ``true`` raises ``SchemaError`` where
-an integer is read.
+Likewise :func:`coerce_int` is the one reader of an integer, and
+:func:`coerce_ints` of a list of them.  The library functions that read a
+caller's integers call them: the ladder readers (a truncation ladder, a
+witness ladder), the core readers (a window, a direction count, a probe
+grid side) and the generators' integer params (a seed, ``m``, ``k``).  So
+2.5, "2", ``true`` or ``np.True_`` raises ``SchemaError`` where the integer
+is read, and the CLI passes config values to those readers as they are.
 
 Construction copies an array unless it already owns its data and is
 read-only: a writable array, or any view (a slice, a reshape, a buffer
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SchemaError", "coerce_int", "FiniteSeq", "BandSystem", "ExponentSeq"]
+__all__ = ["SchemaError", "coerce_int", "coerce_ints", "FiniteSeq", "BandSystem", "ExponentSeq"]
 
 # inf p_k below this is treated as "not bounded away from zero"
 INF_POSITIVE_TOL = 1e-9
@@ -60,7 +63,7 @@ class SchemaError(ValueError):
 
 def coerce_int(value, what: str) -> int:
     """value as an int: an integer, or a float with an integer value; else SchemaError naming it (a string and a boolean too)."""
-    if isinstance(value, (str, bool)):
+    if isinstance(value, (str, bool, np.bool_)):
         raise SchemaError(f"{what} must be an integer, not {'a string' if isinstance(value, str) else 'a boolean'}: {value!r:.40}")
     try:
         integer = int(value)
@@ -69,6 +72,13 @@ def coerce_int(value, what: str) -> int:
     if integer != value:
         raise SchemaError(f"{what} must be an integer: {value!r}")
     return integer
+
+
+def coerce_ints(values, what: str) -> list[int]:
+    """values as a list of ints: a list, tuple, range or 1-D array, each item read by coerce_int; else SchemaError naming it."""
+    if not (isinstance(values, (list, tuple, range)) or isinstance(values, np.ndarray) and values.ndim == 1):
+        raise SchemaError(f"{what} must be a list of integers: {values!r:.40}")
+    return [coerce_int(v, what) for v in values]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

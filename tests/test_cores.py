@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from seqcore import band_ops, cores
 from seqcore.generators import make_sequence, rng_from_seed
 from seqcore.io import canonical_dumps
-from seqcore.types import BandSystem, FiniteSeq
+from seqcore.types import BandSystem, FiniteSeq, SchemaError
 
 DELTA = BandSystem.difference(4096)
 PLUS = BandSystem.constant(1.0, 1.0, 1.0, 4096)
@@ -437,6 +437,51 @@ def test_prefilter_recomputes_a_probe_that_fails_its_test_from_the_full_row(monk
     got = cores._st_radii(vals, zs, j)
     assert full_rows.call_count == 1 and np.isnan(full_rows.call_args.args[1]).all()
     assert got.tobytes() == _st_oracle(np.abs(vals[None, :] - zs[:, None]), 0.02).tobytes()
+
+
+_CIRCLE = FiniteSeq(np.exp(1j * np.arange(400.0)))
+
+
+class TestCallerIntegers:
+    """The cores read windows, direction counts and probe grid sides as integers themselves."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # int() once read these as 65 directions spaced 2 pi / 64.5, window (100, 400) and window (1, 400)
+            lambda: cores.cluster_hull(_CIRCLE, (100, 400), 64.5),
+            lambda: cores.cluster_hull(_CIRCLE, (100.7, 400.2)),
+            lambda: cores.cluster_hull(_CIRCLE, (True, 400)),
+            lambda: cores.cluster_hull(_CIRCLE, (np.True_, 400)),
+            lambda: cores.cluster_hull(_CIRCLE, (100, 200, 400)),
+            lambda: cores.cluster_hull(_CIRCLE, 400),
+            lambda: cores.alpha_core(_CIRCLE, DELTA, (100.5, 400)),
+            lambda: cores.st_limsup(np.arange(400.0), (100, 400.5)),
+            # a fractional probe grid side once raised TypeError in np.linspace
+            lambda: cores.disc_core(_CIRCLE, (100, 400), grid_n=3.5),
+            lambda: cores.st_core(_CIRCLE, (100, 400), n_directions=16.5),
+            lambda: cores.check_grid_n(np.True_),
+        ],
+        ids=["directions", "window", "bool-window", "numpy-bool-window", "three-bounds", "scalar-window", "alpha-window", "st-limsup-window", "grid-n", "st-directions", "numpy-bool-grid-n"],
+    )
+    def test_a_value_that_is_not_an_integer_is_a_schema_error(self, call):
+        with pytest.raises(SchemaError, match="(window|directions|grid_n) must be"):
+            call()
+
+    @pytest.mark.parametrize(
+        "core",
+        [
+            lambda window, directions, grid_n: cores.cluster_hull(_CIRCLE, window, directions),
+            lambda window, directions, grid_n: cores.disc_core(_CIRCLE, window, n_directions=directions, grid_n=grid_n),
+            lambda window, directions, grid_n: cores.st_core(_CIRCLE, window, n_directions=directions, grid_n=grid_n),
+            lambda window, directions, grid_n: cores.alpha_core(_CIRCLE, DELTA, window, directions),
+        ],
+        ids=["hull", "disc", "st", "alpha"],
+    )
+    def test_integral_floats_and_numpy_ints_give_the_bytes_of_plain_ints(self, core):
+        plain = canonical_dumps(core((100, 400), 64, 3).to_json())
+        for window, directions, grid_n in [((100.0, 400.0), 64.0, 3.0), (np.array([100, 400]), np.int64(64), np.int32(3))]:
+            assert canonical_dumps(core(window, directions, grid_n).to_json()) == plain
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,24 @@ class TestDualReport:
         with pytest.raises(ValueError, match="witness"):
             duals.dual_report(a, PLUS, p, "sinf", "beta", (8, 16), b_ladder)
 
+    @pytest.mark.parametrize(
+        "ladder, b_ladder",
+        [((8.5, 16.9, 32), (2, 4)), ((8, 16, 32), (2.9, 4)), ((True, 8, 16), (2, 4)), ((8, 16), (np.True_, 4)), (16, (2, 4)), ((8, 16), 4)],
+    )
+    def test_a_rung_or_witness_that_is_not_an_integer_is_a_schema_error(self, ladder, b_ladder):
+        # int() once read (8.5, 16.9, 32) as rungs 8, 16, 32, B = 2.9 as 2 and True as rung 1
+        a, p = FiniteSeq(np.ones(32)), ExponentSeq.constant(1.0, 32)
+        with pytest.raises(SchemaError, match="ladder must be"):
+            duals.dual_report(a, PLUS, p, "sinf", "beta", ladder, b_ladder)
+
+    @pytest.mark.parametrize(
+        "ladder, b_ladder", [((16.0, 32.0), (2.0, 4.0, 16.0)), (np.array([16, 32]), np.array([2, 4, 16])), (range(16, 33, 16), [np.int64(2), 4, 16])]
+    )
+    def test_integral_floats_and_numpy_ints_give_the_bytes_of_plain_ints(self, ladder, b_ladder):
+        a, p = FiniteSeq(0.5 ** np.arange(32)), ExponentSeq.constant(1.0, 32)
+        plain = duals.dual_report(a, PLUS, p, "sinf", "beta", (16, 32), (2, 4, 16))
+        assert canonical_dumps(duals.dual_report(a, PLUS, p, "sinf", "beta", ladder, b_ladder).to_json()) == canonical_dumps(plain.to_json())
+
     def test_short_exponents_rejected(self):
         a = FiniteSeq(np.ones(16))
         with pytest.raises(ValueError, match="cannot serve truncation 16"):

@@ -149,17 +149,17 @@ ARGV_BASES = {
     "verify": {"--select": ["C10", ["C11", "C9,C12", ""], ["C99", "C0", "x"]]},
 }
 
-_LADDER = [[8, 16], [[4, 16], [4, 8, 16]], [[], [16, 8], [0, 16], [-4, 16], ["a", 16], [8.5, 16], [True, 16], "x", None]]
+_LADDER = [[8, 16], [[4, 16], [4, 8, 16], [4.0, 16.0]], [[], [16, 8], [0, 16], [-4, 16], ["a", 16], [8.5, 16], [True, 16], "x", None]]
 _ARGV_LADDER = [OMIT, ["4,16", "2,8,16"], ["16,x", "-4,16", "16,8", "0,16"]]
 _CONFIG_SEQS = ["nope", "convergent:rate=2", *_BAD_SEQ_DOCS, {"generator": "e", "params": "k=1"}]
 _CONFIG_SYSTEMS = ["delta", _SYSTEMS[1], _BAD_SYSTEMS + _BAD_SYSTEM_DOCS + [{"generator": "constant", "params": [1]}]]
 _CORE_SPEC = {
     "x": ["alternating:", ["roots_of_unity:m=4", "convergent:"], _CONFIG_SEQS],
     "n": [40, [64], [0, -1, "a", 2.5, None, True]],
-    "window": [OMIT, [[10, 30], "1,33"], [[5, 5], [30, 999], ["a", 40], [1, 2, 3], "x"]],
+    "window": [OMIT, [[10, 30], "1,33", [10.0, 30.0]], [[5, 5], [30, 999], ["a", 40], [1, 2, 3], "x", [10.5, 30], [True, 30]]],
     # the other spec keeps the default 64 directions, and two regions compare only on one direction set
-    "directions": [OMIT, [64], [2, 1025, 10**15, None, "x", 2.5, 16]],
-    "grid_n": [OMIT, [0, 41], [-1, 65, 100000, [21], None, True]],
+    "directions": [OMIT, [64, 64.0], [2, 1025, 10**15, None, "x", 2.5, 64.5, 16]],
+    "grid_n": [OMIT, [0, 41, 3.0], [-1, 65, 100000, [21], None, True, 3.5]],
 }
 _TRIANGLE = np.tril(np.add.outer(np.arange(16.0), np.arange(16.0)) % 5 + 1.0)
 
@@ -172,7 +172,7 @@ CONFIG_BASES = {
         "dual": ["beta", ["alpha", "gamma"], ["delta", None]],
         "ladder": _LADDER,
         "--ladder": _ARGV_LADDER,
-        "b_ladder": [OMIT, [[2, 4], [3]], [[], [1, 4], [0], ["x"], None, [True, 4]]],
+        "b_ladder": [OMIT, [[2, 4], [3], [2.0, 4.0]], [[], [1, 4], [0], ["x"], None, [True, 4], [2.5, 4]]],
         "extra": [OMIT, [], [1]],
     },
     "class-check": {

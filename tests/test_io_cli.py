@@ -669,6 +669,9 @@ class TestExitCodeContract:
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[0, 2])], 3),
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[])], 3),
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[2, 4])], 1),
+            # integers are read by the ladder readers: a fractional witness is refused, an integral float is its int
+            (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[2.5, 4])], 3),
+            (["dual-check", "--config", self._dual_cfg(tmp_path, space="sinf", dual="beta", b_ladder=[2.0, 4.0], ladder=[8.0, 16.0])], 1),
             # an unknown (space, dual) pair, and exponents on both sides of 1 where the rules split there
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="foo")], 3),
             (["dual-check", "--config", self._dual_cfg(tmp_path, space="lp", dual="alpha", p=[0.5] * 8 + [2.0] * 8)], 3),
@@ -745,6 +748,24 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"seqcore: grid_n must lie in [0, {cores.MAX_GRID_N}]: 100000"]
         assert "Traceback" not in err and not out.exists()
+
+    def test_integral_floats_in_core_specs_give_the_bytes_of_plain_ints(self, tmp_path):
+        reports = []
+        for window, directions, grid_n in [([10, 40], 8, 3), ([10.0, 40.0], 8.0, 3.0)]:
+            spec = {"kind": "k", "method": "disc", "x": "alternating:", "n": 40, "window": window, "directions": directions, "grid_n": grid_n}
+            out = tmp_path / f"include{len(reports)}.json"
+            assert cli.main(["core-include", "--config", self._cfg(tmp_path, {"inner": spec, "outer": spec}), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("field, value", [("directions", 64.5), ("window", [10.5, 40]), ("grid_n", 3.5)])
+    def test_a_fractional_core_integer_is_one_schema_line(self, tmp_path, capsys, field, value):
+        # read by the cores themselves, which once rounded a window and spaced 65 directions 2 pi / 64.5 apart
+        out = tmp_path / "include.json"
+        assert cli.main(["core-include", "--config", self._include_cfg(tmp_path, **{field: value}), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"seqcore: {field} must be an integer: {value if field != 'window' else 10.5}"]
+        assert not out.exists()
 
     def test_running_out_of_memory_is_one_internal_error_line(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

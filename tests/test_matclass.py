@@ -674,6 +674,18 @@ class TestClassReport:
         with pytest.raises(ValueError, match=">= 1"):
             matclass.eval_condition("4.1", A="zero", sys=DELTA, ladder=ladder)
 
+    @pytest.mark.parametrize("ladder", [(8.5, 16), (True, 8, 16), (np.True_, 8, 16), (8, "16"), 16, None])
+    def test_a_rung_that_is_not_an_integer_is_a_schema_error(self, ladder):
+        # int() once read (True, 8, 16) as rung 1
+        with pytest.raises(SchemaError, match="ladder must be"):
+            matclass.class_report("cesaro", "c:sc_reg", DELTA, ladder=ladder)
+
+    @pytest.mark.parametrize("ladder", [(8.0, 16.0), np.array([8, 16]), [np.int32(8), 16.0]])
+    def test_integral_floats_and_numpy_ints_give_the_bytes_of_plain_ints(self, ladder):
+        p, q = ExponentSeq.constant(2.0, 16), np.full(16, 1.5)
+        plain = matclass.class_report("cesaro", "sc:c_q", DELTA, p=p, q=q, ladder=(8, 16))
+        assert canonical_dumps(matclass.class_report("cesaro", "sc:c_q", DELTA, p=p, q=q, ladder=ladder).to_json()) == canonical_dumps(plain.to_json())
+
     def test_unknown_class(self):
         with pytest.raises(KeyError):
             matclass.class_report("cesaro", "nope", DELTA, ladder=LADDER)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqcore.types import BandSystem, ExponentSeq, FiniteSeq, SchemaError, coerce_int
+from seqcore.types import BandSystem, ExponentSeq, FiniteSeq, SchemaError, coerce_int, coerce_ints
 
 
 def test_finite_seq_rejects_bad_input():
@@ -18,10 +18,28 @@ def test_coerce_int_reads_integral_values(value):
     assert coerce_int(value, "n") == 3 and type(coerce_int(value, "n")) is int
 
 
-@pytest.mark.parametrize("value", [2.5, "3", True, False, None, [3], float("inf"), float("nan")])
+@pytest.mark.parametrize("value", [2.5, "3", True, False, np.True_, np.False_, None, [3], float("inf"), float("nan")])
 def test_coerce_int_rejects_what_is_not_an_integer(value):
     with pytest.raises(SchemaError, match="n must be an integer"):
         coerce_int(value, "n")
+
+
+@pytest.mark.parametrize("values", [[8, 16], (8.0, 16.0), range(8, 17, 8), np.array([8, 16]), np.array([8.0, 16.0])])
+def test_coerce_ints_reads_a_list_of_integral_values(values):
+    ints = coerce_ints(values, "ladder")
+    assert ints == [8, 16] and all(type(i) is int for i in ints)
+
+
+@pytest.mark.parametrize("values", [8, "8,16", None, {8, 16}, {"a": 8}, np.array([[8, 16]]), np.array(8), iter([8, 16])])
+def test_coerce_ints_rejects_what_is_not_a_list(values):
+    with pytest.raises(SchemaError, match="ladder must be a list of integers"):
+        coerce_ints(values, "ladder")
+
+
+@pytest.mark.parametrize("values", [[8.5, 16], [True, 16], [np.True_, 16], np.array([True, False]), ["8", 16], [[8], 16], [8, None]])
+def test_coerce_ints_rejects_an_item_that_is_not_an_integer(values):
+    with pytest.raises(SchemaError, match="ladder must be an integer"):
+        coerce_ints(values, "ladder")
 
 
 def test_finite_seq_is_immutable():
