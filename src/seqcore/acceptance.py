@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import band_ops, cores, duals, matclass
-from .generators import make_matrix, make_sequence, random_band_system, rng_from_seed
+from .generators import make_sequence, random_band_system, rng_from_seed
 from .io import canonical_dumps
 from .types import BandSystem, ExponentSeq, FiniteSeq
 

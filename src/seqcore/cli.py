@@ -21,10 +21,13 @@ document the parser refuses (an integer literal of more than 4300 digits,
 arrays nested too deep), non-integer lists, a fractional number in a
 ladder, b_ladder, window, directions or grid_n (raised by the library
 reader, ladder.truncation_ladder, ladder.witness_ladder or the cores, while
-8.0 reads as 8), non-numeric tolerances, density
-tolerances outside (0, 1), non-positive exponents, exponent lists shorter
-than the largest truncation, truncations below 1, core windows outside the
-sequence, direction counts outside [4, 1024] (cores.MAX_DIRECTIONS), grid_n
+8.0 reads as 8), a band or double_band matrix parameter that is zero or
+not finite (BandSystem's rules), a scalar double_band r or s, or one with
+fewer values than the largest truncation, non-numeric tolerances, a
+core-include tol that is not finite, density tolerances outside (0, 1),
+non-positive exponents, exponent lists shorter than the largest
+truncation, truncations below 1, core windows outside the sequence,
+direction counts outside [4, 1024] (cores.MAX_DIRECTIONS), grid_n
 outside [0, 64] (cores.MAX_GRID_N), B ladders that are empty or hold a
 B <= 1, cutoffs outside [0, n), sup paranorms with some p_k <= 1e-9, a
 missing p or q, an unknown (space, dual) pair, exponents on both sides of 1

@@ -604,6 +604,12 @@ def _disc_region(win, zs, angles, radii, method) -> RegionEstimate:
     return _region_from_support(h, angles, method, win)
 
 
+def _probe_centers(vals: np.ndarray, angles: np.ndarray, z_grid, grid_n) -> np.ndarray:
+    """The caller's z_grid as complex probe centers, else :func:`default_z_points`; grid_n is checked on both paths."""
+    grid_n = check_grid_n(grid_n)
+    return default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
+
+
 def disc_core(
     points,
     window,
@@ -614,7 +620,7 @@ def disc_core(
     """Intersection of discs with window-max radii |x_k - z| over probe centers z."""
     vals, win = _window_values(points, window)
     angles = direction_angles(n_directions)
-    zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
+    zs = _probe_centers(vals, angles, z_grid, grid_n)
     cands = _extreme_candidates(vals, float(np.max(np.abs(zs), initial=0.0)))
     radii = _probe_radii(cands, zs, lambda d: np.max(d, axis=1))
     return _disc_region(win, zs, angles, radii, "disc_intersection")
@@ -632,7 +638,7 @@ def st_core(
     vals, win = _window_values(points, window)
     j = _st_rank(vals.size, density_tol)
     angles = direction_angles(n_directions)
-    zs = default_z_points(vals, angles, grid_n) if z_grid is None else np.asarray(z_grid, dtype=np.complex128)
+    zs = _probe_centers(vals, angles, z_grid, grid_n)
     return _disc_region(win, zs, angles, _st_radii(vals, zs, j), "disc_intersection")
 
 
@@ -659,7 +665,9 @@ def _require_same_angles(r1: RegionEstimate, r2: RegionEstimate):
 
 
 def region_included(inner: RegionEstimate, outer: RegionEstimate, tol: float = 0.0) -> tuple[bool, float]:
-    """Directionwise support test: inner inside outer up to tol, plus the worst gap."""
+    """Directionwise support test: inner inside outer up to tol, plus the worst gap; SchemaError unless tol is finite."""
+    if not np.isfinite(tol):
+        raise SchemaError(f"tol must be finite: {tol!r}")
     _require_same_angles(inner, outer)
     gaps = inner.support - outer.support
     max_violation = float(np.max(gaps))

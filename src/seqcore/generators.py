@@ -2,9 +2,10 @@
 
 Matrices are produced as exact dense truncations of the named infinite
 operators (Cesaro and Riesz means, band and double-band triangles, summation,
-difference, identity, zero).  Random families use a counter-based generator
-(numpy Philox) keyed by an integer seed so the draws are reproducible across
-platforms and process restarts.
+difference, identity, zero); the band, double-band and difference matrices
+are the band triangle of the unit-alpha system they name.  Random families
+use a counter-based generator (numpy Philox) keyed by an integer seed so the
+draws are reproducible across platforms and process restarts.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .band_ops import triangle_kernel
 from .types import BandSystem, FiniteSeq, SchemaError, coerce_int
 
 __all__ = [
@@ -65,11 +67,29 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _named_band_system(name: str, params: dict, n: int) -> BandSystem:
+    """The unit-alpha band system whose triangle the matrix generator ``name`` is; BandSystem checks its params.
+
+    ``band`` takes scalars r and s, ``double_band`` the first n values of the
+    sequences r and s (a scalar stays a scalar, which BandSystem refuses).
+    """
+    if name == "difference":
+        return BandSystem.difference(n)
+    if name == "band":
+        return BandSystem.constant(params["r"], params["s"], 1.0, n)
+    r, s = (np.asarray(params[key], dtype=np.float64) for key in ("r", "s"))
+    r, s = (v[:n] if v.ndim else v for v in (r, s))
+    return BandSystem(r, s, np.ones_like(r))
+
+
 def make_matrix(spec, n: int, **params) -> np.ndarray:
-    """Dense n x n truncation of the named infinite matrix.
+    """Dense n x n truncation of the named infinite matrix, writable.
 
     The triangular means are one ``np.where`` over the lower-triangle mask
-    ``idx[:, None] >= idx``, with no n x n product before the mask.
+    ``idx[:, None] >= idx``, with no n x n product before the mask.  The
+    band matrices (``band``, ``double_band``, ``difference``) are
+    ``band_ops.triangle_kernel`` of the unit-alpha system they name, so a
+    bad parameter raises ``ValueError`` from ``BandSystem``.
     """
     if isinstance(spec, GeneratorSpec):
         name, params = spec.name, dict(spec.params)
@@ -92,27 +112,10 @@ def make_matrix(spec, n: int, **params) -> np.ndarray:
             raise ValueError("riesz weights must be finite and strictly positive")
         out = np.where(idx[:, None] >= idx, t, 0.0)
         out /= np.cumsum(t)[:, None]
-    elif name == "band":
-        r, s = float(params["r"]), float(params["s"])
-        if r == 0.0 or s == 0.0:
-            raise ValueError("band parameters must be nonzero")
-        out = r * np.eye(n)
-        if n > 1:
-            out[idx[1:], idx[:-1]] = s
-    elif name == "double_band":
-        r = np.asarray(params["r"], dtype=np.float64)[:n]
-        s = np.asarray(params["s"], dtype=np.float64)[:n]
-        if r.size < n or np.any(r == 0.0) or np.any(s == 0.0):
-            raise ValueError("double_band needs nonzero r, s of length >= n")
-        out = np.diag(r)
-        if n > 1:
-            out[idx[1:], idx[:-1]] = s[:-1]
+    elif name in ("band", "double_band", "difference"):
+        out = np.array(triangle_kernel(_named_band_system(name, params, n), n))
     elif name == "summation":
         out = np.where(idx[:, None] >= idx, 1.0, 0.0)
-    elif name == "difference":
-        out = np.eye(n)
-        if n > 1:
-            out[idx[1:], idx[:-1]] = -1.0
     elif name == "identity":
         out = np.eye(n)
     elif name == "zero":
@@ -126,7 +129,9 @@ def materialize_matrix(matrix, n: int) -> np.ndarray:
     """Resolve a matrix argument (dense block, GeneratorSpec, or name) to n x n.
 
     A dense block must be at least n x n with finite entries, all of it, not
-    only its leading n x n block; else SchemaError.
+    only its leading n x n block; else SchemaError.  A generator's matrix is
+    finite by construction (:func:`make_matrix` raises for a parameter that
+    would make it otherwise), so it takes no finiteness pass.
     """
     if isinstance(matrix, (GeneratorSpec, str)):
         return make_matrix(matrix, n)

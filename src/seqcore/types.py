@@ -31,8 +31,9 @@ Likewise :func:`coerce_int` is the one reader of an integer, and
 caller's integers call them: the ladder readers (a truncation ladder, a
 witness ladder), the core readers (a window, a direction count, a probe
 grid side) and the generators' integer params (a seed, ``m``, ``k``).  So
-2.5, "2", ``true`` or ``np.True_`` raises ``SchemaError`` where the integer
-is read, and the CLI passes config values to those readers as they are.
+2.5, "2", ``true``, ``np.True_`` or ``np.array(True)`` raises
+``SchemaError`` where the integer is read, and the CLI passes config values
+to those readers as they are.
 
 Construction copies an array unless it already owns its data and is
 read-only: a writable array, or any view (a slice, a reshape, a buffer
@@ -62,8 +63,8 @@ class SchemaError(ValueError):
 
 
 def coerce_int(value, what: str) -> int:
-    """value as an int: an integer, or a float with an integer value; else SchemaError naming it (a string and a boolean too)."""
-    if isinstance(value, (str, bool, np.bool_)):
+    """value as an int: an integer, or a float with an integer value; else SchemaError naming it (a string and a boolean, or boolean array, too)."""
+    if isinstance(value, (str, bool, np.bool_)) or isinstance(value, np.ndarray) and value.dtype == np.bool_:
         raise SchemaError(f"{what} must be an integer, not {'a string' if isinstance(value, str) else 'a boolean'}: {value!r:.40}")
     try:
         integer = int(value)

@@ -295,6 +295,13 @@ class TestRegionComparisons:
         ok, violation = cores.region_included(region, region, tol=0.0)
         assert ok and violation == 0.0
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_a_tolerance_that_is_not_finite_is_a_schema_error(self, tol):
+        # nan once said a region is not inside itself, and inf that any region is inside any other
+        region = cores.cluster_hull(make_sequence("random_bounded", 500, seed=2), (100, 500))
+        with pytest.raises(SchemaError, match="tol must be finite"):
+            cores.region_included(region, region, tol)
+
     def test_direction_mismatch_rejected(self):
         a = cores.cluster_hull(make_sequence("e", 10), (0, 10), n_directions=32)
         b = cores.cluster_hull(make_sequence("e", 10), (0, 10), n_directions=64)
@@ -461,8 +468,15 @@ class TestCallerIntegers:
             lambda: cores.disc_core(_CIRCLE, (100, 400), grid_n=3.5),
             lambda: cores.st_core(_CIRCLE, (100, 400), n_directions=16.5),
             lambda: cores.check_grid_n(np.True_),
+            lambda: cores.check_grid_n(np.array(True)),
+            # a caller's probe grid once left grid_n unread
+            lambda: cores.disc_core(_CIRCLE, (100, 400), z_grid=[0j, 1 + 0j], grid_n=3.5),
+            lambda: cores.st_core(_CIRCLE, (100, 400), z_grid=[0j, 1 + 0j], grid_n=3.5),
         ],
-        ids=["directions", "window", "bool-window", "numpy-bool-window", "three-bounds", "scalar-window", "alpha-window", "st-limsup-window", "grid-n", "st-directions", "numpy-bool-grid-n"],
+        ids=[
+            "directions", "window", "bool-window", "numpy-bool-window", "three-bounds", "scalar-window", "alpha-window", "st-limsup-window",
+            "grid-n", "st-directions", "numpy-bool-grid-n", "bool-array-grid-n", "disc-z-grid-grid-n", "st-z-grid-grid-n",
+        ],
     )
     def test_a_value_that_is_not_an_integer_is_a_schema_error(self, call):
         with pytest.raises(SchemaError, match="(window|directions|grid_n) must be"):

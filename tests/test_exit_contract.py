@@ -178,10 +178,23 @@ CONFIG_BASES = {
     "class-check": {
         "matrix": [
             "cesaro",
-            ["identity", "summation", {"dense": _TRIANGLE.tolist()}, {"generator": "riesz", "params": {"t": 2.0}}],
+            [
+                "identity",
+                "summation",
+                {"dense": _TRIANGLE.tolist()},
+                {"generator": "riesz", "params": {"t": 2.0}},
+                {"generator": "band", "params": {"r": -2, "s": 1}},
+                # every valid ladder tops out at 16, and double_band ignores values past the truncation
+                {"generator": "double_band", "params": {"r": [2.0, -1.0] * 10, "s": [0.5] * 20}},
+            ],
             [
                 "nope",
                 {"generator": "band", "params": {"r": 0, "s": 1}},
+                # a JSON 1e400 reads as inf, which json.dumps writes as Infinity
+                {"generator": "band", "params": {"r": float("inf"), "s": 1}},
+                {"generator": "band", "params": {"r": float("nan"), "s": 1}},
+                {"generator": "double_band", "params": {"r": 2.0, "s": [1.0] * 16}},
+                {"generator": "double_band", "params": {"r": [2.0] * 15, "s": [1.0] * 15}},
                 {"generator": "cesaro", "params": [1]},
                 {"dense": [[1.0, 2.0], [3.0]]},
                 {"dense": np.eye(8).tolist()},
@@ -208,7 +221,7 @@ CONFIG_BASES = {
         "outer.method": [OMIT, ["disc"], ["x"]],
         "outer.kind": ["k", ["st"], ["z", None]],
         "outer.grid_n": _CORE_SPEC["grid_n"],
-        "tol": [0.05, [0.2, 0.0], [None, "x", [0.05], False]],
+        "tol": [0.05, [0.2, 0.0], [None, "x", [0.05], False, float("nan"), float("inf")]],
         "extra": [OMIT, [], [1]],
     },
 }

@@ -1,10 +1,12 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqcore import band_ops, matclass
 from seqcore.generators import (
     GeneratorSpec,
     band_system_from_spec,
@@ -14,6 +16,7 @@ from seqcore.generators import (
     random_band_system,
     rng_from_seed,
 )
+from seqcore.types import BandSystem
 
 
 def test_cesaro_truncation_matches_definition():
@@ -45,6 +48,71 @@ def test_double_band_special_cases():
     assert np.array_equal(general, make_matrix("band", n, r=r, s=s))
     delta = make_matrix("double_band", n, r=np.ones(n), s=-np.ones(n))
     assert np.array_equal(delta, make_matrix("difference", n))
+
+
+def _named_system(name: str, n: int, params: dict) -> BandSystem:
+    if name == "difference":
+        return BandSystem.difference(n)
+    if name == "band":
+        return BandSystem.constant(params["r"], params["s"], 1.0, n)
+    return BandSystem(params["r"][:n], params["s"][:n], np.ones(n))
+
+
+_BAND_PARAMS = [
+    ("difference", {}),
+    ("band", {"r": 2.0, "s": 1.0}),
+    ("band", {"r": -2.0, "s": 0.5}),  # the dense r * eye(n) once wrote -0.0 off the band here
+    ("band", {"r": -1.0, "s": -3.0}),
+    ("double_band", {"r": rng_from_seed(31).uniform(-2.0, 2.0, 40), "s": rng_from_seed(32).uniform(-2.0, 2.0, 70)}),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+@pytest.mark.parametrize("name, params", _BAND_PARAMS, ids=["difference", "band", "band-negative-r", "band-negative", "double-band"])
+def test_band_matrices_are_the_triangle_kernel_of_their_system(name, params, n):
+    built = make_matrix(GeneratorSpec(name, params), n)
+    assert built.tobytes() == band_ops.triangle_kernel(_named_system(name, n, params), n).tobytes()
+    assert built.flags.writeable and built.shape == (n, n)
+
+
+def test_double_band_reads_only_its_first_n_values():
+    r, s = np.array([2.0, -1.0, 3.0, 0.0, np.nan]), np.array([1.0, 0.5, -4.0, np.inf])
+    assert np.array_equal(make_matrix("double_band", 3, r=r, s=s), [[2.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.5, 3.0]])
+
+
+@pytest.mark.parametrize(
+    "name, params, match",
+    [
+        ("band", {"r": 0.0, "s": 1.0}, "nonzero"),
+        ("band", {"r": 1.0, "s": 0.0}, "nonzero"),
+        ("band", {"r": np.inf, "s": 1.0}, "r entries must be finite"),
+        ("band", {"r": np.nan, "s": 1.0}, "r entries must be finite"),
+        ("band", {"r": 1.0, "s": -np.inf}, "s entries must be finite"),
+        ("double_band", {"r": np.ones(8), "s": np.r_[np.nan, np.ones(7)]}, "s entries must be finite"),
+        ("double_band", {"r": np.r_[np.ones(7), np.inf], "s": np.ones(8)}, "r entries must be finite"),
+        ("double_band", {"r": np.r_[np.ones(7), 0.0], "s": np.ones(8)}, "nonzero"),
+        ("double_band", {"r": 2.0, "s": np.ones(8)}, "one-dimensional"),
+        ("double_band", {"r": np.ones(8), "s": 1.0}, "one-dimensional"),
+        ("double_band", {"r": np.ones(7), "s": np.ones(7)}, "cannot serve truncation 8"),
+        ("double_band", {"r": np.ones(8), "s": np.ones(7)}, "equally long"),
+    ],
+)
+def test_band_matrix_params_follow_the_band_system_rules(name, params, match):
+    with pytest.raises(ValueError, match=match):
+        make_matrix(GeneratorSpec(name, params), 8)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GeneratorSpec("band", {"r": np.inf, "s": 1.0}), GeneratorSpec("band", {"r": np.nan, "s": 1.0}), GeneratorSpec("double_band", {"r": np.ones(16), "s": np.r_[np.nan, np.ones(15)]})],
+    ids=["band-r-inf", "band-r-nan", "double-band-s-nan"],
+)
+@pytest.mark.parametrize("class_id", ["c:sc_reg", "sinf:linf", "s0:c_q"])
+def test_a_report_on_an_invalid_band_matrix_raises_before_any_condition(spec, class_id):
+    # these once read inconclusive or fails off NaN entries, or raised the composed matrix's OverflowError
+    with mock.patch.object(matclass, "_condition_verdict", side_effect=AssertionError("a condition ran")), mock.patch.object(matclass, "_compose", side_effect=AssertionError("E was solved")):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            matclass.class_report(spec, class_id, BandSystem.difference(16), p=2.0, q=1.5, ladder=(8, 16))
 
 
 def test_sequences():

@@ -253,6 +253,11 @@ class TestSpecs:
         assert doc.tobytes() == make_matrix(GeneratorSpec("riesz", {"t": 2.0}), 5).tobytes()
 
 
+# config texts, written as they are: a literal such as 1e400 reads as inf, which json.dumps would write as Infinity
+_BAND_CONFIG = '{"matrix": {"generator": %s, "params": {"r": %s, "s": %s}}, "system": "delta", "class": "%s", "ladder": [1, 2]}'
+_INCLUDE_CONFIG = '{"inner": {"kind": "k", "x": "alternating:", "n": 40}, "outer": {"kind": "k", "x": "alternating:", "n": 40}%s}'
+
+
 class TestCli:
     def test_transform_invert_round_trip(self, tmp_path):
         x_path = tmp_path / "x.json"
@@ -471,6 +476,37 @@ class TestCli:
         assert cli.main(argv + [str(path), "--out", str(tmp_path / "out.json")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("seqcore:")
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            # the band matrices are BandSystem triangles: a parameter BandSystem refuses is one schema line, not a
+            # numpy RuntimeWarning and a line about a dense block, a verdict read off NaN entries, or exit 4
+            *[
+                pytest.param(["class-check"], _BAND_CONFIG % ('"band"', r, s, cid), id=f"band-{ident}-{cid}")
+                for r, s, ident in (("1e400", "1", "r-1e400"), ("NaN", "1", "r-nan"), ("0", "1", "r-zero"), ("1", "-1e400", "s-minus-1e400"))
+                for cid in ("c:sc_reg", "sinf:linf")
+            ],
+            pytest.param(["class-check"], _BAND_CONFIG % ('"double_band"', "[1e400, 1]", "[1, 1]", "c:sc_reg"), id="double-band-r-1e400"),
+            pytest.param(["class-check"], _BAND_CONFIG % ('"double_band"', "[1, 1]", "[NaN, 1]", "s0:c_q"), id="double-band-s-nan"),
+            pytest.param(["class-check"], _BAND_CONFIG % ('"double_band"', "2.0", "[1, 1]", "c:sc_reg"), id="double-band-scalar-r"),
+            pytest.param(["class-check"], _BAND_CONFIG % ('"double_band"', "[2.0]", "[1]", "c:sc_reg"), id="double-band-short"),
+            # a tolerance that is not finite says nothing about inclusion
+            pytest.param(["core-include"], _INCLUDE_CONFIG % ', "tol": NaN', id="include-tol-nan"),
+            pytest.param(["core-include"], _INCLUDE_CONFIG % ', "tol": Infinity', id="include-tol-infinity"),
+            pytest.param(["core-include", "--tol", "nan"], _INCLUDE_CONFIG % "", id="include-argv-tol-nan"),
+        ],
+    )
+    def test_an_invalid_band_matrix_or_inclusion_tol_is_one_schema_line(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv + ["--config", str(path), "--out", str(tmp_path / "out.json")]) == 3
+        assert [str(w.message) for w in caught] == []  # a numpy RuntimeWarning would print a line of its own
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("seqcore:") and "dense" not in err[0], err
         assert not (tmp_path / "out.json").exists()
 
     def test_dual_check_config(self, tmp_path, capsys):

@@ -674,9 +674,9 @@ class TestClassReport:
         with pytest.raises(ValueError, match=">= 1"):
             matclass.eval_condition("4.1", A="zero", sys=DELTA, ladder=ladder)
 
-    @pytest.mark.parametrize("ladder", [(8.5, 16), (True, 8, 16), (np.True_, 8, 16), (8, "16"), 16, None])
+    @pytest.mark.parametrize("ladder", [(8.5, 16), (True, 8, 16), (np.True_, 8, 16), (np.array(True), 8, 16), (8, "16"), 16, None])
     def test_a_rung_that_is_not_an_integer_is_a_schema_error(self, ladder):
-        # int() once read (True, 8, 16) as rung 1
+        # int() once read (True, 8, 16) and (np.array(True), 8, 16) as rung 1
         with pytest.raises(SchemaError, match="ladder must be"):
             matclass.class_report("cesaro", "c:sc_reg", DELTA, ladder=ladder)
 

@@ -18,7 +18,8 @@ def test_coerce_int_reads_integral_values(value):
     assert coerce_int(value, "n") == 3 and type(coerce_int(value, "n")) is int
 
 
-@pytest.mark.parametrize("value", [2.5, "3", True, False, np.True_, np.False_, None, [3], float("inf"), float("nan")])
+# int() reads a 0-d boolean array as 1 or 0, so it is refused by its dtype, as bool and np.bool_ are by type
+@pytest.mark.parametrize("value", [2.5, "3", True, False, np.True_, np.False_, np.array(True), np.array(False), None, [3], float("inf"), float("nan")])
 def test_coerce_int_rejects_what_is_not_an_integer(value):
     with pytest.raises(SchemaError, match="n must be an integer"):
         coerce_int(value, "n")
@@ -36,7 +37,7 @@ def test_coerce_ints_rejects_what_is_not_a_list(values):
         coerce_ints(values, "ladder")
 
 
-@pytest.mark.parametrize("values", [[8.5, 16], [True, 16], [np.True_, 16], np.array([True, False]), ["8", 16], [[8], 16], [8, None]])
+@pytest.mark.parametrize("values", [[8.5, 16], [True, 16], [np.True_, 16], [np.array(True), 16], np.array([True, False]), ["8", 16], [[8], 16], [8, None]])
 def test_coerce_ints_rejects_an_item_that_is_not_an_integer(values):
     with pytest.raises(SchemaError, match="ladder must be an integer"):
         coerce_ints(values, "ladder")
